@@ -185,7 +185,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--arity", type=int, default=2)
     p.add_argument("--modes", default="balanced,adaptive,huffman")
     p.add_argument("--max-iters", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomized inputs")
     p.add_argument("--out", required=True, help="variants CSV output")
     p.set_defaults(func=_cmd_bench)
 

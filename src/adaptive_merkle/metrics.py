@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ProbabilityError
-from .tree import PROB_SUM_TOL, AdaptiveTree
+from .tree import AdaptiveTree, check_probabilities
 
 
 def log_base(p: float, m: int) -> float:
@@ -28,21 +28,13 @@ def log_base(p: float, m: int) -> float:
     return math.log2(p) / math.log2(m)
 
 
-def _check_sum(values: Iterable[float]) -> None:
-    total = sum(values)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 +/- {PROB_SUM_TOL}")
-
-
 def avg_path_length(stats: Iterable[tuple[float, int]]) -> float:
     """Weighted mean depth sum(p * l) over (probability, depth) pairs."""
     pairs = list(stats)
-    for p, l in pairs:
-        if p < 0.0:
-            raise ProbabilityError(f"negative probability {p!r}")
+    for _, l in pairs:
         if l < 0:
             raise ProbabilityError(f"negative depth {l!r}")
-    _check_sum(p for p, _ in pairs)
+    check_probabilities(dict(enumerate(p for p, _ in pairs)))
     return sum(p * l for p, l in pairs)
 
 
@@ -51,10 +43,7 @@ def entropy(probs: Iterable[float], m: int) -> float:
     values = list(probs)
     if m < 2:
         raise ProbabilityError(f"arity must be >= 2, got {m}")
-    for p in values:
-        if p < 0.0:
-            raise ProbabilityError(f"negative probability {p!r}")
-    _check_sum(values)
+    check_probabilities(dict(enumerate(values)))
     return -sum(p * log_base(p, m) for p in values if p > 0.0)
 
 
@@ -100,7 +89,7 @@ class MetricsReport:
 
 def discrepancy_report(tree: AdaptiveTree) -> MetricsReport:
     """Full metrics for a tree; leaves reported in key order."""
-    tree.require_probability_sum()
+    check_probabilities(tree.probabilities)
     m = tree.config.arity
     depths = tree.depths()
     per_leaf = tuple(
@@ -109,5 +98,5 @@ def discrepancy_report(tree: AdaptiveTree) -> MetricsReport:
         for key in sorted(depths)
     )
     k_a = sum(s.p * s.l for s in per_leaf)
-    h = -sum(s.p * log_base(s.p, m) for s in per_leaf if s.p > 0.0)
+    h = entropy([s.p for s in per_leaf], m)
     return MetricsReport(k_a=k_a, entropy=h, delta=k_a - h, per_leaf=per_leaf)

@@ -1,4 +1,4 @@
-"""Single-iteration tree restructuring: enumerate, evaluate, apply.
+"""Single-iteration tree restructuring: enumerate or pick, then apply.
 
 One iteration works in two modes:
 
@@ -13,15 +13,19 @@ One iteration works in two modes:
 Every alternative is scored by the average discrepancy delta of the
 candidate tree. The best one wins; ties break deterministically by
 (delta, kind: attach < split < swap < no_op, ascending target labels).
+
+``optimize_swaps`` picks each swap without listing the pairs, as the
+first of the sorted ``enumerate_swap_alternatives`` list would be.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
-from .metrics import discrepancy_report, entropy
+from .metrics import MetricsReport, discrepancy_report, entropy
 from .tree import AdaptiveTree, check_probabilities
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "no_op": 3}
@@ -61,18 +65,17 @@ class Alternative:
 
 @dataclass
 class RestructureOutcome:
-    """Applied alternative plus the full ranked candidate list for audit."""
+    """Applied alternative and how many candidates, no-op included, it was chosen from."""
 
     chosen: Alternative
-    considered: list[Alternative]
-    tree_after: AdaptiveTree
+    candidates: int
     delta_before: float
     delta_after: float
 
     def to_json_dict(self) -> dict:
         return {
             "chosen": self.chosen.to_json_dict(),
-            "considered": [alt.to_json_dict() for alt in self.considered],
+            "candidates": self.candidates,
             "delta_before": self.delta_before,
             "delta_after": self.delta_after,
         }
@@ -89,9 +92,10 @@ def enumerate_add_alternatives(
 
     ``allowed_keys`` optionally restricts which existing leaves may be split.
     """
-    if new_key in set(tree.leaf_keys()):
+    depths = tree.depths()
+    if new_key in depths:
         raise DuplicateKeyError(f"leaf key {new_key!r} already present")
-    expected = set(tree.leaf_keys()) | {new_key}
+    expected = set(depths) | {new_key}
     if set(new_probs) != expected:
         raise ProbabilityError(
             f"new distribution must cover the old leaves plus {new_key!r} "
@@ -101,43 +105,23 @@ def enumerate_add_alternatives(
     if new_payload is None:
         new_payload = new_key.encode("utf-8")
 
-    m = tree.config.arity
-    depths = tree.depths()
-    h = entropy(list(new_probs.values()), m)
+    h = entropy(list(new_probs.values()), tree.config.arity)
     base_k = sum(new_probs[key] * depth for key, depth in depths.items())
     p_new = new_probs[new_key]
     probs_copy = {k: float(v) for k, v in new_probs.items()}
 
-    alternatives: list[Alternative] = []
-    for node_id in tree.open_internal_ids():
-        node_depth = _node_depth(tree, node_id)
-        k = base_k + p_new * (node_depth + 1)
-        alternatives.append(
-            Alternative(
-                kind="attach",
-                target=(node_id,),
-                resulting_delta=k - h,
-                sort_labels=(tree.subtree_min_key(node_id),),
-                new_key=new_key,
-                new_payload=new_payload,
-                new_probs=probs_copy,
-            )
-        )
-    for key in sorted(depths):
-        if allowed_keys is not None and key not in allowed_keys:
-            continue
-        k = base_k + new_probs[key] + p_new * (depths[key] + 1)
-        alternatives.append(
-            Alternative(
-                kind="split",
-                target=(key,),
-                resulting_delta=k - h,
-                sort_labels=(key,),
-                new_key=new_key,
-                new_payload=new_payload,
-                new_probs=probs_copy,
-            )
-        )
+    def placement(kind: str, target: str, k: float, label: str) -> Alternative:
+        return Alternative(kind, (target,), k - h, (label,), new_key, new_payload, probs_copy)
+
+    alternatives = [
+        placement("attach", node_id, base_k + p_new * (node_depth + 1), min_key)
+        for node_id, node_depth, min_key in _open_nodes(tree)
+    ]
+    alternatives += [
+        placement("split", key, base_k + new_probs[key] + p_new * (depths[key] + 1), key)
+        for key in sorted(depths)
+        if allowed_keys is None or key in allowed_keys
+    ]
     return alternatives
 
 
@@ -197,17 +181,9 @@ def apply_best(tree: AdaptiveTree, alternatives: Sequence[Alternative]) -> Restr
     if not alternatives:
         raise StructureError("no restructuring alternatives given")
     delta_before = discrepancy_report(tree).delta
-    considered = sorted(alternatives, key=lambda alt: alt.rank_key)
-    chosen = considered[0]
+    chosen = min(alternatives, key=lambda alt: alt.rank_key)
     apply_alternative(tree, chosen)
-    delta_after = discrepancy_report(tree).delta
-    return RestructureOutcome(
-        chosen=chosen,
-        considered=considered,
-        tree_after=tree,
-        delta_before=delta_before,
-        delta_after=delta_after,
-    )
+    return RestructureOutcome(chosen, len(alternatives), delta_before, discrepancy_report(tree).delta)
 
 
 def optimize_swaps(
@@ -223,33 +199,68 @@ def optimize_swaps(
     if max_iters < 1:
         raise StructureError(f"max_iters must be >= 1, got {max_iters}")
     outcomes: list[RestructureOutcome] = []
+    report = discrepancy_report(tree)
     for _ in range(max_iters):
-        alternatives = enumerate_swap_alternatives(tree, allowed_keys=allowed_keys)
-        ranked = sorted(alternatives, key=lambda alt: alt.rank_key)
-        best = ranked[0]
-        current = next(alt.resulting_delta for alt in alternatives if alt.kind == "no_op")
-        if best.kind == "no_op" or best.resulting_delta >= current - IMPROVEMENT_EPS:
+        best, candidates = _best_swap(report, allowed_keys)
+        current = report.delta
+        if best is None or best.resulting_delta >= current - IMPROVEMENT_EPS:
             break
         apply_alternative(tree, best)
-        delta_after = discrepancy_report(tree).delta
-        outcomes.append(
-            RestructureOutcome(
-                chosen=best,
-                considered=ranked,
-                tree_after=tree,
-                delta_before=current,
-                delta_after=delta_after,
-            )
-        )
-        if delta_after <= CANDIDATE_EPS:
+        report = discrepancy_report(tree)
+        outcomes.append(RestructureOutcome(best, candidates, current, report.delta))
+        if report.delta <= CANDIDATE_EPS:
             break
     return outcomes
 
 
-def _node_depth(tree: AdaptiveTree, node_id: str) -> int:
-    depth = 0
-    nid = node_id
-    while nid != tree.root_id:
-        nid = tree.parent_id(nid)
-        depth += 1
-    return depth
+def _best_swap(report: MetricsReport, allowed_keys: set[str] | None) -> tuple[Alternative | None, int]:
+    """The swap that sorting ``enumerate_swap_alternatives`` ranks first, and
+    that list's length (pairs at differing depths plus the no-op).
+
+    Swapping shallow s with deeper t scores delta + (p_s - p_t)(d_t - d_s),
+    rising with p_s and falling with p_t. So per pair of levels, a row of t
+    by falling p stops at its first score above the best so far, and the
+    rows of s by rising p stop at one whose first score is. Only strict
+    losers are skipped; equal scores still fall to the label order.
+    """
+    levels: dict[int, list[tuple[float, str]]] = {}
+    for s in report.per_leaf:
+        if abs(s.delta_i) > CANDIDATE_EPS and (allowed_keys is None or s.key in allowed_keys):
+            levels.setdefault(s.l, []).append((s.p, s.key))
+    sizes = [len(bucket) for bucket in levels.values()]
+    candidates = (sum(sizes) ** 2 - sum(c * c for c in sizes)) // 2 + 1
+    rising = {depth: sorted(levels[depth]) for depth in sorted(levels)}
+    order = list(rising)
+    best: tuple[float, tuple[str, ...]] = (math.inf, ())
+    for i, d_s in enumerate(order):
+        for d_t in order[i + 1 :]:
+            # (p_s - p_t) * gap is the enumerator's float for either key order.
+            gap, p_top = d_t - d_s, rising[d_t][-1][0]
+            for p_s, key_s in rising[d_s]:
+                if report.delta + (p_s - p_top) * gap > best[0]:
+                    break
+                for p_t, key_t in reversed(rising[d_t]):
+                    score = report.delta + (p_s - p_t) * gap
+                    if score > best[0]:
+                        break
+                    best = min(best, (score, tuple(sorted((key_s, key_t)))))
+    if not best[1]:
+        return None, candidates
+    delta, target = best
+    return Alternative(kind="swap", target=target, resulting_delta=delta, sort_labels=target), candidates
+
+
+def _open_nodes(tree: AdaptiveTree) -> list[tuple[str, int, str]]:
+    """``(node_id, depth, smallest leaf key below)`` of each internal node
+    with a free child slot, in preorder, from one walk over the tree."""
+    preorder, stack = [], [(tree.root_id, 0)]
+    while stack:
+        nid, depth = stack.pop()
+        preorder.append((nid, depth))
+        stack.extend((cid, depth + 1) for cid in reversed(tree.nodes[nid].children or ()))
+    min_key: dict[str, str] = {}
+    for nid, _ in reversed(preorder):  # children before their parent
+        node = tree.nodes[nid]
+        min_key[nid] = node.key if node.is_leaf else min(min_key[cid] for cid in node.children)
+    m = tree.config.arity
+    return [(nid, d, min_key[nid]) for nid, d in preorder if 0 < len(tree.nodes[nid].children or ()) < m]

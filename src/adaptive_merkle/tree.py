@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -65,9 +66,12 @@ def hash_internal(child_hashes: Iterable[bytes]) -> bytes:
     return h.digest()
 
 
-def check_probabilities(probs: Mapping[str, float], *, require_sum: bool = True) -> None:
-    """Reject negative values and (optionally) sums off 1 by more than 1e-9."""
+def check_probabilities(probs: Mapping[object, float], *, require_sum: bool = True) -> None:
+    """Reject NaN, infinite and negative values and (optionally) sums off 1
+    by more than 1e-9. The one probability validator of the package."""
     for key, p in probs.items():
+        if not math.isfinite(p):
+            raise ProbabilityError(f"non-finite probability {p!r} for key {key!r}")
         if p < 0.0:
             raise ProbabilityError(f"negative probability {p!r} for key {key!r}")
     if require_sum:
@@ -256,19 +260,6 @@ class AdaptiveTree:
             if not self.nodes[nid].is_leaf and len(self.nodes[nid].children) < m
         ]
 
-    def subtree_min_key(self, node_id: str) -> str:
-        """Smallest leaf key under ``node_id``; used for deterministic ordering."""
-        best: str | None = None
-        stack = [node_id]
-        while stack:
-            node = self.node(stack.pop())
-            if node.is_leaf:
-                if best is None or node.key < best:
-                    best = node.key
-            else:
-                stack.extend(node.children)
-        return best
-
     # -- mutations -------------------------------------------------------------
 
     def _rehash_path(self, node_id: str) -> None:
@@ -353,10 +344,6 @@ class AdaptiveTree:
             )
         check_probabilities(probs)
         self.probabilities = {key: float(p) for key, p in probs.items()}
-
-    def require_probability_sum(self) -> None:
-        """Raise unless stored probabilities currently sum to 1 +/- 1e-9."""
-        check_probabilities(self.probabilities)
 
     # -- copying / integrity ----------------------------------------------------
 

@@ -35,7 +35,8 @@ def test_insert_writes_new_snapshot_only(tmp_path, snapshot, capsys):
     assert main(["insert", "--snapshot", str(snapshot), "--key", "Q",
                  "--probs", str(probs), "--out", str(out)]) == 0
     audit = json.loads(capsys.readouterr().out)
-    assert set(audit) == {"chosen", "considered", "delta_before", "delta_after"}
+    assert set(audit) == {"chosen", "candidates", "delta_before", "delta_after"}
+    assert audit["candidates"] == 16  # binary tree: one split per leaf, no open node
     assert snapshot.read_bytes() == before
     assert AdaptiveTree.load(out).leaf_count() == 17
 
@@ -46,6 +47,15 @@ def test_insert_bad_probs_exit_2(tmp_path, snapshot):
     probs.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert main(["insert", "--snapshot", str(snapshot), "--key", "Q",
                  "--probs", str(probs), "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_build_non_finite_probability_exit_2(tmp_path, bad):
+    probs = tmp_path / "bad.csv"
+    probs.write_text(f"key,probability\nA,0.5\nB,{bad}\n", encoding="utf-8")
+    out = tmp_path / "tree.json"
+    assert main(["build", "--probs", str(probs), "--arity", "2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_optimize(tmp_path, snapshot, capsys):

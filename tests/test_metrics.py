@@ -38,6 +38,11 @@ class TestAvgPathLength:
         with pytest.raises(ProbabilityError):
             avg_path_length([(0.5, 1), (0.3, 1)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ProbabilityError):
+            avg_path_length([(bad, 1), (1.0, 1)])
+
 
 class TestEntropy:
     def test_demo16_binary(self):
@@ -62,6 +67,11 @@ class TestEntropy:
     def test_sum_violation(self):
         with pytest.raises(ProbabilityError):
             entropy([0.6, 0.6], 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ProbabilityError):
+            entropy([bad, 1.0], 2)
 
 
 class TestDiscrepancyReport:

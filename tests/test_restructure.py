@@ -1,8 +1,11 @@
 """Alternative enumeration, selection, and swap optimization."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_merkle import (
     AdaptiveTree,
@@ -19,6 +22,7 @@ from adaptive_merkle import (
     optimize_swaps,
 )
 from adaptive_merkle.coding import brute_force_min_avg_length, min_avg_length_for_depths
+from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS
 
 from helpers import random_distribution, random_tree
 
@@ -31,6 +35,56 @@ def two_leaf_tree(m=2):
 
 def delta_by_target(alternatives):
     return {alt.target: alt.resulting_delta for alt in alternatives}
+
+
+def brute_min_key(tree, node_id):
+    node = tree.nodes[node_id]
+    if node.is_leaf:
+        return node.key
+    return min(brute_min_key(tree, cid) for cid in node.children)
+
+
+def reference_optimize(tree, max_iters, allowed_keys):
+    """The swap loop by its definition: list every pair, sort, apply the first."""
+    steps = []
+    for _ in range(max_iters):
+        alternatives = enumerate_swap_alternatives(tree, allowed_keys=allowed_keys)
+        best = sorted(alternatives, key=lambda alt: alt.rank_key)[0]
+        current = next(alt.resulting_delta for alt in alternatives if alt.kind == "no_op")
+        if best.kind == "no_op" or best.resulting_delta >= current - IMPROVEMENT_EPS:
+            break
+        apply_alternative(tree, best)
+        delta_after = discrepancy_report(tree).delta
+        steps.append((best.target, best.resulting_delta.hex(), current.hex(), delta_after.hex(),
+                      len(alternatives)))
+        if delta_after <= CANDIDATE_EPS:
+            break
+    return steps
+
+
+@st.composite
+def swap_cases(draw):
+    """Random tree, near-tied probabilities and an optional allow-list.
+
+    Weights are integers over a total that is often a power of two, so many
+    probabilities are dyadic and tie exactly; some are then nudged by one or
+    two ulps so that scores of neighbouring pairs differ only by rounding.
+    """
+    n = draw(st.integers(1, 30))
+    m = draw(st.sampled_from([2, 3, 4, 16]))
+    total = draw(st.one_of(st.integers(0, 10).map(lambda k: 2**k), st.integers(1, 10**6)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    nudges = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    probs = {}
+    for i, (w, nudge) in enumerate(zip(weights, nudges)):
+        p = w / total
+        for _ in range(abs(nudge)):
+            p = math.nextafter(p, math.copysign(math.inf, nudge))
+        probs[f"k{i:03d}"] = max(p, 0.0)
+    tree = random_tree(random.Random(draw(st.integers(0, 2**32 - 1))), n, m, probs)
+    allowed = draw(st.none() | st.sets(st.sampled_from(sorted(probs))))
+    return tree, allowed, draw(st.integers(1, 64))
 
 
 class TestEnumerateAdd:
@@ -96,7 +150,12 @@ class TestEnumerateAdd:
             new_probs = dict(random_distribution(rng, n + 1))
             keys = sorted(tree.leaf_keys()) + ["zzz"]
             new_probs = dict(zip(keys, new_probs.values()))
-            for alt in enumerate_add_alternatives(tree, "zzz", new_probs):
+            alternatives = enumerate_add_alternatives(tree, "zzz", new_probs)
+            attaches = [alt for alt in alternatives if alt.kind == "attach"]
+            assert [alt.target[0] for alt in attaches] == tree.open_internal_ids()
+            for alt in attaches:
+                assert alt.sort_labels == (brute_min_key(tree, alt.target[0]),)
+            for alt in alternatives:
                 candidate = tree.clone()
                 apply_alternative(candidate, alt)
                 assert discrepancy_report(candidate).delta == pytest.approx(
@@ -160,13 +219,13 @@ class TestApplyBest:
             TreeConfig(2),
         )
         probs = {"A": 0.5, "B": 0.25, "C": 0.0625, "D": 0.0625, "E": 0.0625, "F": 0.0625}
-        outcome = apply_best(tree, enumerate_add_alternatives(tree, "F", probs))
+        alternatives = enumerate_add_alternatives(tree, "F", probs)
+        outcome = apply_best(tree, alternatives)
         assert outcome.chosen.kind == "split"
         assert outcome.chosen.target == ("C",)
         assert outcome.chosen.resulting_delta == pytest.approx(0.125, abs=TOL)
-        assert [a.resulting_delta for a in outcome.considered] == sorted(
-            a.resulting_delta for a in outcome.considered
-        )
+        assert outcome.candidates == len(alternatives)
+        assert outcome.chosen.resulting_delta == min(a.resulting_delta for a in alternatives)
 
     def test_iteration_2_winner(self):
         tree = AdaptiveTree.from_nested(
@@ -260,6 +319,22 @@ class TestOptimizeSwaps:
             assert final.k_a == pytest.approx(oracle, abs=TOL)
         assert applicable >= 50  # the conditional case must actually occur
 
+    @settings(max_examples=300, deadline=None)
+    @given(swap_cases())
+    def test_matches_enumerate_and_sort(self, case):
+        # Same steps as the reference loop, floats compared bit for bit.
+        tree, allowed, max_iters = case
+        reference = tree.clone()
+        expected = reference_optimize(reference, max_iters, allowed)
+        outcomes = optimize_swaps(tree, max_iters=max_iters, allowed_keys=allowed)
+        steps = [
+            (o.chosen.target, o.chosen.resulting_delta.hex(), o.delta_before.hex(),
+             o.delta_after.hex(), o.candidates)
+            for o in outcomes
+        ]
+        assert steps == expected
+        assert tree.root_hash() == reference.root_hash()
+
     def test_max_iters_respected(self, binary_demo_tree):
         outcomes = optimize_swaps(binary_demo_tree, max_iters=1)
         assert len(outcomes) == 1
@@ -273,6 +348,7 @@ class TestOutcomeSerialization:
     def test_json_shape(self, binary_demo_tree):
         outcome = apply_best(binary_demo_tree, enumerate_swap_alternatives(binary_demo_tree))
         data = outcome.to_json_dict()
-        assert set(data) == {"chosen", "considered", "delta_before", "delta_after"}
+        assert set(data) == {"chosen", "candidates", "delta_before", "delta_after"}
+        assert data["candidates"] == 4  # B, F, H at three depths: 3 pairs plus the no-op
         assert set(data["chosen"]) == {"kind", "target", "delta"}
         assert data["chosen"]["target"] == ["B", "H"]

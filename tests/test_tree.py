@@ -218,6 +218,12 @@ class TestSetProbabilities:
         with pytest.raises(ProbabilityError):
             tree.set_probabilities({"A": 1.5, "B": -0.5})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        tree = build_balanced(make_leaves("AB", [0.5, 0.5]), TreeConfig(2))
+        with pytest.raises(ProbabilityError):
+            tree.set_probabilities({"A": bad, "B": 1.0})
+
     def test_uniform_accepted(self):
         tree = build_balanced(make_leaves("ABCDEFG"), TreeConfig(2))
         tree.set_probabilities({k: 1 / 7 for k in "ABCDEFG"})
@@ -325,6 +331,13 @@ class TestSnapshots:
         snap["nodes"][0]["hash_hex"] = "00" * 32
         with pytest.raises(StructureError):
             AdaptiveTree.from_snapshot(snap)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_probability_rejected(self, binary_demo_tree, bad):
+        snap = binary_demo_tree.to_snapshot()
+        snap["probabilities"]["A"] = bad
+        with pytest.raises(ProbabilityError):
+            AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
 
     def test_tampered_structure_rejected(self, binary_demo_tree):
         snap = binary_demo_tree.to_snapshot()
