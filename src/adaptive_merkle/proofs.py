@@ -2,16 +2,17 @@
 
 Because node positions cannot be inferred from a leaf index in an unbalanced
 tree, every proof step records the path node's child position in its parent
-alongside the (index, digest) pairs of all other children. Steps run from
-the leaf to the root.
+and the digests of all other children in child order. The position is where
+the running digest slots in among the siblings, so each root path has exactly
+one encoding. Steps run from the leaf to the root.
 
 Wire format (canonical JSON, no whitespace)::
 
     {"key": ..., "leaf_hash_hex": ...,
-     "steps": [{"position": i, "siblings": [{"index": j, "hash_hex": ...}]}]}
+     "steps": [{"position": i, "siblings": ["<hex>", ...]}]}
 
 ``proof_bytes`` is defined as the byte length of exactly that encoding.
-Structural defects (bad indices, wrong digest sizes) raise
+Structural defects (bad positions, sibling counts or digest sizes) raise
 :class:`MalformedProofError`; a clean ``False`` from :func:`verify` always
 means the data genuinely fails to reproduce the expected root.
 """
@@ -28,7 +29,7 @@ from .tree import HASH_SIZE, AdaptiveTree, hash_internal
 @dataclass(frozen=True)
 class ProofStep:
     position: int
-    siblings: tuple[tuple[int, bytes], ...]
+    siblings: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,7 @@ class MerkleProof:
             "key": self.key,
             "leaf_hash_hex": self.leaf_hash.hex(),
             "steps": [
-                {
-                    "position": step.position,
-                    "siblings": [{"index": i, "hash_hex": h.hex()} for i, h in step.siblings],
-                }
+                {"position": step.position, "siblings": [h.hex() for h in step.siblings]}
                 for step in self.steps
             ],
         }
@@ -58,11 +56,13 @@ class MerkleProof:
         try:
             key = data["key"]
             leaf_hash = bytes.fromhex(data["leaf_hash_hex"])
+            # bool is an int subclass: JSON true must not pass as position 1
+            if not isinstance(key, str) or not all(
+                type(s["position"]) is int and isinstance(s["siblings"], list) for s in data["steps"]
+            ):
+                raise TypeError("need a string key, integer positions and sibling lists")
             steps = tuple(
-                ProofStep(
-                    int(step["position"]),
-                    tuple((int(s["index"]), bytes.fromhex(s["hash_hex"])) for s in step["siblings"]),
-                )
+                ProofStep(step["position"], tuple(bytes.fromhex(h) for h in step["siblings"]))
                 for step in data["steps"]
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -83,25 +83,19 @@ def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
     nid = leaf.node_id
     while nid != tree.root_id:
         parent = tree.node(tree.parent_id(nid))
-        position = parent.children.index(nid)
-        siblings = tuple(
-            (i, tree.node(cid).hash) for i, cid in enumerate(parent.children) if i != position
-        )
-        steps.append(ProofStep(position, siblings))
+        siblings = tuple(tree.nodes[cid].hash for cid in parent.children if cid != nid)
+        steps.append(ProofStep(parent.children.index(nid), siblings))
         nid = parent.node_id
     return MerkleProof(leaf_key, leaf.hash, tuple(steps))
 
 
 def _check_step(step: ProofStep, arity: int) -> None:
-    if not 0 <= step.position < arity:
-        raise MalformedProofError(f"position {step.position} out of range for arity {arity}")
-    seen = {step.position}
-    for index, digest in step.siblings:
-        if not 0 <= index < arity:
-            raise MalformedProofError(f"sibling index {index} out of range for arity {arity}")
-        if index in seen:
-            raise MalformedProofError(f"duplicate child index {index} in proof step")
-        seen.add(index)
+    # a finished tree has no single-child node, so every step has a sibling
+    if not 1 <= len(step.siblings) < arity:
+        raise MalformedProofError(f"{len(step.siblings)} siblings in a step, arity {arity}")
+    if not 0 <= step.position <= len(step.siblings):
+        raise MalformedProofError(f"position {step.position} past {len(step.siblings)} siblings")
+    for digest in step.siblings:
         if len(digest) != HASH_SIZE:
             raise MalformedProofError(f"sibling digest of {len(digest)} bytes, expected {HASH_SIZE}")
 
@@ -119,8 +113,8 @@ def verify(proof: MerkleProof, expected_root: bytes, arity: int) -> bool:
     current = proof.leaf_hash
     for step in proof.steps:
         _check_step(step, arity)
-        ordered = sorted([(step.position, current)] + list(step.siblings))
-        current = hash_internal(digest for _, digest in ordered)
+        i = step.position
+        current = hash_internal(step.siblings[:i] + (current,) + step.siblings[i:])
     return current == expected_root
 
 

@@ -82,16 +82,13 @@ def check_probabilities(probs: Mapping[object, float], *, require_sum: bool = Tr
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Tree-wide parameters: arity m (max children per node) and hash choice."""
+    """Tree-wide parameters: arity m (max children per node)."""
 
     arity: int
-    hash_algorithm: str = HASH_ALGORITHM
 
     def __post_init__(self) -> None:
         if self.arity < 2:
             raise StructureError(f"arity must be >= 2, got {self.arity}")
-        if self.hash_algorithm != HASH_ALGORITHM:
-            raise StructureError(f"unsupported hash algorithm {self.hash_algorithm!r}")
 
 
 @dataclass
@@ -368,17 +365,16 @@ class AdaptiveTree:
         return other
 
     def recompute_all_hashes(self) -> None:
-        """Full bottom-up rehash; used to cross-check incremental updates."""
+        """Full bottom-up rehash; used to cross-check incremental updates.
 
-        def rec(nid: str) -> bytes:
+        Reversed preorder visits every child before its parent, so one
+        iterative pass works at any depth."""
+        for nid in reversed(list(self._iter_preorder())):
             node = self.nodes[nid]
             if node.is_leaf:
                 node.hash = hash_leaf(node.key, node.payload)
             else:
-                node.hash = hash_internal([rec(cid) for cid in node.children])
-            return node.hash
-
-        rec(self.root_id)
+                node.hash = hash_internal(self.nodes[cid].hash for cid in node.children)
 
     def validate(self) -> None:
         """Structural self-check: tree shape, child bounds, key/probability maps."""
@@ -439,7 +435,7 @@ class AdaptiveTree:
                     }
                 )
         return {
-            "config": {"arity": self.config.arity, "hash": self.config.hash_algorithm},
+            "config": {"arity": self.config.arity, "hash": HASH_ALGORITHM},
             "nodes": nodes,
             "root_id": self.root_id,
             "probabilities": dict(sorted(self.probabilities.items())),
@@ -449,7 +445,9 @@ class AdaptiveTree:
     def from_snapshot(cls, snapshot: dict) -> "AdaptiveTree":
         """Rebuild a tree from a snapshot, re-deriving and checking every hash."""
         try:
-            config = TreeConfig(int(snapshot["config"]["arity"]), snapshot["config"]["hash"])
+            config = TreeConfig(int(snapshot["config"]["arity"]))
+            if snapshot["config"]["hash"] != HASH_ALGORITHM:
+                raise StructureError(f"unsupported hash algorithm {snapshot['config']['hash']!r}")
             node_specs = snapshot["nodes"]
             root_id = snapshot["root_id"]
             probabilities = snapshot["probabilities"]
@@ -460,20 +458,27 @@ class AdaptiveTree:
         tree.root_id = root_id
         max_suffix = 0
         for spec in node_specs:
-            nid = spec["id"]
+            try:
+                nid, kind = spec["id"], spec["kind"]
+                if kind == "leaf":
+                    payload = bytes.fromhex(spec["payload_hex"])
+                    node = TreeNode(nid, b"", key=spec["key"], payload=payload)
+                    names = [nid, node.key]
+                elif kind == "internal":
+                    node = TreeNode(nid, b"", children=list(spec["children"]))
+                    names = [nid, *node.children]
+                else:
+                    raise FormatError(f"unknown node kind {kind!r}")
+                if not all(isinstance(name, str) for name in names + [spec["hash_hex"]]):
+                    raise TypeError(f"non-string id, key, child or hash_hex in node {nid!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"malformed snapshot node: {exc!r}") from None
             if nid in tree.nodes:
                 raise StructureError(f"duplicate node id {nid!r} in snapshot")
-            if spec["kind"] == "leaf":
-                key = spec["key"]
-                payload = bytes.fromhex(spec["payload_hex"])
-                if key in tree._leaf_by_key:
-                    raise DuplicateKeyError(f"duplicate leaf key {key!r} in snapshot")
-                node = TreeNode(nid, hash_leaf(key, payload), key=key, payload=payload)
-                tree._leaf_by_key[key] = nid
-            elif spec["kind"] == "internal":
-                node = TreeNode(nid, b"", children=list(spec["children"]))
-            else:
-                raise FormatError(f"unknown node kind {spec['kind']!r}")
+            if node.is_leaf:
+                if node.key in tree._leaf_by_key:
+                    raise DuplicateKeyError(f"duplicate leaf key {node.key!r} in snapshot")
+                tree._leaf_by_key[node.key] = nid
             tree.nodes[nid] = node
             if nid.startswith("n") and nid[1:].isdigit():
                 max_suffix = max(max_suffix, int(nid[1:]))

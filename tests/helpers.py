@@ -13,6 +13,13 @@ def random_distribution(rng: random.Random, n: int) -> dict[str, float]:
     return {f"k{i:03d}": w / total for i, w in enumerate(weights)}
 
 
+def old_format_step(step: dict) -> dict:
+    """A wire proof step in the retired form: siblings as index/hash_hex objects."""
+    indices = [i for i in range(len(step["siblings"]) + 1) if i != step["position"]]
+    siblings = [{"index": i, "hash_hex": h} for i, h in zip(indices, step["siblings"])]
+    return {"position": step["position"], "siblings": siblings}
+
+
 def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | None = None) -> AdaptiveTree:
     """Random valid tree over n leaves built from seeded splits and attaches."""
     if probs is None:

@@ -7,6 +7,8 @@ import pytest
 from adaptive_merkle import AdaptiveTree
 from adaptive_merkle.cli import main
 
+from helpers import old_format_step
+
 
 @pytest.fixture
 def dist_csv(tmp_path, fixtures_dir):
@@ -85,6 +87,24 @@ def test_verify_malformed_proof_exit_2(tmp_path, capsys):
     proof_path = tmp_path / "proof.json"
     proof_path.write_text(json.dumps({"key": "A"}), encoding="utf-8")
     assert main(["verify", "--proof", str(proof_path), "--root", "00" * 32, "--arity", "2"]) == 2
+
+
+def test_verify_old_format_proof_exit_2(tmp_path, snapshot):
+    proof_path = tmp_path / "proof.json"
+    assert main(["prove", "--snapshot", str(snapshot), "--key", "A", "--out", str(proof_path)]) == 0
+    data = json.loads(proof_path.read_text(encoding="utf-8"))
+    data["steps"] = [old_format_step(step) for step in data["steps"]]
+    proof_path.write_text(json.dumps(data), encoding="utf-8")
+    root = AdaptiveTree.load(snapshot).root_hash().hex()
+    assert main(["verify", "--proof", str(proof_path), "--root", root, "--arity", "2"]) == 2
+
+
+def test_metrics_node_without_kind_exit_2(tmp_path, snapshot):
+    snap = json.loads(snapshot.read_text(encoding="utf-8"))
+    del snap["nodes"][0]["kind"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(snap), encoding="utf-8")
+    assert main(["metrics", "--snapshot", str(bad)]) == 2
 
 
 def test_encode_codes(tmp_path, dist_csv):

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_merkle import (
     MalformedProofError,
@@ -20,7 +22,7 @@ from adaptive_merkle import (
 from adaptive_merkle.proofs import ProofStep
 from adaptive_merkle.workload import normalize_distribution, demo16_distribution
 
-from helpers import random_tree
+from helpers import old_format_step, random_tree
 
 TOL = 1e-9
 
@@ -79,9 +81,9 @@ class TestVerify:
         key = tree.leaf_keys()[0]
         proof = prove(tree, key)
         step = proof.steps[0]
-        index, digest = step.siblings[0]
+        digest = step.siblings[0]
         mutated = bytes([digest[0] ^ 0x01]) + digest[1:]
-        bad_step = ProofStep(step.position, ((index, mutated),) + step.siblings[1:])
+        bad_step = ProofStep(step.position, (mutated,) + step.siblings[1:])
         bad = MerkleProof(proof.key, proof.leaf_hash, (bad_step,) + proof.steps[1:])
         assert verify(bad, tree.root_hash(), 2) is False
 
@@ -91,23 +93,31 @@ class TestVerify:
         assert verify(proof, proof.leaf_hash, 2)
         assert not verify(proof, b"\x00" * 32, 2)
 
-    def test_malformed_position_collision(self):
-        step = ProofStep(0, ((0, b"\x00" * 32),))
-        proof = MerkleProof("A", b"\x11" * 32, (step,))
-        with pytest.raises(MalformedProofError):
-            verify(proof, b"\x00" * 32, 2)
+    def test_malformed_sibling_count(self):
+        # a finished node has 2..m children: 1..m-1 siblings per step
+        for siblings in [(), (b"\x00" * 32,) * 4]:
+            proof = MerkleProof("A", b"\x11" * 32, (ProofStep(0, siblings),))
+            with pytest.raises(MalformedProofError):
+                verify(proof, b"\x00" * 32, 4)
 
     def test_malformed_index_out_of_range(self):
-        step = ProofStep(0, ((5, b"\x00" * 32),))
-        proof = MerkleProof("A", b"\x11" * 32, (step,))
-        with pytest.raises(MalformedProofError):
-            verify(proof, b"\x00" * 32, 2)
+        # the path node's child index can only slot in before, between or
+        # after the siblings
+        for position in [-1, 3]:
+            step = ProofStep(position, (b"\x00" * 32, b"\x22" * 32))
+            proof = MerkleProof("A", b"\x11" * 32, (step,))
+            with pytest.raises(MalformedProofError):
+                verify(proof, b"\x00" * 32, 4)
 
     def test_malformed_digest_size(self):
-        step = ProofStep(0, ((1, b"\x00" * 31),))
+        step = ProofStep(0, (b"\x00" * 31,))
         proof = MerkleProof("A", b"\x11" * 32, (step,))
         with pytest.raises(MalformedProofError):
             verify(proof, b"\x00" * 32, 2)
+        with pytest.raises(MalformedProofError):
+            verify(MerkleProof("A", b"\x11" * 31, ()), b"\x11" * 31, 2)
+        with pytest.raises(MalformedProofError):
+            verify(MerkleProof("A", b"\x11" * 32, ()), b"\x11" * 31, 2)
 
     def test_wrong_payload_never_verifies(self):
         # soundness fuzz: proofs for altered leaf data must fail
@@ -139,11 +149,105 @@ class TestWireFormat:
         with pytest.raises(MalformedProofError):
             MerkleProof.from_json_dict({"key": "A"})
 
+    def test_steps_hold_position_and_digests_only(self, quad_demo_tree):
+        data = json.loads(prove(quad_demo_tree, "E").to_json_bytes())
+        assert data["steps"]
+        for step in data["steps"]:
+            assert set(step) == {"position", "siblings"}
+            assert all(isinstance(h, str) and len(h) == 64 for h in step["siblings"])
+
+    @pytest.mark.parametrize("position", [True, 1.7, "1"])
+    def test_non_integer_position_raises_malformed(self, binary_demo_tree, position):
+        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
+        data["steps"][0]["position"] = position
+        with pytest.raises(MalformedProofError):
+            MerkleProof.from_json_dict(data)
+
+    def test_non_string_key_raises_malformed(self, binary_demo_tree):
+        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
+        data["key"] = ["C"]
+        with pytest.raises(MalformedProofError):
+            MerkleProof.from_json_dict(data)
+
+    def test_old_format_proof_raises_malformed(self, binary_demo_tree):
+        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
+        data["steps"] = [old_format_step(step) for step in data["steps"]]
+        with pytest.raises(MalformedProofError):
+            MerkleProof.from_json_dict(data)
+
     def test_proof_invariant_under_probability_change(self, binary_demo_tree):
         before = prove(binary_demo_tree, "B")
         uniform = {k: 1 / 8 for k in binary_demo_tree.leaf_keys()}
         binary_demo_tree.set_probabilities(uniform)
         assert prove(binary_demo_tree, "B") == before
+
+
+def flip_byte(digest: bytes, i: int, mask: int) -> bytes:
+    return digest[:i] + bytes([digest[i] ^ mask]) + digest[i + 1:]
+
+
+@st.composite
+def proof_cases(draw):
+    """A seeded random tree (n <= 32, m in {2, 3, 4, 16}) and a proof for any leaf."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tree = random_tree(rng, draw(st.integers(1, 32)), draw(st.sampled_from([2, 3, 4, 16])))
+    return tree, prove(tree, draw(st.sampled_from(tree.leaf_keys())))
+
+
+class TestProofMutation:
+    """Any single structured edit to a valid proof fails to verify or is
+    rejected as malformed. The key is not bound by the proof yet, so edits
+    confined to it are out of scope here."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(proof_cases(), st.data())
+    def test_single_edit_never_verifies(self, case, data):
+        tree, proof = case
+        m = tree.config.arity
+        assert verify(proof, tree.root_hash(), m)
+        steps = list(proof.steps)
+        edits = ["flip"]
+        if steps:
+            edits += ["position", "drop", "add"]
+        if any(len(step.siblings) > 1 for step in steps):
+            edits.append("swap")
+        edit = data.draw(st.sampled_from(edits))
+        leaf_hash = proof.leaf_hash
+        if edit == "flip":
+            where = data.draw(st.sampled_from(
+                [None] + [(k, j) for k, step in enumerate(steps) for j in range(len(step.siblings))]
+            ))
+            i, mask = data.draw(st.integers(0, 31)), data.draw(st.integers(1, 255))
+            if where is None:
+                leaf_hash = flip_byte(leaf_hash, i, mask)
+            else:
+                k, j = where
+                siblings = list(steps[k].siblings)
+                siblings[j] = flip_byte(siblings[j], i, mask)
+                steps[k] = ProofStep(steps[k].position, tuple(siblings))
+        elif edit == "swap":
+            k = data.draw(st.sampled_from([k for k, step in enumerate(steps) if len(step.siblings) > 1]))
+            siblings = list(steps[k].siblings)
+            a, b = data.draw(st.lists(st.integers(0, len(siblings) - 1), min_size=2, max_size=2, unique=True))
+            siblings[a], siblings[b] = siblings[b], siblings[a]
+            steps[k] = ProofStep(steps[k].position, tuple(siblings))
+        else:
+            k = data.draw(st.integers(0, len(steps) - 1))
+            position, siblings = steps[k].position, list(steps[k].siblings)
+            if edit == "position":
+                position = data.draw(st.integers(-2, m + 1).filter(lambda p: p != steps[k].position))
+            elif edit == "drop":
+                del siblings[data.draw(st.integers(0, len(siblings) - 1))]
+            else:
+                extra = data.draw(st.binary(min_size=32, max_size=32))
+                siblings.insert(data.draw(st.integers(0, len(siblings))), extra)
+            steps[k] = ProofStep(position, tuple(siblings))
+        bad = MerkleProof(proof.key, leaf_hash, tuple(steps))
+        assert bad != proof
+        try:
+            assert verify(bad, tree.root_hash(), m) is False
+        except MalformedProofError:
+            pass
 
 
 class TestVerificationCost:

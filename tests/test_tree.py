@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from adaptive_merkle import (
     AdaptiveTree,
     DuplicateKeyError,
+    FormatError,
     ProbabilityError,
     StructureError,
     TreeConfig,
@@ -325,6 +326,51 @@ class TestSnapshots:
                 assert set(node) == {"id", "kind", "key", "payload_hex", "hash_hex"}
             else:
                 assert set(node) == {"id", "kind", "children", "hash_hex"}
+
+    def test_deep_chain_round_trip(self, tmp_path):
+        # deeper than Python's default recursion limit
+        tree = build_balanced(make_leaves(["k0000"]), TreeConfig(2))
+        for i in range(1, 1201):
+            tree.split_leaf("k0000", f"k{i:04d}", b"")
+        path = tmp_path / "chain.json"
+        tree.save(path)
+        loaded = AdaptiveTree.load(path)
+        assert loaded.root_hash() == tree.root_hash()
+        assert loaded.depths() == tree.depths()
+        assert loaded.depth("k0000") == 1200
+
+    def test_only_sha256_snapshots_load(self, binary_demo_tree):
+        snap = binary_demo_tree.to_snapshot()
+        snap["config"]["hash"] = "md5"
+        with pytest.raises(StructureError):
+            AdaptiveTree.from_snapshot(snap)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("leaf", "id", None),
+            ("leaf", "kind", None),
+            ("leaf", "key", None),
+            ("leaf", "payload_hex", None),
+            ("leaf", "hash_hex", None),
+            ("internal", "children", None),
+            ("leaf", "payload_hex", "not hex"),
+            ("leaf", "key", 7),
+            ("leaf", "id", ["n1"]),
+            ("internal", "children", 3),
+            ("internal", "hash_hex", 0),
+        ],
+    )
+    def test_malformed_node_raises_format_error(self, binary_demo_tree, kind, field, value):
+        # value None: the field is missing altogether
+        snap = binary_demo_tree.to_snapshot()
+        node = next(n for n in snap["nodes"] if n["kind"] == kind)
+        if value is None:
+            del node[field]
+        else:
+            node[field] = value
+        with pytest.raises(FormatError):
+            AdaptiveTree.from_snapshot(snap)
 
     def test_tampered_hash_rejected(self, tmp_path, binary_demo_tree):
         snap = binary_demo_tree.to_snapshot()
