@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .coding import is_code_string, is_prefix_free
+from .coding import codes_from_tree, is_code_string, is_prefix_free
 from .errors import AddressNotFoundError, FormatError, StructureError
 from .tree import AdaptiveTree
 
@@ -94,16 +94,17 @@ def build_mapping(balanced: AdaptiveTree, adaptive: AdaptiveTree) -> AddressTabl
     Records follow the balanced tree's left-to-right leaf order; probabilities
     come from the adaptive tree. Both trees must hold the same key set.
     """
-    balanced_keys = balanced.leaf_keys()
-    if set(balanced_keys) != set(adaptive.leaf_keys()):
+    balanced_codes = codes_from_tree(balanced)
+    adaptive_codes = codes_from_tree(adaptive)
+    if balanced_codes.keys() != adaptive_codes.keys():
         raise StructureError("balanced and adaptive trees hold different key sets")
     records = [
         AddressRecord(
             address=key,
             probability=adaptive.probabilities[key],
-            balanced_code=balanced.path_digits(key),
-            adaptive_code=adaptive.path_digits(key),
+            balanced_code=code,
+            adaptive_code=adaptive_codes[key],
         )
-        for key in balanced_keys
+        for key, code in balanced_codes.items()
     ]
     return AddressTable(records)

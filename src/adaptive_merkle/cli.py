@@ -46,10 +46,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_probs(path) -> dict[str, float]:
-    return dict(workload.load_distribution_csv(path))
-
-
 def _cmd_build(args) -> int:
     dist = workload.normalize_distribution(workload.load_distribution_csv(args.probs))
     leaves = [(key, key.encode("utf-8"), p) for key, p in dist]
@@ -60,7 +56,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_insert(args) -> int:
     tree = AdaptiveTree.load(args.snapshot)
-    probs = _load_probs(args.probs)
+    probs = dict(workload.normalize_distribution(workload.load_distribution_csv(args.probs)))
     alternatives = enumerate_add_alternatives(tree, args.key, probs)
     outcome = apply_best(tree, alternatives)
     tree.save(args.out)
@@ -146,7 +142,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("insert", help="one add-leaf iteration under a new distribution")
     p.add_argument("--snapshot", required=True, help="input tree snapshot")
     p.add_argument("--key", required=True, help="key of the new leaf")
-    p.add_argument("--probs", required=True, help="new full distribution CSV")
+    p.add_argument("--probs", required=True,
+                   help="new full distribution CSV (key,probability); values are normalized to sum 1")
     p.add_argument("--out", required=True, help="output snapshot path")
     p.set_defaults(func=_cmd_insert)
 

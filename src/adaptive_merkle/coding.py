@@ -18,15 +18,27 @@ from typing import Mapping
 
 from .errors import FormatError, ProbabilityError, StructureError
 from .metrics import entropy
-from .tree import (
-    AdaptiveTree,
-    TreeConfig,
-    check_probabilities,
-    digit_to_index,
-    index_to_digit,
-)
+from .tree import AdaptiveTree, TreeConfig, check_probabilities
 
 BRUTE_FORCE_MAX_N = 10
+
+# Path codes spell a root-to-leaf path with one character per level, the
+# child index: 0-9 then a-z, so arity 16 yields nibble-style codes. Caps
+# code-producing operations at arity 36.
+CODE_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def index_to_digit(index: int) -> str:
+    if not 0 <= index < len(CODE_ALPHABET):
+        raise StructureError(f"child index {index} exceeds the code alphabet")
+    return CODE_ALPHABET[index]
+
+
+def digit_to_index(digit: str) -> int:
+    index = CODE_ALPHABET.find(digit)
+    if index < 0:
+        raise StructureError(f"{digit!r} is not a code digit")
+    return index
 
 
 @dataclass(frozen=True)
@@ -70,20 +82,6 @@ def is_code_string(code: str) -> bool:
     return True
 
 
-class _MergeNode:
-    __slots__ = ("weight", "tiebreak", "children", "key", "dummy")
-
-    def __init__(self, weight, tiebreak, children=None, key=None, dummy=False):
-        self.weight = weight
-        self.tiebreak = tiebreak
-        self.children = children
-        self.key = key
-        self.dummy = dummy
-
-    def __lt__(self, other):
-        return (self.weight, self.tiebreak) < (other.weight, other.tiebreak)
-
-
 def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
     """Optimal m-ary prefix code for the given distribution.
 
@@ -101,29 +99,20 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
         key = next(iter(prob_map))
         return CodeTable({key: ""}, prob_map, m, 0.0, 0.0)
 
-    heap: list[_MergeNode] = [
-        _MergeNode(p, (0, key), key=key) for key, p in prob_map.items()
-    ]
+    # Entries are (weight, tiebreak, shape); a shape is a leaf key or a list
+    # of child shapes, the nested form that AdaptiveTree.from_nested reads.
+    # Tiebreaks are unique, so shapes are never compared.
+    heap: list[tuple] = [(p, (0, key), key) for key, p in prob_map.items()]
     n_dummies = (m - 1 - (len(heap) - 1) % (m - 1)) % (m - 1)
-    heap.extend(_MergeNode(0.0, (1, i), dummy=True) for i in range(n_dummies))
+    heap.extend((0.0, (1, i), None) for i in range(n_dummies))
     heapq.heapify(heap)
 
     while len(heap) > 1:
-        merged_children = [heapq.heappop(heap) for _ in range(m)]
-        real = [node for node in merged_children if not node.dummy]
-        weight = sum(node.weight for node in real)
-        heapq.heappush(heap, _MergeNode(weight, min(node.tiebreak for node in real), children=real))
+        real = [entry for entry in (heapq.heappop(heap) for _ in range(m)) if entry[2] is not None]
+        weight = sum(entry[0] for entry in real)
+        heapq.heappush(heap, (weight, min(entry[1] for entry in real), [entry[2] for entry in real]))
 
-    entries: dict[str, str] = {}
-
-    def assign(node: _MergeNode, prefix: str) -> None:
-        if node.children is None:
-            entries[node.key] = prefix
-            return
-        for index, child in enumerate(node.children):
-            assign(child, prefix + index_to_digit(index))
-
-    assign(heap[0], "")
+    entries = _leaf_codes(heap[0][2], lambda shape: None if isinstance(shape, str) else shape)
     avg = sum(prob_map[key] * len(code) for key, code in entries.items())
     return CodeTable(entries, prob_map, m, avg, entropy(prob_map.values(), m))
 
@@ -193,40 +182,53 @@ def tree_from_codes(codes: CodeTable, payloads: Mapping[str, bytes] | None = Non
     entries = codes.entries
     if not is_prefix_free(entries.values()):
         raise StructureError("codes are not prefix-free")
-    if len(entries) == 1:
-        (key,) = entries
-        if entries[key] != "":
-            raise StructureError("a single symbol must carry the empty code")
-        return AdaptiveTree.from_nested(
-            key, {key: codes.probabilities[key]}, TreeConfig(codes.arity), payloads
-        )
-
-    def nest(prefix: str, items: list[tuple[str, str]]):
-        if len(items) == 1 and items[0][1] == prefix:
-            return items[0][0]
-        by_digit: dict[int, list[tuple[str, str]]] = {}
-        for key, code in items:
-            if len(code) <= len(prefix):
-                raise StructureError(f"code {code!r} collides with an internal position")
-            index = digit_to_index(code[len(prefix)])
-            if index >= codes.arity:
-                raise StructureError(
-                    f"digit {code[len(prefix)]!r} out of range for arity {codes.arity}"
-                )
-            by_digit.setdefault(index, []).append((key, code))
-        if sorted(by_digit) != list(range(len(by_digit))):
-            raise StructureError(f"non-contiguous child digits {sorted(by_digit)} under prefix {prefix!r}")
-        if len(by_digit) < 2:
-            raise StructureError(f"single-child node under prefix {prefix!r}")
-        return [nest(prefix + index_to_digit(d), by_digit[d]) for d in sorted(by_digit)]
-
-    nested = nest("", sorted(entries.items(), key=lambda kv: kv[1]))
+    if list(entries.values()) == [""]:
+        (nested,) = entries
+    else:
+        # Sorted codes visit the leaves left to right. ``path`` holds the
+        # (prefix, children) of each internal node above the next leaf.
+        # from_nested rejects nodes with fewer than two or more than m
+        # children, so a digit >= m fails there.
+        nested = []
+        path = [("", nested)]
+        for key, code in sorted(entries.items(), key=lambda kv: kv[1]):
+            while not code.startswith(path[-1][0]):
+                path.pop()
+            prefix, children = path[-1]
+            for depth in range(len(prefix), len(code)):
+                if digit_to_index(code[depth]) != len(children):
+                    raise StructureError(
+                        f"non-contiguous child digit {code[depth]!r} under prefix {code[:depth]!r}"
+                    )
+                if depth == len(code) - 1:
+                    children.append(key)
+                else:
+                    children.append([])
+                    children = children[-1]
+                    path.append((code[: depth + 1], children))
     return AdaptiveTree.from_nested(nested, codes.probabilities, TreeConfig(codes.arity), payloads)
 
 
 def codes_from_tree(tree: AdaptiveTree) -> dict[str, str]:
-    """Read the path-digit code of every leaf back out of a tree."""
-    return {key: tree.path_digits(key) for key in tree.leaf_keys()}
+    """The path code of every leaf, in left-to-right order, from one walk."""
+    codes = _leaf_codes(tree.root_id, lambda nid: tree.nodes[nid].children)
+    return {tree.nodes[nid].key: code for nid, code in codes.items()}
+
+
+def _leaf_codes(root, children_of) -> dict:
+    """Path code of every leaf below ``root`` in left-to-right order, by an
+    explicit-stack preorder walk; ``children_of`` returns None at a leaf."""
+    codes = {}
+    stack = [(root, "")]
+    while stack:
+        item, code = stack.pop()
+        children = children_of(item)
+        if children is None:
+            codes[item] = code
+        else:
+            for index in range(len(children) - 1, -1, -1):
+                stack.append((children[index], code + index_to_digit(index)))
+    return codes
 
 
 def export_csv(table: CodeTable, path) -> None:

@@ -86,12 +86,8 @@ def enumerate_add_alternatives(
     new_key: str,
     new_probs: Mapping[str, float],
     new_payload: bytes | None = None,
-    allowed_keys: set[str] | None = None,
 ) -> list[Alternative]:
-    """All ways to place one new leaf, scored under the new distribution.
-
-    ``allowed_keys`` optionally restricts which existing leaves may be split.
-    """
+    """All ways to place one new leaf, scored under the new distribution."""
     depths = tree.depths()
     if new_key in depths:
         raise DuplicateKeyError(f"leaf key {new_key!r} already present")
@@ -120,15 +116,11 @@ def enumerate_add_alternatives(
     alternatives += [
         placement("split", key, base_k + new_probs[key] + p_new * (depths[key] + 1), key)
         for key in sorted(depths)
-        if allowed_keys is None or key in allowed_keys
     ]
     return alternatives
 
 
-def enumerate_swap_alternatives(
-    tree: AdaptiveTree,
-    allowed_keys: set[str] | None = None,
-) -> list[Alternative]:
+def enumerate_swap_alternatives(tree: AdaptiveTree) -> list[Alternative]:
     """Swap candidates among misplaced leaves, plus a no-op baseline.
 
     Leaves qualify when their elemental discrepancy is non-zero (beyond
@@ -138,8 +130,6 @@ def enumerate_swap_alternatives(
     report = discrepancy_report(tree)
     depths = {s.key: s.l for s in report.per_leaf}
     candidates = [s.key for s in report.per_leaf if abs(s.delta_i) > CANDIDATE_EPS]
-    if allowed_keys is not None:
-        candidates = [key for key in candidates if key in allowed_keys]
 
     alternatives: list[Alternative] = []
     for i, key_a in enumerate(candidates):
@@ -186,11 +176,7 @@ def apply_best(tree: AdaptiveTree, alternatives: Sequence[Alternative]) -> Restr
     return RestructureOutcome(chosen, len(alternatives), delta_before, discrepancy_report(tree).delta)
 
 
-def optimize_swaps(
-    tree: AdaptiveTree,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    allowed_keys: set[str] | None = None,
-) -> list[RestructureOutcome]:
+def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> list[RestructureOutcome]:
     """Repeated swap iterations until no strict improvement remains.
 
     Returns one outcome per applied swap; an already-optimal tree yields an
@@ -201,7 +187,7 @@ def optimize_swaps(
     outcomes: list[RestructureOutcome] = []
     report = discrepancy_report(tree)
     for _ in range(max_iters):
-        best, candidates = _best_swap(report, allowed_keys)
+        best, candidates = _best_swap(report)
         current = report.delta
         if best is None or best.resulting_delta >= current - IMPROVEMENT_EPS:
             break
@@ -213,7 +199,7 @@ def optimize_swaps(
     return outcomes
 
 
-def _best_swap(report: MetricsReport, allowed_keys: set[str] | None) -> tuple[Alternative | None, int]:
+def _best_swap(report: MetricsReport) -> tuple[Alternative | None, int]:
     """The swap that sorting ``enumerate_swap_alternatives`` ranks first, and
     that list's length (pairs at differing depths plus the no-op).
 
@@ -225,7 +211,7 @@ def _best_swap(report: MetricsReport, allowed_keys: set[str] | None) -> tuple[Al
     """
     levels: dict[int, list[tuple[float, str]]] = {}
     for s in report.per_leaf:
-        if abs(s.delta_i) > CANDIDATE_EPS and (allowed_keys is None or s.key in allowed_keys):
+        if abs(s.delta_i) > CANDIDATE_EPS:
             levels.setdefault(s.l, []).append((s.p, s.key))
     sizes = [len(bucket) for bucket in levels.values()]
     candidates = (sum(sizes) ** 2 - sum(c * c for c in sizes)) // 2 + 1

@@ -35,23 +35,6 @@ PROB_SUM_TOL = 1e-9
 _LEAF_PREFIX = b"\x00"
 _INTERNAL_PREFIX = b"\x01"
 
-# Path encodings use one character per level: 0-9 then a-z, so arity 16
-# yields nibble-style codes. Caps code-producing operations at arity 36.
-CODE_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def index_to_digit(index: int) -> str:
-    if not 0 <= index < len(CODE_ALPHABET):
-        raise StructureError(f"child index {index} exceeds the code alphabet")
-    return CODE_ALPHABET[index]
-
-
-def digit_to_index(digit: str) -> int:
-    index = CODE_ALPHABET.find(digit)
-    if index < 0:
-        raise StructureError(f"{digit!r} is not a code digit")
-    return index
-
 
 def hash_leaf(key: str, payload: bytes) -> bytes:
     """SHA-256 of ``0x00 || key bytes || payload``."""
@@ -66,18 +49,17 @@ def hash_internal(child_hashes: Iterable[bytes]) -> bytes:
     return h.digest()
 
 
-def check_probabilities(probs: Mapping[object, float], *, require_sum: bool = True) -> None:
-    """Reject NaN, infinite and negative values and (optionally) sums off 1
-    by more than 1e-9. The one probability validator of the package."""
+def check_probabilities(probs: Mapping[object, float]) -> None:
+    """Reject NaN, infinite and negative values and sums off 1 by more than
+    1e-9. The one probability validator of the package."""
     for key, p in probs.items():
         if not math.isfinite(p):
             raise ProbabilityError(f"non-finite probability {p!r} for key {key!r}")
         if p < 0.0:
             raise ProbabilityError(f"negative probability {p!r} for key {key!r}")
-    if require_sum:
-        total = sum(probs.values())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 +/- {PROB_SUM_TOL}")
+    total = sum(probs.values())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 +/- {PROB_SUM_TOL}")
 
 
 @dataclass(frozen=True)
@@ -157,21 +139,29 @@ class AdaptiveTree:
 
         ``nested`` is a leaf key (string) or a list of nested shapes, e.g.
         ``["A", [["B", "D"], ["C", "E"]]]``. Payloads default to the UTF-8
-        key bytes.
+        key bytes. Nodes are created in post-order, children left to right,
+        by an explicit-stack walk, so any depth builds.
         """
         tree = cls(config)
-
-        def build(spec) -> str:
+        built: list[str] = []  # ids of finished subtrees whose parent is not built yet
+        stack = [(nested, False)]
+        while stack:
+            spec, children_built = stack.pop()
             if isinstance(spec, str):
                 payload = payloads[spec] if payloads is not None else spec.encode("utf-8")
-                return tree._add_leaf_node(spec, payload).node_id
-            if not 1 <= len(spec) <= config.arity:
-                raise StructureError(f"internal node with {len(spec)} children (arity {config.arity})")
-            if len(spec) == 1:
-                raise StructureError("single-child internal nodes are not allowed in a finished tree")
-            return tree._add_internal_node([build(child) for child in spec]).node_id
-
-        tree.root_id = build(nested)
+                built.append(tree._add_leaf_node(spec, payload).node_id)
+            elif children_built:
+                child_ids = built[-len(spec) :]
+                del built[-len(spec) :]
+                built.append(tree._add_internal_node(child_ids).node_id)
+            else:
+                if not 1 <= len(spec) <= config.arity:
+                    raise StructureError(f"internal node with {len(spec)} children (arity {config.arity})")
+                if len(spec) == 1:
+                    raise StructureError("single-child internal nodes are not allowed in a finished tree")
+                stack.append((spec, True))
+                stack.extend((child, False) for child in reversed(spec))
+        (tree.root_id,) = built
         tree.set_probabilities(probabilities)
         return tree
 
@@ -234,16 +224,6 @@ class AdaptiveTree:
         m = self.config.arity
         return sum(m ** -d for d in self.depths().values())
 
-    def path_digits(self, key: str) -> str:
-        """Child indices along the root-to-leaf path, one code digit per level."""
-        nid = self.leaf_node(key).node_id
-        digits: list[str] = []
-        while nid != self.root_id:
-            pid = self._parent[nid]
-            digits.append(index_to_digit(self.nodes[pid].children.index(nid)))
-            nid = pid
-        return "".join(reversed(digits))
-
     def root_hash(self) -> bytes:
         """Root digest. A pure function of structure, keys, and payloads."""
         return self.nodes[self.root_id].hash
@@ -276,8 +256,6 @@ class AdaptiveTree:
         follow up with :meth:`set_probabilities`.
         """
         target = self.leaf_node(target_key)
-        if new_key in self._leaf_by_key:
-            raise DuplicateKeyError(f"leaf key {new_key!r} already present")
         parent_id = self._parent.get(target.node_id)
         new_leaf = self._add_leaf_node(new_key, new_payload)
         intermediate = self._add_internal_node([target.node_id, new_leaf.node_id])
@@ -300,8 +278,6 @@ class AdaptiveTree:
             raise StructureError(f"cannot attach to leaf node {parent_id!r}")
         if len(parent.children) >= self.config.arity:
             raise StructureError(f"node {parent_id!r} already has {self.config.arity} children")
-        if new_key in self._leaf_by_key:
-            raise DuplicateKeyError(f"leaf key {new_key!r} already present")
         new_leaf = self._add_leaf_node(new_key, new_payload)
         parent.children.append(new_leaf.node_id)
         self._parent[new_leaf.node_id] = parent_id
@@ -494,7 +470,7 @@ class AdaptiveTree:
                     tree._parent[cid] = node.node_id
 
         tree.probabilities = {str(k): float(p) for k, p in probabilities.items()}
-        check_probabilities(tree.probabilities, require_sum=False)
+        check_probabilities(tree.probabilities)
         tree.validate()
         tree.recompute_all_hashes()
         for spec in node_specs:
@@ -529,30 +505,21 @@ def build_balanced(
     """
     if not leaves:
         raise StructureError("cannot build a tree over an empty leaf list")
-    keys = [key for key, _, _ in leaves]
-    if len(set(keys)) != len(keys):
-        raise DuplicateKeyError("duplicate leaf keys in input")
-    probs = {key: p for key, _, p in leaves}
-    check_probabilities(probs)
-
-    tree = AdaptiveTree(config)
     m = config.arity
 
-    def build(chunk: Sequence[tuple[str, bytes, float]]) -> str:
-        if len(chunk) == 1:
-            key, payload, _ = chunk[0]
-            return tree._add_leaf_node(key, payload).node_id
-        if len(chunk) <= m:
-            return tree._add_internal_node([build([item]) for item in chunk]).node_id
-        q, r = divmod(len(chunk), m)
-        child_ids = []
-        start = 0
-        for i in range(m):
-            size = q + 1 if i < r else q
-            child_ids.append(build(chunk[start : start + size]))
-            start += size
-        return tree._add_internal_node(child_ids).node_id
+    def split(keys: list[str]):
+        # Recurses log_m(n) deep: each level divides the keys among m children.
+        if len(keys) == 1:
+            return keys[0]
+        if len(keys) <= m:
+            return keys
+        q, r = divmod(len(keys), m)
+        bounds = [i * q + min(i, r) for i in range(m + 1)]
+        return [split(keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
-    tree.root_id = build(list(leaves))
-    tree.probabilities = {key: float(p) for key, p in probs.items()}
-    return tree
+    return AdaptiveTree.from_nested(
+        split([key for key, _, _ in leaves]),
+        {key: p for key, _, p in leaves},
+        config,
+        {key: payload for key, payload, _ in leaves},
+    )

@@ -45,10 +45,21 @@ def test_insert_writes_new_snapshot_only(tmp_path, snapshot, capsys):
 
 def test_insert_bad_probs_exit_2(tmp_path, snapshot):
     probs = tmp_path / "bad.csv"
-    rows = ["key,probability"] + [f"{k},0.01" for k in "ABCDEFGHIJKLMNOPQ"]
+    rows = ["key,probability", "A,-0.01"] + [f"{k},0.01" for k in "BCDEFGHIJKLMNOPQ"]
     probs.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert main(["insert", "--snapshot", str(snapshot), "--key", "Q",
                  "--probs", str(probs), "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_insert_normalizes_probs(tmp_path, snapshot, capsys):
+    # as build does: a file summing to 0.9 is scaled to 1, not rejected
+    probs = tmp_path / "probs.csv"
+    rows = ["key,probability"] + [f"{k},{0.9 / 17}" for k in "ABCDEFGHIJKLMNOPQ"]
+    probs.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "tree2.json"
+    assert main(["insert", "--snapshot", str(snapshot), "--key", "Q",
+                 "--probs", str(probs), "--out", str(out)]) == 0
+    assert sum(AdaptiveTree.load(out).probabilities.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -107,6 +118,14 @@ def test_metrics_node_without_kind_exit_2(tmp_path, snapshot):
     assert main(["metrics", "--snapshot", str(bad)]) == 2
 
 
+def test_prove_probabilities_off_sum_exit_2(tmp_path, snapshot):
+    snap = json.loads(snapshot.read_text(encoding="utf-8"))
+    snap["probabilities"] = {k: p / 2 for k, p in snap["probabilities"].items()}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(snap), encoding="utf-8")
+    assert main(["prove", "--snapshot", str(bad), "--key", "A"]) == 2
+
+
 def test_encode_codes(tmp_path, dist_csv):
     out = tmp_path / "codes.csv"
     assert main(["encode", "--probs", dist_csv, "--arity", "2", "--out", str(out)]) == 0
@@ -122,6 +141,17 @@ def test_encode_map(tmp_path, dist_csv):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "address,probability,balanced_code,adaptive_code"
     assert len(lines) == 17
+
+
+def test_encode_map_deep_tree(tmp_path):
+    # a 599-deep Huffman chain, past Python's default recursion limit
+    probs = tmp_path / "geometric.csv"
+    rows = ["key,probability"] + [f"g{i:03d},{0.5**i!r}" for i in range(600)]
+    probs.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "map.csv"
+    assert main(["encode", "--probs", str(probs), "--arity", "2",
+                 "--format", "map", "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 601
 
 
 def test_bench_improvement(tmp_path, dist_csv):

@@ -13,8 +13,8 @@ from adaptive_merkle import (
     huffman_codes,
     tree_from_codes,
 )
-from adaptive_merkle.coding import CodeTable, export_csv, is_prefix_free, load_csv
-from adaptive_merkle.tree import digit_to_index
+from adaptive_merkle.coding import CodeTable, digit_to_index, export_csv, is_prefix_free, load_csv
+from adaptive_merkle.proofs import prove, verify
 from adaptive_merkle.workload import normalize_distribution, demo16_distribution
 
 from helpers import random_distribution, random_tree
@@ -25,6 +25,12 @@ DEMO16_LENGTHS = [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
 
 def demo16_probs():
     return dict(normalize_distribution(demo16_distribution()))
+
+
+def geometric_probs(n):
+    # p_i proportional to 2^-i: each leaf outweighs all lighter ones together,
+    # so the Huffman tree is a chain n - 1 levels deep.
+    return dict(normalize_distribution([(f"g{i:04d}", 0.5**i) for i in range(n)]))
 
 
 class TestHuffman:
@@ -152,6 +158,27 @@ class TestTreeFromCodes:
         table = CodeTable({"a": "0", "b": "10"}, {"a": 0.5, "b": 0.5}, 2, 1.5, 1.0)
         with pytest.raises(StructureError):
             tree_from_codes(table)
+
+    @pytest.mark.parametrize(
+        "entries, m",
+        [
+            ({"a": "0", "b": "2"}, 3),  # child digits skip 1
+            ({"a": "0", "b": "1", "c": "2"}, 2),  # digit 2 at arity 2
+        ],
+    )
+    def test_bad_child_digits_rejected(self, entries, m):
+        probs = {key: 1 / len(entries) for key in entries}
+        with pytest.raises(StructureError):
+            tree_from_codes(CodeTable(entries, probs, m, 1.0, 1.0))
+
+    def test_deep_huffman_tree(self):
+        # deeper than Python's default recursion limit
+        table = huffman_codes(geometric_probs(1500), 2)
+        deepest = max(table.entries, key=lambda key: len(table.entries[key]))
+        assert len(table.entries[deepest]) == 1499
+        tree = tree_from_codes(table)
+        assert codes_from_tree(tree) == table.entries
+        assert verify(prove(tree, deepest), tree.root_hash(), 2)
 
 
 class TestCsv:

@@ -44,11 +44,11 @@ def brute_min_key(tree, node_id):
     return min(brute_min_key(tree, cid) for cid in node.children)
 
 
-def reference_optimize(tree, max_iters, allowed_keys):
+def reference_optimize(tree, max_iters):
     """The swap loop by its definition: list every pair, sort, apply the first."""
     steps = []
     for _ in range(max_iters):
-        alternatives = enumerate_swap_alternatives(tree, allowed_keys=allowed_keys)
+        alternatives = enumerate_swap_alternatives(tree)
         best = sorted(alternatives, key=lambda alt: alt.rank_key)[0]
         current = next(alt.resulting_delta for alt in alternatives if alt.kind == "no_op")
         if best.kind == "no_op" or best.resulting_delta >= current - IMPROVEMENT_EPS:
@@ -64,7 +64,7 @@ def reference_optimize(tree, max_iters, allowed_keys):
 
 @st.composite
 def swap_cases(draw):
-    """Random tree, near-tied probabilities and an optional allow-list.
+    """Random tree and near-tied probabilities.
 
     Weights are integers over a total that is often a power of two, so many
     probabilities are dyadic and tie exactly; some are then nudged by one or
@@ -83,8 +83,7 @@ def swap_cases(draw):
             p = math.nextafter(p, math.copysign(math.inf, nudge))
         probs[f"k{i:03d}"] = max(p, 0.0)
     tree = random_tree(random.Random(draw(st.integers(0, 2**32 - 1))), n, m, probs)
-    allowed = draw(st.none() | st.sets(st.sampled_from(sorted(probs))))
-    return tree, allowed, draw(st.integers(1, 64))
+    return tree, draw(st.integers(1, 64))
 
 
 class TestEnumerateAdd:
@@ -193,11 +192,6 @@ class TestEnumerateSwaps:
         alts = enumerate_swap_alternatives(quad_demo_tree)
         targets = [alt.target for alt in alts if alt.kind == "swap"]
         assert ("A", "C") not in targets and ("A", "D") not in targets and ("C", "D") not in targets
-
-    def test_allow_list_filter(self, binary_demo_tree):
-        alts = enumerate_swap_alternatives(binary_demo_tree, allowed_keys={"B", "H"})
-        swaps = [alt.target for alt in alts if alt.kind == "swap"]
-        assert swaps == [("B", "H")]
 
     def test_swap_delta_audit(self):
         rng = random.Random(43)
@@ -323,10 +317,10 @@ class TestOptimizeSwaps:
     @given(swap_cases())
     def test_matches_enumerate_and_sort(self, case):
         # Same steps as the reference loop, floats compared bit for bit.
-        tree, allowed, max_iters = case
+        tree, max_iters = case
         reference = tree.clone()
-        expected = reference_optimize(reference, max_iters, allowed)
-        outcomes = optimize_swaps(tree, max_iters=max_iters, allowed_keys=allowed)
+        expected = reference_optimize(reference, max_iters)
+        outcomes = optimize_swaps(tree, max_iters=max_iters)
         steps = [
             (o.chosen.target, o.chosen.resulting_delta.hex(), o.delta_before.hex(),
              o.delta_after.hex(), o.candidates)

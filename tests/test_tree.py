@@ -302,6 +302,20 @@ class TestStructureInvariants:
         with pytest.raises(StructureError):
             AdaptiveTree.from_nested([["A", "B"]], {"A": 0.5, "B": 0.5}, TreeConfig(2))
 
+    def test_from_nested_deep_chain(self):
+        # deeper than Python's default recursion limit; the root hash is
+        # recomputed bottom-up by hand
+        keys = [f"k{i:04d}" for i in range(1501)]
+        nested, digest = keys[-1], hash_leaf(keys[-1], keys[-1].encode())
+        for key in reversed(keys[:-1]):
+            nested = [key, nested]
+            digest = hash_internal([hash_leaf(key, key.encode()), digest])
+        tree = AdaptiveTree.from_nested(nested, {key: 1 / len(keys) for key in keys}, TreeConfig(2))
+        tree.validate()
+        assert tree.depth(keys[-1]) == 1500
+        assert tree.leaf_keys() == keys
+        assert tree.root_hash() == digest
+
 
 class TestSnapshots:
     def test_round_trip_preserves_root_hash(self, tmp_path):
@@ -384,6 +398,12 @@ class TestSnapshots:
         snap["probabilities"]["A"] = bad
         with pytest.raises(ProbabilityError):
             AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
+
+    def test_probabilities_off_sum_rejected(self, binary_demo_tree):
+        snap = binary_demo_tree.to_snapshot()
+        snap["probabilities"] = {k: p / 2 for k, p in snap["probabilities"].items()}
+        with pytest.raises(ProbabilityError):
+            AdaptiveTree.from_snapshot(snap)
 
     def test_tampered_structure_rejected(self, binary_demo_tree):
         snap = binary_demo_tree.to_snapshot()
