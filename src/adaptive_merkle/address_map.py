@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .coding import codes_from_tree, is_code_string, is_prefix_free
 from .errors import AddressNotFoundError, FormatError, StructureError
-from .tree import AdaptiveTree
+from .tree import AdaptiveTree, check_probabilities
 
 _CSV_HEADER = ["address", "probability", "balanced_code", "adaptive_code"]
 
@@ -67,6 +67,8 @@ class AddressTable:
 
     @classmethod
     def load(cls, path) -> "AddressTable":
+        """Read a saved table. Probabilities must be finite, non-negative and,
+        unless the table is empty, sum to 1 +/- 1e-9 (``ProbabilityError``)."""
         records: list[AddressRecord] = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -85,7 +87,10 @@ class AddressTable:
                 except ValueError:
                     raise FormatError(f"{path!s}:{lineno}: bad probability {prob_text!r}") from None
                 records.append(AddressRecord(address, probability, balanced_code, adaptive_code))
-        return cls(records)
+        table = cls(records)
+        if records:
+            check_probabilities({record.address: record.probability for record in records})
+        return table
 
 
 def build_mapping(balanced: AdaptiveTree, adaptive: AdaptiveTree) -> AddressTable:

@@ -240,11 +240,13 @@ def export_csv(table: CodeTable, path) -> None:
             writer.writerow([key, repr(table.probabilities[key]), table.entries[key], len(table.entries[key])])
 
 
-def load_csv(path) -> CodeTable:
-    """Read a table written by :func:`export_csv`; arity inferred from digits."""
+def load_csv(path, arity: int) -> CodeTable:
+    """Read a table that :func:`export_csv` wrote at ``arity``; a digit not
+    below the arity is a format error. The file does not record its arity,
+    and the largest digit present need not be m - 1."""
+    digits = CODE_ALPHABET[:arity]
     entries: dict[str, str] = {}
     probabilities: dict[str, float] = {}
-    max_digit = 1
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -254,8 +256,8 @@ def load_csv(path) -> CodeTable:
             if len(row) != 4:
                 raise FormatError(f"{path!s}:{lineno}: expected 4 columns, got {len(row)}")
             key, prob_text, code, length_text = row
-            if not is_code_string(code):
-                raise FormatError(f"{path!s}:{lineno}: code {code!r} is not a digit string")
+            if not set(code).issubset(digits):
+                raise FormatError(f"{path!s}:{lineno}: code {code!r} is not a base-{arity} digit string")
             if str(len(code)) != length_text:
                 raise FormatError(f"{path!s}:{lineno}: length column disagrees with code")
             try:
@@ -263,8 +265,7 @@ def load_csv(path) -> CodeTable:
             except ValueError:
                 raise FormatError(f"{path!s}:{lineno}: bad probability {prob_text!r}") from None
             entries[key] = code
-            max_digit = max([max_digit] + [digit_to_index(c) + 1 for c in code])
     avg = sum(probabilities[k] * len(c) for k, c in entries.items())
-    table = CodeTable(entries, probabilities, max(2, max_digit), avg, entropy(probabilities.values(), max(2, max_digit)))
+    table = CodeTable(entries, probabilities, arity, avg, entropy(probabilities.values(), arity))
     table.validate()
     return table

@@ -15,6 +15,7 @@ hits 0 exactly when every positive-probability leaf sits at depth
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -88,15 +89,42 @@ class MetricsReport:
 
 
 def discrepancy_report(tree: AdaptiveTree) -> MetricsReport:
-    """Full metrics for a tree; leaves reported in key order."""
-    check_probabilities(tree.probabilities)
+    """Full metrics for a tree; leaves reported in key order.
+
+    Reads the tree's depth index, validates the probabilities once and takes
+    one log per positive-probability leaf, shared by delta_i and H.
+    """
+    probs = tree.probabilities
+    check_probabilities(probs)
     m = tree.config.arity
     depths = tree.depths()
-    per_leaf = tuple(
-        LeafStats(key, tree.probabilities[key], depths[key],
-                  elemental_discrepancy(tree.probabilities[key], depths[key], m))
-        for key in sorted(depths)
-    )
+    per_leaf = []
+    h_terms = []  # p * log_m p, in key order as entropy() sums them
+    for key in sorted(depths):
+        p, l = probs[key], depths[key]
+        if p == 0.0:
+            per_leaf.append(LeafStats(key, p, l, 0.0))
+        else:
+            log_p = log_base(p, m)
+            h_terms.append(p * log_p)
+            per_leaf.append(LeafStats(key, p, l, p * (l + log_p)))
+    return _report(tuple(per_leaf), -sum(h_terms))
+
+
+def swapped_report(report: MetricsReport, key_a: str, key_b: str, m: int) -> MetricsReport:
+    """``report`` after leaves ``key_a`` and ``key_b`` trade depths, as
+    :func:`discrepancy_report` would give it for the swapped tree, bit for
+    bit, without reading the tree: two leaves change, H does not, k_A is
+    summed afresh in key order."""
+    per_leaf = list(report.per_leaf)
+    i = bisect.bisect_left(per_leaf, key_a, key=lambda s: s.key)
+    j = bisect.bisect_left(per_leaf, key_b, key=lambda s: s.key)
+    a, b = per_leaf[i], per_leaf[j]
+    per_leaf[i] = LeafStats(a.key, a.p, b.l, elemental_discrepancy(a.p, b.l, m))
+    per_leaf[j] = LeafStats(b.key, b.p, a.l, elemental_discrepancy(b.p, a.l, m))
+    return _report(tuple(per_leaf), report.entropy)
+
+
+def _report(per_leaf: tuple[LeafStats, ...], h: float) -> MetricsReport:
     k_a = sum(s.p * s.l for s in per_leaf)
-    h = entropy([s.p for s in per_leaf], m)
     return MetricsReport(k_a=k_a, entropy=h, delta=k_a - h, per_leaf=per_leaf)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
-from .metrics import MetricsReport, discrepancy_report, entropy
+from .metrics import MetricsReport, discrepancy_report, entropy, swapped_report
 from .tree import AdaptiveTree, check_probabilities
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "no_op": 3}
@@ -88,7 +88,8 @@ def enumerate_add_alternatives(
     new_payload: bytes | None = None,
 ) -> list[Alternative]:
     """All ways to place one new leaf, scored under the new distribution."""
-    depths = tree.depths()
+    leaves, open_nodes = _layout(tree)
+    depths = dict(leaves)
     if new_key in depths:
         raise DuplicateKeyError(f"leaf key {new_key!r} already present")
     expected = set(depths) | {new_key}
@@ -102,7 +103,8 @@ def enumerate_add_alternatives(
         new_payload = new_key.encode("utf-8")
 
     h = entropy(list(new_probs.values()), tree.config.arity)
-    base_k = sum(new_probs[key] * depth for key, depth in depths.items())
+    # Right to left: the order every recorded delta was summed in.
+    base_k = sum(new_probs[key] * depth for key, depth in reversed(leaves))
     p_new = new_probs[new_key]
     probs_copy = {k: float(v) for k, v in new_probs.items()}
 
@@ -111,7 +113,7 @@ def enumerate_add_alternatives(
 
     alternatives = [
         placement("attach", node_id, base_k + p_new * (node_depth + 1), min_key)
-        for node_id, node_depth, min_key in _open_nodes(tree)
+        for node_id, node_depth, min_key in open_nodes
     ]
     alternatives += [
         placement("split", key, base_k + new_probs[key] + p_new * (depths[key] + 1), key)
@@ -192,7 +194,7 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
         if best is None or best.resulting_delta >= current - IMPROVEMENT_EPS:
             break
         apply_alternative(tree, best)
-        report = discrepancy_report(tree)
+        report = swapped_report(report, *best.target, tree.config.arity)
         outcomes.append(RestructureOutcome(best, candidates, current, report.delta))
         if report.delta <= CANDIDATE_EPS:
             break
@@ -236,17 +238,27 @@ def _best_swap(report: MetricsReport) -> tuple[Alternative | None, int]:
     return Alternative(kind="swap", target=target, resulting_delta=delta, sort_labels=target), candidates
 
 
-def _open_nodes(tree: AdaptiveTree) -> list[tuple[str, int, str]]:
-    """``(node_id, depth, smallest leaf key below)`` of each internal node
-    with a free child slot, in preorder, from one walk over the tree."""
-    preorder, stack = [], [(tree.root_id, 0)]
+def _layout(tree: AdaptiveTree) -> tuple[list[tuple[str, int]], list[tuple[str, int, str]]]:
+    """From one preorder walk: ``(key, depth)`` of every leaf left to right,
+    and ``(node_id, depth, smallest leaf key below)`` of each internal node
+    with a free child slot, in preorder."""
+    m = tree.config.arity
+    preorder, leaves, open_nodes = [], [], []
+    stack = [(tree.root_id, 0)]
     while stack:
         nid, depth = stack.pop()
-        preorder.append((nid, depth))
-        stack.extend((cid, depth + 1) for cid in reversed(tree.nodes[nid].children or ()))
-    min_key: dict[str, str] = {}
-    for nid, _ in reversed(preorder):  # children before their parent
         node = tree.nodes[nid]
-        min_key[nid] = node.key if node.is_leaf else min(min_key[cid] for cid in node.children)
-    m = tree.config.arity
-    return [(nid, d, min_key[nid]) for nid, d in preorder if 0 < len(tree.nodes[nid].children or ()) < m]
+        if node.children is None:
+            leaves.append((node.key, depth))
+        else:
+            preorder.append(nid)
+            if len(node.children) < m:
+                open_nodes.append((nid, depth))
+            stack.extend((cid, depth + 1) for cid in reversed(node.children))
+    if not open_nodes:  # a finished m=2 tree never has a free slot
+        return leaves, []
+    min_key: dict[str, str] = {}
+    for nid in reversed(preorder):  # children before their parent
+        children = tree.nodes[nid].children
+        min_key[nid] = min(min_key[cid] if cid in min_key else tree.nodes[cid].key for cid in children)
+    return leaves, [(nid, depth, min_key[nid]) for nid, depth in open_nodes]

@@ -8,8 +8,13 @@ with one byte of domain separation: ``0x00`` for leaves, ``0x01`` for
 internal nodes.
 
 Mutations rehash only the affected root path(s); everything else is left
-untouched. The tree follows a single-writer contract: mutating calls need
-exclusive access, reads may interleave freely between mutations.
+untouched. Next to the parent pointers the tree keeps a depth index, the
+edge count from the root of every node: the constructors fill it in the walks
+they already make, each mutation updates it in O(1) (only leaves move, so no
+subtree is renumbered), and :meth:`AdaptiveTree.depths` reads it instead of
+walking. The index is right only because of the single-writer contract:
+mutating calls need exclusive access and go through the methods here, reads
+may interleave freely between mutations.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ class AdaptiveTree:
         self.probabilities: dict[str, float] = {}
         self._parent: dict[str, str] = {}
         self._leaf_by_key: dict[str, str] = {}
+        self._depth: dict[str, int] = {}  # node id -> edges from the root
         self._next_id = 1
 
     # -- construction helpers -------------------------------------------------
@@ -111,18 +117,20 @@ class AdaptiveTree:
         self._next_id += 1
         return node_id
 
-    def _add_leaf_node(self, key: str, payload: bytes) -> TreeNode:
+    def _add_leaf_node(self, key: str, payload: bytes, depth: int) -> TreeNode:
         if key in self._leaf_by_key:
             raise DuplicateKeyError(f"leaf key {key!r} already present")
         node = TreeNode(self._new_id(), hash_leaf(key, payload), key=key, payload=payload)
         self.nodes[node.node_id] = node
         self._leaf_by_key[key] = node.node_id
+        self._depth[node.node_id] = depth
         return node
 
-    def _add_internal_node(self, child_ids: list[str]) -> TreeNode:
+    def _add_internal_node(self, child_ids: list[str], depth: int) -> TreeNode:
         digest = hash_internal(self.nodes[cid].hash for cid in child_ids)
         node = TreeNode(self._new_id(), digest, children=list(child_ids))
         self.nodes[node.node_id] = node
+        self._depth[node.node_id] = depth
         for cid in child_ids:
             self._parent[cid] = node.node_id
         return node
@@ -140,27 +148,28 @@ class AdaptiveTree:
         ``nested`` is a leaf key (string) or a list of nested shapes, e.g.
         ``["A", [["B", "D"], ["C", "E"]]]``. Payloads default to the UTF-8
         key bytes. Nodes are created in post-order, children left to right,
-        by an explicit-stack walk, so any depth builds.
+        by an explicit-stack walk, so any depth builds; the walk also fills
+        the depth index.
         """
         tree = cls(config)
         built: list[str] = []  # ids of finished subtrees whose parent is not built yet
-        stack = [(nested, False)]
+        stack = [(nested, False, 0)]
         while stack:
-            spec, children_built = stack.pop()
+            spec, children_built, depth = stack.pop()
             if isinstance(spec, str):
                 payload = payloads[spec] if payloads is not None else spec.encode("utf-8")
-                built.append(tree._add_leaf_node(spec, payload).node_id)
+                built.append(tree._add_leaf_node(spec, payload, depth).node_id)
             elif children_built:
                 child_ids = built[-len(spec) :]
                 del built[-len(spec) :]
-                built.append(tree._add_internal_node(child_ids).node_id)
+                built.append(tree._add_internal_node(child_ids, depth).node_id)
             else:
                 if not 1 <= len(spec) <= config.arity:
                     raise StructureError(f"internal node with {len(spec)} children (arity {config.arity})")
                 if len(spec) == 1:
                     raise StructureError("single-child internal nodes are not allowed in a finished tree")
-                stack.append((spec, True))
-                stack.extend((child, False) for child in reversed(spec))
+                stack.append((spec, True, depth))
+                stack.extend((child, False, depth + 1) for child in reversed(spec))
         (tree.root_id,) = built
         tree.set_probabilities(probabilities)
         return tree
@@ -200,25 +209,12 @@ class AdaptiveTree:
 
     def depth(self, key: str) -> int:
         """Edge count from the root to the leaf holding ``key``."""
-        nid = self.leaf_node(key).node_id
-        depth = 0
-        while nid != self.root_id:
-            nid = self._parent[nid]
-            depth += 1
-        return depth
+        return self._depth[self.leaf_node(key).node_id]
 
     def depths(self) -> dict[str, int]:
-        """Depth of every leaf, computed in one root-down walk."""
-        out: dict[str, int] = {}
-        stack = [(self.root_id, 0)]
-        while stack:
-            nid, d = stack.pop()
-            node = self.nodes[nid]
-            if node.is_leaf:
-                out[node.key] = d
-            else:
-                stack.extend((cid, d + 1) for cid in node.children)
-        return out
+        """Depth of every leaf, read from the depth index."""
+        depth = self._depth
+        return {key: depth[nid] for key, nid in self._leaf_by_key.items()}
 
     def kraft_sum(self) -> float:
         m = self.config.arity
@@ -239,13 +235,15 @@ class AdaptiveTree:
 
     # -- mutations -------------------------------------------------------------
 
+    def _rehash(self, node_id: str) -> None:
+        node = self.nodes[node_id]
+        node.hash = hash_internal(self.nodes[cid].hash for cid in node.children)
+
     def _rehash_path(self, node_id: str) -> None:
-        # Recompute exactly the hashes from node_id up to the root.
+        # Recompute exactly the hashes of the internal node_id and its ancestors.
         nid: str | None = node_id
         while nid is not None:
-            node = self.nodes[nid]
-            if not node.is_leaf:
-                node.hash = hash_internal(self.nodes[cid].hash for cid in node.children)
+            self._rehash(nid)
             nid = self._parent.get(nid)
 
     def split_leaf(self, target_key: str, new_key: str, new_payload: bytes) -> None:
@@ -257,8 +255,10 @@ class AdaptiveTree:
         """
         target = self.leaf_node(target_key)
         parent_id = self._parent.get(target.node_id)
-        new_leaf = self._add_leaf_node(new_key, new_payload)
-        intermediate = self._add_internal_node([target.node_id, new_leaf.node_id])
+        depth = self._depth[target.node_id]
+        new_leaf = self._add_leaf_node(new_key, new_payload, depth + 1)
+        intermediate = self._add_internal_node([target.node_id, new_leaf.node_id], depth)
+        self._depth[target.node_id] = depth + 1
         if parent_id is None:
             self.root_id = intermediate.node_id
         else:
@@ -278,7 +278,7 @@ class AdaptiveTree:
             raise StructureError(f"cannot attach to leaf node {parent_id!r}")
         if len(parent.children) >= self.config.arity:
             raise StructureError(f"node {parent_id!r} already has {self.config.arity} children")
-        new_leaf = self._add_leaf_node(new_key, new_payload)
+        new_leaf = self._add_leaf_node(new_key, new_payload, self._depth[parent_id] + 1)
         parent.children.append(new_leaf.node_id)
         self._parent[new_leaf.node_id] = parent_id
         self._rehash_path(parent_id)
@@ -288,7 +288,8 @@ class AdaptiveTree:
         """Exchange the tree positions of two leaves.
 
         Depths of the two leaves trade places; the depth multiset and all
-        probabilities are unchanged. Both root paths are rehashed.
+        probabilities are unchanged. Both root paths are rehashed, the
+        ancestors they share once.
         """
         if key_a == key_b:
             raise StructureError(f"cannot swap leaf {key_a!r} with itself")
@@ -304,8 +305,16 @@ class AdaptiveTree:
         self.nodes[parent_b].children[slot_b] = node_a.node_id
         self._parent[node_a.node_id] = parent_b
         self._parent[node_b.node_id] = parent_a
+        depth = self._depth
+        depth[node_a.node_id], depth[node_b.node_id] = depth[node_b.node_id], depth[node_a.node_id]
+        # Climb the deeper side until both sides meet at the lowest common
+        # ancestor, then rehash from there to the root once.
+        while parent_a != parent_b:
+            if depth[parent_a] < depth[parent_b]:
+                parent_a, parent_b = parent_b, parent_a
+            self._rehash(parent_a)
+            parent_a = self._parent[parent_a]
         self._rehash_path(parent_a)
-        self._rehash_path(parent_b)
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
         """Replace the leaf probability map; structure and hashes are untouched."""
@@ -337,6 +346,7 @@ class AdaptiveTree:
         other.probabilities = dict(self.probabilities)
         other._parent = dict(self._parent)
         other._leaf_by_key = dict(self._leaf_by_key)
+        other._depth = dict(self._depth)
         other._next_id = self._next_id
         return other
 
@@ -353,14 +363,29 @@ class AdaptiveTree:
                 node.hash = hash_internal(self.nodes[cid].hash for cid in node.children)
 
     def validate(self) -> None:
-        """Structural self-check: tree shape, child bounds, key/probability maps."""
+        """Structural self-check: tree shape, child bounds, the depth index
+        and the key/probability maps."""
+        if self._shape_depths() != self._depth:
+            raise StructureError("depth index out of sync with the tree shape")
+        leaf_keys = {node.key for node in self.nodes.values() if node.is_leaf}
+        if leaf_keys != set(self._leaf_by_key):
+            raise StructureError("leaf key index out of sync")
+        if set(self.probabilities) != leaf_keys:
+            raise StructureError("probability map does not cover exactly the leaf keys")
+
+    def _shape_depths(self) -> dict[str, int]:
+        """Depth of every node from one root-down walk that checks the shape:
+        each node reached once, child counts in bounds, parent pointers
+        consistent, every node reachable and the root without a parent."""
         if self.root_id not in self.nodes:
             raise StructureError("root id not present in node map")
-        seen: set[str] = set()
-        for nid in self._iter_preorder():
-            if nid in seen:
+        depths: dict[str, int] = {}
+        stack = [(self.root_id, 0)]
+        while stack:
+            nid, depth = stack.pop()
+            if nid in depths:
                 raise StructureError(f"node {nid!r} reachable more than once")
-            seen.add(nid)
+            depths[nid] = depth
             node = self.nodes[nid]
             if node.is_leaf:
                 if node.key is None or node.payload is None:
@@ -374,15 +399,12 @@ class AdaptiveTree:
                 for cid in node.children:
                     if self._parent.get(cid) != nid:
                         raise StructureError(f"parent pointer of {cid!r} is inconsistent")
-        if seen != set(self.nodes):
+                stack.extend((cid, depth + 1) for cid in reversed(node.children))
+        if len(depths) != len(self.nodes):
             raise StructureError("unreachable nodes present")
         if self.root_id in self._parent:
             raise StructureError("root must not have a parent")
-        leaf_keys = {node.key for node in self.nodes.values() if node.is_leaf}
-        if leaf_keys != set(self._leaf_by_key):
-            raise StructureError("leaf key index out of sync")
-        if set(self.probabilities) != leaf_keys:
-            raise StructureError("probability map does not cover exactly the leaf keys")
+        return depths
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -471,6 +493,7 @@ class AdaptiveTree:
 
         tree.probabilities = {str(k): float(p) for k, p in probabilities.items()}
         check_probabilities(tree.probabilities)
+        tree._depth = tree._shape_depths()
         tree.validate()
         tree.recompute_all_hashes()
         for spec in node_specs:

@@ -65,3 +65,18 @@ def dyadic_distribution(rng: random.Random, tree: AdaptiveTree) -> dict[str, flo
     """p_i = m ** -depth_i; sums to 1 exactly when the tree is full."""
     m = tree.config.arity
     return {key: float(m) ** -depth for key, depth in tree.depths().items()}
+
+
+def walked_depths(tree: AdaptiveTree) -> dict[str, int]:
+    """Leaf depths from a root-down walk over the children lists: the oracle
+    for the depth index the tree keeps."""
+    out: dict[str, int] = {}
+    stack = [(tree.root_id, 0)]
+    while stack:
+        nid, depth = stack.pop()
+        node = tree.nodes[nid]
+        if node.is_leaf:
+            out[node.key] = depth
+        else:
+            stack.extend((cid, depth + 1) for cid in node.children)
+    return out

@@ -5,6 +5,7 @@ import pytest
 from adaptive_merkle import (
     AddressNotFoundError,
     FormatError,
+    ProbabilityError,
     StructureError,
     TreeConfig,
     build_balanced,
@@ -121,6 +122,21 @@ class TestPersistence:
             encoding="utf-8",
         )
         with pytest.raises(FormatError, match=":2"):
+            AddressTable.load(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "A,nan,0,0\nB,1.0,1,1\n",
+            "A,inf,0,0\nB,0.0,1,1\n",
+            "A,4,0,0\nB,-3,1,1\n",
+            "A,0.5,0,0\nB,0.4,1,1\n",
+        ],
+    )
+    def test_bad_probabilities_rejected(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("address,probability,balanced_code,adaptive_code\n" + rows, encoding="utf-8")
+        with pytest.raises(ProbabilityError):
             AddressTable.load(path)
 
     def test_loaded_codes_must_be_prefix_free(self, tmp_path):

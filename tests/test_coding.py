@@ -5,6 +5,7 @@ import random
 import pytest
 
 from adaptive_merkle import (
+    FormatError,
     ProbabilityError,
     StructureError,
     brute_force_min_avg_length,
@@ -189,9 +190,29 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "key,probability,code,length"
         assert len(lines) == 17
-        loaded = load_csv(path)
+        loaded = load_csv(path, 2)
         assert loaded.entries == table.entries
         assert loaded.avg_length == pytest.approx(table.avg_length, abs=TOL)
+
+    def test_arity_is_given_not_guessed(self, tmp_path):
+        # Four keys at m=16 use digits 0-3 only; read as arity 4 the entropy
+        # would come out in the wrong base.
+        probs = {"A": 0.7, "B": 0.1, "C": 0.1, "D": 0.1}
+        table = huffman_codes(probs, 16)
+        assert sorted(table.entries.values()) == ["0", "1", "2", "3"]
+        path = tmp_path / "codes.csv"
+        export_csv(table, path)
+        loaded = load_csv(path, 16)
+        assert loaded.arity == 16
+        assert loaded.entropy == table.entropy
+        assert loaded.entropy == pytest.approx(0.5 * load_csv(path, 4).entropy)
+
+    @pytest.mark.parametrize("arity, code", [(2, "2"), (4, "04"), (16, "g")])
+    def test_digit_not_below_arity_rejected(self, tmp_path, arity, code):
+        path = tmp_path / "codes.csv"
+        path.write_text(f"key,probability,code,length\nA,0.5,1,1\nB,0.5,{code},{len(code)}\n")
+        with pytest.raises(FormatError, match=":3"):
+            load_csv(path, arity)
 
     def test_prefix_free_helper(self):
         assert is_prefix_free(["00", "01", "1"])

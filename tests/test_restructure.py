@@ -22,6 +22,7 @@ from adaptive_merkle import (
     optimize_swaps,
 )
 from adaptive_merkle.coding import brute_force_min_avg_length, min_avg_length_for_depths
+from adaptive_merkle.metrics import entropy, swapped_report
 from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS
 
 from helpers import random_distribution, random_tree
@@ -42,6 +43,13 @@ def brute_min_key(tree, node_id):
     if node.is_leaf:
         return node.key
     return min(brute_min_key(tree, cid) for cid in node.children)
+
+
+def climbed_depth(tree, node_id):
+    depth = 0
+    while (node_id := tree.parent_id(node_id)) is not None:
+        depth += 1
+    return depth
 
 
 def reference_optimize(tree, max_iters):
@@ -160,6 +168,28 @@ class TestEnumerateAdd:
                 assert discrepancy_report(candidate).delta == pytest.approx(
                     alt.resulting_delta, abs=TOL
                 )
+
+
+    def test_delta_floats_sum_old_leaves_right_to_left(self):
+        # The recorded deltas (golden files, replay audit rows) fix the float
+        # summation order: old leaves right to left, then the placement terms.
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            m = rng.choice([2, 3, 4, 16])
+            tree = random_tree(rng, n, m)
+            new_probs = dict(zip(sorted(tree.leaf_keys()) + ["zzz"], random_distribution(rng, n + 1).values()))
+            h = entropy(list(new_probs.values()), m)
+            base_k = 0.0
+            for key in reversed(tree.leaf_keys()):
+                base_k += new_probs[key] * tree.depth(key)
+            for alt in enumerate_add_alternatives(tree, "zzz", new_probs):
+                if alt.kind == "split":
+                    key = alt.target[0]
+                    k = base_k + new_probs[key] + new_probs["zzz"] * (tree.depth(key) + 1)
+                else:
+                    k = base_k + new_probs["zzz"] * (climbed_depth(tree, alt.target[0]) + 1)
+                assert alt.resulting_delta.hex() == (k - h).hex()
 
 
 class TestEnumerateSwaps:
@@ -328,6 +358,23 @@ class TestOptimizeSwaps:
         ]
         assert steps == expected
         assert tree.root_hash() == reference.root_hash()
+
+    @settings(max_examples=200, deadline=None)
+    @given(swap_cases())
+    def test_incremental_report_matches_fresh(self, case):
+        # Replaying the applied swaps, the report updated leaf by leaf equals
+        # a fresh one bit for bit after every swap, and so does delta_after.
+        tree, max_iters = case
+        replay = tree.clone()
+        outcomes = optimize_swaps(tree, max_iters=max_iters)
+        report = discrepancy_report(replay)
+        for outcome in outcomes:
+            report = swapped_report(report, *outcome.chosen.target, replay.config.arity)
+            replay.swap_leaves(*outcome.chosen.target)
+            fresh = discrepancy_report(replay)
+            assert repr(report) == repr(fresh)
+            assert outcome.delta_after.hex() == fresh.delta.hex()
+        assert replay.root_hash() == tree.root_hash()
 
     def test_max_iters_respected(self, binary_demo_tree):
         outcomes = optimize_swaps(binary_demo_tree, max_iters=1)

@@ -18,9 +18,10 @@ from adaptive_merkle import (
     UnknownKeyError,
     build_balanced,
 )
+import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.tree import hash_internal, hash_leaf
 
-from helpers import random_tree
+from helpers import random_tree, walked_depths
 
 
 def make_leaves(keys, probs=None):
@@ -278,6 +279,115 @@ class TestHashLocality:
         assert payloads(tree) == before
         tree.split_leaf(tree.leaf_keys()[0], "zz", b"zz")
         assert payloads(tree) == sorted(before + [b"zz"])
+
+
+def apply_ops(tree, ops, check=None):
+    """Apply (kind, i, j) mutations, choosing targets by index modulo the
+    current leaves or open nodes; calls ``check(tree)`` after each one."""
+    for n, (kind, i, j) in enumerate(ops):
+        keys = tree.leaf_keys()
+        open_nodes = tree.open_internal_ids()
+        if kind == "attach" and open_nodes:
+            tree.attach_leaf(open_nodes[i % len(open_nodes)], f"x{n:03d}", b"x")
+        elif kind == "swap" and len(keys) >= 2:
+            a, b = keys[i % len(keys)], keys[j % len(keys)]
+            if a == b:
+                continue
+            tree.swap_leaves(a, b)
+        else:
+            tree.split_leaf(keys[i % len(keys)], f"x{n:03d}", b"x")
+        if check is not None:
+            check(tree)
+
+
+mutation_ops = st.lists(
+    st.tuples(st.sampled_from(["split", "attach", "swap"]), st.integers(0, 999), st.integers(0, 999)),
+    max_size=30,
+)
+
+
+class TestDepthIndex:
+    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 12), mutation_ops, st.randoms())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_walk_after_mutations_clone_and_snapshot(self, m, n, ops, rnd):
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+
+        def check(t):
+            assert t.depths() == walked_depths(t)
+            for key in t.leaf_keys():
+                assert t.depth(key) == walked_depths(t)[key]
+
+        check(tree)
+        apply_ops(tree, ops, check)
+        tree.set_probabilities({key: 1 / tree.leaf_count() for key in tree.leaf_keys()})
+        tree.validate()
+        copy = tree.clone()
+        loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
+        for other in (copy, loaded):
+            other.validate()
+            assert other.depths() == walked_depths(tree)
+        copy.split_leaf(copy.leaf_keys()[0], "fresh", b"")
+        assert tree.depths() == walked_depths(tree)  # the clone shares no index
+
+    @pytest.mark.parametrize("corrupt", ["leaf", "internal", "root", "missing", "extra"])
+    def test_validate_rejects_corrupted_entry(self, binary_demo_tree, corrupt):
+        tree = binary_demo_tree
+        index = tree._depth
+        if corrupt == "leaf":
+            index[tree.leaf_node("A").node_id] += 1
+        elif corrupt == "internal":
+            index[tree.parent_id(tree.leaf_node("C").node_id)] -= 1
+        elif corrupt == "root":
+            index[tree.root_id] = 1
+        elif corrupt == "missing":
+            del index[tree.leaf_node("G").node_id]
+        else:
+            index["n999"] = 3
+        with pytest.raises(StructureError, match="depth index"):
+            tree.validate()
+
+
+class TestRehashCount:
+    """A mutation hashes exactly the internal nodes on the changed root
+    path(s), each once, and lands on the root a full rehash gives."""
+
+    @staticmethod
+    def path_up(tree, node_id):
+        """node_id and every node above it, found by climbing parent pointers."""
+        out = []
+        while node_id is not None:
+            out.append(node_id)
+            node_id = tree.parent_id(node_id)
+        return out
+
+    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 40), st.sampled_from(["split", "attach", "swap"]),
+           st.randoms())
+    @settings(max_examples=120, deadline=None)
+    def test_hashes_only_the_affected_paths(self, m, n, kind, rnd):
+        rng = random.Random(rnd.randint(0, 2**32))
+        tree = random_tree(rng, n, m)
+        keys = tree.leaf_keys()
+        open_nodes = tree.open_internal_ids()
+        above = lambda key: self.path_up(tree, tree.leaf_node(key).node_id)[1:]
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_mod, "hash_internal", lambda hashes: calls.append(1) or hash_internal(hashes))
+            if kind == "attach" and open_nodes:
+                parent = rng.choice(open_nodes)
+                expected = len(self.path_up(tree, parent))
+                tree.attach_leaf(parent, "new", b"n")
+            elif kind == "swap" and n >= 2:
+                a, b = rng.sample(keys, 2)
+                expected = len(set(above(a)) | set(above(b)))
+                tree.swap_leaves(a, b)
+            else:
+                target = rng.choice(keys)
+                expected = 1 + len(above(target))  # the new internal node, then the old path
+                tree.split_leaf(target, "new", b"n")
+        assert len(calls) == expected
+        full = tree.clone()
+        full.recompute_all_hashes()
+        assert tree.root_hash() == full.root_hash()
 
 
 class TestStructureInvariants:
