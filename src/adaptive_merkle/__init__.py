@@ -5,16 +5,8 @@ access frequencies: high-probability leaves sit near the root, pushing the
 average proof length toward the entropy lower bound.
 """
 
-from .address_map import AddressRecord, AddressTable, build_mapping
-from .bench import (
-    BenchReport,
-    IterationRecord,
-    ReplayScript,
-    ReplayStep,
-    load_script,
-    replay_iterations,
-    run_bench,
-)
+from .address_map import AddressTable, build_mapping
+from .bench import load_script, replay_iterations, run_bench
 from .coding import (
     CodeTable,
     brute_force_min_avg_length,
@@ -32,25 +24,16 @@ from .errors import (
     StructureError,
     UnknownKeyError,
 )
-from .metrics import LeafStats, MetricsReport, avg_path_length, discrepancy_report, entropy
-from .proofs import MerkleProof, ProofStep, VerificationCost, prove, verification_cost, verify
+from .metrics import MetricsReport, discrepancy_report, entropy
+from .proofs import MerkleProof, prove, verification_cost, verify
 from .restructure import (
-    Alternative,
     RestructureOutcome,
-    apply_alternative,
     apply_best,
     enumerate_add_alternatives,
     enumerate_swap_alternatives,
     optimize_swaps,
 )
-from .tree import AdaptiveTree, TreeConfig, TreeNode, build_balanced
-from .workload import (
-    AccessTrace,
-    estimate_probabilities,
-    generate_trace,
-    normalize_distribution,
-    demo16_distribution,
-    zipf_distribution,
-)
+from .tree import AdaptiveTree, TreeConfig, build_balanced
+from .workload import estimate_probabilities, generate_trace, normalize_distribution, zipf_distribution
 
 __version__ = "0.1.0"

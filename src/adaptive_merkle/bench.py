@@ -19,21 +19,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .coding import huffman_codes, tree_from_codes
 from .errors import FormatError, ProbabilityError
 from .metrics import discrepancy_report
 from .proofs import prove, verification_cost
-from .restructure import (
-    DEFAULT_MAX_ITERS,
-    apply_best,
-    enumerate_add_alternatives,
-    enumerate_swap_alternatives,
-    optimize_swaps,
-)
+from .restructure import _best_swap, apply_best, enumerate_add_alternatives, optimize_swaps
 from .tree import AdaptiveTree, TreeConfig, build_balanced
+from .workload import normalize_distribution
 
 KNOWN_MODES = ("balanced", "adaptive", "huffman")
 
@@ -52,7 +47,6 @@ class VariantStats:
 class BenchReport:
     per_variant: dict[str, VariantStats]
     trees: dict[str, AdaptiveTree]
-    baseline_k: float
 
 
 def _variant_stats(tree: AdaptiveTree, baseline_k: float) -> VariantStats:
@@ -77,33 +71,27 @@ def _variant_stats(tree: AdaptiveTree, baseline_k: float) -> VariantStats:
     )
 
 
-def _build_adaptive(
-    dist: Sequence[tuple[str, float]],
-    config: TreeConfig,
-    payloads: Mapping[str, bytes],
-    max_swap_iters: int,
-    balanced: AdaptiveTree,
-) -> AdaptiveTree:
+def _build_adaptive(dist: Sequence[tuple[str, float]], config: TreeConfig, balanced: AdaptiveTree) -> AdaptiveTree:
     # Insert in descending probability (key as tiebreak) so early iterations
     # place the heavy leaves near the root; each insertion is followed by
     # swap passes (add first, then swaps).
     order = sorted(dist, key=lambda kv: (-kv[1], kv[0]))
     first_key = order[0][0]
-    grown = build_balanced([(first_key, payloads[first_key], 1.0)], config)
+    grown = build_balanced([(first_key, first_key.encode("utf-8"), 1.0)], config)
     inserted = {first_key: order[0][1]}
     for key, p in order[1:]:
         inserted[key] = p
         total = sum(inserted.values())
         prefix = {k: v / total for k, v in inserted.items()}
-        apply_best(grown, enumerate_add_alternatives(grown, key, prefix, payloads[key]))
-        optimize_swaps(grown, max_iters=max_swap_iters)
+        apply_best(grown, enumerate_add_alternatives(grown, key, prefix))
+        optimize_swaps(grown)
     grown.set_probabilities(dict(dist))
-    optimize_swaps(grown, max_iters=max_swap_iters)
+    optimize_swaps(grown)
 
     # Incremental growth can still settle on a worse shape than the static
     # build; restructuring must never lose to the baseline it started from.
     resettled = balanced.clone()
-    optimize_swaps(resettled, max_iters=max_swap_iters)
+    optimize_swaps(resettled)
     if discrepancy_report(grown).k_a <= discrepancy_report(resettled).k_a:
         return grown
     return resettled
@@ -113,24 +101,19 @@ def run_bench(
     dist: Sequence[tuple[str, float]],
     m: int,
     modes: Sequence[str] = KNOWN_MODES,
-    payloads: Mapping[str, bytes] | None = None,
-    max_swap_iters: int = DEFAULT_MAX_ITERS,
 ) -> BenchReport:
-    """Build the requested variants and report metrics plus weighted proof costs."""
+    """Build the requested variants and report metrics plus weighted proof costs.
+
+    Every leaf's payload is its key in UTF-8."""
     for mode in modes:
         if mode not in KNOWN_MODES:
             raise ProbabilityError(f"unknown bench mode {mode!r}")
     if not dist:
         raise ProbabilityError("distribution is empty")
-    total = sum(p for _, p in dist)
-    if total <= 0:
-        raise ProbabilityError("distribution total must be positive")
-    normalized = [(key, p / total) for key, p in dist]
-    if payloads is None:
-        payloads = {key: key.encode("utf-8") for key, _ in normalized}
+    normalized = normalize_distribution(dist)
     config = TreeConfig(m)
 
-    balanced = build_balanced([(key, payloads[key], p) for key, p in normalized], config)
+    balanced = build_balanced([(key, key.encode("utf-8"), p) for key, p in normalized], config)
     baseline_k = discrepancy_report(balanced).k_a
 
     trees: dict[str, AdaptiveTree] = {}
@@ -138,13 +121,12 @@ def run_bench(
         if mode == "balanced":
             trees[mode] = balanced
         elif mode == "adaptive":
-            trees[mode] = _build_adaptive(normalized, config, payloads, max_swap_iters, balanced)
+            trees[mode] = _build_adaptive(normalized, config, balanced)
         elif mode == "huffman":
-            probs = dict(normalized)
-            trees[mode] = tree_from_codes(huffman_codes(probs, m), payloads)
+            trees[mode] = tree_from_codes(huffman_codes(dict(normalized), m))
 
     per_variant = {mode: _variant_stats(tree, baseline_k) for mode, tree in trees.items()}
-    return BenchReport(per_variant=per_variant, trees=trees, baseline_k=baseline_k)
+    return BenchReport(per_variant=per_variant, trees=trees)
 
 
 def write_variants_csv(report: BenchReport, path) -> None:
@@ -222,14 +204,17 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
         else:
             if step.probs:
                 tree.set_probabilities(step.probs)
-            alt_count = len(enumerate_swap_alternatives(tree))
+            # _best_swap counts the candidates enumerate_swap_alternatives
+            # would list, without listing them.
+            report = discrepancy_report(tree)
+            alt_count = _best_swap(report)[1]
             swap_outcomes = optimize_swaps(tree, max_iters=max(1, step.swap_iters))
             if swap_outcomes:
                 min_delta = swap_outcomes[-1].delta_after
                 chosen_kind = "swap"
                 chosen_target = _target_text(swap_outcomes[-1].chosen)
             else:
-                min_delta = discrepancy_report(tree).delta
+                min_delta = report.delta
                 chosen_kind = "no_op"
                 chosen_target = ""
         records.append(IterationRecord(iteration, alt_count, min_delta, chosen_kind, chosen_target))

@@ -18,7 +18,7 @@ from .address_map import build_mapping
 from .errors import AdaptiveMerkleError
 from .metrics import discrepancy_report
 from .proofs import MerkleProof, prove, verification_cost, verify
-from .restructure import apply_best, enumerate_add_alternatives, optimize_swaps
+from .restructure import DEFAULT_MAX_ITERS, apply_best, enumerate_add_alternatives, optimize_swaps
 from .tree import AdaptiveTree, TreeConfig, build_balanced
 
 EXIT_OK = 0
@@ -116,7 +116,7 @@ def _cmd_encode(args) -> int:
 def _cmd_bench(args) -> int:
     dist = workload.load_distribution_csv(args.dist)
     modes = [mode.strip() for mode in args.modes.split(",") if mode.strip()]
-    report = bench_mod.run_bench(dist, args.arity, modes, max_swap_iters=args.max_iters)
+    report = bench_mod.run_bench(dist, args.arity, modes)
     bench_mod.write_variants_csv(report, args.out)
     return EXIT_OK
 
@@ -149,7 +149,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("optimize", help="swap iterations until no improvement remains")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--max-iters", type=int, default=64)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)
 
@@ -181,7 +181,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dist", required=True, help="distribution CSV")
     p.add_argument("--arity", type=int, default=2)
     p.add_argument("--modes", default="balanced,adaptive,huffman")
-    p.add_argument("--max-iters", type=int, default=64)
     p.add_argument("--out", required=True, help="variants CSV output")
     p.set_defaults(func=_cmd_bench)
 
@@ -202,10 +201,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except AdaptiveMerkleError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (AdaptiveMerkleError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

@@ -29,16 +29,6 @@ def log_base(p: float, m: int) -> float:
     return math.log2(p) / math.log2(m)
 
 
-def avg_path_length(stats: Iterable[tuple[float, int]]) -> float:
-    """Weighted mean depth sum(p * l) over (probability, depth) pairs."""
-    pairs = list(stats)
-    for _, l in pairs:
-        if l < 0:
-            raise ProbabilityError(f"negative depth {l!r}")
-    check_probabilities(dict(enumerate(p for p, _ in pairs)))
-    return sum(p * l for p, l in pairs)
-
-
 def entropy(probs: Iterable[float], m: int) -> float:
     """Base-m entropy -sum(p * log_m p); p = 0 terms contribute 0."""
     values = list(probs)

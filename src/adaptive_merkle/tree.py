@@ -441,19 +441,35 @@ class AdaptiveTree:
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "AdaptiveTree":
-        """Rebuild a tree from a snapshot, re-deriving and checking every hash."""
+        """Rebuild a tree from a snapshot, re-deriving and checking every hash.
+
+        One walk checks the shape and fills the depth index; its reverse
+        hashes every child before its parent, each node checked against its
+        ``hash_hex`` as it is hashed."""
         try:
-            config = TreeConfig(int(snapshot["config"]["arity"]))
-            if snapshot["config"]["hash"] != HASH_ALGORITHM:
-                raise StructureError(f"unsupported hash algorithm {snapshot['config']['hash']!r}")
+            arity, algorithm = snapshot["config"]["arity"], snapshot["config"]["hash"]
             node_specs = snapshot["nodes"]
             root_id = snapshot["root_id"]
             probabilities = snapshot["probabilities"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"snapshot missing required field: {exc}") from None
+        # bool is an int subclass: JSON true must pass neither as arity nor as p
+        if (
+            type(arity) is not int
+            or not isinstance(node_specs, list)
+            or not isinstance(root_id, str)
+            or not isinstance(probabilities, dict)
+            or not all(type(p) in (int, float) for p in probabilities.values())
+        ):
+            raise FormatError(
+                "snapshot needs an integer arity, a node list, a string root_id and numeric probabilities"
+            )
+        if algorithm != HASH_ALGORITHM:
+            raise StructureError(f"unsupported hash algorithm {algorithm!r}")
 
-        tree = cls(config)
+        tree = cls(TreeConfig(arity))
         tree.root_id = root_id
+        stored_hex: dict[str, str] = {}
         max_suffix = 0
         for spec in node_specs:
             try:
@@ -478,6 +494,7 @@ class AdaptiveTree:
                     raise DuplicateKeyError(f"duplicate leaf key {node.key!r} in snapshot")
                 tree._leaf_by_key[node.key] = nid
             tree.nodes[nid] = node
+            stored_hex[nid] = spec["hash_hex"]
             if nid.startswith("n") and nid[1:].isdigit():
                 max_suffix = max(max_suffix, int(nid[1:]))
         tree._next_id = max_suffix + 1
@@ -491,14 +508,22 @@ class AdaptiveTree:
                         raise StructureError(f"node {cid!r} has two parents")
                     tree._parent[cid] = node.node_id
 
-        tree.probabilities = {str(k): float(p) for k, p in probabilities.items()}
+        try:
+            tree.probabilities = {str(k): float(p) for k, p in probabilities.items()}
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise FormatError(f"snapshot probability out of range: {exc}") from None
         check_probabilities(tree.probabilities)
         tree._depth = tree._shape_depths()
-        tree.validate()
-        tree.recompute_all_hashes()
-        for spec in node_specs:
-            if tree.nodes[spec["id"]].hash.hex() != spec["hash_hex"]:
-                raise StructureError(f"hash mismatch for node {spec['id']!r} in snapshot")
+        if set(tree.probabilities) != set(tree._leaf_by_key):
+            raise StructureError("probability map does not cover exactly the leaf keys")
+        for nid in reversed(tree._depth):  # the walk is a preorder
+            node = tree.nodes[nid]
+            if node.is_leaf:
+                node.hash = hash_leaf(node.key, node.payload)
+            else:
+                tree._rehash(nid)
+            if node.hash.hex() != stored_hex[nid]:
+                raise StructureError(f"hash mismatch for node {nid!r} in snapshot")
         return tree
 
     def save(self, path) -> None:

@@ -6,7 +6,7 @@ import csv
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import FormatError, ProbabilityError
 
@@ -43,13 +43,6 @@ class AccessTrace:
     def from_events(cls, events: Iterable[str]) -> "AccessTrace":
         events = list(events)
         return cls(events=events, counts=Counter(events))
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[str, int]) -> "AccessTrace":
-        for key, count in counts.items():
-            if count < 0:
-                raise ProbabilityError(f"negative count {count} for key {key!r}")
-        return cls(events=[], counts=Counter(counts))
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -103,15 +96,6 @@ def generate_trace(probs: Mapping[str, float], num_events: int, seed: int) -> Ac
     return AccessTrace.from_events(rng.choices(keys, weights=weights, k=num_events))
 
 
-def save_distribution_csv(dist: Sequence[tuple[str, float]], path) -> None:
-    """Write ``key,probability`` rows with a header."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "probability"])
-        for key, p in dist:
-            writer.writerow([key, repr(p)])
-
-
 def load_distribution_csv(path) -> list[tuple[str, float]]:
     pairs: list[tuple[str, float]] = []
     seen: set[str] = set()
@@ -132,16 +116,3 @@ def load_distribution_csv(path) -> list[tuple[str, float]]:
             except ValueError:
                 raise FormatError(f"{path!s}:{lineno}: bad probability {prob_text!r}") from None
     return pairs
-
-
-def save_trace(trace: AccessTrace, path) -> None:
-    """One key per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in trace.events:
-            fh.write(event + "\n")
-
-
-def load_trace(path) -> AccessTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        events = [line.rstrip("\n") for line in fh if line.strip()]
-    return AccessTrace.from_events(events)

@@ -13,6 +13,36 @@ def random_distribution(rng: random.Random, n: int) -> dict[str, float]:
     return {f"k{i:03d}": w / total for i, w in enumerate(weights)}
 
 
+# Top-level snapshot edits that must raise FormatError, as (field, value):
+# "arity" sits under "config" and "p_A" is leaf A's probability.
+MALFORMED_TOP_LEVEL = [
+    ("arity", 2.7),
+    ("arity", "2"),
+    ("arity", True),
+    ("nodes", None),
+    ("nodes", {}),
+    ("root_id", []),
+    ("root_id", 1),
+    ("probabilities", []),
+    ("probabilities", None),
+    ("p_A", None),
+    ("p_A", "0.25"),
+    ("p_A", True),
+    ("p_A", 10**400),
+]
+
+
+def malform(snapshot: dict, field: str, value) -> dict:
+    """``snapshot`` with one MALFORMED_TOP_LEVEL edit applied in place."""
+    if field == "arity":
+        snapshot["config"]["arity"] = value
+    elif field == "p_A":
+        snapshot["probabilities"]["A"] = value
+    else:
+        snapshot[field] = value
+    return snapshot
+
+
 def old_format_step(step: dict) -> dict:
     """A wire proof step in the retired form: siblings as index/hash_hex objects."""
     indices = [i for i in range(len(step["siblings"]) + 1) if i != step["position"]]

@@ -16,7 +16,6 @@ from adaptive_merkle import (
     MalformedProofError,
     MerkleProof,
     TreeConfig,
-    apply_alternative,
     apply_best,
     brute_force_min_avg_length,
     build_balanced,
@@ -30,6 +29,7 @@ from adaptive_merkle import (
     verify,
 )
 from adaptive_merkle.bench import load_script, replay_iterations
+from adaptive_merkle.restructure import apply_alternative
 from adaptive_merkle.workload import (
     load_distribution_csv,
     normalize_distribution,

@@ -18,6 +18,7 @@ from adaptive_merkle.bench import (
     write_iterations_csv,
     write_variants_csv,
 )
+from adaptive_merkle.restructure import IMPROVEMENT_EPS, enumerate_swap_alternatives
 from adaptive_merkle.workload import demo16_distribution
 
 from helpers import random_distribution
@@ -127,6 +128,51 @@ class TestReplay:
         result = replay_iterations(script)
         assert len(result.records) == 1
         assert result.records[0].min_delta <= discrepancy_report(result.tree).delta + TOL
+
+    def test_swap_step_rows_match_enumerator(self):
+        # Each swap-only row against the listing of the tree it started
+        # from: alt_count is its length, and a step whose best listed swap
+        # does not strictly improve delta is a no-op row carrying the delta.
+        rng = random.Random(606)
+        kinds = set()
+        for _ in range(40):
+            m = rng.choice([2, 3, 4])
+            n = rng.randint(2, 9)
+            keys = [f"k{i}" for i in range(n)]
+            probs = random_distribution(rng, n)
+            initial = {key: probs[f"k{i:03d}"] for i, key in enumerate(keys)}
+            steps = []
+            for i in range(4):
+                if rng.random() < 0.4:
+                    keys.append(f"x{i}")
+                    steps.append(ReplayStep(dict(zip(keys, random_distribution(rng, len(keys)).values())),
+                                            new_key=keys[-1], swap_iters=rng.choice([0, 2])))
+                else:
+                    fresh = rng.random() < 0.5
+                    new = dict(zip(keys, random_distribution(rng, len(keys)).values())) if fresh else {}
+                    steps.append(ReplayStep(new, swap_iters=rng.choice([0, 1, 64])))
+            # a second unchanged step after a converging one is already optimal
+            steps.append(ReplayStep({}, swap_iters=64))
+            steps.append(ReplayStep({}, swap_iters=64))
+            script = ReplayScript(m, tuple(initial), initial, tuple(steps))
+            records = replay_iterations(script).records
+            for i, step in enumerate(steps):
+                if step.new_key is not None:
+                    continue
+                before = replay_iterations(ReplayScript(m, tuple(initial), initial, tuple(steps[:i]))).tree
+                if step.probs:
+                    before.set_probabilities(step.probs)
+                listed = enumerate_swap_alternatives(before)
+                report = discrepancy_report(before)
+                best = min(listed, key=lambda alt: alt.rank_key)
+                record = records[i]
+                assert record.alt_count == len(listed)
+                if best.kind == "no_op" or best.resulting_delta >= report.delta - IMPROVEMENT_EPS:
+                    assert (record.min_delta, record.chosen_kind, record.chosen_target) == (report.delta, "no_op", "")
+                else:
+                    assert record.chosen_kind == "swap"
+                kinds.add(record.chosen_kind)
+        assert kinds == {"swap", "no_op"}
 
     def test_iterations_csv(self, tmp_path, fixtures_dir):
         script = load_script(fixtures_dir / "quaternary_growth_script.json")

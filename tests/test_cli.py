@@ -7,7 +7,7 @@ import pytest
 from adaptive_merkle import AdaptiveTree
 from adaptive_merkle.cli import main
 
-from helpers import old_format_step
+from helpers import MALFORMED_TOP_LEVEL, malform, old_format_step
 
 
 @pytest.fixture
@@ -116,6 +116,15 @@ def test_metrics_node_without_kind_exit_2(tmp_path, snapshot):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(snap), encoding="utf-8")
     assert main(["metrics", "--snapshot", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("field, value", MALFORMED_TOP_LEVEL)
+def test_metrics_malformed_top_level_exit_2(tmp_path, snapshot, capsys, field, value):
+    snap = malform(json.loads(snapshot.read_text(encoding="utf-8")), field, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(snap), encoding="utf-8")
+    assert main(["metrics", "--snapshot", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: snapshot")
 
 
 def test_prove_probabilities_off_sum_exit_2(tmp_path, snapshot):

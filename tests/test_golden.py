@@ -5,8 +5,7 @@ index and the incremental swap report went in; every restructuring rule and
 float summation order since must reproduce them exactly:
 
 * ``variants_<dist>_m<m>.csv``: ``bench`` on ``demo16.csv`` and
-  ``hexary20_distribution.csv`` at m = 2, 4 and 16, default modes and
-  ``--max-iters``;
+  ``hexary20_distribution.csv`` at m = 2, 4 and 16, default modes;
 * ``iterations_<script>.csv``: ``replay`` of each growth script.
 """
 

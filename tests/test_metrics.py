@@ -9,7 +9,7 @@ from adaptive_merkle import (
     AdaptiveTree,
     ProbabilityError,
     TreeConfig,
-    avg_path_length,
+    build_balanced,
     discrepancy_report,
     entropy,
 )
@@ -22,26 +22,34 @@ TOL = 1e-9
 
 
 class TestAvgPathLength:
+    """k_A = sum(p * l), the average path length, as discrepancy_report gives it."""
+
     def test_three_leaf_example(self):
-        assert avg_path_length([(0.5, 1), (0.25, 2), (0.25, 2)]) == pytest.approx(1.5, abs=TOL)
+        tree = AdaptiveTree.from_nested(["A", ["B", "C"]], {"A": 0.5, "B": 0.25, "C": 0.25}, TreeConfig(2))
+        assert discrepancy_report(tree).k_a == pytest.approx(1.5, abs=TOL)
 
     def test_constant_depth(self):
-        stats = [(1 / 8, 3)] * 8
-        assert avg_path_length(stats) == pytest.approx(3.0, abs=TOL)
+        tree = build_balanced([(k, b"", 1 / 8) for k in "ABCDEFGH"], TreeConfig(2))
+        assert discrepancy_report(tree).k_a == pytest.approx(3.0, abs=TOL)
 
     def test_second_iteration_winner(self):
         # depths for the winning layout: A=1, C=2, B=3, D=3
-        stats = [(0.5, 1), (0.25, 2), (0.125, 3), (0.125, 3)]
-        assert avg_path_length(stats) == pytest.approx(1.75, abs=TOL)
+        probs = {"A": 0.5, "B": 0.125, "C": 0.25, "D": 0.125}
+        tree = AdaptiveTree.from_nested(["A", ["C", ["B", "D"]]], probs, TreeConfig(2))
+        assert discrepancy_report(tree).k_a == pytest.approx(1.75, abs=TOL)
 
     def test_sum_violation(self):
+        tree = AdaptiveTree.from_nested(["A", "B"], {"A": 0.5, "B": 0.5}, TreeConfig(2))
+        tree.probabilities = {"A": 0.5, "B": 0.3}
         with pytest.raises(ProbabilityError):
-            avg_path_length([(0.5, 1), (0.3, 1)])
+            discrepancy_report(tree)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
+        tree = AdaptiveTree.from_nested(["A", "B"], {"A": 0.5, "B": 0.5}, TreeConfig(2))
+        tree.probabilities = {"A": bad, "B": 1.0}
         with pytest.raises(ProbabilityError):
-            avg_path_length([(bad, 1), (1.0, 1)])
+            discrepancy_report(tree)
 
 
 class TestEntropy:

@@ -13,7 +13,6 @@ from adaptive_merkle import (
     ProbabilityError,
     StructureError,
     TreeConfig,
-    apply_alternative,
     apply_best,
     build_balanced,
     discrepancy_report,
@@ -23,7 +22,7 @@ from adaptive_merkle import (
 )
 from adaptive_merkle.coding import brute_force_min_avg_length, min_avg_length_for_depths
 from adaptive_merkle.metrics import entropy, swapped_report
-from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS
+from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS, apply_alternative
 
 from helpers import random_distribution, random_tree
 

@@ -21,7 +21,7 @@ from adaptive_merkle import (
 import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.tree import hash_internal, hash_leaf
 
-from helpers import random_tree, walked_depths
+from helpers import MALFORMED_TOP_LEVEL, malform, random_tree, walked_depths
 
 
 def make_leaves(keys, probs=None):
@@ -493,6 +493,12 @@ class TestSnapshots:
             del node[field]
         else:
             node[field] = value
+        with pytest.raises(FormatError):
+            AdaptiveTree.from_snapshot(snap)
+
+    @pytest.mark.parametrize("field, value", MALFORMED_TOP_LEVEL)
+    def test_malformed_top_level_raises_format_error(self, binary_demo_tree, field, value):
+        snap = malform(binary_demo_tree.to_snapshot(), field, value)
         with pytest.raises(FormatError):
             AdaptiveTree.from_snapshot(snap)
 
