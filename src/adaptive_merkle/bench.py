@@ -192,11 +192,11 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
     for iteration, step in enumerate(script.steps, start=1):
         if step.new_key is not None:
             alternatives = enumerate_add_alternatives(tree, step.new_key, step.probs)
-            outcome = apply_best(tree, alternatives)
+            chosen = apply_best(tree, alternatives)
             alt_count = len(alternatives)
-            min_delta = outcome.chosen.resulting_delta
-            chosen_kind = outcome.chosen.kind
-            chosen_target = _target_text(outcome.chosen)
+            min_delta = chosen.resulting_delta
+            chosen_kind = chosen.kind
+            chosen_target = "+".join(chosen.target)
             if step.swap_iters > 0:
                 swap_outcomes = optimize_swaps(tree, max_iters=step.swap_iters)
                 if swap_outcomes:
@@ -212,7 +212,7 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
             if swap_outcomes:
                 min_delta = swap_outcomes[-1].delta_after
                 chosen_kind = "swap"
-                chosen_target = _target_text(swap_outcomes[-1].chosen)
+                chosen_target = "+".join(swap_outcomes[-1].chosen.target)
             else:
                 min_delta = report.delta
                 chosen_kind = "no_op"
@@ -221,37 +221,39 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
     return ReplayResult(records=records, tree=tree)
 
 
-def _target_text(alternative) -> str:
-    value = alternative.target_json()
-    if value is None:
-        return ""
-    if isinstance(value, list):
-        return "+".join(value)
-    return value
-
-
 def load_script(path) -> ReplayScript:
+    """Read an iteration script; a field of the wrong JSON type raises ``FormatError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"script {path!s} is not valid JSON: {exc}") from None
     try:
-        arity = int(data["arity"])
-        initial = data["initial"]
-        initial_leaves = tuple(initial["leaves"])
-        initial_probs = {str(k): float(v) for k, v in initial["probs"].items()}
+        arity, initial = data["arity"], data["initial"]
+        leaves, initial_probs = initial["leaves"], _script_probs(initial["probs"])
         steps = tuple(
-            ReplayStep(
-                probs={str(k): float(v) for k, v in step["probs"].items()},
-                new_key=step.get("new_key"),
-                swap_iters=int(step.get("swap_iters", 0)),
-            )
+            ReplayStep(_script_probs(step["probs"]), step.get("new_key"), step.get("swap_iters", 0))
             for step in data["steps"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"script {path!s} missing or malformed field: {exc}") from None
-    return ReplayScript(arity, initial_leaves, initial_probs, steps)
+    # bool is an int subclass: JSON true must pass as neither arity nor swap_iters
+    if (
+        type(arity) is not int
+        or not isinstance(leaves, list)
+        or not all(isinstance(key, str) for key in leaves)
+        or not all(step.new_key is None or isinstance(step.new_key, str) for step in steps)
+        or not all(type(step.swap_iters) is int and step.swap_iters >= 0 for step in steps)
+    ):
+        raise FormatError(f"script {path!s} needs an integer arity, string keys and integer swap_iters >= 0")
+    return ReplayScript(arity, tuple(leaves), initial_probs, steps)
+
+
+def _script_probs(probs: dict) -> dict[str, float]:
+    # float() would take "0.5" and true; a probability must be a JSON number
+    if not all(type(p) in (int, float) for p in probs.values()):
+        raise TypeError(f"probabilities must be JSON numbers, got {probs!r}")
+    return {key: float(p) for key, p in probs.items()}
 
 
 def write_iterations_csv(records: Sequence[IterationRecord], path) -> None:

@@ -18,7 +18,7 @@ from .address_map import build_mapping
 from .errors import AdaptiveMerkleError
 from .metrics import discrepancy_report
 from .proofs import MerkleProof, prove, verification_cost, verify
-from .restructure import DEFAULT_MAX_ITERS, apply_best, enumerate_add_alternatives, optimize_swaps
+from .restructure import DEFAULT_MAX_ITERS, RestructureOutcome, apply_best, enumerate_add_alternatives, optimize_swaps
 from .tree import AdaptiveTree, TreeConfig, build_balanced
 
 EXIT_OK = 0
@@ -58,7 +58,9 @@ def _cmd_insert(args) -> int:
     tree = AdaptiveTree.load(args.snapshot)
     probs = dict(workload.normalize_distribution(workload.load_distribution_csv(args.probs)))
     alternatives = enumerate_add_alternatives(tree, args.key, probs)
-    outcome = apply_best(tree, alternatives)
+    delta_before = discrepancy_report(tree).delta
+    chosen = apply_best(tree, alternatives)
+    outcome = RestructureOutcome(chosen, len(alternatives), delta_before, discrepancy_report(tree).delta)
     tree.save(args.out)
     sys.stdout.write(json.dumps(outcome.to_json_dict(), indent=2) + "\n")
     return EXIT_OK

@@ -168,14 +168,13 @@ def apply_alternative(tree: AdaptiveTree, alternative: Alternative) -> None:
         tree.set_probabilities(alternative.new_probs)
 
 
-def apply_best(tree: AdaptiveTree, alternatives: Sequence[Alternative]) -> RestructureOutcome:
-    """Apply the minimal-delta alternative under the deterministic total order."""
+def apply_best(tree: AdaptiveTree, alternatives: Sequence[Alternative]) -> Alternative:
+    """Apply the minimal-delta alternative under the deterministic total order; return it."""
     if not alternatives:
         raise StructureError("no restructuring alternatives given")
-    delta_before = discrepancy_report(tree).delta
     chosen = min(alternatives, key=lambda alt: alt.rank_key)
     apply_alternative(tree, chosen)
-    return RestructureOutcome(chosen, len(alternatives), delta_before, discrepancy_report(tree).delta)
+    return chosen
 
 
 def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> list[RestructureOutcome]:

@@ -113,9 +113,11 @@ class AdaptiveTree:
     # -- construction helpers -------------------------------------------------
 
     def _new_id(self) -> str:
-        node_id = f"n{self._next_id}"
+        # A loaded snapshot may name its nodes anything: skip the ids in use.
+        while f"n{self._next_id}" in self.nodes:
+            self._next_id += 1
         self._next_id += 1
-        return node_id
+        return f"n{self._next_id - 1}"
 
     def _add_leaf_node(self, key: str, payload: bytes, depth: int) -> TreeNode:
         if key in self._leaf_by_key:
@@ -470,7 +472,6 @@ class AdaptiveTree:
         tree = cls(TreeConfig(arity))
         tree.root_id = root_id
         stored_hex: dict[str, str] = {}
-        max_suffix = 0
         for spec in node_specs:
             try:
                 nid, kind = spec["id"], spec["kind"]
@@ -495,9 +496,7 @@ class AdaptiveTree:
                 tree._leaf_by_key[node.key] = nid
             tree.nodes[nid] = node
             stored_hex[nid] = spec["hash_hex"]
-            if nid.startswith("n") and nid[1:].isdigit():
-                max_suffix = max(max_suffix, int(nid[1:]))
-        tree._next_id = max_suffix + 1
+        tree._next_id = len(tree.nodes) + 1  # n1..nK, as saved, continue at n(K+1)
 
         for node in tree.nodes.values():
             if node.children is not None:

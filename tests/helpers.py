@@ -43,6 +43,45 @@ def malform(snapshot: dict, field: str, value) -> dict:
     return snapshot
 
 
+# Iteration-script edits that must raise FormatError, as (field, value):
+# "p_A" is leaf A's initial probability, "step_p_A" its probability in the
+# first step, and "new_key"/"swap_iters" sit in that step too.
+MALFORMED_SCRIPT = [
+    ("arity", 2.7),
+    ("arity", "2"),
+    ("arity", True),
+    ("leaves", [1, 2]),
+    ("leaves", ["A", None]),
+    ("leaves", "AB"),
+    ("p_A", "0.5"),
+    ("p_A", True),
+    ("p_A", 10**400),
+    ("step_p_A", "0.5"),
+    ("step_p_A", True),
+    ("new_key", 3),
+    ("new_key", ["C"]),
+    ("swap_iters", "3"),
+    ("swap_iters", 1.5),
+    ("swap_iters", -1),
+    ("swap_iters", True),
+]
+
+
+def malform_script(script: dict, field: str, value) -> dict:
+    """``script`` with one MALFORMED_SCRIPT edit applied in place."""
+    if field == "arity":
+        script["arity"] = value
+    elif field == "leaves":
+        script["initial"]["leaves"] = value
+    elif field == "p_A":
+        script["initial"]["probs"]["A"] = value
+    elif field == "step_p_A":
+        script["steps"][0]["probs"]["A"] = value
+    else:
+        script["steps"][0][field] = value
+    return script
+
+
 def old_format_step(step: dict) -> dict:
     """A wire proof step in the retired form: siblings as index/hash_hex objects."""
     indices = [i for i in range(len(step["siblings"]) + 1) if i != step["position"]]

@@ -89,9 +89,9 @@ def test_criterion_01():
         all_deltas.add(round(discrepancy_report(shape).delta, 12))
     assert all_deltas == {0.0, 0.25}
 
-    outcome = apply_best(tree, alts)
-    assert outcome.chosen.kind == "split" and outcome.chosen.target == ("B",)
-    assert outcome.delta_after == pytest.approx(0.0, abs=TOL)
+    chosen = apply_best(tree, alts)
+    assert chosen.kind == "split" and chosen.target == ("B",)
+    assert discrepancy_report(tree).delta == pytest.approx(0.0, abs=TOL)
 
 
 @report(2, "4-leaf insert: (k_A, H, delta) exact per alternative, zero-delta split chosen")
@@ -114,8 +114,8 @@ def test_criterion_02():
         assert rep.k_a == pytest.approx(k_a, abs=TOL)
         assert rep.entropy == pytest.approx(h, abs=TOL)
         assert rep.delta == pytest.approx(delta, abs=TOL)
-    outcome = apply_best(tree, alts)
-    assert outcome.chosen.target == ("B",)
+    chosen = apply_best(tree, alts)
+    assert chosen.target == ("B",)
 
 
 @report(3, "6-leaf insert: deltas 0.4375/0.3125/0.125 x3, tie resolved to split C")
@@ -131,8 +131,8 @@ def test_criterion_03():
     assert deltas == pytest.approx(
         {"A": 0.4375, "B": 0.3125, "C": 0.125, "D": 0.125, "E": 0.125}, abs=TOL
     )
-    outcome = apply_best(tree, alts)
-    assert outcome.chosen.target == ("C",)
+    chosen = apply_best(tree, alts)
+    assert chosen.target == ("C",)
 
 
 @report(4, "binary growth script: min-delta iterations 5-10, counts (3,4,5) for 2-4")

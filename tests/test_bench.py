@@ -1,11 +1,13 @@
 """Variant comparison harness and iteration-script replay."""
 
+import json
 import random
 
 import pytest
 
 from adaptive_merkle import (
     AdaptiveTree,
+    FormatError,
     ProbabilityError,
     discrepancy_report,
     load_script,
@@ -21,7 +23,7 @@ from adaptive_merkle.bench import (
 from adaptive_merkle.restructure import IMPROVEMENT_EPS, enumerate_swap_alternatives
 from adaptive_merkle.workload import demo16_distribution
 
-from helpers import random_distribution
+from helpers import MALFORMED_SCRIPT, malform_script, random_distribution
 
 TOL = 1e-9
 
@@ -173,6 +175,14 @@ class TestReplay:
                     assert record.chosen_kind == "swap"
                 kinds.add(record.chosen_kind)
         assert kinds == {"swap", "no_op"}
+
+    @pytest.mark.parametrize("field, value", MALFORMED_SCRIPT)
+    def test_malformed_script_raises_format_error(self, tmp_path, fixtures_dir, field, value):
+        script = json.loads((fixtures_dir / "binary_growth_script.json").read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(malform_script(script, field, value)), encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_script(bad)
 
     def test_iterations_csv(self, tmp_path, fixtures_dir):
         script = load_script(fixtures_dir / "quaternary_growth_script.json")

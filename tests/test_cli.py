@@ -7,7 +7,7 @@ import pytest
 from adaptive_merkle import AdaptiveTree
 from adaptive_merkle.cli import main
 
-from helpers import MALFORMED_TOP_LEVEL, malform, old_format_step
+from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_format_step
 
 
 @pytest.fixture
@@ -178,6 +178,17 @@ def test_replay(tmp_path, fixtures_dir):
     assert main(["replay", "--script", str(fixtures_dir / "binary_growth_script.json"),
                  "--out", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 11
+
+
+@pytest.mark.parametrize("field, value", MALFORMED_SCRIPT)
+def test_replay_malformed_script_exit_2(tmp_path, fixtures_dir, capsys, field, value):
+    script = json.loads((fixtures_dir / "binary_growth_script.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malform_script(script, field, value)), encoding="utf-8")
+    out = tmp_path / "iters.csv"
+    assert main(["replay", "--script", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: script")
+    assert not out.exists()
 
 
 def test_byte_identical_outputs(tmp_path, dist_csv):

@@ -6,7 +6,12 @@ float summation order since must reproduce them exactly:
 
 * ``variants_<dist>_m<m>.csv``: ``bench`` on ``demo16.csv`` and
   ``hexary20_distribution.csv`` at m = 2, 4 and 16, default modes;
-* ``iterations_<script>.csv``: ``replay`` of each growth script.
+* ``iterations_<script>.csv``: ``replay`` of each growth script;
+* ``insert_demo16_m<m>.json`` and ``insert_demo16_m<m>.snapshot.json``: the
+  audit record ``insert`` prints and the snapshot it writes when key Q of
+  ``demo17.csv`` (demo16 plus Q) joins the balanced demo16 tree, at m = 2
+  (splits only) and m = 3 (open nodes, so attaches are scored too). Written
+  when ``apply_best`` still built the record itself.
 """
 
 import pytest
@@ -31,3 +36,16 @@ def test_replay_iterations(tmp_path, fixtures_dir, script):
     out = tmp_path / "iterations.csv"
     assert main(["replay", "--script", str(fixtures_dir / f"{script}.json"), "--out", str(out)]) == 0
     assert out.read_bytes() == (fixtures_dir / GOLDEN / f"iterations_{script}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_insert(tmp_path, fixtures_dir, capsys, arity):
+    base, out = tmp_path / "base.json", tmp_path / "inserted.json"
+    assert main(["build", "--probs", str(fixtures_dir / "demo16.csv"), "--arity", str(arity),
+                 "--out", str(base)]) == 0
+    capsys.readouterr()
+    assert main(["insert", "--snapshot", str(base), "--key", "Q", "--probs", str(fixtures_dir / "demo17.csv"),
+                 "--out", str(out)]) == 0
+    golden = fixtures_dir / GOLDEN / f"insert_demo16_m{arity}"
+    assert capsys.readouterr().out == golden.with_suffix(".json").read_text(encoding="utf-8")
+    assert out.read_bytes() == golden.with_suffix(".snapshot.json").read_bytes()

@@ -20,6 +20,7 @@ from adaptive_merkle import (
     enumerate_swap_alternatives,
     optimize_swaps,
 )
+import adaptive_merkle.restructure as restructure_mod
 from adaptive_merkle.coding import brute_force_min_avg_length, min_avg_length_for_depths
 from adaptive_merkle.metrics import entropy, swapped_report
 from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS, apply_alternative
@@ -243,27 +244,26 @@ class TestApplyBest:
         )
         probs = {"A": 0.5, "B": 0.25, "C": 0.0625, "D": 0.0625, "E": 0.0625, "F": 0.0625}
         alternatives = enumerate_add_alternatives(tree, "F", probs)
-        outcome = apply_best(tree, alternatives)
-        assert outcome.chosen.kind == "split"
-        assert outcome.chosen.target == ("C",)
-        assert outcome.chosen.resulting_delta == pytest.approx(0.125, abs=TOL)
-        assert outcome.candidates == len(alternatives)
-        assert outcome.chosen.resulting_delta == min(a.resulting_delta for a in alternatives)
+        chosen = apply_best(tree, alternatives)
+        assert chosen.kind == "split"
+        assert chosen.target == ("C",)
+        assert chosen.resulting_delta == pytest.approx(0.125, abs=TOL)
+        assert chosen.resulting_delta == min(a.resulting_delta for a in alternatives)
 
     def test_iteration_2_winner(self):
         tree = AdaptiveTree.from_nested(
             ["A", ["B", "C"]], {"A": 0.5, "B": 0.25, "C": 0.25}, TreeConfig(2)
         )
         probs = {"A": 0.5, "B": 0.125, "C": 0.25, "D": 0.125}
-        outcome = apply_best(tree, enumerate_add_alternatives(tree, "D", probs))
-        assert outcome.chosen.target == ("B",)
-        assert outcome.delta_after == pytest.approx(0.0, abs=TOL)
+        chosen = apply_best(tree, enumerate_add_alternatives(tree, "D", probs))
+        assert chosen.target == ("B",)
+        assert discrepancy_report(tree).delta == pytest.approx(0.0, abs=TOL)
 
     def test_single_noop_leaves_tree_unchanged(self, binary_demo_tree):
         before = binary_demo_tree.root_hash()
         alts = [a for a in enumerate_swap_alternatives(binary_demo_tree) if a.kind == "no_op"]
-        outcome = apply_best(binary_demo_tree, alts)
-        assert outcome.chosen.kind == "no_op"
+        chosen = apply_best(binary_demo_tree, alts)
+        assert chosen.kind == "no_op"
         assert binary_demo_tree.root_hash() == before
 
     def test_empty_alternatives_rejected(self, binary_demo_tree):
@@ -275,18 +275,41 @@ class TestApplyBest:
         for _ in range(20):
             tree = random_tree(rng, rng.randint(2, 10), rng.choice([2, 4]))
             alts = enumerate_swap_alternatives(tree)
-            outcome = apply_best(tree.clone(), alts)
-            assert outcome.chosen.resulting_delta == min(a.resulting_delta for a in alts)
+            chosen = apply_best(tree.clone(), alts)
+            assert chosen.resulting_delta == min(a.resulting_delta for a in alts)
 
     def test_determinism(self):
         rng1, rng2 = random.Random(61), random.Random(61)
         t1 = random_tree(rng1, 12, 2)
         t2 = random_tree(rng2, 12, 2)
-        o1 = apply_best(t1, enumerate_swap_alternatives(t1))
-        o2 = apply_best(t2, enumerate_swap_alternatives(t2))
-        assert o1.chosen.kind == o2.chosen.kind
-        assert o1.chosen.target == o2.chosen.target
+        c1 = apply_best(t1, enumerate_swap_alternatives(t1))
+        c2 = apply_best(t2, enumerate_swap_alternatives(t2))
+        assert c1.kind == c2.kind
+        assert c1.target == c2.target
         assert t1.root_hash() == t2.root_hash()
+
+
+class TestReportsPerInsertion:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_one_report_per_insertion(self, monkeypatch, m):
+        # The insertion loop the bench and the workloads run: apply_best
+        # only applies the move, and optimize_swaps builds the one report.
+        calls = []
+        real = restructure_mod.discrepancy_report
+
+        def counting(tree):
+            calls.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(restructure_mod, "discrepancy_report", counting)
+        rng = random.Random(70 + m)
+        tree = random_tree(rng, 9, m)
+        probs = dict(zip([*tree.probabilities, "new"], random_distribution(rng, 10).values()))
+        alternatives = enumerate_add_alternatives(tree, "new", probs)
+        apply_best(tree, alternatives)
+        assert len(calls) == 0
+        optimize_swaps(tree)
+        assert len(calls) == 1
 
 
 class TestOptimizeSwaps:
@@ -386,7 +409,7 @@ class TestOptimizeSwaps:
 
 class TestOutcomeSerialization:
     def test_json_shape(self, binary_demo_tree):
-        outcome = apply_best(binary_demo_tree, enumerate_swap_alternatives(binary_demo_tree))
+        outcome = optimize_swaps(binary_demo_tree, max_iters=1)[0]
         data = outcome.to_json_dict()
         assert set(data) == {"chosen", "candidates", "delta_before", "delta_after"}
         assert data["candidates"] == 4  # B, F, H at three depths: 3 pairs plus the no-op

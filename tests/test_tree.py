@@ -502,6 +502,29 @@ class TestSnapshots:
         with pytest.raises(FormatError):
             AdaptiveTree.from_snapshot(snap)
 
+    def test_any_string_ids_load_and_new_ids_stay_fresh(self, binary_demo_tree):
+        # "n²" passes str.isdigit() but not int(); 5000 digits pass the check
+        # but exceed int()'s digit limit; "n16" is the id a 15-node tree
+        # would hand out next.
+        snap = binary_demo_tree.to_snapshot()
+        odd_ids = ["n²", "n" + "9" * 5000, f"n{len(snap['nodes']) + 1}"]
+        internal = [node["id"] for node in snap["nodes"] if node["kind"] == "internal"]
+        rename = dict(zip(internal, odd_ids))
+        for node in snap["nodes"]:
+            node["id"] = rename.get(node["id"], node["id"])
+            if node["kind"] == "internal":
+                node["children"] = [rename.get(cid, cid) for cid in node["children"]]
+        snap["root_id"] = rename.get(snap["root_id"], snap["root_id"])
+        loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
+        assert loaded.root_hash() == binary_demo_tree.root_hash()
+        before = set(loaded.nodes)
+        assert set(odd_ids) <= before
+        for i in range(4):
+            loaded.split_leaf("A", f"new{i}", b"")
+        added = set(loaded.nodes) - before
+        assert len(added) == 8 and len(loaded.nodes) == len(before) + 8
+        loaded.validate()
+
     def test_tampered_hash_rejected(self, tmp_path, binary_demo_tree):
         snap = binary_demo_tree.to_snapshot()
         snap["nodes"][0]["hash_hex"] = "00" * 32
