@@ -6,15 +6,15 @@ kept as an explicit table. Addresses stay opaque: nothing here derives an
 adaptive position from address content.
 
 Persistence is CSV with columns ``address,probability,balanced_code,
-adaptive_code`` (header mandatory, UTF-8, LF line endings, floats at full
-round-trip precision).
+adaptive_code`` under the package's shared CSV rules (``_formats``), floats
+at full round-trip precision.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
+from ._formats import csv_probability, read_csv, write_csv
 from .coding import codes_from_tree, is_code_string, is_prefix_free
 from .errors import AddressNotFoundError, FormatError, StructureError
 from .tree import AdaptiveTree, check_probabilities
@@ -57,36 +57,23 @@ class AddressTable:
         return sum(r.probability * len(r.adaptive_code) for r in self.records)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_CSV_HEADER)
-            for record in self.records:
-                writer.writerow(
-                    [record.address, repr(record.probability), record.balanced_code, record.adaptive_code]
-                )
+        write_csv(
+            path,
+            _CSV_HEADER,
+            ([r.address, repr(r.probability), r.balanced_code, r.adaptive_code] for r in self.records),
+        )
 
     @classmethod
     def load(cls, path) -> "AddressTable":
         """Read a saved table. Probabilities must be finite, non-negative and,
         unless the table is empty, sum to 1 +/- 1e-9 (``ProbabilityError``)."""
         records: list[AddressRecord] = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _CSV_HEADER:
-                raise FormatError(f"{path!s}: unexpected header {header!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 4:
-                    raise FormatError(f"{path!s}:{lineno}: expected 4 columns, got {len(row)}")
-                address, prob_text, balanced_code, adaptive_code = row
-                for code in (balanced_code, adaptive_code):
-                    if not is_code_string(code):
-                        raise FormatError(f"{path!s}:{lineno}: code {code!r} is not a digit string")
-                try:
-                    probability = float(prob_text)
-                except ValueError:
-                    raise FormatError(f"{path!s}:{lineno}: bad probability {prob_text!r}") from None
-                records.append(AddressRecord(address, probability, balanced_code, adaptive_code))
+        for where, (address, prob_text, balanced_code, adaptive_code) in read_csv(path, _CSV_HEADER):
+            for code in (balanced_code, adaptive_code):
+                if not is_code_string(code):
+                    raise FormatError(f"{where}: code {code!r} is not a digit string")
+            probability = csv_probability(prob_text, where)
+            records.append(AddressRecord(address, probability, balanced_code, adaptive_code))
         table = cls(records)
         if records:
             check_probabilities({record.address: record.probability for record in records})

@@ -17,11 +17,10 @@ discrepancy, chosen action).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._formats import json_probabilities, load_json, write_csv
 from .coding import huffman_codes, tree_from_codes
 from .errors import FormatError, ProbabilityError
 from .metrics import discrepancy_report
@@ -39,7 +38,6 @@ class VariantStats:
     entropy: float
     delta: float
     mean_proof_bytes: float
-    mean_hash_invocations: float
     improvement_pct: float
 
 
@@ -52,11 +50,8 @@ class BenchReport:
 def _variant_stats(tree: AdaptiveTree, baseline_k: float) -> VariantStats:
     report = discrepancy_report(tree)
     mean_bytes = 0.0
-    mean_hashes = 0.0
     for key, p in tree.probabilities.items():
-        cost = verification_cost(prove(tree, key))
-        mean_bytes += p * cost.proof_bytes
-        mean_hashes += p * cost.hash_invocations
+        mean_bytes += p * verification_cost(prove(tree, key)).proof_bytes
     if baseline_k > 0:
         improvement = (baseline_k - report.k_a) / baseline_k * 100.0
     else:
@@ -66,7 +61,6 @@ def _variant_stats(tree: AdaptiveTree, baseline_k: float) -> VariantStats:
         entropy=report.entropy,
         delta=report.delta,
         mean_proof_bytes=mean_bytes,
-        mean_hash_invocations=mean_hashes,
         improvement_pct=improvement,
     )
 
@@ -131,23 +125,13 @@ def run_bench(
 
 def write_variants_csv(report: BenchReport, path) -> None:
     """``variant,k_A,H,delta,mean_proof_bytes,improvement_pct`` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", "k_A", "H", "delta", "mean_proof_bytes", "improvement_pct"])
-        for mode in KNOWN_MODES:
-            if mode not in report.per_variant:
-                continue
+    rows = []
+    for mode in KNOWN_MODES:
+        if mode in report.per_variant:
             stats = report.per_variant[mode]
-            writer.writerow(
-                [
-                    mode,
-                    repr(stats.k_a),
-                    repr(stats.entropy),
-                    repr(stats.delta),
-                    repr(stats.mean_proof_bytes),
-                    repr(stats.improvement_pct),
-                ]
-            )
+            values = (stats.k_a, stats.entropy, stats.delta, stats.mean_proof_bytes, stats.improvement_pct)
+            rows.append([mode, *map(repr, values)])
+    write_csv(path, ["variant", "k_A", "H", "delta", "mean_proof_bytes", "improvement_pct"], rows)
 
 
 @dataclass(frozen=True)
@@ -204,16 +188,19 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
         else:
             if step.probs:
                 tree.set_probabilities(step.probs)
-            # _best_swap counts the candidates enumerate_swap_alternatives
-            # would list, without listing them.
-            report = discrepancy_report(tree)
-            alt_count = _best_swap(report)[1]
+            # alt_count is the length of the list enumerate_swap_alternatives
+            # would build for this step's starting tree. _best_swap counts it
+            # without listing; optimize_swaps ran it on that tree first, and
+            # an unchanged tree (no swap applied) is counted again here.
             swap_outcomes = optimize_swaps(tree, max_iters=max(1, step.swap_iters))
             if swap_outcomes:
+                alt_count = swap_outcomes[0].candidates
                 min_delta = swap_outcomes[-1].delta_after
                 chosen_kind = "swap"
                 chosen_target = "+".join(swap_outcomes[-1].chosen.target)
             else:
+                report = discrepancy_report(tree)
+                alt_count = _best_swap(report)[1]
                 min_delta = report.delta
                 chosen_kind = "no_op"
                 chosen_target = ""
@@ -223,20 +210,17 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
 
 def load_script(path) -> ReplayScript:
     """Read an iteration script; a field of the wrong JSON type raises ``FormatError``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"script {path!s} is not valid JSON: {exc}") from None
+    what = f"script {path!s}"
+    data = load_json(path, "script")
     try:
         arity, initial = data["arity"], data["initial"]
-        leaves, initial_probs = initial["leaves"], _script_probs(initial["probs"])
+        leaves, initial_probs = initial["leaves"], json_probabilities(initial["probs"], what)
         steps = tuple(
-            ReplayStep(_script_probs(step["probs"]), step.get("new_key"), step.get("swap_iters", 0))
+            ReplayStep(json_probabilities(step["probs"], what), step.get("new_key"), step.get("swap_iters", 0))
             for step in data["steps"]
         )
-    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
-        raise FormatError(f"script {path!s} missing or malformed field: {exc}") from None
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"{what} missing or malformed field: {exc}") from None
     # bool is an int subclass: JSON true must pass as neither arity nor swap_iters
     if (
         type(arity) is not int
@@ -245,29 +229,14 @@ def load_script(path) -> ReplayScript:
         or not all(step.new_key is None or isinstance(step.new_key, str) for step in steps)
         or not all(type(step.swap_iters) is int and step.swap_iters >= 0 for step in steps)
     ):
-        raise FormatError(f"script {path!s} needs an integer arity, string keys and integer swap_iters >= 0")
+        raise FormatError(f"{what} needs an integer arity, string keys and integer swap_iters >= 0")
     return ReplayScript(arity, tuple(leaves), initial_probs, steps)
-
-
-def _script_probs(probs: dict) -> dict[str, float]:
-    # float() would take "0.5" and true; a probability must be a JSON number
-    if not all(type(p) in (int, float) for p in probs.values()):
-        raise TypeError(f"probabilities must be JSON numbers, got {probs!r}")
-    return {key: float(p) for key, p in probs.items()}
 
 
 def write_iterations_csv(records: Sequence[IterationRecord], path) -> None:
     """``iter,alt_count,min_delta,chosen_kind,chosen_target`` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "alt_count", "min_delta", "chosen_kind", "chosen_target"])
-        for record in records:
-            writer.writerow(
-                [
-                    record.iteration,
-                    record.alt_count,
-                    repr(record.min_delta),
-                    record.chosen_kind,
-                    record.chosen_target,
-                ]
-            )
+    write_csv(
+        path,
+        ["iter", "alt_count", "min_delta", "chosen_kind", "chosen_target"],
+        ([r.iteration, r.alt_count, repr(r.min_delta), r.chosen_kind, r.chosen_target] for r in records),
+    )

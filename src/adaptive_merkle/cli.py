@@ -14,6 +14,7 @@ import sys
 
 from . import bench as bench_mod
 from . import coding, workload
+from ._formats import load_json
 from .address_map import build_mapping
 from .errors import AdaptiveMerkleError
 from .metrics import discrepancy_report
@@ -91,8 +92,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.proof, "r", encoding="utf-8") as fh:
-        proof = MerkleProof.from_json_dict(json.load(fh))
+    proof = MerkleProof.from_json_dict(load_json(args.proof, "proof"))
     expected_root = bytes.fromhex(args.root)
     if verify(proof, expected_root, args.arity):
         sys.stderr.write("proof OK\n")

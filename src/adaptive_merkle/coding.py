@@ -10,12 +10,12 @@ queue entry, so generated tables are reproducible bit for bit.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from ._formats import csv_probability, read_csv, write_csv
 from .errors import FormatError, ProbabilityError, StructureError
 from .metrics import entropy
 from .tree import AdaptiveTree, TreeConfig, check_probabilities
@@ -26,6 +26,8 @@ BRUTE_FORCE_MAX_N = 10
 # child index: 0-9 then a-z, so arity 16 yields nibble-style codes. Caps
 # code-producing operations at arity 36.
 CODE_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+_CSV_HEADER = ["key", "probability", "code", "length"]
 
 
 def index_to_digit(index: int) -> str:
@@ -233,11 +235,11 @@ def _leaf_codes(root, children_of) -> dict:
 
 def export_csv(table: CodeTable, path) -> None:
     """Write ``key,probability,code,length`` rows (header included)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "probability", "code", "length"])
-        for key in sorted(table.entries):
-            writer.writerow([key, repr(table.probabilities[key]), table.entries[key], len(table.entries[key])])
+    write_csv(
+        path,
+        _CSV_HEADER,
+        ([key, repr(table.probabilities[key]), code, len(code)] for key, code in sorted(table.entries.items())),
+    )
 
 
 def load_csv(path, arity: int) -> CodeTable:
@@ -247,24 +249,13 @@ def load_csv(path, arity: int) -> CodeTable:
     digits = CODE_ALPHABET[:arity]
     entries: dict[str, str] = {}
     probabilities: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["key", "probability", "code", "length"]:
-            raise FormatError(f"{path!s}: unexpected header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise FormatError(f"{path!s}:{lineno}: expected 4 columns, got {len(row)}")
-            key, prob_text, code, length_text = row
-            if not set(code).issubset(digits):
-                raise FormatError(f"{path!s}:{lineno}: code {code!r} is not a base-{arity} digit string")
-            if str(len(code)) != length_text:
-                raise FormatError(f"{path!s}:{lineno}: length column disagrees with code")
-            try:
-                probabilities[key] = float(prob_text)
-            except ValueError:
-                raise FormatError(f"{path!s}:{lineno}: bad probability {prob_text!r}") from None
-            entries[key] = code
+    for where, (key, prob_text, code, length_text) in read_csv(path, _CSV_HEADER):
+        if not set(code).issubset(digits):
+            raise FormatError(f"{where}: code {code!r} is not a base-{arity} digit string")
+        if str(len(code)) != length_text:
+            raise FormatError(f"{where}: length column disagrees with code")
+        probabilities[key] = csv_probability(prob_text, where)
+        entries[key] = code
     avg = sum(probabilities[k] * len(c) for k, c in entries.items())
     table = CodeTable(entries, probabilities, arity, avg, entropy(probabilities.values(), arity))
     table.validate()

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._formats import json_probabilities, load_json
 from .errors import (
     DuplicateKeyError,
     FormatError,
@@ -452,20 +453,12 @@ class AdaptiveTree:
             arity, algorithm = snapshot["config"]["arity"], snapshot["config"]["hash"]
             node_specs = snapshot["nodes"]
             root_id = snapshot["root_id"]
-            probabilities = snapshot["probabilities"]
+            probabilities = json_probabilities(snapshot["probabilities"], "snapshot")
         except (KeyError, TypeError) as exc:
             raise FormatError(f"snapshot missing required field: {exc}") from None
-        # bool is an int subclass: JSON true must pass neither as arity nor as p
-        if (
-            type(arity) is not int
-            or not isinstance(node_specs, list)
-            or not isinstance(root_id, str)
-            or not isinstance(probabilities, dict)
-            or not all(type(p) in (int, float) for p in probabilities.values())
-        ):
-            raise FormatError(
-                "snapshot needs an integer arity, a node list, a string root_id and numeric probabilities"
-            )
+        # bool is an int subclass: JSON true must not pass as arity
+        if type(arity) is not int or not isinstance(node_specs, list) or not isinstance(root_id, str):
+            raise FormatError("snapshot needs an integer arity, a node list and a string root_id")
         if algorithm != HASH_ALGORITHM:
             raise StructureError(f"unsupported hash algorithm {algorithm!r}")
 
@@ -480,6 +473,8 @@ class AdaptiveTree:
                     node = TreeNode(nid, b"", key=spec["key"], payload=payload)
                     names = [nid, node.key]
                 elif kind == "internal":
+                    if not isinstance(spec["children"], list):
+                        raise TypeError(f"children of node {nid!r} must be a list")
                     node = TreeNode(nid, b"", children=list(spec["children"]))
                     names = [nid, *node.children]
                 else:
@@ -507,11 +502,8 @@ class AdaptiveTree:
                         raise StructureError(f"node {cid!r} has two parents")
                     tree._parent[cid] = node.node_id
 
-        try:
-            tree.probabilities = {str(k): float(p) for k, p in probabilities.items()}
-        except OverflowError as exc:  # a JSON integer beyond the float range
-            raise FormatError(f"snapshot probability out of range: {exc}") from None
-        check_probabilities(tree.probabilities)
+        tree.probabilities = probabilities
+        check_probabilities(probabilities)
         tree._depth = tree._shape_depths()
         if set(tree.probabilities) != set(tree._leaf_by_key):
             raise StructureError("probability map does not cover exactly the leaf keys")
@@ -532,12 +524,7 @@ class AdaptiveTree:
 
     @classmethod
     def load(cls, path) -> "AdaptiveTree":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                snapshot = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"snapshot {path!s} is not valid JSON: {exc}") from None
-        return cls.from_snapshot(snapshot)
+        return cls.from_snapshot(load_json(path, "snapshot"))
 
 
 def build_balanced(

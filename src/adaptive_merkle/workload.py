@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import FormatError, ProbabilityError
+from ._formats import csv_probability, read_csv
+from .errors import ProbabilityError
 
 # Fixed 16-leaf demo distribution used throughout the worked examples; the
 # raw values sum to 0.9998, so normalize before feeding metrics.
@@ -97,22 +97,6 @@ def generate_trace(probs: Mapping[str, float], num_events: int, seed: int) -> Ac
 
 
 def load_distribution_csv(path) -> list[tuple[str, float]]:
-    pairs: list[tuple[str, float]] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["key", "probability"]:
-            raise FormatError(f"{path!s}: unexpected header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise FormatError(f"{path!s}:{lineno}: expected 2 columns, got {len(row)}")
-            key, prob_text = row
-            if key in seen:
-                raise FormatError(f"{path!s}:{lineno}: duplicate key {key!r}")
-            seen.add(key)
-            try:
-                pairs.append((key, float(prob_text)))
-            except ValueError:
-                raise FormatError(f"{path!s}:{lineno}: bad probability {prob_text!r}") from None
-    return pairs
+    """``key,probability`` rows as ``(key, p)`` pairs in file order."""
+    rows = read_csv(path, ["key", "probability"])
+    return [(key, csv_probability(text, where)) for where, (key, text) in rows]

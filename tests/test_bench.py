@@ -13,6 +13,8 @@ from adaptive_merkle import (
     load_script,
     run_bench,
 )
+import adaptive_merkle.bench as bench_mod
+import adaptive_merkle.restructure as restructure_mod
 from adaptive_merkle.bench import (
     ReplayScript,
     ReplayStep,
@@ -175,6 +177,25 @@ class TestReplay:
                     assert record.chosen_kind == "swap"
                 kinds.add(record.chosen_kind)
         assert kinds == {"swap", "no_op"}
+
+    def test_swap_step_builds_one_report(self, monkeypatch):
+        # optimize_swaps scores its first swap on the one report of the
+        # step's starting tree; alt_count is read off that outcome.
+        calls = []
+        real = bench_mod.discrepancy_report
+
+        def counting(tree):
+            calls.append(tree)
+            return real(tree)
+
+        for module in (bench_mod, restructure_mod):
+            monkeypatch.setattr(module, "discrepancy_report", counting)
+        # balanced over three leaves is [[A, B], C]: A is deep and heavy
+        probs = {"A": 0.5, "B": 0.25, "C": 0.25}
+        script = ReplayScript(2, ("A", "B", "C"), probs, (ReplayStep({}, swap_iters=1),))
+        (record,) = replay_iterations(script).records
+        assert (record.alt_count, record.chosen_kind, record.chosen_target) == (2, "swap", "A+C")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("field, value", MALFORMED_SCRIPT)
     def test_malformed_script_raises_format_error(self, tmp_path, fixtures_dir, field, value):

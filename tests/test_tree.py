@@ -483,14 +483,18 @@ class TestSnapshots:
             ("leaf", "id", ["n1"]),
             ("internal", "children", 3),
             ("internal", "hash_hex", 0),
+            pytest.param("internal", "children", lambda ids: dict.fromkeys(ids, 0), id="internal-children-object"),
+            pytest.param("internal", "children", "".join, id="internal-children-joined"),
         ],
     )
     def test_malformed_node_raises_format_error(self, binary_demo_tree, kind, field, value):
-        # value None: the field is missing altogether
+        # value None: the field is missing altogether; a callable rewrites it
         snap = binary_demo_tree.to_snapshot()
         node = next(n for n in snap["nodes"] if n["kind"] == kind)
         if value is None:
             del node[field]
+        elif callable(value):
+            node[field] = value(node[field])
         else:
             node[field] = value
         with pytest.raises(FormatError):

@@ -12,9 +12,9 @@ from adaptive_merkle import (
     normalize_distribution,
     zipf_distribution,
 )
+from adaptive_merkle.errors import FormatError
 from adaptive_merkle.workload import (
     AccessTrace,
-    FormatError,
     demo16_distribution,
     load_distribution_csv,
 )
