@@ -2,9 +2,11 @@
 
 CSV files are UTF-8, written with LF line endings, and start with an exact
 header row. Every row has the header's column count and a first column no
-other row repeats; a bad row is named as ``path:line``. JSON probabilities
-are JSON numbers: no bool, no string and no integer beyond the float range.
-Every breach of these rules raises :class:`FormatError`.
+other row repeats; a bad row, or a field over the csv module's size limit, is
+named as ``path:line``. JSON documents nest no deeper than the parser's
+recursion limit, and JSON probabilities are JSON numbers: no bool, no string
+and no integer beyond the float range. Every breach of these rules raises
+:class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ def read_csv(path, header: Sequence[str]) -> list[tuple[str, list[str]]]:
                 rows.append((where, row))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path!s}: not UTF-8: {exc}") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise FormatError(f"{path!s}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -62,6 +66,8 @@ def load_json(path, what: str):
             return json.load(fh)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise FormatError(f"{what} {path!s} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{what} {path!s} is nested too deeply to parse") from None
 
 
 def json_probabilities(value, what: str) -> dict[str, float]:

@@ -230,6 +230,8 @@ def load_script(path) -> ReplayScript:
         or not all(type(step.swap_iters) is int and step.swap_iters >= 0 for step in steps)
     ):
         raise FormatError(f"{what} needs an integer arity, string keys and integer swap_iters >= 0")
+    if set(initial_probs) != set(leaves):
+        raise FormatError(f"{what} initial probs must name exactly the initial leaves")
     return ReplayScript(arity, tuple(leaves), initial_probs, steps)
 
 

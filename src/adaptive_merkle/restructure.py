@@ -238,26 +238,23 @@ def _best_swap(report: MetricsReport) -> tuple[Alternative | None, int]:
 
 
 def _layout(tree: AdaptiveTree) -> tuple[list[tuple[str, int]], list[tuple[str, int, str]]]:
-    """From one preorder walk: ``(key, depth)`` of every leaf left to right,
-    and ``(node_id, depth, smallest leaf key below)`` of each internal node
-    with a free child slot, in preorder."""
-    m = tree.config.arity
+    """From one preorder pass and the tree's depth index: ``(key, depth)`` of
+    every leaf left to right, and ``(node_id, depth, smallest leaf key
+    below)`` of each internal node with a free child slot, in preorder."""
+    m, nodes, depth = tree.config.arity, tree.nodes, tree._depth
     preorder, leaves, open_nodes = [], [], []
-    stack = [(tree.root_id, 0)]
-    while stack:
-        nid, depth = stack.pop()
-        node = tree.nodes[nid]
+    for nid in tree._iter_preorder():
+        node = nodes[nid]
         if node.children is None:
-            leaves.append((node.key, depth))
+            leaves.append((node.key, depth[nid]))
         else:
             preorder.append(nid)
             if len(node.children) < m:
-                open_nodes.append((nid, depth))
-            stack.extend((cid, depth + 1) for cid in reversed(node.children))
+                open_nodes.append(nid)
     if not open_nodes:  # a finished m=2 tree never has a free slot
         return leaves, []
     min_key: dict[str, str] = {}
     for nid in reversed(preorder):  # children before their parent
-        children = tree.nodes[nid].children
-        min_key[nid] = min(min_key[cid] if cid in min_key else tree.nodes[cid].key for cid in children)
-    return leaves, [(nid, depth, min_key[nid]) for nid, depth in open_nodes]
+        children = nodes[nid].children
+        min_key[nid] = min(min_key[cid] if cid in min_key else nodes[cid].key for cid in children)
+    return leaves, [(nid, depth[nid], min_key[nid]) for nid in open_nodes]

@@ -9,10 +9,12 @@ internal nodes.
 
 Mutations rehash only the affected root path(s); everything else is left
 untouched. Next to the parent pointers the tree keeps a depth index, the
-edge count from the root of every node: the constructors fill it in the walks
-they already make, each mutation updates it in O(1) (only leaves move, so no
-subtree is renumbered), and :meth:`AdaptiveTree.depths` reads it instead of
-walking. The index is right only because of the single-writer contract:
+edge count from the root of every node, and a leaf-key index. ``from_nested``
+fills all three as it builds; ``from_snapshot`` takes them from one checked
+root-down walk, the same walk :meth:`AdaptiveTree.validate` compares them
+with. Each mutation updates them in O(1) (only leaves move, so no subtree is
+renumbered), and :meth:`AdaptiveTree.depths` reads the depths instead of
+walking. The indexes are right only because of the single-writer contract:
 mutating calls need exclusive access and go through the methods here, reads
 may interleave freely between mutations.
 """
@@ -366,48 +368,50 @@ class AdaptiveTree:
                 node.hash = hash_internal(self.nodes[cid].hash for cid in node.children)
 
     def validate(self) -> None:
-        """Structural self-check: tree shape, child bounds, the depth index
-        and the key/probability maps."""
-        if self._shape_depths() != self._depth:
-            raise StructureError("depth index out of sync with the tree shape")
-        leaf_keys = {node.key for node in self.nodes.values() if node.is_leaf}
-        if leaf_keys != set(self._leaf_by_key):
-            raise StructureError("leaf key index out of sync")
-        if set(self.probabilities) != leaf_keys:
+        """Structural self-check: the shape, the three indexes the tree keeps
+        (depth, parent, leaf key) against the ones the shape gives, and the
+        probability map against the leaf keys."""
+        if self._walk_indexes() != (self._depth, self._parent, self._leaf_by_key):
+            raise StructureError("depth index, parent pointers or leaf key index out of sync with the tree shape")
+        if set(self.probabilities) != set(self._leaf_by_key):
             raise StructureError("probability map does not cover exactly the leaf keys")
 
-    def _shape_depths(self) -> dict[str, int]:
-        """Depth of every node from one root-down walk that checks the shape:
-        each node reached once, child counts in bounds, parent pointers
-        consistent, every node reachable and the root without a parent."""
-        if self.root_id not in self.nodes:
+    def _walk_indexes(self) -> tuple[dict[str, int], dict[str, str], dict[str, str]]:
+        """Depth of every node (in preorder), parent of every non-root node
+        and node of every leaf key, from one root-down walk that checks the
+        shape: every child id present, each node reached once, 2..m children
+        per internal node, a key and payload on every leaf, leaf keys unique
+        and every node reachable."""
+        nodes, m = self.nodes, self.config.arity
+        if self.root_id not in nodes:
             raise StructureError("root id not present in node map")
         depths: dict[str, int] = {}
+        parents: dict[str, str] = {}
+        leaf_by_key: dict[str, str] = {}
         stack = [(self.root_id, 0)]
         while stack:
             nid, depth = stack.pop()
             if nid in depths:
                 raise StructureError(f"node {nid!r} reachable more than once")
             depths[nid] = depth
-            node = self.nodes[nid]
-            if node.is_leaf:
+            node = nodes[nid]
+            if node.children is None:
                 if node.key is None or node.payload is None:
                     raise StructureError(f"leaf {nid!r} missing key or payload")
-            else:
-                n = len(node.children)
-                if not 1 <= n <= self.config.arity:
-                    raise StructureError(f"node {nid!r} has {n} children (arity {self.config.arity})")
-                if n == 1:
-                    raise StructureError(f"node {nid!r} has a single child in a finished tree")
-                for cid in node.children:
-                    if self._parent.get(cid) != nid:
-                        raise StructureError(f"parent pointer of {cid!r} is inconsistent")
-                stack.extend((cid, depth + 1) for cid in reversed(node.children))
-        if len(depths) != len(self.nodes):
+                if node.key in leaf_by_key:
+                    raise DuplicateKeyError(f"duplicate leaf key {node.key!r}")
+                leaf_by_key[node.key] = nid
+                continue
+            if not 2 <= len(node.children) <= m:
+                raise StructureError(f"node {nid!r} has {len(node.children)} children (2 to arity {m})")
+            for cid in reversed(node.children):
+                if cid not in nodes:
+                    raise StructureError(f"child id {cid!r} not present in node map")
+                parents[cid] = nid
+                stack.append((cid, depth + 1))
+        if len(depths) != len(nodes):
             raise StructureError("unreachable nodes present")
-        if self.root_id in self._parent:
-            raise StructureError("root must not have a parent")
-        return depths
+        return depths, parents, leaf_by_key
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -446,7 +450,7 @@ class AdaptiveTree:
     def from_snapshot(cls, snapshot: dict) -> "AdaptiveTree":
         """Rebuild a tree from a snapshot, re-deriving and checking every hash.
 
-        One walk checks the shape and fills the depth index; its reverse
+        One walk checks the shape and yields the three indexes; its reverse
         hashes every child before its parent, each node checked against its
         ``hash_hex`` as it is hashed."""
         try:
@@ -485,26 +489,13 @@ class AdaptiveTree:
                 raise FormatError(f"malformed snapshot node: {exc!r}") from None
             if nid in tree.nodes:
                 raise StructureError(f"duplicate node id {nid!r} in snapshot")
-            if node.is_leaf:
-                if node.key in tree._leaf_by_key:
-                    raise DuplicateKeyError(f"duplicate leaf key {node.key!r} in snapshot")
-                tree._leaf_by_key[node.key] = nid
             tree.nodes[nid] = node
             stored_hex[nid] = spec["hash_hex"]
         tree._next_id = len(tree.nodes) + 1  # n1..nK, as saved, continue at n(K+1)
 
-        for node in tree.nodes.values():
-            if node.children is not None:
-                for cid in node.children:
-                    if cid not in tree.nodes:
-                        raise StructureError(f"child id {cid!r} not present in snapshot")
-                    if cid in tree._parent:
-                        raise StructureError(f"node {cid!r} has two parents")
-                    tree._parent[cid] = node.node_id
-
+        tree._depth, tree._parent, tree._leaf_by_key = tree._walk_indexes()
         tree.probabilities = probabilities
         check_probabilities(probabilities)
-        tree._depth = tree._shape_depths()
         if set(tree.probabilities) != set(tree._leaf_by_key):
             raise StructureError("probability map does not cover exactly the leaf keys")
         for nid in reversed(tree._depth):  # the walk is a preorder

@@ -10,28 +10,6 @@ from typing import Iterable, Mapping
 from ._formats import csv_probability, read_csv
 from .errors import ProbabilityError
 
-# Fixed 16-leaf demo distribution used throughout the worked examples; the
-# raw values sum to 0.9998, so normalize before feeding metrics.
-DEMO16_DISTRIBUTION: tuple[tuple[str, float], ...] = (
-    ("A", 0.2041),
-    ("B", 0.1531),
-    ("C", 0.1224),
-    ("D", 0.1020),
-    ("E", 0.0816),
-    ("F", 0.0714),
-    ("G", 0.0612),
-    ("H", 0.0510),
-    ("I", 0.0408),
-    ("J", 0.0306),
-    ("K", 0.0204),
-    ("L", 0.0204),
-    ("M", 0.0102),
-    ("N", 0.0102),
-    ("O", 0.0102),
-    ("P", 0.0102),
-)
-
-
 @dataclass
 class AccessTrace:
     """Ordered access events plus their per-key counts."""
@@ -67,18 +45,8 @@ def zipf_distribution(n: int, s: float) -> list[float]:
     return [w / total for w in weights]
 
 
-def demo16_distribution() -> list[tuple[str, float]]:
-    """The fixed 16-leaf demo distribution, raw (sums to 0.9998)."""
-    return list(DEMO16_DISTRIBUTION)
-
-
-def normalize_distribution(dist):
-    """Scale values to sum exactly to 1. Accepts a mapping or (key, p) pairs."""
-    if isinstance(dist, Mapping):
-        total = sum(dist.values())
-        if total <= 0:
-            raise ProbabilityError("distribution total must be positive")
-        return {key: p / total for key, p in dist.items()}
+def normalize_distribution(dist: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
+    """``(key, p)`` pairs with the values scaled to sum to 1."""
     pairs = list(dist)
     total = sum(p for _, p in pairs)
     if total <= 0:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from adaptive_merkle import AdaptiveTree, TreeConfig
+from adaptive_merkle.workload import load_distribution_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -13,6 +14,13 @@ SUITE_START = time.perf_counter()
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def demo16() -> list[tuple[str, float]]:
+    """The 16-leaf demo distribution of ``demo16.csv`` as ``(key, p)`` pairs,
+    raw: its values sum to 0.9998, so normalize before feeding metrics."""
+    return load_distribution_csv(FIXTURES / "demo16.csv")
 
 
 @pytest.fixture

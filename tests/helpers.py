@@ -44,8 +44,9 @@ def malform(snapshot: dict, field: str, value) -> dict:
 
 
 # Iteration-script edits that must raise FormatError, as (field, value):
-# "p_A" is leaf A's initial probability, "step_p_A" its probability in the
-# first step, and "new_key"/"swap_iters" sit in that step too.
+# "p_A" is leaf A's initial probability, "probs" the whole initial map (the
+# script's leaves are A and B), "step_p_A" A's probability in the first
+# step, and "new_key"/"swap_iters" sit in that step too.
 MALFORMED_SCRIPT = [
     ("arity", 2.7),
     ("arity", "2"),
@@ -64,6 +65,8 @@ MALFORMED_SCRIPT = [
     ("swap_iters", 1.5),
     ("swap_iters", -1),
     ("swap_iters", True),
+    ("probs", {"A": 1.0}),
+    ("probs", {"A": 0.875, "B": 0.125, "Z": 0.0}),
 ]
 
 
@@ -75,6 +78,8 @@ def malform_script(script: dict, field: str, value) -> dict:
         script["initial"]["leaves"] = value
     elif field == "p_A":
         script["initial"]["probs"]["A"] = value
+    elif field == "probs":
+        script["initial"]["probs"] = value
     elif field == "step_p_A":
         script["steps"][0]["probs"]["A"] = value
     else:

@@ -33,7 +33,6 @@ from adaptive_merkle.restructure import apply_alternative
 from adaptive_merkle.workload import (
     load_distribution_csv,
     normalize_distribution,
-    demo16_distribution,
 )
 
 from helpers import random_distribution, random_tree
@@ -189,13 +188,13 @@ def test_criterion_07(quad_demo_tree):
 
 
 @report(8, "16-leaf skewed demo: Huffman 3.49/3.46/12.75% and the exact length multiset")
-def test_criterion_08():
-    probs = dict(normalize_distribution(demo16_distribution()))
+def test_criterion_08(demo16):
+    probs = dict(normalize_distribution(demo16))
     table = huffman_codes(probs, 2)
     assert table.avg_length == pytest.approx(3.49, abs=0.01)
     assert table.entropy == pytest.approx(3.46, abs=0.01)
     assert table.length_multiset() == [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
-    report_ = run_bench(demo16_distribution(), 2, ("balanced", "huffman"))
+    report_ = run_bench(demo16, 2, ("balanced", "huffman"))
     assert report_.per_variant["balanced"].k_a == pytest.approx(4.0, abs=TOL)
     assert report_.per_variant["huffman"].improvement_pct == pytest.approx(12.75, abs=1.0)
 

@@ -16,14 +16,14 @@ from adaptive_merkle import (
 )
 from adaptive_merkle.address_map import AddressTable
 from adaptive_merkle.coding import is_prefix_free
-from adaptive_merkle.workload import normalize_distribution, demo16_distribution
+from adaptive_merkle.workload import normalize_distribution
 
 TOL = 1e-9
 
 
 @pytest.fixture
-def demo16_trees():
-    dist = normalize_distribution(demo16_distribution())
+def demo16_trees(demo16):
+    dist = normalize_distribution(demo16)
     probs = dict(dist)
     payloads = {k: k.encode() for k in probs}
     balanced = build_balanced([(k, payloads[k], p) for k, p in dist], TreeConfig(2))

@@ -23,7 +23,6 @@ from adaptive_merkle.bench import (
     write_variants_csv,
 )
 from adaptive_merkle.restructure import IMPROVEMENT_EPS, enumerate_swap_alternatives
-from adaptive_merkle.workload import demo16_distribution
 
 from helpers import MALFORMED_SCRIPT, malform_script, random_distribution
 
@@ -31,8 +30,8 @@ TOL = 1e-9
 
 
 class TestRunBench:
-    def test_demo16_binary(self):
-        report = run_bench(demo16_distribution(), 2, ("balanced", "adaptive", "huffman"))
+    def test_demo16_binary(self, demo16):
+        report = run_bench(demo16, 2, ("balanced", "adaptive", "huffman"))
         balanced = report.per_variant["balanced"]
         huffman = report.per_variant["huffman"]
         assert balanced.k_a == pytest.approx(4.0, abs=TOL)
@@ -71,8 +70,8 @@ class TestRunBench:
             assert k_h <= k_a + TOL
             assert k_a <= k_b + TOL
 
-    def test_report_recomputable_from_snapshots(self, tmp_path):
-        report = run_bench(demo16_distribution(), 2)
+    def test_report_recomputable_from_snapshots(self, tmp_path, demo16):
+        report = run_bench(demo16, 2)
         for mode, tree in report.trees.items():
             path = tmp_path / f"{mode}.json"
             tree.save(path)
@@ -85,8 +84,8 @@ class TestRunBench:
         with pytest.raises(ProbabilityError):
             run_bench([("A", 1.0)], 2, ("turbo",))
 
-    def test_variants_csv(self, tmp_path):
-        report = run_bench(demo16_distribution(), 2)
+    def test_variants_csv(self, tmp_path, demo16):
+        report = run_bench(demo16, 2)
         path = tmp_path / "variants.csv"
         write_variants_csv(report, path)
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -210,3 +210,22 @@ def test_usage_error_exit_1(capsys):
 
 def test_missing_file_exit_2(tmp_path):
     assert main(["metrics", "--snapshot", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "metrics", "replay", "build"])
+def test_unparseable_input_exit_2(tmp_path, capsys, command):
+    # JSON nested past the parser's recursion limit, or a CSV field over the
+    # csv module's size limit: one error line, no traceback
+    deep, big = tmp_path / "deep.json", tmp_path / "big.csv"
+    deep.write_text("[" * 200000, encoding="utf-8")
+    big.write_text("key,probability\n" + "A" * 200000 + ",1.0\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {
+        "verify": ["verify", "--proof", str(deep), "--root", "00" * 32],
+        "metrics": ["metrics", "--snapshot", str(deep)],
+        "replay": ["replay", "--script", str(deep), "--out", out],
+        "build": ["build", "--probs", str(big), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -16,7 +16,7 @@ from adaptive_merkle import (
 )
 from adaptive_merkle.coding import CodeTable, digit_to_index, export_csv, is_prefix_free, load_csv
 from adaptive_merkle.proofs import prove, verify
-from adaptive_merkle.workload import normalize_distribution, demo16_distribution
+from adaptive_merkle.workload import normalize_distribution
 
 from helpers import random_distribution, random_tree
 
@@ -24,8 +24,9 @@ TOL = 1e-9
 DEMO16_LENGTHS = [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
 
 
-def demo16_probs():
-    return dict(normalize_distribution(demo16_distribution()))
+@pytest.fixture
+def demo16_probs(demo16):
+    return dict(normalize_distribution(demo16))
 
 
 def geometric_probs(n):
@@ -35,8 +36,8 @@ def geometric_probs(n):
 
 
 class TestHuffman:
-    def test_demo16_average_length(self):
-        table = huffman_codes(demo16_probs(), 2)
+    def test_demo16_average_length(self, demo16_probs):
+        table = huffman_codes(demo16_probs, 2)
         assert table.avg_length == pytest.approx(3.49, abs=0.01)
         assert table.length_multiset() == DEMO16_LENGTHS
 
@@ -69,8 +70,8 @@ class TestHuffman:
             table = huffman_codes(random_distribution(rng, n), m)
             assert table.entropy - TOL <= table.avg_length < table.entropy + 1
 
-    def test_deterministic_output(self):
-        probs = demo16_probs()
+    def test_deterministic_output(self, demo16_probs):
+        probs = demo16_probs
         t1 = huffman_codes(probs, 2)
         t2 = huffman_codes(dict(reversed(list(probs.items()))), 2)
         assert t1.entries == t2.entries
@@ -127,8 +128,8 @@ class TestBruteForceOracle:
 
 
 class TestTreeFromCodes:
-    def test_demo16_tree_depths(self):
-        table = huffman_codes(demo16_probs(), 2)
+    def test_demo16_tree_depths(self, demo16_probs):
+        table = huffman_codes(demo16_probs, 2)
         tree = tree_from_codes(table)
         depths = tree.depths()
         assert depths["A"] == 2
@@ -183,8 +184,8 @@ class TestTreeFromCodes:
 
 
 class TestCsv:
-    def test_round_trip(self, tmp_path):
-        table = huffman_codes(demo16_probs(), 2)
+    def test_round_trip(self, tmp_path, demo16_probs):
+        table = huffman_codes(demo16_probs, 2)
         path = tmp_path / "codes.csv"
         export_csv(table, path)
         lines = path.read_text().splitlines()

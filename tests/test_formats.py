@@ -2,13 +2,15 @@
 no module but ``_formats`` parses a file itself."""
 
 import ast
+import csv
 import re
 from pathlib import Path
 
 import pytest
 
 import adaptive_merkle
-from adaptive_merkle import AdaptiveTree, load_script
+from adaptive_merkle import AdaptiveTree, MerkleProof, load_script
+from adaptive_merkle._formats import load_json
 from adaptive_merkle.address_map import AddressTable
 from adaptive_merkle.coding import load_csv
 from adaptive_merkle.errors import FormatError
@@ -30,7 +32,7 @@ CSV_READERS = {
 }
 
 
-@pytest.mark.parametrize("defect", ["header", "columns", "repeated_key", "probability", "encoding"])
+@pytest.mark.parametrize("defect", ["header", "columns", "repeated_key", "probability", "encoding", "field_limit"])
 @pytest.mark.parametrize("reader", sorted(CSV_READERS))
 def test_csv_reader_rejects_malformed_file(tmp_path, reader, defect):
     header, row, load = CSV_READERS[reader]
@@ -50,6 +52,8 @@ def test_csv_reader_rejects_malformed_file(tmp_path, reader, defect):
         lines[2] += ",0"
     elif defect == "repeated_key":
         lines[2] = row("A", "0.5", "1")
+    elif defect == "field_limit":  # one byte over the csv module's limit
+        lines[2] = row("B" * (csv.field_size_limit() + 1), "0.5", "1")
     else:
         lines[2] = row("B", "half", "1")
     path.write_text("\n".join(lines) + "\n", encoding=encoding)
@@ -57,13 +61,24 @@ def test_csv_reader_rejects_malformed_file(tmp_path, reader, defect):
         load(path)
 
 
-@pytest.mark.parametrize("content", [b"{", b'{"arity": "\xff"}'], ids=["not_json", "not_utf8"])
-@pytest.mark.parametrize("load", [AdaptiveTree.load, load_script], ids=["snapshot", "script"])
-def test_json_loader_rejects_undecodable_file(tmp_path, load, content):
+JSON_LOADERS = {
+    "snapshot": AdaptiveTree.load,
+    "script": load_script,
+    "proof": lambda path: MerkleProof.from_json_dict(load_json(path, "proof")),  # CLI verify
+}
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"{", "is not valid JSON"), (b'{"arity": "\xff"}', "is not valid JSON"), (b"[" * 200000, "nested too deeply")],
+    ids=["not_json", "not_utf8", "too_deep"],
+)
+@pytest.mark.parametrize("load", sorted(JSON_LOADERS))
+def test_json_loader_rejects_undecodable_file(tmp_path, load, content, message):
     path = tmp_path / "doc.json"
     path.write_bytes(content)
-    with pytest.raises(FormatError, match="is not valid JSON"):
-        load(path)
+    with pytest.raises(FormatError, match=message):
+        JSON_LOADERS[load](path)
 
 
 JSON_LOADS = ("load", "loads")

@@ -6,12 +6,20 @@ float summation order since must reproduce them exactly:
 
 * ``variants_<dist>_m<m>.csv``: ``bench`` on ``demo16.csv`` and
   ``hexary20_distribution.csv`` at m = 2, 4 and 16, default modes;
-* ``iterations_<script>.csv``: ``replay`` of each growth script;
+* ``iterations_<script>.csv``: ``replay`` of each growth script and of
+  ``swap_steps_script.json``, whose three steps are a swap-only step that
+  swaps, a swap-only step that finds nothing to swap, and an add step whose
+  swap passes then swap (no step of the growth scripts swaps);
 * ``insert_demo16_m<m>.json`` and ``insert_demo16_m<m>.snapshot.json``: the
   audit record ``insert`` prints and the snapshot it writes when key Q of
   ``demo17.csv`` (demo16 plus Q) joins the balanced demo16 tree, at m = 2
   (splits only) and m = 3 (open nodes, so attaches are scored too). Written
   when ``apply_best`` still built the record itself.
+* ``optimize_insert_demo16_m<m>.json``/``.snapshot.json`` and
+  ``metrics_insert_demo16_m<m>.json``: ``optimize`` stdout and the snapshot
+  it writes, and ``metrics`` stdout, on ``insert_demo16_m<m>.snapshot.json``
+  (1 swap at m = 2, 2 at m = 3). Written when ``from_snapshot`` still built
+  the parent pointers in a loop of its own.
 """
 
 import pytest
@@ -31,7 +39,7 @@ def test_bench_variants(tmp_path, fixtures_dir, dist, arity):
     assert out.read_bytes() == (fixtures_dir / GOLDEN / f"variants_{dist}_m{arity}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("script", ["binary_growth_script", "quaternary_growth_script"])
+@pytest.mark.parametrize("script", ["binary_growth_script", "quaternary_growth_script", "swap_steps_script"])
 def test_replay_iterations(tmp_path, fixtures_dir, script):
     out = tmp_path / "iterations.csv"
     assert main(["replay", "--script", str(fixtures_dir / f"{script}.json"), "--out", str(out)]) == 0
@@ -49,3 +57,15 @@ def test_insert(tmp_path, fixtures_dir, capsys, arity):
     golden = fixtures_dir / GOLDEN / f"insert_demo16_m{arity}"
     assert capsys.readouterr().out == golden.with_suffix(".json").read_text(encoding="utf-8")
     assert out.read_bytes() == golden.with_suffix(".snapshot.json").read_bytes()
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_optimize_and_metrics_on_loaded_snapshot(tmp_path, fixtures_dir, capsys, arity):
+    snapshot, out = fixtures_dir / GOLDEN / f"insert_demo16_m{arity}.snapshot.json", tmp_path / "optimized.json"
+    golden = fixtures_dir / GOLDEN / f"optimize_insert_demo16_m{arity}"
+    assert main(["optimize", "--snapshot", str(snapshot), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == golden.with_suffix(".json").read_text(encoding="utf-8")
+    assert out.read_bytes() == golden.with_suffix(".snapshot.json").read_bytes()
+    assert main(["metrics", "--snapshot", str(snapshot)]) == 0
+    metrics = fixtures_dir / GOLDEN / f"metrics_insert_demo16_m{arity}.json"
+    assert capsys.readouterr().out == metrics.read_text(encoding="utf-8")

@@ -14,7 +14,7 @@ from adaptive_merkle import (
     entropy,
 )
 from adaptive_merkle.metrics import elemental_discrepancy
-from adaptive_merkle.workload import normalize_distribution, demo16_distribution
+from adaptive_merkle.workload import normalize_distribution
 
 from helpers import dyadic_distribution, random_full_tree, random_tree
 
@@ -53,8 +53,8 @@ class TestAvgPathLength:
 
 
 class TestEntropy:
-    def test_demo16_binary(self):
-        probs = [p for _, p in normalize_distribution(demo16_distribution())]
+    def test_demo16_binary(self, demo16):
+        probs = [p for _, p in normalize_distribution(demo16)]
         assert entropy(probs, 2) == pytest.approx(3.46, abs=0.01)
 
     def test_uniform_is_one(self):

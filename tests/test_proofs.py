@@ -20,7 +20,7 @@ from adaptive_merkle import (
     verify,
 )
 from adaptive_merkle.proofs import ProofStep
-from adaptive_merkle.workload import normalize_distribution, demo16_distribution
+from adaptive_merkle.workload import normalize_distribution
 
 from helpers import old_format_step, random_tree
 
@@ -39,8 +39,8 @@ class TestProve:
         assert sum(len(step.siblings) for step in proof.steps) == 4
         assert verify(proof, tree.root_hash(), 2)
 
-    def test_adaptive_tree_short_proof_for_hot_leaf(self):
-        probs = dict(normalize_distribution(demo16_distribution()))
+    def test_adaptive_tree_short_proof_for_hot_leaf(self, demo16):
+        probs = dict(normalize_distribution(demo16))
         tree = tree_from_codes(huffman_codes(probs, 2))
         proof = prove(tree, "A")
         assert len(proof.steps) == 2
@@ -257,8 +257,8 @@ class TestVerificationCost:
         assert cost.hash_invocations == 4
         assert cost.proof_bytes == len(prove(tree, "A").to_json_bytes())
 
-    def test_hot_leaf_half_cost(self):
-        probs = dict(normalize_distribution(demo16_distribution()))
+    def test_hot_leaf_half_cost(self, demo16):
+        probs = dict(normalize_distribution(demo16))
         tree = tree_from_codes(huffman_codes(probs, 2))
         assert verification_cost(prove(tree, "A")).hash_invocations == 2
 

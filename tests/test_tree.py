@@ -329,7 +329,7 @@ class TestDepthIndex:
         copy.split_leaf(copy.leaf_keys()[0], "fresh", b"")
         assert tree.depths() == walked_depths(tree)  # the clone shares no index
 
-    @pytest.mark.parametrize("corrupt", ["leaf", "internal", "root", "missing", "extra"])
+    @pytest.mark.parametrize("corrupt", ["leaf", "internal", "root", "missing", "extra", "stale_parent", "leaf_key"])
     def test_validate_rejects_corrupted_entry(self, binary_demo_tree, corrupt):
         tree = binary_demo_tree
         index = tree._depth
@@ -341,6 +341,10 @@ class TestDepthIndex:
             index[tree.root_id] = 1
         elif corrupt == "missing":
             del index[tree.leaf_node("G").node_id]
+        elif corrupt == "stale_parent":
+            tree._parent["n999"] = tree.root_id
+        elif corrupt == "leaf_key":  # prove(tree, "A") would answer with B's leaf
+            tree._leaf_by_key["A"] = tree._leaf_by_key["B"]
         else:
             index["n999"] = 3
         with pytest.raises(StructureError, match="depth index"):
@@ -528,6 +532,31 @@ class TestSnapshots:
         added = set(loaded.nodes) - before
         assert len(added) == 8 and len(loaded.nodes) == len(before) + 8
         loaded.validate()
+
+    @pytest.mark.parametrize(
+        "defect, error",
+        [
+            ("missing_child", StructureError),
+            ("two_parents", StructureError),
+            ("root_as_child", StructureError),
+            ("duplicate_key", DuplicateKeyError),
+        ],
+    )
+    def test_inconsistent_shape_rejected(self, binary_demo_tree, defect, error):
+        snap = binary_demo_tree.to_snapshot()
+        nodes = {node["id"]: node for node in snap["nodes"]}
+        root = nodes[snap["root_id"]]
+        inner = nodes[root["children"][1]]  # an internal child of the root
+        if defect == "missing_child":
+            inner["children"][0] = "n999"
+        elif defect == "two_parents":
+            inner["children"][0] = root["children"][0]
+        elif defect == "root_as_child":
+            inner["children"][0] = snap["root_id"]
+        else:
+            next(node for node in snap["nodes"] if node.get("key") == "B")["key"] = "A"
+        with pytest.raises(error):
+            AdaptiveTree.from_snapshot(snap)
 
     def test_tampered_hash_rejected(self, tmp_path, binary_demo_tree):
         snap = binary_demo_tree.to_snapshot()

@@ -13,11 +13,7 @@ from adaptive_merkle import (
     zipf_distribution,
 )
 from adaptive_merkle.errors import FormatError
-from adaptive_merkle.workload import (
-    AccessTrace,
-    demo16_distribution,
-    load_distribution_csv,
-)
+from adaptive_merkle.workload import AccessTrace, load_distribution_csv
 
 
 def trace_of(counts):
@@ -79,18 +75,18 @@ class TestZipf:
 
 
 class TestTable6:
-    def test_entries(self):
-        dist = demo16_distribution()
+    def test_entries(self, demo16):
+        dist = demo16
         assert len(dist) == 16
         assert dist[0] == ("A", 0.2041)
         assert dist[-1] == ("P", 0.0102)
 
-    def test_printed_sum_is_not_one(self):
-        total = sum(p for _, p in demo16_distribution())
+    def test_printed_sum_is_not_one(self, demo16):
+        total = sum(p for _, p in demo16)
         assert total == pytest.approx(0.9998, abs=0.001)
 
-    def test_normalized_entropy(self):
-        dist = normalize_distribution(demo16_distribution())
+    def test_normalized_entropy(self, demo16):
+        dist = normalize_distribution(demo16)
         assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-12)
         assert entropy([p for _, p in dist], 2) == pytest.approx(3.46, abs=0.01)
 
@@ -105,8 +101,8 @@ class TestGenerateTrace:
 
 
 class TestFiles:
-    def test_distribution_round_trip(self, tmp_path):
-        dist = demo16_distribution()
+    def test_distribution_round_trip(self, tmp_path, demo16):
+        dist = demo16
         path = tmp_path / "dist.csv"
         rows = ["key,probability"] + [f"{key},{p!r}" for key, p in dist]
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
