@@ -99,6 +99,8 @@ def run_bench(
     """Build the requested variants and report metrics plus weighted proof costs.
 
     Every leaf's payload is its key in UTF-8."""
+    if not modes:
+        raise ProbabilityError("no bench mode given")
     for mode in modes:
         if mode not in KNOWN_MODES:
             raise ProbabilityError(f"unknown bench mode {mode!r}")

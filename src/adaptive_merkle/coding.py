@@ -17,7 +17,6 @@ from typing import Mapping
 
 from ._formats import csv_probability, read_csv, write_csv
 from .errors import FormatError, ProbabilityError, StructureError
-from .metrics import entropy
 from .tree import AdaptiveTree, TreeConfig, check_probabilities
 
 BRUTE_FORCE_MAX_N = 10
@@ -50,8 +49,11 @@ class CodeTable:
     entries: dict[str, str]
     probabilities: dict[str, float]
     arity: int
-    avg_length: float
-    entropy: float
+
+    @property
+    def avg_length(self) -> float:
+        """sum(p * len(code)), summed in ``entries`` order."""
+        return sum(self.probabilities[key] * len(code) for key, code in self.entries.items())
 
     def length_multiset(self) -> list[int]:
         return sorted(len(code) for code in self.entries.values())
@@ -62,8 +64,6 @@ class CodeTable:
         kraft = sum(Fraction(1, self.arity ** len(code)) for code in self.entries.values())
         if kraft > 1:
             raise StructureError(f"Kraft sum {float(kraft)!r} exceeds 1")
-        if self.avg_length < self.entropy - 1e-9:
-            raise StructureError("average code length below the entropy bound")
 
 
 def is_prefix_free(codes) -> bool:
@@ -99,7 +99,7 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
 
     if len(prob_map) == 1:
         key = next(iter(prob_map))
-        return CodeTable({key: ""}, prob_map, m, 0.0, 0.0)
+        return CodeTable({key: ""}, prob_map, m)
 
     # Entries are (weight, tiebreak, shape); a shape is a leaf key or a list
     # of child shapes, the nested form that AdaptiveTree.from_nested reads.
@@ -115,8 +115,7 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
         heapq.heappush(heap, (weight, min(entry[1] for entry in real), [entry[2] for entry in real]))
 
     entries = _leaf_codes(heap[0][2], lambda shape: None if isinstance(shape, str) else shape)
-    avg = sum(prob_map[key] * len(code) for key, code in entries.items())
-    return CodeTable(entries, prob_map, m, avg, entropy(prob_map.values(), m))
+    return CodeTable(entries, prob_map, m)
 
 
 def brute_force_min_avg_length(probs, m: int) -> float:
@@ -246,6 +245,8 @@ def load_csv(path, arity: int) -> CodeTable:
     """Read a table that :func:`export_csv` wrote at ``arity``; a digit not
     below the arity is a format error. The file does not record its arity,
     and the largest digit present need not be m - 1."""
+    if arity < 2:
+        raise ProbabilityError(f"arity must be >= 2, got {arity}")
     digits = CODE_ALPHABET[:arity]
     entries: dict[str, str] = {}
     probabilities: dict[str, float] = {}
@@ -256,7 +257,7 @@ def load_csv(path, arity: int) -> CodeTable:
             raise FormatError(f"{where}: length column disagrees with code")
         probabilities[key] = csv_probability(prob_text, where)
         entries[key] = code
-    avg = sum(probabilities[k] * len(c) for k, c in entries.items())
-    table = CodeTable(entries, probabilities, arity, avg, entropy(probabilities.values(), arity))
+    check_probabilities(probabilities)
+    table = CodeTable(entries, probabilities, arity)
     table.validate()
     return table

@@ -12,24 +12,19 @@ from .errors import ProbabilityError
 
 @dataclass
 class AccessTrace:
-    """Ordered access events plus their per-key counts."""
+    """Ordered access events and their per-key counts, counted at construction."""
 
     events: list[str] = field(default_factory=list)
-    counts: Counter = field(default_factory=Counter)
+    counts: Counter = field(init=False)
 
-    @classmethod
-    def from_events(cls, events: Iterable[str]) -> "AccessTrace":
-        events = list(events)
-        return cls(events=events, counts=Counter(events))
-
-    def total(self) -> int:
-        return sum(self.counts.values())
+    def __post_init__(self) -> None:
+        self.counts = Counter(self.events)
 
 
 def estimate_probabilities(trace: AccessTrace) -> dict[str, float]:
     """p_i = count_i / total. Scale-invariant; rejects empty traces."""
-    total = trace.total()
-    if total <= 0:
+    total = len(trace.events)
+    if total == 0:
         raise ProbabilityError("cannot estimate probabilities from an empty trace")
     return {key: count / total for key, count in sorted(trace.counts.items())}
 
@@ -49,8 +44,8 @@ def normalize_distribution(dist: Iterable[tuple[str, float]]) -> list[tuple[str,
     """``(key, p)`` pairs with the values scaled to sum to 1."""
     pairs = list(dist)
     total = sum(p for _, p in pairs)
-    if total <= 0:
-        raise ProbabilityError("distribution total must be positive")
+    if not 0 < total < float("inf"):
+        raise ProbabilityError(f"distribution total {total!r} is not a finite positive number")
     return [(key, p / total) for key, p in pairs]
 
 
@@ -61,7 +56,7 @@ def generate_trace(probs: Mapping[str, float], num_events: int, seed: int) -> Ac
     keys = sorted(probs)
     weights = [probs[key] for key in keys]
     rng = random.Random(seed)
-    return AccessTrace.from_events(rng.choices(keys, weights=weights, k=num_events))
+    return AccessTrace(rng.choices(keys, weights=weights, k=num_events))
 
 
 def load_distribution_csv(path) -> list[tuple[str, float]]:

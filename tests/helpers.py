@@ -14,7 +14,10 @@ def random_distribution(rng: random.Random, n: int) -> dict[str, float]:
 
 
 # Top-level snapshot edits that must raise FormatError, as (field, value):
-# "arity" sits under "config" and "p_A" is leaf A's probability.
+# "arity" sits under "config", "p_A" is leaf A's probability, and the value
+# MISSING deletes the field.
+MISSING = object()
+
 MALFORMED_TOP_LEVEL = [
     ("arity", 2.7),
     ("arity", "2"),
@@ -29,6 +32,10 @@ MALFORMED_TOP_LEVEL = [
     ("p_A", "0.25"),
     ("p_A", True),
     ("p_A", 10**400),
+    ("config", MISSING),
+    ("nodes", MISSING),
+    ("root_id", MISSING),
+    ("probabilities", MISSING),
 ]
 
 
@@ -38,6 +45,8 @@ def malform(snapshot: dict, field: str, value) -> dict:
         snapshot["config"]["arity"] = value
     elif field == "p_A":
         snapshot["probabilities"]["A"] = value
+    elif value is MISSING:
+        del snapshot[field]
     else:
         snapshot[field] = value
     return snapshot

@@ -83,6 +83,8 @@ class TestRunBench:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ProbabilityError):
             run_bench([("A", 1.0)], 2, ("turbo",))
+        with pytest.raises(ProbabilityError):
+            run_bench([("A", 1.0)], 2, ())
 
     def test_variants_csv(self, tmp_path, demo16):
         report = run_bench(demo16, 2)

@@ -173,6 +173,13 @@ def test_bench_improvement(tmp_path, dist_csv):
     assert improvement == pytest.approx(12.75, abs=1.0)
 
 
+@pytest.mark.parametrize("modes", ["", ",", "turbo"])
+def test_bench_no_known_mode_exit_2(tmp_path, dist_csv, modes):
+    out = tmp_path / "variants.csv"
+    assert main(["bench", "--dist", dist_csv, "--modes", modes, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_replay(tmp_path, fixtures_dir):
     out = tmp_path / "iters.csv"
     assert main(["replay", "--script", str(fixtures_dir / "binary_growth_script.json"),

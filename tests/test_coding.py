@@ -11,6 +11,7 @@ from adaptive_merkle import (
     brute_force_min_avg_length,
     codes_from_tree,
     discrepancy_report,
+    entropy,
     huffman_codes,
     tree_from_codes,
 )
@@ -68,7 +69,8 @@ class TestHuffman:
             n = rng.randint(1, 24)
             m = rng.choice([2, 3, 4])
             table = huffman_codes(random_distribution(rng, n), m)
-            assert table.entropy - TOL <= table.avg_length < table.entropy + 1
+            h = entropy(table.probabilities.values(), m)
+            assert h - TOL <= table.avg_length < h + 1
 
     def test_deterministic_output(self, demo16_probs):
         probs = demo16_probs
@@ -152,12 +154,12 @@ class TestTreeFromCodes:
             assert codes_from_tree(tree) == table.entries
 
     def test_non_prefix_free_rejected(self):
-        table = CodeTable({"a": "0", "b": "01"}, {"a": 0.5, "b": 0.5}, 2, 1.5, 1.0)
+        table = CodeTable({"a": "0", "b": "01"}, {"a": 0.5, "b": 0.5}, 2)
         with pytest.raises(StructureError):
             tree_from_codes(table)
 
     def test_dangling_single_child_rejected(self):
-        table = CodeTable({"a": "0", "b": "10"}, {"a": 0.5, "b": 0.5}, 2, 1.5, 1.0)
+        table = CodeTable({"a": "0", "b": "10"}, {"a": 0.5, "b": 0.5}, 2)
         with pytest.raises(StructureError):
             tree_from_codes(table)
 
@@ -171,7 +173,7 @@ class TestTreeFromCodes:
     def test_bad_child_digits_rejected(self, entries, m):
         probs = {key: 1 / len(entries) for key in entries}
         with pytest.raises(StructureError):
-            tree_from_codes(CodeTable(entries, probs, m, 1.0, 1.0))
+            tree_from_codes(CodeTable(entries, probs, m))
 
     def test_deep_huffman_tree(self):
         # deeper than Python's default recursion limit
@@ -196,17 +198,32 @@ class TestCsv:
         assert loaded.avg_length == pytest.approx(table.avg_length, abs=TOL)
 
     def test_arity_is_given_not_guessed(self, tmp_path):
-        # Four keys at m=16 use digits 0-3 only; read as arity 4 the entropy
-        # would come out in the wrong base.
+        # Four keys at m=16 use digits 0-3 only, so the digits cannot tell
+        # the arity; a tree built from the table takes the given one.
         probs = {"A": 0.7, "B": 0.1, "C": 0.1, "D": 0.1}
         table = huffman_codes(probs, 16)
         assert sorted(table.entries.values()) == ["0", "1", "2", "3"]
         path = tmp_path / "codes.csv"
         export_csv(table, path)
-        loaded = load_csv(path, 16)
-        assert loaded.arity == 16
-        assert loaded.entropy == table.entropy
-        assert loaded.entropy == pytest.approx(0.5 * load_csv(path, 4).entropy)
+        assert load_csv(path, 16) == table
+        assert tree_from_codes(load_csv(path, 4)).config.arity == 4
+
+    def test_sum_inside_tolerance_round_trips(self, tmp_path):
+        # Both halves sit 5e-10 below 0.5: the sum, 1 - 1e-9, is inside the
+        # probability tolerance, and the average length sits about 1.4e-9
+        # below the entropy, as the tolerance allows.
+        table = huffman_codes({"a": 0.5 - 5e-10, "b": 0.5 - 5e-10}, 2)
+        table.validate()
+        path = tmp_path / "codes.csv"
+        export_csv(table, path)
+        assert load_csv(path, 2) == table
+
+    @pytest.mark.parametrize("arity", [1, 0, -1])
+    def test_arity_below_two_rejected(self, tmp_path, arity):
+        path = tmp_path / "codes.csv"
+        path.write_text("key,probability,code,length\nA,1.0,,0\n")
+        with pytest.raises(ProbabilityError):
+            load_csv(path, arity)
 
     @pytest.mark.parametrize("arity, code", [(2, "2"), (4, "04"), (16, "g")])
     def test_digit_not_below_arity_rejected(self, tmp_path, arity, code):

@@ -489,6 +489,7 @@ class TestSnapshots:
             ("internal", "hash_hex", 0),
             pytest.param("internal", "children", lambda ids: dict.fromkeys(ids, 0), id="internal-children-object"),
             pytest.param("internal", "children", "".join, id="internal-children-joined"),
+            ("leaf", "kind", "branch"),
         ],
     )
     def test_malformed_node_raises_format_error(self, binary_demo_tree, kind, field, value):
@@ -540,6 +541,12 @@ class TestSnapshots:
             ("two_parents", StructureError),
             ("root_as_child", StructureError),
             ("duplicate_key", DuplicateKeyError),
+            ("duplicate_id", StructureError),
+            ("unknown_root", StructureError),
+            ("one_child", StructureError),
+            ("too_many_children", StructureError),
+            ("extra_zero_key", StructureError),
+            ("missing_zero_leaf", StructureError),
         ],
     )
     def test_inconsistent_shape_rejected(self, binary_demo_tree, defect, error):
@@ -553,8 +560,22 @@ class TestSnapshots:
             inner["children"][0] = root["children"][0]
         elif defect == "root_as_child":
             inner["children"][0] = snap["root_id"]
-        else:
+        elif defect == "duplicate_key":
             next(node for node in snap["nodes"] if node.get("key") == "B")["key"] = "A"
+        elif defect == "duplicate_id":
+            snap["nodes"].append(dict(snap["nodes"][-1]))
+        elif defect == "unknown_root":
+            snap["root_id"] = "n999"
+        elif defect == "one_child":
+            del inner["children"][1]
+        elif defect == "too_many_children":
+            snap["nodes"].append({"id": "z", "kind": "leaf", "key": "Z", "payload_hex": "", "hash_hex": "00" * 32})
+            inner["children"].append("z")
+        elif defect == "extra_zero_key":
+            snap["probabilities"]["Z"] = 0.0
+        else:  # H's mass moves to A, so H is a zero-probability leaf left out
+            probs = snap["probabilities"]
+            probs["A"] += probs.pop("H")
         with pytest.raises(error):
             AdaptiveTree.from_snapshot(snap)
 

@@ -17,7 +17,7 @@ from adaptive_merkle.workload import AccessTrace, load_distribution_csv
 
 
 def trace_of(counts):
-    return AccessTrace.from_events(key for key, count in counts.items() for _ in range(count))
+    return AccessTrace([key for key, count in counts.items() for _ in range(count)])
 
 
 class TestEstimateProbabilities:
@@ -31,7 +31,7 @@ class TestEstimateProbabilities:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ProbabilityError):
-            estimate_probabilities(AccessTrace.from_events([]))
+            estimate_probabilities(AccessTrace())
 
     def test_zipf_trace_law_of_large_numbers(self):
         probs = {f"k{i}": p for i, p in enumerate(zipf_distribution(8, 1.0))}
@@ -48,9 +48,11 @@ class TestEstimateProbabilities:
         assert single == doubled
 
     def test_counts_consistent_with_events(self):
-        trace = AccessTrace.from_events(["A", "B", "A", "C", "A"])
+        trace = AccessTrace(["A", "B", "A", "C", "A"])
         assert trace.counts == {"A": 3, "B": 1, "C": 1}
-        assert trace.total() == 5
+
+    def test_constructed_from_events(self):
+        assert estimate_probabilities(AccessTrace(["A", "B", "A"])) == {"A": 2 / 3, "B": 1 / 3}
 
 
 class TestZipf:
@@ -89,6 +91,16 @@ class TestTable6:
         dist = normalize_distribution(demo16)
         assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-12)
         assert entropy([p for _, p in dist], 2) == pytest.approx(3.46, abs=0.01)
+
+
+class TestNormalizeDistribution:
+    @pytest.mark.parametrize(
+        "values, total",
+        [((1e308, 1e308), "inf"), ((0.5, float("nan")), "nan"), ((0.0, 0.0), "0.0"), ((0.5, -0.5), "0.0")],
+    )
+    def test_bad_total_rejected(self, values, total):
+        with pytest.raises(ProbabilityError, match=f"distribution total {total} "):
+            normalize_distribution(zip("AB", values))
 
 
 class TestGenerateTrace:
