@@ -53,9 +53,6 @@ class AddressTable:
         except KeyError:
             raise AddressNotFoundError(f"no record for address {address!r}") from None
 
-    def average_adaptive_length(self) -> float:
-        return sum(r.probability * len(r.adaptive_code) for r in self.records)
-
     def save(self, path) -> None:
         write_csv(
             path,

@@ -55,9 +55,6 @@ class CodeTable:
         """sum(p * len(code)), summed in ``entries`` order."""
         return sum(self.probabilities[key] * len(code) for key, code in self.entries.items())
 
-    def length_multiset(self) -> list[int]:
-        return sorted(len(code) for code in self.entries.values())
-
     def validate(self) -> None:
         if not is_prefix_free(self.entries.values()):
             raise StructureError("code table is not prefix-free")
@@ -163,15 +160,6 @@ def brute_force_min_avg_length(probs, m: int) -> float:
 
     rec(0, 1, Fraction(0), 0.0)
     return best[0]
-
-
-def min_avg_length_for_depths(depths, probs) -> float:
-    """Best assignment of the given depth multiset: big p onto small l."""
-    ds = sorted(depths)
-    ps = sorted(probs, reverse=True)
-    if len(ds) != len(ps):
-        raise ProbabilityError("depth and probability counts differ")
-    return sum(p * d for p, d in zip(ps, ds))
 
 
 def tree_from_codes(codes: CodeTable, payloads: Mapping[str, bytes] | None = None) -> AdaptiveTree:

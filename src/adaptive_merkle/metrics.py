@@ -64,9 +64,6 @@ class MetricsReport:
     delta: float
     per_leaf: tuple[LeafStats, ...]
 
-    def delta_by_key(self) -> dict[str, float]:
-        return {stats.key: stats.delta_i for stats in self.per_leaf}
-
     def to_json_dict(self) -> dict:
         return {
             "k_A": self.k_a,

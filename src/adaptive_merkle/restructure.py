@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
-from .metrics import MetricsReport, discrepancy_report, entropy, swapped_report
+from .metrics import MetricsReport, discrepancy_report, log_base, swapped_report
 from .tree import AdaptiveTree, check_probabilities
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "no_op": 3}
@@ -102,7 +102,9 @@ def enumerate_add_alternatives(
     if new_payload is None:
         new_payload = new_key.encode("utf-8")
 
-    h = entropy(list(new_probs.values()), tree.config.arity)
+    # entropy()'s expression, without its second validation pass
+    m = tree.config.arity
+    h = -sum(p * log_base(p, m) for p in new_probs.values() if p > 0.0)
     # Right to left: the order every recorded delta was summed in.
     base_k = sum(new_probs[key] * depth for key, depth in reversed(leaves))
     p_new = new_probs[new_key]

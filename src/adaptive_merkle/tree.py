@@ -51,10 +51,7 @@ def hash_leaf(key: str, payload: bytes) -> bytes:
 
 def hash_internal(child_hashes: Iterable[bytes]) -> bytes:
     """SHA-256 of ``0x01 || child hashes`` in child order."""
-    h = hashlib.sha256(_INTERNAL_PREFIX)
-    for digest in child_hashes:
-        h.update(digest)
-    return h.digest()
+    return hashlib.sha256(_INTERNAL_PREFIX + b"".join(child_hashes)).digest()
 
 
 def check_probabilities(probs: Mapping[object, float]) -> None:
@@ -221,22 +218,9 @@ class AdaptiveTree:
         depth = self._depth
         return {key: depth[nid] for key, nid in self._leaf_by_key.items()}
 
-    def kraft_sum(self) -> float:
-        m = self.config.arity
-        return sum(m ** -d for d in self.depths().values())
-
     def root_hash(self) -> bytes:
         """Root digest. A pure function of structure, keys, and payloads."""
         return self.nodes[self.root_id].hash
-
-    def open_internal_ids(self) -> list[str]:
-        """Internal nodes with fewer than m children, in preorder."""
-        m = self.config.arity
-        return [
-            nid
-            for nid in self._iter_preorder()
-            if not self.nodes[nid].is_leaf and len(self.nodes[nid].children) < m
-        ]
 
     # -- mutations -------------------------------------------------------------
 
@@ -473,7 +457,11 @@ class AdaptiveTree:
             try:
                 nid, kind = spec["id"], spec["kind"]
                 if kind == "leaf":
-                    payload = bytes.fromhex(spec["payload_hex"])
+                    payload_hex = spec["payload_hex"]
+                    payload = bytes.fromhex(payload_hex)
+                    # one reading per snapshot: no uppercase, no whitespace
+                    if payload.hex() != payload_hex:
+                        raise ValueError(f"non-canonical payload_hex {payload_hex!r} in node {nid!r}")
                     node = TreeNode(nid, b"", key=spec["key"], payload=payload)
                     names = [nid, node.key]
                 elif kind == "internal":

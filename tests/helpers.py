@@ -110,7 +110,7 @@ def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | No
     keys = sorted(probs)
     tree = build_balanced([(keys[0], keys[0].encode(), 1.0)], TreeConfig(m))
     for key in keys[1:]:
-        open_nodes = tree.open_internal_ids()
+        open_nodes = open_internal_ids(tree)
         if open_nodes and rng.random() < 0.5:
             tree.attach_leaf(rng.choice(open_nodes), key, key.encode())
         else:
@@ -163,3 +163,46 @@ def walked_depths(tree: AdaptiveTree) -> dict[str, int]:
         else:
             stack.extend((cid, depth + 1) for cid in node.children)
     return out
+
+
+# Plain functions the tests use as oracles; the library itself has no use
+# for them.
+
+
+def open_internal_ids(tree: AdaptiveTree) -> list[str]:
+    """Internal nodes with fewer than m children, in preorder."""
+    m = tree.config.arity
+    out: list[str] = []
+    stack = [tree.root_id]
+    while stack:
+        node = tree.nodes[stack.pop()]
+        if node.children is not None:
+            if len(node.children) < m:
+                out.append(node.node_id)
+            stack.extend(reversed(node.children))
+    return out
+
+
+def kraft_sum(tree: AdaptiveTree) -> float:
+    m = tree.config.arity
+    return sum(m**-d for d in tree.depths().values())
+
+
+def delta_by_key(report) -> dict[str, float]:
+    """Per-leaf discrepancy of a ``MetricsReport``, by key."""
+    return {stats.key: stats.delta_i for stats in report.per_leaf}
+
+
+def length_multiset(table) -> list[int]:
+    """Sorted code lengths of a ``CodeTable``."""
+    return sorted(len(code) for code in table.entries.values())
+
+
+def average_adaptive_length(table) -> float:
+    """sum(p * len(adaptive_code)) over an ``AddressTable``."""
+    return sum(r.probability * len(r.adaptive_code) for r in table.records)
+
+
+def min_avg_length_for_depths(depths, probs) -> float:
+    """Best assignment of the given depth multiset: big p onto small l."""
+    return sum(p * d for p, d in zip(sorted(probs, reverse=True), sorted(depths), strict=True))

@@ -36,7 +36,7 @@ from adaptive_merkle.workload import (
     normalize_distribution,
 )
 
-from helpers import random_distribution, random_tree
+from helpers import delta_by_key, kraft_sum, length_multiset, random_distribution, random_tree
 
 TOL = 1e-9
 ACCEPTANCE_START = time.perf_counter()
@@ -76,7 +76,7 @@ def test_criterion_01():
     candidate = tree.clone()
     apply_alternative(candidate, split_a)
     rep = discrepancy_report(candidate)
-    assert rep.delta_by_key() == pytest.approx({"A": 0.5, "B": -0.25, "C": 0.0}, abs=TOL)
+    assert delta_by_key(rep) == pytest.approx({"A": 0.5, "B": -0.25, "C": 0.0}, abs=TOL)
     assert {s.key: s.l for s in rep.per_leaf} == {"A": 2, "B": 1, "C": 2}
     assert deltas["A"] == pytest.approx(0.25, abs=TOL)
     # exhaustive check: 0.25 is the worst (and 0.5 unattainable) over all
@@ -194,7 +194,7 @@ def test_criterion_08(demo16):
     table = huffman_codes(probs, 2)
     assert table.avg_length == pytest.approx(3.49, abs=0.01)
     assert entropy(table.probabilities.values(), 2) == pytest.approx(3.46, abs=0.01)
-    assert table.length_multiset() == [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
+    assert length_multiset(table) == [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
     report_ = run_bench(demo16, 2, ("balanced", "huffman"))
     assert report_.per_variant["balanced"].k_a == pytest.approx(4.0, abs=TOL)
     assert report_.per_variant["huffman"].improvement_pct == pytest.approx(12.75, abs=1.0)
@@ -230,7 +230,7 @@ def test_criterion_10():
         assert rep.delta == pytest.approx(rep.k_a - rep.entropy, abs=TOL)
         assert rep.delta == pytest.approx(sum(s.delta_i for s in rep.per_leaf), abs=TOL)
         assert rep.delta >= -TOL
-        assert tree.kraft_sum() <= 1 + 1e-12
+        assert kraft_sum(tree) <= 1 + 1e-12
 
     # prove -> verify round trip (500 proofs)
     for _ in range(500):

@@ -19,7 +19,7 @@ from adaptive_merkle.coding import CodeTable, digit_to_index, export_csv, is_pre
 from adaptive_merkle.proofs import prove, verify
 from adaptive_merkle.workload import normalize_distribution
 
-from helpers import random_distribution, random_tree
+from helpers import length_multiset, random_distribution, random_tree
 
 TOL = 1e-9
 DEMO16_LENGTHS = [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
@@ -40,7 +40,7 @@ class TestHuffman:
     def test_demo16_average_length(self, demo16_probs):
         table = huffman_codes(demo16_probs, 2)
         assert table.avg_length == pytest.approx(3.49, abs=0.01)
-        assert table.length_multiset() == DEMO16_LENGTHS
+        assert length_multiset(table) == DEMO16_LENGTHS
 
     def test_single_symbol_empty_code(self):
         table = huffman_codes({"A": 1.0}, 2)

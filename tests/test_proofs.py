@@ -19,7 +19,9 @@ from adaptive_merkle import (
     verification_cost,
     verify,
 )
+import adaptive_merkle.proofs as proofs_mod
 from adaptive_merkle.proofs import ProofStep
+from adaptive_merkle.tree import hash_internal
 from adaptive_merkle.workload import normalize_distribution
 
 from helpers import old_format_step, random_tree
@@ -175,6 +177,33 @@ class TestWireFormat:
         with pytest.raises(MalformedProofError):
             MerkleProof.from_json_dict(data)
 
+    @pytest.mark.parametrize("field", ["leaf_hash_hex", "sibling"])
+    @pytest.mark.parametrize(
+        "edit",
+        [str.upper, lambda h: h[:2] + " " + h[2:], lambda h: h[:2] + "\n" + h[2:], lambda h: h + "\n"],
+        ids=["upper", "space", "newline", "trailing-newline"],
+    )
+    def test_non_canonical_hex_raises_malformed(self, binary_demo_tree, field, edit):
+        # each decodes to the same digest, but to_json_bytes writes only the
+        # lowercase, unspaced form: one reading per proof
+        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
+        if field == "leaf_hash_hex":
+            holder, index = data, "leaf_hash_hex"
+        else:
+            holder, index = data["steps"][-1]["siblings"], 0
+        edited = edit(holder[index])
+        assert edited != holder[index] and bytes.fromhex(edited) == bytes.fromhex(holder[index])
+        holder[index] = edited
+        with pytest.raises(MalformedProofError, match="non-canonical"):
+            MerkleProof.from_json_dict(data)
+
+    @pytest.mark.parametrize("steps", [{}, "", None])
+    def test_steps_not_a_list_raises_malformed(self, binary_demo_tree, steps):
+        data = json.loads(prove(binary_demo_tree, "A").to_json_bytes())
+        data["steps"] = steps
+        with pytest.raises(MalformedProofError):
+            MerkleProof.from_json_dict(data)
+
     def test_proof_invariant_under_probability_change(self, binary_demo_tree):
         before = prove(binary_demo_tree, "B")
         uniform = {k: 1 / 8 for k in binary_demo_tree.leaf_keys()}
@@ -248,6 +277,74 @@ class TestProofMutation:
             assert verify(bad, tree.root_hash(), m) is False
         except MalformedProofError:
             pass
+
+
+# Keys with characters JSON must escape (quote, backslash, control), and
+# non-ASCII, astral and line-separator characters it writes as \uXXXX escapes.
+KEY_CHARS = st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f/\u00e9\u2028\U0001f600'), st.characters(exclude_categories=["Cs"])
+)
+
+
+def reference_json_bytes(proof: MerkleProof) -> bytes:
+    """The wire format as json.dumps spells it: the oracle for the writer."""
+    data = {
+        "key": proof.key,
+        "leaf_hash_hex": proof.leaf_hash.hex(),
+        "steps": [{"position": s.position, "siblings": [h.hex() for h in s.siblings]} for s in proof.steps],
+    }
+    return json.dumps(data, separators=(",", ":")).encode()
+
+
+class TestWriterOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.text(KEY_CHARS, max_size=6), min_size=1, max_size=32, unique=True),
+        st.sampled_from([2, 3, 4, 16]),
+        st.data(),
+    )
+    def test_writer_matches_json_dumps(self, seed, keys, m, data):
+        rng = random.Random(seed)
+        probs = {key: 1.0 / len(keys) for key in keys}
+        tree = random_tree(rng, len(keys), m, probs)
+        proof = prove(tree, data.draw(st.sampled_from(keys)))
+        wire = proof.to_json_bytes()
+        assert wire == reference_json_bytes(proof)
+        assert MerkleProof.from_json_dict(json.loads(wire)) == proof
+
+    def test_hand_built_steps_match_json_dumps(self):
+        # shapes prove never yields still get the same bytes as json.dumps
+        for steps in [(), (ProofStep(0, ()),), (ProofStep(2, (b"\x01" * 3, b"")),)]:
+            proof = MerkleProof("k", b"\xff" * 32, steps)
+            assert proof.to_json_bytes() == reference_json_bytes(proof)
+
+
+class TestTracerCounts:
+    """perfbench's tracer reads ``tree.hash_internal.calls`` by wrapping the
+    module global ``proofs.hash_internal``: verify must hash each step
+    through it, once, and prove must not hash at all."""
+
+    def test_verify_calls_hash_internal_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(children):
+            calls.append(1)
+            return hash_internal(children)
+
+        monkeypatch.setattr(proofs_mod, "hash_internal", counting)
+        rng = random.Random(19)
+        for _ in range(30):
+            tree = random_tree(rng, rng.randint(1, 24), rng.choice([2, 3, 4, 16]))
+            for key in tree.leaf_keys():
+                calls.clear()
+                proof = prove(tree, key)
+                assert calls == []
+                received = MerkleProof.from_json_dict(json.loads(proof.to_json_bytes()))
+                assert calls == []
+                # positional, as the benchmark workloads call it
+                assert verify(received, tree.root_hash(), tree.config.arity)
+                assert len(calls) == len(proof.steps)
 
 
 class TestVerificationCost:

@@ -21,11 +21,11 @@ from adaptive_merkle import (
     optimize_swaps,
 )
 import adaptive_merkle.restructure as restructure_mod
-from adaptive_merkle.coding import brute_force_min_avg_length, min_avg_length_for_depths
+from adaptive_merkle.coding import brute_force_min_avg_length
 from adaptive_merkle.metrics import entropy, swapped_report
 from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS, apply_alternative
 
-from helpers import random_distribution, random_tree
+from helpers import min_avg_length_for_depths, open_internal_ids, random_distribution, random_tree
 
 TOL = 1e-9
 
@@ -159,7 +159,7 @@ class TestEnumerateAdd:
             new_probs = dict(zip(keys, new_probs.values()))
             alternatives = enumerate_add_alternatives(tree, "zzz", new_probs)
             attaches = [alt for alt in alternatives if alt.kind == "attach"]
-            assert [alt.target[0] for alt in attaches] == tree.open_internal_ids()
+            assert [alt.target[0] for alt in attaches] == open_internal_ids(tree)
             for alt in attaches:
                 assert alt.sort_labels == (brute_min_key(tree, alt.target[0]),)
             for alt in alternatives:

@@ -1,5 +1,6 @@
 """Tree construction, mutations, hashing, and snapshots."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -21,7 +22,7 @@ from adaptive_merkle import (
 import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.tree import hash_internal, hash_leaf
 
-from helpers import MALFORMED_TOP_LEVEL, malform, random_tree, walked_depths
+from helpers import MALFORMED_TOP_LEVEL, kraft_sum, malform, open_internal_ids, random_tree, walked_depths
 
 
 def make_leaves(keys, probs=None):
@@ -45,7 +46,7 @@ class TestBuildBalanced:
         tree = build_balanced(make_leaves("ABCDE"), TreeConfig(4))
         assert sorted(tree.depths().values()) == [1, 1, 1, 2, 2]
         assert tree.leaf_count() == 5
-        assert tree.kraft_sum() <= 1 + 1e-12
+        assert kraft_sum(tree) <= 1 + 1e-12
 
     def test_5_leaves_output_among_minimal_height_trees(self):
         # Oracle: enumerate every 4-ary tree shape over 5 ordered leaves and
@@ -108,7 +109,7 @@ class TestSplitLeaf:
         for _ in range(20):
             tree = random_tree(rng, rng.randint(2, 12), rng.choice([2, 3, 4]))
             tree.split_leaf(rng.choice(tree.leaf_keys()), "new", b"x")
-            assert tree.kraft_sum() <= 1 + 1e-12
+            assert kraft_sum(tree) <= 1 + 1e-12
 
     def test_other_depths_unchanged(self):
         tree = build_balanced(make_leaves("ABCDE"), TreeConfig(2))
@@ -157,7 +158,7 @@ class TestAttachLeaf:
         rng = random.Random(5)
         for _ in range(20):
             tree = random_tree(rng, rng.randint(2, 12), 4)
-            open_nodes = tree.open_internal_ids()
+            open_nodes = open_internal_ids(tree)
             if not open_nodes:
                 continue
             before = tree.depths()
@@ -241,6 +242,18 @@ class TestRootHash:
         expected = hash_internal([hash_leaf("A", b"A"), hash_leaf("B", b"B")])
         assert tree.root_hash() == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.binary(max_size=40), max_size=17))
+    def test_hash_internal_matches_incremental_oracle(self, digests):
+        # any iterable of children hashes as 0x01 followed by each child
+        oracle = hashlib.sha256(b"\x01")
+        for digest in digests:
+            oracle.update(digest)
+        expected = oracle.digest()
+        assert hash_internal(d for d in digests) == expected
+        assert hash_internal(list(digests)) == expected
+        assert hash_internal(tuple(digests)) == expected
+
     def test_independent_of_probabilities(self):
         t1 = build_balanced(make_leaves("ABCD"), TreeConfig(2))
         t2 = build_balanced(make_leaves("ABCD", [0.7, 0.1, 0.1, 0.1]), TreeConfig(2))
@@ -258,7 +271,7 @@ class TestHashLocality:
             if op == "split":
                 tree.split_leaf(rng.choice(tree.leaf_keys()), "new", b"n")
             elif op == "attach":
-                nodes = tree.open_internal_ids()
+                nodes = open_internal_ids(tree)
                 if nodes:
                     tree.attach_leaf(rng.choice(nodes), "new", b"n")
             elif tree.leaf_count() >= 2:
@@ -286,7 +299,7 @@ def apply_ops(tree, ops, check=None):
     current leaves or open nodes; calls ``check(tree)`` after each one."""
     for n, (kind, i, j) in enumerate(ops):
         keys = tree.leaf_keys()
-        open_nodes = tree.open_internal_ids()
+        open_nodes = open_internal_ids(tree)
         if kind == "attach" and open_nodes:
             tree.attach_leaf(open_nodes[i % len(open_nodes)], f"x{n:03d}", b"x")
         elif kind == "swap" and len(keys) >= 2:
@@ -371,7 +384,7 @@ class TestRehashCount:
         rng = random.Random(rnd.randint(0, 2**32))
         tree = random_tree(rng, n, m)
         keys = tree.leaf_keys()
-        open_nodes = tree.open_internal_ids()
+        open_nodes = open_internal_ids(tree)
         above = lambda key: self.path_up(tree, tree.leaf_node(key).node_id)[1:]
         calls = []
         with pytest.MonkeyPatch.context() as patch:
@@ -401,7 +414,7 @@ class TestStructureInvariants:
         rng = random.Random(rnd.randint(0, 2**32))
         tree = random_tree(rng, n, m)
         tree.validate()
-        assert tree.kraft_sum() <= 1 + 1e-12
+        assert kraft_sum(tree) <= 1 + 1e-12
         depths = tree.depths()
         assert len(depths) == n
         # every node except the root reachable exactly once via validate()
@@ -503,6 +516,18 @@ class TestSnapshots:
         else:
             node[field] = value
         with pytest.raises(FormatError):
+            AdaptiveTree.from_snapshot(snap)
+
+    @pytest.mark.parametrize("payload_hex", ["ABCD", "abCD", "ab cd", "ab\ncd", " abcd", "abcd\n"])
+    def test_non_canonical_payload_hex_raises_format_error(self, payload_hex):
+        # each decodes to the payload the snapshot was written from, yet only
+        # "abcd" is what to_snapshot writes for it: one reading per snapshot
+        tree = build_balanced([("A", b"\xab\xcd", 0.5), ("B", b"B", 0.5)], TreeConfig(2))
+        snap = tree.to_snapshot()
+        leaf = next(node for node in snap["nodes"] if node.get("key") == "A")
+        assert leaf["payload_hex"] == "abcd"
+        leaf["payload_hex"] = payload_hex
+        with pytest.raises(FormatError, match="non-canonical payload_hex"):
             AdaptiveTree.from_snapshot(snap)
 
     @pytest.mark.parametrize("field, value", MALFORMED_TOP_LEVEL)
