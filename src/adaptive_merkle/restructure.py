@@ -15,7 +15,13 @@ candidate tree. The best one wins; ties break deterministically by
 (delta, kind: attach < split < swap < no_op, ascending target labels).
 
 ``optimize_swaps`` picks each swap without listing the pairs, as the
-first of the sorted ``enumerate_swap_alternatives`` list would be.
+first of the sorted ``enumerate_swap_alternatives`` list would be. Before
+that it checks a certificate that no swap can help: swapping a shallow
+leaf s with a deeper leaf t changes delta by (p_s - p_t)(d_t - d_s), so
+when at every depth the lightest leaf weighs at least as much as the
+heaviest leaf one occupied depth further down, every swap term is >= 0.
+Float addition rounds monotonically, so no score can then fall below the
+current delta, and the loop would stop on its first pass; it is skipped.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
-from .metrics import MetricsReport, discrepancy_report, log_base, swapped_report
+from .metrics import MetricsReport, discrepancy_report, swapped_report
 from .tree import AdaptiveTree, check_probabilities
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "no_op": 3}
@@ -36,7 +42,7 @@ CANDIDATE_EPS = 1e-9
 DEFAULT_MAX_ITERS = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class Alternative:
     """One candidate restructuring with its evaluated discrepancy."""
 
@@ -102,23 +108,22 @@ def enumerate_add_alternatives(
     if new_payload is None:
         new_payload = new_key.encode("utf-8")
 
-    # entropy()'s expression, without its second validation pass
-    m = tree.config.arity
-    h = -sum(p * log_base(p, m) for p in new_probs.values() if p > 0.0)
+    # entropy()'s expression, without its second validation pass; log_base
+    # is log2(p) / log2(m), so hoisting log2(m) keeps every bit.
+    log2_m = math.log2(tree.config.arity)
+    h = -sum(p * (math.log2(p) / log2_m) for p in new_probs.values() if p > 0.0)
     # Right to left: the order every recorded delta was summed in.
     base_k = sum(new_probs[key] * depth for key, depth in reversed(leaves))
     p_new = new_probs[new_key]
     probs_copy = {k: float(v) for k, v in new_probs.items()}
-
-    def placement(kind: str, target: str, k: float, label: str) -> Alternative:
-        return Alternative(kind, (target,), k - h, (label,), new_key, new_payload, probs_copy)
-
     alternatives = [
-        placement("attach", node_id, base_k + p_new * (node_depth + 1), min_key)
+        Alternative("attach", (node_id,), base_k + p_new * (node_depth + 1) - h, (min_key,),
+                    new_key, new_payload, probs_copy)
         for node_id, node_depth, min_key in open_nodes
     ]
     alternatives += [
-        placement("split", key, base_k + new_probs[key] + p_new * (depths[key] + 1), key)
+        Alternative("split", (key,), base_k + new_probs[key] + p_new * (depths[key] + 1) - h, (key,),
+                    new_key, new_payload, probs_copy)
         for key in sorted(depths)
     ]
     return alternatives
@@ -171,10 +176,17 @@ def apply_alternative(tree: AdaptiveTree, alternative: Alternative) -> None:
 
 
 def apply_best(tree: AdaptiveTree, alternatives: Sequence[Alternative]) -> Alternative:
-    """Apply the minimal-delta alternative under the deterministic total order; return it."""
+    """Apply the minimal-delta alternative under the deterministic total order; return it.
+
+    ``rank_key`` leads with the delta, so only the alternatives tied on the
+    lowest delta need their full keys compared.
+    """
     if not alternatives:
         raise StructureError("no restructuring alternatives given")
-    chosen = min(alternatives, key=lambda alt: alt.rank_key)
+    lowest = min(alt.resulting_delta for alt in alternatives)
+    tied = [alt for alt in alternatives if alt.resulting_delta == lowest]
+    # tied is empty only when a NaN delta comes first; rank all of them then
+    chosen = min(tied or alternatives, key=lambda alt: alt.rank_key)
     apply_alternative(tree, chosen)
     return chosen
 
@@ -184,9 +196,18 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
 
     Returns one outcome per applied swap; an already-optimal tree yields an
     empty list. Delta is strictly decreasing along the sequence.
+
+    A swap-free tree, where the lightest leaf at each depth weighs at least
+    as much as the heaviest leaf at the next occupied depth, returns ``[]``
+    without building a report: every swap would add (p_s - p_t)(d_t - d_s)
+    >= 0 to delta, and since float addition rounds monotonically no score
+    could beat the current delta. Bad probabilities still raise first.
     """
     if max_iters < 1:
         raise StructureError(f"max_iters must be >= 1, got {max_iters}")
+    check_probabilities(tree.probabilities)
+    if _swap_free(tree):
+        return []
     outcomes: list[RestructureOutcome] = []
     report = discrepancy_report(tree)
     for _ in range(max_iters):
@@ -239,20 +260,44 @@ def _best_swap(report: MetricsReport) -> tuple[Alternative | None, int]:
     return Alternative(kind="swap", target=target, resulting_delta=delta, sort_labels=target), candidates
 
 
+def _swap_free(tree: AdaptiveTree) -> bool:
+    """Whether no leaf swap can lower delta: at every depth the lightest
+    leaf weighs at least as much as the heaviest one at the next occupied
+    depth, and so, by the chain, as any deeper leaf. One pass over the
+    leaves takes the lightest and heaviest probability per depth."""
+    probs, depth = tree.probabilities, tree._depth
+    lightest: dict[int, float] = {}
+    heaviest: dict[int, float] = {}
+    for key, nid in tree._leaf_by_key.items():
+        d, p = depth[nid], probs[key]
+        if d not in lightest:
+            lightest[d] = heaviest[d] = p
+        elif p < lightest[d]:
+            lightest[d] = p
+        elif p > heaviest[d]:
+            heaviest[d] = p
+    order = sorted(lightest)
+    return all(lightest[d] >= heaviest[deeper] for d, deeper in zip(order, order[1:]))
+
+
 def _layout(tree: AdaptiveTree) -> tuple[list[tuple[str, int]], list[tuple[str, int, str]]]:
     """From one preorder pass and the tree's depth index: ``(key, depth)`` of
     every leaf left to right, and ``(node_id, depth, smallest leaf key
     below)`` of each internal node with a free child slot, in preorder."""
     m, nodes, depth = tree.config.arity, tree.nodes, tree._depth
     preorder, leaves, open_nodes = [], [], []
-    for nid in tree._iter_preorder():
+    stack = [tree.root_id]
+    while stack:
+        nid = stack.pop()
         node = nodes[nid]
-        if node.children is None:
+        children = node.children
+        if children is None:
             leaves.append((node.key, depth[nid]))
         else:
             preorder.append(nid)
-            if len(node.children) < m:
+            if len(children) < m:
                 open_nodes.append(nid)
+            stack += children[::-1]
     if not open_nodes:  # a finished m=2 tree never has a free slot
         return leaves, []
     min_key: dict[str, str] = {}

@@ -56,13 +56,18 @@ def hash_internal(child_hashes: Iterable[bytes]) -> bytes:
 
 def check_probabilities(probs: Mapping[object, float]) -> None:
     """Reject NaN, infinite and negative values and sums off 1 by more than
-    1e-9. The one probability validator of the package."""
-    for key, p in probs.items():
-        if not math.isfinite(p):
-            raise ProbabilityError(f"non-finite probability {p!r} for key {key!r}")
-        if p < 0.0:
-            raise ProbabilityError(f"negative probability {p!r} for key {key!r}")
+    1e-9. The one probability validator of the package.
+
+    A finite total with no negative value rules out NaN and infinities, so
+    only then is the per-key loop, which names the first bad key, skipped.
+    """
     total = sum(probs.values())
+    if not (math.isfinite(total) and min(probs.values(), default=0.0) >= 0.0):
+        for key, p in probs.items():
+            if not math.isfinite(p):
+                raise ProbabilityError(f"non-finite probability {p!r} for key {key!r}")
+            if p < 0.0:
+                raise ProbabilityError(f"negative probability {p!r} for key {key!r}")
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 +/- {PROB_SUM_TOL}")
 

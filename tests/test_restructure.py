@@ -21,9 +21,10 @@ from adaptive_merkle import (
     optimize_swaps,
 )
 import adaptive_merkle.restructure as restructure_mod
-from adaptive_merkle.coding import brute_force_min_avg_length
+from adaptive_merkle.coding import brute_force_min_avg_length, huffman_codes, tree_from_codes
 from adaptive_merkle.metrics import entropy, swapped_report
 from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS, apply_alternative
+from adaptive_merkle.workload import zipf_distribution
 
 from helpers import min_avg_length_for_depths, open_internal_ids, random_distribution, random_tree
 
@@ -68,6 +69,70 @@ def reference_optimize(tree, max_iters):
         if delta_after <= CANDIDATE_EPS:
             break
     return steps
+
+
+def swap_free_by_pairs(tree):
+    """No leaf outweighs a shallower one: the swap-free definition, pair by pair."""
+    depths, probs = tree.depths(), tree.probabilities
+    return all(
+        probs[s] >= probs[t] for s in depths for t in depths if depths[s] < depths[t]
+    )
+
+
+def grown_tree(probs, m):
+    """The insertion loop of the bench and the workloads, hottest key first,
+    so that no prefix of ``probs`` sums to 0."""
+    keys = sorted(probs, key=lambda key: (-probs[key], key))
+    tree = build_balanced([(keys[0], keys[0].encode(), 1.0)], TreeConfig(m))
+    for i, key in enumerate(keys[1:], start=2):
+        total = sum(probs[k] for k in keys[:i])
+        prefix = {k: probs[k] / total for k in keys[:i]}
+        apply_best(tree, enumerate_add_alternatives(tree, key, prefix))
+        optimize_swaps(tree)
+    return tree
+
+
+@st.composite
+def swap_free_cases(draw):
+    """Trees that are swap-free by construction, some nudged one ulp off.
+
+    Weights are integers over a power-of-two total, so probabilities and
+    every sum of them are exact, and few distinct values make equal
+    probabilities at different depths common. The shape is a Huffman tree
+    (optimal, so swap-free with its own probabilities), a tree grown by the
+    insertion loop or a random tree; the last two get the probabilities
+    sorted onto their depths, heaviest shallowest. A nudged case then
+    raises one deeper leaf tied with a shallower one by one ulp, which
+    inverts that pair and nothing else by more than an ulp.
+    """
+    n = draw(st.integers(1, 30))
+    m = draw(st.sampled_from([2, 3, 4, 16]))
+    total = 2 ** draw(st.integers(0, 10))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    probs = {f"k{i:03d}": w / total for i, w in enumerate(weights)}
+    source = draw(st.sampled_from(["huffman", "grown", "sorted"]))
+    if source == "huffman":
+        tree = tree_from_codes(huffman_codes(probs, m))
+    else:
+        if source == "grown":
+            tree = grown_tree(probs, m)
+        else:
+            tree = random_tree(random.Random(draw(st.integers(0, 2**32 - 1))), n, m, probs)
+        by_depth = sorted(tree.depths().items(), key=lambda kv: (kv[1], kv[0]))
+        heaviest_first = sorted(probs.values(), reverse=True)
+        tree.set_probabilities({key: p for (key, _), p in zip(by_depth, heaviest_first)})
+    depths, probs = tree.depths(), dict(tree.probabilities)
+    ties = [
+        (s, t) for s in sorted(depths) for t in sorted(depths)
+        if depths[s] < depths[t] and probs[s] == probs[t]
+    ]
+    nudged = bool(ties) and draw(st.booleans())
+    if nudged:
+        _, t = draw(st.sampled_from(ties))
+        probs[t] = math.nextafter(probs[t], math.inf)
+        tree.set_probabilities(probs)
+    return tree, nudged, draw(st.integers(1, 64))
 
 
 @st.composite
@@ -278,6 +343,24 @@ class TestApplyBest:
             chosen = apply_best(tree.clone(), alts)
             assert chosen.resulting_delta == min(a.resulting_delta for a in alts)
 
+    def test_tie_break_ignores_list_order(self):
+        # Dyadic probabilities tie many deltas exactly; whatever order the
+        # alternatives come in, the pick is the first by rank_key.
+        rng = random.Random(59)
+        ties = 0
+        for _ in range(40):
+            m = rng.choice([2, 3, 4])
+            n = rng.randint(2, 12)
+            tree = random_tree(rng, n, m, {f"k{i:03d}": 1 / n for i in range(n)})
+            new_probs = {key: 1 / (2 * n) for key in tree.probabilities}
+            new_probs["zzz"] = 0.5
+            alternatives = enumerate_add_alternatives(tree, "zzz", new_probs)
+            expected = sorted(alternatives, key=lambda alt: alt.rank_key)[0]
+            ties += sum(alt.resulting_delta == expected.resulting_delta for alt in alternatives) > 1
+            rng.shuffle(alternatives)
+            assert apply_best(tree.clone(), alternatives) is expected
+        assert ties >= 10
+
     def test_determinism(self):
         rng1, rng2 = random.Random(61), random.Random(61)
         t1 = random_tree(rng1, 12, 2)
@@ -289,27 +372,111 @@ class TestApplyBest:
         assert t1.root_hash() == t2.root_hash()
 
 
+def counting(monkeypatch, name):
+    """Replace ``restructure.<name>`` with a wrapper that logs each call."""
+    calls = []
+    real = getattr(restructure_mod, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(restructure_mod, name, wrapper)
+    return calls
+
+
 class TestReportsPerInsertion:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_one_report_per_insertion(self, monkeypatch, m):
         # The insertion loop the bench and the workloads run: apply_best
-        # only applies the move, and optimize_swaps builds the one report.
-        calls = []
-        real = restructure_mod.discrepancy_report
+        # only applies the move, and optimize_swaps builds at most one
+        # report: none when the grown tree is swap-free.
+        calls = counting(monkeypatch, "discrepancy_report")
+        keys = [f"k{i:03d}" for i in range(48)]
+        dist = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
+        random.Random(m).shuffle(keys)  # not hottest first, so that swaps occur
+        tree = build_balanced([(keys[0], b"", 1.0)], TreeConfig(m))
+        seen = set()
+        for i, key in enumerate(keys[1:], start=2):
+            calls.clear()
+            total = sum(dist[k] for k in keys[:i])
+            probs = {k: dist[k] / total for k in keys[:i]}
+            apply_best(tree, enumerate_add_alternatives(tree, key, probs))
+            assert len(calls) == 0
+            swap_free = swap_free_by_pairs(tree)
+            optimize_swaps(tree)
+            assert len(calls) == (0 if swap_free else 1)
+            seen.add(swap_free)
+        assert seen == {True, False}  # both paths must actually occur
 
-        def counting(tree):
-            calls.append(tree)
-            return real(tree)
 
-        monkeypatch.setattr(restructure_mod, "discrepancy_report", counting)
-        rng = random.Random(70 + m)
-        tree = random_tree(rng, 9, m)
-        probs = dict(zip([*tree.probabilities, "new"], random_distribution(rng, 10).values()))
-        alternatives = enumerate_add_alternatives(tree, "new", probs)
-        apply_best(tree, alternatives)
-        assert len(calls) == 0
-        optimize_swaps(tree)
-        assert len(calls) == 1
+class TestSwapFreeExit:
+    """``optimize_swaps`` returns at once on a swap-free tree, and its
+    certificate says swap-free exactly when no leaf outweighs a shallower one."""
+
+    def test_swap_free_tree_builds_no_report(self, monkeypatch):
+        reports = counting(monkeypatch, "discrepancy_report")
+        picks = counting(monkeypatch, "_best_swap")
+        rng = random.Random(5)
+        for m in (2, 3, 4, 16):
+            probs = random_distribution(rng, 20)
+            tree = tree_from_codes(huffman_codes(probs, m))
+            assert swap_free_by_pairs(tree)
+            before = tree.root_hash()
+            assert optimize_swaps(tree) == []
+            assert tree.root_hash() == before
+        assert reports == [] and picks == []
+
+    def test_not_swap_free_takes_the_full_path(self, monkeypatch, binary_demo_tree):
+        reports = counting(monkeypatch, "discrepancy_report")
+        picks = counting(monkeypatch, "_best_swap")
+        assert not swap_free_by_pairs(binary_demo_tree)
+        assert len(optimize_swaps(binary_demo_tree)) == 2
+        assert len(reports) == 1 and len(picks) == 2  # delta reaches 0 after the second swap
+
+    def test_bad_probabilities_still_raise(self):
+        tree = two_leaf_tree()
+        tree.probabilities = {"A": 1.0, "B": float("nan")}
+        with pytest.raises(ProbabilityError, match="non-finite probability nan for key 'B'"):
+            optimize_swaps(tree)
+
+    def test_zero_probability_leaf_stays(self, monkeypatch):
+        # Z at depth 1 is lighter than A and B at depth 2, so the tree is not
+        # swap-free; but Z's discrepancy is 0, so no swap candidate holds it
+        # and the full path applies nothing. Node exchange would reach 1.5.
+        tree = AdaptiveTree.from_nested(
+            ["Z", ["A", "B"]], {"Z": 0.0, "A": 0.5, "B": 0.5}, TreeConfig(2)
+        )
+        reports = counting(monkeypatch, "discrepancy_report")
+        assert not restructure_mod._swap_free(tree)
+        assert optimize_swaps(tree) == []
+        assert len(reports) == 1
+        assert discrepancy_report(tree).k_a == 2.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(swap_free_cases())
+    def test_matches_enumerate_and_sort(self, case):
+        # The exit is exact: same steps as the reference loop, bit for bit,
+        # on swap-free trees and on trees one ulp away from swap-free.
+        tree, nudged, max_iters = case
+        assert swap_free_by_pairs(tree) is not nudged
+        assert restructure_mod._swap_free(tree) is not nudged
+        reference = tree.clone()
+        expected = reference_optimize(reference, max_iters)
+        outcomes = optimize_swaps(tree, max_iters=max_iters)
+        steps = [
+            (o.chosen.target, o.chosen.resulting_delta.hex(), o.delta_before.hex(),
+             o.delta_after.hex(), o.candidates)
+            for o in outcomes
+        ]
+        assert steps == expected
+        assert tree.root_hash() == reference.root_hash()
+
+    @settings(max_examples=300, deadline=None)
+    @given(swap_cases())
+    def test_certificate_matches_pairwise_definition(self, case):
+        tree, _ = case
+        assert restructure_mod._swap_free(tree) == swap_free_by_pairs(tree)
 
 
 class TestOptimizeSwaps:

@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import json
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from adaptive_merkle import (
     build_balanced,
 )
 import adaptive_merkle.tree as tree_mod
-from adaptive_merkle.tree import hash_internal, hash_leaf
+from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
 
 from helpers import MALFORMED_TOP_LEVEL, kraft_sum, malform, open_internal_ids, random_tree, walked_depths
 
@@ -230,6 +232,66 @@ class TestSetProbabilities:
     def test_uniform_accepted(self):
         tree = build_balanced(make_leaves("ABCDEFG"), TreeConfig(2))
         tree.set_probabilities({k: 1 / 7 for k in "ABCDEFG"})
+
+
+def checked_key_by_key(probs):
+    """The validator as a plain per-key loop, then the sum: the oracle for
+    ``check_probabilities`` and its fast path. The error message, or None."""
+    for key, p in probs.items():
+        if not math.isfinite(p):
+            return f"non-finite probability {p!r} for key {key!r}"
+        if p < 0.0:
+            return f"negative probability {p!r} for key {key!r}"
+    total = sum(probs.values())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        return f"probabilities sum to {total!r}, expected 1 +/- {PROB_SUM_TOL}"
+    return None
+
+
+def check_message(probs):
+    try:
+        check_probabilities(probs)
+    except ProbabilityError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckProbabilities:
+    @pytest.mark.parametrize(
+        "bad, kind",
+        [(float("nan"), "non-finite"), (float("inf"), "non-finite"), (float("-inf"), "non-finite"),
+         (-0.25, "negative")],
+    )
+    def test_first_bad_key_named(self, bad, kind):
+        probs = {"A": 0.5, "B": bad, "C": float("nan"), "D": -1.0, "E": float("inf")}
+        with pytest.raises(ProbabilityError, match=f"^{kind} probability {re.escape(repr(bad))} for key 'B'$"):
+            check_probabilities(probs)
+
+    def test_negative_with_finite_total_named(self):
+        # The total is exactly 1, so only the minimum finds the negative value.
+        with pytest.raises(ProbabilityError, match=r"^negative probability -0\.25 for key 'B'$"):
+            check_probabilities({"A": 1.25, "B": -0.25})
+
+    def test_negative_zero_accepted(self):
+        check_probabilities({"A": 1.0, "B": -0.0})
+
+    def test_overflowing_total_is_a_sum_error(self):
+        # Each value is finite; only their sum is not.
+        with pytest.raises(ProbabilityError, match=r"^probabilities sum to inf, expected 1 "):
+            check_probabilities({"a": 1e308, "b": 1e308})
+
+    def test_empty_mapping_is_a_sum_error(self):
+        with pytest.raises(ProbabilityError, match=r"^probabilities sum to 0, expected 1 "):
+            check_probabilities({})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 0.25, 1.0, 1e308, -1e-300, float("nan"), float("inf"), float("-inf")]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ), max_size=6))
+    def test_matches_key_by_key_oracle(self, values):
+        probs = {f"k{i}": p for i, p in enumerate(values)}
+        assert check_message(probs) == checked_key_by_key(probs)
 
 
 class TestRootHash:
