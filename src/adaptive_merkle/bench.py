@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._formats import json_probabilities, load_json, write_csv
+from ._formats import float_sum, json_probabilities, load_json, write_csv
 from .coding import huffman_codes, tree_from_codes
 from .errors import FormatError, ProbabilityError
 from .metrics import discrepancy_report
@@ -75,7 +75,7 @@ def _build_adaptive(dist: Sequence[tuple[str, float]], config: TreeConfig, balan
     inserted = {first_key: order[0][1]}
     for key, p in order[1:]:
         inserted[key] = p
-        total = sum(inserted.values())
+        total = float_sum(inserted.values())
         prefix = {k: v / total for k, v in inserted.items()}
         apply_best(grown, enumerate_add_alternatives(grown, key, prefix))
         optimize_swaps(grown)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from ._formats import csv_probability, read_csv, write_csv
+from ._formats import csv_probability, float_sum, read_csv, write_csv
 from .errors import FormatError, ProbabilityError, StructureError
 from .tree import AdaptiveTree, TreeConfig, check_probabilities
 
@@ -53,7 +53,7 @@ class CodeTable:
     @property
     def avg_length(self) -> float:
         """sum(p * len(code)), summed in ``entries`` order."""
-        return sum(self.probabilities[key] * len(code) for key, code in self.entries.items())
+        return float_sum(self.probabilities[key] * len(code) for key, code in self.entries.items())
 
     def validate(self) -> None:
         if not is_prefix_free(self.entries.values()):
@@ -108,7 +108,7 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
 
     while len(heap) > 1:
         real = [entry for entry in (heapq.heappop(heap) for _ in range(m)) if entry[2] is not None]
-        weight = sum(entry[0] for entry in real)
+        weight = float_sum(entry[0] for entry in real)
         heapq.heappush(heap, (weight, min(entry[1] for entry in real), [entry[2] for entry in real]))
 
     entries = _leaf_codes(heap[0][2], lambda shape: None if isinstance(shape, str) else shape)

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._formats import float_sum
 from .errors import ProbabilityError
 from .tree import AdaptiveTree, check_probabilities
 
@@ -35,7 +36,7 @@ def entropy(probs: Iterable[float], m: int) -> float:
     if m < 2:
         raise ProbabilityError(f"arity must be >= 2, got {m}")
     check_probabilities(dict(enumerate(values)))
-    return -sum(p * log_base(p, m) for p in values if p > 0.0)
+    return -float_sum(p * log_base(p, m) for p in values if p > 0.0)
 
 
 def elemental_discrepancy(p: float, l: int, m: int) -> float:
@@ -95,7 +96,7 @@ def discrepancy_report(tree: AdaptiveTree) -> MetricsReport:
             log_p = log_base(p, m)
             h_terms.append(p * log_p)
             per_leaf.append(LeafStats(key, p, l, p * (l + log_p)))
-    return _report(tuple(per_leaf), -sum(h_terms))
+    return _report(tuple(per_leaf), -float_sum(h_terms))
 
 
 def swapped_report(report: MetricsReport, key_a: str, key_b: str, m: int) -> MetricsReport:
@@ -113,5 +114,5 @@ def swapped_report(report: MetricsReport, key_a: str, key_b: str, m: int) -> Met
 
 
 def _report(per_leaf: tuple[LeafStats, ...], h: float) -> MetricsReport:
-    k_a = sum(s.p * s.l for s in per_leaf)
+    k_a = float_sum(s.p * s.l for s in per_leaf)
     return MetricsReport(k_a=k_a, entropy=h, delta=k_a - h, per_leaf=per_leaf)

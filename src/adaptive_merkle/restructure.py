@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._formats import float_sum
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
 from .metrics import MetricsReport, discrepancy_report, swapped_report
 from .tree import AdaptiveTree, check_probabilities
@@ -111,9 +112,9 @@ def enumerate_add_alternatives(
     # entropy()'s expression, without its second validation pass; log_base
     # is log2(p) / log2(m), so hoisting log2(m) keeps every bit.
     log2_m = math.log2(tree.config.arity)
-    h = -sum(p * (math.log2(p) / log2_m) for p in new_probs.values() if p > 0.0)
+    h = -float_sum(p * (math.log2(p) / log2_m) for p in new_probs.values() if p > 0.0)
     # Right to left: the order every recorded delta was summed in.
-    base_k = sum(new_probs[key] * depth for key, depth in reversed(leaves))
+    base_k = float_sum(new_probs[key] * depth for key, depth in reversed(leaves))
     p_new = new_probs[new_key]
     probs_copy = {k: float(v) for k, v in new_probs.items()}
     alternatives = [

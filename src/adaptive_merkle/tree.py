@@ -7,13 +7,17 @@ frequently accessed leaves end up on short root paths. Hashing uses SHA-256
 with one byte of domain separation: ``0x00`` for leaves, ``0x01`` for
 internal nodes.
 
-Mutations rehash only the affected root path(s); everything else is left
-untouched. Next to the parent pointers the tree keeps a depth index, the
-edge count from the root of every node, and a leaf-key index. ``from_nested``
-fills all three as it builds; ``from_snapshot`` takes them from one checked
-root-down walk, the same walk :meth:`AdaptiveTree.validate` compares them
-with. Each mutation updates them in O(1) (only leaves move, so no subtree is
-renumbered), and :meth:`AdaptiveTree.depths` reads the depths instead of
+Mutations rehash only the affected root path(s), in one climb that meets at
+their lowest common ancestor; everything else is left untouched. Next to the
+parent pointers the tree keeps a depth index, the edge count from the root
+of every node, and a leaf-key index. ``from_nested`` fills all three as it
+builds. Every whole-tree pass goes through one checked root-down walk:
+``from_snapshot`` takes the indexes from it, :meth:`AdaptiveTree.validate`
+compares them with it, and snapshot writing, the full rehash and
+:meth:`AdaptiveTree.leaf_keys` read their order from it, so a corrupted tree
+raises :class:`StructureError` there instead of being written or hashed.
+Each mutation updates the indexes in O(1) (only leaves move, so no subtree
+is renumbered), and :meth:`AdaptiveTree.depths` reads the depths instead of
 walking. The indexes are right only because of the single-writer contract:
 mutating calls need exclusive access and go through the methods here, reads
 may interleave freely between mutations.
@@ -21,13 +25,14 @@ may interleave freely between mutations.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from ._formats import json_probabilities, load_json
+from ._formats import float_sum, json_probabilities, load_json
 from .errors import (
     DuplicateKeyError,
     FormatError,
@@ -61,7 +66,7 @@ def check_probabilities(probs: Mapping[object, float]) -> None:
     A finite total with no negative value rules out NaN and infinities, so
     only then is the per-key loop, which names the first bad key, skipped.
     """
-    total = sum(probs.values())
+    total = float_sum(probs.values())
     if not (math.isfinite(total) and min(probs.values(), default=0.0) >= 0.0):
         for key, p in probs.items():
             if not math.isfinite(p):
@@ -79,8 +84,9 @@ class TreeConfig:
     arity: int
 
     def __post_init__(self) -> None:
-        if self.arity < 2:
-            raise StructureError(f"arity must be >= 2, got {self.arity}")
+        # bool is an int subclass, and a float arity cannot size a node
+        if type(self.arity) is not int or self.arity < 2:
+            raise StructureError(f"arity must be an int >= 2, got {self.arity!r}")
 
 
 @dataclass
@@ -200,19 +206,10 @@ class AdaptiveTree:
 
     def leaf_keys(self) -> list[str]:
         """Leaf keys in left-to-right tree order."""
-        return [self.nodes[nid].key for nid in self._iter_preorder() if self.nodes[nid].is_leaf]
+        return list(self._walk_indexes()[2])
 
     def leaf_count(self) -> int:
         return len(self._leaf_by_key)
-
-    def _iter_preorder(self) -> Iterator[str]:
-        stack = [self.root_id]
-        while stack:
-            nid = stack.pop()
-            yield nid
-            node = self.nodes[nid]
-            if node.children is not None:
-                stack.extend(reversed(node.children))
 
     def depth(self, key: str) -> int:
         """Edge count from the root to the leaf holding ``key``."""
@@ -233,12 +230,20 @@ class AdaptiveTree:
         node = self.nodes[node_id]
         node.hash = hash_internal(self.nodes[cid].hash for cid in node.children)
 
-    def _rehash_path(self, node_id: str) -> None:
-        # Recompute exactly the hashes of the internal node_id and its ancestors.
-        nid: str | None = node_id
+    def _rehash_up(self, a: str, b: str) -> None:
+        # Rehash the internal nodes a and b and their ancestors, each once:
+        # climb the deeper side until both meet at the lowest common
+        # ancestor, then climb from there to the root.
+        depth, parent = self._depth, self._parent
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            self._rehash(a)
+            a = parent[a]
+        nid: str | None = a
         while nid is not None:
             self._rehash(nid)
-            nid = self._parent.get(nid)
+            nid = parent.get(nid)
 
     def split_leaf(self, target_key: str, new_key: str, new_payload: bytes) -> None:
         """Replace the target leaf with an internal node over [target, new leaf].
@@ -259,7 +264,7 @@ class AdaptiveTree:
             parent = self.nodes[parent_id]
             parent.children[parent.children.index(target.node_id)] = intermediate.node_id
             self._parent[intermediate.node_id] = parent_id
-            self._rehash_path(parent_id)
+            self._rehash_up(parent_id, parent_id)
         self.probabilities[new_key] = 0.0
 
     def attach_leaf(self, parent_id: str, new_key: str, new_payload: bytes) -> None:
@@ -275,7 +280,7 @@ class AdaptiveTree:
         new_leaf = self._add_leaf_node(new_key, new_payload, self._depth[parent_id] + 1)
         parent.children.append(new_leaf.node_id)
         self._parent[new_leaf.node_id] = parent_id
-        self._rehash_path(parent_id)
+        self._rehash_up(parent_id, parent_id)
         self.probabilities[new_key] = 0.0
 
     def swap_leaves(self, key_a: str, key_b: str) -> None:
@@ -301,14 +306,7 @@ class AdaptiveTree:
         self._parent[node_b.node_id] = parent_a
         depth = self._depth
         depth[node_a.node_id], depth[node_b.node_id] = depth[node_b.node_id], depth[node_a.node_id]
-        # Climb the deeper side until both sides meet at the lowest common
-        # ancestor, then rehash from there to the root once.
-        while parent_a != parent_b:
-            if depth[parent_a] < depth[parent_b]:
-                parent_a, parent_b = parent_b, parent_a
-            self._rehash(parent_a)
-            parent_a = self._parent[parent_a]
-        self._rehash_path(parent_a)
+        self._rehash_up(parent_a, parent_b)
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
         """Replace the leaf probability map; structure and hashes are untouched."""
@@ -325,36 +323,22 @@ class AdaptiveTree:
 
     def clone(self) -> "AdaptiveTree":
         """Independent copy; mutations on the clone never touch the original."""
-        other = AdaptiveTree(self.config)
-        other.root_id = self.root_id
-        other.nodes = {
-            nid: TreeNode(
-                node.node_id,
-                node.hash,
-                children=None if node.children is None else list(node.children),
-                key=node.key,
-                payload=node.payload,
-            )
-            for nid, node in self.nodes.items()
-        }
-        other.probabilities = dict(self.probabilities)
-        other._parent = dict(self._parent)
-        other._leaf_by_key = dict(self._leaf_by_key)
-        other._depth = dict(self._depth)
-        other._next_id = self._next_id
-        return other
+        return copy.deepcopy(self)
 
     def recompute_all_hashes(self) -> None:
-        """Full bottom-up rehash; used to cross-check incremental updates.
+        """Full rehash in the order of the checked walk; used to cross-check
+        incremental updates."""
+        self._hash_children_first(self._walk_indexes()[0])
 
-        Reversed preorder visits every child before its parent, so one
-        iterative pass works at any depth."""
-        for nid in reversed(list(self._iter_preorder())):
+    def _hash_children_first(self, preorder: dict[str, int]) -> None:
+        # Reversed preorder visits every child before its parent, so one
+        # iterative pass works at any depth.
+        for nid in reversed(preorder):
             node = self.nodes[nid]
-            if node.is_leaf:
+            if node.children is None:
                 node.hash = hash_leaf(node.key, node.payload)
             else:
-                node.hash = hash_internal(self.nodes[cid].hash for cid in node.children)
+                self._rehash(nid)
 
     def validate(self) -> None:
         """Structural self-check: the shape, the three indexes the tree keeps
@@ -362,7 +346,10 @@ class AdaptiveTree:
         probability map against the leaf keys."""
         if self._walk_indexes() != (self._depth, self._parent, self._leaf_by_key):
             raise StructureError("depth index, parent pointers or leaf key index out of sync with the tree shape")
-        if set(self.probabilities) != set(self._leaf_by_key):
+        self._check_cover()
+
+    def _check_cover(self) -> None:
+        if self.probabilities.keys() != self._leaf_by_key.keys():
             raise StructureError("probability map does not cover exactly the leaf keys")
 
     def _walk_indexes(self) -> tuple[dict[str, int], dict[str, str], dict[str, str]]:
@@ -405,29 +392,17 @@ class AdaptiveTree:
     # -- snapshots ---------------------------------------------------------------
 
     def to_snapshot(self) -> dict:
-        """JSON-ready snapshot; nodes listed in preorder, hashes as hex."""
+        """JSON-ready snapshot; nodes listed in the checked walk's preorder,
+        hashes as hex."""
         nodes = []
-        for nid in self._iter_preorder():
+        for nid in self._walk_indexes()[0]:
             node = self.nodes[nid]
-            if node.is_leaf:
-                nodes.append(
-                    {
-                        "id": nid,
-                        "kind": "leaf",
-                        "key": node.key,
-                        "payload_hex": node.payload.hex(),
-                        "hash_hex": node.hash.hex(),
-                    }
-                )
+            if node.children is None:
+                spec = {"id": nid, "kind": "leaf", "key": node.key, "payload_hex": node.payload.hex()}
             else:
-                nodes.append(
-                    {
-                        "id": nid,
-                        "kind": "internal",
-                        "children": list(node.children),
-                        "hash_hex": node.hash.hex(),
-                    }
-                )
+                spec = {"id": nid, "kind": "internal", "children": list(node.children)}
+            spec["hash_hex"] = node.hash.hex()
+            nodes.append(spec)
         return {
             "config": {"arity": self.config.arity, "hash": HASH_ALGORITHM},
             "nodes": nodes,
@@ -440,8 +415,8 @@ class AdaptiveTree:
         """Rebuild a tree from a snapshot, re-deriving and checking every hash.
 
         One walk checks the shape and yields the three indexes; its reverse
-        hashes every child before its parent, each node checked against its
-        ``hash_hex`` as it is hashed."""
+        hashes every child before its parent, and each node is then checked
+        against its ``hash_hex`` in that same order."""
         try:
             arity, algorithm = snapshot["config"]["arity"], snapshot["config"]["hash"]
             node_specs = snapshot["nodes"]
@@ -489,21 +464,17 @@ class AdaptiveTree:
         tree._depth, tree._parent, tree._leaf_by_key = tree._walk_indexes()
         tree.probabilities = probabilities
         check_probabilities(probabilities)
-        if set(tree.probabilities) != set(tree._leaf_by_key):
-            raise StructureError("probability map does not cover exactly the leaf keys")
-        for nid in reversed(tree._depth):  # the walk is a preorder
-            node = tree.nodes[nid]
-            if node.is_leaf:
-                node.hash = hash_leaf(node.key, node.payload)
-            else:
-                tree._rehash(nid)
-            if node.hash.hex() != stored_hex[nid]:
+        tree._check_cover()
+        tree._hash_children_first(tree._depth)
+        for nid in reversed(tree._depth):
+            if tree.nodes[nid].hash.hex() != stored_hex[nid]:
                 raise StructureError(f"hash mismatch for node {nid!r} in snapshot")
         return tree
 
     def save(self, path) -> None:
+        snapshot = self.to_snapshot()  # a corrupted tree raises before the file is opened
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_snapshot(), fh, indent=2, sort_keys=False)
+            json.dump(snapshot, fh, indent=2, sort_keys=False)
             fh.write("\n")
 
     @classmethod

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ._formats import csv_probability, read_csv
+from ._formats import csv_probability, float_sum, read_csv
 from .errors import ProbabilityError
+from .tree import check_probabilities
+
 
 @dataclass
 class AccessTrace:
@@ -33,26 +36,29 @@ def zipf_distribution(n: int, s: float) -> list[float]:
     """p_k = k^-s / sum(j^-s), k = 1..n, in descending order."""
     if n < 1:
         raise ProbabilityError(f"n must be >= 1, got {n}")
-    if s < 0:
-        raise ProbabilityError(f"exponent must be >= 0, got {s}")
+    if not 0 <= s < math.inf:  # NaN fails both comparisons
+        raise ProbabilityError(f"exponent must be finite and >= 0, got {s}")
     weights = [k**-s for k in range(1, n + 1)]
-    total = sum(weights)
+    total = float_sum(weights)
     return [w / total for w in weights]
 
 
 def normalize_distribution(dist: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
     """``(key, p)`` pairs with the values scaled to sum to 1."""
     pairs = list(dist)
-    total = sum(p for _, p in pairs)
+    total = float_sum(p for _, p in pairs)
     if not 0 < total < float("inf"):
         raise ProbabilityError(f"distribution total {total!r} is not a finite positive number")
     return [(key, p / total) for key, p in pairs]
 
 
 def generate_trace(probs: Mapping[str, float], num_events: int, seed: int) -> AccessTrace:
-    """Seeded synthetic trace; identical seeds reproduce identical traces."""
+    """Seeded synthetic trace; identical seeds reproduce identical traces.
+
+    ``probs`` must pass :func:`check_probabilities`."""
     if num_events < 0:
         raise ProbabilityError(f"num_events must be >= 0, got {num_events}")
+    check_probabilities(probs)
     keys = sorted(probs)
     weights = [probs[key] for key in keys]
     rng = random.Random(seed)

@@ -55,7 +55,8 @@ def malform(snapshot: dict, field: str, value) -> dict:
 # Iteration-script edits that must raise FormatError, as (field, value):
 # "p_A" is leaf A's initial probability, "probs" the whole initial map (the
 # script's leaves are A and B), "step_p_A" A's probability in the first
-# step, and "new_key"/"swap_iters" sit in that step too.
+# step, and "new_key"/"swap_iters" sit in that step too; the value MISSING
+# deletes a top-level field.
 MALFORMED_SCRIPT = [
     ("arity", 2.7),
     ("arity", "2"),
@@ -76,6 +77,7 @@ MALFORMED_SCRIPT = [
     ("swap_iters", True),
     ("probs", {"A": 1.0}),
     ("probs", {"A": 0.875, "B": 0.125, "Z": 0.0}),
+    ("steps", MISSING),
 ]
 
 
@@ -91,6 +93,8 @@ def malform_script(script: dict, field: str, value) -> dict:
         script["initial"]["probs"] = value
     elif field == "step_p_A":
         script["steps"][0]["probs"]["A"] = value
+    elif value is MISSING:
+        del script[field]
     else:
         script["steps"][0][field] = value
     return script

@@ -14,7 +14,7 @@ from adaptive_merkle import (
     huffman_codes,
     tree_from_codes,
 )
-from adaptive_merkle.address_map import AddressTable
+from adaptive_merkle.address_map import AddressRecord, AddressTable
 from adaptive_merkle.coding import is_prefix_free
 from adaptive_merkle.workload import normalize_distribution
 
@@ -67,6 +67,11 @@ class TestBuildMapping:
         other = build_balanced([("X", b"X", 1.0)], TreeConfig(2))
         with pytest.raises(StructureError):
             build_mapping(balanced, other)
+
+    def test_duplicate_addresses_rejected(self):
+        record = AddressRecord("A", 1.0, "", "")
+        with pytest.raises(StructureError, match="duplicate addresses"):
+            AddressTable([record, record])
 
     def test_adaptive_codes_prefix_free(self, demo16_trees):
         table = build_mapping(*demo16_trees)

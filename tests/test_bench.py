@@ -80,6 +80,16 @@ class TestRunBench:
             assert again.k_a == pytest.approx(report.per_variant[mode].k_a, abs=TOL)
             assert again.delta == pytest.approx(report.per_variant[mode].delta, abs=TOL)
 
+    def test_empty_distribution_rejected(self):
+        with pytest.raises(ProbabilityError, match="empty"):
+            run_bench([], 2)
+
+    def test_one_key_distribution(self):
+        # baseline k_A is 0, so no variant can improve on it: 0.0, not a division by zero
+        report = run_bench([("A", 1.0)], 2)
+        for stats in report.per_variant.values():
+            assert (stats.k_a, stats.improvement_pct) == (0.0, 0.0)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ProbabilityError):
             run_bench([("A", 1.0)], 2, ("turbo",))

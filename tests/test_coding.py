@@ -92,6 +92,11 @@ class TestHuffman:
         with pytest.raises(ProbabilityError):
             huffman_codes({"a": 0.7, "b": 0.7}, 2)
 
+    @pytest.mark.parametrize("probs, m, message", [({"a": 1.0}, 1, "arity"), ({}, 2, "empty")])
+    def test_bad_arity_or_empty_rejected(self, probs, m, message):
+        with pytest.raises(ProbabilityError, match=message):
+            huffman_codes(probs, m)
+
 
 class TestBruteForceOracle:
     def test_three_symbol_case(self):
@@ -116,6 +121,10 @@ class TestBruteForceOracle:
     def test_rejects_large_n(self):
         with pytest.raises(ProbabilityError):
             brute_force_min_avg_length([1 / 11] * 11, 2)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ProbabilityError, match="empty"):
+            brute_force_min_avg_length({}, 2)
 
     def test_huffman_beats_random_trees(self):
         # optimal average length never exceeds any same-arity tree's k_A
@@ -231,6 +240,22 @@ class TestCsv:
         path.write_text(f"key,probability,code,length\nA,0.5,1,1\nB,0.5,{code},{len(code)}\n")
         with pytest.raises(FormatError, match=":3"):
             load_csv(path, arity)
+
+    def test_length_column_must_match_code(self, tmp_path):
+        path = tmp_path / "codes.csv"
+        path.write_text("key,probability,code,length\nA,0.5,0,1\nB,0.5,1,2\n")
+        with pytest.raises(FormatError, match=":3: length column"):
+            load_csv(path, 2)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [({"a": "0", "b": "01"}, "prefix-free"), ({"a": "0", "b": "1", "c": "2"}, "Kraft sum 1.5")],
+    )
+    def test_code_table_validate_rejects(self, entries, message):
+        # "2" is no binary digit: the codes are prefix-free, their Kraft sum is not <= 1
+        table = CodeTable(entries, {key: 1 / len(entries) for key in entries}, 2)
+        with pytest.raises(StructureError, match=message):
+            table.validate()
 
     def test_prefix_free_helper(self):
         assert is_prefix_free(["00", "01", "1"])

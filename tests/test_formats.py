@@ -10,7 +10,7 @@ import pytest
 
 import adaptive_merkle
 from adaptive_merkle import AdaptiveTree, MerkleProof, load_script
-from adaptive_merkle._formats import load_json
+from adaptive_merkle._formats import float_sum, load_json
 from adaptive_merkle.address_map import AddressTable
 from adaptive_merkle.coding import load_csv
 from adaptive_merkle.errors import FormatError
@@ -120,3 +120,11 @@ def test_row_label_counts_physical_lines(tmp_path):
     path.write_text('key,probability\n"A\nB",0.5\nC,half\n', encoding="utf-8")
     with pytest.raises(FormatError, match="^" + re.escape(f"{path}:4: bad probability")):
         load_distribution_csv(path)
+
+
+@pytest.mark.parametrize("values, total", [([1.0, 1e100, 1.0, -1e100], 0.0), ([0.1] * 10, 0.9999999999999999), ([], 0)])
+def test_float_sum_adds_left_to_right(values, total):
+    # A compensated sum (the builtin from Python 3.12 on) gives 2.0 and 1.0
+    # for the first two; the goldens were written with plain addition.
+    assert float_sum(values) == total
+    assert float_sum(iter(values)) == total

@@ -76,6 +76,11 @@ class TestEntropy:
         with pytest.raises(ProbabilityError):
             entropy([0.6, 0.6], 2)
 
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_arity_below_two_rejected(self, m):
+        with pytest.raises(ProbabilityError, match="arity"):
+            entropy([0.5, 0.5], m)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ProbabilityError):

@@ -301,6 +301,13 @@ class TestEnumerateSwaps:
 
 
 class TestApplyBest:
+    def test_unknown_kind_rejected(self, binary_demo_tree):
+        before = binary_demo_tree.root_hash()
+        alternative = restructure_mod.Alternative("grow", ("A",), 0.0, ("A",))
+        with pytest.raises(StructureError, match="unknown alternative kind 'grow'"):
+            apply_alternative(binary_demo_tree, alternative)
+        assert binary_demo_tree.root_hash() == before
+
     def test_iteration_4_tie_resolved_lexicographically(self):
         tree = AdaptiveTree.from_nested(
             ["A", [["B", "D"], ["C", "E"]]],

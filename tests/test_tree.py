@@ -156,6 +156,13 @@ class TestAttachLeaf:
         )
         assert tree.root_hash() == rebuilt.root_hash()
 
+    def test_unknown_node_id_fails(self):
+        tree = build_balanced(make_leaves("AB", [0.5, 0.5]), TreeConfig(4))
+        with pytest.raises(UnknownKeyError):
+            tree.node("n999")
+        with pytest.raises(UnknownKeyError):
+            tree.attach_leaf("n999", "C", b"C")
+
     def test_existing_depths_unchanged(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -425,6 +432,11 @@ class TestDepthIndex:
         with pytest.raises(StructureError, match="depth index"):
             tree.validate()
 
+    def test_validate_rejects_probability_map_missing_a_leaf(self, binary_demo_tree):
+        del binary_demo_tree.probabilities["A"]
+        with pytest.raises(StructureError, match="probability map"):
+            binary_demo_tree.validate()
+
 
 class TestRehashCount:
     """A mutation hashes exactly the internal nodes on the changed root
@@ -482,8 +494,9 @@ class TestStructureInvariants:
         # every node except the root reachable exactly once via validate()
 
     def test_arity_bounds_enforced(self):
-        with pytest.raises(StructureError):
-            TreeConfig(1)
+        for arity in (1, 2.5, 2.0, True):
+            with pytest.raises(StructureError):
+                TreeConfig(arity)
         with pytest.raises(StructureError):
             AdaptiveTree.from_nested(["A", "B", "C"], {"A": 0.5, "B": 0.25, "C": 0.25}, TreeConfig(2))
 
@@ -504,6 +517,77 @@ class TestStructureInvariants:
         assert tree.depth(keys[-1]) == 1500
         assert tree.leaf_keys() == keys
         assert tree.root_hash() == digest
+
+
+CORRUPTIONS = ["dangling_child", "two_parents", "detached_subtree", "leaf_without_payload"]
+
+
+def corrupt(tree: AdaptiveTree, defect: str) -> None:
+    """Break ``binary_demo_tree``'s node map in place, indexes left as they were."""
+    root = tree.nodes[tree.root_id]
+    inner = tree.nodes[root.children[1]]  # [[B, D], [[C, F], [E, G]]]
+    if defect == "dangling_child":
+        inner.children[0] = "n999"
+    elif defect == "two_parents":  # [A, H] under the root and under inner
+        inner.children[0] = root.children[0]
+    elif defect == "detached_subtree":  # inner and [[C, F], [E, G]] left unreachable
+        root.children[1] = inner.children[0]
+    else:
+        tree.leaf_node("A").payload = None
+
+
+class TestCorruptedTree:
+    """Snapshot writing, the full rehash and leaf_keys() read their order
+    from the checked walk, so a corrupted node map raises StructureError
+    instead of being written, hashed or listed."""
+
+    @pytest.mark.parametrize("defect", CORRUPTIONS)
+    @pytest.mark.parametrize("call", ["to_snapshot", "recompute_all_hashes", "leaf_keys"])
+    def test_whole_tree_pass_rejects(self, binary_demo_tree, defect, call):
+        corrupt(binary_demo_tree, defect)
+        with pytest.raises(StructureError):
+            getattr(binary_demo_tree, call)()
+
+    @pytest.mark.parametrize("defect", CORRUPTIONS)
+    def test_save_raises_before_writing(self, binary_demo_tree, tmp_path, defect):
+        corrupt(binary_demo_tree, defect)
+        path = tmp_path / "tree.json"
+        with pytest.raises(StructureError):
+            binary_demo_tree.save(path)
+        assert not path.exists()
+
+
+class TestClone:
+    @pytest.mark.parametrize(
+        "container", ["nodes", "children", "probabilities", "depth", "parent", "leaf_by_key"]
+    )
+    def test_mutating_the_clone_leaves_the_original(self, binary_demo_tree, container):
+        tree = binary_demo_tree
+        snapshot, root = tree.to_snapshot(), tree.root_hash()
+        copy = tree.clone()
+        if container == "nodes":
+            copy.nodes[copy.root_id].hash = b"\x00" * 32
+            copy.nodes.pop(copy.leaf_node("A").node_id)
+        elif container == "children":
+            for node in copy.nodes.values():
+                if node.children is not None:
+                    node.children.reverse()
+            copy.recompute_all_hashes()
+        elif container == "probabilities":
+            copy.probabilities["A"] = 0.5
+        else:
+            index = {"depth": copy._depth, "parent": copy._parent, "leaf_by_key": copy._leaf_by_key}[container]
+            index.clear()
+        assert tree.to_snapshot() == snapshot
+        assert tree.root_hash() == root
+        tree.validate()
+
+    def test_fields_outside_init_are_copied_deeply(self, binary_demo_tree):
+        # A field set after construction is copied too, and not shared.
+        binary_demo_tree.log = [["A"]]
+        copy = binary_demo_tree.clone()
+        copy.log[0].append("B")
+        assert binary_demo_tree.log == [["A"]]
 
 
 class TestSnapshots:
@@ -670,6 +754,14 @@ class TestSnapshots:
         snap = binary_demo_tree.to_snapshot()
         snap["nodes"][0]["hash_hex"] = "00" * 32
         with pytest.raises(StructureError):
+            AdaptiveTree.from_snapshot(snap)
+
+    def test_hash_mismatch_names_the_first_node_children_first(self, binary_demo_tree):
+        # Hashes are compared in reversed preorder: the leaf before the root.
+        snap = binary_demo_tree.to_snapshot()
+        root, leaf = snap["nodes"][0], next(n for n in snap["nodes"] if n.get("key") == "A")
+        root["hash_hex"] = leaf["hash_hex"] = "00" * 32
+        with pytest.raises(StructureError, match=f"hash mismatch for node {leaf['id']!r}"):
             AdaptiveTree.from_snapshot(snap)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

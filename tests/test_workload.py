@@ -75,6 +75,11 @@ class TestZipf:
         with pytest.raises(ProbabilityError):
             zipf_distribution(0, 1.0)
 
+    @pytest.mark.parametrize("s", [-0.5, float("nan"), float("inf")])
+    def test_invalid_exponent(self, s):
+        with pytest.raises(ProbabilityError, match="exponent"):
+            zipf_distribution(3, s)
+
 
 class TestTable6:
     def test_entries(self, demo16):
@@ -110,6 +115,21 @@ class TestGenerateTrace:
         t2 = generate_trace(probs, 500, seed=7)
         assert t1.events == t2.events
         assert generate_trace(probs, 500, seed=8).events != t1.events
+
+    @pytest.mark.parametrize(
+        "probs, num_events",
+        [
+            ({"A": 1.0}, -1),
+            ({}, 5),
+            ({"A": float("nan"), "B": 1.0}, 5),
+            ({"A": 0.0, "B": 0.0}, 5),
+            ({"A": 0.5, "B": 0.25}, 5),
+            ({"A": 1.5, "B": -0.5}, 5),
+        ],
+    )
+    def test_bad_input_rejected(self, probs, num_events):
+        with pytest.raises(ProbabilityError):
+            generate_trace(probs, num_events, seed=1)
 
 
 class TestFiles:
