@@ -16,24 +16,18 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 from typing import Iterable, Sequence
 
 from .errors import FormatError
 
 
-if sys.version_info >= (3, 12):
-
-    def float_sum(values: Iterable[float]) -> float:
-        """Left-to-right sum, as the builtin ``sum`` adds floats before
-        Python 3.12 (from 3.12 on it compensates rounding error)."""
-        total = 0
-        for value in values:
-            total += value
-        return total
-
-else:
-    float_sum = sum
+def float_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum, as the builtin ``sum`` adds floats before Python
+    3.12 (from 3.12 on the builtin compensates rounding error)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def read_csv(path, header: Sequence[str]) -> list[tuple[str, list[str]]]:
