@@ -2,33 +2,36 @@
 
 Because node positions cannot be inferred from a leaf index in an unbalanced
 tree, every proof step records the path node's child position in its parent
-and the digests of all other children in child order. The position is where
-the running digest slots in among the siblings, so each root path has exactly
-one encoding. Steps run from the leaf to the root.
+and the digests of all other children, concatenated in child order into one
+byte string. The position is where the running digest slots in among them,
+so each root path has exactly one encoding. Steps run from the leaf to the
+root.
 
 Wire format (canonical JSON, no whitespace)::
 
     {"key": ..., "leaf_hash_hex": ...,
-     "steps": [{"position": i, "siblings": ["<hex>", ...]}]}
+     "steps": [{"position": i, "siblings": "<hex of the joined digests>"}]}
 
 :meth:`MerkleProof.to_json_bytes` is the one place that spells it: it writes
 the bytes directly, byte-identical to ``json.dumps`` of the equivalent dict
 with ``separators=(",", ":")``, which a property test checks as its oracle.
 ``proof_bytes`` is defined as the byte length of exactly that encoding.
-:meth:`MerkleProof.from_json_dict` reads each proof one way only: digests
-must be lowercase hex with no whitespace (``bytes.fromhex(h).hex() == h``),
-so every accepted proof is written back out unchanged.
+:meth:`MerkleProof.from_json_dict` reads each proof one way only: it takes
+exactly these fields, hex must be lowercase with no whitespace
+(``bytes.fromhex(h).hex() == h``) and the key must encode as UTF-8, so every
+accepted proof is written back out unchanged.
 
 Structural defects (bad positions, sibling counts or digest sizes) raise
 :class:`MalformedProofError`; a clean ``False`` from :func:`verify` always
 means the data genuinely fails to reproduce the expected root.
 
-Serving a proof is the hot path of a read workload, so each stage makes one
-pass per step: ``prove`` takes one list of child digests and drops the path
-node's slot, the writer joins a step's hex digests in one call, and the
-reader decodes and checks a step together. ``verify`` hashes each step with
-one call of the module-level :func:`hash_internal`, so wrapping that name
-counts every hash a verification makes; a test guards this.
+Serving a proof is the hot path of a read workload, and its cost is per
+object, not per byte, so a step's digests travel as one ``bytes`` object and
+one hex string: ``prove`` joins them once, the writer and the reader convert
+a step with one ``hex``/``fromhex`` call, and ``verify`` checks a step with
+one ``divmod`` of its length. ``verify`` hashes each step with one call of
+the module-level :func:`hash_internal`, so wrapping that name counts every
+hash a verification makes; a test guards this.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .tree import HASH_SIZE, AdaptiveTree, hash_internal
 @dataclass(frozen=True)
 class ProofStep:
     position: int
-    siblings: tuple[bytes, ...]
+    siblings: bytes  # the other children's 32-byte digests, joined in child order
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,7 @@ class MerkleProof:
     def to_json_bytes(self) -> bytes:
         """Canonical wire bytes; the one writer of the format."""
         steps = ",".join(
-            [
-                '{"position":%d,"siblings":[%s]}'
-                % (step.position, '"%s"' % '","'.join(map(bytes.hex, step.siblings)) if step.siblings else "")
-                for step in self.steps
-            ]
+            ['{"position":%d,"siblings":"%s"}' % (step.position, step.siblings.hex()) for step in self.steps]
         )
         wire = '{"key":%s,"leaf_hash_hex":"%s","steps":[%s]}' % (json.dumps(self.key), self.leaf_hash.hex(), steps)
         return wire.encode()
@@ -69,22 +68,22 @@ class MerkleProof:
         try:
             key, leaf_hex, raw_steps = data["key"], data["leaf_hash_hex"], data["steps"]
             leaf_hash = bytes.fromhex(leaf_hex)
-            if not isinstance(key, str) or not isinstance(raw_steps, list):
-                raise TypeError("need a string key and a step list")
+            if not isinstance(key, str) or not isinstance(raw_steps, list) or len(data) != 3:
+                raise TypeError("need a string key, a step list and no unknown fields")
+            key.encode()  # a lone surrogate raises here: no tree can hold the key
             if leaf_hash.hex() != leaf_hex:
                 raise ValueError(f"non-canonical leaf_hash_hex {leaf_hex!r}")
             steps = []
             for step in raw_steps:
-                position, hexes = step["position"], step["siblings"]
+                position, text = step["position"], step["siblings"]
                 # bool is an int subclass: JSON true must not pass as position 1
-                if type(position) is not int or not isinstance(hexes, list):
-                    raise TypeError("need integer positions and sibling lists")
-                siblings = tuple(map(bytes.fromhex, hexes))
-                # the joined text equals the digests' hex only if no digest
-                # has uppercase or whitespace: one reading per proof
-                if "".join(hexes) != b"".join(siblings).hex():
-                    raise ValueError(f"non-canonical sibling hex in {hexes!r}")
-                steps.append(ProofStep(position, siblings))
+                if type(position) is not int or len(step) != 2:
+                    raise TypeError("need integer positions and no unknown step fields")
+                blob = bytes.fromhex(text)
+                # one reading per proof: no uppercase, no whitespace
+                if blob.hex() != text:
+                    raise ValueError(f"non-canonical sibling hex {text!r}")
+                steps.append(ProofStep(position, blob))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedProofError(f"unparseable proof: {exc}") from None
         return cls(key, leaf_hash, tuple(steps))
@@ -108,21 +107,9 @@ def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
         position = children.index(nid)
         siblings = [nodes[cid].hash for cid in children]
         del siblings[position]
-        steps.append(ProofStep(position, tuple(siblings)))
+        steps.append(ProofStep(position, b"".join(siblings)))
         nid = parent_id
     return MerkleProof(leaf_key, leaf.hash, tuple(steps))
-
-
-def _check_step(step: ProofStep, arity: int) -> None:
-    # a finished tree has no single-child node, so every step has a sibling
-    if not 1 <= len(step.siblings) < arity:
-        raise MalformedProofError(f"{len(step.siblings)} siblings in a step, arity {arity}")
-    if not 0 <= step.position <= len(step.siblings):
-        raise MalformedProofError(f"position {step.position} past {len(step.siblings)} siblings")
-    # a plain loop measures faster than a set of lengths at m <= 16
-    for digest in step.siblings:
-        if len(digest) != HASH_SIZE:
-            raise MalformedProofError(f"sibling digest of {len(digest)} bytes, expected {HASH_SIZE}")
 
 
 def verify(proof: MerkleProof, expected_root: bytes, arity: int) -> bool:
@@ -137,9 +124,15 @@ def verify(proof: MerkleProof, expected_root: bytes, arity: int) -> bool:
         raise MalformedProofError(f"root hash of {len(expected_root)} bytes, expected {HASH_SIZE}")
     current = proof.leaf_hash
     for step in proof.steps:
-        _check_step(step, arity)
-        i = step.position
-        current = hash_internal(step.siblings[:i] + (current,) + step.siblings[i:])
+        blob, i = step.siblings, step.position
+        if not isinstance(blob, bytes):
+            raise MalformedProofError(f"siblings of type {type(blob).__name__}, expected bytes")
+        count, rest = divmod(len(blob), HASH_SIZE)
+        # a finished tree has no single-child node, so every step has a sibling
+        if rest or not 0 < count < arity or not 0 <= i <= count:
+            raise MalformedProofError(f"step of {len(blob)} sibling bytes at position {i}, arity {arity}")
+        cut = HASH_SIZE * i
+        current = hash_internal((blob[:cut], current, blob[cut:]))
     return current == expected_root
 
 

@@ -465,7 +465,10 @@ class AdaptiveTree:
         tree.probabilities = probabilities
         check_probabilities(probabilities)
         tree._check_cover()
-        tree._hash_children_first(tree._depth)
+        try:
+            tree._hash_children_first(tree._depth)
+        except UnicodeEncodeError as exc:  # a JSON string may hold a lone surrogate
+            raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
         for nid in reversed(tree._depth):
             if tree.nodes[nid].hash.hex() != stored_hex[nid]:
                 raise StructureError(f"hash mismatch for node {nid!r} in snapshot")

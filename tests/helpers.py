@@ -100,11 +100,20 @@ def malform_script(script: dict, field: str, value) -> dict:
     return script
 
 
-def old_format_step(step: dict) -> dict:
-    """A wire proof step in the retired form: siblings as index/hash_hex objects."""
-    indices = [i for i in range(len(step["siblings"]) + 1) if i != step["position"]]
-    siblings = [{"index": i, "hash_hex": h} for i, h in zip(indices, step["siblings"])]
-    return {"position": step["position"], "siblings": siblings}
+def split_digests(blob: bytes) -> list[bytes]:
+    """A proof step's joined sibling bytes as a list of 32-byte digests;
+    ``b"".join`` puts them back together."""
+    return [blob[i:i + 32] for i in range(0, len(blob), 32)]
+
+
+def old_format_step(step: dict, form: str) -> dict:
+    """A wire proof step in a retired form of its siblings: "hex-list" is a
+    list of hex digests, "index-objects" a list of index/hash_hex objects."""
+    hexes = [digest.hex() for digest in split_digests(bytes.fromhex(step["siblings"]))]
+    if form == "index-objects":
+        indices = [i for i in range(len(hexes) + 1) if i != step["position"]]
+        hexes = [{"index": i, "hash_hex": h} for i, h in zip(indices, hexes)]
+    return {"position": step["position"], "siblings": hexes}
 
 
 def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | None = None) -> AdaptiveTree:

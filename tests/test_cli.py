@@ -103,11 +103,12 @@ def test_verify_malformed_proof_exit_2(tmp_path, capsys):
 def test_verify_old_format_proof_exit_2(tmp_path, snapshot):
     proof_path = tmp_path / "proof.json"
     assert main(["prove", "--snapshot", str(snapshot), "--key", "A", "--out", str(proof_path)]) == 0
-    data = json.loads(proof_path.read_text(encoding="utf-8"))
-    data["steps"] = [old_format_step(step) for step in data["steps"]]
-    proof_path.write_text(json.dumps(data), encoding="utf-8")
+    wire = json.loads(proof_path.read_text(encoding="utf-8"))
     root = AdaptiveTree.load(snapshot).root_hash().hex()
-    assert main(["verify", "--proof", str(proof_path), "--root", root, "--arity", "2"]) == 2
+    for form in ["hex-list", "index-objects"]:
+        data = dict(wire, steps=[old_format_step(step, form) for step in wire["steps"]])
+        proof_path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["verify", "--proof", str(proof_path), "--root", root, "--arity", "2"]) == 2
 
 
 def test_metrics_node_without_kind_exit_2(tmp_path, snapshot):

@@ -5,7 +5,10 @@ index and the incremental swap report went in; every restructuring rule and
 float summation order since must reproduce them exactly:
 
 * ``variants_<dist>_m<m>.csv``: ``bench`` on ``demo16.csv`` and
-  ``hexary20_distribution.csv`` at m = 2, 4 and 16, default modes;
+  ``hexary20_distribution.csv`` at m = 2, 4 and 16, default modes; their
+  ``mean_proof_bytes`` column was rewritten when a proof step's sibling
+  digests became one hex string on the wire (3c - 1 bytes fewer per step
+  of c siblings), every other column unchanged;
 * ``iterations_<script>.csv``: ``replay`` of each growth script and of
   ``swap_steps_script.json``, whose three steps are a swap-only step that
   swaps, a swap-only step that finds nothing to swap, and an add step whose

@@ -24,7 +24,7 @@ from adaptive_merkle.proofs import ProofStep
 from adaptive_merkle.tree import hash_internal
 from adaptive_merkle.workload import normalize_distribution
 
-from helpers import old_format_step, random_tree
+from helpers import old_format_step, random_tree, split_digests
 
 TOL = 1e-9
 
@@ -38,7 +38,7 @@ class TestProve:
         tree = build_balanced(uniform_leaves("ABCDEFGHIJKLMNOP"), TreeConfig(2))
         proof = prove(tree, "A")
         assert len(proof.steps) == 4
-        assert sum(len(step.siblings) for step in proof.steps) == 4
+        assert sum(len(split_digests(step.siblings)) for step in proof.steps) == 4
         assert verify(proof, tree.root_hash(), 2)
 
     def test_adaptive_tree_short_proof_for_hot_leaf(self, demo16):
@@ -64,7 +64,10 @@ class TestProve:
                 nid = tree.leaf_node(key).node_id
                 for step in proof.steps:
                     parent = tree.node(tree.parent_id(nid))
-                    assert len(step.siblings) == len(parent.children) - 1
+                    assert len(split_digests(step.siblings)) == len(parent.children) - 1
+                    assert step.position == parent.children.index(nid)
+                    others = [tree.node(cid).hash for cid in parent.children if cid != nid]
+                    assert split_digests(step.siblings) == others
                     nid = parent.node_id
 
 
@@ -83,9 +86,9 @@ class TestVerify:
         key = tree.leaf_keys()[0]
         proof = prove(tree, key)
         step = proof.steps[0]
-        digest = step.siblings[0]
-        mutated = bytes([digest[0] ^ 0x01]) + digest[1:]
-        bad_step = ProofStep(step.position, (mutated,) + step.siblings[1:])
+        digests = split_digests(step.siblings)
+        digests[0] = bytes([digests[0][0] ^ 0x01]) + digests[0][1:]
+        bad_step = ProofStep(step.position, b"".join(digests))
         bad = MerkleProof(proof.key, proof.leaf_hash, (bad_step,) + proof.steps[1:])
         assert verify(bad, tree.root_hash(), 2) is False
 
@@ -97,7 +100,7 @@ class TestVerify:
 
     def test_malformed_sibling_count(self):
         # a finished node has 2..m children: 1..m-1 siblings per step
-        for siblings in [(), (b"\x00" * 32,) * 4]:
+        for siblings in [b"", b"\x00" * 32 * 4, b"\x00" * 32 * 5]:
             proof = MerkleProof("A", b"\x11" * 32, (ProofStep(0, siblings),))
             with pytest.raises(MalformedProofError):
                 verify(proof, b"\x00" * 32, 4)
@@ -105,21 +108,32 @@ class TestVerify:
     def test_malformed_index_out_of_range(self):
         # the path node's child index can only slot in before, between or
         # after the siblings
-        for position in [-1, 3]:
-            step = ProofStep(position, (b"\x00" * 32, b"\x22" * 32))
+        for position in [-1, 3, 4]:
+            step = ProofStep(position, b"\x00" * 32 + b"\x22" * 32)
             proof = MerkleProof("A", b"\x11" * 32, (step,))
             with pytest.raises(MalformedProofError):
                 verify(proof, b"\x00" * 32, 4)
 
     def test_malformed_digest_size(self):
-        step = ProofStep(0, (b"\x00" * 31,))
-        proof = MerkleProof("A", b"\x11" * 32, (step,))
-        with pytest.raises(MalformedProofError):
-            verify(proof, b"\x00" * 32, 2)
+        # sibling bytes that do not split into whole 32-byte digests
+        for size in [1, 31, 33, 63, 65]:
+            proof = MerkleProof("A", b"\x11" * 32, (ProofStep(0, b"\x00" * size),))
+            with pytest.raises(MalformedProofError):
+                verify(proof, b"\x00" * 32, 4)
         with pytest.raises(MalformedProofError):
             verify(MerkleProof("A", b"\x11" * 31, ()), b"\x11" * 31, 2)
         with pytest.raises(MalformedProofError):
             verify(MerkleProof("A", b"\x11" * 32, ()), b"\x11" * 31, 2)
+
+    @pytest.mark.parametrize(
+        "siblings",
+        [(b"\x00" * 32,), [b"\x00" * 32], bytearray(32), "00" * 32, None],
+        ids=["tuple", "list", "bytearray", "hex-str", "none"],
+    )
+    def test_siblings_not_bytes_raise_malformed(self, siblings):
+        proof = MerkleProof("A", b"\x11" * 32, (ProofStep(0, siblings),))
+        with pytest.raises(MalformedProofError, match="expected bytes"):
+            verify(proof, b"\x00" * 32, 2)
 
     def test_wrong_payload_never_verifies(self):
         # soundness fuzz: proofs for altered leaf data must fail
@@ -156,7 +170,8 @@ class TestWireFormat:
         assert data["steps"]
         for step in data["steps"]:
             assert set(step) == {"position", "siblings"}
-            assert all(isinstance(h, str) and len(h) == 64 for h in step["siblings"])
+            text = step["siblings"]
+            assert isinstance(text, str) and len(text) % 64 == 0 and text
 
     @pytest.mark.parametrize("position", [True, 1.7, "1"])
     def test_non_integer_position_raises_malformed(self, binary_demo_tree, position):
@@ -172,10 +187,11 @@ class TestWireFormat:
             MerkleProof.from_json_dict(data)
 
     def test_old_format_proof_raises_malformed(self, binary_demo_tree):
-        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
-        data["steps"] = [old_format_step(step) for step in data["steps"]]
-        with pytest.raises(MalformedProofError):
-            MerkleProof.from_json_dict(data)
+        for form in ["hex-list", "index-objects"]:
+            data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
+            data["steps"] = [old_format_step(step, form) for step in data["steps"]]
+            with pytest.raises(MalformedProofError):
+                MerkleProof.from_json_dict(data)
 
     @pytest.mark.parametrize("field", ["leaf_hash_hex", "sibling"])
     @pytest.mark.parametrize(
@@ -190,11 +206,28 @@ class TestWireFormat:
         if field == "leaf_hash_hex":
             holder, index = data, "leaf_hash_hex"
         else:
-            holder, index = data["steps"][-1]["siblings"], 0
+            holder, index = data["steps"][-1], "siblings"
         edited = edit(holder[index])
         assert edited != holder[index] and bytes.fromhex(edited) == bytes.fromhex(holder[index])
         holder[index] = edited
         with pytest.raises(MalformedProofError, match="non-canonical"):
+            MerkleProof.from_json_dict(data)
+
+    @pytest.mark.parametrize("where", ["top", "step"])
+    def test_unknown_field_raises_malformed(self, binary_demo_tree, where):
+        # a proof that is read is written back out byte for byte, so no
+        # field may be dropped on the way
+        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
+        (data if where == "top" else data["steps"][-1])["junk"] = 1
+        with pytest.raises(MalformedProofError, match="unknown"):
+            MerkleProof.from_json_dict(data)
+
+    def test_lone_surrogate_key_raises_malformed(self, binary_demo_tree):
+        # valid JSON, but no UTF-8 string: no tree can hold this key
+        wire = prove(binary_demo_tree, "C").to_json_bytes().replace(b'"key":"C"', b'"key":"\\udc00"')
+        data = json.loads(wire)
+        assert data["key"] == "\udc00"
+        with pytest.raises(MalformedProofError):
             MerkleProof.from_json_dict(data)
 
     @pytest.mark.parametrize("steps", [{}, "", None])
@@ -234,43 +267,39 @@ class TestProofMutation:
         tree, proof = case
         m = tree.config.arity
         assert verify(proof, tree.root_hash(), m)
-        steps = list(proof.steps)
+        positions = [step.position for step in proof.steps]
+        digests = [split_digests(step.siblings) for step in proof.steps]
         edits = ["flip"]
-        if steps:
+        if digests:
             edits += ["position", "drop", "add"]
-        if any(len(step.siblings) > 1 for step in steps):
+        if any(len(step) > 1 for step in digests):
             edits.append("swap")
         edit = data.draw(st.sampled_from(edits))
         leaf_hash = proof.leaf_hash
         if edit == "flip":
             where = data.draw(st.sampled_from(
-                [None] + [(k, j) for k, step in enumerate(steps) for j in range(len(step.siblings))]
+                [None] + [(k, j) for k, step in enumerate(digests) for j in range(len(step))]
             ))
             i, mask = data.draw(st.integers(0, 31)), data.draw(st.integers(1, 255))
             if where is None:
                 leaf_hash = flip_byte(leaf_hash, i, mask)
             else:
                 k, j = where
-                siblings = list(steps[k].siblings)
-                siblings[j] = flip_byte(siblings[j], i, mask)
-                steps[k] = ProofStep(steps[k].position, tuple(siblings))
+                digests[k][j] = flip_byte(digests[k][j], i, mask)
         elif edit == "swap":
-            k = data.draw(st.sampled_from([k for k, step in enumerate(steps) if len(step.siblings) > 1]))
-            siblings = list(steps[k].siblings)
-            a, b = data.draw(st.lists(st.integers(0, len(siblings) - 1), min_size=2, max_size=2, unique=True))
-            siblings[a], siblings[b] = siblings[b], siblings[a]
-            steps[k] = ProofStep(steps[k].position, tuple(siblings))
+            step = digests[data.draw(st.sampled_from([k for k, step in enumerate(digests) if len(step) > 1]))]
+            a, b = data.draw(st.lists(st.integers(0, len(step) - 1), min_size=2, max_size=2, unique=True))
+            step[a], step[b] = step[b], step[a]
         else:
-            k = data.draw(st.integers(0, len(steps) - 1))
-            position, siblings = steps[k].position, list(steps[k].siblings)
+            k = data.draw(st.integers(0, len(digests) - 1))
             if edit == "position":
-                position = data.draw(st.integers(-2, m + 1).filter(lambda p: p != steps[k].position))
+                positions[k] = data.draw(st.integers(-2, m + 1).filter(lambda p: p != positions[k]))
             elif edit == "drop":
-                del siblings[data.draw(st.integers(0, len(siblings) - 1))]
+                del digests[k][data.draw(st.integers(0, len(digests[k]) - 1))]
             else:
                 extra = data.draw(st.binary(min_size=32, max_size=32))
-                siblings.insert(data.draw(st.integers(0, len(siblings))), extra)
-            steps[k] = ProofStep(position, tuple(siblings))
+                digests[k].insert(data.draw(st.integers(0, len(digests[k]))), extra)
+        steps = [ProofStep(position, b"".join(step)) for position, step in zip(positions, digests)]
         bad = MerkleProof(proof.key, leaf_hash, tuple(steps))
         assert bad != proof
         try:
@@ -291,7 +320,7 @@ def reference_json_bytes(proof: MerkleProof) -> bytes:
     data = {
         "key": proof.key,
         "leaf_hash_hex": proof.leaf_hash.hex(),
-        "steps": [{"position": s.position, "siblings": [h.hex() for h in s.siblings]} for s in proof.steps],
+        "steps": [{"position": s.position, "siblings": s.siblings.hex()} for s in proof.steps],
     }
     return json.dumps(data, separators=(",", ":")).encode()
 
@@ -315,7 +344,7 @@ class TestWriterOracle:
 
     def test_hand_built_steps_match_json_dumps(self):
         # shapes prove never yields still get the same bytes as json.dumps
-        for steps in [(), (ProofStep(0, ()),), (ProofStep(2, (b"\x01" * 3, b"")),)]:
+        for steps in [(), (ProofStep(0, b""),), (ProofStep(2, b"\x01" * 3), ProofStep(0, b"\xab" * 64))]:
             proof = MerkleProof("k", b"\xff" * 32, steps)
             assert proof.to_json_bytes() == reference_json_bytes(proof)
 

@@ -682,6 +682,14 @@ class TestSnapshots:
         with pytest.raises(FormatError):
             AdaptiveTree.from_snapshot(snap)
 
+    def test_lone_surrogate_key_raises_format_error(self, binary_demo_tree):
+        # a lone surrogate is a valid JSON string, but it has no UTF-8 bytes to hash
+        snap = binary_demo_tree.to_snapshot()
+        next(node for node in snap["nodes"] if node.get("key") == "A")["key"] = "\udc00"
+        snap["probabilities"]["\udc00"] = snap["probabilities"].pop("A")
+        with pytest.raises(FormatError, match="UTF-8"):
+            AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
+
     def test_any_string_ids_load_and_new_ids_stay_fresh(self, binary_demo_tree):
         # "n²" passes str.isdigit() but not int(); 5000 digits pass the check
         # but exceed int()'s digit limit; "n16" is the id a 15-node tree
