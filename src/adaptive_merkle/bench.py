@@ -232,6 +232,13 @@ def load_script(path) -> ReplayScript:
         or not all(type(step.swap_iters) is int and step.swap_iters >= 0 for step in steps)
     ):
         raise FormatError(f"{what} needs an integer arity, string keys and integer swap_iters >= 0")
+    keys = [*leaves, *initial_probs, *(key for step in steps for key in step.probs)]
+    keys += [step.new_key for step in steps if step.new_key is not None]
+    try:
+        # a JSON string may hold a lone surrogate, which no leaf hash can encode
+        "".join(keys).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"{what} leaf key is not valid UTF-8: {exc}") from None
     if set(initial_probs) != set(leaves):
         raise FormatError(f"{what} initial probs must name exactly the initial leaves")
     return ReplayScript(arity, tuple(leaves), initial_probs, steps)

@@ -27,30 +27,35 @@ means the data genuinely fails to reproduce the expected root.
 
 Serving a proof is the hot path of a read workload, and its cost is per
 object, not per byte, so a step's digests travel as one ``bytes`` object and
-one hex string: ``prove`` joins them once, the writer and the reader convert
-a step with one ``hex``/``fromhex`` call, and ``verify`` checks a step with
-one ``divmod`` of its length. ``verify`` hashes each step with one call of
-the module-level :func:`hash_internal`, so wrapping that name counts every
-hash a verification makes; a test guards this.
+one hex string. Every internal node keeps its hash preimage, the children's
+digests joined in child order (``TreeNode.child_digests``, written only by
+the tree's ``_rehash``), so ``prove`` cuts the path node's 32 bytes out of
+it with two slices and hashes nothing. The writer and the reader convert a
+step with one ``hex``/``fromhex`` call, and ``verify`` checks a step with one
+``divmod`` of its length. ``verify`` hashes each step with one call of the
+module-level :func:`hash_internal`, so wrapping that name counts every hash
+a verification makes; a test guards this. :class:`ProofStep` and
+:class:`MerkleProof` are named tuples: immutable, compared and hashed by
+value, and cheaper to build than a frozen dataclass, which pays one
+``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import MalformedProofError
 from .tree import HASH_SIZE, AdaptiveTree, hash_internal
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     position: int
     siblings: bytes  # the other children's 32-byte digests, joined in child order
 
 
-@dataclass(frozen=True)
-class MerkleProof:
+class MerkleProof(NamedTuple):
     key: str
     leaf_hash: bytes
     steps: tuple[ProofStep, ...]
@@ -58,9 +63,11 @@ class MerkleProof:
     def to_json_bytes(self) -> bytes:
         """Canonical wire bytes; the one writer of the format."""
         steps = ",".join(
-            ['{"position":%d,"siblings":"%s"}' % (step.position, step.siblings.hex()) for step in self.steps]
+            ['{"position":%d,"siblings":"%s"}' % (position, siblings.hex()) for position, siblings in self.steps]
         )
-        wire = '{"key":%s,"leaf_hash_hex":"%s","steps":[%s]}' % (json.dumps(self.key), self.leaf_hash.hex(), steps)
+        # json.dumps spells a str key with this very function
+        key = encode_basestring_ascii(self.key)
+        wire = '{"key":%s,"leaf_hash_hex":"%s","steps":[%s]}' % (key, self.leaf_hash.hex(), steps)
         return wire.encode()
 
     @classmethod
@@ -103,11 +110,10 @@ def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
     nid = leaf.node_id
     while nid != root_id:
         parent_id = parent_of[nid]
-        children = nodes[parent_id].children
-        position = children.index(nid)
-        siblings = [nodes[cid].hash for cid in children]
-        del siblings[position]
-        steps.append(ProofStep(position, b"".join(siblings)))
+        parent = nodes[parent_id]
+        position = parent.children.index(nid)
+        joined, cut = parent.child_digests, HASH_SIZE * position
+        steps.append(ProofStep(position, joined[:cut] + joined[cut + HASH_SIZE :]))
         nid = parent_id
     return MerkleProof(leaf_key, leaf.hash, tuple(steps))
 
@@ -123,10 +129,12 @@ def verify(proof: MerkleProof, expected_root: bytes, arity: int) -> bool:
     if len(expected_root) != HASH_SIZE:
         raise MalformedProofError(f"root hash of {len(expected_root)} bytes, expected {HASH_SIZE}")
     current = proof.leaf_hash
-    for step in proof.steps:
-        blob, i = step.siblings, step.position
+    for i, blob in proof.steps:
         if not isinstance(blob, bytes):
             raise MalformedProofError(f"siblings of type {type(blob).__name__}, expected bytes")
+        # bool is an int subclass, and a float position cannot slice
+        if type(i) is not int:
+            raise MalformedProofError(f"position of type {type(i).__name__}, expected int")
         count, rest = divmod(len(blob), HASH_SIZE)
         # a finished tree has no single-child node, so every step has a sibling
         if rest or not 0 < count < arity or not 0 <= i <= count:

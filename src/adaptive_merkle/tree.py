@@ -8,7 +8,12 @@ with one byte of domain separation: ``0x00`` for leaves, ``0x01`` for
 internal nodes.
 
 Mutations rehash only the affected root path(s), in one climb that meets at
-their lowest common ancestor; everything else is left untouched. Next to the
+their lowest common ancestor; everything else is left untouched. Each
+internal node keeps its hash preimage, its children's digests joined in
+child order (``TreeNode.child_digests``), so a proof slices a step's
+siblings out of one byte string. ``_rehash`` is the one writer of both the
+preimage and the hash: building, every mutation, the full rehash and
+``from_snapshot`` go through it, and snapshots do not store it. Next to the
 parent pointers the tree keeps a depth index, the edge count from the root
 of every node, and a leaf-key index. ``from_nested`` fills all three as it
 builds. Every whole-tree pass goes through one checked root-down walk:
@@ -91,13 +96,16 @@ class TreeConfig:
 
 @dataclass
 class TreeNode:
-    """One node. Leaves carry ``key``/``payload``; internals carry ``children``."""
+    """One node. Leaves carry ``key``/``payload``; internals carry ``children``
+    and ``child_digests``, the children's hashes joined in child order: the
+    node's hash preimage, which ``AdaptiveTree._rehash`` alone writes."""
 
     node_id: str
     hash: bytes
     children: list[str] | None = None
     key: str | None = None
     payload: bytes | None = None
+    child_digests: bytes = b""
 
     @property
     def is_leaf(self) -> bool:
@@ -140,12 +148,12 @@ class AdaptiveTree:
         return node
 
     def _add_internal_node(self, child_ids: list[str], depth: int) -> TreeNode:
-        digest = hash_internal(self.nodes[cid].hash for cid in child_ids)
-        node = TreeNode(self._new_id(), digest, children=list(child_ids))
+        node = TreeNode(self._new_id(), b"", children=list(child_ids))
         self.nodes[node.node_id] = node
         self._depth[node.node_id] = depth
         for cid in child_ids:
             self._parent[cid] = node.node_id
+        self._rehash(node.node_id)
         return node
 
     @classmethod
@@ -227,8 +235,12 @@ class AdaptiveTree:
     # -- mutations -------------------------------------------------------------
 
     def _rehash(self, node_id: str) -> None:
-        node = self.nodes[node_id]
-        node.hash = hash_internal(self.nodes[cid].hash for cid in node.children)
+        # The one writer of child_digests: proofs slice a step's siblings
+        # out of it, so it must always be the preimage of node.hash.
+        nodes = self.nodes
+        node = nodes[node_id]
+        node.child_digests = b"".join([nodes[cid].hash for cid in node.children])
+        node.hash = hash_internal((node.child_digests,))
 
     def _rehash_up(self, a: str, b: str) -> None:
         # Rehash the internal nodes a and b and their ancestors, each once:

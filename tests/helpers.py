@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from adaptive_merkle import AdaptiveTree, TreeConfig, build_balanced
+from adaptive_merkle import AdaptiveTree, MerkleProof, TreeConfig, build_balanced
+from adaptive_merkle.proofs import ProofStep
 
 
 def random_distribution(rng: random.Random, n: int) -> dict[str, float]:
@@ -55,8 +56,10 @@ def malform(snapshot: dict, field: str, value) -> dict:
 # Iteration-script edits that must raise FormatError, as (field, value):
 # "p_A" is leaf A's initial probability, "probs" the whole initial map (the
 # script's leaves are A and B), "step_p_A" A's probability in the first
-# step, and "new_key"/"swap_iters" sit in that step too; the value MISSING
-# deletes a top-level field.
+# step, and "new_key"/"swap_iters" sit in that step too; "leaf_key" renames
+# initial leaf B in both the leaf list and the initial map, "step_key"
+# renames B in the first step's map; the value MISSING deletes a top-level
+# field.
 MALFORMED_SCRIPT = [
     ("arity", 2.7),
     ("arity", "2"),
@@ -78,6 +81,9 @@ MALFORMED_SCRIPT = [
     ("probs", {"A": 1.0}),
     ("probs", {"A": 0.875, "B": 0.125, "Z": 0.0}),
     ("steps", MISSING),
+    ("leaf_key", "\udc00"),
+    ("step_key", "\udc00"),
+    ("new_key", "\udc00"),
 ]
 
 
@@ -93,6 +99,13 @@ def malform_script(script: dict, field: str, value) -> dict:
         script["initial"]["probs"] = value
     elif field == "step_p_A":
         script["steps"][0]["probs"]["A"] = value
+    elif field == "leaf_key":
+        initial = script["initial"]
+        initial["leaves"] = [value if key == "B" else key for key in initial["leaves"]]
+        initial["probs"][value] = initial["probs"].pop("B")
+    elif field == "step_key":
+        probs = script["steps"][0]["probs"]
+        probs[value] = probs.pop("B")
     elif value is MISSING:
         del script[field]
     else:
@@ -114,6 +127,23 @@ def old_format_step(step: dict, form: str) -> dict:
         indices = [i for i in range(len(hexes) + 1) if i != step["position"]]
         hexes = [{"index": i, "hash_hex": h} for i, h in zip(indices, hexes)]
     return {"position": step["position"], "siblings": hexes}
+
+
+def reference_prove(tree: AdaptiveTree, key: str) -> MerkleProof:
+    """The proof gathered one child hash at a time and joined per step: the
+    oracle for ``prove``, which slices each step out of the parent's stored
+    preimage."""
+    leaf = tree.leaf_node(key)
+    steps = []
+    nid = leaf.node_id
+    while nid != tree.root_id:
+        parent = tree.node(tree.parent_id(nid))
+        position = parent.children.index(nid)
+        siblings = [tree.node(cid).hash for cid in parent.children]
+        del siblings[position]
+        steps.append(ProofStep(position, b"".join(siblings)))
+        nid = parent.node_id
+    return MerkleProof(key, leaf.hash, tuple(steps))
 
 
 def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | None = None) -> AdaptiveTree:

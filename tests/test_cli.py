@@ -199,6 +199,17 @@ def test_replay_malformed_script_exit_2(tmp_path, fixtures_dir, capsys, field, v
     assert not out.exists()
 
 
+def test_replay_lone_surrogate_key_exit_2(tmp_path, fixtures_dir, capsys):
+    script = json.loads((fixtures_dir / "binary_growth_script.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malform_script(script, "new_key", "\udc00")), encoding="utf-8")
+    out = tmp_path / "iters.csv"
+    assert main(["replay", "--script", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: script") and "leaf key is not valid UTF-8" in err
+    assert not out.exists()
+
+
 def test_byte_identical_outputs(tmp_path, dist_csv):
     out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
     for out in (out1, out2):

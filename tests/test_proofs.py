@@ -125,6 +125,13 @@ class TestVerify:
         with pytest.raises(MalformedProofError):
             verify(MerkleProof("A", b"\x11" * 32, ()), b"\x11" * 31, 2)
 
+    @pytest.mark.parametrize("position", [1.0, True])
+    def test_position_not_int_raises_malformed(self, position):
+        # both pass 0 <= position <= count; a float cannot slice the siblings
+        proof = MerkleProof("A", b"\x11" * 32, (ProofStep(position, b"\x00" * 64),))
+        with pytest.raises(MalformedProofError, match="expected int"):
+            verify(proof, b"\x00" * 32, 4)
+
     @pytest.mark.parametrize(
         "siblings",
         [(b"\x00" * 32,), [b"\x00" * 32], bytearray(32), "00" * 32, None],
@@ -374,6 +381,37 @@ class TestTracerCounts:
                 # positional, as the benchmark workloads call it
                 assert verify(received, tree.root_hash(), tree.config.arity)
                 assert len(calls) == len(proof.steps)
+
+
+class TestRecords:
+    """Proof records are immutable values: equal fields, equal and
+    equally hashed records, however they were built."""
+
+    @pytest.mark.parametrize("field", ["key", "leaf_hash", "steps"])
+    def test_proof_fields_cannot_be_assigned(self, binary_demo_tree, field):
+        proof = prove(binary_demo_tree, "C")
+        with pytest.raises(AttributeError):
+            setattr(proof, field, getattr(proof, field))
+
+    @pytest.mark.parametrize("field", ["position", "siblings"])
+    def test_step_fields_cannot_be_assigned(self, binary_demo_tree, field):
+        step = prove(binary_demo_tree, "C").steps[0]
+        with pytest.raises(AttributeError):
+            setattr(step, field, getattr(step, field))
+
+    def test_equal_proofs_hash_equal(self, quad_demo_tree):
+        for key in quad_demo_tree.leaf_keys():
+            proof = prove(quad_demo_tree, key)
+            received = MerkleProof.from_json_dict(json.loads(proof.to_json_bytes()))
+            assert received == proof and received is not proof
+            assert hash(received) == hash(proof)
+            assert {proof, received, prove(quad_demo_tree, key)} == {proof}
+
+    def test_non_string_key_not_written(self):
+        # from_json_dict never yields such a key: a hand-built one cannot verify
+        proof = MerkleProof(["k"], b"\xff" * 32, ())
+        with pytest.raises(TypeError):
+            proof.to_json_bytes()
 
 
 class TestVerificationCost:

@@ -20,11 +20,20 @@ from adaptive_merkle import (
     TreeConfig,
     UnknownKeyError,
     build_balanced,
+    prove,
 )
 import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
 
-from helpers import MALFORMED_TOP_LEVEL, kraft_sum, malform, open_internal_ids, random_tree, walked_depths
+from helpers import (
+    MALFORMED_TOP_LEVEL,
+    kraft_sum,
+    malform,
+    open_internal_ids,
+    random_tree,
+    reference_prove,
+    walked_depths,
+)
 
 
 def make_leaves(keys, probs=None):
@@ -365,11 +374,21 @@ class TestHashLocality:
 
 def apply_ops(tree, ops, check=None):
     """Apply (kind, i, j) mutations, choosing targets by index modulo the
-    current leaves or open nodes; calls ``check(tree)`` after each one."""
+    current leaves or open nodes; calls ``check(tree)`` after each one.
+    After "snapshot" or "clone" the ops go on with a tree loaded from the
+    snapshot or a clone; "recompute" appends a byte to a leaf payload and
+    rehashes the whole tree."""
     for n, (kind, i, j) in enumerate(ops):
         keys = tree.leaf_keys()
         open_nodes = open_internal_ids(tree)
-        if kind == "attach" and open_nodes:
+        if kind == "snapshot":
+            tree = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
+        elif kind == "clone":
+            tree = tree.clone()
+        elif kind == "recompute":
+            tree.leaf_node(keys[i % len(keys)]).payload += bytes([j % 256])
+            tree.recompute_all_hashes()
+        elif kind == "attach" and open_nodes:
             tree.attach_leaf(open_nodes[i % len(open_nodes)], f"x{n:03d}", b"x")
         elif kind == "swap" and len(keys) >= 2:
             a, b = keys[i % len(keys)], keys[j % len(keys)]
@@ -386,6 +405,42 @@ mutation_ops = st.lists(
     st.tuples(st.sampled_from(["split", "attach", "swap"]), st.integers(0, 999), st.integers(0, 999)),
     max_size=30,
 )
+
+
+def check_stored_digests(tree):
+    """Every internal node keeps its children's hashes joined as its hash
+    preimage, and every proof equals the one gathered child by child."""
+    for node in tree.nodes.values():
+        if node.is_leaf:
+            assert node.hash == hash_leaf(node.key, node.payload)
+            assert node.child_digests == b""
+        else:
+            child_hashes = [tree.nodes[cid].hash for cid in node.children]
+            assert node.child_digests == b"".join(child_hashes)
+            assert node.hash == hash_internal(child_hashes)
+    for key in tree.leaf_keys():
+        assert prove(tree, key) == reference_prove(tree, key)
+
+
+class TestStoredDigests:
+    @given(
+        st.sampled_from([2, 3, 4, 16]),
+        st.integers(1, 12),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["split", "attach", "swap", "snapshot", "clone", "recompute"]),
+                st.integers(0, 999),
+                st.integers(0, 999),
+            ),
+            max_size=20,
+        ),
+        st.randoms(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_preimage_follows_every_mutation(self, m, n, ops, rnd):
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        check_stored_digests(tree)
+        apply_ops(tree, ops, check_stored_digests)
 
 
 class TestDepthIndex:
