@@ -72,6 +72,8 @@ def _cmd_optimize(args) -> int:
     outcomes = optimize_swaps(tree, max_iters=args.max_iters)
     tree.save(args.out)
     sys.stdout.write(json.dumps([o.to_json_dict() for o in outcomes], indent=2) + "\n")
+    if len(outcomes) == args.max_iters:  # the cap, not convergence, ended the loop
+        sys.stderr.write(f"stopped at --max-iters {args.max_iters}\n")
     return EXIT_OK
 
 

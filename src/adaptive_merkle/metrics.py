@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ._formats import float_sum
 from .errors import ProbabilityError
@@ -46,9 +46,9 @@ def elemental_discrepancy(p: float, l: int, m: int) -> float:
     return p * (l + log_base(p, m))
 
 
-@dataclass(frozen=True)
-class LeafStats:
-    """Probability, depth, and discrepancy contribution of one leaf."""
+class LeafStats(NamedTuple):
+    """Probability, depth, and discrepancy contribution of one leaf; an
+    immutable tuple of its fields."""
 
     key: str
     p: float
@@ -88,14 +88,15 @@ def discrepancy_report(tree: AdaptiveTree) -> MetricsReport:
     depths = tree.depths()
     per_leaf = []
     h_terms = []  # p * log_m p, in key order as entropy() sums them
+    new = tuple.__new__  # skips the per-record Python-level constructor call
     for key in sorted(depths):
         p, l = probs[key], depths[key]
         if p == 0.0:
-            per_leaf.append(LeafStats(key, p, l, 0.0))
+            per_leaf.append(new(LeafStats, (key, p, l, 0.0)))
         else:
             log_p = log_base(p, m)
             h_terms.append(p * log_p)
-            per_leaf.append(LeafStats(key, p, l, p * (l + log_p)))
+            per_leaf.append(new(LeafStats, (key, p, l, p * (l + log_p))))
     return _report(tuple(per_leaf), -float_sum(h_terms))
 
 

@@ -5,7 +5,9 @@ One iteration works in two modes:
 * add mode -- a new leaf arrives together with a fresh probability
   distribution. Candidates are one split per existing leaf plus one attach
   per internal node that still has a free child slot (one alternative per
-  node, not per slot: the slot choice cannot change any depth).
+  node, not per slot: the slot choice cannot change any depth). The scores
+  read the tree's leaf order and depth index; only a tree with a free slot
+  is walked, to find its open nodes.
 * swap mode -- no new leaf; candidates are unordered pairs of "misplaced"
   leaves (elemental discrepancy != 0) at differing depths, plus an explicit
   no-op carrying the current delta.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._formats import float_sum
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
@@ -43,9 +45,9 @@ CANDIDATE_EPS = 1e-9
 DEFAULT_MAX_ITERS = 64
 
 
-@dataclass(slots=True)
-class Alternative:
-    """One candidate restructuring with its evaluated discrepancy."""
+class Alternative(NamedTuple):
+    """One candidate restructuring with its evaluated discrepancy; an
+    immutable tuple of its fields."""
 
     kind: str
     target: tuple[str, ...]
@@ -94,13 +96,18 @@ def enumerate_add_alternatives(
     new_probs: Mapping[str, float],
     new_payload: bytes | None = None,
 ) -> list[Alternative]:
-    """All ways to place one new leaf, scored under the new distribution."""
-    leaves, open_nodes = _layout(tree)
-    depths = dict(leaves)
-    if new_key in depths:
+    """All ways to place one new leaf, scored under the new distribution.
+
+    Reads the tree's leaf order and depth index; only a tree with a free
+    child slot (never a finished m=2 tree) is walked, to find its open
+    nodes."""
+    leaf_by_key, depth = tree._leaf_by_key, tree._depth
+    if new_key in leaf_by_key:
         raise DuplicateKeyError(f"leaf key {new_key!r} already present")
-    expected = set(depths) | {new_key}
-    if set(new_probs) != expected:
+    # Key views compare in C without building sets; a mismatch is named below.
+    if not (len(new_probs) == len(leaf_by_key) + 1 and new_key in new_probs
+            and new_probs.keys() >= leaf_by_key.keys()):
+        expected = set(leaf_by_key) | {new_key}
         raise ProbabilityError(
             f"new distribution must cover the old leaves plus {new_key!r} "
             f"(missing {sorted(expected - set(new_probs))}, extra {sorted(set(new_probs) - expected)})"
@@ -114,18 +121,23 @@ def enumerate_add_alternatives(
     log2_m = math.log2(tree.config.arity)
     h = -float_sum(p * (math.log2(p) / log2_m) for p in new_probs.values() if p > 0.0)
     # Right to left: the order every recorded delta was summed in.
-    base_k = float_sum(new_probs[key] * depth for key, depth in reversed(leaves))
+    base_k = float_sum(new_probs[key] * depth[leaf_by_key[key]] for key in reversed(tree._leaf_order))
     p_new = new_probs[new_key]
     probs_copy = {k: float(v) for k, v in new_probs.items()}
+    # m * internal child slots, nodes - 1 of them filled: is one free?
+    n_nodes = len(tree.nodes)
+    open_nodes = _open_nodes(tree) if tree.config.arity * (n_nodes - len(leaf_by_key)) > n_nodes - 1 else []
     alternatives = [
         Alternative("attach", (node_id,), base_k + p_new * (node_depth + 1) - h, (min_key,),
                     new_key, new_payload, probs_copy)
         for node_id, node_depth, min_key in open_nodes
     ]
+    # tuple.__new__ skips the per-record Python-level constructor call
+    new = tuple.__new__
     alternatives += [
-        Alternative("split", (key,), base_k + new_probs[key] + p_new * (depths[key] + 1) - h, (key,),
-                    new_key, new_payload, probs_copy)
-        for key in sorted(depths)
+        new(Alternative, ("split", (key,), base_k + new_probs[key] + p_new * (depth[leaf_by_key[key]] + 1) - h,
+                          (key,), new_key, new_payload, probs_copy))
+        for key in sorted(leaf_by_key)
     ]
     return alternatives
 
@@ -281,28 +293,22 @@ def _swap_free(tree: AdaptiveTree) -> bool:
     return all(lightest[d] >= heaviest[deeper] for d, deeper in zip(order, order[1:]))
 
 
-def _layout(tree: AdaptiveTree) -> tuple[list[tuple[str, int]], list[tuple[str, int, str]]]:
-    """From one preorder pass and the tree's depth index: ``(key, depth)`` of
-    every leaf left to right, and ``(node_id, depth, smallest leaf key
-    below)`` of each internal node with a free child slot, in preorder."""
-    m, nodes, depth = tree.config.arity, tree.nodes, tree._depth
-    preorder, leaves, open_nodes = [], [], []
+def _open_nodes(tree: AdaptiveTree) -> list[tuple[str, int, str]]:
+    """``(node_id, depth, smallest leaf key below)`` of each internal node
+    with a free child slot, in preorder, from one preorder pass."""
+    m, nodes = tree.config.arity, tree.nodes
+    preorder, open_nodes = [], []
     stack = [tree.root_id]
     while stack:
         nid = stack.pop()
-        node = nodes[nid]
-        children = node.children
-        if children is None:
-            leaves.append((node.key, depth[nid]))
-        else:
+        children = nodes[nid].children
+        if children is not None:
             preorder.append(nid)
             if len(children) < m:
                 open_nodes.append(nid)
             stack += children[::-1]
-    if not open_nodes:  # a finished m=2 tree never has a free slot
-        return leaves, []
     min_key: dict[str, str] = {}
     for nid in reversed(preorder):  # children before their parent
         children = nodes[nid].children
         min_key[nid] = min(min_key[cid] if cid in min_key else nodes[cid].key for cid in children)
-    return leaves, [(nid, depth[nid], min_key[nid]) for nid in open_nodes]
+    return [(nid, tree._depth[nid], min_key[nid]) for nid in open_nodes]

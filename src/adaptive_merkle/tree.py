@@ -15,14 +15,16 @@ siblings out of one byte string. ``_rehash`` is the one writer of both the
 preimage and the hash: building, every mutation, the full rehash and
 ``from_snapshot`` go through it, and snapshots do not store it. Next to the
 parent pointers the tree keeps a depth index, the edge count from the root
-of every node, and a leaf-key index. ``from_nested`` fills all three as it
-builds. Every whole-tree pass goes through one checked root-down walk:
-``from_snapshot`` takes the indexes from it, :meth:`AdaptiveTree.validate`
-compares them with it, and snapshot writing, the full rehash and
-:meth:`AdaptiveTree.leaf_keys` read their order from it, so a corrupted tree
-raises :class:`StructureError` there instead of being written or hashed.
-Each mutation updates the indexes in O(1) (only leaves move, so no subtree
-is renumbered), and :meth:`AdaptiveTree.depths` reads the depths instead of
+of every node, a leaf-key index and the leaf order, its leaf keys left to
+right. ``from_nested`` fills all four as it builds. Every whole-tree pass
+goes through one checked root-down walk: ``from_snapshot`` takes the indexes
+from it, :meth:`AdaptiveTree.validate` compares them with it, and snapshot
+writing, the full rehash and :meth:`AdaptiveTree.leaf_keys` read their order
+from it, so a corrupted tree raises :class:`StructureError` there instead of
+being written or hashed. Each mutation updates the depth, parent and leaf-key
+indexes in O(1) (only leaves move, so no subtree is renumbered) and the leaf
+order with one O(n) C-level list scan (``list.index``/``list.insert``);
+:meth:`AdaptiveTree.depths` and add mode read the indexes instead of
 walking. The indexes are right only because of the single-writer contract:
 mutating calls need exclusive access and go through the methods here, reads
 may interleave freely between mutations.
@@ -127,6 +129,7 @@ class AdaptiveTree:
         self._parent: dict[str, str] = {}
         self._leaf_by_key: dict[str, str] = {}
         self._depth: dict[str, int] = {}  # node id -> edges from the root
+        self._leaf_order: list[str] = []  # leaf keys, left to right
         self._next_id = 1
 
     # -- construction helpers -------------------------------------------------
@@ -170,7 +173,8 @@ class AdaptiveTree:
         ``["A", [["B", "D"], ["C", "E"]]]``. Payloads default to the UTF-8
         key bytes. Nodes are created in post-order, children left to right,
         by an explicit-stack walk, so any depth builds; the walk also fills
-        the depth index.
+        the depth index and, since it creates leaves left to right, the leaf
+        order.
         """
         tree = cls(config)
         built: list[str] = []  # ids of finished subtrees whose parent is not built yet
@@ -180,6 +184,7 @@ class AdaptiveTree:
             if isinstance(spec, str):
                 payload = payloads[spec] if payloads is not None else spec.encode("utf-8")
                 built.append(tree._add_leaf_node(spec, payload, depth).node_id)
+                tree._leaf_order.append(spec)
             elif children_built:
                 child_ids = built[-len(spec) :]
                 del built[-len(spec) :]
@@ -277,6 +282,8 @@ class AdaptiveTree:
             parent.children[parent.children.index(target.node_id)] = intermediate.node_id
             self._parent[intermediate.node_id] = parent_id
             self._rehash_up(parent_id, parent_id)
+        order = self._leaf_order
+        order.insert(order.index(target_key) + 1, new_key)
         self.probabilities[new_key] = 0.0
 
     def attach_leaf(self, parent_id: str, new_key: str, new_payload: bytes) -> None:
@@ -289,10 +296,15 @@ class AdaptiveTree:
             raise StructureError(f"cannot attach to leaf node {parent_id!r}")
         if len(parent.children) >= self.config.arity:
             raise StructureError(f"node {parent_id!r} already has {self.config.arity} children")
+        rightmost = parent  # the new leaf goes right after the last leaf below parent
+        while rightmost.children is not None:
+            rightmost = self.nodes[rightmost.children[-1]]
         new_leaf = self._add_leaf_node(new_key, new_payload, self._depth[parent_id] + 1)
         parent.children.append(new_leaf.node_id)
         self._parent[new_leaf.node_id] = parent_id
         self._rehash_up(parent_id, parent_id)
+        order = self._leaf_order
+        order.insert(order.index(rightmost.key) + 1, new_key)
         self.probabilities[new_key] = 0.0
 
     def swap_leaves(self, key_a: str, key_b: str) -> None:
@@ -318,11 +330,14 @@ class AdaptiveTree:
         self._parent[node_b.node_id] = parent_a
         depth = self._depth
         depth[node_a.node_id], depth[node_b.node_id] = depth[node_b.node_id], depth[node_a.node_id]
+        order = self._leaf_order
+        i, j = order.index(key_a), order.index(key_b)
+        order[i], order[j] = key_b, key_a
         self._rehash_up(parent_a, parent_b)
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
         """Replace the leaf probability map; structure and hashes are untouched."""
-        if set(probs) != set(self._leaf_by_key):
+        if probs.keys() != self._leaf_by_key.keys():
             missing = set(self._leaf_by_key) - set(probs)
             extra = set(probs) - set(self._leaf_by_key)
             raise ProbabilityError(
@@ -353,11 +368,14 @@ class AdaptiveTree:
                 self._rehash(nid)
 
     def validate(self) -> None:
-        """Structural self-check: the shape, the three indexes the tree keeps
-        (depth, parent, leaf key) against the ones the shape gives, and the
-        probability map against the leaf keys."""
-        if self._walk_indexes() != (self._depth, self._parent, self._leaf_by_key):
-            raise StructureError("depth index, parent pointers or leaf key index out of sync with the tree shape")
+        """Structural self-check: the shape, the four indexes the tree keeps
+        (depth, parent, leaf key, leaf order) against the ones the shape
+        gives, and the probability map against the leaf keys."""
+        walked = self._walk_indexes()
+        if walked != (self._depth, self._parent, self._leaf_by_key) or list(walked[2]) != self._leaf_order:
+            raise StructureError(
+                "depth index, parent pointers, leaf key index or leaf order out of sync with the tree shape"
+            )
         self._check_cover()
 
     def _check_cover(self) -> None:
@@ -366,10 +384,10 @@ class AdaptiveTree:
 
     def _walk_indexes(self) -> tuple[dict[str, int], dict[str, str], dict[str, str]]:
         """Depth of every node (in preorder), parent of every non-root node
-        and node of every leaf key, from one root-down walk that checks the
-        shape: every child id present, each node reached once, 2..m children
-        per internal node, a key and payload on every leaf, leaf keys unique
-        and every node reachable."""
+        and node of every leaf key (left to right), from one root-down walk
+        that checks the shape: every child id present, each node reached
+        once, 2..m children per internal node, a key and payload on every
+        leaf, leaf keys unique and every node reachable."""
         nodes, m = self.nodes, self.config.arity
         if self.root_id not in nodes:
             raise StructureError("root id not present in node map")
@@ -426,7 +444,7 @@ class AdaptiveTree:
     def from_snapshot(cls, snapshot: dict) -> "AdaptiveTree":
         """Rebuild a tree from a snapshot, re-deriving and checking every hash.
 
-        One walk checks the shape and yields the three indexes; its reverse
+        One walk checks the shape and yields the four indexes; its reverse
         hashes every child before its parent, and each node is then checked
         against its ``hash_hex`` in that same order."""
         try:
@@ -474,6 +492,7 @@ class AdaptiveTree:
         tree._next_id = len(tree.nodes) + 1  # n1..nK, as saved, continue at n(K+1)
 
         tree._depth, tree._parent, tree._leaf_by_key = tree._walk_indexes()
+        tree._leaf_order = list(tree._leaf_by_key)
         tree.probabilities = probabilities
         check_probabilities(probabilities)
         tree._check_cover()

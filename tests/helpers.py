@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 
 from adaptive_merkle import AdaptiveTree, MerkleProof, TreeConfig, build_balanced
+from adaptive_merkle._formats import float_sum
+from adaptive_merkle.errors import DuplicateKeyError, ProbabilityError
 from adaptive_merkle.proofs import ProofStep
+from adaptive_merkle.restructure import Alternative
+from adaptive_merkle.tree import check_probabilities
 
 
 def random_distribution(rng: random.Random, n: int) -> dict[str, float]:
@@ -162,6 +168,36 @@ def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | No
     return tree
 
 
+def apply_ops(tree, ops, check=None):
+    """Apply (kind, i, j) mutations, choosing targets by index modulo the
+    current leaves or open nodes; calls ``check(tree)`` after each one and
+    returns the last tree. After "snapshot" or "clone" the ops go on with a
+    tree loaded from the snapshot or a clone; "recompute" appends a byte to
+    a leaf payload and rehashes the whole tree."""
+    for n, (kind, i, j) in enumerate(ops):
+        keys = tree.leaf_keys()
+        open_nodes = open_internal_ids(tree)
+        if kind == "snapshot":
+            tree = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
+        elif kind == "clone":
+            tree = tree.clone()
+        elif kind == "recompute":
+            tree.leaf_node(keys[i % len(keys)]).payload += bytes([j % 256])
+            tree.recompute_all_hashes()
+        elif kind == "attach" and open_nodes:
+            tree.attach_leaf(open_nodes[i % len(open_nodes)], f"x{n:03d}", b"x")
+        elif kind == "swap" and len(keys) >= 2:
+            a, b = keys[i % len(keys)], keys[j % len(keys)]
+            if a == b:
+                continue
+            tree.swap_leaves(a, b)
+        else:
+            tree.split_leaf(keys[i % len(keys)], f"x{n:03d}", b"x")
+        if check is not None:
+            check(tree)
+    return tree
+
+
 def random_full_tree(rng: random.Random, levels: int, m: int) -> AdaptiveTree:
     """Tree where every internal node has exactly m children (Kraft sum = 1).
 
@@ -249,3 +285,53 @@ def average_adaptive_length(table) -> float:
 def min_avg_length_for_depths(depths, probs) -> float:
     """Best assignment of the given depth multiset: big p onto small l."""
     return sum(p * d for p, d in zip(sorted(probs, reverse=True), sorted(depths), strict=True))
+
+
+def reference_add_alternatives(tree, new_key, new_probs, new_payload=None) -> list:
+    """Add mode from one preorder walk over every node: the oracle for
+    ``enumerate_add_alternatives``, which reads the tree's leaf order and
+    depth index instead. The walk gives each leaf's key and depth left to
+    right and each open node's depth and smallest leaf key; scores are
+    summed in the same order, so they match bit for bit."""
+    m, nodes = tree.config.arity, tree.nodes
+    leaves, open_nodes, preorder = [], [], []
+    stack = [(tree.root_id, 0)]
+    while stack:
+        nid, depth = stack.pop()
+        children = nodes[nid].children
+        if children is None:
+            leaves.append((nodes[nid].key, depth))
+            continue
+        preorder.append((nid, depth))
+        if len(children) < m:
+            open_nodes.append((nid, depth))
+        stack += [(cid, depth + 1) for cid in reversed(children)]
+    min_key: dict[str, str] = {}
+    for nid, _ in reversed(preorder):
+        min_key[nid] = min(min_key[cid] if cid in min_key else nodes[cid].key for cid in nodes[nid].children)
+    depths = dict(leaves)
+    if new_key in depths:
+        raise DuplicateKeyError(f"leaf key {new_key!r} already present")
+    expected = set(depths) | {new_key}
+    if set(new_probs) != expected:
+        raise ProbabilityError(
+            f"new distribution must cover the old leaves plus {new_key!r} "
+            f"(missing {sorted(expected - set(new_probs))}, extra {sorted(set(new_probs) - expected)})"
+        )
+    check_probabilities(new_probs)
+    if new_payload is None:
+        new_payload = new_key.encode("utf-8")
+    h = -float_sum(p * (math.log2(p) / math.log2(m)) for p in new_probs.values() if p > 0.0)
+    base_k = float_sum(new_probs[key] * depth for key, depth in reversed(leaves))
+    p_new = new_probs[new_key]
+    probs = {k: float(v) for k, v in new_probs.items()}
+    alternatives = [
+        Alternative("attach", (nid,), base_k + p_new * (depth + 1) - h, (min_key[nid],), new_key, new_payload, probs)
+        for nid, depth in open_nodes
+    ]
+    alternatives += [
+        Alternative("split", (key,), base_k + new_probs[key] + p_new * (depths[key] + 1) - h, (key,),
+                    new_key, new_payload, probs)
+        for key in sorted(depths)
+    ]
+    return alternatives

@@ -78,6 +78,20 @@ def test_optimize(tmp_path, snapshot, capsys):
     AdaptiveTree.load(out)
 
 
+def test_optimize_says_when_it_hits_max_iters(tmp_path, binary_demo_tree, capsys):
+    # the binary demo tree takes two swaps to settle
+    snapshot, out = tmp_path / "demo.json", tmp_path / "opt.json"
+    binary_demo_tree.save(snapshot)
+    assert main(["optimize", "--snapshot", str(snapshot), "--max-iters", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)) == 1
+    assert captured.err == "stopped at --max-iters 1\n"
+    assert main(["optimize", "--snapshot", str(snapshot), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)) == 2
+    assert captured.err == ""
+
+
 def test_prove_verify_round_trip(tmp_path, snapshot, capsys):
     proof_path = tmp_path / "proof.json"
     assert main(["prove", "--snapshot", str(snapshot), "--key", "A",

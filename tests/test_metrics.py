@@ -151,3 +151,25 @@ class TestMetricsInvariants:
 
     def test_zero_probability_leaf_contributes_zero(self):
         assert elemental_discrepancy(0.0, 5, 2) == 0.0
+
+
+class TestRecords:
+    @pytest.mark.parametrize("field", ["key", "p", "l", "delta_i"])
+    def test_leaf_stats_fields_are_read_only(self, quad_demo_tree, field):
+        stats = discrepancy_report(quad_demo_tree).per_leaf[0]
+        with pytest.raises(AttributeError):
+            setattr(stats, field, None)
+
+    def test_report_json_unchanged_on_the_demo_trees(self, binary_demo_tree, quad_demo_tree):
+        rows = lambda *leaves: [dict(zip(["key", "p", "l", "delta_i"], leaf)) for leaf in leaves]
+        assert discrepancy_report(binary_demo_tree).to_json_dict() == {
+            "k_A": 3.0, "H": 2.75, "delta": 0.25,
+            "per_leaf": rows(("A", 0.25, 2, 0.0), ("B", 0.25, 3, 0.25), ("C", 0.0625, 4, 0.0),
+                             ("D", 0.125, 3, 0.0), ("E", 0.0625, 4, 0.0), ("F", 0.125, 4, 0.125),
+                             ("G", 0.0625, 4, 0.0), ("H", 0.0625, 2, -0.125)),
+        }
+        assert discrepancy_report(quad_demo_tree).to_json_dict() == {
+            "k_A": 1.375, "H": 1.0, "delta": 0.375,
+            "per_leaf": rows(("A", 0.5, 1, 0.25), ("B", 0.25, 2, 0.25), ("C", 0.0625, 1, -0.0625),
+                             ("D", 0.0625, 1, -0.0625), ("E", 0.0625, 2, 0.0), ("F", 0.0625, 2, 0.0)),
+        }

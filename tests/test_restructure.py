@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,14 @@ from adaptive_merkle.metrics import entropy, swapped_report
 from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS, apply_alternative
 from adaptive_merkle.workload import zipf_distribution
 
-from helpers import min_avg_length_for_depths, open_internal_ids, random_distribution, random_tree
+from helpers import (
+    apply_ops,
+    min_avg_length_for_depths,
+    open_internal_ids,
+    random_distribution,
+    random_tree,
+    reference_add_alternatives,
+)
 
 TOL = 1e-9
 
@@ -255,6 +264,116 @@ class TestEnumerateAdd:
                 else:
                     k = base_k + new_probs["zzz"] * (climbed_depth(tree, alt.target[0]) + 1)
                 assert alt.resulting_delta.hex() == (k - h).hex()
+
+
+@st.composite
+def add_cases(draw):
+    """A random tree, some of it reshaped by splits, attaches, swaps,
+    snapshot round trips and clones, and a new distribution over its leaves
+    plus "new" in which some weights, the new leaf's too, are 0."""
+    m = draw(st.sampled_from([2, 3, 4, 16]))
+    n = draw(st.integers(1, 30))
+    tree = random_tree(random.Random(draw(st.integers(0, 2**32 - 1))), n, m)
+    ops = st.tuples(st.sampled_from(["split", "attach", "swap", "snapshot", "clone"]),
+                    st.integers(0, 999), st.integers(0, 999))
+    tree = apply_ops(tree, draw(st.lists(ops, max_size=8)))
+    keys = tree.leaf_keys() + ["new"]
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(keys), max_size=len(keys)))
+    if not any(weights):
+        weights[-1] = 1
+    total = sum(weights)
+    return tree, {key: w / total for key, w in zip(keys, weights)}
+
+
+def add_record(alt):
+    return (alt.kind, alt.target, alt.resulting_delta.hex(), alt.sort_labels, alt.new_key, alt.new_payload,
+            alt.new_probs)
+
+
+class TestAddModeOracle:
+    @given(add_cases(), st.sampled_from([None, b"payload"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_walk_bit_for_bit(self, case, payload):
+        tree, probs = case
+        got = enumerate_add_alternatives(tree, "new", probs, payload)
+        want = reference_add_alternatives(tree, "new", probs, payload)
+        assert [add_record(alt) for alt in got] == [add_record(alt) for alt in want]
+
+    def test_free_slots_after_a_snapshot_load(self, quad_demo_tree):
+        loaded = AdaptiveTree.from_snapshot(quad_demo_tree.to_snapshot())
+        probs = {key: 0.125 for key in "CDEF"} | {"A": 0.25, "B": 0.0, "new": 0.25}
+        got = enumerate_add_alternatives(loaded, "new", probs)
+        assert [alt.kind for alt in got].count("attach") == 1  # B's parent; the root is full
+        assert [add_record(alt) for alt in got] == [
+            add_record(alt) for alt in reference_add_alternatives(loaded, "new", probs)
+        ]
+
+
+class TestAddKeyChecks:
+    """The messages name the keys that are missing and the ones that are extra."""
+
+    @pytest.mark.parametrize(
+        "probs, missing, extra",
+        [
+            ({"A": 0.5, "C": 0.5}, ["B"], []),
+            ({"A": 0.25, "B": 0.25, "C": 0.25, "Z": 0.25}, [], ["Z"]),
+            ({"A": 0.5, "B": 0.5}, ["C"], []),
+            ({"A": 0.25, "B": 0.25, "Z": 0.5}, ["C"], ["Z"]),
+            ({"A": 0.25, "Z": 0.25, "C": 0.5}, ["B"], ["Z"]),
+        ],
+        ids=["old_leaf_missing", "extra_key", "new_key_missing", "new_key_replaced", "old_leaf_replaced"],
+    )
+    def test_distribution_mismatch_message(self, probs, missing, extra):
+        message = f"new distribution must cover the old leaves plus 'C' (missing {missing}, extra {extra})"
+        with pytest.raises(ProbabilityError, match=f"^{re.escape(message)}$"):
+            enumerate_add_alternatives(two_leaf_tree(), "C", probs)
+
+    def test_new_key_already_a_leaf(self):
+        with pytest.raises(DuplicateKeyError, match="^leaf key 'A' already present$"):
+            enumerate_add_alternatives(two_leaf_tree(), "A", {"A": 0.5, "B": 0.25, "C": 0.25})
+
+    @pytest.mark.parametrize(
+        "probs, missing, extra",
+        [({"A": 1.0}, ["B"], []), ({"A": 0.5, "B": 0.5, "Z": 0.0}, [], ["Z"]), ({"A": 0.5, "Z": 0.5}, ["B"], ["Z"])],
+        ids=["missing", "extra", "replaced"],
+    )
+    def test_set_probabilities_mismatch_message(self, probs, missing, extra):
+        message = f"probability keys do not match tree leaves (missing {missing}, extra {extra})"
+        with pytest.raises(ProbabilityError, match=f"^{re.escape(message)}$"):
+            two_leaf_tree().set_probabilities(probs)
+
+    def test_read_only_mapping_accepted(self):
+        probs = {"A": 0.5, "B": 0.25, "C": 0.25}
+        tree = two_leaf_tree()
+        got = enumerate_add_alternatives(tree, "C", MappingProxyType(probs))
+        assert [add_record(alt) for alt in got] == [
+            add_record(alt) for alt in enumerate_add_alternatives(tree, "C", probs)
+        ]
+        tree.set_probabilities(MappingProxyType({"A": 0.25, "B": 0.75}))
+        assert tree.probabilities == {"A": 0.25, "B": 0.75}
+        assert type(tree.probabilities) is dict
+
+
+class TestRecords:
+    FIELDS = ["kind", "target", "resulting_delta", "sort_labels", "new_key", "new_payload", "new_probs"]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_alternative_fields_are_read_only(self, field):
+        alt = enumerate_add_alternatives(two_leaf_tree(), "C", {"A": 0.5, "B": 0.25, "C": 0.25})[0]
+        with pytest.raises(AttributeError):
+            setattr(alt, field, None)
+
+    def test_outcome_json_unchanged_on_the_demo_trees(self, binary_demo_tree, quad_demo_tree):
+        assert [o.to_json_dict() for o in optimize_swaps(binary_demo_tree)] == [
+            {"chosen": {"kind": "swap", "target": ["B", "H"], "delta": 0.0625}, "candidates": 4,
+             "delta_before": 0.25, "delta_after": 0.0625},
+            {"chosen": {"kind": "swap", "target": ["F", "H"], "delta": 0.0}, "candidates": 2,
+             "delta_before": 0.0625, "delta_after": 0.0},
+        ]
+        assert [o.to_json_dict() for o in optimize_swaps(quad_demo_tree)] == [
+            {"chosen": {"kind": "swap", "target": ["B", "C"], "delta": 0.1875}, "candidates": 4,
+             "delta_before": 0.375, "delta_after": 0.1875},
+        ]
 
 
 class TestEnumerateSwaps:

@@ -27,6 +27,7 @@ from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_interna
 
 from helpers import (
     MALFORMED_TOP_LEVEL,
+    apply_ops,
     kraft_sum,
     malform,
     open_internal_ids,
@@ -372,38 +373,17 @@ class TestHashLocality:
         assert payloads(tree) == sorted(before + [b"zz"])
 
 
-def apply_ops(tree, ops, check=None):
-    """Apply (kind, i, j) mutations, choosing targets by index modulo the
-    current leaves or open nodes; calls ``check(tree)`` after each one.
-    After "snapshot" or "clone" the ops go on with a tree loaded from the
-    snapshot or a clone; "recompute" appends a byte to a leaf payload and
-    rehashes the whole tree."""
-    for n, (kind, i, j) in enumerate(ops):
-        keys = tree.leaf_keys()
-        open_nodes = open_internal_ids(tree)
-        if kind == "snapshot":
-            tree = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
-        elif kind == "clone":
-            tree = tree.clone()
-        elif kind == "recompute":
-            tree.leaf_node(keys[i % len(keys)]).payload += bytes([j % 256])
-            tree.recompute_all_hashes()
-        elif kind == "attach" and open_nodes:
-            tree.attach_leaf(open_nodes[i % len(open_nodes)], f"x{n:03d}", b"x")
-        elif kind == "swap" and len(keys) >= 2:
-            a, b = keys[i % len(keys)], keys[j % len(keys)]
-            if a == b:
-                continue
-            tree.swap_leaves(a, b)
-        else:
-            tree.split_leaf(keys[i % len(keys)], f"x{n:03d}", b"x")
-        if check is not None:
-            check(tree)
-
-
 mutation_ops = st.lists(
     st.tuples(st.sampled_from(["split", "attach", "swap"]), st.integers(0, 999), st.integers(0, 999)),
     max_size=30,
+)
+every_op = st.lists(
+    st.tuples(
+        st.sampled_from(["split", "attach", "swap", "snapshot", "clone", "recompute"]),
+        st.integers(0, 999),
+        st.integers(0, 999),
+    ),
+    max_size=20,
 )
 
 
@@ -423,24 +403,33 @@ def check_stored_digests(tree):
 
 
 class TestStoredDigests:
-    @given(
-        st.sampled_from([2, 3, 4, 16]),
-        st.integers(1, 12),
-        st.lists(
-            st.tuples(
-                st.sampled_from(["split", "attach", "swap", "snapshot", "clone", "recompute"]),
-                st.integers(0, 999),
-                st.integers(0, 999),
-            ),
-            max_size=20,
-        ),
-        st.randoms(),
-    )
+    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 12), every_op, st.randoms())
     @settings(max_examples=80, deadline=None)
     def test_preimage_follows_every_mutation(self, m, n, ops, rnd):
         tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
         check_stored_digests(tree)
         apply_ops(tree, ops, check_stored_digests)
+
+
+def check_leaf_order(tree):
+    """The kept leaf order is the left-to-right order a walk gives."""
+    assert tree._leaf_order == tree.leaf_keys()
+    tree.validate()
+
+
+class TestLeafOrder:
+    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 12), every_op, st.randoms())
+    @settings(max_examples=80, deadline=None)
+    def test_follows_every_mutation(self, m, n, ops, rnd):
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        check_leaf_order(tree)
+        apply_ops(tree, ops, check_leaf_order)
+
+    def test_attach_lands_after_the_rightmost_leaf_below_its_parent(self):
+        tree = AdaptiveTree.from_nested([["A", ["B", "C"]], "D"], {k: 0.25 for k in "ABCD"}, TreeConfig(3))
+        tree.attach_leaf(tree.parent_id(tree.leaf_node("A").node_id), "E", b"")
+        assert tree._leaf_order == ["A", "B", "C", "E", "D"]
+        check_leaf_order(tree)
 
 
 class TestDepthIndex:
@@ -466,7 +455,9 @@ class TestDepthIndex:
         copy.split_leaf(copy.leaf_keys()[0], "fresh", b"")
         assert tree.depths() == walked_depths(tree)  # the clone shares no index
 
-    @pytest.mark.parametrize("corrupt", ["leaf", "internal", "root", "missing", "extra", "stale_parent", "leaf_key"])
+    @pytest.mark.parametrize(
+        "corrupt", ["leaf", "internal", "root", "missing", "extra", "stale_parent", "leaf_key", "leaf_order"]
+    )
     def test_validate_rejects_corrupted_entry(self, binary_demo_tree, corrupt):
         tree = binary_demo_tree
         index = tree._depth
@@ -482,6 +473,9 @@ class TestDepthIndex:
             tree._parent["n999"] = tree.root_id
         elif corrupt == "leaf_key":  # prove(tree, "A") would answer with B's leaf
             tree._leaf_by_key["A"] = tree._leaf_by_key["B"]
+        elif corrupt == "leaf_order":  # add mode would sum k_A in the wrong order
+            order = tree._leaf_order
+            order[0], order[-1] = order[-1], order[0]
         else:
             index["n999"] = 3
         with pytest.raises(StructureError, match="depth index"):
