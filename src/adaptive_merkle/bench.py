@@ -5,14 +5,15 @@
 * ``balanced``  -- the complete-as-possible static tree (the baseline);
 * ``adaptive``  -- leaves inserted one at a time, highest probability first,
   each placed by the minimal-discrepancy rule over the renormalized prefix
-  distribution and followed by swap passes; if that still loses to the
-  swap-optimized balanced tree, the latter is used, so the adaptive variant
-  never falls behind the baseline;
+  distribution and followed by ``optimize_swaps`` (leaf swaps and subtree
+  exchanges); if that still loses to the optimized balanced tree, the
+  latter is used, so the adaptive variant never falls behind the baseline;
 * ``huffman``   -- the tree spelled out by the optimal prefix code.
 
 ``replay_iterations`` executes a scripted sequence of add-leaf and swap
 iterations, emitting one audit row per step (alternative count, minimal
-discrepancy, chosen action).
+discrepancy, chosen action). Its swaps are the paper's leaf-swap loop,
+``optimize_leaf_swaps``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .coding import huffman_codes, tree_from_codes
 from .errors import FormatError, ProbabilityError
 from .metrics import discrepancy_report
 from .proofs import prove, verification_cost
-from .restructure import _best_swap, apply_best, enumerate_add_alternatives, optimize_swaps
+from .restructure import _best_swap, apply_best, enumerate_add_alternatives, optimize_leaf_swaps, optimize_swaps
 from .tree import AdaptiveTree, TreeConfig, build_balanced
 from .workload import normalize_distribution
 
@@ -68,7 +69,7 @@ def _variant_stats(tree: AdaptiveTree, baseline_k: float) -> VariantStats:
 def _build_adaptive(dist: Sequence[tuple[str, float]], config: TreeConfig, balanced: AdaptiveTree) -> AdaptiveTree:
     # Insert in descending probability (key as tiebreak) so early iterations
     # place the heavy leaves near the root; each insertion is followed by
-    # swap passes (add first, then swaps).
+    # exchange passes (add first, then exchanges).
     order = sorted(dist, key=lambda kv: (-kv[1], kv[0]))
     first_key = order[0][0]
     grown = build_balanced([(first_key, first_key.encode("utf-8"), 1.0)], config)
@@ -184,7 +185,7 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
             chosen_kind = chosen.kind
             chosen_target = "+".join(chosen.target)
             if step.swap_iters > 0:
-                swap_outcomes = optimize_swaps(tree, max_iters=step.swap_iters)
+                swap_outcomes = optimize_leaf_swaps(tree, max_iters=step.swap_iters)
                 if swap_outcomes:
                     min_delta = swap_outcomes[-1].delta_after
         else:
@@ -192,9 +193,9 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
                 tree.set_probabilities(step.probs)
             # alt_count is the length of the list enumerate_swap_alternatives
             # would build for this step's starting tree. _best_swap counts it
-            # without listing; optimize_swaps ran it on that tree first, and
+            # without listing; optimize_leaf_swaps ran it on that tree first, and
             # an unchanged tree (no swap applied) is counted again here.
-            swap_outcomes = optimize_swaps(tree, max_iters=max(1, step.swap_iters))
+            swap_outcomes = optimize_leaf_swaps(tree, max_iters=max(1, step.swap_iters))
             if swap_outcomes:
                 alt_count = swap_outcomes[0].candidates
                 min_delta = swap_outcomes[-1].delta_after

@@ -151,7 +151,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output snapshot path")
     p.set_defaults(func=_cmd_insert)
 
-    p = sub.add_parser("optimize", help="swap iterations until no improvement remains")
+    p = sub.add_parser("optimize", help="exchange leaves or subtrees until no improvement remains")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--out", required=True)

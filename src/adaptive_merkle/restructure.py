@@ -14,20 +14,37 @@ One iteration works in two modes:
 
 Every alternative is scored by the average discrepancy delta of the
 candidate tree. The best one wins; ties break deterministically by
-(delta, kind: attach < split < swap < no_op, ascending target labels).
+(delta, kind: attach < split < swap < exchange < no_op, ascending target
+labels).
 
-``optimize_swaps`` picks each swap without listing the pairs, as the
-first of the sorted ``enumerate_swap_alternatives`` list would be. Before
-that it checks a certificate that no swap can help: swapping a shallow
-leaf s with a deeper leaf t changes delta by (p_s - p_t)(d_t - d_s), so
-when at every depth the lightest leaf weighs at least as much as the
-heaviest leaf one occupied depth further down, every swap term is >= 0.
-Float addition rounds monotonically, so no score can then fall below the
-current delta, and the loop would stop on its first pass; it is skipped.
+Two loops repeat the best move until none improves delta. Both first check
+a certificate that no leaf swap can help: swapping a shallow leaf s with a
+deeper leaf t changes delta by (p_s - p_t)(d_t - d_s), so when at every
+depth the lightest leaf weighs at least as much as the heaviest leaf one
+occupied depth further down, every swap term is >= 0. Float addition
+rounds monotonically, so no swap score can then fall below the current
+delta, and both loops return at once.
+
+* ``optimize_swaps``, the library's loop (bench, CLI ``optimize``), then
+  exchanges two non-nested nodes, leaves or whole subtrees. With w a
+  subtree's probability, exchanging u with a deeper v changes k_A, and so
+  delta, by (w_u - w_v)(d_v - d_u): unlike a leaf swap it changes the
+  depth multiset, which is what brings grown trees to the Huffman optimum.
+  Each step takes the lightest node of one depth against the heaviest of a
+  deeper one, best pair of depths first. The certificate looks at leaves
+  only, so a swap-free tree whose subtree exchange would help, such as a
+  caterpillar over equal weights, comes back unchanged.
+* ``optimize_leaf_swaps``, the paper's loop and the audit path that
+  ``replay`` runs, swaps leaves only, among the swap-mode candidates. It
+  picks each swap without listing the pairs, as the first of the sorted
+  ``enumerate_swap_alternatives`` list would be, so its records match the
+  listing bit for bit; its candidate filter keeps zero-weight leaves where
+  they are.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -37,7 +54,7 @@ from .errors import DuplicateKeyError, ProbabilityError, StructureError
 from .metrics import MetricsReport, discrepancy_report, swapped_report
 from .tree import AdaptiveTree, check_probabilities
 
-KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "no_op": 3}
+KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "exchange": 3, "no_op": 4}
 
 # A swap is applied only if it beats the current delta by more than this.
 IMPROVEMENT_EPS = 1e-12
@@ -64,7 +81,7 @@ class Alternative(NamedTuple):
     def target_json(self):
         if self.kind == "no_op":
             return None
-        if self.kind == "swap":
+        if self.kind in ("swap", "exchange"):
             return list(self.target)
         return self.target[0]
 
@@ -182,6 +199,8 @@ def apply_alternative(tree: AdaptiveTree, alternative: Alternative) -> None:
         tree.attach_leaf(alternative.target[0], alternative.new_key, alternative.new_payload)
     elif alternative.kind == "swap":
         tree.swap_leaves(*alternative.target)
+    elif alternative.kind == "exchange":
+        tree.swap_nodes(*alternative.target)
     elif alternative.kind != "no_op":
         raise StructureError(f"unknown alternative kind {alternative.kind!r}")
     if alternative.new_probs is not None:
@@ -205,10 +224,53 @@ def apply_best(tree: AdaptiveTree, alternatives: Sequence[Alternative]) -> Alter
 
 
 def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> list[RestructureOutcome]:
-    """Repeated swap iterations until no strict improvement remains.
+    """Repeated node exchanges until no strict improvement remains.
+
+    Each step exchanges the two non-nested nodes, leaves or whole subtrees,
+    whose exchange lowers k_A (and so delta) the most: with w a subtree's
+    probability and d its depth, exchanging u with a deeper v gains
+    (w_v - w_u)(d_v - d_u). A step is applied only while its gain exceeds
+    ``IMPROVEMENT_EPS``, so delta is strictly decreasing along the returned
+    outcomes, one per applied exchange; an exchange of two leaves is a
+    ``swap`` of their keys, any other an ``exchange`` of node ids.
+
+    A swap-free tree, where the lightest leaf at each depth weighs at least
+    as much as the heaviest leaf at the next occupied depth, returns ``[]``
+    at once, as in :func:`optimize_leaf_swaps`. That exit looks at leaves
+    only, so a swap-free tree whose subtree exchange would help comes back
+    unchanged. Bad probabilities still raise first.
+    """
+    if not _may_swap(tree, max_iters):
+        return []
+    outcomes: list[RestructureOutcome] = []
+    delta = discrepancy_report(tree).delta
+    ranks = _NodeRanks(tree)
+    for _ in range(max_iters):
+        gain, pair, candidates = ranks.best_exchange()
+        if not gain > IMPROVEMENT_EPS:
+            break
+        labels = (ranks.label[pair[0]], ranks.label[pair[1]])
+        if all(tree.nodes[nid].children is None for nid in pair):
+            chosen = Alternative("swap", labels, delta - gain, labels)
+        else:
+            chosen = Alternative("exchange", pair, delta - gain, labels)
+        apply_alternative(tree, chosen)
+        ranks.exchanged(*pair)
+        outcomes.append(RestructureOutcome(chosen, candidates, delta, chosen.resulting_delta))
+        delta = chosen.resulting_delta
+    return outcomes
+
+
+def optimize_leaf_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> list[RestructureOutcome]:
+    """The paper's swap loop, the audit path that ``replay`` runs: repeated
+    leaf swaps among the ``enumerate_swap_alternatives`` candidates until no
+    strict improvement remains.
 
     Returns one outcome per applied swap; an already-optimal tree yields an
-    empty list. Delta is strictly decreasing along the sequence.
+    empty list. Delta is strictly decreasing along the sequence. Leaves
+    whose discrepancy is 0, zero-probability ones included, are no
+    candidates, and swaps keep the depth multiset, so this loop can stop
+    short of :func:`optimize_swaps`.
 
     A swap-free tree, where the lightest leaf at each depth weighs at least
     as much as the heaviest leaf at the next occupied depth, returns ``[]``
@@ -216,10 +278,7 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
     >= 0 to delta, and since float addition rounds monotonically no score
     could beat the current delta. Bad probabilities still raise first.
     """
-    if max_iters < 1:
-        raise StructureError(f"max_iters must be >= 1, got {max_iters}")
-    check_probabilities(tree.probabilities)
-    if _swap_free(tree):
+    if not _may_swap(tree, max_iters):
         return []
     outcomes: list[RestructureOutcome] = []
     report = discrepancy_report(tree)
@@ -234,6 +293,136 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
         if report.delta <= CANDIDATE_EPS:
             break
     return outcomes
+
+
+def _may_swap(tree: AdaptiveTree, max_iters: int) -> bool:
+    """Check the arguments, then whether the tree fails the swap-free test."""
+    if max_iters < 1:
+        raise StructureError(f"max_iters must be >= 1, got {max_iters}")
+    check_probabilities(tree.probabilities)
+    return not _swap_free(tree)
+
+
+class _NodeRanks:
+    """Every node's weight and label, and per depth its nodes sorted by
+    (weight, label), kept up to date across exchanges.
+
+    A leaf weighs its probability, an internal node the sum of its
+    children's weights, added in child order; a node's label is the
+    smallest leaf key below it. Nodes at one depth are disjoint subtrees
+    with distinct labels, so the first and the last entry of a depth, its
+    lightest and heaviest node, never depend on set or dict order. An
+    exchange files fresh entries for the nodes it moves or reweighs; an
+    entry whose node has since moved or changed is dropped when it reaches
+    either end.
+    """
+
+    def __init__(self, tree: AdaptiveTree) -> None:
+        self.tree = tree
+        depth, nodes, probs = tree._depth, tree.nodes, tree.probabilities
+        self.weight = weight = {nid: probs[key] for key, nid in tree._leaf_by_key.items()}
+        self.label = label = {nid: key for key, nid in tree._leaf_by_key.items()}
+        internal = [nid for nid in depth if nid not in label]
+        internal.sort(key=depth.__getitem__, reverse=True)  # children before parents
+        for nid in internal:
+            weight[nid], label[nid] = self._rank_of(nodes[nid].children)
+        self.levels: dict[int, list[tuple[float, str, str]]] = {}
+        for nid, d in depth.items():
+            if d in self.levels:
+                self.levels[d].append((weight[nid], label[nid], nid))
+            else:
+                self.levels[d] = [(weight[nid], label[nid], nid)]
+        for entries in self.levels.values():
+            entries.sort()
+
+    def _file(self, nid: str, d: int) -> None:
+        bisect.insort(self.levels.setdefault(d, []), (self.weight[nid], self.label[nid], nid))
+
+    def _rank_of(self, children: list[str]) -> tuple[float, str]:
+        weight, label = self.weight, self.label
+        w, lab = 0.0, label[children[0]]
+        for cid in children:
+            w += weight[cid]
+            if label[cid] < lab:
+                lab = label[cid]
+        return w, lab
+
+    def _rerank(self, nid: str) -> bool:
+        # recompute an internal node's weight and label; whether they changed
+        w, lab = self._rank_of(self.tree.nodes[nid].children)
+        weight, label = self.weight, self.label
+        if weight[nid] == w and label[nid] == lab:
+            return False
+        weight[nid], label[nid] = w, lab
+        self._file(nid, self.tree._depth[nid])
+        return True
+
+    def best_exchange(self) -> tuple[float, tuple[str, str] | None, int]:
+        """``(gain, node ids, candidates)`` of the exchange that lowers k_A
+        the most, ids in label order; ``(0.0, None, ...)`` if none does.
+
+        Exchanging u with a deeper v gains (w_v - w_u)(d_v - d_u), so
+        between two depths the best pair is the lightest node of the shallow
+        one and the heaviest of the deep one. Only those pairs are scored
+        (``candidates`` counts them plus the no-op). A positive gain never
+        pairs a node with an ancestor, which weighs at least as much. Ties
+        go to the smaller label pair, then the shallower depths.
+        """
+        weight, label, depth = self.weight, self.label, self.tree._depth
+        ends = []  # (depth, lightest, heaviest), root excluded: it cannot move
+        for d in sorted(self.levels):
+            entries = self.levels[d]
+            for end in (0, -1):  # drop stale entries at both ends
+                while entries:
+                    w, lab, nid = entries[end]
+                    if depth[nid] == d and weight[nid] == w and label[nid] == lab:
+                        break
+                    del entries[end]
+            if not entries:
+                del self.levels[d]
+            elif d:
+                ends.append((d, entries[0][2], entries[-1][2]))
+        heaviest_below = [0.0] * len(ends)  # heaviest weight at any deeper depth
+        for i in range(len(ends) - 2, -1, -1):
+            heaviest_below[i] = max(heaviest_below[i + 1], weight[ends[i + 1][2]])
+        best_gain, best, best_key = 0.0, None, None
+        for i, (d_u, u, _) in enumerate(ends):
+            w_u = weight[u]
+            if heaviest_below[i] <= w_u:  # no deeper node outweighs the lightest here
+                continue
+            for d_v, _, v in ends[i + 1 :]:
+                gain = (weight[v] - w_u) * (d_v - d_u)
+                if gain <= 0.0 or gain < best_gain:
+                    continue
+                pair = (u, v) if label[u] < label[v] else (v, u)
+                key = (label[pair[0]], label[pair[1]], d_u, d_v)
+                if gain > best_gain or key < best_key:
+                    best_gain, best, best_key = gain, pair, key
+        return best_gain, best, len(ends) * (len(ends) - 1) // 2 + 1
+
+    def exchanged(self, u: str, v: str) -> None:
+        """Update after nodes u and v traded places: every node of the two
+        subtrees is filed under its new depth, and the nodes on both root
+        paths are reranked, children before parents, as the full pass would
+        rank them."""
+        nodes, depth, parent = self.tree.nodes, self.tree._depth, self.tree._parent
+        if depth[u] != depth[v]:
+            stack = [u, v]
+            while stack:
+                nid = stack.pop()
+                self._file(nid, depth[nid])
+                if nodes[nid].children is not None:
+                    stack += nodes[nid].children
+        a, b = parent[u], parent[v]
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            self._rerank(a)
+            a = parent[a]
+        nid: str | None = a
+        # an unchanged node leaves every ancestor unchanged
+        while nid is not None and self._rerank(nid):
+            nid = parent.get(nid)
 
 
 def _best_swap(report: MetricsReport) -> tuple[Alternative | None, int]:

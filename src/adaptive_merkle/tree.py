@@ -2,10 +2,10 @@
 
 An :class:`AdaptiveTree` stores key/payload leaves in an m-ary hash tree
 together with a per-leaf access probability. The tree starts balanced and is
-reshaped incrementally (leaf splits, leaf attachments, leaf swaps) so that
-frequently accessed leaves end up on short root paths. Hashing uses SHA-256
-with one byte of domain separation: ``0x00`` for leaves, ``0x01`` for
-internal nodes.
+reshaped incrementally (leaf splits, leaf attachments, exchanges of two
+leaves or whole subtrees) so that frequently accessed leaves end up on
+short root paths. Hashing uses SHA-256 with one byte of domain separation:
+``0x00`` for leaves, ``0x01`` for internal nodes.
 
 Mutations rehash only the affected root path(s), in one climb that meets at
 their lowest common ancestor; everything else is left untouched. Each
@@ -21,9 +21,12 @@ goes through one checked root-down walk: ``from_snapshot`` takes the indexes
 from it, :meth:`AdaptiveTree.validate` compares them with it, and snapshot
 writing, the full rehash and :meth:`AdaptiveTree.leaf_keys` read their order
 from it, so a corrupted tree raises :class:`StructureError` there instead of
-being written or hashed. Each mutation updates the depth, parent and leaf-key
-indexes in O(1) (only leaves move, so no subtree is renumbered) and the leaf
-order with one O(n) C-level list scan (``list.index``/``list.insert``);
+being written or hashed. A split or an attach updates the depth, parent and
+leaf-key indexes in O(1); an exchange (:meth:`AdaptiveTree.swap_nodes`, of
+which a leaf swap is the one-node case) renumbers the depths of both moved
+subtrees, O(their size), and swaps their two contiguous blocks of the leaf
+order. The leaf order costs each mutation O(n) C-level list scans
+(``list.index``/``list.insert``/slice assignment);
 :meth:`AdaptiveTree.depths` and add mode read the indexes instead of
 walking. The indexes are right only because of the single-writer contract:
 mutating calls need exclusive access and go through the methods here, reads
@@ -308,32 +311,65 @@ class AdaptiveTree:
         self.probabilities[new_key] = 0.0
 
     def swap_leaves(self, key_a: str, key_b: str) -> None:
-        """Exchange the tree positions of two leaves.
+        """Exchange the tree positions of two leaves: :meth:`swap_nodes` on
+        their nodes.
 
         Depths of the two leaves trade places; the depth multiset and all
-        probabilities are unchanged. Both root paths are rehashed, the
-        ancestors they share once.
+        probabilities are unchanged.
         """
         if key_a == key_b:
             raise StructureError(f"cannot swap leaf {key_a!r} with itself")
-        node_a = self.leaf_node(key_a)
-        node_b = self.leaf_node(key_b)
-        parent_a = self._parent.get(node_a.node_id)
-        parent_b = self._parent.get(node_b.node_id)
-        if parent_a is None or parent_b is None:
-            raise StructureError("cannot swap the root leaf")
-        slot_a = self.nodes[parent_a].children.index(node_a.node_id)
-        slot_b = self.nodes[parent_b].children.index(node_b.node_id)
-        self.nodes[parent_a].children[slot_a] = node_b.node_id
-        self.nodes[parent_b].children[slot_b] = node_a.node_id
-        self._parent[node_a.node_id] = parent_b
-        self._parent[node_b.node_id] = parent_a
-        depth = self._depth
-        depth[node_a.node_id], depth[node_b.node_id] = depth[node_b.node_id], depth[node_a.node_id]
+        self.swap_nodes(self.leaf_node(key_a).node_id, self.leaf_node(key_b).node_id)
+
+    def swap_nodes(self, a: str, b: str) -> None:
+        """Exchange the tree positions of two nodes, leaves or whole subtrees.
+
+        Neither node may be the root or contain the other. Each subtree
+        keeps its shape and moves to the other's parent slot, so its nodes'
+        depths shift by the difference of the two depths (O(subtree size))
+        and its leaves trade their contiguous block of the leaf order with
+        the other's. Both root paths are rehashed, the ancestors they share
+        once.
+        """
+        nodes, parent, depth = self.nodes, self._parent, self._depth
+        if a == b:
+            raise StructureError(f"cannot exchange node {a!r} with itself")
+        self.node(a), self.node(b)  # an unknown id raises UnknownKeyError
+        pa, pb = parent.get(a), parent.get(b)
+        if pa is None or pb is None:
+            raise StructureError("cannot exchange the root")
+        shift = depth[b] - depth[a]
+        # climb from the deeper node to the other's depth: meeting it means nested
+        deep, shallow = (b, a) if shift > 0 else (a, b)
+        for _ in range(abs(shift)):
+            deep = parent[deep]
+        if deep == shallow:
+            raise StructureError(f"cannot exchange nested nodes {a!r} and {b!r}")
         order = self._leaf_order
-        i, j = order.index(key_a), order.index(key_b)
-        order[i], order[j] = key_b, key_a
-        self._rehash_up(parent_a, parent_b)
+        blocks = []  # (start, end) of each subtree's leaves in the leaf order
+        for nid, by in ((a, shift), (b, -shift)):
+            first = last = nid
+            while (children := nodes[first].children) is not None:
+                first = children[0]
+            while (children := nodes[last].children) is not None:
+                last = children[-1]
+            start = order.index(nodes[first].key)
+            blocks.append((start, start + 1 if first == last else order.index(nodes[last].key, start) + 1))
+            if by:
+                stack = [nid]
+                while stack:
+                    cur = stack.pop()
+                    depth[cur] += by
+                    children = nodes[cur].children
+                    if children is not None:
+                        stack += children
+        children_a, children_b = nodes[pa].children, nodes[pb].children
+        slot_a, slot_b = children_a.index(a), children_b.index(b)
+        children_a[slot_a], children_b[slot_b] = b, a
+        parent[a], parent[b] = pb, pa
+        (lo, lo_end), (hi, hi_end) = sorted(blocks)
+        order[lo:hi_end] = order[hi:hi_end] + order[lo_end:hi] + order[lo:lo_end]
+        self._rehash_up(pa, pb)
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
         """Replace the leaf probability map; structure and hashes are untouched."""

@@ -20,9 +20,12 @@ float summation order since must reproduce them exactly:
   when ``apply_best`` still built the record itself.
 * ``optimize_insert_demo16_m<m>.json``/``.snapshot.json`` and
   ``metrics_insert_demo16_m<m>.json``: ``optimize`` stdout and the snapshot
-  it writes, and ``metrics`` stdout, on ``insert_demo16_m<m>.snapshot.json``
-  (1 swap at m = 2, 2 at m = 3). Written when ``from_snapshot`` still built
-  the parent pointers in a loop of its own.
+  it writes, and ``metrics`` stdout, on ``insert_demo16_m<m>.snapshot.json``.
+  The metrics files were written when ``from_snapshot`` still built the
+  parent pointers in a loop of its own. The optimize files were rewritten
+  when ``optimize_swaps`` began exchanging whole subtrees: 5 moves at m = 2
+  (k_A 4.0195 -> 3.6047, one leaf swap before) and 7 at m = 3
+  (2.6584 -> 2.4438, two leaf swaps before).
 """
 
 import pytest

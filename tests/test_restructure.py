@@ -1,8 +1,13 @@
 """Alternative enumeration, selection, and swap optimization."""
 
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -25,7 +30,13 @@ from adaptive_merkle import (
 import adaptive_merkle.restructure as restructure_mod
 from adaptive_merkle.coding import brute_force_min_avg_length, huffman_codes, tree_from_codes
 from adaptive_merkle.metrics import entropy, swapped_report
-from adaptive_merkle.restructure import CANDIDATE_EPS, IMPROVEMENT_EPS, apply_alternative
+from adaptive_merkle.restructure import (
+    CANDIDATE_EPS,
+    DEFAULT_MAX_ITERS,
+    IMPROVEMENT_EPS,
+    apply_alternative,
+    optimize_leaf_swaps,
+)
 from adaptive_merkle.workload import zipf_distribution
 
 from helpers import (
@@ -364,13 +375,13 @@ class TestRecords:
             setattr(alt, field, None)
 
     def test_outcome_json_unchanged_on_the_demo_trees(self, binary_demo_tree, quad_demo_tree):
-        assert [o.to_json_dict() for o in optimize_swaps(binary_demo_tree)] == [
+        assert [o.to_json_dict() for o in optimize_leaf_swaps(binary_demo_tree)] == [
             {"chosen": {"kind": "swap", "target": ["B", "H"], "delta": 0.0625}, "candidates": 4,
              "delta_before": 0.25, "delta_after": 0.0625},
             {"chosen": {"kind": "swap", "target": ["F", "H"], "delta": 0.0}, "candidates": 2,
              "delta_before": 0.0625, "delta_after": 0.0},
         ]
-        assert [o.to_json_dict() for o in optimize_swaps(quad_demo_tree)] == [
+        assert [o.to_json_dict() for o in optimize_leaf_swaps(quad_demo_tree)] == [
             {"chosen": {"kind": "swap", "target": ["B", "C"], "delta": 0.1875}, "candidates": 4,
              "delta_before": 0.375, "delta_after": 0.1875},
         ]
@@ -557,7 +568,7 @@ class TestSwapFreeExit:
         reports = counting(monkeypatch, "discrepancy_report")
         picks = counting(monkeypatch, "_best_swap")
         assert not swap_free_by_pairs(binary_demo_tree)
-        assert len(optimize_swaps(binary_demo_tree)) == 2
+        assert len(optimize_leaf_swaps(binary_demo_tree)) == 2
         assert len(reports) == 1 and len(picks) == 2  # delta reaches 0 after the second swap
 
     def test_bad_probabilities_still_raise(self):
@@ -566,18 +577,20 @@ class TestSwapFreeExit:
         with pytest.raises(ProbabilityError, match="non-finite probability nan for key 'B'"):
             optimize_swaps(tree)
 
-    def test_zero_probability_leaf_stays(self, monkeypatch):
+    def test_zero_probability_leaf_moves(self):
         # Z at depth 1 is lighter than A and B at depth 2, so the tree is not
-        # swap-free; but Z's discrepancy is 0, so no swap candidate holds it
-        # and the full path applies nothing. Node exchange would reach 1.5.
-        tree = AdaptiveTree.from_nested(
-            ["Z", ["A", "B"]], {"Z": 0.0, "A": 0.5, "B": 0.5}, TreeConfig(2)
-        )
-        reports = counting(monkeypatch, "discrepancy_report")
+        # swap-free. Node exchange moves Z down to Huffman's k_A 1.5, taking
+        # B, the larger (weight, label) at depth 2; the audit loop still
+        # applies nothing, since Z's discrepancy is 0 and its candidate
+        # filter holds Z out.
+        probs = {"Z": 0.0, "A": 0.5, "B": 0.5}
+        tree = AdaptiveTree.from_nested(["Z", ["A", "B"]], probs, TreeConfig(2))
+        audit = tree.clone()
         assert not restructure_mod._swap_free(tree)
-        assert optimize_swaps(tree) == []
-        assert len(reports) == 1
-        assert discrepancy_report(tree).k_a == 2.0
+        assert [o.chosen.target for o in optimize_swaps(tree)] == [("B", "Z")]
+        assert discrepancy_report(tree).k_a == 1.5
+        assert optimize_leaf_swaps(audit) == []
+        assert discrepancy_report(audit).k_a == 2.0
 
     @settings(max_examples=300, deadline=None)
     @given(swap_free_cases())
@@ -589,7 +602,7 @@ class TestSwapFreeExit:
         assert restructure_mod._swap_free(tree) is not nudged
         reference = tree.clone()
         expected = reference_optimize(reference, max_iters)
-        outcomes = optimize_swaps(tree, max_iters=max_iters)
+        outcomes = optimize_leaf_swaps(tree, max_iters=max_iters)
         steps = [
             (o.chosen.target, o.chosen.resulting_delta.hex(), o.delta_before.hex(),
              o.delta_after.hex(), o.candidates)
@@ -607,7 +620,7 @@ class TestSwapFreeExit:
 
 class TestOptimizeSwaps:
     def test_example_1_1_two_iterations_to_zero(self, binary_demo_tree):
-        outcomes = optimize_swaps(binary_demo_tree, max_iters=64)
+        outcomes = optimize_leaf_swaps(binary_demo_tree, max_iters=64)
         assert len(outcomes) == 2
         assert outcomes[0].chosen.target == ("B", "H")
         assert outcomes[1].chosen.target == ("F", "H")
@@ -615,7 +628,7 @@ class TestOptimizeSwaps:
         assert outcomes[1].delta_after == pytest.approx(0.0, abs=TOL)
 
     def test_figure_24_single_swap(self, quad_demo_tree):
-        outcomes = optimize_swaps(quad_demo_tree, max_iters=64)
+        outcomes = optimize_leaf_swaps(quad_demo_tree, max_iters=64)
         assert len(outcomes) == 1
         assert outcomes[0].chosen.target == ("B", "C")
         assert outcomes[0].delta_after == pytest.approx(0.1875, abs=TOL)
@@ -653,7 +666,7 @@ class TestOptimizeSwaps:
             if abs(reachable - oracle) > TOL:
                 continue
             applicable += 1
-            optimize_swaps(tree, max_iters=64)
+            optimize_leaf_swaps(tree, max_iters=64)
             final = discrepancy_report(tree)
             assert final.k_a == pytest.approx(oracle, abs=TOL)
         assert applicable >= 50  # the conditional case must actually occur
@@ -665,7 +678,7 @@ class TestOptimizeSwaps:
         tree, max_iters = case
         reference = tree.clone()
         expected = reference_optimize(reference, max_iters)
-        outcomes = optimize_swaps(tree, max_iters=max_iters)
+        outcomes = optimize_leaf_swaps(tree, max_iters=max_iters)
         steps = [
             (o.chosen.target, o.chosen.resulting_delta.hex(), o.delta_before.hex(),
              o.delta_after.hex(), o.candidates)
@@ -681,7 +694,7 @@ class TestOptimizeSwaps:
         # a fresh one bit for bit after every swap, and so does delta_after.
         tree, max_iters = case
         replay = tree.clone()
-        outcomes = optimize_swaps(tree, max_iters=max_iters)
+        outcomes = optimize_leaf_swaps(tree, max_iters=max_iters)
         report = discrepancy_report(replay)
         for outcome in outcomes:
             report = swapped_report(report, *outcome.chosen.target, replay.config.arity)
@@ -702,9 +715,173 @@ class TestOptimizeSwaps:
 
 class TestOutcomeSerialization:
     def test_json_shape(self, binary_demo_tree):
-        outcome = optimize_swaps(binary_demo_tree, max_iters=1)[0]
+        outcome = optimize_leaf_swaps(binary_demo_tree, max_iters=1)[0]
         data = outcome.to_json_dict()
         assert set(data) == {"chosen", "candidates", "delta_before", "delta_after"}
         assert data["candidates"] == 4  # B, F, H at three depths: 3 pairs plus the no-op
         assert set(data["chosen"]) == {"kind", "target", "delta"}
         assert data["chosen"]["target"] == ["B", "H"]
+
+
+def improving_exchanges(tree):
+    """Every exchange of two non-nested nodes that lowers k_A by more than
+    ``IMPROVEMENT_EPS``, found by trying each pair on a clone."""
+    k_a = discrepancy_report(tree).k_a
+    ids = sorted(nid for nid in tree.nodes if nid != tree.root_id)
+    found = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            trial = tree.clone()
+            try:
+                trial.swap_nodes(a, b)
+            except StructureError:  # nested
+                continue
+            if discrepancy_report(trial).k_a < k_a - IMPROVEMENT_EPS:
+                found.append((a, b))
+    return found
+
+
+DETERMINISM_SCRIPT = """
+import json, random, sys
+sys.path[:0] = sys.argv[1:3]
+from adaptive_merkle.restructure import optimize_swaps
+from helpers import random_tree
+rng = random.Random(7)
+out = []
+for _ in range(40):
+    m, n = rng.choice([2, 3, 4]), rng.randint(2, 24)
+    # few distinct dyadic weights, zeros included: equal weights are common
+    weights = [rng.choice([0, 1, 1, 2, 4]) for _ in range(n)]
+    weights[0] += 1
+    probs = {f"k{i:03d}": w / sum(weights) for i, w in enumerate(weights)}
+    tree = random_tree(rng, n, m, probs)
+    steps = [o.to_json_dict() for o in optimize_swaps(tree)]
+    out.append([steps, tree.to_snapshot()])
+print(json.dumps(out))
+"""
+
+
+class TestNodeExchange:
+    """``optimize_swaps`` exchanges whole subtrees after its swap-free exit."""
+
+    def test_grow_reaches_huffman(self):
+        # perfbench grow's loop: Zipf(1.1), hottest first, n=128, m=2
+        keys = [f"k{i:03d}" for i in range(128)]
+        probs = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
+        tree = grown_tree(probs, 2)
+        tree.validate()
+        huffman = huffman_codes(probs, 2).avg_length
+        assert discrepancy_report(tree).k_a <= 1.005 * huffman
+
+    def test_no_improving_exchange_remains(self):
+        rng = random.Random(97)
+        checked = 0
+        while checked < 60:
+            tree = random_tree(rng, rng.randint(3, 10), rng.choice([2, 3, 4]))
+            if restructure_mod._swap_free(tree):
+                continue
+            checked += 1
+            outcomes = optimize_swaps(tree)
+            assert outcomes and len(outcomes) < DEFAULT_MAX_ITERS
+            assert improving_exchanges(tree) == []
+            tree.validate()
+
+    def test_outcomes_chain_and_predict_delta(self):
+        rng = random.Random(101)
+        kinds = set()
+        for _ in range(40):
+            tree = random_tree(rng, rng.randint(3, 16), rng.choice([2, 3, 4]))
+            delta = discrepancy_report(tree).delta
+            for outcome in optimize_swaps(tree):
+                kinds.add(outcome.chosen.kind)
+                assert outcome.delta_before == delta
+                assert outcome.delta_after == outcome.chosen.resulting_delta < delta - IMPROVEMENT_EPS
+                delta = outcome.delta_after
+            assert discrepancy_report(tree).delta == pytest.approx(delta, abs=1e-12)
+        assert kinds == {"swap", "exchange"}
+
+    def test_ranks_follow_every_exchange(self):
+        # The ranks kept across exchanges equal a fresh pass, bit for bit.
+        rng = random.Random(107)
+        moves = 0
+        for _ in range(60):
+            tree = random_tree(rng, rng.randint(3, 20), rng.choice([2, 3, 4]))
+            ranks = restructure_mod._NodeRanks(tree)
+            for _ in range(6):
+                _, pair, _ = ranks.best_exchange()
+                if pair is None:
+                    break
+                tree.swap_nodes(*pair)
+                ranks.exchanged(*pair)
+                moves += 1
+                fresh = restructure_mod._NodeRanks(tree)
+                assert (ranks.weight, ranks.label) == (fresh.weight, fresh.label)
+                assert ranks.best_exchange() == fresh.best_exchange()
+                assert all(ranks.label[nid] == brute_min_key(tree, nid) for nid in tree.nodes)
+        assert moves >= 100
+
+    def test_equal_gains_go_to_the_smaller_label_pair(self):
+        # Depths 1-2 (V against [W, X], labels V, W) and depths 2-3 (A
+        # against X, the larger label of the tied W and X) both gain 0.125;
+        # (A, X) sorts first, so the deeper pair wins.
+        tree = AdaptiveTree.from_nested(
+            ["V", ["A", ["W", "X"]]], {"V": 0.375, "A": 0.125, "W": 0.25, "X": 0.25}, TreeConfig(2)
+        )
+        first = optimize_swaps(tree, max_iters=1)[0]
+        assert (first.chosen.kind, first.chosen.target) == ("swap", ("A", "X"))
+        assert first.delta_before - first.delta_after == 0.125
+
+    def test_exchange_record_names_node_ids(self):
+        # Exchanging A (0.1, depth 1) with the subtree [B, C] (0.6, depth 2)
+        # gains 0.5, more than any leaf swap (0.4): one move puts every leaf
+        # at depth 2.
+        tree = AdaptiveTree.from_nested(
+            ["A", [["B", "C"], "D"]], {"A": 0.1, "B": 0.3, "C": 0.3, "D": 0.3}, TreeConfig(2)
+        )
+        bc = tree.parent_id(tree.leaf_node("B").node_id)
+        (outcome,) = optimize_swaps(tree)
+        assert outcome.chosen.kind == "exchange"
+        assert outcome.chosen.target == (tree.leaf_node("A").node_id, bc)
+        assert outcome.chosen.sort_labels == ("A", "B")
+        assert outcome.to_json_dict()["chosen"]["target"] == list(outcome.chosen.target)
+        assert tree.depths() == {"A": 2, "B": 2, "C": 2, "D": 2}
+        assert discrepancy_report(tree).k_a == pytest.approx(2.0, abs=TOL)
+
+    def test_swap_free_tree_keeps_a_helpful_exchange(self):
+        # The exit looks at leaves only: no leaf outweighs a shallower one,
+        # so the caterpillar comes back unchanged at k_A 2.25, though
+        # exchanging A with [C, D] reaches the optimum 2.0.
+        tree = AdaptiveTree.from_nested(["A", ["B", ["C", "D"]]], {k: 0.25 for k in "ABCD"}, TreeConfig(2))
+        before = tree.root_hash()
+        assert restructure_mod._swap_free(tree)
+        assert optimize_swaps(tree) == []
+        assert tree.root_hash() == before
+        assert discrepancy_report(tree).k_a == 2.25
+        tree.swap_nodes(tree.leaf_node("A").node_id, tree.parent_id(tree.leaf_node("C").node_id))
+        assert discrepancy_report(tree).k_a == 2.0 == brute_force_min_avg_length(tree.probabilities, 2)
+
+    def test_same_result_under_any_hash_seed(self):
+        src = str(Path(restructure_mod.__file__).parents[1])
+        tests = str(Path(__file__).parent)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", DETERMINISM_SCRIPT, src, tests],
+                env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert runs[0] == runs[1]
+        assert len(json.loads(runs[0])) == 40
+
+    def test_same_result_after_a_snapshot_round_trip(self):
+        rng = random.Random(103)
+        for _ in range(40):
+            m, n = rng.choice([2, 3, 4]), rng.randint(2, 24)
+            weights = [rng.choice([0, 1, 1, 2, 4]) for _ in range(n)]
+            weights[0] += 1
+            probs = {f"k{i:03d}": w / sum(weights) for i, w in enumerate(weights)}
+            tree = random_tree(rng, n, m, probs)
+            loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
+            steps = [o.to_json_dict() for o in optimize_swaps(tree)]
+            assert [o.to_json_dict() for o in optimize_swaps(loaded)] == steps
+            assert loaded.to_snapshot() == tree.to_snapshot()

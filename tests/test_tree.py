@@ -20,7 +20,9 @@ from adaptive_merkle import (
     TreeConfig,
     UnknownKeyError,
     build_balanced,
+    discrepancy_report,
     prove,
+    verify,
 )
 import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
@@ -217,6 +219,79 @@ class TestSwapLeaves:
             tree.swap_leaves(a, b)
             assert sorted(tree.depths().values()) == before
             assert tree.depth(a) == db and tree.depth(b) == da
+
+
+def subtree_weight(tree, node_id):
+    node = tree.nodes[node_id]
+    if node.is_leaf:
+        return tree.probabilities[node.key]
+    return sum(subtree_weight(tree, cid) for cid in node.children)
+
+
+def nested_pair(tree, a, b):
+    """Whether one of two nodes lies on the other's root path."""
+    for low, high in ((a, b), (b, a)):
+        nid = low
+        while nid is not None:
+            if nid == high:
+                return True
+            nid = tree.parent_id(nid)
+    return False
+
+
+def tree_state(tree):
+    return (json.dumps(tree.to_snapshot()), dict(tree._depth), dict(tree._parent), list(tree._leaf_order))
+
+
+class TestSwapNodes:
+    @given(st.sampled_from([2, 3, 4]), st.integers(2, 16), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_exchange_keeps_every_index_and_moves_k_a_by_the_closed_form(self, m, n, rnd):
+        rng = random.Random(rnd.randint(0, 2**32))
+        tree = random_tree(rng, n, m)
+        for _ in range(4):
+            ids = sorted(nid for nid in tree.nodes if nid != tree.root_id)
+            pairs = [(a, b) for a in ids for b in ids if a < b and not nested_pair(tree, a, b)]
+            if not pairs:
+                return
+            a, b = rng.choice(pairs)
+            w_a, w_b = subtree_weight(tree, a), subtree_weight(tree, b)
+            d_a, d_b = tree._depth[a], tree._depth[b]
+            before = discrepancy_report(tree).k_a
+            tree.swap_nodes(a, b)
+            assert tree._depth[a] == d_b and tree._depth[b] == d_a
+            assert discrepancy_report(tree).k_a - before == pytest.approx((w_a - w_b) * (d_b - d_a), abs=1e-12)
+            tree.validate()
+            full = tree.clone()
+            full.recompute_all_hashes()
+            assert full.root_hash() == tree.root_hash()
+            root = tree.root_hash()
+            assert all(verify(prove(tree, key), root, m) for key in tree.leaf_keys())
+
+    @given(st.sampled_from([2, 3, 4]), st.integers(2, 16), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_root_self_and_nested_pairs_raise_and_change_nothing(self, m, n, rnd):
+        rng = random.Random(rnd.randint(0, 2**32))
+        tree = random_tree(rng, n, m)
+        before = tree_state(tree)
+        ids = sorted(tree.nodes)
+        bad = [(a, b) for a in ids for b in ids if a == b or nested_pair(tree, a, b)]
+        for a, b in rng.sample(bad, min(len(bad), 8)) + [(tree.root_id, ids[0])]:
+            with pytest.raises(StructureError):
+                tree.swap_nodes(a, b)
+            assert tree_state(tree) == before
+
+    def test_subtree_exchange_trades_leaf_blocks(self):
+        tree = AdaptiveTree.from_nested([["A", ["B", "C"]], ["D", "E"]], {k: 0.2 for k in "ABCDE"}, TreeConfig(2))
+        bc = tree.parent_id(tree.leaf_node("B").node_id)
+        tree.swap_nodes(bc, tree.leaf_node("D").node_id)
+        assert tree.leaf_keys() == tree._leaf_order == ["A", "D", "B", "C", "E"]
+        assert tree.depths() == {"A": 2, "B": 3, "C": 3, "D": 2, "E": 2}
+        tree.validate()
+
+    def test_unknown_node_fails(self, binary_demo_tree):
+        with pytest.raises(UnknownKeyError):
+            binary_demo_tree.swap_nodes(binary_demo_tree.leaf_node("A").node_id, "nope")
 
 
 class TestSetProbabilities:
