@@ -6,14 +6,17 @@
 * ``adaptive``  -- leaves inserted one at a time, highest probability first,
   each placed by the minimal-discrepancy rule over the renormalized prefix
   distribution and followed by ``optimize_swaps`` (leaf swaps and subtree
-  exchanges); if that still loses to the optimized balanced tree, the
-  latter is used, so the adaptive variant never falls behind the baseline;
+  exchanges); under the full distribution the grown tree then takes one
+  more exchange pass, without the swap-free exit. If it still loses to the
+  optimized balanced tree, the latter is used, so the adaptive variant
+  never falls behind the baseline;
 * ``huffman``   -- the tree spelled out by the optimal prefix code.
 
 ``replay_iterations`` executes a scripted sequence of add-leaf and swap
 iterations, emitting one audit row per step (alternative count, minimal
 discrepancy, chosen action). Its swaps are the paper's leaf-swap loop,
-``optimize_leaf_swaps``.
+``optimize_leaf_swaps``, and a swap step's alternative count is the length
+of the ``enumerate_swap_alternatives`` listing it picks from.
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ from .coding import huffman_codes, tree_from_codes
 from .errors import FormatError, ProbabilityError
 from .metrics import discrepancy_report
 from .proofs import prove, verification_cost
-from .restructure import _best_swap, apply_best, enumerate_add_alternatives, optimize_leaf_swaps, optimize_swaps
+from .restructure import (
+    DEFAULT_MAX_ITERS,
+    _exchange,
+    apply_best,
+    enumerate_add_alternatives,
+    enumerate_swap_alternatives,
+    optimize_leaf_swaps,
+    optimize_swaps,
+)
 from .tree import AdaptiveTree, TreeConfig, build_balanced
 from .workload import normalize_distribution
 
@@ -81,7 +92,9 @@ def _build_adaptive(dist: Sequence[tuple[str, float]], config: TreeConfig, balan
         apply_best(grown, enumerate_add_alternatives(grown, key, prefix))
         optimize_swaps(grown)
     grown.set_probabilities(dict(dist))
-    optimize_swaps(grown)
+    # One exchange pass without the swap-free exit: a tree swap-free by its
+    # leaves can still gain from exchanging subtrees.
+    _exchange(grown, DEFAULT_MAX_ITERS)
 
     # Incremental growth can still settle on a worse shape than the static
     # build; restructuring must never lose to the baseline it started from.
@@ -191,10 +204,9 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
         else:
             if step.probs:
                 tree.set_probabilities(step.probs)
-            # alt_count is the length of the list enumerate_swap_alternatives
-            # would build for this step's starting tree. _best_swap counts it
-            # without listing; optimize_leaf_swaps ran it on that tree first, and
-            # an unchanged tree (no swap applied) is counted again here.
+            # alt_count is the length of the swap listing of this step's
+            # starting tree: the first outcome's, or, when no swap was
+            # applied, that of the unchanged tree, listed again here.
             swap_outcomes = optimize_leaf_swaps(tree, max_iters=max(1, step.swap_iters))
             if swap_outcomes:
                 alt_count = swap_outcomes[0].candidates
@@ -202,9 +214,9 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
                 chosen_kind = "swap"
                 chosen_target = "+".join(swap_outcomes[-1].chosen.target)
             else:
-                report = discrepancy_report(tree)
-                alt_count = _best_swap(report)[1]
-                min_delta = report.delta
+                alternatives = enumerate_swap_alternatives(tree)
+                alt_count = len(alternatives)
+                min_delta = alternatives[-1].resulting_delta  # the no-op's
                 chosen_kind = "no_op"
                 chosen_target = ""
         records.append(IterationRecord(iteration, alt_count, min_delta, chosen_kind, chosen_target))

@@ -15,7 +15,6 @@ hits 0 exactly when every positive-probability leaf sits at depth
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -37,13 +36,6 @@ def entropy(probs: Iterable[float], m: int) -> float:
         raise ProbabilityError(f"arity must be >= 2, got {m}")
     check_probabilities(dict(enumerate(values)))
     return -float_sum(p * log_base(p, m) for p in values if p > 0.0)
-
-
-def elemental_discrepancy(p: float, l: int, m: int) -> float:
-    """Per-leaf discrepancy p * (l + log_m p); defined as 0 when p = 0."""
-    if p == 0.0:
-        return 0.0
-    return p * (l + log_base(p, m))
 
 
 class LeafStats(NamedTuple):
@@ -97,23 +89,6 @@ def discrepancy_report(tree: AdaptiveTree) -> MetricsReport:
             log_p = log_base(p, m)
             h_terms.append(p * log_p)
             per_leaf.append(new(LeafStats, (key, p, l, p * (l + log_p))))
-    return _report(tuple(per_leaf), -float_sum(h_terms))
-
-
-def swapped_report(report: MetricsReport, key_a: str, key_b: str, m: int) -> MetricsReport:
-    """``report`` after leaves ``key_a`` and ``key_b`` trade depths, as
-    :func:`discrepancy_report` would give it for the swapped tree, bit for
-    bit, without reading the tree: two leaves change, H does not, k_A is
-    summed afresh in key order."""
-    per_leaf = list(report.per_leaf)
-    i = bisect.bisect_left(per_leaf, key_a, key=lambda s: s.key)
-    j = bisect.bisect_left(per_leaf, key_b, key=lambda s: s.key)
-    a, b = per_leaf[i], per_leaf[j]
-    per_leaf[i] = LeafStats(a.key, a.p, b.l, elemental_discrepancy(a.p, b.l, m))
-    per_leaf[j] = LeafStats(b.key, b.p, a.l, elemental_discrepancy(b.p, a.l, m))
-    return _report(tuple(per_leaf), report.entropy)
-
-
-def _report(per_leaf: tuple[LeafStats, ...], h: float) -> MetricsReport:
+    h = -float_sum(h_terms)
     k_a = float_sum(s.p * s.l for s in per_leaf)
-    return MetricsReport(k_a=k_a, entropy=h, delta=k_a - h, per_leaf=per_leaf)
+    return MetricsReport(k_a=k_a, entropy=h, delta=k_a - h, per_leaf=tuple(per_leaf))

@@ -17,29 +17,25 @@ candidate tree. The best one wins; ties break deterministically by
 (delta, kind: attach < split < swap < exchange < no_op, ascending target
 labels).
 
-Two loops repeat the best move until none improves delta. Both first check
-a certificate that no leaf swap can help: swapping a shallow leaf s with a
-deeper leaf t changes delta by (p_s - p_t)(d_t - d_s), so when at every
-depth the lightest leaf weighs at least as much as the heaviest leaf one
-occupied depth further down, every swap term is >= 0. Float addition
-rounds monotonically, so no swap score can then fall below the current
-delta, and both loops return at once.
+Two loops repeat the best move until none improves delta.
 
-* ``optimize_swaps``, the library's loop (bench, CLI ``optimize``), then
+* ``optimize_swaps``, the library's loop (bench, CLI ``optimize``),
   exchanges two non-nested nodes, leaves or whole subtrees. With w a
   subtree's probability, exchanging u with a deeper v changes k_A, and so
   delta, by (w_u - w_v)(d_v - d_u): unlike a leaf swap it changes the
   depth multiset, which is what brings grown trees to the Huffman optimum.
   Each step takes the lightest node of one depth against the heaviest of a
-  deeper one, best pair of depths first. The certificate looks at leaves
+  deeper one, best pair of depths first. It first checks a certificate
+  that no leaf swap can help: swapping a shallow leaf s with a deeper leaf
+  t changes delta by (p_s - p_t)(d_t - d_s), so when at every depth the
+  lightest leaf weighs at least as much as the heaviest leaf one occupied
+  depth further down, it returns at once. The certificate looks at leaves
   only, so a swap-free tree whose subtree exchange would help, such as a
   caterpillar over equal weights, comes back unchanged.
 * ``optimize_leaf_swaps``, the paper's loop and the audit path that
-  ``replay`` runs, swaps leaves only, among the swap-mode candidates. It
-  picks each swap without listing the pairs, as the first of the sorted
-  ``enumerate_swap_alternatives`` list would be, so its records match the
-  listing bit for bit; its candidate filter keeps zero-weight leaves where
-  they are.
+  ``replay`` runs, swaps leaves only: each step lists
+  ``enumerate_swap_alternatives`` and applies the first by ``rank_key``.
+  Its candidate filter keeps zero-weight leaves where they are.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._formats import float_sum
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
-from .metrics import MetricsReport, discrepancy_report, swapped_report
+from .metrics import discrepancy_report
 from .tree import AdaptiveTree, check_probabilities
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "exchange": 3, "no_op": 4}
@@ -236,12 +232,21 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
 
     A swap-free tree, where the lightest leaf at each depth weighs at least
     as much as the heaviest leaf at the next occupied depth, returns ``[]``
-    at once, as in :func:`optimize_leaf_swaps`. That exit looks at leaves
-    only, so a swap-free tree whose subtree exchange would help comes back
-    unchanged. Bad probabilities still raise first.
+    at once. That exit looks at leaves only, so a swap-free tree whose
+    subtree exchange would help comes back unchanged. Bad probabilities
+    still raise first.
     """
-    if not _may_swap(tree, max_iters):
+    if max_iters < 1:
+        raise StructureError(f"max_iters must be >= 1, got {max_iters}")
+    check_probabilities(tree.probabilities)
+    if _swap_free(tree):
         return []
+    return _exchange(tree, max_iters)
+
+
+def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
+    """The exchange loop of :func:`optimize_swaps`, without its checks and
+    its swap-free exit."""
     outcomes: list[RestructureOutcome] = []
     delta = discrepancy_report(tree).delta
     ranks = _NodeRanks(tree)
@@ -262,45 +267,33 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
 
 
 def optimize_leaf_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> list[RestructureOutcome]:
-    """The paper's swap loop, the audit path that ``replay`` runs: repeated
-    leaf swaps among the ``enumerate_swap_alternatives`` candidates until no
-    strict improvement remains.
+    """The paper's swap loop, the audit path that ``replay`` runs: list the
+    ``enumerate_swap_alternatives`` of the tree, apply the first by
+    ``rank_key``, repeat until no swap strictly improves delta.
 
-    Returns one outcome per applied swap; an already-optimal tree yields an
-    empty list. Delta is strictly decreasing along the sequence. Leaves
-    whose discrepancy is 0, zero-probability ones included, are no
-    candidates, and swaps keep the depth multiset, so this loop can stop
-    short of :func:`optimize_swaps`.
-
-    A swap-free tree, where the lightest leaf at each depth weighs at least
-    as much as the heaviest leaf at the next occupied depth, returns ``[]``
-    without building a report: every swap would add (p_s - p_t)(d_t - d_s)
-    >= 0 to delta, and since float addition rounds monotonically no score
-    could beat the current delta. Bad probabilities still raise first.
+    Returns one outcome per applied swap, ``candidates`` being the length of
+    the listing it was picked from; an already-optimal tree yields an empty
+    list. Delta is strictly decreasing along the sequence, and the loop
+    stops once it is 0 (within ``CANDIDATE_EPS``). Leaves whose discrepancy
+    is 0, zero-probability ones included, are no candidates, and swaps keep
+    the depth multiset, so this loop can stop short of
+    :func:`optimize_swaps`. Bad probabilities raise.
     """
-    if not _may_swap(tree, max_iters):
-        return []
-    outcomes: list[RestructureOutcome] = []
-    report = discrepancy_report(tree)
-    for _ in range(max_iters):
-        best, candidates = _best_swap(report)
-        current = report.delta
-        if best is None or best.resulting_delta >= current - IMPROVEMENT_EPS:
-            break
-        apply_alternative(tree, best)
-        report = swapped_report(report, *best.target, tree.config.arity)
-        outcomes.append(RestructureOutcome(best, candidates, current, report.delta))
-        if report.delta <= CANDIDATE_EPS:
-            break
-    return outcomes
-
-
-def _may_swap(tree: AdaptiveTree, max_iters: int) -> bool:
-    """Check the arguments, then whether the tree fails the swap-free test."""
     if max_iters < 1:
         raise StructureError(f"max_iters must be >= 1, got {max_iters}")
-    check_probabilities(tree.probabilities)
-    return not _swap_free(tree)
+    outcomes: list[RestructureOutcome] = []
+    for _ in range(max_iters):
+        alternatives = enumerate_swap_alternatives(tree)
+        best = min(alternatives, key=lambda alt: alt.rank_key)
+        current = alternatives[-1].resulting_delta  # the no-op's
+        if best.kind == "no_op" or best.resulting_delta >= current - IMPROVEMENT_EPS:
+            break
+        apply_alternative(tree, best)
+        delta_after = discrepancy_report(tree).delta
+        outcomes.append(RestructureOutcome(best, len(alternatives), current, delta_after))
+        if delta_after <= CANDIDATE_EPS:
+            break
+    return outcomes
 
 
 class _NodeRanks:
@@ -423,43 +416,6 @@ class _NodeRanks:
         # an unchanged node leaves every ancestor unchanged
         while nid is not None and self._rerank(nid):
             nid = parent.get(nid)
-
-
-def _best_swap(report: MetricsReport) -> tuple[Alternative | None, int]:
-    """The swap that sorting ``enumerate_swap_alternatives`` ranks first, and
-    that list's length (pairs at differing depths plus the no-op).
-
-    Swapping shallow s with deeper t scores delta + (p_s - p_t)(d_t - d_s),
-    rising with p_s and falling with p_t. So per pair of levels, a row of t
-    by falling p stops at its first score above the best so far, and the
-    rows of s by rising p stop at one whose first score is. Only strict
-    losers are skipped; equal scores still fall to the label order.
-    """
-    levels: dict[int, list[tuple[float, str]]] = {}
-    for s in report.per_leaf:
-        if abs(s.delta_i) > CANDIDATE_EPS:
-            levels.setdefault(s.l, []).append((s.p, s.key))
-    sizes = [len(bucket) for bucket in levels.values()]
-    candidates = (sum(sizes) ** 2 - sum(c * c for c in sizes)) // 2 + 1
-    rising = {depth: sorted(levels[depth]) for depth in sorted(levels)}
-    order = list(rising)
-    best: tuple[float, tuple[str, ...]] = (math.inf, ())
-    for i, d_s in enumerate(order):
-        for d_t in order[i + 1 :]:
-            # (p_s - p_t) * gap is the enumerator's float for either key order.
-            gap, p_top = d_t - d_s, rising[d_t][-1][0]
-            for p_s, key_s in rising[d_s]:
-                if report.delta + (p_s - p_top) * gap > best[0]:
-                    break
-                for p_t, key_t in reversed(rising[d_t]):
-                    score = report.delta + (p_s - p_t) * gap
-                    if score > best[0]:
-                        break
-                    best = min(best, (score, tuple(sorted((key_s, key_t)))))
-    if not best[1]:
-        return None, candidates
-    delta, target = best
-    return Alternative(kind="swap", target=target, resulting_delta=delta, sort_labels=target), candidates
 
 
 def _swap_free(tree: AdaptiveTree) -> bool:

@@ -1,14 +1,21 @@
 """CLI outputs compared byte for byte with committed golden files.
 
 The files under ``fixtures/golden`` were written by the CLI before the depth
-index and the incremental swap report went in; every restructuring rule and
-float summation order since must reproduce them exactly:
+index and an incremental swap report (since deleted) went in; every
+restructuring rule and float summation order since must reproduce them
+exactly:
 
 * ``variants_<dist>_m<m>.csv``: ``bench`` on ``demo16.csv`` and
   ``hexary20_distribution.csv`` at m = 2, 4 and 16, default modes; their
   ``mean_proof_bytes`` column was rewritten when a proof step's sibling
   digests became one hex string on the wire (3c - 1 bytes fewer per step
-  of c siblings), every other column unchanged;
+  of c siblings), every other column unchanged. The ``adaptive`` rows of
+  ``variants_demo16_m2.csv`` and ``variants_demo16_m4.csv`` were rewritten
+  when the adaptive build began to end with one exchange pass without the
+  swap-free exit, whose leaf-only test had left both grown trees short of
+  a helpful subtree exchange: k_A 3.6017 -> 3.4896 (Huffman's) at m = 2
+  and 1.9386 -> 1.7958 (Huffman's) at m = 4; the other four files did not
+  change;
 * ``iterations_<script>.csv``: ``replay`` of each growth script and of
   ``swap_steps_script.json``, whose three steps are a swap-only step that
   swaps, a swap-only step that finds nothing to swap, and an add step whose

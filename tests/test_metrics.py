@@ -13,7 +13,6 @@ from adaptive_merkle import (
     discrepancy_report,
     entropy,
 )
-from adaptive_merkle.metrics import elemental_discrepancy
 from adaptive_merkle.workload import normalize_distribution
 
 from helpers import delta_by_key, dyadic_distribution, random_full_tree, random_tree
@@ -150,7 +149,14 @@ class TestMetricsInvariants:
             assert discrepancy_report(tree).delta > TOL
 
     def test_zero_probability_leaf_contributes_zero(self):
-        assert elemental_discrepancy(0.0, 5, 2) == 0.0
+        # Z sits at depth 5 with p = 0: its delta_i is 0.0, and H is that of
+        # the same tree without Z.
+        probs = {"A": 0.5, "B": 0.25, "C": 0.125, "D": 0.0625, "E": 0.0625}
+        without = AdaptiveTree.from_nested(["A", ["B", ["C", ["D", "E"]]]], probs, TreeConfig(2))
+        tree = AdaptiveTree.from_nested(["A", ["B", ["C", ["D", ["E", "Z"]]]]], {**probs, "Z": 0.0}, TreeConfig(2))
+        report = discrepancy_report(tree)
+        assert [s for s in report.per_leaf if s.key == "Z"] == [("Z", 0.0, 5, 0.0)]
+        assert report.entropy == discrepancy_report(without).entropy == 1.875
 
 
 class TestRecords:
