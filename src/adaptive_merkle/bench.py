@@ -32,9 +32,9 @@ from .proofs import prove, verification_cost
 from .restructure import (
     DEFAULT_MAX_ITERS,
     _exchange,
+    _leaf_swap_loop,
     apply_best,
     enumerate_add_alternatives,
-    enumerate_swap_alternatives,
     optimize_leaf_swaps,
     optimize_swaps,
 )
@@ -205,17 +205,14 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
             if step.probs:
                 tree.set_probabilities(step.probs)
             # alt_count is the length of the swap listing of this step's
-            # starting tree: the first outcome's, or, when no swap was
-            # applied, that of the unchanged tree, listed again here.
-            swap_outcomes = optimize_leaf_swaps(tree, max_iters=max(1, step.swap_iters))
+            # starting tree, the loop's first listing.
+            swap_outcomes, alternatives = _leaf_swap_loop(tree, max(1, step.swap_iters))
+            alt_count = len(alternatives)
             if swap_outcomes:
-                alt_count = swap_outcomes[0].candidates
                 min_delta = swap_outcomes[-1].delta_after
                 chosen_kind = "swap"
                 chosen_target = "+".join(swap_outcomes[-1].chosen.target)
             else:
-                alternatives = enumerate_swap_alternatives(tree)
-                alt_count = len(alternatives)
                 min_delta = alternatives[-1].resulting_delta  # the no-op's
                 chosen_kind = "no_op"
                 chosen_target = ""

@@ -31,10 +31,15 @@ Two loops repeat the best move until none improves delta.
   lightest leaf weighs at least as much as the heaviest leaf one occupied
   depth further down, it returns at once. The certificate looks at leaves
   only, so a swap-free tree whose subtree exchange would help, such as a
-  caterpillar over equal weights, comes back unchanged.
+  caterpillar over equal weights, comes back unchanged. Past the exit the
+  loop builds no report: it sums the starting delta as the report does
+  and subtracts each move's gain. Its moves rehash nothing; one climb at
+  the end rehashes the root paths of every parent they changed, the nodes
+  those paths share once.
 * ``optimize_leaf_swaps``, the paper's loop and the audit path that
   ``replay`` runs, swaps leaves only: each step lists
-  ``enumerate_swap_alternatives`` and applies the first by ``rank_key``.
+  ``enumerate_swap_alternatives`` and applies the first by ``rank_key``;
+  the report read after a swap serves the next step's listing.
   Its candidate filter keeps zero-weight leaves where they are.
 """
 
@@ -43,12 +48,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from ._formats import float_sum
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
-from .metrics import discrepancy_report
-from .tree import AdaptiveTree, check_probabilities
+from .metrics import MetricsReport, _summed, discrepancy_report
+from .tree import AdaptiveTree, _float_copy, check_probabilities
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "exchange": 3, "no_op": 4}
 
@@ -136,7 +142,7 @@ def enumerate_add_alternatives(
     # Right to left: the order every recorded delta was summed in.
     base_k = float_sum(new_probs[key] * depth[leaf_by_key[key]] for key in reversed(tree._leaf_order))
     p_new = new_probs[new_key]
-    probs_copy = {k: float(v) for k, v in new_probs.items()}
+    probs_copy = _float_copy(new_probs)
     # m * internal child slots, nodes - 1 of them filled: is one free?
     n_nodes = len(tree.nodes)
     open_nodes = _open_nodes(tree) if tree.config.arity * (n_nodes - len(leaf_by_key)) > n_nodes - 1 else []
@@ -162,7 +168,11 @@ def enumerate_swap_alternatives(tree: AdaptiveTree) -> list[Alternative]:
     1e-9); only pairs at differing depths are emitted since equal-depth swaps
     cannot change any path length.
     """
-    report = discrepancy_report(tree)
+    return _swap_alternatives(tree, discrepancy_report(tree))
+
+
+def _swap_alternatives(tree: AdaptiveTree, report: MetricsReport) -> list[Alternative]:
+    # enumerate_swap_alternatives from a report of the tree as it stands
     depths = {s.key: s.l for s in report.per_leaf}
     candidates = [s.key for s in report.per_leaf if abs(s.delta_i) > CANDIDATE_EPS]
 
@@ -206,15 +216,20 @@ def apply_alternative(tree: AdaptiveTree, alternative: Alternative) -> None:
 def apply_best(tree: AdaptiveTree, alternatives: Sequence[Alternative]) -> Alternative:
     """Apply the minimal-delta alternative under the deterministic total order; return it.
 
-    ``rank_key`` leads with the delta, so only the alternatives tied on the
-    lowest delta need their full keys compared.
+    ``rank_key`` leads with the delta, so a unique lowest delta, found by
+    C-level ``min``/``count``/``index`` over the deltas, wins outright; only
+    the alternatives tied on it need their full keys compared.
     """
     if not alternatives:
         raise StructureError("no restructuring alternatives given")
-    lowest = min(alt.resulting_delta for alt in alternatives)
-    tied = [alt for alt in alternatives if alt.resulting_delta == lowest]
-    # tied is empty only when a NaN delta comes first; rank all of them then
-    chosen = min(tied or alternatives, key=lambda alt: alt.rank_key)
+    deltas = list(map(itemgetter(2), alternatives))  # the resulting_delta field
+    lowest = min(deltas)
+    if lowest == lowest and deltas.count(lowest) == 1:
+        chosen = alternatives[deltas.index(lowest)]
+    else:
+        tied = [alt for alt in alternatives if alt.resulting_delta == lowest]
+        # tied is empty only when a NaN delta comes first; rank all of them then
+        chosen = min(tied or alternatives, key=lambda alt: alt.rank_key)
     apply_alternative(tree, chosen)
     return chosen
 
@@ -246,23 +261,32 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
 
 def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
     """The exchange loop of :func:`optimize_swaps`, without its checks and
-    its swap-free exit."""
+    its swap-free exit.
+
+    The moves rehash nothing: the parents they change are collected and
+    rehashed in one climb at the end, ancestors shared by several moves
+    once, also when the loop raises."""
     outcomes: list[RestructureOutcome] = []
-    delta = discrepancy_report(tree).delta
+    k_a, h, _ = _summed(tree)
+    delta = k_a - h  # discrepancy_report's delta, without building the report
     ranks = _NodeRanks(tree)
-    for _ in range(max_iters):
-        gain, pair, candidates = ranks.best_exchange()
-        if not gain > IMPROVEMENT_EPS:
-            break
-        labels = (ranks.label[pair[0]], ranks.label[pair[1]])
-        if all(tree.nodes[nid].children is None for nid in pair):
-            chosen = Alternative("swap", labels, delta - gain, labels)
-        else:
-            chosen = Alternative("exchange", pair, delta - gain, labels)
-        apply_alternative(tree, chosen)
-        ranks.exchanged(*pair)
-        outcomes.append(RestructureOutcome(chosen, candidates, delta, chosen.resulting_delta))
-        delta = chosen.resulting_delta
+    moved: list[str] = []  # the parents whose children changed
+    try:
+        for _ in range(max_iters):
+            gain, pair, candidates = ranks.best_exchange()
+            if not gain > IMPROVEMENT_EPS:
+                break
+            labels = (ranks.label[pair[0]], ranks.label[pair[1]])
+            if all(tree.nodes[nid].children is None for nid in pair):
+                chosen = Alternative("swap", labels, delta - gain, labels)
+            else:
+                chosen = Alternative("exchange", pair, delta - gain, labels)
+            moved += tree._move(*pair)
+            ranks.exchanged(*pair)
+            outcomes.append(RestructureOutcome(chosen, candidates, delta, chosen.resulting_delta))
+            delta = chosen.resulting_delta
+    finally:
+        tree._rehash_up(*moved)
     return outcomes
 
 
@@ -279,21 +303,32 @@ def optimize_leaf_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) 
     the depth multiset, so this loop can stop short of
     :func:`optimize_swaps`. Bad probabilities raise.
     """
+    return _leaf_swap_loop(tree, max_iters)[0]
+
+
+def _leaf_swap_loop(
+    tree: AdaptiveTree, max_iters: int
+) -> tuple[list[RestructureOutcome], list[Alternative]]:
+    """:func:`optimize_leaf_swaps`'s outcomes and its first listing, that of
+    the starting tree. One report per step: the report read after a swap
+    is the next step's listing's."""
     if max_iters < 1:
         raise StructureError(f"max_iters must be >= 1, got {max_iters}")
     outcomes: list[RestructureOutcome] = []
-    for _ in range(max_iters):
-        alternatives = enumerate_swap_alternatives(tree)
+    report = discrepancy_report(tree)
+    first = alternatives = _swap_alternatives(tree, report)
+    while True:
         best = min(alternatives, key=lambda alt: alt.rank_key)
         current = alternatives[-1].resulting_delta  # the no-op's
         if best.kind == "no_op" or best.resulting_delta >= current - IMPROVEMENT_EPS:
             break
         apply_alternative(tree, best)
-        delta_after = discrepancy_report(tree).delta
-        outcomes.append(RestructureOutcome(best, len(alternatives), current, delta_after))
-        if delta_after <= CANDIDATE_EPS:
+        report = discrepancy_report(tree)
+        outcomes.append(RestructureOutcome(best, len(alternatives), current, report.delta))
+        if report.delta <= CANDIDATE_EPS or len(outcomes) == max_iters:
             break
-    return outcomes
+        alternatives = _swap_alternatives(tree, report)
+    return outcomes, first
 
 
 class _NodeRanks:

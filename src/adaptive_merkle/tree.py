@@ -7,8 +7,12 @@ leaves or whole subtrees) so that frequently accessed leaves end up on
 short root paths. Hashing uses SHA-256 with one byte of domain separation:
 ``0x00`` for leaves, ``0x01`` for internal nodes.
 
-Mutations rehash only the affected root path(s), in one climb that meets at
-their lowest common ancestor; everything else is left untouched. Each
+Mutations rehash only the affected root paths, in one climb from any number
+of start nodes: the union of their root paths, each node once, children
+before parents; everything else is left untouched. A split or an attach
+climbs from one parent, an exchange from two, and a caller that makes many
+exchanges (the exchange loop of ``restructure.optimize_swaps``) moves
+without rehashing and climbs once from every parent it changed. Each
 internal node keeps its hash preimage, its children's digests joined in
 child order (``TreeNode.child_digests``), so a proof slices a step's
 siblings out of one byte string. ``_rehash`` is the one writer of both the
@@ -73,11 +77,23 @@ def check_probabilities(probs: Mapping[object, float]) -> None:
     """Reject NaN, infinite and negative values and sums off 1 by more than
     1e-9. The one probability validator of the package.
 
-    A finite total with no negative value rules out NaN and infinities, so
-    only then is the per-key loop, which names the first bad key, skipped.
+    A sum well inside the tolerance with no negative value is accepted at
+    once, from the C-level builtin ``sum``. Anything else takes the full
+    check: the :func:`float_sum` total, and, unless that total is finite
+    and no value is negative, the per-key loop that names the first bad key.
     """
-    total = float_sum(probs.values())
-    if not (math.isfinite(total) and min(probs.values(), default=0.0) >= 0.0):
+    values = probs.values()
+    # On non-negative terms, the builtin sum (plain before Python 3.12,
+    # compensated from 3.12 on) and float_sum each stay within
+    # (n - 1) * 2**-53 * total of the exact sum, so they differ by less than
+    # n * 4.5e-16 for a total near 1. A builtin sum inside that margin of the
+    # tolerance therefore means float_sum is inside the tolerance too, and
+    # both reach the same decision on every Python. NaN, infinities and an
+    # overflowing sum make the test false and take the full check.
+    if abs(sum(values) - 1.0) <= PROB_SUM_TOL - len(values) * 4.5e-16 and min(values, default=0.0) >= 0.0:
+        return
+    total = float_sum(values)
+    if not (math.isfinite(total) and min(values, default=0.0) >= 0.0):
         for key, p in probs.items():
             if not math.isfinite(p):
                 raise ProbabilityError(f"non-finite probability {p!r} for key {key!r}")
@@ -85,6 +101,16 @@ def check_probabilities(probs: Mapping[object, float]) -> None:
                 raise ProbabilityError(f"negative probability {p!r} for key {key!r}")
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 +/- {PROB_SUM_TOL}")
+
+
+def _float_copy(probs: Mapping[str, float]) -> dict[str, float]:
+    """A copy of a probability map with every value a plain float: one
+    C-level ``dict`` copy, converted value by value only when some value is
+    not a float already (an int or a bool)."""
+    copied = dict(probs)
+    if not set(map(type, copied.values())) <= {float}:
+        copied = {key: float(p) for key, p in probs.items()}
+    return copied
 
 
 @dataclass(frozen=True)
@@ -250,20 +276,22 @@ class AdaptiveTree:
         node.child_digests = b"".join([nodes[cid].hash for cid in node.children])
         node.hash = hash_internal((node.child_digests,))
 
-    def _rehash_up(self, a: str, b: str) -> None:
-        # Rehash the internal nodes a and b and their ancestors, each once:
-        # climb the deeper side until both meet at the lowest common
-        # ancestor, then climb from there to the root.
+    def _rehash_up(self, *starts: str) -> None:
+        # Rehash the internal nodes in starts and all their ancestors, each
+        # once, children before parents: gather the union of their root
+        # paths, each climb stopping where it meets one already gathered,
+        # then rehash deepest first.
         depth, parent = self._depth, self._parent
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            self._rehash(a)
-            a = parent[a]
-        nid: str | None = a
-        while nid is not None:
+        path: list[str] = []
+        seen: set[str] = set()
+        for nid in starts:
+            while nid is not None and nid not in seen:
+                seen.add(nid)
+                path.append(nid)
+                nid = parent.get(nid)
+        path.sort(key=depth.__getitem__, reverse=True)
+        for nid in path:
             self._rehash(nid)
-            nid = parent.get(nid)
 
     def split_leaf(self, target_key: str, new_key: str, new_payload: bytes) -> None:
         """Replace the target leaf with an internal node over [target, new leaf].
@@ -284,7 +312,7 @@ class AdaptiveTree:
             parent = self.nodes[parent_id]
             parent.children[parent.children.index(target.node_id)] = intermediate.node_id
             self._parent[intermediate.node_id] = parent_id
-            self._rehash_up(parent_id, parent_id)
+            self._rehash_up(parent_id)
         order = self._leaf_order
         order.insert(order.index(target_key) + 1, new_key)
         self.probabilities[new_key] = 0.0
@@ -305,7 +333,7 @@ class AdaptiveTree:
         new_leaf = self._add_leaf_node(new_key, new_payload, self._depth[parent_id] + 1)
         parent.children.append(new_leaf.node_id)
         self._parent[new_leaf.node_id] = parent_id
-        self._rehash_up(parent_id, parent_id)
+        self._rehash_up(parent_id)
         order = self._leaf_order
         order.insert(order.index(rightmost.key) + 1, new_key)
         self.probabilities[new_key] = 0.0
@@ -328,9 +356,15 @@ class AdaptiveTree:
         keeps its shape and moves to the other's parent slot, so its nodes'
         depths shift by the difference of the two depths (O(subtree size))
         and its leaves trade their contiguous block of the leaf order with
-        the other's. Both root paths are rehashed, the ancestors they share
-        once.
+        the other's. The move itself rehashes nothing; both root paths are
+        then rehashed in one climb, the ancestors they share once.
         """
+        self._rehash_up(*self._move(a, b))
+
+    def _move(self, a: str, b: str) -> tuple[str, str]:
+        # swap_nodes without the rehash: checks the pair, exchanges the two
+        # nodes and updates the indexes; returns the two parents whose
+        # children changed, for the caller to rehash from.
         nodes, parent, depth = self.nodes, self._parent, self._depth
         if a == b:
             raise StructureError(f"cannot exchange node {a!r} with itself")
@@ -369,7 +403,7 @@ class AdaptiveTree:
         parent[a], parent[b] = pb, pa
         (lo, lo_end), (hi, hi_end) = sorted(blocks)
         order[lo:hi_end] = order[hi:hi_end] + order[lo_end:hi] + order[lo:lo_end]
-        self._rehash_up(pa, pb)
+        return pa, pb
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
         """Replace the leaf probability map; structure and hashes are untouched."""
@@ -380,7 +414,7 @@ class AdaptiveTree:
                 f"probability keys do not match tree leaves (missing {sorted(missing)}, extra {sorted(extra)})"
             )
         check_probabilities(probs)
-        self.probabilities = {key: float(p) for key, p in probs.items()}
+        self.probabilities = _float_copy(probs)
 
     # -- copying / integrity ----------------------------------------------------
 

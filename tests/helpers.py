@@ -11,7 +11,7 @@ from adaptive_merkle._formats import float_sum
 from adaptive_merkle.errors import DuplicateKeyError, ProbabilityError
 from adaptive_merkle.proofs import ProofStep
 from adaptive_merkle.restructure import Alternative
-from adaptive_merkle.tree import check_probabilities
+from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities
 
 
 def random_distribution(rng: random.Random, n: int) -> dict[str, float]:
@@ -246,6 +246,21 @@ def walked_depths(tree: AdaptiveTree) -> dict[str, int]:
 
 # Plain functions the tests use as oracles; the library itself has no use
 # for them.
+
+
+def reference_check_probabilities(probs) -> None:
+    """The probability validator without its early accept: the
+    ``float_sum`` total, the per-key loop and the sum check, the oracle for
+    ``check_probabilities``."""
+    total = float_sum(probs.values())
+    if not (math.isfinite(total) and min(probs.values(), default=0.0) >= 0.0):
+        for key, p in probs.items():
+            if not math.isfinite(p):
+                raise ProbabilityError(f"non-finite probability {p!r} for key {key!r}")
+            if p < 0.0:
+                raise ProbabilityError(f"negative probability {p!r} for key {key!r}")
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 +/- {PROB_SUM_TOL}")
 
 
 def open_internal_ids(tree: AdaptiveTree) -> list[str]:

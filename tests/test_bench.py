@@ -20,6 +20,7 @@ from adaptive_merkle.bench import (
     write_iterations_csv,
     write_variants_csv,
 )
+import adaptive_merkle.restructure as restructure_mod
 from adaptive_merkle.restructure import IMPROVEMENT_EPS, enumerate_swap_alternatives
 
 from helpers import MALFORMED_SCRIPT, malform_script, random_distribution
@@ -204,6 +205,21 @@ class TestReplay:
         script = ReplayScript(2, ("A", "B", "C"), probs, (ReplayStep({}, swap_iters=1),))
         (record,) = replay_iterations(script).records
         assert (record.alt_count, record.chosen_kind, record.chosen_target) == (2, "swap", "A+C")
+
+    def test_swap_steps_script_report_count(self, monkeypatch, fixtures_dir):
+        # One report per leaf-swap step listed plus one per swap applied:
+        # the report read after a swap is the next step's listing's, and a
+        # no-swap step's record comes from the loop's own first listing.
+        calls = []
+        real = restructure_mod.discrepancy_report
+
+        def counted(tree):
+            calls.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(restructure_mod, "discrepancy_report", counted)
+        replay_iterations(load_script(fixtures_dir / "swap_steps_script.json"))
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("field, value", MALFORMED_SCRIPT)
     def test_malformed_script_raises_format_error(self, tmp_path, fixtures_dir, field, value):

@@ -26,8 +26,14 @@ from adaptive_merkle import (
     enumerate_add_alternatives,
     enumerate_swap_alternatives,
     optimize_swaps,
+    prove,
+    verify,
 )
+import adaptive_merkle._formats as formats_mod
+import adaptive_merkle.bench as bench_mod
+import adaptive_merkle.metrics as metrics_mod
 import adaptive_merkle.restructure as restructure_mod
+import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.coding import brute_force_min_avg_length, huffman_codes, tree_from_codes
 from adaptive_merkle.metrics import entropy
 from adaptive_merkle.restructure import (
@@ -526,8 +532,8 @@ class TestReportsPerInsertion:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_one_report_per_insertion(self, monkeypatch, m):
         # The insertion loop the bench and the workloads run: apply_best
-        # only applies the move, and optimize_swaps builds at most one
-        # report: none when the grown tree is swap-free.
+        # only applies the move, and optimize_swaps builds no report: its
+        # exchange loop sums the starting delta without one.
         calls = counting(monkeypatch, "discrepancy_report")
         keys = [f"k{i:03d}" for i in range(48)]
         dist = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
@@ -542,9 +548,39 @@ class TestReportsPerInsertion:
             assert len(calls) == 0
             swap_free = swap_free_by_pairs(tree)
             optimize_swaps(tree)
-            assert len(calls) == (0 if swap_free else 1)
+            assert len(calls) == 0
             seen.add(swap_free)
         assert seen == {True, False}  # both paths must actually occur
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_two_float_sums_per_swap_free_insertion(self, monkeypatch, m):
+        # Each of the insertion's three probability checks (add mode's,
+        # set_probabilities', optimize_swaps') accepts early, so add mode's
+        # H and base k_A are its only float_sum calls.
+        calls = []
+        real = formats_mod.float_sum
+
+        def counted(values):
+            calls.append(1)
+            return real(values)
+
+        for module in (tree_mod, metrics_mod, restructure_mod):
+            monkeypatch.setattr(module, "float_sum", counted)
+        keys = [f"k{i:03d}" for i in range(48)]
+        dist = dict(zip(keys, zipf_distribution(len(keys), 1.1)))  # hottest first, as grow inserts
+        tree = build_balanced([(keys[0], b"", 1.0)], TreeConfig(m))
+        swap_free_insertions = 0
+        for i, key in enumerate(keys[1:], start=2):
+            total = sum(dist[k] for k in keys[:i])
+            probs = {k: dist[k] / total for k in keys[:i]}
+            calls.clear()
+            apply_best(tree, enumerate_add_alternatives(tree, key, probs))
+            swap_free = restructure_mod._swap_free(tree)
+            optimize_swaps(tree)
+            if swap_free:
+                assert len(calls) == 2
+                swap_free_insertions += 1
+        assert swap_free_insertions >= 30
 
 
 class TestSwapFreeExit:
@@ -567,7 +603,7 @@ class TestSwapFreeExit:
         reports = counting(monkeypatch, "discrepancy_report")
         assert not swap_free_by_pairs(binary_demo_tree)
         assert optimize_swaps(binary_demo_tree) != []
-        assert len(reports) == 1  # the starting delta; each move subtracts its gain
+        assert len(reports) == 0  # the starting delta is summed without a report
 
     def test_bad_probabilities_still_raise(self):
         tree = two_leaf_tree()
@@ -703,6 +739,144 @@ class TestOutcomeSerialization:
         assert data["candidates"] == 4  # B, F, H at three depths: 3 pairs plus the no-op
         assert set(data["chosen"]) == {"kind", "target", "delta"}
         assert data["chosen"]["target"] == ["B", "H"]
+
+
+def root_path_union(tree, starts):
+    """Every node on the root paths of ``starts``, found by climbing parent
+    pointers."""
+    found = set()
+    for nid in starts:
+        while nid is not None:
+            found.add(nid)
+            nid = tree.parent_id(nid)
+    return found
+
+
+def replay_moves(tree, outcomes):
+    """Apply each outcome's alternative to ``tree`` through
+    ``apply_alternative``, which rehashes after every move. Returns the node
+    count of the union of the moved parents' root paths in the final tree,
+    and the sum over the moves of the node count of the two root paths a
+    rehash after each move covers."""
+    parents, per_move = [], 0
+    for outcome in outcomes:
+        u, v = outcome.chosen.target
+        if outcome.chosen.kind == "swap":
+            u, v = tree.leaf_node(u).node_id, tree.leaf_node(v).node_id
+        pair = [tree.parent_id(u), tree.parent_id(v)]
+        apply_alternative(tree, outcome.chosen)
+        parents += pair
+        per_move += len(root_path_union(tree, pair))
+    return len(root_path_union(tree, parents)), per_move
+
+
+def checked_exchanges(patch):
+    """Route every ``_exchange`` call, from ``optimize_swaps`` or from
+    ``bench._build_adaptive``, through a wrapper that counts the call's
+    ``_rehash`` calls and replays its outcomes on a clone of its starting tree.
+    Returns the list it fills, one ``(rehashes, union, per_move)`` per call;
+    the replay must land on the same root."""
+    real_exchange, real_rehash = restructure_mod._exchange, AdaptiveTree._rehash
+    counting = []  # [tree, rehashes] while a call runs
+    calls = []
+
+    def rehash(tree, node_id):
+        if counting and counting[0] is tree:
+            counting[1] += 1
+        real_rehash(tree, node_id)
+
+    def exchange(tree, max_iters):
+        start = tree.clone()
+        counting[:] = [tree, 0]
+        try:
+            outcomes = real_exchange(tree, max_iters)
+        finally:
+            rehashes = counting[1]
+            counting.clear()
+        union, per_move = replay_moves(start, outcomes)
+        assert start.root_hash() == tree.root_hash()
+        calls.append((rehashes, union, per_move))
+        return outcomes
+
+    patch.setattr(AdaptiveTree, "_rehash", rehash)
+    patch.setattr(restructure_mod, "_exchange", exchange)
+    patch.setattr(bench_mod, "_exchange", exchange)
+    return calls
+
+
+def check_hashes(tree):
+    """The incremental root equals a full rehash, every leaf's proof
+    verifies, and the indexes match the shape."""
+    full = tree.clone()
+    full.recompute_all_hashes()
+    assert full.root_hash() == tree.root_hash()
+    root = tree.root_hash()
+    assert all(verify(prove(tree, key), root, tree.config.arity) for key in tree.leaf_keys())
+    tree.validate()
+
+
+class TestExchangeRehash:
+    """The exchange loop's moves rehash nothing; one climb at the end
+    rehashes the union of the moved parents' root paths, each node once."""
+
+    @given(st.sampled_from([2, 3, 4]), st.integers(2, 24), st.sampled_from([1, 3, DEFAULT_MAX_ITERS]), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_optimize_swaps(self, m, n, max_iters, rnd):
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = checked_exchanges(patch)
+            optimize_swaps(tree, max_iters)
+        check_hashes(tree)
+        assert [rehashes for rehashes, _, _ in calls] == [union for _, union, _ in calls]
+
+    @given(st.sampled_from([2, 3, 4]), st.lists(st.integers(0, 20), min_size=2, max_size=24).filter(any))
+    @settings(max_examples=60, deadline=None)
+    def test_build_adaptive(self, m, weights):
+        dist = [(f"k{i:03d}", w / sum(weights)) for i, w in enumerate(weights)]
+        config = TreeConfig(m)
+        balanced = build_balanced([(key, key.encode(), p) for key, p in dist], config)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = checked_exchanges(patch)
+            tree = bench_mod._build_adaptive(dist, config, balanced)
+        check_hashes(tree)
+        assert calls  # the final pass at least
+        assert [rehashes for rehashes, _, _ in calls] == [union for _, union, _ in calls]
+
+    def test_hashes_right_when_the_loop_raises(self, monkeypatch):
+        # The climb runs in a finally: an error after some moves still
+        # leaves every hash consistent with the moved shape.
+        real = restructure_mod._NodeRanks.exchanged
+        seen = []
+
+        def exchanged(ranks, u, v):
+            seen.append((u, v))
+            if len(seen) == 3:
+                raise RuntimeError("stop")
+            real(ranks, u, v)
+
+        monkeypatch.setattr(restructure_mod._NodeRanks, "exchanged", exchanged)
+        rng = random.Random(109)
+        while len(seen) < 3:
+            seen.clear()
+            tree = random_tree(rng, 30, rng.choice([2, 3, 4]))
+            before = tree.root_hash()
+            try:
+                optimize_swaps(tree)
+            except RuntimeError:
+                pass
+        assert tree.root_hash() != before
+        check_hashes(tree)
+
+    def test_grow_rehashes_fewer_nodes_than_move_by_move(self):
+        # perfbench grow's loop: Zipf(1.1), hottest first, n=128, m=2
+        keys = [f"k{i:03d}" for i in range(128)]
+        probs = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = checked_exchanges(patch)
+            tree = grown_tree(probs, 2)
+        check_hashes(tree)
+        assert [rehashes for rehashes, _, _ in calls] == [union for _, union, _ in calls]
+        assert sum(rehashes for rehashes, _, _ in calls) < sum(per_move for _, _, per_move in calls)
 
 
 def improving_exchanges(tree):

@@ -34,6 +34,7 @@ from helpers import (
     malform,
     open_internal_ids,
     random_tree,
+    reference_check_probabilities,
     reference_prove,
     walked_depths,
 )
@@ -325,6 +326,14 @@ class TestSetProbabilities:
         tree = build_balanced(make_leaves("ABCDEFG"), TreeConfig(2))
         tree.set_probabilities({k: 1 / 7 for k in "ABCDEFG"})
 
+    @pytest.mark.parametrize("probs", [{"A": 1, "B": 0}, {"A": True, "B": False}, {"A": 0.5, "B": 0.5}])
+    def test_stores_floats(self, probs):
+        tree = build_balanced(make_leaves("AB", [0.5, 0.5]), TreeConfig(2))
+        tree.set_probabilities(probs)
+        assert tree.probabilities == probs
+        assert [type(p) for p in tree.probabilities.values()] == [float, float]
+        assert list(tree.probabilities) == ["A", "B"]
+
 
 def checked_key_by_key(probs):
     """The validator as a plain per-key loop, then the sum: the oracle for
@@ -384,6 +393,89 @@ class TestCheckProbabilities:
     def test_matches_key_by_key_oracle(self, values):
         probs = {f"k{i}": p for i, p in enumerate(values)}
         assert check_message(probs) == checked_key_by_key(probs)
+
+
+def decision(check, probs):
+    """``(exception type, message)`` of what ``check`` raises on ``probs``,
+    or None when it accepts."""
+    try:
+        check(probs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def ulps(x, k):
+    """x moved by k units in the last place, up for k > 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def near_one_distributions(draw):
+    """Up to 40 non-negative values summing to 1, 1 - 1e-9 or 1 + 1e-9
+    moved by up to 8 ulps, in integer proportions; some with one value
+    replaced by a NaN, an infinity, a negative number, an int or a bool."""
+    n = draw(st.integers(1, 40))
+    weights = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n).filter(any))
+    total = ulps(1.0 + draw(st.sampled_from([-1, 0, 1])) * PROB_SUM_TOL, draw(st.integers(-8, 8)))
+    values = [w * total / sum(weights) for w in weights]
+    if draw(st.booleans()):
+        special = draw(st.sampled_from([float("nan"), float("inf"), float("-inf"), -1e-300, -0.0, 0, 1, True, False]))
+        values[draw(st.integers(0, n - 1))] = special
+    return {f"k{i}": p for i, p in enumerate(values)}
+
+
+class TestValidatorReference:
+    """``check_probabilities`` reaches the decision and message of its full
+    check alone (``reference_check_probabilities``), early accept or not."""
+
+    def test_equal_terms_around_the_tolerance(self):
+        decisions = set()
+        for n in (1, 2, 3, 10, 1000, 100000):
+            for target in (1.0, 1.0 + PROB_SUM_TOL, 1.0 - PROB_SUM_TOL):
+                for k in range(-4, 5):
+                    probs = dict.fromkeys(range(n), ulps(target, k) / n)
+                    expected = decision(reference_check_probabilities, probs)
+                    assert decision(check_probabilities, probs) == expected, (n, target, k)
+                    decisions.add(expected is None)
+        assert decisions == {True, False}  # both sides of the tolerance are reached
+
+    @pytest.mark.parametrize(
+        "probs",
+        [{"a": 1}, {"a": True}, {"a": 0, "b": 1}, {"a": True, "b": False}, {"a": 1, "b": 0.0}, {"a": 2},
+         {"a": False}, {"a": -0.0, "b": 1.0}, {"a": -0.0}, {}, {"a": 1e308, "b": 1e308},
+         {"a": float("nan")}, {"a": 1.0, "b": float("nan")}, {"a": float("inf")}, {"a": 1.0, "b": float("-inf")},
+         {"a": 1.25, "b": -0.25}, {"a": -1.0}, {"a": 1.0, "b": -1e-300}, {"a": 10**400, "b": 1 - 10**400}],
+    )
+    def test_ints_bools_zeros_and_bad_values(self, probs):
+        assert decision(check_probabilities, probs) == decision(reference_check_probabilities, probs)
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_one_distributions())
+    def test_near_one_distributions(self, probs):
+        expected = decision(reference_check_probabilities, probs)
+        assert decision(check_probabilities, probs) == expected
+        with pytest.MonkeyPatch.context() as patch:  # as a compensated builtin sum would round
+            patch.setattr(tree_mod, "sum", math.fsum, raising=False)
+            assert decision(check_probabilities, probs) == expected
+
+    def test_margin_covers_a_differently_rounded_sum(self, monkeypatch):
+        # From Python 3.12 on the builtin sum compensates rounding error;
+        # math.fsum, rounded once, stands in for it here. Adding 100 terms
+        # of just over half an ulp to x rounds up every time in float_sum,
+        # which ends nearly 50 ulps above the exact sum, so for some x only
+        # float_sum is off 1 by more than the tolerance. The margin sends
+        # those to the full check.
+        monkeypatch.setattr(tree_mod, "sum", math.fsum, raising=False)
+        straddling = 0
+        for j in range(120):
+            probs = {"x": ulps(1.0 + PROB_SUM_TOL, -j), **{i: (0.5 + 2.0**-8) * 2.0**-52 for i in range(100)}}
+            expected = decision(reference_check_probabilities, probs)
+            assert decision(check_probabilities, probs) == expected
+            straddling += expected is not None and abs(math.fsum(probs.values()) - 1.0) <= PROB_SUM_TOL
+        assert straddling
 
 
 class TestRootHash:
