@@ -121,26 +121,29 @@ def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
 def verify(proof: MerkleProof, expected_root: bytes, arity: int) -> bool:
     """Fold the leaf hash through all steps and compare against the root.
 
-    Raises :class:`MalformedProofError` for structural defects; returns
-    ``False`` only for an honest mismatch.
+    Raises :class:`MalformedProofError` for structural defects, a hand-built
+    proof's included; returns ``False`` only for an honest mismatch.
     """
-    if len(proof.leaf_hash) != HASH_SIZE:
-        raise MalformedProofError(f"leaf hash of {len(proof.leaf_hash)} bytes, expected {HASH_SIZE}")
-    if len(expected_root) != HASH_SIZE:
-        raise MalformedProofError(f"root hash of {len(expected_root)} bytes, expected {HASH_SIZE}")
     current = proof.leaf_hash
-    for i, blob in proof.steps:
-        if not isinstance(blob, bytes):
-            raise MalformedProofError(f"siblings of type {type(blob).__name__}, expected bytes")
-        # bool is an int subclass, and a float position cannot slice
-        if type(i) is not int:
-            raise MalformedProofError(f"position of type {type(i).__name__}, expected int")
-        count, rest = divmod(len(blob), HASH_SIZE)
-        # a finished tree has no single-child node, so every step has a sibling
-        if rest or not 0 < count < arity or not 0 <= i <= count:
-            raise MalformedProofError(f"step of {len(blob)} sibling bytes at position {i}, arity {arity}")
-        cut = HASH_SIZE * i
-        current = hash_internal((blob[:cut], current, blob[cut:]))
+    if type(current) is not bytes or len(current) != HASH_SIZE:
+        raise MalformedProofError(f"leaf hash {current!r:.80}, expected {HASH_SIZE} bytes")
+    if type(expected_root) is not bytes or len(expected_root) != HASH_SIZE:
+        raise MalformedProofError(f"root hash {expected_root!r:.80}, expected {HASH_SIZE} bytes")
+    try:
+        for i, blob in proof.steps:
+            if not isinstance(blob, bytes):
+                raise MalformedProofError(f"siblings of type {type(blob).__name__}, expected bytes")
+            # bool is an int subclass, and a float position cannot slice
+            if type(i) is not int:
+                raise MalformedProofError(f"position of type {type(i).__name__}, expected int")
+            count, rest = divmod(len(blob), HASH_SIZE)
+            # a finished tree has no single-child node, so every step has a sibling
+            if rest or not 0 < count < arity or not 0 <= i <= count:
+                raise MalformedProofError(f"step of {len(blob)} sibling bytes at position {i}, arity {arity}")
+            cut = HASH_SIZE * i
+            current = hash_internal((blob[:cut], current, blob[cut:]))
+    except (TypeError, ValueError) as exc:  # a step that is no (position, siblings) pair
+        raise MalformedProofError(f"malformed proof steps: {exc}") from None
     return current == expected_root
 
 

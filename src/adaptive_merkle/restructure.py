@@ -6,8 +6,9 @@ One iteration works in two modes:
   distribution. Candidates are one split per existing leaf plus one attach
   per internal node that still has a free child slot (one alternative per
   node, not per slot: the slot choice cannot change any depth). The scores
-  read the tree's leaf order and depth index; only a tree with a free slot
-  is walked, to find its open nodes.
+  read the tree's depth index and sum k_A over the leaves in key order, as
+  the report does; only a tree with a free slot is walked, to find its open
+  nodes.
 * swap mode -- no new leaf; candidates are unordered pairs of "misplaced"
   leaves (elemental discrepancy != 0) at differing depths, plus an explicit
   no-op carrying the current delta.
@@ -117,9 +118,11 @@ def enumerate_add_alternatives(
 ) -> list[Alternative]:
     """All ways to place one new leaf, scored under the new distribution.
 
-    Reads the tree's leaf order and depth index; only a tree with a free
-    child slot (never a finished m=2 tree) is walked, to find its open
-    nodes."""
+    Reads the tree's depth index and sums the old leaves' share of k_A in
+    key order, as :func:`~adaptive_merkle.metrics.discrepancy_report` does,
+    so a score depends only on each leaf's depth and probability, not on
+    where the leaf sits among its siblings. Only a tree with a free child
+    slot (never a finished m=2 tree) is walked, to find its open nodes."""
     leaf_by_key, depth = tree._leaf_by_key, tree._depth
     if new_key in leaf_by_key:
         raise DuplicateKeyError(f"leaf key {new_key!r} already present")
@@ -139,8 +142,8 @@ def enumerate_add_alternatives(
     # is log2(p) / log2(m), so hoisting log2(m) keeps every bit.
     log2_m = math.log2(tree.config.arity)
     h = -float_sum(p * (math.log2(p) / log2_m) for p in new_probs.values() if p > 0.0)
-    # Right to left: the order every recorded delta was summed in.
-    base_k = float_sum(new_probs[key] * depth[leaf_by_key[key]] for key in reversed(tree._leaf_order))
+    keys = sorted(leaf_by_key)
+    base_k = float_sum(new_probs[key] * depth[leaf_by_key[key]] for key in keys)
     p_new = new_probs[new_key]
     probs_copy = _float_copy(new_probs)
     # m * internal child slots, nodes - 1 of them filled: is one free?
@@ -156,7 +159,7 @@ def enumerate_add_alternatives(
     alternatives += [
         new(Alternative, ("split", (key,), base_k + new_probs[key] + p_new * (depth[leaf_by_key[key]] + 1) - h,
                           (key,), new_key, new_payload, probs_copy))
-        for key in sorted(leaf_by_key)
+        for key in keys
     ]
     return alternatives
 

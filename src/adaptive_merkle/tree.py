@@ -19,18 +19,15 @@ siblings out of one byte string. ``_rehash`` is the one writer of both the
 preimage and the hash: building, every mutation, the full rehash and
 ``from_snapshot`` go through it, and snapshots do not store it. Next to the
 parent pointers the tree keeps a depth index, the edge count from the root
-of every node, a leaf-key index and the leaf order, its leaf keys left to
-right. ``from_nested`` fills all four as it builds. Every whole-tree pass
-goes through one checked root-down walk: ``from_snapshot`` takes the indexes
-from it, :meth:`AdaptiveTree.validate` compares them with it, and snapshot
-writing, the full rehash and :meth:`AdaptiveTree.leaf_keys` read their order
-from it, so a corrupted tree raises :class:`StructureError` there instead of
-being written or hashed. A split or an attach updates the depth, parent and
-leaf-key indexes in O(1); an exchange (:meth:`AdaptiveTree.swap_nodes`, of
-which a leaf swap is the one-node case) renumbers the depths of both moved
-subtrees, O(their size), and swaps their two contiguous blocks of the leaf
-order. The leaf order costs each mutation O(n) C-level list scans
-(``list.index``/``list.insert``/slice assignment);
+of every node, and a leaf-key index; ``from_nested`` fills all three as it
+builds. Every whole-tree pass goes through one checked root-down walk:
+``from_snapshot`` takes the indexes from it, :meth:`AdaptiveTree.validate`
+compares them with it, and snapshot writing, the full rehash and
+:meth:`AdaptiveTree.leaf_keys` read their order from it, so a corrupted tree
+raises :class:`StructureError` there instead of being written or hashed. A
+split or an attach updates the three indexes in O(1); an exchange
+(:meth:`AdaptiveTree.swap_nodes`, of which a leaf swap is the one-node case)
+renumbers the depths of both moved subtrees, O(their size).
 :meth:`AdaptiveTree.depths` and add mode read the indexes instead of
 walking. The indexes are right only because of the single-writer contract:
 mutating calls need exclusive access and go through the methods here, reads
@@ -158,7 +155,6 @@ class AdaptiveTree:
         self._parent: dict[str, str] = {}
         self._leaf_by_key: dict[str, str] = {}
         self._depth: dict[str, int] = {}  # node id -> edges from the root
-        self._leaf_order: list[str] = []  # leaf keys, left to right
         self._next_id = 1
 
     # -- construction helpers -------------------------------------------------
@@ -202,8 +198,7 @@ class AdaptiveTree:
         ``["A", [["B", "D"], ["C", "E"]]]``. Payloads default to the UTF-8
         key bytes. Nodes are created in post-order, children left to right,
         by an explicit-stack walk, so any depth builds; the walk also fills
-        the depth index and, since it creates leaves left to right, the leaf
-        order.
+        the depth index.
         """
         tree = cls(config)
         built: list[str] = []  # ids of finished subtrees whose parent is not built yet
@@ -213,7 +208,6 @@ class AdaptiveTree:
             if isinstance(spec, str):
                 payload = payloads[spec] if payloads is not None else spec.encode("utf-8")
                 built.append(tree._add_leaf_node(spec, payload, depth).node_id)
-                tree._leaf_order.append(spec)
             elif children_built:
                 child_ids = built[-len(spec) :]
                 del built[-len(spec) :]
@@ -313,8 +307,6 @@ class AdaptiveTree:
             parent.children[parent.children.index(target.node_id)] = intermediate.node_id
             self._parent[intermediate.node_id] = parent_id
             self._rehash_up(parent_id)
-        order = self._leaf_order
-        order.insert(order.index(target_key) + 1, new_key)
         self.probabilities[new_key] = 0.0
 
     def attach_leaf(self, parent_id: str, new_key: str, new_payload: bytes) -> None:
@@ -327,15 +319,10 @@ class AdaptiveTree:
             raise StructureError(f"cannot attach to leaf node {parent_id!r}")
         if len(parent.children) >= self.config.arity:
             raise StructureError(f"node {parent_id!r} already has {self.config.arity} children")
-        rightmost = parent  # the new leaf goes right after the last leaf below parent
-        while rightmost.children is not None:
-            rightmost = self.nodes[rightmost.children[-1]]
         new_leaf = self._add_leaf_node(new_key, new_payload, self._depth[parent_id] + 1)
         parent.children.append(new_leaf.node_id)
         self._parent[new_leaf.node_id] = parent_id
         self._rehash_up(parent_id)
-        order = self._leaf_order
-        order.insert(order.index(rightmost.key) + 1, new_key)
         self.probabilities[new_key] = 0.0
 
     def swap_leaves(self, key_a: str, key_b: str) -> None:
@@ -354,10 +341,9 @@ class AdaptiveTree:
 
         Neither node may be the root or contain the other. Each subtree
         keeps its shape and moves to the other's parent slot, so its nodes'
-        depths shift by the difference of the two depths (O(subtree size))
-        and its leaves trade their contiguous block of the leaf order with
-        the other's. The move itself rehashes nothing; both root paths are
-        then rehashed in one climb, the ancestors they share once.
+        depths shift by the difference of the two depths (O(subtree size)).
+        The move itself rehashes nothing; both root paths are then rehashed
+        in one climb, the ancestors they share once.
         """
         self._rehash_up(*self._move(a, b))
 
@@ -379,17 +365,8 @@ class AdaptiveTree:
             deep = parent[deep]
         if deep == shallow:
             raise StructureError(f"cannot exchange nested nodes {a!r} and {b!r}")
-        order = self._leaf_order
-        blocks = []  # (start, end) of each subtree's leaves in the leaf order
-        for nid, by in ((a, shift), (b, -shift)):
-            first = last = nid
-            while (children := nodes[first].children) is not None:
-                first = children[0]
-            while (children := nodes[last].children) is not None:
-                last = children[-1]
-            start = order.index(nodes[first].key)
-            blocks.append((start, start + 1 if first == last else order.index(nodes[last].key, start) + 1))
-            if by:
+        if shift:
+            for nid, by in ((a, shift), (b, -shift)):
                 stack = [nid]
                 while stack:
                     cur = stack.pop()
@@ -401,8 +378,6 @@ class AdaptiveTree:
         slot_a, slot_b = children_a.index(a), children_b.index(b)
         children_a[slot_a], children_b[slot_b] = b, a
         parent[a], parent[b] = pb, pa
-        (lo, lo_end), (hi, hi_end) = sorted(blocks)
-        order[lo:hi_end] = order[hi:hi_end] + order[lo_end:hi] + order[lo:lo_end]
         return pa, pb
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
@@ -438,14 +413,11 @@ class AdaptiveTree:
                 self._rehash(nid)
 
     def validate(self) -> None:
-        """Structural self-check: the shape, the four indexes the tree keeps
-        (depth, parent, leaf key, leaf order) against the ones the shape
-        gives, and the probability map against the leaf keys."""
-        walked = self._walk_indexes()
-        if walked != (self._depth, self._parent, self._leaf_by_key) or list(walked[2]) != self._leaf_order:
-            raise StructureError(
-                "depth index, parent pointers, leaf key index or leaf order out of sync with the tree shape"
-            )
+        """Structural self-check: the shape, the three indexes the tree keeps
+        (depth, parent, leaf key) against the ones the shape gives, and the
+        probability map against the leaf keys."""
+        if self._walk_indexes() != (self._depth, self._parent, self._leaf_by_key):
+            raise StructureError("depth index, parent pointers or leaf key index out of sync with the tree shape")
         self._check_cover()
 
     def _check_cover(self) -> None:
@@ -514,7 +486,7 @@ class AdaptiveTree:
     def from_snapshot(cls, snapshot: dict) -> "AdaptiveTree":
         """Rebuild a tree from a snapshot, re-deriving and checking every hash.
 
-        One walk checks the shape and yields the four indexes; its reverse
+        One walk checks the shape and yields the three indexes; its reverse
         hashes every child before its parent, and each node is then checked
         against its ``hash_hex`` in that same order."""
         try:
@@ -562,7 +534,6 @@ class AdaptiveTree:
         tree._next_id = len(tree.nodes) + 1  # n1..nK, as saved, continue at n(K+1)
 
         tree._depth, tree._parent, tree._leaf_by_key = tree._walk_indexes()
-        tree._leaf_order = list(tree._leaf_by_key)
         tree.probabilities = probabilities
         check_probabilities(probabilities)
         tree._check_cover()

@@ -304,10 +304,10 @@ def min_avg_length_for_depths(depths, probs) -> float:
 
 def reference_add_alternatives(tree, new_key, new_probs, new_payload=None) -> list:
     """Add mode from one preorder walk over every node: the oracle for
-    ``enumerate_add_alternatives``, which reads the tree's leaf order and
-    depth index instead. The walk gives each leaf's key and depth left to
-    right and each open node's depth and smallest leaf key; scores are
-    summed in the same order, so they match bit for bit."""
+    ``enumerate_add_alternatives``, which reads the tree's depth index
+    instead. The walk gives each leaf's key and depth and each open node's
+    depth and smallest leaf key; base k_A is summed over the leaves in key
+    order, as add mode sums it, so the scores match bit for bit."""
     m, nodes = tree.config.arity, tree.nodes
     leaves, open_nodes, preorder = [], [], []
     stack = [(tree.root_id, 0)]
@@ -337,7 +337,7 @@ def reference_add_alternatives(tree, new_key, new_probs, new_payload=None) -> li
     if new_payload is None:
         new_payload = new_key.encode("utf-8")
     h = -float_sum(p * (math.log2(p) / math.log2(m)) for p in new_probs.values() if p > 0.0)
-    base_k = float_sum(new_probs[key] * depth for key, depth in reversed(leaves))
+    base_k = float_sum(new_probs[key] * depths[key] for key in sorted(depths))
     p_new = new_probs[new_key]
     probs = {k: float(v) for k, v in new_probs.items()}
     alternatives = [

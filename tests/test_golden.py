@@ -24,7 +24,13 @@ exactly:
   audit record ``insert`` prints and the snapshot it writes when key Q of
   ``demo17.csv`` (demo16 plus Q) joins the balanced demo16 tree, at m = 2
   (splits only) and m = 3 (open nodes, so attaches are scored too). Written
-  when ``apply_best`` still built the record itself.
+  when ``apply_best`` still built the record itself. The ``"chosen"."delta"``
+  line of both records was rewritten when add mode began to sum the old
+  leaves' share of k_A in key order, as the report does, not right to left
+  over the leaves: 0.4823724341295632 -> ...5623 at m = 2 and
+  0.7175131196427755 -> ...7764 at m = 3, each now equal to its record's
+  ``delta_after``; the pick, every other line and both snapshots did not
+  change;
 * ``optimize_insert_demo16_m<m>.json``/``.snapshot.json`` and
   ``metrics_insert_demo16_m<m>.json``: ``optimize`` stdout and the snapshot
   it writes, and ``metrics`` stdout, on ``insert_demo16_m<m>.snapshot.json``.

@@ -142,6 +142,32 @@ class TestVerify:
         with pytest.raises(MalformedProofError, match="expected bytes"):
             verify(proof, b"\x00" * 32, 2)
 
+    @pytest.mark.parametrize(
+        "leaf_hash, steps, root",
+        [
+            (b"\x11" * 32, ((0,),), b"\x00" * 32),
+            (b"\x11" * 32, ((0, b"\x00" * 32, 0),), b"\x00" * 32),
+            (b"\x11" * 32, (0,), b"\x00" * 32),
+            (b"\x11" * 32, None, b"\x00" * 32),
+            ("1" * 32, (), b"\x00" * 32),
+            ("1" * 32, ((0, b"\x00" * 32),), b"\x00" * 32),
+            (None, (), b"\x00" * 32),
+            (b"\x11" * 32, (), "0" * 32),
+            (b"\x11" * 32, (), bytearray(32)),
+        ],
+        ids=["one-item-step", "three-item-step", "int-step", "no-step-list", "str-leaf-hash",
+             "str-leaf-hash-with-step", "none-leaf-hash", "str-root", "bytearray-root"],
+    )
+    def test_hand_built_proof_raises_malformed(self, leaf_hash, steps, root):
+        with pytest.raises(MalformedProofError):
+            verify(MerkleProof("A", leaf_hash, steps), root, 2)
+
+    def test_hand_built_list_of_tuples_verifies(self):
+        tree = build_balanced(uniform_leaves("ABCDE"), TreeConfig(3))
+        proof = prove(tree, "D")
+        steps = [(position, siblings) for position, siblings in proof.steps]
+        assert verify(MerkleProof("D", proof.leaf_hash, steps), tree.root_hash(), 3)
+
     def test_wrong_payload_never_verifies(self):
         # soundness fuzz: proofs for altered leaf data must fail
         rng = random.Random(13)

@@ -1,13 +1,16 @@
 """The README's "Library tour" code block runs as documented, and its module
-table names only what exists."""
+table and private names name only what exists."""
 
 import argparse
+import functools
 import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
-from adaptive_merkle import cli
+import adaptive_merkle
+from adaptive_merkle import TreeConfig, build_balanced, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +45,44 @@ def test_module_table_names_exist():
             if name.isidentifier() and name not in names
         ]
     assert unknown == []
+
+
+def test_private_names_exist():
+    # Every backticked private name (a dotted name with a part that starts
+    # with one underscore, such as `_rehash_up` or `metrics._summed`) names
+    # an attribute of a package module, of a class defined there or of a
+    # built tree, so a design note cannot outlive the code it describes.
+    text = README.read_text(encoding="utf-8")
+    private = {
+        name
+        for name in re.findall(r"`([A-Za-z_][\w.]*)(?:\(\))?`", text)
+        if any(part.startswith("_") and not part.startswith("__") for part in name.split("."))
+    }
+    modules = {"adaptive_merkle": adaptive_merkle} | {
+        info.name: importlib.import_module(f"adaptive_merkle.{info.name}")
+        for info in pkgutil.iter_modules(adaptive_merkle.__path__)
+    }
+    tree = build_balanced([("A", b"A", 0.5), ("B", b"B", 0.5)], TreeConfig(2))
+    owners = [*modules.values(), tree] + [
+        obj
+        for module in modules.values()
+        for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    ]
+
+    def resolves(name):
+        first, *rest = name.split(".")
+        if first in modules:
+            starts = [modules[first]]
+        else:
+            starts = [getattr(owner, first) for owner in owners if hasattr(owner, first)]
+        for start in starts:
+            try:
+                functools.reduce(getattr, rest, start)
+                return True
+            except AttributeError:
+                pass
+        return False
+
+    assert len(private) >= 5
+    assert sorted(name for name in private if not resolves(name)) == []

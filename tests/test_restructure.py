@@ -261,9 +261,10 @@ class TestEnumerateAdd:
                 )
 
 
-    def test_delta_floats_sum_old_leaves_right_to_left(self):
+    def test_delta_floats_sum_old_leaves_in_key_order(self):
         # The recorded deltas (golden files, replay audit rows) fix the float
-        # summation order: old leaves right to left, then the placement terms.
+        # summation order: old leaves in key order, as the report sums k_A,
+        # then the placement terms.
         rng = random.Random(43)
         for _ in range(60):
             n = rng.randint(2, 40)
@@ -272,7 +273,7 @@ class TestEnumerateAdd:
             new_probs = dict(zip(sorted(tree.leaf_keys()) + ["zzz"], random_distribution(rng, n + 1).values()))
             h = entropy(list(new_probs.values()), m)
             base_k = 0.0
-            for key in reversed(tree.leaf_keys()):
+            for key in sorted(tree.leaf_keys()):
                 base_k += new_probs[key] * tree.depth(key)
             for alt in enumerate_add_alternatives(tree, "zzz", new_probs):
                 if alt.kind == "split":
@@ -324,6 +325,45 @@ class TestAddModeOracle:
         assert [add_record(alt) for alt in got] == [
             add_record(alt) for alt in reference_add_alternatives(loaded, "new", probs)
         ]
+
+
+def mirrored_shape(tree, nid):
+    """The nested-list shape below a node with every node's children reversed."""
+    node = tree.nodes[nid]
+    if node.children is None:
+        return node.key
+    return [mirrored_shape(tree, cid) for cid in reversed(node.children)]
+
+
+def split_scores(tree, new_probs):
+    return [(alt.kind, alt.target, alt.resulting_delta.hex())
+            for alt in enumerate_add_alternatives(tree, "zzz", new_probs) if alt.kind == "split"]
+
+
+class TestAddScoresIgnoreSiblingOrder:
+    """A score depends only on each leaf's depth and probability, so trees
+    with the same depths score every split the same, bit for bit."""
+
+    def test_mirror_scores_splits_alike(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            m = rng.choice([2, 3, 4, 16])
+            tree = random_tree(rng, n, m)
+            mirror = AdaptiveTree.from_nested(mirrored_shape(tree, tree.root_id), tree.probabilities, TreeConfig(m))
+            assert mirror.depths() == tree.depths()
+            new_probs = dict(zip(sorted(tree.leaf_keys()) + ["zzz"], random_distribution(rng, n + 1).values()))
+            assert split_scores(mirror, new_probs) == split_scores(tree, new_probs)
+
+    def test_grown_tree_scores_as_its_snapshot_reload(self):
+        rng = random.Random(53)
+        for m in (2, 3, 4):
+            tree = grown_tree(random_distribution(rng, 24), m)
+            loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
+            new_probs = dict(zip(sorted(tree.leaf_keys()) + ["zzz"], random_distribution(rng, 25).values()))
+            assert [add_record(alt) for alt in enumerate_add_alternatives(loaded, "zzz", new_probs)] == [
+                add_record(alt) for alt in enumerate_add_alternatives(tree, "zzz", new_probs)
+            ]
 
 
 class TestAddKeyChecks:

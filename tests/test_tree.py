@@ -241,7 +241,7 @@ def nested_pair(tree, a, b):
 
 
 def tree_state(tree):
-    return (json.dumps(tree.to_snapshot()), dict(tree._depth), dict(tree._parent), list(tree._leaf_order))
+    return (json.dumps(tree.to_snapshot()), dict(tree._depth), dict(tree._parent))
 
 
 class TestSwapNodes:
@@ -286,7 +286,7 @@ class TestSwapNodes:
         tree = AdaptiveTree.from_nested([["A", ["B", "C"]], ["D", "E"]], {k: 0.2 for k in "ABCDE"}, TreeConfig(2))
         bc = tree.parent_id(tree.leaf_node("B").node_id)
         tree.swap_nodes(bc, tree.leaf_node("D").node_id)
-        assert tree.leaf_keys() == tree._leaf_order == ["A", "D", "B", "C", "E"]
+        assert tree.leaf_keys() == ["A", "D", "B", "C", "E"]
         assert tree.depths() == {"A": 2, "B": 3, "C": 3, "D": 2, "E": 2}
         tree.validate()
 
@@ -578,25 +578,12 @@ class TestStoredDigests:
         apply_ops(tree, ops, check_stored_digests)
 
 
-def check_leaf_order(tree):
-    """The kept leaf order is the left-to-right order a walk gives."""
-    assert tree._leaf_order == tree.leaf_keys()
-    tree.validate()
-
-
 class TestLeafOrder:
-    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 12), every_op, st.randoms())
-    @settings(max_examples=80, deadline=None)
-    def test_follows_every_mutation(self, m, n, ops, rnd):
-        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
-        check_leaf_order(tree)
-        apply_ops(tree, ops, check_leaf_order)
-
     def test_attach_lands_after_the_rightmost_leaf_below_its_parent(self):
         tree = AdaptiveTree.from_nested([["A", ["B", "C"]], "D"], {k: 0.25 for k in "ABCD"}, TreeConfig(3))
         tree.attach_leaf(tree.parent_id(tree.leaf_node("A").node_id), "E", b"")
-        assert tree._leaf_order == ["A", "B", "C", "E", "D"]
-        check_leaf_order(tree)
+        assert tree.leaf_keys() == ["A", "B", "C", "E", "D"]
+        tree.validate()
 
 
 class TestDepthIndex:
@@ -623,7 +610,7 @@ class TestDepthIndex:
         assert tree.depths() == walked_depths(tree)  # the clone shares no index
 
     @pytest.mark.parametrize(
-        "corrupt", ["leaf", "internal", "root", "missing", "extra", "stale_parent", "leaf_key", "leaf_order"]
+        "corrupt", ["leaf", "internal", "root", "missing", "extra", "stale_parent", "leaf_key"]
     )
     def test_validate_rejects_corrupted_entry(self, binary_demo_tree, corrupt):
         tree = binary_demo_tree
@@ -640,9 +627,6 @@ class TestDepthIndex:
             tree._parent["n999"] = tree.root_id
         elif corrupt == "leaf_key":  # prove(tree, "A") would answer with B's leaf
             tree._leaf_by_key["A"] = tree._leaf_by_key["B"]
-        elif corrupt == "leaf_order":  # add mode would sum k_A in the wrong order
-            order = tree._leaf_order
-            order[0], order[-1] = order[-1], order[0]
         else:
             index["n999"] = 3
         with pytest.raises(StructureError, match="depth index"):
