@@ -30,7 +30,8 @@ object, not per byte, so a step's digests travel as one ``bytes`` object and
 one hex string. Every internal node keeps its hash preimage, the children's
 digests joined in child order (``TreeNode.child_digests``, written only by
 the tree's ``_rehash``), so ``prove`` cuts the path node's 32 bytes out of
-it with two slices and hashes nothing. The writer and the reader convert a
+it with two slices; it hashes nothing unless a mutation left the tree
+dirty, and then flushes it once through ``root_hash()``. The writer and the reader convert a
 step with one ``hex``/``fromhex`` call, and ``verify`` checks a step with one
 ``divmod`` of its length. ``verify`` hashes each step with one call of the
 module-level :func:`hash_internal`, so wrapping that name counts every hash
@@ -105,6 +106,8 @@ class VerificationCost:
 def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
     """Membership proof for a leaf: one step per edge on its root path."""
     leaf = tree.leaf_node(leaf_key)
+    if tree._dirty:  # the stored digests are current only after a root read
+        tree.root_hash()
     nodes, parent_of, root_id = tree.nodes, tree._parent, tree.root_id
     steps: list[ProofStep] = []
     nid = leaf.node_id
@@ -120,6 +123,12 @@ def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
 
 def verify(proof: MerkleProof, expected_root: bytes, arity: int) -> bool:
     """Fold the leaf hash through all steps and compare against the root.
+
+    This shows only that ``proof.leaf_hash`` lies under the root. It binds
+    neither ``proof.key`` nor a payload: a relabelled proof verifies, so does
+    one cut short whose leaf hash is an internal node's, and ``hash_leaf``
+    does not delimit the key, so one hash reads as several (key, payload)
+    pairs (ROADMAP item 3).
 
     Raises :class:`MalformedProofError` for structural defects, a hand-built
     proof's included; returns ``False`` only for an honest mismatch.

@@ -34,9 +34,7 @@ Two loops repeat the best move until none improves delta.
   only, so a swap-free tree whose subtree exchange would help, such as a
   caterpillar over equal weights, comes back unchanged. Past the exit the
   loop builds no report: it sums the starting delta as the report does
-  and subtracts each move's gain. Its moves rehash nothing; one climb at
-  the end rehashes the root paths of every parent they changed, the nodes
-  those paths share once.
+  and subtracts each move's gain.
 * ``optimize_leaf_swaps``, the paper's loop and the audit path that
   ``replay`` runs, swaps leaves only: each step lists
   ``enumerate_swap_alternatives`` and applies the first by ``rank_key``;
@@ -264,32 +262,24 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
 
 def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
     """The exchange loop of :func:`optimize_swaps`, without its checks and
-    its swap-free exit.
-
-    The moves rehash nothing: the parents they change are collected and
-    rehashed in one climb at the end, ancestors shared by several moves
-    once, also when the loop raises."""
+    its swap-free exit."""
     outcomes: list[RestructureOutcome] = []
     k_a, h, _ = _summed(tree)
     delta = k_a - h  # discrepancy_report's delta, without building the report
     ranks = _NodeRanks(tree)
-    moved: list[str] = []  # the parents whose children changed
-    try:
-        for _ in range(max_iters):
-            gain, pair, candidates = ranks.best_exchange()
-            if not gain > IMPROVEMENT_EPS:
-                break
-            labels = (ranks.label[pair[0]], ranks.label[pair[1]])
-            if all(tree.nodes[nid].children is None for nid in pair):
-                chosen = Alternative("swap", labels, delta - gain, labels)
-            else:
-                chosen = Alternative("exchange", pair, delta - gain, labels)
-            moved += tree._move(*pair)
-            ranks.exchanged(*pair)
-            outcomes.append(RestructureOutcome(chosen, candidates, delta, chosen.resulting_delta))
-            delta = chosen.resulting_delta
-    finally:
-        tree._rehash_up(*moved)
+    for _ in range(max_iters):
+        gain, pair, candidates = ranks.best_exchange()
+        if not gain > IMPROVEMENT_EPS:
+            break
+        labels = (ranks.label[pair[0]], ranks.label[pair[1]])
+        if all(tree.nodes[nid].children is None for nid in pair):
+            chosen = Alternative("swap", labels, delta - gain, labels)
+        else:
+            chosen = Alternative("exchange", pair, delta - gain, labels)
+        tree.swap_nodes(*pair)
+        ranks.exchanged(*pair)
+        outcomes.append(RestructureOutcome(chosen, candidates, delta, chosen.resulting_delta))
+        delta = chosen.resulting_delta
     return outcomes
 
 

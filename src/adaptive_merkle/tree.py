@@ -7,16 +7,16 @@ leaves or whole subtrees) so that frequently accessed leaves end up on
 short root paths. Hashing uses SHA-256 with one byte of domain separation:
 ``0x00`` for leaves, ``0x01`` for internal nodes.
 
-Mutations rehash only the affected root paths, in one climb from any number
-of start nodes: the union of their root paths, each node once, children
-before parents; everything else is left untouched. A split or an attach
-climbs from one parent, an exchange from two, and a caller that makes many
-exchanges (the exchange loop of ``restructure.optimize_swaps``) moves
-without rehashing and climbs once from every parent it changed. Each
+One rule decides when to rehash: mutations mark, reads flush. A mutation
+adds the parents whose children changed to a dirty set and hashes nothing
+but a split's new node; :meth:`AdaptiveTree.root_hash` rehashes the union of
+the dirty nodes' root paths, each node once, children before parents, and
+clears the set. So an internal node's hash is current only after
+``root_hash()``, which ``prove`` and snapshot writing call first. Each
 internal node keeps its hash preimage, its children's digests joined in
 child order (``TreeNode.child_digests``), so a proof slices a step's
 siblings out of one byte string. ``_rehash`` is the one writer of both the
-preimage and the hash: building, every mutation, the full rehash and
+preimage and the hash: building, the flush, the full rehash and
 ``from_snapshot`` go through it, and snapshots do not store it. Next to the
 parent pointers the tree keeps a depth index, the edge count from the root
 of every node, and a leaf-key index; ``from_nested`` fills all three as it
@@ -30,8 +30,8 @@ split or an attach updates the three indexes in O(1); an exchange
 renumbers the depths of both moved subtrees, O(their size).
 :meth:`AdaptiveTree.depths` and add mode read the indexes instead of
 walking. The indexes are right only because of the single-writer contract:
-mutating calls need exclusive access and go through the methods here, reads
-may interleave freely between mutations.
+mutating calls, and the first read after them, which flushes, need exclusive
+access and go through the methods here; later reads may interleave freely.
 """
 
 from __future__ import annotations
@@ -126,7 +126,9 @@ class TreeConfig:
 class TreeNode:
     """One node. Leaves carry ``key``/``payload``; internals carry ``children``
     and ``child_digests``, the children's hashes joined in child order: the
-    node's hash preimage, which ``AdaptiveTree._rehash`` alone writes."""
+    node's hash preimage, which ``AdaptiveTree._rehash`` alone writes. An
+    internal node's ``hash`` and ``child_digests`` are current only after
+    the tree's ``root_hash()``."""
 
     node_id: str
     hash: bytes
@@ -155,6 +157,7 @@ class AdaptiveTree:
         self._parent: dict[str, str] = {}
         self._leaf_by_key: dict[str, str] = {}
         self._depth: dict[str, int] = {}  # node id -> edges from the root
+        self._dirty: set[str] = set()  # nodes whose children changed since the last root_hash()
         self._next_id = 1
 
     # -- construction helpers -------------------------------------------------
@@ -257,7 +260,21 @@ class AdaptiveTree:
         return {key: depth[nid] for key, nid in self._leaf_by_key.items()}
 
     def root_hash(self) -> bytes:
-        """Root digest. A pure function of structure, keys, and payloads."""
+        """Root digest. A pure function of structure, keys, and payloads.
+
+        The one flush point: rehashes the union of the dirty nodes' root
+        paths, each node once, deepest first, then clears the dirty set."""
+        if self._dirty:
+            depth, parent = self._depth, self._parent
+            stale: set[str] = set()
+            for nid in self._dirty:
+                # a climb stops where it meets a path already gathered
+                while nid is not None and nid not in stale:
+                    stale.add(nid)
+                    nid = parent.get(nid)
+            for nid in sorted(stale, key=depth.__getitem__, reverse=True):
+                self._rehash(nid)
+            self._dirty.clear()
         return self.nodes[self.root_id].hash
 
     # -- mutations -------------------------------------------------------------
@@ -269,23 +286,6 @@ class AdaptiveTree:
         node = nodes[node_id]
         node.child_digests = b"".join([nodes[cid].hash for cid in node.children])
         node.hash = hash_internal((node.child_digests,))
-
-    def _rehash_up(self, *starts: str) -> None:
-        # Rehash the internal nodes in starts and all their ancestors, each
-        # once, children before parents: gather the union of their root
-        # paths, each climb stopping where it meets one already gathered,
-        # then rehash deepest first.
-        depth, parent = self._depth, self._parent
-        path: list[str] = []
-        seen: set[str] = set()
-        for nid in starts:
-            while nid is not None and nid not in seen:
-                seen.add(nid)
-                path.append(nid)
-                nid = parent.get(nid)
-        path.sort(key=depth.__getitem__, reverse=True)
-        for nid in path:
-            self._rehash(nid)
 
     def split_leaf(self, target_key: str, new_key: str, new_payload: bytes) -> None:
         """Replace the target leaf with an internal node over [target, new leaf].
@@ -306,7 +306,7 @@ class AdaptiveTree:
             parent = self.nodes[parent_id]
             parent.children[parent.children.index(target.node_id)] = intermediate.node_id
             self._parent[intermediate.node_id] = parent_id
-            self._rehash_up(parent_id)
+            self._dirty.add(parent_id)
         self.probabilities[new_key] = 0.0
 
     def attach_leaf(self, parent_id: str, new_key: str, new_payload: bytes) -> None:
@@ -322,7 +322,7 @@ class AdaptiveTree:
         new_leaf = self._add_leaf_node(new_key, new_payload, self._depth[parent_id] + 1)
         parent.children.append(new_leaf.node_id)
         self._parent[new_leaf.node_id] = parent_id
-        self._rehash_up(parent_id)
+        self._dirty.add(parent_id)
         self.probabilities[new_key] = 0.0
 
     def swap_leaves(self, key_a: str, key_b: str) -> None:
@@ -342,15 +342,8 @@ class AdaptiveTree:
         Neither node may be the root or contain the other. Each subtree
         keeps its shape and moves to the other's parent slot, so its nodes'
         depths shift by the difference of the two depths (O(subtree size)).
-        The move itself rehashes nothing; both root paths are then rehashed
-        in one climb, the ancestors they share once.
+        Both parents are marked dirty; the next :meth:`root_hash` rehashes.
         """
-        self._rehash_up(*self._move(a, b))
-
-    def _move(self, a: str, b: str) -> tuple[str, str]:
-        # swap_nodes without the rehash: checks the pair, exchanges the two
-        # nodes and updates the indexes; returns the two parents whose
-        # children changed, for the caller to rehash from.
         nodes, parent, depth = self.nodes, self._parent, self._depth
         if a == b:
             raise StructureError(f"cannot exchange node {a!r} with itself")
@@ -378,7 +371,7 @@ class AdaptiveTree:
         slot_a, slot_b = children_a.index(a), children_b.index(b)
         children_a[slot_a], children_b[slot_b] = b, a
         parent[a], parent[b] = pb, pa
-        return pa, pb
+        self._dirty.update((pa, pb))
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
         """Replace the leaf probability map; structure and hashes are untouched."""
@@ -398,9 +391,10 @@ class AdaptiveTree:
         return copy.deepcopy(self)
 
     def recompute_all_hashes(self) -> None:
-        """Full rehash in the order of the checked walk; used to cross-check
-        incremental updates."""
+        """Full rehash in the order of the checked walk, which leaves nothing
+        dirty; used to cross-check incremental updates."""
         self._hash_children_first(self._walk_indexes()[0])
+        self._dirty.clear()
 
     def _hash_children_first(self, preorder: dict[str, int]) -> None:
         # Reversed preorder visits every child before its parent, so one
@@ -466,8 +460,10 @@ class AdaptiveTree:
     def to_snapshot(self) -> dict:
         """JSON-ready snapshot; nodes listed in the checked walk's preorder,
         hashes as hex."""
+        preorder = self._walk_indexes()[0]  # a corrupted tree raises before the flush
+        self.root_hash()
         nodes = []
-        for nid in self._walk_indexes()[0]:
+        for nid in preorder:
             node = self.nodes[nid]
             if node.children is None:
                 spec = {"id": nid, "kind": "leaf", "key": node.key, "payload_hex": node.payload.hex()}

@@ -6,7 +6,7 @@ import json
 import math
 import random
 
-from adaptive_merkle import AdaptiveTree, MerkleProof, TreeConfig, build_balanced
+from adaptive_merkle import AdaptiveTree, MerkleProof, TreeConfig, build_balanced, optimize_swaps, prove
 from adaptive_merkle._formats import float_sum
 from adaptive_merkle.errors import DuplicateKeyError, ProbabilityError
 from adaptive_merkle.proofs import ProofStep
@@ -169,14 +169,19 @@ def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | No
 
 
 def apply_ops(tree, ops, check=None):
-    """Apply (kind, i, j) mutations, choosing targets by index modulo the
-    current leaves or open nodes; calls ``check(tree)`` after each one and
-    returns the last tree. After "snapshot" or "clone" the ops go on with a
-    tree loaded from the snapshot or a clone; "recompute" appends a byte to
-    a leaf payload and rehashes the whole tree."""
-    for n, (kind, i, j) in enumerate(ops):
+    """Apply (kind, i, j) ops, choosing targets by index modulo the current
+    leaves, open nodes or non-root internal nodes; calls ``check(tree)``
+    after each one and returns the last tree. After "snapshot" or "clone"
+    the ops go on with a tree loaded from the snapshot or a clone;
+    "recompute" appends a byte to a leaf payload and rehashes the whole
+    tree; "swap_nodes" exchanges an internal node with any node it does not
+    nest with; "optimize" runs ``optimize_swaps``; "root" and "prove" only
+    read. A new leaf is named after the node count, so keys stay unique
+    however the ops are split across calls."""
+    for kind, i, j in ops:
         keys = tree.leaf_keys()
         open_nodes = open_internal_ids(tree)
+        new_key = f"x{len(tree.nodes):03d}"
         if kind == "snapshot":
             tree = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
         elif kind == "clone":
@@ -184,18 +189,42 @@ def apply_ops(tree, ops, check=None):
         elif kind == "recompute":
             tree.leaf_node(keys[i % len(keys)]).payload += bytes([j % 256])
             tree.recompute_all_hashes()
+        elif kind == "root":
+            tree.root_hash()
+        elif kind == "prove":
+            prove(tree, keys[i % len(keys)])
+        elif kind == "optimize":
+            optimize_swaps(tree)
+        elif kind == "swap_nodes":
+            inner = sorted(nid for nid, node in tree.nodes.items() if node.children and nid != tree.root_id)
+            movable = sorted(nid for nid in tree.nodes if nid != tree.root_id)
+            if not inner:
+                continue
+            a, b = inner[i % len(inner)], movable[j % len(movable)]
+            if a in root_path(tree, b) or b in root_path(tree, a):
+                continue
+            tree.swap_nodes(a, b)
         elif kind == "attach" and open_nodes:
-            tree.attach_leaf(open_nodes[i % len(open_nodes)], f"x{n:03d}", b"x")
+            tree.attach_leaf(open_nodes[i % len(open_nodes)], new_key, b"x")
         elif kind == "swap" and len(keys) >= 2:
             a, b = keys[i % len(keys)], keys[j % len(keys)]
             if a == b:
                 continue
             tree.swap_leaves(a, b)
         else:
-            tree.split_leaf(keys[i % len(keys)], f"x{n:03d}", b"x")
+            tree.split_leaf(keys[i % len(keys)], new_key, b"x")
         if check is not None:
             check(tree)
     return tree
+
+
+def root_path(tree: AdaptiveTree, node_id: str | None) -> list[str]:
+    """node_id and every node above it, found by climbing parent pointers."""
+    path = []
+    while node_id is not None:
+        path.append(node_id)
+        node_id = tree.parent_id(node_id)
+    return path
 
 
 def random_full_tree(rng: random.Random, levels: int, m: int) -> AdaptiveTree:

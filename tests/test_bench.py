@@ -71,9 +71,9 @@ class TestRunBench:
 
     def test_balanced_fallback_still_wins(self):
         # Grown hottest first, then exchanged, this tree stops at depths
-        # A 1, B..E 3 (k_A 2.30): no exchange improves it. The optimized
+        # D 1, A B C E 3 (k_A 2.30): no exchange improves it. The optimized
         # balanced tree reaches 2.25, Huffman's, so the fallback decides.
-        report = run_bench(list(zip("ABCDE", [7, 5, 3, 2, 3])), 2)
+        report = run_bench(list(zip("ABCDE", [2, 5, 3, 7, 3])), 2)
         assert report.per_variant["adaptive"].k_a == pytest.approx(2.25, abs=TOL)
         assert report.per_variant["huffman"].k_a == pytest.approx(2.25, abs=TOL)
 

@@ -21,10 +21,12 @@ from adaptive_merkle import (
     UnknownKeyError,
     build_balanced,
     discrepancy_report,
+    optimize_swaps,
     prove,
     verify,
 )
 import adaptive_merkle.tree as tree_mod
+from adaptive_merkle.restructure import apply_alternative
 from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
 
 from helpers import (
@@ -36,6 +38,7 @@ from helpers import (
     random_tree,
     reference_check_probabilities,
     reference_prove,
+    root_path,
     walked_depths,
 )
 
@@ -546,17 +549,24 @@ mutation_ops = st.lists(
 )
 every_op = st.lists(
     st.tuples(
-        st.sampled_from(["split", "attach", "swap", "snapshot", "clone", "recompute"]),
+        st.sampled_from(["split", "attach", "swap", "swap_nodes", "optimize", "root", "prove", "snapshot", "clone",
+                         "recompute"]),
         st.integers(0, 999),
         st.integers(0, 999),
     ),
     max_size=20,
 )
+counted_ops = st.lists(
+    st.tuples(st.sampled_from(["split", "attach", "swap", "swap_nodes", "optimize"]), st.integers(0, 999),
+              st.integers(0, 999)),
+    max_size=12,
+)
 
 
 def check_stored_digests(tree):
     """Every internal node keeps its children's hashes joined as its hash
-    preimage, and every proof equals the one gathered child by child."""
+    preimage, and every proof equals the one gathered child by child: true
+    once ``root_hash()`` has been read."""
     for node in tree.nodes.values():
         if node.is_leaf:
             assert node.hash == hash_leaf(node.key, node.payload)
@@ -569,13 +579,31 @@ def check_stored_digests(tree):
         assert prove(tree, key) == reference_prove(tree, key)
 
 
+def check_reads(tree):
+    """Read the tree three ways, each first on its own copy, so the tree
+    keeps whatever it has left to flush for the ops that follow: proofs,
+    the root, and a snapshot written and loaded. Each read equals a full
+    rehash, every proof verifies, and the stored digests hold once the root
+    has been read."""
+    full = tree.clone()
+    full.recompute_all_hashes()
+    root = full.root_hash()
+    proved = tree.clone()
+    assert all(verify(prove(proved, key), root, tree.config.arity) for key in tree.leaf_keys())
+    read = tree.clone()
+    assert read.root_hash() == root
+    check_stored_digests(read)
+    loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.clone().to_snapshot())))
+    assert loaded.root_hash() == root
+
+
 class TestStoredDigests:
     @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 12), every_op, st.randoms())
     @settings(max_examples=80, deadline=None)
     def test_preimage_follows_every_mutation(self, m, n, ops, rnd):
         tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
-        check_stored_digests(tree)
-        apply_ops(tree, ops, check_stored_digests)
+        check_reads(tree)
+        apply_ops(tree, ops, check_reads)
 
 
 class TestLeafOrder:
@@ -638,47 +666,53 @@ class TestDepthIndex:
             binary_demo_tree.validate()
 
 
+def children_of(tree):
+    return {nid: tuple(node.children) for nid, node in tree.nodes.items() if node.children is not None}
+
+
+def changed_parents(before, tree):
+    """The nodes of ``before``, a ``children_of`` map, whose children
+    ``tree`` now lists otherwise."""
+    after = children_of(tree)
+    return {nid for nid, children in before.items() if after[nid] != children}
+
+
 class TestRehashCount:
-    """A mutation hashes exactly the internal nodes on the changed root
-    path(s), each once, and lands on the root a full rehash gives."""
+    """Mutations only mark the tree dirty: after any k of them, the next
+    ``root_hash()`` rehashes exactly the union of the changed parents' root
+    paths in the final tree, each node once. A split also hashes its new
+    node once, when it makes it. A second read hashes nothing."""
 
-    @staticmethod
-    def path_up(tree, node_id):
-        """node_id and every node above it, found by climbing parent pointers."""
-        out = []
-        while node_id is not None:
-            out.append(node_id)
-            node_id = tree.parent_id(node_id)
-        return out
-
-    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 40), st.sampled_from(["split", "attach", "swap"]),
-           st.randoms())
+    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 40), counted_ops, st.randoms())
     @settings(max_examples=120, deadline=None)
-    def test_hashes_only_the_affected_paths(self, m, n, kind, rnd):
-        rng = random.Random(rnd.randint(0, 2**32))
-        tree = random_tree(rng, n, m)
-        keys = tree.leaf_keys()
-        open_nodes = open_internal_ids(tree)
-        above = lambda key: self.path_up(tree, tree.leaf_node(key).node_id)[1:]
-        calls = []
+    def test_one_read_rehashes_the_union_of_changed_paths(self, m, n, ops, rnd):
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        tree.root_hash()
+        changed, fresh, calls = set(), 0, []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tree_mod, "hash_internal", lambda hashes: calls.append(1) or hash_internal(hashes))
-            if kind == "attach" and open_nodes:
-                parent = rng.choice(open_nodes)
-                expected = len(self.path_up(tree, parent))
-                tree.attach_leaf(parent, "new", b"n")
-            elif kind == "swap" and n >= 2:
-                a, b = rng.sample(keys, 2)
-                expected = len(set(above(a)) | set(above(b)))
-                tree.swap_leaves(a, b)
-            else:
-                target = rng.choice(keys)
-                expected = 1 + len(above(target))  # the new internal node, then the old path
-                tree.split_leaf(target, "new", b"n")
-        assert len(calls) == expected
+            for op in ops:
+                before = children_of(tree)
+                if op[0] == "optimize":
+                    # replay the loop's moves one by one on a copy, to see each move's parents
+                    replay = tree.clone()
+                    for outcome in optimize_swaps(tree):
+                        moved_from = children_of(replay)
+                        apply_alternative(replay, outcome.chosen)
+                        changed |= changed_parents(moved_from, replay)
+                    assert children_of(replay) == children_of(tree)
+                else:
+                    apply_ops(tree, [op])
+                    changed |= changed_parents(before, tree)
+                fresh += len(children_of(tree)) - len(before)  # a split's new node
+            root = tree.root_hash()
+            assert len(calls) == fresh + len({nid for start in changed for nid in root_path(tree, start)})
+            calls.clear()
+            assert tree.root_hash() == root
+            assert calls == []
         full = tree.clone()
         full.recompute_all_hashes()
-        assert tree.root_hash() == full.root_hash()
+        assert root == full.root_hash()
 
 
 class TestStructureInvariants:
