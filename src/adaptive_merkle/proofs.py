@@ -30,12 +30,12 @@ object, not per byte, so a step's digests travel as one ``bytes`` object and
 one hex string. Every internal node keeps its hash preimage, the children's
 digests joined in child order (``TreeNode.child_digests``, written only by
 the tree's ``_rehash``), so ``prove`` cuts the path node's 32 bytes out of
-it with two slices; it hashes nothing unless a mutation left the tree
-dirty, and then flushes it once through ``root_hash()``. The writer and the reader convert a
-step with one ``hex``/``fromhex`` call, and ``verify`` checks a step with one
-``divmod`` of its length. ``verify`` hashes each step with one call of the
-module-level :func:`hash_internal`, so wrapping that name counts every hash
-a verification makes; a test guards this. :class:`ProofStep` and
+it with two slices; it hashes nothing unless a mutation left the tree dirty,
+and then flushes it once through ``root_hash()``. The writer and the reader
+convert a step with one ``hex``/``fromhex`` call, and ``verify`` checks a
+step with one ``divmod`` of its length. ``verify`` hashes each step with one
+call of the module-level :func:`hash_internal`, so wrapping that name counts
+every hash a verification makes; a test guards this. :class:`ProofStep` and
 :class:`MerkleProof` are named tuples: immutable, compared and hashed by
 value, and cheaper to build than a frozen dataclass, which pays one
 ``object.__setattr__`` per field.
