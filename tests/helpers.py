@@ -218,6 +218,18 @@ def apply_ops(tree, ops, check=None):
     return tree
 
 
+def children_of(tree: AdaptiveTree) -> dict[str, tuple[str, ...]]:
+    """Every internal node's children, as tuples."""
+    return {nid: tuple(node.children) for nid, node in tree.nodes.items() if node.children is not None}
+
+
+def changed_parents(before: dict[str, tuple[str, ...]], tree: AdaptiveTree) -> set[str]:
+    """The nodes of ``before``, a ``children_of`` map, whose children
+    ``tree`` now lists otherwise."""
+    after = children_of(tree)
+    return {nid for nid, children in before.items() if after[nid] != children}
+
+
 def root_path(tree: AdaptiveTree, node_id: str | None) -> list[str]:
     """node_id and every node above it, found by climbing parent pointers."""
     path = []

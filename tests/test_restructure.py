@@ -30,6 +30,7 @@ from adaptive_merkle import (
     verify,
 )
 import adaptive_merkle._formats as formats_mod
+import adaptive_merkle.bench as bench_mod
 import adaptive_merkle.metrics as metrics_mod
 import adaptive_merkle.restructure as restructure_mod
 import adaptive_merkle.tree as tree_mod
@@ -47,11 +48,14 @@ from adaptive_merkle.workload import zipf_distribution
 
 from helpers import (
     apply_ops,
+    changed_parents,
+    children_of,
     min_avg_length_for_depths,
     open_internal_ids,
     random_distribution,
     random_tree,
     reference_add_alternatives,
+    root_path,
 )
 
 TOL = 1e-9
@@ -792,9 +796,73 @@ def check_hashes(tree):
     tree.validate()
 
 
+def recorded_rehashes(patch):
+    """Route ``AdaptiveTree._rehash`` through a wrapper that records one
+    ``(tree, node_id)`` per call in the list it returns."""
+    real = AdaptiveTree._rehash
+    calls = []
+
+    def rehash(tree, node_id):
+        calls.append((tree, node_id))
+        real(tree, node_id)
+
+    patch.setattr(AdaptiveTree, "_rehash", rehash)
+    return calls
+
+
 class TestExchangeRehash:
     """The exchange loop's moves only mark the tree dirty; the next read
-    rehashes."""
+    rehashes the union of the moved parents' root paths, each node once."""
+
+    @given(st.sampled_from([2, 3, 4]), st.integers(2, 24), st.sampled_from([1, 3, DEFAULT_MAX_ITERS]), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_optimize_swaps(self, m, n, max_iters, rnd):
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        tree.root_hash()
+        replay, moved = tree.clone(), set()
+        with pytest.MonkeyPatch.context() as patch:
+            calls = recorded_rehashes(patch)
+            outcomes = optimize_swaps(tree, max_iters)
+            assert calls == []  # moves hash nothing
+            # replay the moves one by one on a copy, to see each move's parents
+            for outcome in outcomes:
+                before = children_of(replay)
+                apply_alternative(replay, outcome.chosen)
+                moved |= changed_parents(before, replay)
+            assert children_of(replay) == children_of(tree)
+            calls.clear()
+            root = tree.root_hash()
+            hashed = [nid for _, nid in calls]
+            assert sorted(hashed) == sorted({nid for start in moved for nid in root_path(tree, start)})
+            calls.clear()
+            assert tree.root_hash() == root
+            assert calls == []
+        check_hashes(tree)
+
+    @given(st.sampled_from([2, 3, 4]), st.lists(st.integers(0, 20), min_size=2, max_size=24).filter(any))
+    @settings(max_examples=60, deadline=None)
+    def test_build_adaptive(self, m, weights):
+        dist = [(f"k{i:03d}", w / sum(weights)) for i, w in enumerate(weights)]
+        config = TreeConfig(m)
+        balanced = build_balanced([(key, key.encode(), p) for key, p in dist], config)
+        balanced.root_hash()
+        with pytest.MonkeyPatch.context() as patch:
+            calls = recorded_rehashes(patch)
+            tree = bench_mod._build_adaptive(dist, config, balanced)
+            # the build never reads a root: each tree hashes only its
+            # splits' new nodes, each once
+            built = [(id(t), nid) for t, nid in calls]
+            assert len(built) == len(set(built))
+            stale = {nid for start in tree._dirty for nid in root_path(tree, start)}
+            calls.clear()
+            root = tree.root_hash()
+            hashed = [nid for t, nid in calls if t is tree]
+            assert len(hashed) == len(calls)
+            assert sorted(hashed) == sorted(stale)
+            calls.clear()
+            assert tree.root_hash() == root
+            assert calls == []
+        check_hashes(tree)
 
     def test_hashes_right_when_the_loop_raises(self, monkeypatch):
         # An error after some moves still leaves the tree dirty for every
