@@ -6,10 +6,10 @@
 * ``adaptive``  -- leaves inserted one at a time, highest probability first,
   each placed by the minimal-discrepancy rule over the renormalized prefix
   distribution and followed by ``optimize_swaps`` (leaf swaps and subtree
-  exchanges); under the full distribution the grown tree then takes one
-  more exchange pass, without the swap-free exit. If it still loses to the
-  optimized balanced tree, the latter is used, so the adaptive variant
-  never falls behind the baseline;
+  exchanges); under the full distribution the grown tree is then finished
+  by exchanges run to convergence, regroups that re-pair each depth by
+  weight and relocates into shallower free slots. That the result never
+  falls behind the baseline is a tested property, not a code path;
 * ``huffman``   -- the tree spelled out by the optimal prefix code.
 
 ``replay_iterations`` executes a scripted sequence of add-leaf and swap
@@ -30,9 +30,8 @@ from .errors import FormatError, ProbabilityError
 from .metrics import discrepancy_report
 from .proofs import prove, verification_cost
 from .restructure import (
-    DEFAULT_MAX_ITERS,
-    _exchange,
     _leaf_swap_loop,
+    _settle,
     apply_best,
     enumerate_add_alternatives,
     optimize_leaf_swaps,
@@ -77,7 +76,7 @@ def _variant_stats(tree: AdaptiveTree, baseline_k: float) -> VariantStats:
     )
 
 
-def _build_adaptive(dist: Sequence[tuple[str, float]], config: TreeConfig, balanced: AdaptiveTree) -> AdaptiveTree:
+def _build_adaptive(dist: Sequence[tuple[str, float]], config: TreeConfig) -> AdaptiveTree:
     # Insert in descending probability (key as tiebreak) so early iterations
     # place the heavy leaves near the root; each insertion is followed by
     # exchange passes (add first, then exchanges).
@@ -92,17 +91,9 @@ def _build_adaptive(dist: Sequence[tuple[str, float]], config: TreeConfig, balan
         apply_best(grown, enumerate_add_alternatives(grown, key, prefix))
         optimize_swaps(grown)
     grown.set_probabilities(dict(dist))
-    # One exchange pass without the swap-free exit: a tree swap-free by its
-    # leaves can still gain from exchanging subtrees.
-    _exchange(grown, DEFAULT_MAX_ITERS)
-
-    # Incremental growth can still settle on a worse shape than the static
-    # build; restructuring must never lose to the baseline it started from.
-    resettled = balanced.clone()
-    optimize_swaps(resettled)
-    if discrepancy_report(grown).k_a <= discrepancy_report(resettled).k_a:
-        return grown
-    return resettled
+    # exchanges, regroups and relocates: where growth stops short of optimal
+    _settle(grown)
+    return grown
 
 
 def run_bench(
@@ -131,7 +122,7 @@ def run_bench(
         if mode == "balanced":
             trees[mode] = balanced
         elif mode == "adaptive":
-            trees[mode] = _build_adaptive(normalized, config, balanced)
+            trees[mode] = _build_adaptive(normalized, config)
         elif mode == "huffman":
             trees[mode] = tree_from_codes(huffman_codes(dict(normalized), m))
 

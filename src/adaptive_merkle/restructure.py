@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -281,6 +282,58 @@ def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
         outcomes.append(RestructureOutcome(chosen, candidates, delta, chosen.resulting_delta))
         delta = chosen.resulting_delta
     return outcomes
+
+
+def _settle(tree: AdaptiveTree) -> None:
+    """The adaptive build's last step: exchange until nothing gains, and go
+    on while a relocate moves or a regroup opens an exchange or a relocate.
+    Exchanges and relocates lower k_A by over ``IMPROVEMENT_EPS``: it ends."""
+    while True:
+        _exchange(tree, sys.maxsize)
+        if not (_relocate(tree) or (_regroup(tree) and (_exchange(tree, sys.maxsize) or _relocate(tree)))):
+            return
+
+
+def _regroup(tree: AdaptiveTree) -> bool:
+    """Re-pair each depth's nodes on the same slots, deepest first, by
+    same-depth exchanges; whether any moved. Sorted by (weight descending,
+    label), they fill the parents one depth up in blocks, fullest parent
+    first (free slots go to the lightest, as in m-ary Huffman), then by each
+    parent's heaviest child (so a second call moves nothing). k_A stays; the
+    new pairs can open an exchange (Gallager's sibling property)."""
+    ranks = _NodeRanks(tree)
+    weight, label, nodes, parent = ranks.weight, ranks.label, tree.nodes, tree._parent
+    levels = {d: [nid for _, _, nid in entries] for d, entries in ranks.levels.items()}  # before any move
+    moved = False
+    for d in sorted(levels, reverse=True)[:-1]:  # the root has no parent slot
+        level = sorted(levels[d], key=lambda nid: (-weight[nid], label[nid]))
+        rest = iter(level)
+        # parents by their heaviest child, then stably by child count
+        for p in sorted(dict.fromkeys(parent[nid] for nid in level), key=lambda p: -len(nodes[p].children)):
+            block = [next(rest) for _ in nodes[p].children]
+            outgoing = [cid for cid in nodes[p].children if cid not in block]
+            for u, v in zip([nid for nid in block if parent[nid] != p], outgoing):
+                tree.swap_nodes(u, v)
+                ranks.exchanged(u, v)
+                moved = True
+    return moved
+
+
+def _relocate(tree: AdaptiveTree) -> bool:
+    """Move the node u of largest gain w_u(d_u - d_o - 1), whose parent keeps
+    two children, into o, the shallowest open node (smallest label first),
+    if the gain exceeds ``IMPROVEMENT_EPS``; whether it moved."""
+    d_o, _, o = min(((d, key, nid) for nid, d, key in _open_nodes(tree)), default=(0, "", None))
+    if o is None:
+        return False
+    ranks, nodes, parent = _NodeRanks(tree), tree.nodes, tree._parent
+    # ties go to the smaller label, then the shallower node
+    candidates = [(-ranks.weight[nid] * (d - d_o - 1), ranks.label[nid], d, nid) for nid, d in tree._depth.items()
+                  if nid in parent and len(nodes[parent[nid]].children) > 2]
+    loss, _, _, u = min(candidates, default=(0.0, "", 0, ""))
+    if -loss > IMPROVEMENT_EPS:
+        tree.move_node(u, o)
+    return -loss > IMPROVEMENT_EPS
 
 
 def optimize_leaf_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> list[RestructureOutcome]:

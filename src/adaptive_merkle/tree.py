@@ -27,7 +27,8 @@ compares them with it, and snapshot writing, the full rehash and
 raises :class:`StructureError` there instead of being written or hashed. A
 split or an attach updates the three indexes in O(1); an exchange
 (:meth:`AdaptiveTree.swap_nodes`, of which a leaf swap is the one-node case)
-renumbers the depths of both moved subtrees, O(their size).
+renumbers the depths of both moved subtrees, and a move into a free child
+slot (:meth:`AdaptiveTree.move_node`) those of the one, O(their size).
 :meth:`AdaptiveTree.depths` and add mode read the indexes instead of
 walking. The indexes are right only because of the single-writer contract:
 mutating calls, and the first read after them, which flushes, need exclusive
@@ -344,34 +345,59 @@ class AdaptiveTree:
         depths shift by the difference of the two depths (O(subtree size)).
         Both parents are marked dirty; the next :meth:`root_hash` rehashes.
         """
-        nodes, parent, depth = self.nodes, self._parent, self._depth
+        parent = self._parent
         if a == b:
             raise StructureError(f"cannot exchange node {a!r} with itself")
         self.node(a), self.node(b)  # an unknown id raises UnknownKeyError
         pa, pb = parent.get(a), parent.get(b)
         if pa is None or pb is None:
             raise StructureError("cannot exchange the root")
-        shift = depth[b] - depth[a]
-        # climb from the deeper node to the other's depth: meeting it means nested
-        deep, shallow = (b, a) if shift > 0 else (a, b)
-        for _ in range(abs(shift)):
-            deep = parent[deep]
-        if deep == shallow:
+        if self._within(a, b) or self._within(b, a):
             raise StructureError(f"cannot exchange nested nodes {a!r} and {b!r}")
-        if shift:
-            for nid, by in ((a, shift), (b, -shift)):
-                stack = [nid]
-                while stack:
-                    cur = stack.pop()
-                    depth[cur] += by
-                    children = nodes[cur].children
-                    if children is not None:
-                        stack += children
-        children_a, children_b = nodes[pa].children, nodes[pb].children
+        shift = self._depth[b] - self._depth[a]
+        self._shift(a, shift)
+        self._shift(b, -shift)
+        children_a, children_b = self.nodes[pa].children, self.nodes[pb].children
         slot_a, slot_b = children_a.index(a), children_b.index(b)
         children_a[slot_a], children_b[slot_b] = b, a
         parent[a], parent[b] = pb, pa
         self._dirty.update((pa, pb))
+
+    def move_node(self, node_id: str, parent_id: str) -> None:
+        """Append a node, leaf or subtree, to the children of an internal node
+        with a free slot, neither its parent nor in its subtree; the old
+        parent must keep two children. Depths shift with the subtree (O(its
+        size)) and both parents are marked dirty."""
+        self.node(node_id)  # an unknown id raises UnknownKeyError
+        target, old = self.node(parent_id), self._parent.get(node_id)
+        if old is None:
+            raise StructureError("cannot move the root")
+        if old == parent_id:
+            raise StructureError(f"node {node_id!r} is already a child of {parent_id!r}")
+        if target.is_leaf or len(target.children) >= self.config.arity:
+            raise StructureError(f"node {parent_id!r} has no free child slot")
+        if len(self.nodes[old].children) <= 2:
+            raise StructureError(f"moving {node_id!r} would leave {old!r} with one child")
+        if self._within(parent_id, node_id):
+            raise StructureError(f"cannot move node {node_id!r} into its own subtree")
+        self._shift(node_id, self._depth[parent_id] + 1 - self._depth[node_id])
+        self.nodes[old].children.remove(node_id)
+        target.children.append(node_id)
+        self._parent[node_id] = parent_id
+        self._dirty.update((old, parent_id))
+
+    def _within(self, node_id: str, top: str) -> bool:
+        # whether node_id lies in top's subtree: climb to top's depth
+        for _ in range(self._depth[node_id] - self._depth[top]):
+            node_id = self._parent[node_id]
+        return node_id == top
+
+    def _shift(self, node_id: str, by: int) -> None:
+        # add `by` to the depth of every node in node_id's subtree
+        subtree = [node_id] if by else []
+        for nid in subtree:  # grows as it goes: a breadth-first walk
+            self._depth[nid] += by
+            subtree += self.nodes[nid].children or ()
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
         """Replace the leaf probability map; structure and hashes are untouched."""

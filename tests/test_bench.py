@@ -9,10 +9,12 @@ from adaptive_merkle import (
     AdaptiveTree,
     FormatError,
     ProbabilityError,
+    TreeConfig,
     discrepancy_report,
     load_script,
     run_bench,
 )
+import adaptive_merkle.bench as bench_mod
 from adaptive_merkle.bench import (
     ReplayScript,
     ReplayStep,
@@ -21,7 +23,9 @@ from adaptive_merkle.bench import (
     write_variants_csv,
 )
 import adaptive_merkle.restructure as restructure_mod
+from adaptive_merkle.coding import brute_force_min_avg_length, huffman_codes
 from adaptive_merkle.restructure import IMPROVEMENT_EPS, enumerate_swap_alternatives
+from adaptive_merkle.workload import zipf_distribution
 
 from helpers import MALFORMED_SCRIPT, malform_script, random_distribution
 
@@ -61,7 +65,7 @@ class TestRunBench:
         for _ in range(25):
             n = rng.randint(2, 24)
             dist = sorted(random_distribution(rng, n).items())
-            m = rng.choice([2, 4])
+            m = rng.choice([2, 3, 4, 5])
             report = run_bench(dist, m)
             k_h = report.per_variant["huffman"].k_a
             k_a = report.per_variant["adaptive"].k_a
@@ -69,13 +73,39 @@ class TestRunBench:
             assert k_h <= k_a + TOL
             assert k_a <= k_b + TOL
 
-    def test_balanced_fallback_still_wins(self):
-        # Grown hottest first, then exchanged, this tree stops at depths
-        # D 1, A B C E 3 (k_A 2.30): no exchange improves it. The optimized
-        # balanced tree reaches 2.25, Huffman's, so the fallback decides.
-        report = run_bench(list(zip("ABCDE", [2, 5, 3, 7, 3])), 2)
-        assert report.per_variant["adaptive"].k_a == pytest.approx(2.25, abs=TOL)
-        assert report.per_variant["huffman"].k_a == pytest.approx(2.25, abs=TOL)
+    def test_regroup_and_relocate_reach_the_optimum(self):
+        # Grown hottest first and exchanged, each tree stalls above the
+        # optimum: at m=2 a regroup opens the exchange (2.30 -> 2.25), at
+        # m=3 only a relocate moves the free slot (regroup alone: 2.0889).
+        # The last case stopped at 2.0 before either move existed.
+        for weights, m, optimum in [
+            ([2, 5, 3, 7, 3], 2, 2.25),
+            ([3, 6, 11, 7, 3, 3, 2, 2, 2, 6], 3, 2.0222),
+            ([5, 9, 7, 4, 7, 3, 10, 3], 3, 1.9167),
+        ]:
+            dist = [(chr(65 + i), w / sum(weights)) for i, w in enumerate(weights)]
+            report = run_bench(dist, m)
+            k_a = report.per_variant["adaptive"].k_a
+            assert k_a == pytest.approx(brute_force_min_avg_length([p for _, p in dist], m), abs=TOL)
+            assert k_a == pytest.approx(optimum, abs=1e-4)
+            assert k_a <= report.per_variant["balanced"].k_a + TOL
+
+    def test_adaptive_equals_brute_force_on_small_cases(self):
+        # Integer weights 1-10 over n <= 10 keys: the adaptive build is
+        # optimal in every case, and so never above the balanced tree.
+        rng = random.Random(113)
+        for _ in range(5000):
+            n, m = rng.randint(3, 10), rng.choice([2, 3, 4, 5])
+            weights = [rng.randint(1, 10) for _ in range(n)]
+            dist = [(f"k{i}", w / sum(weights)) for i, w in enumerate(weights)]
+            k_a = discrepancy_report(bench_mod._build_adaptive(dist, TreeConfig(m))).k_a
+            assert k_a == pytest.approx(brute_force_min_avg_length([p for _, p in dist], m), abs=TOL), (m, weights)
+
+    @pytest.mark.parametrize("n, m", [(256, 2), (256, 4), (256, 16), (1024, 2)])
+    def test_adaptive_reaches_huffman_on_zipf(self, n, m):
+        dist = list(zip((f"k{i:04d}" for i in range(n)), zipf_distribution(n, 1.1)))
+        k_a = run_bench(dist, m, ["adaptive"]).per_variant["adaptive"].k_a
+        assert k_a <= (1 + 1e-9) * huffman_codes(dict(dist), m).avg_length
 
     def test_report_recomputable_from_snapshots(self, tmp_path, demo16):
         report = run_bench(demo16, 2)

@@ -843,14 +843,11 @@ class TestExchangeRehash:
     @settings(max_examples=60, deadline=None)
     def test_build_adaptive(self, m, weights):
         dist = [(f"k{i:03d}", w / sum(weights)) for i, w in enumerate(weights)]
-        config = TreeConfig(m)
-        balanced = build_balanced([(key, key.encode(), p) for key, p in dist], config)
-        balanced.root_hash()
         with pytest.MonkeyPatch.context() as patch:
             calls = recorded_rehashes(patch)
-            tree = bench_mod._build_adaptive(dist, config, balanced)
-            # the build never reads a root: each tree hashes only its
-            # splits' new nodes, each once
+            tree = bench_mod._build_adaptive(dist, TreeConfig(m))
+            # the build never reads a root: it hashes only its splits' new
+            # nodes, each once
             built = [(id(t), nid) for t, nid in calls]
             assert len(built) == len(set(built))
             stale = {nid for start in tree._dirty for nid in root_path(tree, start)}
@@ -933,10 +930,11 @@ def improving_exchanges(tree):
 DETERMINISM_SCRIPT = """
 import json, random, sys
 sys.path[:0] = sys.argv[1:3]
+from adaptive_merkle import run_bench
 from adaptive_merkle.restructure import optimize_swaps
 from helpers import random_tree
 rng = random.Random(7)
-out = []
+out = {"optimize": [], "bench": []}
 for _ in range(40):
     m, n = rng.choice([2, 3, 4]), rng.randint(2, 24)
     # few distinct dyadic weights, zeros included: equal weights are common
@@ -945,7 +943,13 @@ for _ in range(40):
     probs = {f"k{i:03d}": w / sum(weights) for i, w in enumerate(weights)}
     tree = random_tree(rng, n, m, probs)
     steps = [o.to_json_dict() for o in optimize_swaps(tree)]
-    out.append([steps, tree.to_snapshot()])
+    out["optimize"].append([steps, tree.to_snapshot()])
+for m in (2, 3, 4, 5):
+    for _ in range(3):
+        weights = [rng.choice([0, 1, 1, 2, 3]) for _ in range(rng.randint(8, 40))]
+        weights[0] += 1
+        dist = [(f"k{i:03d}", w) for i, w in enumerate(weights)]
+        out["bench"].append(run_bench(dist, m, ["adaptive"]).trees["adaptive"].to_snapshot())
 print(json.dumps(out))
 """
 
@@ -1060,7 +1064,8 @@ class TestNodeExchange:
             for seed in ("0", "1")
         ]
         assert runs[0] == runs[1]
-        assert len(json.loads(runs[0])) == 40
+        out = json.loads(runs[0])
+        assert (len(out["optimize"]), len(out["bench"])) == (40, 12)
 
     def test_same_result_after_a_snapshot_round_trip(self):
         rng = random.Random(103)
@@ -1074,3 +1079,90 @@ class TestNodeExchange:
             steps = [o.to_json_dict() for o in optimize_swaps(tree)]
             assert [o.to_json_dict() for o in optimize_swaps(loaded)] == steps
             assert loaded.to_snapshot() == tree.to_snapshot()
+
+
+def forbidden(*args):
+    raise AssertionError("this move is not the one under test")
+
+
+def stalled_tree(weights, m):
+    """The adaptive build over keys A, B, ... before its regroups and
+    relocates: grown hottest first, then exchanged until nothing gains."""
+    probs = {chr(65 + i): w / sum(weights) for i, w in enumerate(weights)}
+    tree = grown_tree(probs, m)
+    tree.set_probabilities(probs)
+    restructure_mod._exchange(tree, sys.maxsize)
+    return tree
+
+
+class TestRegroupAndRelocate:
+    """The adaptive build's finishing moves: regroup re-pairs every depth by
+    weight through same-depth exchanges, relocate moves a node into a
+    shallower free slot."""
+
+    @given(st.sampled_from([2, 3, 4]), st.integers(1, 24), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_regroup_keeps_depths_child_counts_and_k_a(self, m, n, rnd):
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        depths = tree.depths()
+        counts = {nid: len(node.children) for nid, node in tree.nodes.items() if node.children}
+        k_a = discrepancy_report(tree).k_a.hex()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AdaptiveTree, "move_node", forbidden)
+            restructure_mod._regroup(tree)
+        assert tree.depths() == depths
+        assert {nid: len(node.children) for nid, node in tree.nodes.items() if node.children} == counts
+        assert discrepancy_report(tree).k_a.hex() == k_a
+        check_hashes(tree)
+        assert restructure_mod._regroup(tree) is False
+
+    @given(st.sampled_from([3, 4, 5]), st.integers(3, 24), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_relocate_takes_the_best_move_into_a_free_slot(self, m, n, rnd):
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        # every legal move into a free slot, scored w_u(d_u - d_o - 1)
+        weights = restructure_mod._NodeRanks(tree).weight
+        depth, nodes = tree._depth, tree.nodes
+        gains = [
+            weights[u] * (depth[u] - depth[o] - 1)
+            for u in nodes if u != tree.root_id and len(nodes[tree.parent_id(u)].children) > 2
+            for o in open_internal_ids(tree) if u not in root_path(tree, o)
+        ]
+        best = max(gains, default=0.0)
+        before, root = discrepancy_report(tree).k_a, tree.root_hash()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AdaptiveTree, "swap_nodes", forbidden)
+            moved = restructure_mod._relocate(tree)
+        assert moved == (best > IMPROVEMENT_EPS)
+        assert before - discrepancy_report(tree).k_a == pytest.approx(best if moved else 0.0, abs=1e-12)
+        if not moved:
+            assert tree.root_hash() == root
+        check_hashes(tree)
+
+    def test_regroup_opens_an_exchange(self):
+        # At m=2 the tree stalls as [D, [[B, A], [C, E]]]: D (7) at depth 1
+        # outweighs both pairs (7 and 6), so no exchange gains. Re-paired as
+        # [B, C] (8) and [A, E] (5), the heavier pair trades places with D:
+        # 2.30 -> 2.25.
+        tree = stalled_tree([2, 5, 3, 7, 3], 2)
+        assert discrepancy_report(tree).k_a == pytest.approx(2.30, abs=TOL)
+        assert not restructure_mod._relocate(tree)
+        assert restructure_mod._regroup(tree)
+        assert discrepancy_report(tree).k_a == pytest.approx(2.30, abs=TOL)
+        assert restructure_mod._exchange(tree, sys.maxsize)
+        assert discrepancy_report(tree).k_a == pytest.approx(2.25, abs=TOL)
+        check_hashes(tree)
+
+    def test_relocate_finds_what_regroup_cannot(self):
+        # At m=3 regroup and exchange alone stop at 2.0889; relocate reaches
+        # the optimum 2.0222.
+        weights = [3, 6, 11, 7, 3, 3, 2, 2, 2, 6]
+        tree = stalled_tree(weights, 3)
+        while restructure_mod._regroup(tree) and restructure_mod._exchange(tree, sys.maxsize):
+            pass
+        assert discrepancy_report(tree).k_a == pytest.approx(2.0889, abs=1e-4)
+        restructure_mod._settle(tree)
+        optimum = brute_force_min_avg_length([w / sum(weights) for w in weights], 3)
+        assert discrepancy_report(tree).k_a == pytest.approx(optimum, abs=TOL)
+        assert optimum == pytest.approx(2.0222, abs=1e-4)
+        check_hashes(tree)

@@ -300,6 +300,106 @@ class TestSwapNodes:
             binary_demo_tree.swap_nodes(binary_demo_tree.leaf_node("A").node_id, "nope")
 
 
+def move_error(tree, node_id, parent_id):
+    """Why moving node_id under parent_id must raise, or None for a legal
+    move: the rules of ``move_node`` read off the shape."""
+    old = tree.parent_id(node_id)
+    target = tree.nodes[parent_id]
+    if old is None:
+        return "root"
+    if target.is_leaf:
+        return "leaf target"
+    if old == parent_id:
+        return "own parent"
+    if len(target.children) == tree.config.arity:
+        return "full target"
+    if len(tree.nodes[old].children) == 2:
+        return "one child left"
+    if node_id in root_path(tree, parent_id):
+        return "own subtree"
+    return None
+
+
+def subtree_ids(tree, node_id):
+    stack, out = [node_id], []
+    while stack:
+        nid = stack.pop()
+        out.append(nid)
+        stack += tree.nodes[nid].children or []
+    return out
+
+
+class TestMoveNode:
+    @given(st.sampled_from([3, 4, 5]), st.integers(3, 16), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_legal_moves_keep_every_index_and_shift_the_subtree(self, m, n, rnd):
+        rng = random.Random(rnd.randint(0, 2**32))
+        tree = random_tree(rng, n, m)
+        for _ in range(4):
+            ids = sorted(tree.nodes)
+            legal = [(u, o) for u in ids for o in ids if move_error(tree, u, o) is None]
+            if not legal:
+                return
+            u, o = rng.choice(legal)
+            shift = tree._depth[o] + 1 - tree._depth[u]
+            moved = set(subtree_ids(tree, u))
+            expected = {nid: d + shift if nid in moved else d for nid, d in tree._depth.items()}
+            before = discrepancy_report(tree).k_a
+            tree.move_node(u, o)
+            assert tree._depth == expected
+            assert tree.nodes[o].children[-1] == u and tree.parent_id(u) == o
+            assert tree.depths() == walked_depths(tree)
+            assert discrepancy_report(tree).k_a - before == pytest.approx(subtree_weight(tree, u) * shift, abs=1e-12)
+            tree.validate()
+            full = tree.clone()
+            full.recompute_all_hashes()
+            assert full.root_hash() == tree.root_hash()
+            root = tree.root_hash()
+            assert all(verify(prove(tree, key), root, m) for key in tree.leaf_keys())
+
+    @given(st.sampled_from([3, 4, 5]), st.integers(3, 16), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_illegal_moves_raise_and_change_nothing(self, m, n, rnd):
+        rng = random.Random(rnd.randint(0, 2**32))
+        tree = random_tree(rng, n, m)
+        before = tree_state(tree)
+        ids = sorted(tree.nodes)
+        bad = [(u, o) for u in ids for o in ids if move_error(tree, u, o) is not None]
+        for u, o in rng.sample(bad, min(len(bad), 8)):
+            with pytest.raises(StructureError):
+                tree.move_node(u, o)
+            assert tree_state(tree) == before
+
+    def test_each_rule_names_its_reason(self):
+        # At m=4 the root, [B, C, [D, E]] and [D, E] have free slots; [F..I] is full.
+        tree = AdaptiveTree.from_nested(
+            ["A", ["B", "C", ["D", "E"]], ["F", "G", "H", "I"]], {k: 1 / 9 for k in "ABCDEFGHI"}, TreeConfig(4)
+        )
+        node = {key: tree.leaf_node(key).node_id for key in "ABCDEFGHI"}
+        bcde, de, fghi = tree.parent_id(node["B"]), tree.parent_id(node["D"]), tree.parent_id(node["F"])
+        before = tree_state(tree)
+        for u, o, reason, message in [
+            (tree.root_id, bcde, "root", "the root"),
+            (node["A"], node["F"], "leaf target", "no free child slot"),
+            (node["B"], bcde, "own parent", "already a child"),
+            (node["A"], fghi, "full target", "no free child slot"),
+            (node["D"], tree.root_id, "one child left", "one child"),
+            (bcde, de, "own subtree", "own subtree"),
+        ]:
+            assert move_error(tree, u, o) == reason
+            with pytest.raises(StructureError, match=message):
+                tree.move_node(u, o)
+            assert tree_state(tree) == before
+        with pytest.raises(UnknownKeyError):
+            tree.move_node(node["A"], "nope")
+        tree.move_node(fghi, de)
+        assert tree.depths() == {"A": 1, "B": 2, "C": 2, "D": 3, "E": 3, "F": 4, "G": 4, "H": 4, "I": 4}
+        tree.move_node(node["F"], tree.root_id)
+        assert tree.leaf_keys() == ["A", "B", "C", "D", "E", "G", "H", "I", "F"]
+        assert tree.depths()["F"] == 1
+        tree.validate()
+
+
 class TestSetProbabilities:
     def test_accepts_iteration_2_distribution(self):
         tree = build_balanced(make_leaves("ABCD"), TreeConfig(2))
