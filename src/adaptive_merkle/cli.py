@@ -96,7 +96,8 @@ def _cmd_prove(args) -> int:
 def _cmd_verify(args) -> int:
     proof = MerkleProof.from_json_dict(load_json(args.proof, "proof"))
     expected_root = bytes.fromhex(args.root)
-    if verify(proof, expected_root, args.arity):
+    payload = None if args.payload_hex is None else bytes.fromhex(args.payload_hex)
+    if verify(proof, expected_root, args.arity, payload=payload):
         sys.stderr.write("proof OK\n")
         return EXIT_OK
     sys.stderr.write("proof does NOT match the expected root\n")
@@ -172,6 +173,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--proof", required=True, help="proof JSON file")
     p.add_argument("--root", required=True, help="expected root hash, hex")
     p.add_argument("--arity", type=int, default=2)
+    p.add_argument("--payload-hex",
+                   help="leaf payload, hex: the proof must then also bind its key to this payload")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("encode", help="export Huffman codes or an address map as CSV")

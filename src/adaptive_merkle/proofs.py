@@ -7,7 +7,22 @@ byte string. The position is where the running digest slots in among them,
 so each root path has exactly one encoding. Steps run from the leaf to the
 root.
 
-Wire format (canonical JSON, no whitespace)::
+Canonical wire (binary, big-endian, digests raw as in RFC 6962/9162)::
+
+    01                          version byte (_WIRE_VERSION)
+    u32 key length, key         the key in UTF-8
+    leaf hash                   32 bytes
+    per step, to the end:       u16 position, u16 sibling count c,
+                                c * 32 bytes of sibling digests
+
+:meth:`MerkleProof.to_bytes` writes it and :meth:`MerkleProof.from_bytes`
+reads it; ``proof_bytes`` is its length. The reader takes exactly what the
+writer writes: a wrong version byte, a key that is not UTF-8 (an encoded
+surrogate included), a step that runs past the end or a partial step at the
+end raises :class:`MalformedProofError`, so every accepted byte string is
+written back unchanged.
+
+Readable view (JSON, no whitespace)::
 
     {"key": ..., "leaf_hash_hex": ...,
      "steps": [{"position": i, "siblings": "<hex of the joined digests>"}]}
@@ -15,7 +30,6 @@ Wire format (canonical JSON, no whitespace)::
 :meth:`MerkleProof.to_json_bytes` is the one place that spells it: it writes
 the bytes directly, byte-identical to ``json.dumps`` of the equivalent dict
 with ``separators=(",", ":")``, which a property test checks as its oracle.
-``proof_bytes`` is defined as the byte length of exactly that encoding.
 :meth:`MerkleProof.from_json_dict` reads each proof one way only: it takes
 exactly these fields, hex must be lowercase with no whitespace
 (``bytes.fromhex(h).hex() == h``) and the key must encode as UTF-8, so every
@@ -31,11 +45,12 @@ one hex string. Every internal node keeps its hash preimage, the children's
 digests joined in child order (``TreeNode.child_digests``, written only by
 the tree's ``_rehash``), so ``prove`` cuts the path node's 32 bytes out of
 it with two slices; it hashes nothing unless a mutation left the tree dirty,
-and then flushes it once through ``root_hash()``. The writer and the reader
-convert a step with one ``hex``/``fromhex`` call, and ``verify`` checks a
-step with one ``divmod`` of its length. ``verify`` hashes each step with one
-call of the module-level :func:`hash_internal`, so wrapping that name counts
-every hash a verification makes; a test guards this. :class:`ProofStep` and
+and then flushes it once through ``root_hash()``. The writers and the
+readers convert a step with one call (``hex``/``fromhex`` or one
+``struct`` pack/unpack and one slice), and ``verify`` checks a step with one
+``divmod`` of its length. ``verify`` hashes each step with one call of the
+module-level :func:`hash_internal`, so wrapping that name counts every hash
+a verification makes; a test guards this. :class:`ProofStep` and
 :class:`MerkleProof` are named tuples: immutable, compared and hashed by
 value, and cheaper to build than a frozen dataclass, which pays one
 ``object.__setattr__`` per field.
@@ -43,12 +58,16 @@ value, and cheaper to build than a frozen dataclass, which pays one
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import MalformedProofError
-from .tree import HASH_SIZE, AdaptiveTree, hash_internal
+from .tree import HASH_SIZE, AdaptiveTree, hash_internal, hash_leaf
+
+_WIRE_VERSION = b"\x01"  # first byte of the binary wire
+_STEP_HEAD = struct.Struct(">HH")  # position, sibling count
 
 
 class ProofStep(NamedTuple):
@@ -61,8 +80,58 @@ class MerkleProof(NamedTuple):
     leaf_hash: bytes
     steps: tuple[ProofStep, ...]
 
+    def to_bytes(self) -> bytes:
+        """Canonical binary wire bytes; the one writer of that layout.
+
+        Raises :class:`MalformedProofError` for a hand-built proof the layout
+        cannot carry: a key that is not a UTF-8 string, a leaf hash or a
+        sibling string that is not whole 32-byte digests, a position or
+        sibling count beyond u16.
+        """
+        try:
+            key, leaf_hash = self.key.encode(), self.leaf_hash
+            if len(leaf_hash) != HASH_SIZE:
+                raise ValueError(f"leaf hash of {len(leaf_hash)} bytes")
+            parts = [_WIRE_VERSION, len(key).to_bytes(4, "big"), key, leaf_hash]
+            for position, siblings in self.steps:
+                count, rest = divmod(len(siblings), HASH_SIZE)
+                if rest:
+                    raise ValueError(f"{len(siblings)} sibling bytes")
+                parts += (_STEP_HEAD.pack(position, count), siblings)
+            return b"".join(parts)
+        except (AttributeError, TypeError, ValueError, OverflowError, struct.error) as exc:
+            raise MalformedProofError(f"proof cannot be encoded: {exc}") from None
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "MerkleProof":
+        """Read the binary wire; accepts exactly what :meth:`to_bytes` writes."""
+        if type(data) is not bytes:
+            raise MalformedProofError(f"proof wire of type {type(data).__name__}, expected bytes")
+        if data[:1] != _WIRE_VERSION:
+            raise MalformedProofError(f"proof wire version {data[:1].hex() or 'missing'}, expected 01")
+        end, key_end = len(data), 5 + int.from_bytes(data[1:5], "big")
+        if end < key_end + HASH_SIZE:
+            raise MalformedProofError("proof wire ends inside its key length, key or leaf hash")
+        try:
+            key = data[5:key_end].decode()
+        except UnicodeDecodeError as exc:
+            raise MalformedProofError(f"proof key is not UTF-8: {exc}") from None
+        at = key_end + HASH_SIZE
+        leaf_hash = data[key_end:at]
+        steps = []
+        while at < end:
+            start = at + _STEP_HEAD.size
+            if end < start:
+                raise MalformedProofError(f"proof wire ends inside a step header at byte {at}")
+            position, count = _STEP_HEAD.unpack_from(data, at)
+            at = start + HASH_SIZE * count
+            if end < at:
+                raise MalformedProofError(f"proof step at byte {start - _STEP_HEAD.size} runs past the end")
+            steps.append(ProofStep(position, data[start:at]))
+        return cls(key, leaf_hash, tuple(steps))
+
     def to_json_bytes(self) -> bytes:
-        """Canonical wire bytes; the one writer of the format."""
+        """Readable JSON view; the one writer of that format."""
         steps = ",".join(
             ['{"position":%d,"siblings":"%s"}' % (position, siblings.hex()) for position, siblings in self.steps]
         )
@@ -121,14 +190,17 @@ def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
     return MerkleProof(leaf_key, leaf.hash, tuple(steps))
 
 
-def verify(proof: MerkleProof, expected_root: bytes, arity: int) -> bool:
+def verify(proof: MerkleProof, expected_root: bytes, arity: int, *, payload: bytes | None = None) -> bool:
     """Fold the leaf hash through all steps and compare against the root.
 
-    This shows only that ``proof.leaf_hash`` lies under the root. It binds
-    neither ``proof.key`` nor a payload: a relabelled proof verifies, so does
-    one cut short whose leaf hash is an internal node's, and ``hash_leaf``
-    does not delimit the key, so one hash reads as several (key, payload)
-    pairs (ROADMAP item 3).
+    Without ``payload`` this shows only that ``proof.leaf_hash`` (some node's
+    hash) lies under the root. It binds neither ``proof.key`` nor a payload:
+    a relabelled proof verifies, and so does one cut short whose leaf hash is
+    an internal node's. With ``payload`` it also requires
+    ``hash_leaf(proof.key, payload) == proof.leaf_hash``, which rejects both.
+    ``hash_leaf`` does not yet delimit the key, so one leaf hash still reads
+    as several (key, payload) pairs; length-prefixing it (ROADMAP item 3)
+    changes every root hash and so the wire version byte.
 
     Raises :class:`MalformedProofError` for structural defects, a hand-built
     proof's included; returns ``False`` only for an honest mismatch.
@@ -153,12 +225,18 @@ def verify(proof: MerkleProof, expected_root: bytes, arity: int) -> bool:
             current = hash_internal((blob[:cut], current, blob[cut:]))
     except (TypeError, ValueError) as exc:  # a step that is no (position, siblings) pair
         raise MalformedProofError(f"malformed proof steps: {exc}") from None
-    return current == expected_root
+    if payload is None:
+        return current == expected_root
+    try:
+        bound = hash_leaf(proof.key, payload)
+    except (AttributeError, TypeError, ValueError) as exc:  # no str key, a lone surrogate, no bytes payload
+        raise MalformedProofError(f"cannot hash key {proof.key!r:.80} with the payload: {exc}") from None
+    return current == expected_root and bound == proof.leaf_hash
 
 
 def verification_cost(proof: MerkleProof) -> VerificationCost:
-    """Hash invocations (= steps) and canonical wire size of a proof."""
+    """Hash invocations (= steps) and canonical (binary) wire size of a proof."""
     return VerificationCost(
         hash_invocations=len(proof.steps),
-        proof_bytes=len(proof.to_json_bytes()),
+        proof_bytes=len(proof.to_bytes()),
     )

@@ -56,6 +56,7 @@ from .errors import (
 HASH_ALGORITHM = "sha-256"
 HASH_SIZE = 32
 PROB_SUM_TOL = 1e-9
+MAX_ARITY = 65536  # the binary proof wire's u16 position and sibling count
 
 _LEAF_PREFIX = b"\x00"
 _INTERNAL_PREFIX = b"\x01"
@@ -119,8 +120,8 @@ class TreeConfig:
 
     def __post_init__(self) -> None:
         # bool is an int subclass, and a float arity cannot size a node
-        if type(self.arity) is not int or self.arity < 2:
-            raise StructureError(f"arity must be an int >= 2, got {self.arity!r}")
+        if type(self.arity) is not int or not 2 <= self.arity <= MAX_ARITY:
+            raise StructureError(f"arity must be an int from 2 to {MAX_ARITY}, got {self.arity!r}")
 
 
 @dataclass

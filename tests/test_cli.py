@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adaptive_merkle import AdaptiveTree
+from adaptive_merkle import AdaptiveTree, prove
 from adaptive_merkle.cli import main
 
 from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_format_step
@@ -99,6 +99,26 @@ def test_prove_verify_round_trip(tmp_path, snapshot, capsys):
     capsys.readouterr()
     root = AdaptiveTree.load(snapshot).root_hash().hex()
     assert main(["verify", "--proof", str(proof_path), "--root", root, "--arity", "2"]) == 0
+
+
+def test_prove_json_stderr_counts_binary_bytes(tmp_path, snapshot, capsys):
+    proof_path = tmp_path / "proof.json"
+    assert main(["prove", "--snapshot", str(snapshot), "--key", "A", "--out", str(proof_path)]) == 0
+    proof = prove(AdaptiveTree.load(snapshot), "A")
+    assert proof_path.read_bytes() == proof.to_json_bytes() + b"\n"
+    assert capsys.readouterr().err == f"steps=4 proof_bytes={len(proof.to_bytes())}\n"
+
+
+def test_verify_payload_binds_json_proof(tmp_path, snapshot, capsys):
+    proof_path = tmp_path / "proof.json"
+    assert main(["prove", "--snapshot", str(snapshot), "--key", "A", "--out", str(proof_path)]) == 0
+    root = AdaptiveTree.load(snapshot).root_hash().hex()
+    wire = json.loads(proof_path.read_text(encoding="utf-8"))
+    assert main(["verify", "--proof", str(proof_path), "--root", root, "--payload-hex", "41"]) == 0
+    proof_path.write_text(json.dumps(dict(wire, key="B")), encoding="utf-8")
+    assert main(["verify", "--proof", str(proof_path), "--root", root]) == 0  # unbound: relabel passes
+    assert main(["verify", "--proof", str(proof_path), "--root", root, "--payload-hex", "41"]) == 3
+    assert main(["verify", "--proof", str(proof_path), "--root", root, "--payload-hex", "4"]) == 2
 
 
 def test_verify_wrong_root_exit_3(tmp_path, snapshot, capsys):

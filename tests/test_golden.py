@@ -9,7 +9,11 @@ exactly:
   ``hexary20_distribution.csv`` at m = 2, 4 and 16, default modes; their
   ``mean_proof_bytes`` column was rewritten when a proof step's sibling
   digests became one hex string on the wire (3c - 1 bytes fewer per step
-  of c siblings), every other column unchanged. The ``adaptive`` rows of
+  of c siblings), every other column unchanged, and rewritten again when
+  ``proof_bytes`` became the length of the binary wire (``to_bytes``) in
+  place of the JSON view's: for example 476 -> 182 bytes for the balanced
+  row of ``variants_demo16_m2.csv``. Both times every other column, and
+  every other golden file, stayed byte-identical. The ``adaptive`` rows of
   ``variants_demo16_m2.csv`` and ``variants_demo16_m4.csv`` were rewritten
   when the adaptive build began to end with one exchange pass without the
   swap-free exit, whose leaf-only test had left both grown trees short of

@@ -21,8 +21,8 @@ from adaptive_merkle import (
 )
 import adaptive_merkle.proofs as proofs_mod
 from adaptive_merkle.proofs import ProofStep
-from adaptive_merkle.tree import hash_internal
-from adaptive_merkle.workload import normalize_distribution
+from adaptive_merkle.tree import MAX_ARITY, hash_internal, hash_leaf
+from adaptive_merkle.workload import generate_trace, normalize_distribution, zipf_distribution
 
 from helpers import old_format_step, random_tree, split_digests
 
@@ -291,8 +291,8 @@ def proof_cases(draw):
 
 class TestProofMutation:
     """Any single structured edit to a valid proof fails to verify or is
-    rejected as malformed. The key is not bound by the proof yet, so edits
-    confined to it are out of scope here."""
+    rejected as malformed. The 3-argument call does not bind the key, so
+    edits confined to it are out of scope here (see TestKeyBinding)."""
 
     @settings(max_examples=400, deadline=None)
     @given(proof_cases(), st.data())
@@ -445,7 +445,8 @@ class TestVerificationCost:
         tree = build_balanced(uniform_leaves("ABCDEFGHIJKLMNOP"), TreeConfig(2))
         cost = verification_cost(prove(tree, "A"))
         assert cost.hash_invocations == 4
-        assert cost.proof_bytes == len(prove(tree, "A").to_json_bytes())
+        # the binary wire: 1 + 4 + 1 (version, key length, key) + 32 + 4 * (4 + 32)
+        assert cost.proof_bytes == len(prove(tree, "A").to_bytes()) == 182
 
     def test_hot_leaf_half_cost(self, demo16):
         probs = dict(normalize_distribution(demo16))
@@ -466,3 +467,220 @@ class TestVerificationCost:
                 for key, p in tree.probabilities.items()
             )
             assert expected == pytest.approx(report.k_a, abs=TOL)
+
+
+def reference_wire(proof: MerkleProof) -> bytes:
+    """The binary wire spelled field by field: the oracle for to_bytes."""
+    key = proof.key.encode("utf-8")
+    wire = b"\x01" + len(key).to_bytes(4, "big") + key + proof.leaf_hash
+    for position, siblings in proof.steps:
+        wire += position.to_bytes(2, "big") + (len(siblings) // 32).to_bytes(2, "big") + siblings
+    return wire
+
+
+class TestBinaryWire:
+    # binary_demo_tree's proof for H: its sibling A, then the sibling of
+    # the node [A, H], under a root of
+    # 79e6c501fd873647d7c02c65826da219fefaca347831f91294b7ba31bcf16225
+    DEMO_H = bytes.fromhex(
+        "01"  # version
+        "00000001" "48"  # key length 1, "H"
+        "cd7fb9e1db93ea4a59bbc6ae7c1bc4b21cc90c53955110659abed35c4af696cf"  # hash_leaf("H", b"H")
+        "0001" "0001"  # position 1, one sibling
+        "25a27d25e58db964e87c725758200a07ce98b01cbd2fbfefa5396ba937d4d5d5"  # hash_leaf("A", b"A")
+        "0000" "0001"  # position 0, one sibling
+        "bc5cd6336040ef9f0477d441b37801d5ed876b9146643f91300e5eb23ee55867"
+    )
+
+    def test_demo_proof_bytes_pinned(self, binary_demo_tree):
+        proof = prove(binary_demo_tree, "H")
+        assert proof.to_bytes() == self.DEMO_H
+        assert proof.leaf_hash == hash_leaf("H", b"H")
+        assert proof.steps[0].siblings == hash_leaf("A", b"A")
+        assert binary_demo_tree.root_hash().hex().startswith("79e6c501")
+        assert MerkleProof.from_bytes(self.DEMO_H) == proof
+        assert verification_cost(proof).proof_bytes == len(self.DEMO_H) == 110
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.text(KEY_CHARS, max_size=6), min_size=1, max_size=32, unique=True),
+        st.sampled_from([2, 3, 4, 16]),
+        st.data(),
+    )
+    def test_round_trip_on_random_trees(self, seed, keys, m, data):
+        rng = random.Random(seed)
+        tree = random_tree(rng, len(keys), m, {key: 1.0 / len(keys) for key in keys})
+        key = data.draw(st.sampled_from(keys))
+        proof = prove(tree, key)
+        wire = proof.to_bytes()
+        assert wire == reference_wire(proof)
+        received = MerkleProof.from_bytes(wire)
+        assert received == proof and received.to_bytes() == wire
+        assert type(received.leaf_hash) is bytes and all(type(s.siblings) is bytes for s in received.steps)
+        assert verify(received, tree.root_hash(), m, payload=key.encode())
+        assert verification_cost(proof).proof_bytes == len(wire)
+
+    @pytest.mark.parametrize("m, prefix", [(2, "k"), (3, "\u00e9"), (4, "\U0001f600"), (16, "\u2028")])
+    def test_every_byte_edit_raises_or_fails(self, m, prefix):
+        # every single-byte flip (three masks), every truncation and an
+        # appended byte (0x00 or 0xff): each is rejected as malformed or
+        # fails to verify once the payload is bound; every accepted string
+        # is written back unchanged
+        tree = random_tree(random.Random(m), 12, m, {f"{prefix}{i}": 1 / 12 for i in range(12)})
+        root, accepted = tree.root_hash(), 0
+        for key in tree.leaf_keys()[:3]:
+            wire, payload = prove(tree, key).to_bytes(), tree.leaf_node(key).payload
+            edits = [wire[:i] + bytes([wire[i] ^ mask]) + wire[i + 1 :] for i in range(len(wire))
+                     for mask in (0x01, 0x80, 0xFF)]
+            edits += [wire[:i] for i in range(len(wire))] + [wire + b"\x00", wire + b"\xff"]
+            for edited in edits:
+                try:
+                    received = MerkleProof.from_bytes(edited)
+                except MalformedProofError:
+                    continue
+                accepted += 1
+                assert received.to_bytes() == edited
+                try:
+                    assert verify(received, root, m, payload=payload) is False
+                except MalformedProofError:
+                    pass
+        assert accepted > 0
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            b"",
+            b"\x00" + DEMO_H[1:],
+            b"\x02" + DEMO_H[1:],
+            b"{" + DEMO_H[1:],
+            DEMO_H[:3],
+            DEMO_H[:5],
+            DEMO_H[:38 + 2],
+            DEMO_H[:38 + 4 + 31],
+            DEMO_H + b"\x00\x00\x00",
+            DEMO_H + b"\x00\x00\x00\x01",
+            b"\x01\xff\xff\xff\xff" + DEMO_H[5:],
+            b"\x01\x00\x00\x00\x01\xff" + DEMO_H[6:],
+            b"\x01\x00\x00\x00\x03\xed\xa0\x80" + DEMO_H[6:],  # an encoded lone surrogate
+            b"\x01\x00\x00\x00\x02\xc1\x81" + DEMO_H[6:],  # an overlong "A"
+        ],
+        ids=["empty", "version-0", "version-2", "json-brace", "in-key-length", "no-key", "in-step-head",
+             "step-past-end", "partial-step-head", "trailing-step-past-end", "key-length-past-end",
+             "bad-utf8", "surrogate", "overlong"],
+    )
+    def test_malformed_wire_raises(self, wire):
+        with pytest.raises(MalformedProofError):
+            MerkleProof.from_bytes(wire)
+
+    @pytest.mark.parametrize("wire", [bytearray(DEMO_H), memoryview(DEMO_H), DEMO_H.hex(), None])
+    def test_wire_not_bytes_raises(self, wire):
+        with pytest.raises(MalformedProofError, match="expected bytes"):
+            MerkleProof.from_bytes(wire)
+
+    def test_shapes_verify_rejects_still_round_trip(self):
+        # position and count are checked by verify, which knows the arity,
+        # as for a JSON proof; the reader still has one reading per string
+        for steps in [(ProofStep(0, b""),), (ProofStep(7, b"\x01" * 32),), (ProofStep(65535, b"\xab" * 64),)]:
+            proof = MerkleProof("k", b"\xff" * 32, steps)
+            wire = proof.to_bytes()
+            assert wire == reference_wire(proof) and MerkleProof.from_bytes(wire) == proof
+            with pytest.raises(MalformedProofError):
+                verify(proof, b"\x00" * 32, 4)
+
+    def test_widest_node_encodes(self):
+        # TreeConfig caps m at MAX_ARITY, so every proof of a built tree fits
+        # the u16 position and sibling count: here both are 65,535
+        keys = [f"k{i}" for i in range(MAX_ARITY)]
+        tree = build_balanced(uniform_leaves(keys), TreeConfig(MAX_ARITY))
+        proof = prove(tree, keys[-1])
+        assert proof.steps[0].position == MAX_ARITY - 1
+        assert verification_cost(proof).proof_bytes == 37 + len(keys[-1]) + 4 + 32 * (MAX_ARITY - 1)
+        assert MerkleProof.from_bytes(proof.to_bytes()) == proof
+        assert verify(proof, tree.root_hash(), MAX_ARITY, payload=keys[-1].encode())
+
+    @pytest.mark.parametrize(
+        "key, leaf_hash, steps",
+        [
+            (["k"], b"\xff" * 32, ()),
+            ("\udc00", b"\xff" * 32, ()),
+            ("k", b"\xff" * 31, ()),
+            ("k", "ff" * 32, ()),
+            ("k", b"\xff" * 32, (ProofStep(0, b"\x01" * 33),)),
+            ("k", b"\xff" * 32, (ProofStep(-1, b"\x01" * 32),)),
+            ("k", b"\xff" * 32, (ProofStep(65536, b"\x01" * 32),)),
+            ("k", b"\xff" * 32, (ProofStep(1.0, b"\x01" * 32),)),
+            ("k", b"\xff" * 32, (ProofStep(0, "01" * 32),)),
+            ("k", b"\xff" * 32, ((0,),)),
+        ],
+        ids=["list-key", "surrogate-key", "short-leaf-hash", "str-leaf-hash", "partial-digest",
+             "negative-position", "position-past-u16", "float-position", "str-siblings", "one-item-step"],
+    )
+    def test_unencodable_proof_raises(self, key, leaf_hash, steps):
+        with pytest.raises(MalformedProofError, match="cannot be encoded"):
+            MerkleProof(key, leaf_hash, steps).to_bytes()
+
+
+class TestKeyBinding:
+    """``verify(..., payload=)`` binds the proof to its key and payload; the
+    3-argument call shows only that the leaf hash lies under the root."""
+
+    def test_honest_proof_binds(self, quad_demo_tree):
+        root = quad_demo_tree.root_hash()
+        for key in quad_demo_tree.leaf_keys():
+            proof = prove(quad_demo_tree, key)
+            assert verify(proof, root, 4, payload=key.encode()) is True
+            assert verify(proof, root, 4, payload=key.encode() + b"!") is False
+
+    def test_relabelled_proof_fails(self, quad_demo_tree):
+        root = quad_demo_tree.root_hash()
+        proof = prove(quad_demo_tree, "E")
+        relabelled = proof._replace(key="F")
+        assert verify(relabelled, root, 4) is True  # the unbound call cannot tell
+        assert verify(relabelled, root, 4, payload=b"E") is False
+        assert verify(relabelled, root, 4, payload=b"F") is False
+
+    def test_proof_cut_one_step_short_fails(self, binary_demo_tree):
+        root = binary_demo_tree.root_hash()
+        proof = prove(binary_demo_tree, "C")
+        parent = binary_demo_tree.node(binary_demo_tree.parent_id(binary_demo_tree.leaf_node("C").node_id))
+        short = MerkleProof("C", parent.hash, proof.steps[1:])
+        assert verify(short, root, 2) is True  # an internal node's hash stands in for the leaf
+        assert verify(short, root, 2, payload=b"C") is False
+
+    def test_three_argument_call_unchanged(self, binary_demo_tree):
+        # positional, as the benchmark workloads call it; payload is keyword-only
+        proof = prove(binary_demo_tree, "C")
+        assert verify(proof, binary_demo_tree.root_hash(), 2) is True
+        assert verify(proof, b"\x00" * 32, 2) is False
+        with pytest.raises(TypeError):
+            verify(proof, binary_demo_tree.root_hash(), 2, b"C")
+
+    def test_root_mismatch_fails_even_with_the_right_payload(self, binary_demo_tree):
+        assert verify(prove(binary_demo_tree, "C"), b"\x00" * 32, 2, payload=b"C") is False
+
+    @pytest.mark.parametrize("key, payload", [(["C"], b"C"), ("\udc00", b"C"), ("C", "C")],
+                             ids=["list-key", "surrogate-key", "str-payload"])
+    def test_unhashable_key_or_payload_raises(self, binary_demo_tree, key, payload):
+        proof = prove(binary_demo_tree, "C")._replace(key=key)
+        with pytest.raises(MalformedProofError):
+            verify(proof, binary_demo_tree.root_hash(), 2, payload=payload)
+
+
+class TestWireSize:
+    def test_serve_tree_bytes_per_proof(self):
+        # Zipf(1.1), n=16384, m=16 Huffman tree, 10^4 seeded accesses: the
+        # binary wire averages at most 1150 B and half the JSON view
+        n = 16384
+        probs = dict(zip((f"k{i:05d}" for i in range(n)), zipf_distribution(n, 1.1)))
+        tree = tree_from_codes(huffman_codes(probs, 16))
+        sizes = {}
+        binary = readable = 0
+        for key in generate_trace(probs, 10**4, 1).events:
+            if key not in sizes:
+                proof = prove(tree, key)
+                sizes[key] = verification_cost(proof).proof_bytes, len(proof.to_json_bytes())
+            binary += sizes[key][0]
+            readable += sizes[key][1]
+        assert binary / 10**4 <= 1150
+        assert binary <= 0.5 * readable

@@ -27,7 +27,7 @@ from adaptive_merkle import (
 )
 import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.restructure import apply_alternative
-from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
+from adaptive_merkle.tree import MAX_ARITY, PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
 
 from helpers import (
     MALFORMED_TOP_LEVEL,
@@ -819,9 +819,10 @@ class TestStructureInvariants:
         # every node except the root reachable exactly once via validate()
 
     def test_arity_bounds_enforced(self):
-        for arity in (1, 2.5, 2.0, True):
+        for arity in (1, 2.5, 2.0, True, MAX_ARITY + 1):
             with pytest.raises(StructureError):
                 TreeConfig(arity)
+        assert TreeConfig(MAX_ARITY).arity == 65536  # the proof wire's u16 fields
         with pytest.raises(StructureError):
             AdaptiveTree.from_nested(["A", "B", "C"], {"A": 0.5, "B": 0.25, "C": 0.25}, TreeConfig(2))
 
