@@ -69,10 +69,12 @@ def _cmd_insert(args) -> int:
 
 def _cmd_optimize(args) -> int:
     tree = AdaptiveTree.load(args.snapshot)
+    probe = tree.clone()
     outcomes = optimize_swaps(tree, max_iters=args.max_iters)
     tree.save(args.out)
     sys.stdout.write(json.dumps([o.to_json_dict() for o in outcomes], indent=2) + "\n")
-    if len(outcomes) == args.max_iters:  # the cap, not convergence, ended the loop
+    # the cap, not convergence, ended the loop only if one more move is left
+    if len(outcomes) == args.max_iters and len(optimize_swaps(probe, max_iters=args.max_iters + 1)) > args.max_iters:
         sys.stderr.write(f"stopped at --max-iters {args.max_iters}\n")
     return EXIT_OK
 

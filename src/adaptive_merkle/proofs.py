@@ -44,8 +44,8 @@ object, not per byte, so a step's digests travel as one ``bytes`` object and
 one hex string. Every internal node keeps its hash preimage, the children's
 digests joined in child order (``TreeNode.child_digests``, written only by
 the tree's ``_rehash``), so ``prove`` cuts the path node's 32 bytes out of
-it with two slices; it hashes nothing unless a mutation left the tree dirty,
-and then flushes it once through ``root_hash()``. The writers and the
+it with two slices; it hashes nothing unless building or a mutation left
+the tree dirty, and then flushes it once through ``root_hash()``. The writers and the
 readers convert a step with one call (``hex``/``fromhex`` or one
 ``struct`` pack/unpack and one slice), and ``verify`` checks a step with one
 ``divmod`` of its length. ``verify`` hashes each step with one call of the

@@ -26,7 +26,9 @@ Two loops repeat the best move until none improves delta.
   delta, by (w_u - w_v)(d_v - d_u): unlike a leaf swap it changes the
   depth multiset, which is what brings grown trees to the Huffman optimum.
   Each step takes the lightest node of one depth against the heaviest of a
-  deeper one, best pair of depths first. It first checks a certificate
+  deeper one, best pair of depths first, from an index that keeps every
+  node once, under its depth, sorted by (weight, label); a move refiles
+  just the nodes it moves or reweighs. It first checks a certificate
   that no leaf swap can help: swapping a shallow leaf s with a deeper leaf
   t changes delta by (p_s - p_t)(d_t - d_s), so when at every depth the
   lightest leaf weighs at least as much as the heaviest leaf one occupied
@@ -303,10 +305,10 @@ def _regroup(tree: AdaptiveTree) -> bool:
     new pairs can open an exchange (Gallager's sibling property)."""
     ranks = _NodeRanks(tree)
     weight, label, nodes, parent = ranks.weight, ranks.label, tree.nodes, tree._parent
-    levels = {d: [nid for _, _, nid in entries] for d, entries in ranks.levels.items()}  # before any move
     moved = False
-    for d in sorted(levels, reverse=True)[:-1]:  # the root has no parent slot
-        level = sorted(levels[d], key=lambda nid: (-weight[nid], label[nid]))
+    # same-depth exchanges change no depth's members, only their order
+    for d in sorted(ranks.levels, reverse=True)[:-1]:  # the root has no parent slot
+        level = sorted((nid for _, _, nid in ranks.levels[d]), key=lambda nid: (-weight[nid], label[nid]))
         rest = iter(level)
         # parents by their heaviest child, then stably by child count
         for p in sorted(dict.fromkeys(parent[nid] for nid in level), key=lambda p: -len(nodes[p].children)):
@@ -323,12 +325,14 @@ def _relocate(tree: AdaptiveTree) -> bool:
     """Move the node u of largest gain w_u(d_u - d_o - 1), whose parent keeps
     two children, into o, the shallowest open node (smallest label first),
     if the gain exceeds ``IMPROVEMENT_EPS``; whether it moved."""
-    d_o, _, o = min(((d, key, nid) for nid, d, key in _open_nodes(tree)), default=(0, "", None))
-    if o is None:
+    m, nodes, parent, depth = tree.config.arity, tree.nodes, tree._parent, tree._depth
+    open_ids = [nid for nid, node in nodes.items() if node.children is not None and len(node.children) < m]
+    if not open_ids:
         return False
-    ranks, nodes, parent = _NodeRanks(tree), tree.nodes, tree._parent
+    ranks = _NodeRanks(tree)
+    d_o, _, o = min((depth[nid], ranks.label[nid], nid) for nid in open_ids)
     # ties go to the smaller label, then the shallower node
-    candidates = [(-ranks.weight[nid] * (d - d_o - 1), ranks.label[nid], d, nid) for nid, d in tree._depth.items()
+    candidates = [(-ranks.weight[nid] * (d - d_o - 1), ranks.label[nid], d, nid) for nid, d in depth.items()
                   if nid in parent and len(nodes[parent[nid]].children) > 2]
     loss, _, _, u = min(candidates, default=(0.0, "", 0, ""))
     if -loss > IMPROVEMENT_EPS:
@@ -385,10 +389,9 @@ class _NodeRanks:
     children's weights, added in child order; a node's label is the
     smallest leaf key below it. Nodes at one depth are disjoint subtrees
     with distinct labels, so the first and the last entry of a depth, its
-    lightest and heaviest node, never depend on set or dict order. An
-    exchange files fresh entries for the nodes it moves or reweighs; an
-    entry whose node has since moved or changed is dropped when it reaches
-    either end.
+    lightest and heaviest node, never depend on set or dict order. Each
+    node has exactly one entry: an exchange moves the entry of every node
+    it moves or reweighs, and a depth left empty is dropped.
     """
 
     def __init__(self, tree: AdaptiveTree) -> None:
@@ -402,15 +405,18 @@ class _NodeRanks:
             weight[nid], label[nid] = self._rank_of(nodes[nid].children)
         self.levels: dict[int, list[tuple[float, str, str]]] = {}
         for nid, d in depth.items():
-            if d in self.levels:
-                self.levels[d].append((weight[nid], label[nid], nid))
-            else:
-                self.levels[d] = [(weight[nid], label[nid], nid)]
+            self.levels.setdefault(d, []).append((weight[nid], label[nid], nid))
         for entries in self.levels.values():
             entries.sort()
 
-    def _file(self, nid: str, d: int) -> None:
-        bisect.insort(self.levels.setdefault(d, []), (self.weight[nid], self.label[nid], nid))
+    def _refile(self, nid: str, d: int, w: float, lab: str) -> None:
+        # move nid's one entry from depth d and its old rank to its depth now and (w, lab)
+        entries = self.levels[d]
+        del entries[bisect.bisect_left(entries, (self.weight[nid], self.label[nid], nid))]
+        if not entries:
+            del self.levels[d]
+        self.weight[nid], self.label[nid] = w, lab
+        bisect.insort(self.levels.setdefault(self.tree._depth[nid], []), (w, lab, nid))
 
     def _rank_of(self, children: list[str]) -> tuple[float, str]:
         weight, label = self.weight, self.label
@@ -424,11 +430,9 @@ class _NodeRanks:
     def _rerank(self, nid: str) -> bool:
         # recompute an internal node's weight and label; whether they changed
         w, lab = self._rank_of(self.tree.nodes[nid].children)
-        weight, label = self.weight, self.label
-        if weight[nid] == w and label[nid] == lab:
+        if self.weight[nid] == w and self.label[nid] == lab:
             return False
-        weight[nid], label[nid] = w, lab
-        self._file(nid, self.tree._depth[nid])
+        self._refile(nid, self.tree._depth[nid], w, lab)
         return True
 
     def best_exchange(self) -> tuple[float, tuple[str, str] | None, int]:
@@ -442,20 +446,9 @@ class _NodeRanks:
         pairs a node with an ancestor, which weighs at least as much. Ties
         go to the smaller label pair, then the shallower depths.
         """
-        weight, label, depth = self.weight, self.label, self.tree._depth
-        ends = []  # (depth, lightest, heaviest), root excluded: it cannot move
-        for d in sorted(self.levels):
-            entries = self.levels[d]
-            for end in (0, -1):  # drop stale entries at both ends
-                while entries:
-                    w, lab, nid = entries[end]
-                    if depth[nid] == d and weight[nid] == w and label[nid] == lab:
-                        break
-                    del entries[end]
-            if not entries:
-                del self.levels[d]
-            elif d:
-                ends.append((d, entries[0][2], entries[-1][2]))
+        weight, label = self.weight, self.label
+        # (depth, lightest, heaviest), root excluded: it cannot move
+        ends = [(d, entries[0][2], entries[-1][2]) for d, entries in sorted(self.levels.items()) if d]
         heaviest_below = [0.0] * len(ends)  # heaviest weight at any deeper depth
         for i in range(len(ends) - 2, -1, -1):
             heaviest_below[i] = max(heaviest_below[i + 1], weight[ends[i + 1][2]])
@@ -476,17 +469,17 @@ class _NodeRanks:
 
     def exchanged(self, u: str, v: str) -> None:
         """Update after nodes u and v traded places: every node of the two
-        subtrees is filed under its new depth, and the nodes on both root
+        subtrees moves its entry to its new depth, and the nodes on both root
         paths are reranked, children before parents, as the full pass would
         rank them."""
         nodes, depth, parent = self.tree.nodes, self.tree._depth, self.tree._parent
-        if depth[u] != depth[v]:
-            stack = [u, v]
-            while stack:
-                nid = stack.pop()
-                self._file(nid, depth[nid])
-                if nodes[nid].children is not None:
-                    stack += nodes[nid].children
+        shift = depth[u] - depth[v]  # how far u's subtree went down
+        stack = [(u, shift), (v, -shift)] if shift else []
+        while stack:
+            nid, by = stack.pop()
+            self._refile(nid, depth[nid] - by, self.weight[nid], self.label[nid])
+            if nodes[nid].children is not None:
+                stack += [(cid, by) for cid in nodes[nid].children]
         a, b = parent[u], parent[v]
         while a != b:
             if depth[a] < depth[b]:
@@ -521,7 +514,8 @@ def _swap_free(tree: AdaptiveTree) -> bool:
 
 def _open_nodes(tree: AdaptiveTree) -> list[tuple[str, int, str]]:
     """``(node_id, depth, smallest leaf key below)`` of each internal node
-    with a free child slot, in preorder, from one preorder pass."""
+    with a free child slot, in preorder, from one preorder pass: add mode's
+    attach targets."""
     m, nodes = tree.config.arity, tree.nodes
     preorder, open_nodes = [], []
     stack = [tree.root_id]

@@ -7,16 +7,18 @@ leaves or whole subtrees) so that frequently accessed leaves end up on
 short root paths. Hashing uses SHA-256 with one byte of domain separation:
 ``0x00`` for leaves, ``0x01`` for internal nodes.
 
-One rule decides when to rehash: mutations mark, reads flush. A mutation
-adds the parents whose children changed to a dirty set and hashes nothing
-but a split's new node; :meth:`AdaptiveTree.root_hash` rehashes the union of
-the dirty nodes' root paths, each node once, children before parents, and
+One rule decides when to rehash an internal node: mutations mark, reads
+flush. Building and every mutation hash no internal node (a leaf is hashed
+when it is made): they add to a dirty set each internal node they create
+and each parent whose children changed, unless a new node below it is
+marked already. :meth:`AdaptiveTree.root_hash` rehashes the union of the
+dirty nodes' root paths, each node once, children before parents, and
 clears the set. So an internal node's hash is current only after
 ``root_hash()``, which ``prove`` and snapshot writing call first. Each
 internal node keeps its hash preimage, its children's digests joined in
 child order (``TreeNode.child_digests``), so a proof slices a step's
 siblings out of one byte string. ``_rehash`` is the one writer of both the
-preimage and the hash: building, the flush, the full rehash and
+preimage and the hash: the flush, the full rehash and
 ``from_snapshot`` go through it, and snapshots do not store it. Next to the
 parent pointers the tree keeps a depth index, the edge count from the root
 of every node, and a leaf-key index; ``from_nested`` fills all three as it
@@ -159,7 +161,7 @@ class AdaptiveTree:
         self._parent: dict[str, str] = {}
         self._leaf_by_key: dict[str, str] = {}
         self._depth: dict[str, int] = {}  # node id -> edges from the root
-        self._dirty: set[str] = set()  # nodes whose children changed since the last root_hash()
+        self._dirty: set[str] = set()  # nodes made or given new children since the last root_hash()
         self._next_id = 1
 
     # -- construction helpers -------------------------------------------------
@@ -186,7 +188,7 @@ class AdaptiveTree:
         self._depth[node.node_id] = depth
         for cid in child_ids:
             self._parent[cid] = node.node_id
-        self._rehash(node.node_id)
+        self._dirty.add(node.node_id)
         return node
 
     @classmethod
@@ -203,7 +205,8 @@ class AdaptiveTree:
         ``["A", [["B", "D"], ["C", "E"]]]``. Payloads default to the UTF-8
         key bytes. Nodes are created in post-order, children left to right,
         by an explicit-stack walk, so any depth builds; the walk also fills
-        the depth index.
+        the depth index. Only the leaves are hashed here: the internal nodes
+        wait, dirty, for the first :meth:`root_hash`.
         """
         tree = cls(config)
         built: list[str] = []  # ids of finished subtrees whose parent is not built yet
@@ -308,7 +311,6 @@ class AdaptiveTree:
             parent = self.nodes[parent_id]
             parent.children[parent.children.index(target.node_id)] = intermediate.node_id
             self._parent[intermediate.node_id] = parent_id
-            self._dirty.add(parent_id)
         self.probabilities[new_key] = 0.0
 
     def attach_leaf(self, parent_id: str, new_key: str, new_payload: bytes) -> None:

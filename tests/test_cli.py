@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adaptive_merkle import AdaptiveTree, prove
+from adaptive_merkle import AdaptiveTree, optimize_swaps, prove
 from adaptive_merkle.cli import main
 
 from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_format_step
@@ -90,6 +90,28 @@ def test_optimize_says_when_it_hits_max_iters(tmp_path, binary_demo_tree, capsys
     captured = capsys.readouterr()
     assert len(json.loads(captured.out)) == 2
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("arity, max_iters, capped", [(2, 5, False), (3, 7, False), (2, 4, True), (3, 6, True)])
+def test_optimize_says_max_iters_only_when_a_move_is_left(tmp_path, fixtures_dir, capsys, arity, max_iters, capped):
+    # The golden runs converge in exactly 5 moves at m=2 and 7 at m=3: a cap
+    # there ends nothing, one lower cuts the last move. The message changes
+    # neither stdout nor the snapshot written.
+    golden = fixtures_dir / "golden"
+    snapshot = golden / f"insert_demo16_m{arity}.snapshot.json"
+    out, expected = tmp_path / "opt.json", tmp_path / "lib.json"
+    tree = AdaptiveTree.load(snapshot)
+    outcomes = optimize_swaps(tree, max_iters=max_iters)
+    tree.save(expected)
+    assert main(["optimize", "--snapshot", str(snapshot), "--max-iters", str(max_iters), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (f"stopped at --max-iters {max_iters}\n" if capped else "")
+    assert captured.out == json.dumps([o.to_json_dict() for o in outcomes], indent=2) + "\n"
+    assert out.read_bytes() == expected.read_bytes()
+    uncapped = golden / f"optimize_insert_demo16_m{arity}"
+    assert json.loads(captured.out) == json.loads(uncapped.with_suffix(".json").read_text(encoding="utf-8"))[:max_iters]
+    if not capped:
+        assert out.read_bytes() == uncapped.with_suffix(".snapshot.json").read_bytes()
 
 
 def test_prove_verify_round_trip(tmp_path, snapshot, capsys):

@@ -43,7 +43,17 @@ exactly:
   when ``optimize_swaps`` began exchanging whole subtrees: 5 moves at m = 2
   (k_A 4.0195 -> 3.6047, one leaf swap before) and 7 at m = 3
   (2.6584 -> 2.4438, two leaf swaps before).
+
+The ``bench`` and ``replay`` goldens are also run under each other Python
+the package supports (3.10, 3.12, 3.13) that is on PATH and starts, as
+``python3.X -m adaptive_merkle.cli`` with ``PYTHONPATH`` set to ``src``;
+an interpreter that is absent is skipped.
 """
+
+import os
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +61,8 @@ from adaptive_merkle.cli import main
 
 GOLDEN = "golden"
 DISTRIBUTIONS = {"demo16": "demo16.csv", "hexary20": "hexary20_distribution.csv"}
+SCRIPTS = ["binary_growth_script", "quaternary_growth_script", "swap_steps_script"]
+SRC = Path(__file__).parents[1] / "src"
 
 
 @pytest.mark.parametrize("arity", [2, 4, 16])
@@ -62,7 +74,7 @@ def test_bench_variants(tmp_path, fixtures_dir, dist, arity):
     assert out.read_bytes() == (fixtures_dir / GOLDEN / f"variants_{dist}_m{arity}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("script", ["binary_growth_script", "quaternary_growth_script", "swap_steps_script"])
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_replay_iterations(tmp_path, fixtures_dir, script):
     out = tmp_path / "iterations.csv"
     assert main(["replay", "--script", str(fixtures_dir / f"{script}.json"), "--out", str(out)]) == 0
@@ -92,3 +104,24 @@ def test_optimize_and_metrics_on_loaded_snapshot(tmp_path, fixtures_dir, capsys,
     assert main(["metrics", "--snapshot", str(snapshot)]) == 0
     metrics = fixtures_dir / GOLDEN / f"metrics_insert_demo16_m{arity}.json"
     assert capsys.readouterr().out == metrics.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_bench_and_replay_on_other_pythons(tmp_path, fixtures_dir, python):
+    # A pyenv shim is on PATH even where its version is not selected, and
+    # then exits non-zero: only an interpreter that runs counts as present.
+    exe = shutil.which(python)
+    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True).returncode != 0:
+        pytest.skip(f"{python} is not on PATH or does not start")
+    runs = {f"variants_{dist}_m{arity}.csv": ["bench", "--dist", str(fixtures_dir / csv), "--arity", str(arity)]
+            for dist, csv in DISTRIBUTIONS.items() for arity in (2, 4, 16)}
+    runs.update({f"iterations_{script}.csv": ["replay", "--script", str(fixtures_dir / f"{script}.json")]
+                 for script in SCRIPTS})
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    differ = []
+    for name, args in runs.items():
+        out = tmp_path / name
+        subprocess.run([exe, "-m", "adaptive_merkle.cli", *args, "--out", str(out)], env=env, check=True)
+        if out.read_bytes() != (fixtures_dir / GOLDEN / name).read_bytes():
+            differ.append(name)
+    assert differ == []

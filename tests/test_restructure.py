@@ -846,12 +846,8 @@ class TestExchangeRehash:
         with pytest.MonkeyPatch.context() as patch:
             calls = recorded_rehashes(patch)
             tree = bench_mod._build_adaptive(dist, TreeConfig(m))
-            # the build never reads a root: it hashes only its splits' new
-            # nodes, each once
-            built = [(id(t), nid) for t, nid in calls]
-            assert len(built) == len(set(built))
+            assert calls == []  # the build never reads a root: it hashes nothing
             stale = {nid for start in tree._dirty for nid in root_path(tree, start)}
-            calls.clear()
             root = tree.root_hash()
             hashed = [nid for t, nid in calls if t is tree]
             assert len(hashed) == len(calls)
@@ -888,8 +884,8 @@ class TestExchangeRehash:
 
     def test_grow_rehashes_fewer_nodes_than_move_by_move(self):
         # perfbench grow's loop: Zipf(1.1), hottest first, n=128, m=2. Its
-        # mutations hash only the 127 splits' new nodes, and the first read
-        # flushes 112 more (the README's figure). Reading the root after
+        # mutations hash nothing, and the first read hashes each of the 127
+        # internal nodes once (the README's figure). Reading the root after
         # every mutation, as a rehash per move would, hashes more and lands
         # on the same root.
         keys = [f"k{i:03d}" for i in range(128)]
@@ -900,13 +896,13 @@ class TestExchangeRehash:
             tree = grown_tree(probs, 2)
             grown = len(calls)
             root = tree.root_hash()
-            assert (grown, len(calls) - grown) == (127, 112)
+            assert (grown, len(calls) - grown) == (0, 127)
             calls.clear()
             for name in ("split_leaf", "attach_leaf", "swap_nodes"):
                 real = getattr(AdaptiveTree, name)
                 patch.setattr(AdaptiveTree, name, lambda t, *args, real=real: (real(t, *args), t.root_hash()))
             assert grown_tree(probs, 2).root_hash() == root
-        assert len(calls) > 127 + 112
+        assert len(calls) > 127
 
 
 def improving_exchanges(tree):
@@ -994,7 +990,8 @@ class TestNodeExchange:
         assert kinds == {"swap", "exchange"}
 
     def test_ranks_follow_every_exchange(self):
-        # The ranks kept across exchanges equal a fresh pass, bit for bit.
+        # The ranks kept across exchanges equal a fresh pass, bit for bit,
+        # with one entry per node.
         rng = random.Random(107)
         moves = 0
         for _ in range(60):
@@ -1008,10 +1005,41 @@ class TestNodeExchange:
                 ranks.exchanged(*pair)
                 moves += 1
                 fresh = restructure_mod._NodeRanks(tree)
-                assert (ranks.weight, ranks.label) == (fresh.weight, fresh.label)
+                assert (ranks.levels, ranks.weight, ranks.label) == (fresh.levels, fresh.weight, fresh.label)
                 assert ranks.best_exchange() == fresh.best_exchange()
                 assert all(ranks.label[nid] == brute_min_key(tree, nid) for nid in tree.nodes)
         assert moves >= 100
+
+    def test_ranks_keep_one_entry_per_node_through_settle(self, monkeypatch):
+        # The adaptive build's last step: after every exchange and every
+        # regroup swap the ranks kept equal a fresh pass entry for entry;
+        # every relocate moves into the shallowest open node with the
+        # smallest label, read from the ranks, as a tree walk finds it.
+        real_exchanged, real_move = restructure_mod._NodeRanks.exchanged, AdaptiveTree.move_node
+        moves = {"exchange": 0, "regroup": 0, "relocate": 0}
+
+        def exchanged(ranks, u, v):
+            real_exchanged(ranks, u, v)
+            tree = ranks.tree
+            fresh = restructure_mod._NodeRanks(tree)
+            assert (ranks.levels, ranks.weight, ranks.label) == (fresh.levels, fresh.weight, fresh.label)
+            assert sorted(nid for entries in ranks.levels.values() for *_, nid in entries) == sorted(tree.nodes)
+            moves["regroup" if tree._depth[u] == tree._depth[v] else "exchange"] += 1
+
+        def move_node(tree, node_id, parent_id):
+            _, _, first_open = min((d, key, nid) for nid, d, key in restructure_mod._open_nodes(tree))
+            assert parent_id == first_open
+            real_move(tree, node_id, parent_id)
+            moves["relocate"] += 1
+
+        monkeypatch.setattr(restructure_mod._NodeRanks, "exchanged", exchanged)
+        monkeypatch.setattr(AdaptiveTree, "move_node", move_node)
+        rng = random.Random(113)
+        for _ in range(60):
+            tree = random_tree(rng, rng.randint(3, 30), rng.choice([2, 3, 4]))
+            restructure_mod._settle(tree)
+            tree.validate()
+        assert min(moves.values()) >= 10, moves
 
     def test_equal_gains_go_to_the_smaller_label_pair(self):
         # Depths 1-2 (V against [W, X], labels V, W) and depths 2-3 (A

@@ -21,13 +21,16 @@ from adaptive_merkle import (
     UnknownKeyError,
     build_balanced,
     discrepancy_report,
+    huffman_codes,
     optimize_swaps,
     prove,
+    tree_from_codes,
     verify,
 )
 import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.restructure import apply_alternative
 from adaptive_merkle.tree import MAX_ARITY, PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
+from adaptive_merkle.workload import zipf_distribution
 
 from helpers import (
     MALFORMED_TOP_LEVEL,
@@ -769,19 +772,21 @@ class TestDepthIndex:
 
 
 class TestRehashCount:
-    """Mutations only mark the tree dirty: after any k of them, the next
-    ``root_hash()`` rehashes exactly the union of the changed parents' root
-    paths in the final tree, each node once. A split also hashes its new
-    node once, when it makes it. A second read hashes nothing."""
+    """Mutations only mark the tree dirty, new nodes included, and hash
+    nothing: after any k of them, the next ``root_hash()`` rehashes exactly
+    the union of the changed parents' and the new nodes' root paths in the
+    final tree, each node once. A second read hashes nothing."""
 
     @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 40), counted_ops, st.randoms())
     @settings(max_examples=120, deadline=None)
     def test_hashes_only_the_affected_paths(self, m, n, ops, rnd):
         tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
         tree.root_hash()
-        changed, fresh, calls = set(), 0, []
+        start, changed, calls, hashed = children_of(tree), set(), [], []
+        real = AdaptiveTree._rehash
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tree_mod, "hash_internal", lambda hashes: calls.append(1) or hash_internal(hashes))
+            patch.setattr(AdaptiveTree, "_rehash", lambda t, nid: hashed.append(nid) or real(t, nid))
             for op in ops:
                 before = children_of(tree)
                 if op[0] == "optimize":
@@ -795,15 +800,49 @@ class TestRehashCount:
                 else:
                     apply_ops(tree, [op])
                     changed |= changed_parents(before, tree)
-                fresh += len(children_of(tree)) - len(before)  # a split's new node
+            assert calls == []  # mutations hash nothing
+            changed |= children_of(tree).keys() - start.keys()  # the splits' new nodes
             root = tree.root_hash()
-            assert len(calls) == fresh + len({nid for start in changed for nid in root_path(tree, start)})
+            assert sorted(hashed) == sorted({nid for top in changed for nid in root_path(tree, top)})
+            assert len(calls) == len(hashed)
             calls.clear()
             assert tree.root_hash() == root
             assert calls == []
         full = tree.clone()
         full.recompute_all_hashes()
         assert root == full.root_hash()
+
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    def test_building_and_splitting_hash_no_internal_node(self, m):
+        # Every builder and split only marks its new nodes; the first read
+        # hashes each internal node once and lands on the full rehash's root.
+        keys = [f"k{i:02d}" for i in range(40)]
+        probs = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
+        caterpillar = keys[-1]
+        for key in reversed(keys[:-1]):
+            caterpillar = [key, caterpillar]
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_mod, "hash_internal", lambda hashes: calls.append(1) or hash_internal(hashes))
+            split = build_balanced([(keys[0], keys[0].encode(), 1.0)], TreeConfig(m))
+            for i, key in enumerate(keys[1:]):
+                split.split_leaf(keys[i // 2], key, key.encode())  # the root first
+            split.set_probabilities(probs)
+            trees = [
+                AdaptiveTree.from_nested(caterpillar, probs, TreeConfig(m)),
+                build_balanced([(key, key.encode(), p) for key, p in probs.items()], TreeConfig(m)),
+                tree_from_codes(huffman_codes(probs, m)),
+                split,
+            ]
+            assert calls == []
+            for tree in trees:
+                internal = sum(not node.is_leaf for node in tree.nodes.values())
+                root = tree.root_hash()
+                assert len(calls) == internal
+                full = tree.clone()
+                full.recompute_all_hashes()
+                assert full.root_hash() == root
+                calls.clear()
 
 
 class TestStructureInvariants:
