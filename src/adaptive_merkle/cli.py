@@ -19,7 +19,14 @@ from .address_map import build_mapping
 from .errors import AdaptiveMerkleError
 from .metrics import discrepancy_report
 from .proofs import MerkleProof, prove, verification_cost, verify
-from .restructure import DEFAULT_MAX_ITERS, RestructureOutcome, apply_best, enumerate_add_alternatives, optimize_swaps
+from .restructure import (
+    DEFAULT_MAX_ITERS,
+    RestructureOutcome,
+    _exchange_left,
+    apply_best,
+    enumerate_add_alternatives,
+    optimize_swaps,
+)
 from .tree import AdaptiveTree, TreeConfig, build_balanced
 
 EXIT_OK = 0
@@ -69,12 +76,11 @@ def _cmd_insert(args) -> int:
 
 def _cmd_optimize(args) -> int:
     tree = AdaptiveTree.load(args.snapshot)
-    probe = tree.clone()
     outcomes = optimize_swaps(tree, max_iters=args.max_iters)
     tree.save(args.out)
     sys.stdout.write(json.dumps([o.to_json_dict() for o in outcomes], indent=2) + "\n")
     # the cap, not convergence, ended the loop only if one more move is left
-    if len(outcomes) == args.max_iters and len(optimize_swaps(probe, max_iters=args.max_iters + 1)) > args.max_iters:
+    if len(outcomes) == args.max_iters and _exchange_left(tree):
         sys.stderr.write(f"stopped at --max-iters {args.max_iters}\n")
     return EXIT_OK
 

@@ -85,10 +85,11 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
     """Optimal m-ary prefix code for the given distribution.
 
     Single-symbol inputs get the empty code. Ties in merge order resolve by
-    the smallest contained leaf key, making the output deterministic.
+    the smallest contained leaf key, making the output deterministic. An
+    arity that :class:`~adaptive_merkle.tree.TreeConfig` rejects raises its
+    ``StructureError`` before the queue is padded.
     """
-    if m < 2:
-        raise ProbabilityError(f"arity must be >= 2, got {m}")
+    TreeConfig(m)
     if not probs:
         raise ProbabilityError("distribution is empty")
     check_probabilities(probs)
@@ -119,8 +120,10 @@ def brute_force_min_avg_length(probs, m: int) -> float:
     """Exhaustive minimum of sum(p * l) over Kraft-feasible m-ary depth multisets.
 
     Independent of the Huffman construction; only valid for n <= 10 symbols.
-    ``probs`` may be a mapping or a plain sequence of probabilities.
+    ``probs`` may be a mapping or a plain sequence of probabilities. The
+    arity is checked by :class:`~adaptive_merkle.tree.TreeConfig`.
     """
+    TreeConfig(m)
     values = list(probs.values()) if isinstance(probs, Mapping) else list(probs)
     n = len(values)
     if n > BRUTE_FORCE_MAX_N:
@@ -232,9 +235,9 @@ def export_csv(table: CodeTable, path) -> None:
 def load_csv(path, arity: int) -> CodeTable:
     """Read a table that :func:`export_csv` wrote at ``arity``; a digit not
     below the arity is a format error. The file does not record its arity,
-    and the largest digit present need not be m - 1."""
-    if arity < 2:
-        raise ProbabilityError(f"arity must be >= 2, got {arity}")
+    and the largest digit present need not be m - 1. The arity is checked
+    by :class:`~adaptive_merkle.tree.TreeConfig`."""
+    TreeConfig(arity)
     digits = CODE_ALPHABET[:arity]
     entries: dict[str, str] = {}
     probabilities: dict[str, float] = {}

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from ._formats import float_sum
-from .errors import ProbabilityError
-from .tree import AdaptiveTree, check_probabilities
+from .tree import AdaptiveTree, TreeConfig, check_probabilities
 
 
 def log_base(p: float, m: int) -> float:
@@ -30,10 +29,14 @@ def log_base(p: float, m: int) -> float:
 
 
 def entropy(probs: Iterable[float], m: int) -> float:
-    """Base-m entropy -sum(p * log_m p); p = 0 terms contribute 0."""
+    """Base-m entropy -sum(p * log_m p); p = 0 terms contribute 0.
+
+    The base is a tree arity, checked by
+    :class:`~adaptive_merkle.tree.TreeConfig`: a base that is not an int,
+    or one outside 2 to ``MAX_ARITY``, raises ``StructureError`` on purpose,
+    though the logarithm would be defined for it."""
+    TreeConfig(m)
     values = list(probs)
-    if m < 2:
-        raise ProbabilityError(f"arity must be >= 2, got {m}")
     check_probabilities(dict(enumerate(values)))
     return -float_sum(p * log_base(p, m) for p in values if p > 0.0)
 

@@ -28,9 +28,11 @@ Two loops repeat the best move until none improves delta.
   Each step takes the lightest node of one depth against the heaviest of a
   deeper one, best pair of depths first, from an index that keeps every
   node once, under its depth, sorted by (weight, label); a move refiles
-  just the nodes it moves or reweighs. It first checks a certificate
-  that no leaf swap can help: swapping a shallow leaf s with a deeper leaf
-  t changes delta by (p_s - p_t)(d_t - d_s), so when at every depth the
+  just the nodes it moves or reweighs. The index also owns the stop test:
+  it offers no pair whose gain is not over ``IMPROVEMENT_EPS``. The loop
+  first checks a certificate that no leaf swap can help: swapping a
+  shallow leaf s with a deeper leaf t changes delta by
+  (p_s - p_t)(d_t - d_s), so when at every depth the
   lightest leaf weighs at least as much as the heaviest leaf one occupied
   depth further down, it returns at once. The certificate looks at leaves
   only, so a swap-free tree whose subtree exchange would help, such as a
@@ -244,23 +246,34 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
     Each step exchanges the two non-nested nodes, leaves or whole subtrees,
     whose exchange lowers k_A (and so delta) the most: with w a subtree's
     probability and d its depth, exchanging u with a deeper v gains
-    (w_v - w_u)(d_v - d_u). A step is applied only while its gain exceeds
-    ``IMPROVEMENT_EPS``, so delta is strictly decreasing along the returned
-    outcomes, one per applied exchange; an exchange of two leaves is a
-    ``swap`` of their keys, any other an ``exchange`` of node ids.
+    (w_v - w_u)(d_v - d_u). The loop stops when the best pair's gain does
+    not exceed ``IMPROVEMENT_EPS`` (``_NodeRanks.best_exchange`` then
+    offers none) or after ``max_iters`` moves, an int >= 1. So delta is
+    strictly decreasing along the returned outcomes, one per applied
+    exchange; an exchange of two leaves is a ``swap`` of their keys, any
+    other an ``exchange`` of node ids.
 
     A swap-free tree, where the lightest leaf at each depth weighs at least
     as much as the heaviest leaf at the next occupied depth, returns ``[]``
     at once. That exit looks at leaves only, so a swap-free tree whose
-    subtree exchange would help comes back unchanged. Bad probabilities
-    still raise first.
+    subtree exchange would help comes back unchanged. One consequence: a
+    capped run that is resumed can stop short of an uncapped one. On the
+    m=2 tree that CLI ``insert`` makes from demo16 plus Q, a run capped at
+    4 moves leaves a swap-free tree, so a second call returns ``[]`` at
+    k_A 3.6242, while one uncapped run makes 5 moves to 3.6047. Bad
+    probabilities still raise first.
     """
-    if max_iters < 1:
-        raise StructureError(f"max_iters must be >= 1, got {max_iters}")
+    _check_max_iters(max_iters)
     check_probabilities(tree.probabilities)
     if _swap_free(tree):
         return []
     return _exchange(tree, max_iters)
+
+
+def _check_max_iters(max_iters: int) -> None:
+    # bool is an int subclass, and a float cap is never met by a count
+    if type(max_iters) is not int or max_iters < 1:
+        raise StructureError(f"max_iters must be an int >= 1, got {max_iters!r}")
 
 
 def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
@@ -272,7 +285,7 @@ def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
     ranks = _NodeRanks(tree)
     for _ in range(max_iters):
         gain, pair, candidates = ranks.best_exchange()
-        if not gain > IMPROVEMENT_EPS:
+        if pair is None:
             break
         labels = (ranks.label[pair[0]], ranks.label[pair[1]])
         if all(tree.nodes[nid].children is None for nid in pair):
@@ -286,13 +299,22 @@ def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
     return outcomes
 
 
+def _exchange_left(tree: AdaptiveTree) -> bool:
+    """Whether the exchange loop would make another move on ``tree``: the
+    stop test of :func:`optimize_swaps` after its last move, for CLI
+    ``optimize`` to tell a cap from convergence. A fresh index equals the
+    one the loop kept, bit for bit."""
+    return _NodeRanks(tree).best_exchange()[1] is not None
+
+
 def _settle(tree: AdaptiveTree) -> None:
-    """The adaptive build's last step: exchange until nothing gains, and go
-    on while a relocate moves or a regroup opens an exchange or a relocate.
-    Exchanges and relocates lower k_A by over ``IMPROVEMENT_EPS``: it ends."""
+    """The adaptive build's last step: exchanges, then relocates or
+    regroups, until neither moves. A second regroup on an unchanged tree
+    moves nothing, and exchanges and relocates lower k_A by over
+    ``IMPROVEMENT_EPS``: it ends."""
     while True:
         _exchange(tree, sys.maxsize)
-        if not (_relocate(tree) or (_regroup(tree) and (_exchange(tree, sys.maxsize) or _relocate(tree)))):
+        if not (_relocate(tree) or _regroup(tree)):
             return
 
 
@@ -362,8 +384,7 @@ def _leaf_swap_loop(
     """:func:`optimize_leaf_swaps`'s outcomes and its first listing, that of
     the starting tree. One report per step: the report read after a swap
     is the next step's listing's."""
-    if max_iters < 1:
-        raise StructureError(f"max_iters must be >= 1, got {max_iters}")
+    _check_max_iters(max_iters)
     outcomes: list[RestructureOutcome] = []
     report = discrepancy_report(tree)
     first = alternatives = _swap_alternatives(tree, report)
@@ -437,7 +458,8 @@ class _NodeRanks:
 
     def best_exchange(self) -> tuple[float, tuple[str, str] | None, int]:
         """``(gain, node ids, candidates)`` of the exchange that lowers k_A
-        the most, ids in label order; ``(0.0, None, ...)`` if none does.
+        the most, ids in label order; the ids are None unless the gain
+        exceeds ``IMPROVEMENT_EPS``: this is the exchange loop's stop test.
 
         Exchanging u with a deeper v gains (w_v - w_u)(d_v - d_u), so
         between two depths the best pair is the lightest node of the shallow
@@ -465,6 +487,8 @@ class _NodeRanks:
                 key = (label[pair[0]], label[pair[1]], d_u, d_v)
                 if gain > best_gain or key < best_key:
                     best_gain, best, best_key = gain, pair, key
+        if not best_gain > IMPROVEMENT_EPS:
+            best = None
         return best_gain, best, len(ends) * (len(ends) - 1) // 2 + 1
 
     def exchanged(self, u: str, v: str) -> None:

@@ -1,13 +1,16 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
+import adaptive_merkle.cli as cli_mod
 from adaptive_merkle import AdaptiveTree, optimize_swaps, prove
 from adaptive_merkle.cli import main
 
-from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_format_step
+from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_format_step, random_tree
 
 
 @pytest.fixture
@@ -112,6 +115,46 @@ def test_optimize_says_max_iters_only_when_a_move_is_left(tmp_path, fixtures_dir
     assert json.loads(captured.out) == json.loads(uncapped.with_suffix(".json").read_text(encoding="utf-8"))[:max_iters]
     if not capped:
         assert out.read_bytes() == uncapped.with_suffix(".snapshot.json").read_bytes()
+
+
+def test_optimize_max_iters_message_matches_one_more_move(tmp_path, capsys):
+    # Oracle: the cap, not convergence, ended a run of N moves exactly when
+    # the same loop on a copy of the input, allowed N + 1 moves, makes more
+    # than N. Runs that converge in exactly N moves are among the cases.
+    rng = random.Random(131)
+    snapshot, out = tmp_path / "tree.json", tmp_path / "opt.json"
+    ends = Counter()
+    for _ in range(520):
+        tree = random_tree(rng, rng.randint(2, 60), rng.choice([2, 3, 4, 16]))
+        cap = rng.randint(1, 8)
+        tree.save(snapshot)
+        moves = len(optimize_swaps(tree.clone(), max_iters=cap + 1))
+        assert main(["optimize", "--snapshot", str(snapshot), "--max-iters", str(cap), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (f"stopped at --max-iters {cap}\n" if moves > cap else "")
+        ends["capped" if moves > cap else "exactly" if moves == cap else "short"] += 1
+    assert min(ends["capped"], ends["exactly"], ends["short"]) >= 10, ends
+
+
+def test_optimize_runs_the_loop_once_on_no_copy(tmp_path, binary_demo_tree, monkeypatch, capsys):
+    # The stop test is the loop's own: no clone, no second run to probe it.
+    calls = Counter()
+    real_clone, real_optimize = AdaptiveTree.clone, cli_mod.optimize_swaps
+
+    def clone(tree):
+        calls["clone"] += 1
+        return real_clone(tree)
+
+    def optimize(tree, max_iters):
+        calls["optimize_swaps"] += 1
+        return real_optimize(tree, max_iters=max_iters)
+
+    monkeypatch.setattr(AdaptiveTree, "clone", clone)
+    monkeypatch.setattr(cli_mod, "optimize_swaps", optimize)
+    snapshot, out = tmp_path / "demo.json", tmp_path / "opt.json"
+    binary_demo_tree.save(snapshot)
+    assert main(["optimize", "--snapshot", str(snapshot), "--max-iters", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "stopped at --max-iters 1\n"
+    assert calls == {"optimize_swaps": 1}
 
 
 def test_prove_verify_round_trip(tmp_path, snapshot, capsys):
@@ -234,6 +277,24 @@ def test_bench_improvement(tmp_path, dist_csv):
 def test_bench_no_known_mode_exit_2(tmp_path, dist_csv, modes):
     out = tmp_path / "variants.csv"
     assert main(["bench", "--dist", dist_csv, "--modes", modes, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bench_arity_past_the_code_alphabet_exit_2(tmp_path, capsys):
+    # m = 37 is a valid arity, but a Huffman root of 37 children needs a
+    # 37th code digit
+    dist = tmp_path / "dist.csv"
+    dist.write_text("key,probability\n" + "".join(f"k{i:02d},0.025\n" for i in range(40)), encoding="utf-8")
+    out = tmp_path / "variants.csv"
+    assert main(["bench", "--dist", str(dist), "--arity", "37", "--modes", "huffman", "--out", str(out)]) == 2
+    assert "exceeds the code alphabet" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_encode_arity_past_max_exit_2(tmp_path, dist_csv, capsys):
+    out = tmp_path / "codes.csv"
+    assert main(["encode", "--probs", dist_csv, "--arity", "65537", "--out", str(out)]) == 2
+    assert "arity must be an int from 2 to 65536" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,8 +8,10 @@ from adaptive_merkle import (
     FormatError,
     ProbabilityError,
     StructureError,
+    TreeConfig,
     brute_force_min_avg_length,
     codes_from_tree,
+    build_balanced,
     discrepancy_report,
     entropy,
     huffman_codes,
@@ -94,7 +96,9 @@ class TestHuffman:
 
     @pytest.mark.parametrize("probs, m, message", [({"a": 1.0}, 1, "arity"), ({}, 2, "empty")])
     def test_bad_arity_or_empty_rejected(self, probs, m, message):
-        with pytest.raises(ProbabilityError, match=message):
+        # the arity is TreeConfig's rule, and so its error
+        error = StructureError if message == "arity" else ProbabilityError
+        with pytest.raises(error, match=message):
             huffman_codes(probs, m)
 
 
@@ -184,6 +188,12 @@ class TestTreeFromCodes:
         with pytest.raises(StructureError):
             tree_from_codes(CodeTable(entries, probs, m))
 
+    def test_child_index_past_the_alphabet_rejected(self):
+        # TreeConfig takes m = 37, but the code alphabet spells 36 digits
+        leaves = [(f"k{i:02d}", b"", 1 / 37) for i in range(37)]
+        with pytest.raises(StructureError, match="child index 36 exceeds the code alphabet"):
+            codes_from_tree(build_balanced(leaves, TreeConfig(37)))
+
     def test_deep_huffman_tree(self):
         # deeper than Python's default recursion limit
         table = huffman_codes(geometric_probs(1500), 2)
@@ -231,7 +241,7 @@ class TestCsv:
     def test_arity_below_two_rejected(self, tmp_path, arity):
         path = tmp_path / "codes.csv"
         path.write_text("key,probability,code,length\nA,1.0,,0\n")
-        with pytest.raises(ProbabilityError):
+        with pytest.raises(StructureError):
             load_csv(path, arity)
 
     @pytest.mark.parametrize("arity, code", [(2, "2"), (4, "04"), (16, "g")])
@@ -260,3 +270,26 @@ class TestCsv:
     def test_prefix_free_helper(self):
         assert is_prefix_free(["00", "01", "1"])
         assert not is_prefix_free(["0", "01"])
+
+
+ARITY_CHECKS = {
+    "entropy": lambda path, m: entropy([0.5, 0.5], m),
+    "huffman_codes": lambda path, m: huffman_codes({"a": 0.5, "b": 0.5}, m),
+    "load_csv": load_csv,
+    "brute_force_min_avg_length": lambda path, m: brute_force_min_avg_length([0.5, 0.5], m),
+}
+
+
+@pytest.mark.parametrize("m", [1, 0, -1, 2.5, True, 65537])
+@pytest.mark.parametrize("name", sorted(ARITY_CHECKS))
+def test_arity_rule_is_tree_configs(tmp_path, name, m):
+    # One rule, one error: each function rejects what TreeConfig rejects,
+    # with the same StructureError, and takes what it takes.
+    path = tmp_path / "codes.csv"
+    path.write_text("key,probability,code,length\nA,0.5,0,1\nB,0.5,1,1\n")
+    with pytest.raises(StructureError) as config_error:
+        TreeConfig(m)
+    with pytest.raises(StructureError) as error:
+        ARITY_CHECKS[name](path, m)
+    assert str(error.value) == str(config_error.value)
+    ARITY_CHECKS[name](path, 2)

@@ -44,12 +44,14 @@ exactly:
   (k_A 4.0195 -> 3.6047, one leaf swap before) and 7 at m = 3
   (2.6584 -> 2.4438, two leaf swaps before).
 
-The ``bench`` and ``replay`` goldens are also run under each other Python
-the package supports (3.10, 3.12, 3.13) that is on PATH and starts, as
-``python3.X -m adaptive_merkle.cli`` with ``PYTHONPATH`` set to ``src``;
-an interpreter that is absent is skipped.
+Every golden is also run under each other Python the package supports
+(3.10, 3.12, 3.13), as ``python3.X -m adaptive_merkle.cli`` with
+``PYTHONPATH`` set to ``src``: the ``python3.X`` on PATH if it starts,
+else pyenv's ``versions/3.X.*/bin/python3``; an interpreter found in
+neither place is skipped.
 """
 
+import glob
 import os
 import shutil
 import subprocess
@@ -106,22 +108,67 @@ def test_optimize_and_metrics_on_loaded_snapshot(tmp_path, fixtures_dir, capsys,
     assert capsys.readouterr().out == metrics.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
-def test_bench_and_replay_on_other_pythons(tmp_path, fixtures_dir, python):
-    # A pyenv shim is on PATH even where its version is not selected, and
-    # then exits non-zero: only an interpreter that runs counts as present.
-    exe = shutil.which(python)
-    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True).returncode != 0:
-        pytest.skip(f"{python} is not on PATH or does not start")
-    runs = {f"variants_{dist}_m{arity}.csv": ["bench", "--dist", str(fixtures_dir / csv), "--arity", str(arity)]
-            for dist, csv in DISTRIBUTIONS.items() for arity in (2, 4, 16)}
-    runs.update({f"iterations_{script}.csv": ["replay", "--script", str(fixtures_dir / f"{script}.json")]
-                 for script in SCRIPTS})
+PYTHONS = ["python3.10", "python3.12", "python3.13"]
+
+
+def _interpreter(python):
+    """A ``python3.X`` that starts; the test is skipped if there is none. A
+    pyenv shim is on PATH even where its version is not selected, and then
+    exits non-zero; pyenv's own ``versions/3.X.*/bin/python3`` are tried
+    next."""
+    candidates = [shutil.which(python)]
+    pyenv = shutil.which("pyenv")
+    root = pyenv and subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
+    if root:
+        version = python.removeprefix("python")
+        candidates += sorted(glob.glob(os.path.join(root, "versions", f"{version}.*", "bin", "python3")))
+    for exe in candidates:
+        if exe is not None and subprocess.run([exe, "-c", ""], capture_output=True).returncode == 0:
+            return exe
+    pytest.skip(f"{python} is neither on PATH nor under pyenv, or does not start")
+
+
+def _run_cli(exe, *args):
+    """Stdout of ``exe -m adaptive_merkle.cli args`` with ``PYTHONPATH=src``,
+    which must exit 0."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([exe, "-m", "adaptive_merkle.cli", *map(str, args)], env=env, check=True,
+                          capture_output=True).stdout
+
+
+@pytest.mark.parametrize("python", PYTHONS)
+def test_bench_and_replay_on_other_pythons(tmp_path, fixtures_dir, python):
+    exe = _interpreter(python)
+    runs = {f"variants_{dist}_m{arity}.csv": ["bench", "--dist", fixtures_dir / csv, "--arity", arity]
+            for dist, csv in DISTRIBUTIONS.items() for arity in (2, 4, 16)}
+    runs.update({f"iterations_{script}.csv": ["replay", "--script", fixtures_dir / f"{script}.json"]
+                 for script in SCRIPTS})
     differ = []
     for name, args in runs.items():
         out = tmp_path / name
-        subprocess.run([exe, "-m", "adaptive_merkle.cli", *args, "--out", str(out)], env=env, check=True)
+        _run_cli(exe, *args, "--out", out)
         if out.read_bytes() != (fixtures_dir / GOLDEN / name).read_bytes():
             differ.append(name)
     assert differ == []
+
+
+@pytest.mark.parametrize("python", PYTHONS)
+def test_insert_optimize_and_metrics_on_other_pythons(tmp_path, fixtures_dir, python):
+    # the runs of test_insert and test_optimize_and_metrics_on_loaded_snapshot
+    exe = _interpreter(python)
+    produced = {}
+    for arity in (2, 3):
+        base, inserted, optimized = tmp_path / "base.json", tmp_path / "inserted.json", tmp_path / "optimized.json"
+        _run_cli(exe, "build", "--probs", fixtures_dir / "demo16.csv", "--arity", arity, "--out", base)
+        produced[f"insert_demo16_m{arity}.json"] = _run_cli(
+            exe, "insert", "--snapshot", base, "--key", "Q", "--probs", fixtures_dir / "demo17.csv", "--out", inserted
+        )
+        produced[f"insert_demo16_m{arity}.snapshot.json"] = inserted.read_bytes()
+        snapshot = fixtures_dir / GOLDEN / f"insert_demo16_m{arity}.snapshot.json"
+        produced[f"optimize_insert_demo16_m{arity}.json"] = _run_cli(
+            exe, "optimize", "--snapshot", snapshot, "--out", optimized
+        )
+        produced[f"optimize_insert_demo16_m{arity}.snapshot.json"] = optimized.read_bytes()
+        produced[f"metrics_insert_demo16_m{arity}.json"] = _run_cli(exe, "metrics", "--snapshot", snapshot)
+    assert len(produced) == 10
+    assert [name for name, data in produced.items() if data != (fixtures_dir / GOLDEN / name).read_bytes()] == []

@@ -8,6 +8,7 @@ import pytest
 from adaptive_merkle import (
     AdaptiveTree,
     ProbabilityError,
+    StructureError,
     TreeConfig,
     build_balanced,
     discrepancy_report,
@@ -77,7 +78,7 @@ class TestEntropy:
 
     @pytest.mark.parametrize("m", [1, 0])
     def test_arity_below_two_rejected(self, m):
-        with pytest.raises(ProbabilityError, match="arity"):
+        with pytest.raises(StructureError, match="arity"):
             entropy([0.5, 0.5], m)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -773,6 +773,19 @@ class TestOptimizeSwaps:
     def test_bad_max_iters(self, binary_demo_tree):
         with pytest.raises(StructureError):
             optimize_swaps(binary_demo_tree, max_iters=0)
+        # Both loops take one check: an int, not a bool, at least 1. Uncapped,
+        # the caterpillar takes two leaf swaps, so a cap of 1.5 went unmet
+        # and True passed as 1; the tree is left as it was.
+        for loop in (optimize_swaps, optimize_leaf_swaps):
+            for bad in (0, 1.5, True, -1):
+                tree = AdaptiveTree.from_nested(
+                    ["A", ["B", ["C", "D"]]], {"A": 0.1, "B": 0.2, "C": 0.3, "D": 0.4}, TreeConfig(2)
+                )
+                root = tree.root_hash()
+                with pytest.raises(StructureError, match="max_iters"):
+                    loop(tree, max_iters=bad)
+                assert tree.root_hash() == root
+            assert len(loop(tree)) == 2
 
 
 class TestOutcomeSerialization:
