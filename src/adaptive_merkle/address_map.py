@@ -5,19 +5,20 @@ it does not, so the pairing "address -> (balanced code, adaptive code)" is
 kept as an explicit table. Addresses stay opaque: nothing here derives an
 adaptive position from address content.
 
-Persistence is CSV with columns ``address,probability,balanced_code,
-adaptive_code`` under the package's shared CSV rules (``_formats``), floats
-at full round-trip precision.
+The table is export-only: :meth:`AddressTable.save` writes a CSV with
+columns ``address,probability,balanced_code,adaptive_code`` under the
+package's shared CSV rules (``_formats``), floats at full round-trip
+precision, and nothing reads it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._formats import csv_probability, read_csv, write_csv
-from .coding import codes_from_tree, is_code_string, is_prefix_free
-from .errors import AddressNotFoundError, FormatError, StructureError
-from .tree import AdaptiveTree, check_probabilities
+from ._formats import write_csv
+from .coding import codes_from_tree, is_prefix_free
+from .errors import StructureError
+from .tree import AdaptiveTree
 
 _CSV_HEADER = ["address", "probability", "balanced_code", "adaptive_code"]
 
@@ -31,12 +32,11 @@ class AddressRecord:
 
 
 class AddressTable:
-    """Immutable-by-convention list of records with an address index."""
+    """Immutable-by-convention list of records, one per address."""
 
     def __init__(self, records: list[AddressRecord]):
         self.records = list(records)
-        self._index = {record.address: record for record in self.records}
-        if len(self._index) != len(self.records):
+        if len({record.address for record in self.records}) != len(self.records):
             raise StructureError("duplicate addresses in mapping table")
         if not is_prefix_free([r.adaptive_code for r in self.records]):
             raise StructureError("adaptive codes are not prefix-free")
@@ -44,37 +44,12 @@ class AddressTable:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AddressTable) and self.records == other.records
-
-    def lookup(self, address: str) -> AddressRecord:
-        try:
-            return self._index[address]
-        except KeyError:
-            raise AddressNotFoundError(f"no record for address {address!r}") from None
-
     def save(self, path) -> None:
         write_csv(
             path,
             _CSV_HEADER,
             ([r.address, repr(r.probability), r.balanced_code, r.adaptive_code] for r in self.records),
         )
-
-    @classmethod
-    def load(cls, path) -> "AddressTable":
-        """Read a saved table. Probabilities must be finite, non-negative and,
-        unless the table is empty, sum to 1 +/- 1e-9 (``ProbabilityError``)."""
-        records: list[AddressRecord] = []
-        for where, (address, prob_text, balanced_code, adaptive_code) in read_csv(path, _CSV_HEADER):
-            for code in (balanced_code, adaptive_code):
-                if not is_code_string(code):
-                    raise FormatError(f"{where}: code {code!r} is not a digit string")
-            probability = csv_probability(prob_text, where)
-            records.append(AddressRecord(address, probability, balanced_code, adaptive_code))
-        table = cls(records)
-        if records:
-            check_probabilities({record.address: record.probability for record in records})
-        return table
 
 
 def build_mapping(balanced: AdaptiveTree, adaptive: AdaptiveTree) -> AddressTable:

@@ -2,10 +2,11 @@
 
 Huffman code lengths are the target depths for the adaptive tree: both
 minimize the probability-weighted path length over prefix-free structures.
-For m > 2 the merge queue is padded with zero-weight dummy symbols so that
-(n - 1) mod (m - 1) == 0; dummies never surface in the output. Merge-order
-ties break on the lexicographically smallest leaf key contained in each
-queue entry, so generated tables are reproducible bit for bit.
+For m > 2 and n > m the merge queue is padded with zero-weight dummy
+symbols so that (n - 1) mod (m - 1) == 0; at n <= m one merge takes all n
+symbols and nothing is padded. Dummies never surface in the output.
+Merge-order ties break on the lexicographically smallest leaf key contained
+in each queue entry, so generated tables are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from ._formats import csv_probability, float_sum, read_csv, write_csv
-from .errors import FormatError, ProbabilityError, StructureError
+from ._formats import float_sum, write_csv
+from .errors import ProbabilityError, StructureError
 from .tree import AdaptiveTree, TreeConfig, check_probabilities
 
 BRUTE_FORCE_MAX_N = 10
@@ -55,29 +56,12 @@ class CodeTable:
         """sum(p * len(code)), summed in ``entries`` order."""
         return float_sum(self.probabilities[key] * len(code) for key, code in self.entries.items())
 
-    def validate(self) -> None:
-        if not is_prefix_free(self.entries.values()):
-            raise StructureError("code table is not prefix-free")
-        kraft = sum(Fraction(1, self.arity ** len(code)) for code in self.entries.values())
-        if kraft > 1:
-            raise StructureError(f"Kraft sum {float(kraft)!r} exceeds 1")
-
 
 def is_prefix_free(codes) -> bool:
     ordered = sorted(codes)
     for a, b in zip(ordered, ordered[1:]):
         if b.startswith(a):
             return False
-    return True
-
-
-def is_code_string(code: str) -> bool:
-    """True when every character is a valid path digit (0-9a-z)."""
-    try:
-        for ch in code:
-            digit_to_index(ch)
-    except StructureError:
-        return False
     return True
 
 
@@ -103,12 +87,15 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
     # of child shapes, the nested form that AdaptiveTree.from_nested reads.
     # Tiebreaks are unique, so shapes are never compared.
     heap: list[tuple] = [(p, (0, key), key) for key, p in prob_map.items()]
-    n_dummies = (m - 1 - (len(heap) - 1) % (m - 1)) % (m - 1)
+    n = len(heap)
+    # At n <= m one merge takes every symbol, so there is nothing to pad.
+    n_dummies = 0 if n <= m else (m - 1 - (n - 1) % (m - 1)) % (m - 1)
     heap.extend((0.0, (1, i), None) for i in range(n_dummies))
     heapq.heapify(heap)
 
     while len(heap) > 1:
-        real = [entry for entry in (heapq.heappop(heap) for _ in range(m)) if entry[2] is not None]
+        merged = (heapq.heappop(heap) for _ in range(min(m, len(heap))))
+        real = [entry for entry in merged if entry[2] is not None]
         weight = float_sum(entry[0] for entry in real)
         heapq.heappush(heap, (weight, min(entry[1] for entry in real), [entry[2] for entry in real]))
 
@@ -230,25 +217,3 @@ def export_csv(table: CodeTable, path) -> None:
         _CSV_HEADER,
         ([key, repr(table.probabilities[key]), code, len(code)] for key, code in sorted(table.entries.items())),
     )
-
-
-def load_csv(path, arity: int) -> CodeTable:
-    """Read a table that :func:`export_csv` wrote at ``arity``; a digit not
-    below the arity is a format error. The file does not record its arity,
-    and the largest digit present need not be m - 1. The arity is checked
-    by :class:`~adaptive_merkle.tree.TreeConfig`."""
-    TreeConfig(arity)
-    digits = CODE_ALPHABET[:arity]
-    entries: dict[str, str] = {}
-    probabilities: dict[str, float] = {}
-    for where, (key, prob_text, code, length_text) in read_csv(path, _CSV_HEADER):
-        if not set(code).issubset(digits):
-            raise FormatError(f"{where}: code {code!r} is not a base-{arity} digit string")
-        if str(len(code)) != length_text:
-            raise FormatError(f"{where}: length column disagrees with code")
-        probabilities[key] = csv_probability(prob_text, where)
-        entries[key] = code
-    check_probabilities(probabilities)
-    table = CodeTable(entries, probabilities, arity)
-    table.validate()
-    return table

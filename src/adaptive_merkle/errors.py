@@ -25,9 +25,5 @@ class MalformedProofError(AdaptiveMerkleError):
     """A proof is structurally broken (distinct from a failed verification)."""
 
 
-class AddressNotFoundError(AdaptiveMerkleError):
-    """Lookup of an address that has no record in the mapping table."""
-
-
 class FormatError(AdaptiveMerkleError):
     """A persisted file (CSV, JSON) could not be parsed."""

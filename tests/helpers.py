@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 
 from adaptive_merkle import AdaptiveTree, MerkleProof, TreeConfig, build_balanced, optimize_swaps, prove
 from adaptive_merkle._formats import float_sum
@@ -331,6 +332,17 @@ def delta_by_key(report) -> dict[str, float]:
 def length_multiset(table) -> list[int]:
     """Sorted code lengths of a ``CodeTable``."""
     return sorted(len(code) for code in table.entries.values())
+
+
+def check_code_table(table) -> None:
+    """Assert that a ``CodeTable``'s codes are prefix-free, pair by pair, and
+    that their Kraft sum, added exactly, is at most 1."""
+    codes = list(table.entries.values())
+    for i, a in enumerate(codes):
+        for j, b in enumerate(codes):
+            assert i == j or not b.startswith(a), f"codes {a!r} and {b!r} are not prefix-free"
+    kraft = sum(Fraction(1, table.arity ** len(code)) for code in codes)
+    assert kraft <= 1, f"Kraft sum {float(kraft)!r} exceeds 1"
 
 
 def average_adaptive_length(table) -> float:

@@ -17,20 +17,18 @@ from adaptive_merkle import (
     MerkleProof,
     TreeConfig,
     apply_best,
-    brute_force_min_avg_length,
     build_balanced,
     discrepancy_report,
-    entropy,
     enumerate_add_alternatives,
-    enumerate_swap_alternatives,
     huffman_codes,
     optimize_swaps,
     prove,
-    run_bench,
     verify,
 )
-from adaptive_merkle.bench import load_script, replay_iterations
-from adaptive_merkle.restructure import apply_alternative
+from adaptive_merkle.bench import load_script, replay_iterations, run_bench
+from adaptive_merkle.coding import brute_force_min_avg_length
+from adaptive_merkle.metrics import entropy
+from adaptive_merkle.restructure import apply_alternative, enumerate_swap_alternatives
 from adaptive_merkle.workload import (
     load_distribution_csv,
     normalize_distribution,

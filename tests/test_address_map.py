@@ -1,20 +1,18 @@
-"""Address-to-code mapping table and its CSV persistence."""
+"""Address-to-code mapping table and its CSV export."""
+
+import csv
 
 import pytest
 
 from adaptive_merkle import (
-    AddressNotFoundError,
-    FormatError,
-    ProbabilityError,
     StructureError,
     TreeConfig,
     build_balanced,
-    build_mapping,
     discrepancy_report,
     huffman_codes,
     tree_from_codes,
 )
-from adaptive_merkle.address_map import AddressRecord, AddressTable
+from adaptive_merkle.address_map import AddressRecord, AddressTable, build_mapping
 from adaptive_merkle.coding import is_prefix_free
 from adaptive_merkle.workload import normalize_distribution
 
@@ -33,10 +31,14 @@ def demo16_trees(demo16):
     return balanced, adaptive
 
 
+def by_address(table: AddressTable) -> dict[str, AddressRecord]:
+    return {r.address: r for r in table.records}
+
+
 class TestBuildMapping:
     def test_demo16_leaf_a(self, demo16_trees):
         table = build_mapping(*demo16_trees)
-        record = table.lookup("A")
+        record = by_address(table)["A"]
         assert record.balanced_code == "0000"
         assert len(record.adaptive_code) == 2
 
@@ -48,8 +50,13 @@ class TestBuildMapping:
     def test_single_leaf_empty_codes(self):
         balanced = build_balanced([("A", b"A", 1.0)], TreeConfig(2))
         adaptive = build_balanced([("A", b"A", 1.0)], TreeConfig(2))
-        record = build_mapping(balanced, adaptive).lookup("A")
+        (record,) = build_mapping(balanced, adaptive).records
+        assert record.address == "A"
         assert record.balanced_code == "" and record.adaptive_code == ""
+
+    def test_one_record_per_leaf(self, demo16_trees):
+        # the size check perfbench serve makes on its mapping
+        assert len(build_mapping(*demo16_trees)) == 16
 
     def test_average_adaptive_length(self, demo16_trees):
         table = build_mapping(*demo16_trees)
@@ -81,12 +88,7 @@ class TestBuildMapping:
 class TestLookup:
     def test_known_address(self, demo16_trees):
         table = build_mapping(*demo16_trees)
-        assert table.lookup("P").address == "P"
-
-    def test_unknown_address_is_error(self, demo16_trees):
-        table = build_mapping(*demo16_trees)
-        with pytest.raises(AddressNotFoundError):
-            table.lookup("deadbeef")
+        assert by_address(table)["P"].address == "P"
 
 
 class TestPersistence:
@@ -99,59 +101,15 @@ class TestPersistence:
         assert lines[0] == "address,probability,balanced_code,adaptive_code"
 
     def test_round_trip(self, demo16_trees, tmp_path):
+        # export only: the csv module reads back every record exactly
         table = build_mapping(*demo16_trees)
         path = tmp_path / "map.csv"
         table.save(path)
-        loaded = AddressTable.load(path)
-        assert loaded == table
-        for record in table.records:
-            assert loaded.lookup(record.address) == record
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [AddressRecord(a, float(p), b, c) for a, p, b, c in rows] == table.records
 
     def test_empty_table_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         AddressTable([]).save(path)
         assert path.read_text(encoding="utf-8") == "address,probability,balanced_code,adaptive_code\n"
-        assert len(AddressTable.load(path)) == 0
-
-    def test_corrupt_row_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "address,probability,balanced_code,adaptive_code\nA,0.5,0000,00\nB,0.5,0001\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(FormatError, match=":3"):
-            AddressTable.load(path)
-
-    def test_non_digit_code_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "address,probability,balanced_code,adaptive_code\nA,1.0,00!0,00\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(FormatError, match=":2"):
-            AddressTable.load(path)
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            "A,nan,0,0\nB,1.0,1,1\n",
-            "A,inf,0,0\nB,0.0,1,1\n",
-            "A,4,0,0\nB,-3,1,1\n",
-            "A,0.5,0,0\nB,0.4,1,1\n",
-        ],
-    )
-    def test_bad_probabilities_rejected(self, tmp_path, rows):
-        path = tmp_path / "bad.csv"
-        path.write_text("address,probability,balanced_code,adaptive_code\n" + rows, encoding="utf-8")
-        with pytest.raises(ProbabilityError):
-            AddressTable.load(path)
-
-    def test_loaded_codes_must_be_prefix_free(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "address,probability,balanced_code,adaptive_code\n"
-            "A,0.5,00,0\nB,0.5,01,01\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(StructureError):
-            AddressTable.load(path)

@@ -11,14 +11,14 @@ from adaptive_merkle import (
     ProbabilityError,
     TreeConfig,
     discrepancy_report,
-    load_script,
-    run_bench,
 )
 import adaptive_merkle.bench as bench_mod
 from adaptive_merkle.bench import (
     ReplayScript,
     ReplayStep,
+    load_script,
     replay_iterations,
+    run_bench,
     write_iterations_csv,
     write_variants_csv,
 )

@@ -1,27 +1,34 @@
 """Huffman construction, the brute-force oracle, and code/tree round trips."""
 
+import csv
 import random
+import tracemalloc
 
 import pytest
 
 from adaptive_merkle import (
-    FormatError,
     ProbabilityError,
     StructureError,
     TreeConfig,
-    brute_force_min_avg_length,
-    codes_from_tree,
     build_balanced,
     discrepancy_report,
-    entropy,
     huffman_codes,
     tree_from_codes,
 )
-from adaptive_merkle.coding import CodeTable, digit_to_index, export_csv, is_prefix_free, load_csv
+from adaptive_merkle.coding import (
+    CodeTable,
+    brute_force_min_avg_length,
+    codes_from_tree,
+    digit_to_index,
+    export_csv,
+    is_prefix_free,
+)
+from adaptive_merkle.metrics import entropy
 from adaptive_merkle.proofs import prove, verify
+from adaptive_merkle.tree import MAX_ARITY
 from adaptive_merkle.workload import normalize_distribution
 
-from helpers import length_multiset, random_distribution, random_tree
+from helpers import check_code_table, length_multiset, random_distribution, random_tree
 
 TOL = 1e-9
 DEMO16_LENGTHS = [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
@@ -62,8 +69,18 @@ class TestHuffman:
             n = rng.randint(1, 20)
             m = rng.choice([2, 3, 4, 16])
             table = huffman_codes(random_distribution(rng, n), m)
-            table.validate()
+            check_code_table(table)
             assert len(table.entries) == n
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [({"a": "0", "b": "01"}, "prefix-free"), ({"a": "0", "b": "1", "c": "2"}, "Kraft sum 1.5")],
+    )
+    def test_code_table_check_rejects(self, entries, message):
+        # "2" is no binary digit: the codes are prefix-free, their Kraft sum is not <= 1
+        table = CodeTable(entries, {key: 1 / len(entries) for key in entries}, 2)
+        with pytest.raises(AssertionError, match=message):
+            check_code_table(table)
 
     def test_avg_length_within_entropy_plus_one(self):
         rng = random.Random(13)
@@ -93,6 +110,20 @@ class TestHuffman:
     def test_sum_violation(self):
         with pytest.raises(ProbabilityError):
             huffman_codes({"a": 0.7, "b": 0.7}, 2)
+
+    @pytest.mark.parametrize("m", [2, 3, 16, MAX_ARITY])
+    def test_few_keys_merge_once_unpadded(self, m):
+        # n <= m symbols merge in one step, so no dummy is queued: two keys
+        # at the largest arity cost what they cost at m = 2.
+        probs = {"a": 0.75, "b": 0.25}
+        tracemalloc.start()
+        try:
+            table = huffman_codes(probs, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.entries == {"a": "1", "b": "0"}
+        assert peak < 10_000
 
     @pytest.mark.parametrize("probs, m, message", [({"a": 1.0}, 1, "arity"), ({}, 2, "empty")])
     def test_bad_arity_or_empty_rejected(self, probs, m, message):
@@ -206,66 +237,19 @@ class TestTreeFromCodes:
 
 class TestCsv:
     def test_round_trip(self, tmp_path, demo16_probs):
+        # export only: the csv module reads back every key, code and
+        # probability exactly
         table = huffman_codes(demo16_probs, 2)
         path = tmp_path / "codes.csv"
         export_csv(table, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "key,probability,code,length"
         assert len(lines) == 17
-        loaded = load_csv(path, 2)
-        assert loaded.entries == table.entries
-        assert loaded.avg_length == pytest.approx(table.avg_length, abs=TOL)
-
-    def test_arity_is_given_not_guessed(self, tmp_path):
-        # Four keys at m=16 use digits 0-3 only, so the digits cannot tell
-        # the arity; a tree built from the table takes the given one.
-        probs = {"A": 0.7, "B": 0.1, "C": 0.1, "D": 0.1}
-        table = huffman_codes(probs, 16)
-        assert sorted(table.entries.values()) == ["0", "1", "2", "3"]
-        path = tmp_path / "codes.csv"
-        export_csv(table, path)
-        assert load_csv(path, 16) == table
-        assert tree_from_codes(load_csv(path, 4)).config.arity == 4
-
-    def test_sum_inside_tolerance_round_trips(self, tmp_path):
-        # Both halves sit 5e-10 below 0.5: the sum, 1 - 1e-9, is inside the
-        # probability tolerance, and the average length sits about 1.4e-9
-        # below the entropy, as the tolerance allows.
-        table = huffman_codes({"a": 0.5 - 5e-10, "b": 0.5 - 5e-10}, 2)
-        table.validate()
-        path = tmp_path / "codes.csv"
-        export_csv(table, path)
-        assert load_csv(path, 2) == table
-
-    @pytest.mark.parametrize("arity", [1, 0, -1])
-    def test_arity_below_two_rejected(self, tmp_path, arity):
-        path = tmp_path / "codes.csv"
-        path.write_text("key,probability,code,length\nA,1.0,,0\n")
-        with pytest.raises(StructureError):
-            load_csv(path, arity)
-
-    @pytest.mark.parametrize("arity, code", [(2, "2"), (4, "04"), (16, "g")])
-    def test_digit_not_below_arity_rejected(self, tmp_path, arity, code):
-        path = tmp_path / "codes.csv"
-        path.write_text(f"key,probability,code,length\nA,0.5,1,1\nB,0.5,{code},{len(code)}\n")
-        with pytest.raises(FormatError, match=":3"):
-            load_csv(path, arity)
-
-    def test_length_column_must_match_code(self, tmp_path):
-        path = tmp_path / "codes.csv"
-        path.write_text("key,probability,code,length\nA,0.5,0,1\nB,0.5,1,2\n")
-        with pytest.raises(FormatError, match=":3: length column"):
-            load_csv(path, 2)
-
-    @pytest.mark.parametrize(
-        "entries, message",
-        [({"a": "0", "b": "01"}, "prefix-free"), ({"a": "0", "b": "1", "c": "2"}, "Kraft sum 1.5")],
-    )
-    def test_code_table_validate_rejects(self, entries, message):
-        # "2" is no binary digit: the codes are prefix-free, their Kraft sum is not <= 1
-        table = CodeTable(entries, {key: 1 / len(entries) for key in entries}, 2)
-        with pytest.raises(StructureError, match=message):
-            table.validate()
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert {key: code for key, _, code, _ in rows} == table.entries
+        assert {key: float(p) for key, p, _, _ in rows} == table.probabilities
+        assert all(int(length) == len(code) for _, _, code, length in rows)
 
     def test_prefix_free_helper(self):
         assert is_prefix_free(["00", "01", "1"])
@@ -273,23 +257,20 @@ class TestCsv:
 
 
 ARITY_CHECKS = {
-    "entropy": lambda path, m: entropy([0.5, 0.5], m),
-    "huffman_codes": lambda path, m: huffman_codes({"a": 0.5, "b": 0.5}, m),
-    "load_csv": load_csv,
-    "brute_force_min_avg_length": lambda path, m: brute_force_min_avg_length([0.5, 0.5], m),
+    "entropy": lambda m: entropy([0.5, 0.5], m),
+    "huffman_codes": lambda m: huffman_codes({"a": 0.5, "b": 0.5}, m),
+    "brute_force_min_avg_length": lambda m: brute_force_min_avg_length([0.5, 0.5], m),
 }
 
 
 @pytest.mark.parametrize("m", [1, 0, -1, 2.5, True, 65537])
 @pytest.mark.parametrize("name", sorted(ARITY_CHECKS))
-def test_arity_rule_is_tree_configs(tmp_path, name, m):
+def test_arity_rule_is_tree_configs(name, m):
     # One rule, one error: each function rejects what TreeConfig rejects,
     # with the same StructureError, and takes what it takes.
-    path = tmp_path / "codes.csv"
-    path.write_text("key,probability,code,length\nA,0.5,0,1\nB,0.5,1,1\n")
     with pytest.raises(StructureError) as config_error:
         TreeConfig(m)
     with pytest.raises(StructureError) as error:
-        ARITY_CHECKS[name](path, m)
+        ARITY_CHECKS[name](m)
     assert str(error.value) == str(config_error.value)
-    ARITY_CHECKS[name](path, 2)
+    ARITY_CHECKS[name](2)

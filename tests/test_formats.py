@@ -9,26 +9,14 @@ from pathlib import Path
 import pytest
 
 import adaptive_merkle
-from adaptive_merkle import AdaptiveTree, MerkleProof, load_script
+from adaptive_merkle import AdaptiveTree, FormatError, MerkleProof
 from adaptive_merkle._formats import float_sum, load_json
-from adaptive_merkle.address_map import AddressTable
-from adaptive_merkle.coding import load_csv
-from adaptive_merkle.errors import FormatError
+from adaptive_merkle.bench import load_script
 from adaptive_merkle.workload import load_distribution_csv
 
-# name -> (header, row(key, probability, code), loader)
+# name -> (header, row(key, probability), loader)
 CSV_READERS = {
-    "distribution": ("key,probability", lambda key, p, code: f"{key},{p}", load_distribution_csv),
-    "code_table": (
-        "key,probability,code,length",
-        lambda key, p, code: f"{key},{p},{code},{len(code)}",
-        lambda path: load_csv(path, 2),
-    ),
-    "address_map": (
-        "address,probability,balanced_code,adaptive_code",
-        lambda key, p, code: f"{key},{p},{code},{code}",
-        AddressTable.load,
-    ),
+    "distribution": ("key,probability", lambda key, p: f"{key},{p}", load_distribution_csv),
 }
 
 
@@ -37,7 +25,7 @@ CSV_READERS = {
 def test_csv_reader_rejects_malformed_file(tmp_path, reader, defect):
     header, row, load = CSV_READERS[reader]
     path = tmp_path / "table.csv"
-    lines = [header, row("A", "0.5", "0"), row("B", "0.5", "1")]
+    lines = [header, row("A", "0.5"), row("B", "0.5")]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     load(path)  # the file is valid before the defect goes in
 
@@ -46,16 +34,16 @@ def test_csv_reader_rejects_malformed_file(tmp_path, reader, defect):
         lines[0] = header.replace("probability", "prob")
         where = f"{path}: unexpected header"
     elif defect == "encoding":
-        lines[2] = row("\u00e9", "0.5", "1")
+        lines[2] = row("\u00e9", "0.5")
         encoding, where = "latin-1", f"{path}: not UTF-8"
     elif defect == "columns":
         lines[2] += ",0"
     elif defect == "repeated_key":
-        lines[2] = row("A", "0.5", "1")
+        lines[2] = row("A", "0.5")
     elif defect == "field_limit":  # one byte over the csv module's limit
-        lines[2] = row("B" * (csv.field_size_limit() + 1), "0.5", "1")
+        lines[2] = row("B" * (csv.field_size_limit() + 1), "0.5")
     else:
-        lines[2] = row("B", "half", "1")
+        lines[2] = row("B", "half")
     path.write_text("\n".join(lines) + "\n", encoding=encoding)
     with pytest.raises(FormatError, match="^" + re.escape(where)):
         load(path)

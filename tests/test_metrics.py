@@ -12,8 +12,8 @@ from adaptive_merkle import (
     TreeConfig,
     build_balanced,
     discrepancy_report,
-    entropy,
 )
+from adaptive_merkle.metrics import entropy
 from adaptive_merkle.workload import normalize_distribution
 
 from helpers import delta_by_key, dyadic_distribution, random_full_tree, random_tree

@@ -16,11 +16,10 @@ from adaptive_merkle import (
     huffman_codes,
     prove,
     tree_from_codes,
-    verification_cost,
     verify,
 )
 import adaptive_merkle.proofs as proofs_mod
-from adaptive_merkle.proofs import ProofStep
+from adaptive_merkle.proofs import ProofStep, verification_cost
 from adaptive_merkle.tree import MAX_ARITY, hash_internal, hash_leaf
 from adaptive_merkle.workload import generate_trace, normalize_distribution, zipf_distribution
 

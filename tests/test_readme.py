@@ -1,5 +1,6 @@
-"""The README's "Library tour" code block runs as documented, and its module
-table and private names name only what exists."""
+"""The README's "Library tour" code block runs as documented, it documents
+every public top-level name, and its module table and private names name
+only what exists."""
 
 import argparse
 import functools
@@ -22,6 +23,20 @@ def test_library_tour_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     # the comments promise: the new leaf splits B and delta drops to 0
     assert capsys.readouterr().out.splitlines()[0] == "split ('B',) 0.0"
+
+
+def test_public_names_documented():
+    # The top level grows only with its documentation: every public name it
+    # exports appears backticked in the README, and there are 19 of them.
+    text = README.read_text(encoding="utf-8")
+    backticked = set(re.findall(r"`([^`]*)`", text))
+    public = [
+        name
+        for name in dir(adaptive_merkle)
+        if not name.startswith("_") and not inspect.ismodule(getattr(adaptive_merkle, name))
+    ]
+    assert len(public) == 19
+    assert [name for name in public if name not in backticked] == []
 
 
 def test_module_table_names_exist():

@@ -24,7 +24,6 @@ from adaptive_merkle import (
     build_balanced,
     discrepancy_report,
     enumerate_add_alternatives,
-    enumerate_swap_alternatives,
     optimize_swaps,
     prove,
     verify,
@@ -41,6 +40,7 @@ from adaptive_merkle.restructure import (
     DEFAULT_MAX_ITERS,
     IMPROVEMENT_EPS,
     apply_alternative,
+    enumerate_swap_alternatives,
     optimize_leaf_swaps,
 )
 from adaptive_merkle.tree import hash_internal
@@ -939,7 +939,7 @@ def improving_exchanges(tree):
 DETERMINISM_SCRIPT = """
 import json, random, sys
 sys.path[:0] = sys.argv[1:3]
-from adaptive_merkle import run_bench
+from adaptive_merkle.bench import run_bench
 from adaptive_merkle.restructure import optimize_swaps
 from helpers import random_tree
 rng = random.Random(7)

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_merkle import (
-    ProbabilityError,
-    entropy,
+from adaptive_merkle import FormatError, ProbabilityError
+from adaptive_merkle.metrics import entropy
+from adaptive_merkle.workload import (
+    AccessTrace,
     estimate_probabilities,
     generate_trace,
+    load_distribution_csv,
     normalize_distribution,
     zipf_distribution,
 )
-from adaptive_merkle.errors import FormatError
-from adaptive_merkle.workload import AccessTrace, load_distribution_csv
 
 
 def trace_of(counts):
