@@ -13,7 +13,7 @@ precision, and nothing reads it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._formats import write_csv
 from .coding import codes_from_tree, is_prefix_free
@@ -23,8 +23,9 @@ from .tree import AdaptiveTree
 _CSV_HEADER = ["address", "probability", "balanced_code", "adaptive_code"]
 
 
-@dataclass(frozen=True)
-class AddressRecord:
+class AddressRecord(NamedTuple):
+    """One address and its two path codes; a tuple, so cheap to make."""
+
     address: str
     probability: float
     balanced_code: str
@@ -62,13 +63,10 @@ def build_mapping(balanced: AdaptiveTree, adaptive: AdaptiveTree) -> AddressTabl
     adaptive_codes = codes_from_tree(adaptive)
     if balanced_codes.keys() != adaptive_codes.keys():
         raise StructureError("balanced and adaptive trees hold different key sets")
+    probabilities = adaptive.probabilities
+    new = tuple.__new__  # skips the per-record Python-level constructor call
     records = [
-        AddressRecord(
-            address=key,
-            probability=adaptive.probabilities[key],
-            balanced_code=code,
-            adaptive_code=adaptive_codes[key],
-        )
+        new(AddressRecord, (key, probabilities[key], code, adaptive_codes[key]))
         for key, code in balanced_codes.items()
     ]
     return AddressTable(records)

@@ -14,11 +14,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter, mul
 from typing import Mapping
 
 from ._formats import float_sum, write_csv
 from .errors import ProbabilityError, StructureError
-from .tree import AdaptiveTree, TreeConfig, check_probabilities
+from .tree import AdaptiveTree, TreeConfig, _float_copy, check_probabilities
 
 BRUTE_FORCE_MAX_N = 10
 
@@ -30,10 +32,7 @@ CODE_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CSV_HEADER = ["key", "probability", "code", "length"]
 
 
-def index_to_digit(index: int) -> str:
-    if not 0 <= index < len(CODE_ALPHABET):
-        raise StructureError(f"child index {index} exceeds the code alphabet")
-    return CODE_ALPHABET[index]
+_DIGIT_INDEX = {digit: index for index, digit in enumerate(CODE_ALPHABET)}
 
 
 def digit_to_index(digit: str) -> int:
@@ -41,6 +40,11 @@ def digit_to_index(digit: str) -> int:
     if index < 0:
         raise StructureError(f"{digit!r} is not a code digit")
     return index
+
+
+def _past_the_alphabet(width: int) -> StructureError:
+    # a node of more children than CODE_ALPHABET spells digits for
+    return StructureError(f"child index {width - 1} exceeds the code alphabet")
 
 
 @dataclass(frozen=True)
@@ -54,15 +58,14 @@ class CodeTable:
     @property
     def avg_length(self) -> float:
         """sum(p * len(code)), summed in ``entries`` order."""
-        return float_sum(self.probabilities[key] * len(code) for key, code in self.entries.items())
+        entries = self.entries
+        return float_sum(map(mul, map(self.probabilities.__getitem__, entries), map(len, entries.values())))
 
 
 def is_prefix_free(codes) -> bool:
     ordered = sorted(codes)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.startswith(a):
-            return False
-    return True
+    # in sorted order a code is followed by every code it prefixes
+    return not any(map(str.startswith, ordered[1:], ordered))
 
 
 def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
@@ -77,7 +80,7 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
     if not probs:
         raise ProbabilityError("distribution is empty")
     check_probabilities(probs)
-    prob_map = {key: float(p) for key, p in probs.items()}
+    prob_map = _float_copy(probs)
 
     if len(prob_map) == 1:
         key = next(iter(prob_map))
@@ -86,18 +89,25 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
     # Entries are (weight, tiebreak, shape); a shape is a leaf key or a list
     # of child shapes, the nested form that AdaptiveTree.from_nested reads.
     # Tiebreaks are unique, so shapes are never compared.
-    heap: list[tuple] = [(p, (0, key), key) for key, p in prob_map.items()]
+    heap: list[tuple] = list(zip(prob_map.values(), zip(repeat(0), prob_map), prob_map))  # (p, (0, key), key)
     n = len(heap)
     # At n <= m one merge takes every symbol, so there is nothing to pad.
     n_dummies = 0 if n <= m else (m - 1 - (n - 1) % (m - 1)) % (m - 1)
     heap.extend((0.0, (1, i), None) for i in range(n_dummies))
     heapq.heapify(heap)
 
+    pop, push = heapq.heappop, heapq.heappush
     while len(heap) > 1:
-        merged = (heapq.heappop(heap) for _ in range(min(m, len(heap))))
-        real = [entry for entry in merged if entry[2] is not None]
-        weight = float_sum(entry[0] for entry in real)
-        heapq.heappush(heap, (weight, min(entry[1] for entry in real), [entry[2] for entry in real]))
+        weights, tiebreaks, shapes = zip(*[pop(heap) for _ in range(min(m, len(heap)))])
+        # Dummies only drop out of the shape: their weight 0.0 leaves every
+        # partial sum of float_sum as it is, and their tiebreaks (1, i) lose
+        # to the (0, key) of the real entries, of which a merge has two or
+        # more (there are at most m - 2 dummies).
+        real = [shape for shape in shapes if shape is not None]
+        # every node of the final shape is one merge's real list
+        if len(real) > len(CODE_ALPHABET):
+            raise _past_the_alphabet(len(real))
+        push(heap, (float_sum(weights), min(tiebreaks), real))
 
     entries = _leaf_codes(heap[0][2], lambda shape: None if isinstance(shape, str) else shape)
     return CodeTable(entries, prob_map, m)
@@ -170,15 +180,15 @@ def tree_from_codes(codes: CodeTable, payloads: Mapping[str, bytes] | None = Non
         # children, so a digit >= m fails there.
         nested = []
         path = [("", nested)]
-        for key, code in sorted(entries.items(), key=lambda kv: kv[1]):
+        for key, code in sorted(entries.items(), key=itemgetter(1)):
             while not code.startswith(path[-1][0]):
                 path.pop()
             prefix, children = path[-1]
             for depth in range(len(prefix), len(code)):
-                if digit_to_index(code[depth]) != len(children):
-                    raise StructureError(
-                        f"non-contiguous child digit {code[depth]!r} under prefix {code[:depth]!r}"
-                    )
+                digit = code[depth]
+                if _DIGIT_INDEX.get(digit) != len(children):
+                    digit_to_index(digit)  # a character outside the alphabet raises here
+                    raise StructureError(f"non-contiguous child digit {digit!r} under prefix {code[:depth]!r}")
                 if depth == len(code) - 1:
                     children.append(key)
                 else:
@@ -190,24 +200,34 @@ def tree_from_codes(codes: CodeTable, payloads: Mapping[str, bytes] | None = Non
 
 def codes_from_tree(tree: AdaptiveTree) -> dict[str, str]:
     """The path code of every leaf, in left-to-right order, from one walk."""
-    codes = _leaf_codes(tree.root_id, lambda nid: tree.nodes[nid].children)
-    return {tree.nodes[nid].key: code for nid, code in codes.items()}
+    nodes = tree.nodes
+    codes = _leaf_codes(tree.root_id, lambda nid: nodes[nid].children)
+    return {nodes[nid].key: code for nid, code in codes.items()}
 
 
 def _leaf_codes(root, children_of) -> dict:
     """Path code of every leaf below ``root`` in left-to-right order, by an
     explicit-stack preorder walk; ``children_of`` returns None at a leaf."""
     codes = {}
-    stack = [(root, "")]
-    while stack:
-        item, code = stack.pop()
-        children = children_of(item)
-        if children is None:
-            codes[item] = code
+    # ``items`` pairs each child of the innermost open node with its digit
+    # and ``prefix`` is that node's code; ``open_above`` keeps the enclosing
+    # nodes' pairs and codes, to resume once the inner node is done.
+    items, prefix, open_above = zip((root,), ("",)), "", []
+    while True:
+        for item, digit in items:
+            children = children_of(item)
+            if children is None:
+                codes[item] = prefix + digit
+            elif len(children) > len(CODE_ALPHABET):
+                raise _past_the_alphabet(len(children))
+            else:
+                open_above.append((items, prefix))
+                items, prefix = zip(children, CODE_ALPHABET), prefix + digit
+                break
         else:
-            for index in range(len(children) - 1, -1, -1):
-                stack.append((children[index], code + index_to_digit(index)))
-    return codes
+            if not open_above:
+                return codes
+            items, prefix = open_above.pop()
 
 
 def export_csv(table: CodeTable, path) -> None:

@@ -21,8 +21,13 @@ siblings out of one byte string. ``_rehash`` is the one writer of both the
 preimage and the hash: the flush, the full rehash and
 ``from_snapshot`` go through it, and snapshots do not store it. Next to the
 parent pointers the tree keeps a depth index, the edge count from the root
-of every node, and a leaf-key index; ``from_nested`` fills all three as it
-builds. Every whole-tree pass goes through one checked root-down walk:
+of every node, and a leaf-key index. :meth:`AdaptiveTree.from_nested` is
+the one builder (``build_balanced`` and ``coding.tree_from_codes`` shape
+their input and call it): one walk over the nested shape, with an iterator
+per open node, makes each node once as a slotted, positional ``TreeNode``,
+names the nodes n1..nK in post-order and fills all three indexes; a
+malformed leaf raises :class:`StructureError` or :class:`FormatError`.
+Every whole-tree pass goes through one checked root-down walk:
 ``from_snapshot`` takes the indexes from it, :meth:`AdaptiveTree.validate`
 compares them with it, and snapshot writing, the full rehash and
 :meth:`AdaptiveTree.leaf_keys` read their order from it, so a corrupted tree
@@ -126,13 +131,14 @@ class TreeConfig:
             raise StructureError(f"arity must be an int from 2 to {MAX_ARITY}, got {self.arity!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One node. Leaves carry ``key``/``payload``; internals carry ``children``
     and ``child_digests``, the children's hashes joined in child order: the
     node's hash preimage, which ``AdaptiveTree._rehash`` alone writes. An
     internal node's ``hash`` and ``child_digests`` are current only after
-    the tree's ``root_hash()``."""
+    the tree's ``root_hash()``. Slotted, so a node holds no per-instance
+    dict; the builders pass the fields by position."""
 
     node_id: str
     hash: bytes
@@ -144,6 +150,20 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
+
+    def __deepcopy__(self, memo) -> "TreeNode":
+        # The children list is the one mutable field, and no other object
+        # holds it: copying it copies the node. Faster than deepcopy's
+        # generic path for slotted objects, which clone() would pay per node.
+        children = self.children
+        return TreeNode(
+            self.node_id,
+            self.hash,
+            None if children is None else children[:],
+            self.key,
+            self.payload,
+            self.child_digests,
+        )
 
 
 class AdaptiveTree:
@@ -168,28 +188,28 @@ class AdaptiveTree:
 
     def _new_id(self) -> str:
         # A loaded snapshot may name its nodes anything: skip the ids in use.
-        while f"n{self._next_id}" in self.nodes:
+        nid = f"n{self._next_id}"
+        while nid in self.nodes:
             self._next_id += 1
+            nid = f"n{self._next_id}"
         self._next_id += 1
-        return f"n{self._next_id - 1}"
+        return nid
 
-    def _add_leaf_node(self, key: str, payload: bytes, depth: int) -> TreeNode:
+    def _add_leaf_node(self, nid: str, key: str, payload: bytes, depth: int) -> None:
         if key in self._leaf_by_key:
             raise DuplicateKeyError(f"leaf key {key!r} already present")
-        node = TreeNode(self._new_id(), hash_leaf(key, payload), key=key, payload=payload)
-        self.nodes[node.node_id] = node
-        self._leaf_by_key[key] = node.node_id
-        self._depth[node.node_id] = depth
-        return node
+        self.nodes[nid] = TreeNode(nid, hash_leaf(key, payload), None, key, payload)
+        self._leaf_by_key[key] = nid
+        self._depth[nid] = depth
 
-    def _add_internal_node(self, child_ids: list[str], depth: int) -> TreeNode:
-        node = TreeNode(self._new_id(), b"", children=list(child_ids))
-        self.nodes[node.node_id] = node
-        self._depth[node.node_id] = depth
+    def _add_internal_node(self, nid: str, child_ids: list[str], depth: int) -> None:
+        # The node keeps child_ids as its children list: pass a fresh list.
+        self.nodes[nid] = TreeNode(nid, b"", child_ids)
+        self._depth[nid] = depth
+        parent = self._parent
         for cid in child_ids:
-            self._parent[cid] = node.node_id
-        self._dirty.add(node.node_id)
-        return node
+            parent[cid] = nid
+        self._dirty.add(nid)
 
     @classmethod
     def from_nested(
@@ -204,30 +224,58 @@ class AdaptiveTree:
         ``nested`` is a leaf key (string) or a list of nested shapes, e.g.
         ``["A", [["B", "D"], ["C", "E"]]]``. Payloads default to the UTF-8
         key bytes. Nodes are created in post-order, children left to right,
-        by an explicit-stack walk, so any depth builds; the walk also fills
-        the depth index. Only the leaves are hashed here: the internal nodes
-        wait, dirty, for the first :meth:`root_hash`.
+        by an explicit-stack walk, so any depth builds, and are named
+        n1..nK in that order; the walk also fills the depth index. Only the
+        leaves are hashed here: the internal nodes wait, dirty, for the
+        first :meth:`root_hash`. A spec that is neither a string nor a list,
+        a missing or non-bytes payload raise :class:`StructureError`, a key
+        that is not valid UTF-8 :class:`FormatError`.
         """
         tree = cls(config)
         built: list[str] = []  # ids of finished subtrees whose parent is not built yet
-        stack = [(nested, False, 0)]
-        while stack:
-            spec, children_built, depth = stack.pop()
+        count = 0  # nodes made so far: a fresh tree names them n1..nK
+        # ``specs`` iterates the children of the innermost open node, which
+        # sit at ``depth``; ``open_above`` keeps each enclosing node's
+        # iterator, to resume once the inner node is built, and its child count.
+        specs, depth, open_above = iter((nested,)), 0, []
+        try:
+            while True:
+                for spec in specs:
+                    if isinstance(spec, str):
+                        count += 1
+                        nid = f"n{count}"
+                        payload = spec.encode("utf-8") if payloads is None else payloads[spec]
+                        tree._add_leaf_node(nid, spec, payload, depth)
+                        built.append(nid)
+                    else:
+                        if not 1 <= len(spec) <= config.arity:
+                            raise StructureError(f"internal node with {len(spec)} children (arity {config.arity})")
+                        if len(spec) == 1:
+                            raise StructureError("single-child internal nodes are not allowed in a finished tree")
+                        open_above.append((specs, len(spec)))
+                        specs, depth = iter(spec), depth + 1
+                        break
+                else:  # every child of the innermost open node is built
+                    if not open_above:
+                        break
+                    specs, width = open_above.pop()
+                    depth -= 1
+                    count += 1
+                    nid = f"n{count}"
+                    child_ids = built[-width:]
+                    del built[-width:]
+                    tree._add_internal_node(nid, child_ids, depth)
+                    built.append(nid)
+        except KeyError:  # only payloads[spec] looks a key up
+            raise StructureError(f"no payload for leaf key {spec!r}") from None
+        except UnicodeEncodeError as exc:  # a str may hold a lone surrogate
+            raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
+        except TypeError as exc:
             if isinstance(spec, str):
-                payload = payloads[spec] if payloads is not None else spec.encode("utf-8")
-                built.append(tree._add_leaf_node(spec, payload, depth).node_id)
-            elif children_built:
-                child_ids = built[-len(spec) :]
-                del built[-len(spec) :]
-                built.append(tree._add_internal_node(child_ids, depth).node_id)
-            else:
-                if not 1 <= len(spec) <= config.arity:
-                    raise StructureError(f"internal node with {len(spec)} children (arity {config.arity})")
-                if len(spec) == 1:
-                    raise StructureError("single-child internal nodes are not allowed in a finished tree")
-                stack.append((spec, True, depth))
-                stack.extend((child, False, depth + 1) for child in reversed(spec))
+                raise StructureError(f"payload of leaf {spec!r} is not bytes ({exc})") from None
+            raise StructureError(f"leaf spec {spec!r} is neither a key string nor a list") from None
         (tree.root_id,) = built
+        tree._next_id = count + 1
         tree.set_probabilities(probabilities)
         return tree
 
@@ -302,15 +350,17 @@ class AdaptiveTree:
         target = self.leaf_node(target_key)
         parent_id = self._parent.get(target.node_id)
         depth = self._depth[target.node_id]
-        new_leaf = self._add_leaf_node(new_key, new_payload, depth + 1)
-        intermediate = self._add_internal_node([target.node_id, new_leaf.node_id], depth)
+        leaf_id = self._new_id()
+        self._add_leaf_node(leaf_id, new_key, new_payload, depth + 1)
+        intermediate = self._new_id()
+        self._add_internal_node(intermediate, [target.node_id, leaf_id], depth)
         self._depth[target.node_id] = depth + 1
         if parent_id is None:
-            self.root_id = intermediate.node_id
+            self.root_id = intermediate
         else:
             parent = self.nodes[parent_id]
-            parent.children[parent.children.index(target.node_id)] = intermediate.node_id
-            self._parent[intermediate.node_id] = parent_id
+            parent.children[parent.children.index(target.node_id)] = intermediate
+            self._parent[intermediate] = parent_id
         self.probabilities[new_key] = 0.0
 
     def attach_leaf(self, parent_id: str, new_key: str, new_payload: bytes) -> None:
@@ -323,9 +373,10 @@ class AdaptiveTree:
             raise StructureError(f"cannot attach to leaf node {parent_id!r}")
         if len(parent.children) >= self.config.arity:
             raise StructureError(f"node {parent_id!r} already has {self.config.arity} children")
-        new_leaf = self._add_leaf_node(new_key, new_payload, self._depth[parent_id] + 1)
-        parent.children.append(new_leaf.node_id)
-        self._parent[new_leaf.node_id] = parent_id
+        leaf_id = self._new_id()
+        self._add_leaf_node(leaf_id, new_key, new_payload, self._depth[parent_id] + 1)
+        parent.children.append(leaf_id)
+        self._parent[leaf_id] = parent_id
         self._dirty.add(parent_id)
         self.probabilities[new_key] = 0.0
 
@@ -595,19 +646,20 @@ def build_balanced(
     if not leaves:
         raise StructureError("cannot build a tree over an empty leaf list")
     m = config.arity
+    keys = [key for key, _, _ in leaves]
 
-    def split(keys: list[str]):
-        # Recurses log_m(n) deep: each level divides the keys among m children.
-        if len(keys) == 1:
-            return keys[0]
-        if len(keys) <= m:
-            return keys
-        q, r = divmod(len(keys), m)
-        bounds = [i * q + min(i, r) for i in range(m + 1)]
-        return [split(keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    def split(lo: int, hi: int):
+        # Recurses log_m(n) deep: each level divides keys[lo:hi] among m children.
+        if hi - lo == 1:
+            return keys[lo]
+        if hi - lo <= m:
+            return keys[lo:hi]
+        q, r = divmod(hi - lo, m)
+        bounds = [lo + i * q + min(i, r) for i in range(m + 1)]
+        return [split(a, b) for a, b in zip(bounds, bounds[1:])]
 
     return AdaptiveTree.from_nested(
-        split([key for key, _, _ in leaves]),
+        split(0, len(keys)),
         {key: p for key, _, p in leaves},
         config,
         {key: payload for key, payload, _ in leaves},

@@ -6,13 +6,26 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from adaptive_merkle import AdaptiveTree, MerkleProof, TreeConfig, build_balanced, optimize_swaps, prove
+from adaptive_merkle import (
+    AdaptiveTree,
+    MerkleProof,
+    TreeConfig,
+    build_balanced,
+    huffman_codes,
+    optimize_swaps,
+    prove,
+    tree_from_codes,
+)
 from adaptive_merkle._formats import float_sum
+from adaptive_merkle.address_map import build_mapping
+from adaptive_merkle.cli import main
 from adaptive_merkle.errors import DuplicateKeyError, ProbabilityError
 from adaptive_merkle.proofs import ProofStep
 from adaptive_merkle.restructure import Alternative
 from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities
+from adaptive_merkle.workload import zipf_distribution
 
 
 def random_distribution(rng: random.Random, n: int) -> dict[str, float]:
@@ -403,3 +416,47 @@ def reference_add_alternatives(tree, new_key, new_probs, new_payload=None) -> li
         for key in sorted(depths)
     ]
     return alternatives
+
+
+# CLI build and encode goldens: (distribution name, fixture CSV, arity)
+BUILD_AND_ENCODE_RUNS = [
+    ("demo16", "demo16.csv", 2),
+    ("demo16", "demo16.csv", 16),
+    ("hexary20", "hexary20_distribution.csv", 16),
+]
+
+
+def write_build_and_encode_outputs(fixtures, directory) -> list[str]:
+    """Run CLI ``build``, ``encode --format codes`` and ``encode --format map``
+    on each of ``BUILD_AND_ENCODE_RUNS``, writing ``build_<dist>_m<m>.snapshot.json``,
+    ``codes_<dist>_m<m>.csv`` and ``map_<dist>_m<m>.csv`` into ``directory``;
+    returns the file names."""
+    names = []
+    for dist, csv_name, m in BUILD_AND_ENCODE_RUNS:
+        probs = str(Path(fixtures) / csv_name)
+        for name, args in [
+            (f"build_{dist}_m{m}.snapshot.json", ["build"]),
+            (f"codes_{dist}_m{m}.csv", ["encode", "--format", "codes"]),
+            (f"map_{dist}_m{m}.csv", ["encode", "--format", "map"]),
+        ]:
+            if main([*args, "--probs", probs, "--arity", str(m), "--out", str(Path(directory) / name)]) != 0:
+                raise RuntimeError(f"CLI {args[0]} failed for {name}")
+            names.append(name)
+    return names
+
+
+def write_seeded_zipf_outputs(directory, n: int, m: int, seed: int) -> None:
+    """Write ``map.csv`` (the address map) and ``snapshot.json`` (the Huffman
+    tree) into ``directory`` for a seeded Zipf(1.1) over n keys, built as
+    CLI ``encode --format map`` builds them: ``huffman_codes``,
+    ``tree_from_codes``, ``build_balanced`` and ``build_mapping``. Keys are
+    shuffled onto the ranks and payloads drawn from ``seed``."""
+    rng = random.Random(seed)
+    keys = [f"k{i:05d}" for i in range(n)]
+    rng.shuffle(keys)
+    dist = list(zip(keys, zipf_distribution(n, 1.1)))
+    payloads = {key: rng.randbytes(32) for key in keys}
+    adaptive = tree_from_codes(huffman_codes(dict(dist), m), payloads)
+    balanced = build_balanced([(key, payloads[key], p) for key, p in dist], TreeConfig(m))
+    build_mapping(balanced, adaptive).save(Path(directory) / "map.csv")
+    adaptive.save(Path(directory) / "snapshot.json")

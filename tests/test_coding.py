@@ -1,6 +1,7 @@
 """Huffman construction, the brute-force oracle, and code/tree round trips."""
 
 import csv
+import heapq
 import random
 import tracemalloc
 
@@ -15,7 +16,9 @@ from adaptive_merkle import (
     huffman_codes,
     tree_from_codes,
 )
+from adaptive_merkle._formats import float_sum
 from adaptive_merkle.coding import (
+    CODE_ALPHABET,
     CodeTable,
     brute_force_min_avg_length,
     codes_from_tree,
@@ -31,12 +34,30 @@ from adaptive_merkle.workload import normalize_distribution
 from helpers import check_code_table, length_multiset, random_distribution, random_tree
 
 TOL = 1e-9
+real_heappush = heapq.heappush
 DEMO16_LENGTHS = [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
 
 
 @pytest.fixture
 def demo16_probs(demo16):
     return dict(normalize_distribution(demo16))
+
+
+def reference_merge_widths(probs, m):
+    """How many real entries (keys or merged nodes, not dummies) each merge
+    of the padded m-ary Huffman queue takes, in merge order: the queue is
+    sorted by (weight, tiebreak) before each merge, zero-weight keys before
+    the dummies."""
+    n = len(probs)
+    dummies = 0 if n <= m else (-(n - 1)) % (m - 1)
+    queue = [(p, (0, key), True) for key, p in probs.items()] + [(0.0, (1, i), False) for i in range(dummies)]
+    widths = []
+    while len(queue) > 1:
+        queue.sort()
+        merged, queue = queue[:m], queue[m:]
+        widths.append(sum(real for _, _, real in merged))
+        queue.append((float_sum(p for p, _, _ in merged), min(tie for _, tie, _ in merged), True))
+    return widths
 
 
 def geometric_probs(n):
@@ -124,6 +145,39 @@ class TestHuffman:
             tracemalloc.stop()
         assert table.entries == {"a": "1", "b": "0"}
         assert peak < 10_000
+
+    def test_zero_weight_keys_keep_the_root_inside_the_alphabet(self):
+        # m = 37, n = 38: five zero-weight keys and 32 dummies fill the first
+        # merge, and the second takes the 33 others, the merged node and 3
+        # dummies: 34 children, within the 36 digits
+        probs = {f"k{i:02d}": 1 / 33 for i in range(33)} | {f"z{i}": 0.0 for i in range(5)}
+        table = huffman_codes(probs, 37)
+        assert sorted(set(map(len, table.entries.values()))) == [1, 2]
+        assert len([code for code in table.entries.values() if len(code) == 1]) == 33
+        assert tree_from_codes(table).leaf_count() == 38
+
+    @pytest.mark.parametrize("m", [36, 37, 40])
+    @pytest.mark.parametrize("zeros", [0, 1, 5])
+    def test_raises_at_the_first_merge_past_the_alphabet(self, m, zeros):
+        # The widths come from re-sorting the padded queue before every merge
+        # and counting the merge's entries that are not dummies; the build
+        # must raise exactly when one exceeds the 36 digits, and before the
+        # merge that makes that node.
+        for n in range(30, 81):
+            probs = {f"k{i:02d}": 1 / (n - zeros) for i in range(n - zeros)} | {f"z{i}": 0.0 for i in range(zeros)}
+            widths = reference_merge_widths(probs, m)
+            too_wide = [i for i, width in enumerate(widths) if width > len(CODE_ALPHABET)]
+            pushes = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(heapq, "heappush", lambda heap, item: pushes.append(1) or real_heappush(heap, item))
+                if too_wide:
+                    with pytest.raises(StructureError, match=f"child index {widths[too_wide[0]] - 1} exceeds"):
+                        huffman_codes(probs, m)
+                    assert len(pushes) == too_wide[0], (n, m, zeros)
+                else:
+                    table = huffman_codes(probs, m)
+                    assert len(pushes) == len(widths)
+                    check_code_table(table)
 
     @pytest.mark.parametrize("probs, m, message", [({"a": 1.0}, 1, "arity"), ({}, 2, "empty")])
     def test_bad_arity_or_empty_rejected(self, probs, m, message):

@@ -44,14 +44,28 @@ exactly:
   (k_A 4.0195 -> 3.6047, one leaf swap before) and 7 at m = 3
   (2.6584 -> 2.4438, two leaf swaps before).
 
+* ``build_<dist>_m<m>.snapshot.json``, ``codes_<dist>_m<m>.csv`` and
+  ``map_<dist>_m<m>.csv``: ``build``, ``encode --format codes`` and
+  ``encode --format map`` on demo16 at m = 2 and 16 and on hexary20 at
+  m = 16 (``helpers.BUILD_AND_ENCODE_RUNS``), written before the builders'
+  per-node work was cut (slotted nodes, one walk per builder), which had to
+  leave every byte as it was;
+* ``SEEDED_DIGESTS``: the SHA-256 of the address map CSV and of the Huffman
+  tree's snapshot for a seeded Zipf(1.1) at n = 4096, m = 2 and 16
+  (``helpers.write_seeded_zipf_outputs``), pinned at the same time: too
+  large to commit, large enough for every merge, parse and walk path.
+
 Every golden is also run under each other Python the package supports
 (3.10, 3.12, 3.13), as ``python3.X -m adaptive_merkle.cli`` with
-``PYTHONPATH`` set to ``src``: the ``python3.X`` on PATH if it starts,
+``PYTHONPATH`` set to ``src`` (the build and encode goldens and the seeded
+digests in one ``python3.X -c`` process that also imports ``helpers``):
+the ``python3.X`` on PATH if it starts,
 else pyenv's ``versions/3.X.*/bin/python3``; an interpreter found in
 neither place is skipped.
 """
 
 import glob
+import hashlib
 import os
 import shutil
 import subprocess
@@ -61,10 +75,21 @@ import pytest
 
 from adaptive_merkle.cli import main
 
+from helpers import write_build_and_encode_outputs, write_seeded_zipf_outputs
+
 GOLDEN = "golden"
 DISTRIBUTIONS = {"demo16": "demo16.csv", "hexary20": "hexary20_distribution.csv"}
 SCRIPTS = ["binary_growth_script", "quaternary_growth_script", "swap_steps_script"]
 SRC = Path(__file__).parents[1] / "src"
+TESTS = Path(__file__).parent
+SEEDED_N, SEEDED_SEED = 4096, 1
+# arity -> SHA-256 of (map.csv, snapshot.json) from write_seeded_zipf_outputs
+SEEDED_DIGESTS = {
+    2: ("ac85a6c557a78adc9a8ee79f6b25e15ba8800c6d21d9ab777ce6d4f4f1abfa43",
+        "178d71391289d42ba925061abd087a1c3955114be50a9baa1db4a8578a51a478"),
+    16: ("921188f421a8da525c67d1fe5e658b0f8b969a646860b85cd072e55b3f570c28",
+         "20c629575de24bd47b531ae0656a0031e484c850d0a6c0e39f7238f3cd8eb04b"),
+}
 
 
 @pytest.mark.parametrize("arity", [2, 4, 16])
@@ -106,6 +131,22 @@ def test_optimize_and_metrics_on_loaded_snapshot(tmp_path, fixtures_dir, capsys,
     assert main(["metrics", "--snapshot", str(snapshot)]) == 0
     metrics = fixtures_dir / GOLDEN / f"metrics_insert_demo16_m{arity}.json"
     assert capsys.readouterr().out == metrics.read_text(encoding="utf-8")
+
+
+def test_build_and_encode(tmp_path, fixtures_dir):
+    names = write_build_and_encode_outputs(fixtures_dir, tmp_path)
+    assert len(names) == 9
+    assert [name for name in names if (tmp_path / name).read_bytes() != (fixtures_dir / GOLDEN / name).read_bytes()] == []
+
+
+def _seeded_digests(directory):
+    return tuple(hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in ("map.csv", "snapshot.json"))
+
+
+@pytest.mark.parametrize("arity", sorted(SEEDED_DIGESTS))
+def test_seeded_zipf_map_and_huffman_tree(tmp_path, arity):
+    write_seeded_zipf_outputs(tmp_path, SEEDED_N, arity, SEEDED_SEED)
+    assert _seeded_digests(tmp_path) == SEEDED_DIGESTS[arity]
 
 
 PYTHONS = ["python3.10", "python3.12", "python3.13"]
@@ -172,3 +213,28 @@ def test_insert_optimize_and_metrics_on_other_pythons(tmp_path, fixtures_dir, py
         produced[f"metrics_insert_demo16_m{arity}.json"] = _run_cli(exe, "metrics", "--snapshot", snapshot)
     assert len(produced) == 10
     assert [name for name, data in produced.items() if data != (fixtures_dir / GOLDEN / name).read_bytes()] == []
+
+
+# writes the outputs of test_build_and_encode and test_seeded_zipf_map_and_huffman_tree
+PINNED_OUTPUTS_SCRIPT = """
+import sys
+from helpers import write_build_and_encode_outputs, write_seeded_zipf_outputs
+fixtures, out, n, seed, *arities = sys.argv[1:]
+print("\\n".join(write_build_and_encode_outputs(fixtures, out)))
+for m in arities:
+    write_seeded_zipf_outputs(f"{out}/m{m}", int(n), int(m), int(seed))
+"""
+
+
+@pytest.mark.parametrize("python", PYTHONS)
+def test_build_encode_and_seeded_zipf_on_other_pythons(tmp_path, fixtures_dir, python):
+    exe = _interpreter(python)
+    for arity in SEEDED_DIGESTS:
+        (tmp_path / f"m{arity}").mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
+    names = subprocess.run([exe, "-c", PINNED_OUTPUTS_SCRIPT, fixtures_dir, tmp_path, str(SEEDED_N), str(SEEDED_SEED),
+                            *map(str, SEEDED_DIGESTS)], env=env, check=True, capture_output=True,
+                           text=True).stdout.split()
+    assert len(names) == 9
+    assert [name for name in names if (tmp_path / name).read_bytes() != (fixtures_dir / GOLDEN / name).read_bytes()] == []
+    assert {m: _seeded_digests(tmp_path / f"m{m}") for m in SEEDED_DIGESTS} == SEEDED_DIGESTS

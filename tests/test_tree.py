@@ -28,6 +28,7 @@ from adaptive_merkle import (
     verify,
 )
 import adaptive_merkle.tree as tree_mod
+from adaptive_merkle.coding import CodeTable
 from adaptive_merkle.restructure import apply_alternative
 from adaptive_merkle.tree import MAX_ARITY, PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
 from adaptive_merkle.workload import zipf_distribution
@@ -814,35 +815,105 @@ class TestRehashCount:
 
     @pytest.mark.parametrize("m", [2, 3, 16])
     def test_building_and_splitting_hash_no_internal_node(self, m):
-        # Every builder and split only marks its new nodes; the first read
-        # hashes each internal node once and lands on the full rehash's root.
+        # Every builder hashes each leaf once, as it makes it, names its
+        # nodes n1..nK in post-order, and only marks its internal nodes, as
+        # a split does; the first read hashes each internal node exactly
+        # once and lands on the full rehash's root. A split after a build
+        # names n(K+1) and n(K+2).
         keys = [f"k{i:02d}" for i in range(40)]
         probs = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
         caterpillar = keys[-1]
         for key in reversed(keys[:-1]):
             caterpillar = [key, caterpillar]
-        calls = []
+        builders = [
+            lambda: AdaptiveTree.from_nested(caterpillar, probs, TreeConfig(m)),
+            lambda: build_balanced([(key, key.encode(), p) for key, p in probs.items()], TreeConfig(m)),
+            lambda: tree_from_codes(huffman_codes(probs, m)),
+        ]
+        calls, leaf_calls, rehashed = [], [], []
+        real_rehash = AdaptiveTree._rehash
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tree_mod, "hash_internal", lambda hashes: calls.append(1) or hash_internal(hashes))
+            patch.setattr(tree_mod, "hash_leaf", lambda key, payload: leaf_calls.append(key) or hash_leaf(key, payload))
+            patch.setattr(AdaptiveTree, "_rehash", lambda t, nid: rehashed.append(nid) or real_rehash(t, nid))
+            trees = []
+            for build in builders:
+                leaf_calls.clear()
+                trees.append(build())
+                assert sorted(leaf_calls) == keys
+                assert post_order(trees[-1]) == [f"n{i}" for i in range(1, len(trees[-1].nodes) + 1)]
             split = build_balanced([(keys[0], keys[0].encode(), 1.0)], TreeConfig(m))
             for i, key in enumerate(keys[1:]):
                 split.split_leaf(keys[i // 2], key, key.encode())  # the root first
             split.set_probabilities(probs)
-            trees = [
-                AdaptiveTree.from_nested(caterpillar, probs, TreeConfig(m)),
-                build_balanced([(key, key.encode(), p) for key, p in probs.items()], TreeConfig(m)),
-                tree_from_codes(huffman_codes(probs, m)),
-                split,
-            ]
+            trees.append(split)
             assert calls == []
             for tree in trees:
-                internal = sum(not node.is_leaf for node in tree.nodes.values())
+                internal = [nid for nid, node in tree.nodes.items() if not node.is_leaf]
+                rehashed.clear()
                 root = tree.root_hash()
-                assert len(calls) == internal
+                assert sorted(rehashed) == sorted(internal)
+                assert len(calls) == len(internal)
                 full = tree.clone()
                 full.recompute_all_hashes()
                 assert full.root_hash() == root
                 calls.clear()
+            for tree in trees[:3]:
+                k = len(tree.nodes)
+                tree.split_leaf(keys[0], "new", b"new")
+                assert tree.leaf_node("new").node_id == f"n{k + 1}"
+                assert tree.parent_id(f"n{k + 1}") == f"n{k + 2}"
+
+
+def post_order(tree: AdaptiveTree) -> list[str]:
+    """Node ids children first, left to right."""
+    order, stack = [], [(tree.root_id, False)]
+    while stack:
+        nid, children_done = stack.pop()
+        children = tree.nodes[nid].children
+        if children is None or children_done:
+            order.append(nid)
+        else:
+            stack.append((nid, True))
+            stack.extend((cid, False) for cid in reversed(children))
+    return order
+
+
+BUILDER_ERROR_CASES = {
+    # case: (keys, payloads, error, message)
+    "missing_payload": (["a", "b"], {"a": b"x"}, StructureError, "no payload for leaf key 'b'"),
+    "str_payload": (["a", "b"], {"a": b"x", "b": "y"}, StructureError, "payload of leaf 'b' is not bytes"),
+    "lone_surrogate_key": (["a", "\udc00"], None, FormatError, "not valid UTF-8"),
+    "int_key": (["a", 3], None, StructureError, "leaf spec 3 is neither a key string nor a list"),
+}
+
+
+class TestBuilderErrors:
+    """A malformed leaf reaching any builder raises a typed error, not a bare
+    KeyError, TypeError or UnicodeEncodeError."""
+
+    @pytest.mark.parametrize(
+        "builder, case",
+        # build_balanced takes each payload with its key: none can be missing
+        [(builder, case) for builder in ("from_nested", "build_balanced", "tree_from_codes")
+         for case in sorted(BUILDER_ERROR_CASES) if (builder, case) != ("build_balanced", "missing_payload")],
+    )
+    def test_raises_typed_error(self, builder, case):
+        keys, payloads, error, message = BUILDER_ERROR_CASES[case]
+        probs = {key: 1 / len(keys) for key in keys}
+        with pytest.raises(error, match=re.escape(message)):
+            if builder == "from_nested":
+                AdaptiveTree.from_nested(keys, probs, TreeConfig(2), payloads)
+            elif builder == "build_balanced":
+                build_balanced([(key, b"" if payloads is None else payloads[key], probs[key]) for key in keys],
+                               TreeConfig(2))
+            else:
+                tree_from_codes(CodeTable({key: str(i) for i, key in enumerate(keys)}, probs, 2), payloads)
+
+    def test_bad_spec_shapes(self):
+        for nested in (3, None, ["a", None], ["a", 2.5]):
+            with pytest.raises(StructureError, match="neither a key string nor a list"):
+                AdaptiveTree.from_nested(nested, {"a": 1.0}, TreeConfig(2))
 
 
 class TestStructureInvariants:
