@@ -7,6 +7,9 @@ symbols so that (n - 1) mod (m - 1) == 0; at n <= m one merge takes all n
 symbols and nothing is padded. Dummies never surface in the output.
 Merge-order ties break on the lexicographically smallest leaf key contained
 in each queue entry, so generated tables are reproducible bit for bit.
+A code table keeps the merge's nested shape, which ``tree_from_codes``
+builds as it stands; the code strings are spelled from that shape for
+export and comparison, and nothing reads them back.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import mul
 from typing import Mapping
 
 from ._formats import float_sum, write_csv
@@ -32,16 +35,6 @@ CODE_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CSV_HEADER = ["key", "probability", "code", "length"]
 
 
-_DIGIT_INDEX = {digit: index for index, digit in enumerate(CODE_ALPHABET)}
-
-
-def digit_to_index(digit: str) -> int:
-    index = CODE_ALPHABET.find(digit)
-    if index < 0:
-        raise StructureError(f"{digit!r} is not a code digit")
-    return index
-
-
 def _past_the_alphabet(width: int) -> StructureError:
     # a node of more children than CODE_ALPHABET spells digits for
     return StructureError(f"child index {width - 1} exceeds the code alphabet")
@@ -49,11 +42,20 @@ def _past_the_alphabet(width: int) -> StructureError:
 
 @dataclass(frozen=True)
 class CodeTable:
-    """Prefix-free code assignment over digits 0..m-1."""
+    """Prefix-free code over digits 0..m-1, held as the Huffman merge's
+    nested shape: a leaf key, or a list of child shapes, the form
+    :meth:`AdaptiveTree.from_nested` reads. A key's code is the child
+    indices on its path from the root."""
 
-    entries: dict[str, str]
+    shape: str | list
     probabilities: dict[str, float]
     arity: int
+
+    @property
+    def entries(self) -> dict[str, str]:
+        """The code of every key, in left-to-right leaf order, spelled by one
+        walk over ``shape``."""
+        return _leaf_codes(self.shape, lambda shape: None if isinstance(shape, str) else shape)
 
     @property
     def avg_length(self) -> float:
@@ -82,10 +84,6 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
     check_probabilities(probs)
     prob_map = _float_copy(probs)
 
-    if len(prob_map) == 1:
-        key = next(iter(prob_map))
-        return CodeTable({key: ""}, prob_map, m)
-
     # Entries are (weight, tiebreak, shape); a shape is a leaf key or a list
     # of child shapes, the nested form that AdaptiveTree.from_nested reads.
     # Tiebreaks are unique, so shapes are never compared.
@@ -109,8 +107,8 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
             raise _past_the_alphabet(len(real))
         push(heap, (float_sum(weights), min(tiebreaks), real))
 
-    entries = _leaf_codes(heap[0][2], lambda shape: None if isinstance(shape, str) else shape)
-    return CodeTable(entries, prob_map, m)
+    # a lone key is never merged: its shape is the key, its code empty
+    return CodeTable(heap[0][2], prob_map, m)
 
 
 def brute_force_min_avg_length(probs, m: int) -> float:
@@ -163,39 +161,9 @@ def brute_force_min_avg_length(probs, m: int) -> float:
 
 
 def tree_from_codes(codes: CodeTable, payloads: Mapping[str, bytes] | None = None) -> AdaptiveTree:
-    """Materialize the code table as a tree whose child indices spell each code.
-
-    Requires prefix-free codes whose digits are contiguous at every node
-    (0..k-1 with k >= 2), which the Huffman construction always produces.
-    """
-    entries = codes.entries
-    if not is_prefix_free(entries.values()):
-        raise StructureError("codes are not prefix-free")
-    if list(entries.values()) == [""]:
-        (nested,) = entries
-    else:
-        # Sorted codes visit the leaves left to right. ``path`` holds the
-        # (prefix, children) of each internal node above the next leaf.
-        # from_nested rejects nodes with fewer than two or more than m
-        # children, so a digit >= m fails there.
-        nested = []
-        path = [("", nested)]
-        for key, code in sorted(entries.items(), key=itemgetter(1)):
-            while not code.startswith(path[-1][0]):
-                path.pop()
-            prefix, children = path[-1]
-            for depth in range(len(prefix), len(code)):
-                digit = code[depth]
-                if _DIGIT_INDEX.get(digit) != len(children):
-                    digit_to_index(digit)  # a character outside the alphabet raises here
-                    raise StructureError(f"non-contiguous child digit {digit!r} under prefix {code[:depth]!r}")
-                if depth == len(code) - 1:
-                    children.append(key)
-                else:
-                    children.append([])
-                    children = children[-1]
-                    path.append((code[: depth + 1], children))
-    return AdaptiveTree.from_nested(nested, codes.probabilities, TreeConfig(codes.arity), payloads)
+    """Materialize the code table as a tree whose child indices spell each
+    code: :meth:`AdaptiveTree.from_nested` on the table's shape."""
+    return AdaptiveTree.from_nested(codes.shape, codes.probabilities, TreeConfig(codes.arity), payloads)
 
 
 def codes_from_tree(tree: AdaptiveTree) -> dict[str, str]:

@@ -149,13 +149,10 @@ def enumerate_add_alternatives(
     base_k = float_sum(new_probs[key] * depth[leaf_by_key[key]] for key in keys)
     p_new = new_probs[new_key]
     probs_copy = _float_copy(new_probs)
-    # m * internal child slots, nodes - 1 of them filled: is one free?
-    n_nodes = len(tree.nodes)
-    open_nodes = _open_nodes(tree) if tree.config.arity * (n_nodes - len(leaf_by_key)) > n_nodes - 1 else []
     alternatives = [
         Alternative("attach", (node_id,), base_k + p_new * (node_depth + 1) - h, (min_key,),
                     new_key, new_payload, probs_copy)
-        for node_id, node_depth, min_key in open_nodes
+        for node_id, node_depth, min_key in _open_nodes(tree)
     ]
     # tuple.__new__ skips the per-record Python-level constructor call
     new = tuple.__new__
@@ -347,12 +344,11 @@ def _relocate(tree: AdaptiveTree) -> bool:
     """Move the node u of largest gain w_u(d_u - d_o - 1), whose parent keeps
     two children, into o, the shallowest open node (smallest label first),
     if the gain exceeds ``IMPROVEMENT_EPS``; whether it moved."""
-    m, nodes, parent, depth = tree.config.arity, tree.nodes, tree._parent, tree._depth
-    open_ids = [nid for nid, node in nodes.items() if node.children is not None and len(node.children) < m]
-    if not open_ids:
+    open_nodes = _open_nodes(tree)
+    if not open_nodes:
         return False
-    ranks = _NodeRanks(tree)
-    d_o, _, o = min((depth[nid], ranks.label[nid], nid) for nid in open_ids)
+    d_o, _, o = min((d, min_key, nid) for nid, d, min_key in open_nodes)
+    nodes, parent, depth, ranks = tree.nodes, tree._parent, tree._depth, _NodeRanks(tree)
     # ties go to the smaller label, then the shallower node
     candidates = [(-ranks.weight[nid] * (d - d_o - 1), ranks.label[nid], d, nid) for nid, d in depth.items()
                   if nid in parent and len(nodes[parent[nid]].children) > 2]
@@ -538,9 +534,13 @@ def _swap_free(tree: AdaptiveTree) -> bool:
 
 def _open_nodes(tree: AdaptiveTree) -> list[tuple[str, int, str]]:
     """``(node_id, depth, smallest leaf key below)`` of each internal node
-    with a free child slot, in preorder, from one preorder pass: add mode's
-    attach targets."""
+    with a free child slot, in preorder: add mode's attach targets and
+    :func:`_relocate`'s. A tree whose slots are all filled, as every m=2
+    tree's are, returns ``[]`` at once; any other takes one preorder pass."""
     m, nodes = tree.config.arity, tree.nodes
+    # m * internal child slots, nodes - 1 of them filled: is one free?
+    if m * (len(nodes) - len(tree._leaf_by_key)) <= len(nodes) - 1:
+        return []
     preorder, open_nodes = [], []
     stack = [tree.root_id]
     while stack:

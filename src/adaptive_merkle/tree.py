@@ -22,11 +22,13 @@ preimage and the hash: the flush, the full rehash and
 ``from_snapshot`` go through it, and snapshots do not store it. Next to the
 parent pointers the tree keeps a depth index, the edge count from the root
 of every node, and a leaf-key index. :meth:`AdaptiveTree.from_nested` is
-the one builder (``build_balanced`` and ``coding.tree_from_codes`` shape
-their input and call it): one walk over the nested shape, with an iterator
-per open node, makes each node once as a slotted, positional ``TreeNode``,
-names the nodes n1..nK in post-order and fills all three indexes; a
-malformed leaf raises :class:`StructureError` or :class:`FormatError`.
+the one builder (``build_balanced`` shapes its keys and calls it,
+``coding.tree_from_codes`` hands it the Huffman merge's shape): one walk
+over the nested shape, with an iterator per open node, makes each node once
+as a slotted, positional ``TreeNode``, names the nodes n1..nK in post-order
+and fills all three indexes. Every leaf that it or a mutation makes is
+made by ``_add_leaf_node``, where a malformed one raises
+:class:`StructureError` or :class:`FormatError`.
 Every whole-tree pass goes through one checked root-down walk:
 ``from_snapshot`` takes the indexes from it, :meth:`AdaptiveTree.validate`
 compares them with it, and snapshot writing, the full rehash and
@@ -187,18 +189,29 @@ class AdaptiveTree:
     # -- construction helpers -------------------------------------------------
 
     def _new_id(self) -> str:
-        # A loaded snapshot may name its nodes anything: skip the ids in use.
+        # The first id from n{_next_id} on that no node holds: a loaded
+        # snapshot may name its nodes anything, and the id of a leaf that
+        # _add_leaf_node refused is offered again.
         nid = f"n{self._next_id}"
         while nid in self.nodes:
             self._next_id += 1
             nid = f"n{self._next_id}"
-        self._next_id += 1
         return nid
 
     def _add_leaf_node(self, nid: str, key: str, payload: bytes, depth: int) -> None:
-        if key in self._leaf_by_key:
-            raise DuplicateKeyError(f"leaf key {key!r} already present")
-        self.nodes[nid] = TreeNode(nid, hash_leaf(key, payload), None, key, payload)
+        # from_nested, split_leaf and attach_leaf make every leaf here, so one
+        # rule types a malformed one, and a refused leaf leaves the tree as it was.
+        try:
+            if key in self._leaf_by_key:
+                raise DuplicateKeyError(f"leaf key {key!r} already present")
+            digest = hash_leaf(key, payload)
+        except UnicodeEncodeError as exc:  # a str may hold a lone surrogate
+            raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
+        except (AttributeError, TypeError) as exc:  # no str.encode, or no bytes to join
+            if not isinstance(key, str):
+                raise StructureError(f"leaf key {key!r} is not a str") from None
+            raise StructureError(f"payload of leaf {key!r} is not bytes ({exc})") from None
+        self.nodes[nid] = TreeNode(nid, digest, None, key, payload)
         self._leaf_by_key[key] = nid
         self._depth[nid] = depth
 
@@ -228,8 +241,9 @@ class AdaptiveTree:
         n1..nK in that order; the walk also fills the depth index. Only the
         leaves are hashed here: the internal nodes wait, dirty, for the
         first :meth:`root_hash`. A spec that is neither a string nor a list,
-        a missing or non-bytes payload raise :class:`StructureError`, a key
-        that is not valid UTF-8 :class:`FormatError`.
+        ``payloads`` that is no mapping or a missing payload raises
+        :class:`StructureError`; a malformed leaf raises as in
+        :meth:`split_leaf`.
         """
         tree = cls(config)
         built: list[str] = []  # ids of finished subtrees whose parent is not built yet
@@ -244,7 +258,8 @@ class AdaptiveTree:
                     if isinstance(spec, str):
                         count += 1
                         nid = f"n{count}"
-                        payload = spec.encode("utf-8") if payloads is None else payloads[spec]
+                        # surrogatepass lets a lone surrogate through to _add_leaf_node's UTF-8 rule
+                        payload = spec.encode("utf-8", "surrogatepass") if payloads is None else payloads[spec]
                         tree._add_leaf_node(nid, spec, payload, depth)
                         built.append(nid)
                     else:
@@ -268,11 +283,10 @@ class AdaptiveTree:
                     built.append(nid)
         except KeyError:  # only payloads[spec] looks a key up
             raise StructureError(f"no payload for leaf key {spec!r}") from None
-        except UnicodeEncodeError as exc:  # a str may hold a lone surrogate
-            raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
-        except TypeError as exc:
-            if isinstance(spec, str):
-                raise StructureError(f"payload of leaf {spec!r} is not bytes ({exc})") from None
+        except TypeError:
+            if isinstance(spec, str):  # payloads[spec] on something that is no mapping
+                kind = type(payloads).__name__
+                raise StructureError(f"payloads is no mapping of leaf keys to bytes: {kind}") from None
             raise StructureError(f"leaf spec {spec!r} is neither a key string nor a list") from None
         (tree.root_id,) = built
         tree._next_id = count + 1
@@ -345,7 +359,10 @@ class AdaptiveTree:
 
         The target's depth grows by exactly one; every other depth is
         unchanged. The new leaf starts with probability 0; callers normally
-        follow up with :meth:`set_probabilities`.
+        follow up with :meth:`set_probabilities`. A key that is not a str or
+        a payload that is not bytes-like raises :class:`StructureError`, a key
+        that is not valid UTF-8 :class:`FormatError`, and the tree is left
+        as it was.
         """
         target = self.leaf_node(target_key)
         parent_id = self._parent.get(target.node_id)
@@ -367,6 +384,7 @@ class AdaptiveTree:
         """Append a new leaf as the last child of an internal node with room.
 
         No existing depth changes. The new leaf starts with probability 0.
+        A malformed new leaf raises as in :meth:`split_leaf`.
         """
         parent = self.node(parent_id)
         if parent.is_leaf:

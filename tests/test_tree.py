@@ -885,22 +885,35 @@ BUILDER_ERROR_CASES = {
     "str_payload": (["a", "b"], {"a": b"x", "b": "y"}, StructureError, "payload of leaf 'b' is not bytes"),
     "lone_surrogate_key": (["a", "\udc00"], None, FormatError, "not valid UTF-8"),
     "int_key": (["a", 3], None, StructureError, "leaf spec 3 is neither a key string nor a list"),
+    "list_payloads": (["a", "b"], [b"x", b"y"], StructureError, "payloads is no mapping of leaf keys to bytes: list"),
 }
+# cases only a builder that takes a payloads mapping can meet
+MAPPING_CASES = {"missing_payload", "list_payloads"}
+# A mutation takes its new key as an argument, not as a spec to tell apart
+# from a list: an int key is a key that is not a str.
+MUTATION_MESSAGES = {"int_key": "leaf key 3 is not a str"}
 
 
 class TestBuilderErrors:
-    """A malformed leaf reaching any builder raises a typed error, not a bare
-    KeyError, TypeError or UnicodeEncodeError."""
+    """A malformed leaf reaching any builder, or a mutation that adds a leaf,
+    raises a typed error, not a bare KeyError, TypeError, AttributeError or
+    UnicodeEncodeError."""
 
     @pytest.mark.parametrize(
         "builder, case",
-        # build_balanced takes each payload with its key: none can be missing
-        [(builder, case) for builder in ("from_nested", "build_balanced", "tree_from_codes")
-         for case in sorted(BUILDER_ERROR_CASES) if (builder, case) != ("build_balanced", "missing_payload")],
+        # build_balanced and the mutations take each payload with its key
+        [(builder, case)
+         for builder in ("from_nested", "build_balanced", "tree_from_codes", "split_leaf", "attach_leaf")
+         for case in sorted(BUILDER_ERROR_CASES)
+         if builder in ("from_nested", "tree_from_codes") or case not in MAPPING_CASES],
     )
     def test_raises_typed_error(self, builder, case):
         keys, payloads, error, message = BUILDER_ERROR_CASES[case]
         probs = {key: 1 / len(keys) for key in keys}
+        if builder in ("split_leaf", "attach_leaf"):
+            self.check_mutation_refused(builder, keys[-1], b"" if payloads is None else payloads[keys[-1]],
+                                        error, MUTATION_MESSAGES.get(case, message))
+            return
         with pytest.raises(error, match=re.escape(message)):
             if builder == "from_nested":
                 AdaptiveTree.from_nested(keys, probs, TreeConfig(2), payloads)
@@ -908,7 +921,22 @@ class TestBuilderErrors:
                 build_balanced([(key, b"" if payloads is None else payloads[key], probs[key]) for key in keys],
                                TreeConfig(2))
             else:
-                tree_from_codes(CodeTable({key: str(i) for i, key in enumerate(keys)}, probs, 2), payloads)
+                tree_from_codes(CodeTable(keys, probs, 2), payloads)
+
+    @staticmethod
+    def check_mutation_refused(mutation, key, payload, error, message):
+        # the tree is left as it was, down to the id the next new node gets
+        tree = AdaptiveTree.from_nested(["a", "z"], {"a": 0.5, "z": 0.5}, TreeConfig(3))
+        before = (tree.root_hash(), tree.leaf_count(), tree.to_snapshot())
+        with pytest.raises(error, match=re.escape(message)):
+            if mutation == "split_leaf":
+                tree.split_leaf("a", key, payload)
+            else:
+                tree.attach_leaf(tree.root_id, key, payload)
+        tree.validate()
+        assert (tree.root_hash(), tree.leaf_count(), tree.to_snapshot()) == before
+        tree.split_leaf("a", "new", b"new")
+        assert tree.leaf_node("new").node_id == "n4"
 
     def test_bad_spec_shapes(self):
         for nested in (3, None, ["a", None], ["a", 2.5]):
