@@ -22,45 +22,37 @@ surrogate included), a step that runs past the end or a partial step at the
 end raises :class:`MalformedProofError`, so every accepted byte string is
 written back unchanged.
 
-Readable view (JSON, no whitespace)::
-
-    {"key": ..., "leaf_hash_hex": ...,
-     "steps": [{"position": i, "siblings": "<hex of the joined digests>"}]}
-
-:meth:`MerkleProof.to_json_bytes` is the one place that spells it: it writes
-the bytes directly, byte-identical to ``json.dumps`` of the equivalent dict
-with ``separators=(",", ":")``, which a property test checks as its oracle.
-:meth:`MerkleProof.from_json_dict` reads each proof one way only: it takes
-exactly these fields, hex must be lowercase with no whitespace
-(``bytes.fromhex(h).hex() == h``) and the key must encode as UTF-8, so every
-accepted proof is written back out unchanged.
+JSON view: a one-field envelope around the wire, ``{"wire_hex":"<hex>"}``,
+written by :meth:`MerkleProof.to_json_bytes` with no whitespace. Its reader,
+:meth:`MerkleProof.from_json_dict`, takes a dict with exactly that field and
+canonical hex (lowercase, no whitespace: ``bytes.fromhex(h).hex() == h``),
+and hands the bytes to :meth:`MerkleProof.from_bytes`, so the view has no
+rules of its own and every accepted proof is written back out unchanged.
 
 Structural defects (bad positions, sibling counts or digest sizes) raise
 :class:`MalformedProofError`; a clean ``False`` from :func:`verify` always
 means the data genuinely fails to reproduce the expected root.
 
 Serving a proof is the hot path of a read workload, and its cost is per
-object, not per byte, so a step's digests travel as one ``bytes`` object and
-one hex string. Every internal node keeps its hash preimage, the children's
-digests joined in child order (``TreeNode.child_digests``, written only by
-the tree's ``_rehash``), so ``prove`` cuts the path node's 32 bytes out of
-it with two slices; it hashes nothing unless building or a mutation left
-the tree dirty, and then flushes it once through ``root_hash()``. The writers and the
-readers convert a step with one call (``hex``/``fromhex`` or one
-``struct`` pack/unpack and one slice), and ``verify`` checks a step with one
-``divmod`` of its length. ``verify`` hashes each step with one call of the
-module-level :func:`hash_internal`, so wrapping that name counts every hash
-a verification makes; a test guards this. :class:`ProofStep` and
-:class:`MerkleProof` are named tuples: immutable, compared and hashed by
-value, and cheaper to build than a frozen dataclass, which pays one
-``object.__setattr__`` per field.
+object, not per byte, so a step's digests travel as one ``bytes`` object.
+Every internal node keeps its hash preimage, the children's digests joined
+in child order (``TreeNode.child_digests``, written only by the tree's
+``_rehash``), so ``prove`` cuts the path node's 32 bytes out of it with two
+slices; it hashes nothing unless building or a mutation left the tree dirty,
+and then flushes it once through ``root_hash()``. The writer and the reader
+convert a step with one ``struct`` pack/unpack and one slice, and ``verify``
+checks a step with one ``divmod`` of its length. ``verify`` hashes each step
+with one call of the module-level :func:`hash_internal`, so wrapping that
+name counts every hash a verification makes; a test guards this.
+:class:`ProofStep` and :class:`MerkleProof` are named tuples: immutable,
+compared and hashed by value, and cheaper to build than a frozen dataclass,
+which pays one ``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import MalformedProofError
@@ -131,39 +123,22 @@ class MerkleProof(NamedTuple):
         return cls(key, leaf_hash, tuple(steps))
 
     def to_json_bytes(self) -> bytes:
-        """Readable JSON view; the one writer of that format."""
-        steps = ",".join(
-            ['{"position":%d,"siblings":"%s"}' % (position, siblings.hex()) for position, siblings in self.steps]
-        )
-        # json.dumps spells a str key with this very function
-        key = encode_basestring_ascii(self.key)
-        wire = '{"key":%s,"leaf_hash_hex":"%s","steps":[%s]}' % (key, self.leaf_hash.hex(), steps)
-        return wire.encode()
+        """JSON envelope around :meth:`to_bytes`; raises as that does."""
+        return b'{"wire_hex":"' + self.to_bytes().hex().encode() + b'"}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MerkleProof":
+        """Read the JSON envelope; accepts exactly what :meth:`to_json_bytes` writes."""
         try:
-            key, leaf_hex, raw_steps = data["key"], data["leaf_hash_hex"], data["steps"]
-            leaf_hash = bytes.fromhex(leaf_hex)
-            if not isinstance(key, str) or not isinstance(raw_steps, list) or len(data) != 3:
-                raise TypeError("need a string key, a step list and no unknown fields")
-            key.encode()  # a lone surrogate raises here: no tree can hold the key
-            if leaf_hash.hex() != leaf_hex:
-                raise ValueError(f"non-canonical leaf_hash_hex {leaf_hex!r}")
-            steps = []
-            for step in raw_steps:
-                position, text = step["position"], step["siblings"]
-                # bool is an int subclass: JSON true must not pass as position 1
-                if type(position) is not int or len(step) != 2:
-                    raise TypeError("need integer positions and no unknown step fields")
-                blob = bytes.fromhex(text)
-                # one reading per proof: no uppercase, no whitespace
-                if blob.hex() != text:
-                    raise ValueError(f"non-canonical sibling hex {text!r}")
-                steps.append(ProofStep(position, blob))
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(data, dict) or len(data) != 1 or "wire_hex" not in data:
+                raise ValueError(f"need exactly one field, wire_hex, and no unknown ones: {data!r:.80}")
+            text = data["wire_hex"]
+            wire = bytes.fromhex(text)  # TypeError for a value that is no str
+            if wire.hex() != text:  # one reading per proof: no uppercase, no whitespace
+                raise ValueError(f"non-canonical wire_hex {text!r:.80}")
+        except (TypeError, ValueError) as exc:
             raise MalformedProofError(f"unparseable proof: {exc}") from None
-        return cls(key, leaf_hash, tuple(steps))
+        return cls.from_bytes(wire)
 
 
 @dataclass(frozen=True)

@@ -204,13 +204,14 @@ class AdaptiveTree:
         try:
             if key in self._leaf_by_key:
                 raise DuplicateKeyError(f"leaf key {key!r} already present")
+            # a mutable buffer could change under its hash and break the snapshot
+            if not isinstance(payload, bytes):
+                raise StructureError(f"payload of leaf {key!r} is not bytes: {type(payload).__name__}")
             digest = hash_leaf(key, payload)
         except UnicodeEncodeError as exc:  # a str may hold a lone surrogate
             raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
-        except (AttributeError, TypeError) as exc:  # no str.encode, or no bytes to join
-            if not isinstance(key, str):
-                raise StructureError(f"leaf key {key!r} is not a str") from None
-            raise StructureError(f"payload of leaf {key!r} is not bytes ({exc})") from None
+        except (AttributeError, TypeError):  # no str.encode, or unhashable
+            raise StructureError(f"leaf key {key!r} is not a str") from None
         self.nodes[nid] = TreeNode(nid, digest, None, key, payload)
         self._leaf_by_key[key] = nid
         self._depth[nid] = depth

@@ -34,8 +34,8 @@ def estimate_probabilities(trace: AccessTrace) -> dict[str, float]:
 
 def zipf_distribution(n: int, s: float) -> list[float]:
     """p_k = k^-s / sum(j^-s), k = 1..n, in descending order."""
-    if n < 1:
-        raise ProbabilityError(f"n must be >= 1, got {n}")
+    if type(n) is not int or n < 1:  # bool is an int subclass
+        raise ProbabilityError(f"n must be an int >= 1, got {n!r}")
     if not 0 <= s < math.inf:  # NaN fails both comparisons
         raise ProbabilityError(f"exponent must be finite and >= 0, got {s}")
     weights = [k**-s for k in range(1, n + 1)]
@@ -56,8 +56,8 @@ def generate_trace(probs: Mapping[str, float], num_events: int, seed: int) -> Ac
     """Seeded synthetic trace; identical seeds reproduce identical traces.
 
     ``probs`` must pass :func:`check_probabilities`."""
-    if num_events < 0:
-        raise ProbabilityError(f"num_events must be >= 0, got {num_events}")
+    if type(num_events) is not int or num_events < 0:  # bool is an int subclass
+        raise ProbabilityError(f"num_events must be an int >= 0, got {num_events!r}")
     check_probabilities(probs)
     keys = sorted(probs)
     weights = [probs[key] for key in keys]

@@ -139,14 +139,19 @@ def split_digests(blob: bytes) -> list[bytes]:
     return [blob[i:i + 32] for i in range(0, len(blob), 32)]
 
 
-def old_format_step(step: dict, form: str) -> dict:
-    """A wire proof step in a retired form of its siblings: "hex-list" is a
-    list of hex digests, "index-objects" a list of index/hash_hex objects."""
-    hexes = [digest.hex() for digest in split_digests(bytes.fromhex(step["siblings"]))]
-    if form == "index-objects":
-        indices = [i for i in range(len(hexes) + 1) if i != step["position"]]
-        hexes = [{"index": i, "hash_hex": h} for i, h in zip(indices, hexes)]
-    return {"position": step["position"], "siblings": hexes}
+def old_readable_view(proof: MerkleProof, form: str) -> dict:
+    """A proof in the retired readable JSON view, ``{key, leaf_hash_hex,
+    steps}``, with each step's siblings in one of the forms they once had:
+    "joined-hex" is one hex string, "hex-list" a list of hex digests and
+    "index-objects" a list of index/hash_hex objects."""
+    steps = []
+    for position, siblings in proof.steps:
+        hexes = [digest.hex() for digest in split_digests(siblings)]
+        if form == "index-objects":
+            indices = [i for i in range(len(hexes) + 1) if i != position]
+            hexes = [{"index": i, "hash_hex": h} for i, h in zip(indices, hexes)]
+        steps.append({"position": position, "siblings": siblings.hex() if form == "joined-hex" else hexes})
+    return {"key": proof.key, "leaf_hash_hex": proof.leaf_hash.hex(), "steps": steps}
 
 
 def reference_prove(tree: AdaptiveTree, key: str) -> MerkleProof:

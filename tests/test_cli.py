@@ -10,7 +10,7 @@ import adaptive_merkle.cli as cli_mod
 from adaptive_merkle import AdaptiveTree, optimize_swaps, prove
 from adaptive_merkle.cli import main
 
-from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_format_step, random_tree
+from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_readable_view, random_tree
 
 
 @pytest.fixture
@@ -178,9 +178,9 @@ def test_verify_payload_binds_json_proof(tmp_path, snapshot, capsys):
     proof_path = tmp_path / "proof.json"
     assert main(["prove", "--snapshot", str(snapshot), "--key", "A", "--out", str(proof_path)]) == 0
     root = AdaptiveTree.load(snapshot).root_hash().hex()
-    wire = json.loads(proof_path.read_text(encoding="utf-8"))
     assert main(["verify", "--proof", str(proof_path), "--root", root, "--payload-hex", "41"]) == 0
-    proof_path.write_text(json.dumps(dict(wire, key="B")), encoding="utf-8")
+    relabelled = prove(AdaptiveTree.load(snapshot), "A")._replace(key="B")
+    proof_path.write_bytes(relabelled.to_json_bytes() + b"\n")
     assert main(["verify", "--proof", str(proof_path), "--root", root]) == 0  # unbound: relabel passes
     assert main(["verify", "--proof", str(proof_path), "--root", root, "--payload-hex", "41"]) == 3
     assert main(["verify", "--proof", str(proof_path), "--root", root, "--payload-hex", "4"]) == 2
@@ -201,12 +201,10 @@ def test_verify_malformed_proof_exit_2(tmp_path, capsys):
 
 def test_verify_old_format_proof_exit_2(tmp_path, snapshot):
     proof_path = tmp_path / "proof.json"
-    assert main(["prove", "--snapshot", str(snapshot), "--key", "A", "--out", str(proof_path)]) == 0
-    wire = json.loads(proof_path.read_text(encoding="utf-8"))
-    root = AdaptiveTree.load(snapshot).root_hash().hex()
-    for form in ["hex-list", "index-objects"]:
-        data = dict(wire, steps=[old_format_step(step, form) for step in wire["steps"]])
-        proof_path.write_text(json.dumps(data), encoding="utf-8")
+    tree = AdaptiveTree.load(snapshot)
+    root = tree.root_hash().hex()
+    for form in ["joined-hex", "hex-list", "index-objects"]:
+        proof_path.write_text(json.dumps(old_readable_view(prove(tree, "A"), form)), encoding="utf-8")
         assert main(["verify", "--proof", str(proof_path), "--root", root, "--arity", "2"]) == 2
 
 

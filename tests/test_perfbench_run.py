@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+# the proof layers serve and drift run once per read, in call order
+PROOF_LAYERS = ("proofs.prove.s", "proofs.to_json_bytes.s", "proofs.from_json_dict.s", "proofs.verify.s")
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -25,3 +27,9 @@ def test_every_workload_runs_and_checks_out(trace):
     assert len(results) == 3
     for result in results:
         assert result["correct"] is True and result["failed"] == 0, result
+    if trace:
+        # results come in serve, grow, drift order; a reader loop that went
+        # round a wrapped name would read 0 here instead of failing
+        for result in (results[0], results[2]):
+            for name in PROOF_LAYERS:
+                assert result["metrics"][name]["value"] > 0, (name, result["metrics"])

@@ -23,7 +23,7 @@ from adaptive_merkle.proofs import ProofStep, verification_cost
 from adaptive_merkle.tree import MAX_ARITY, hash_internal, hash_leaf
 from adaptive_merkle.workload import generate_trace, normalize_distribution, zipf_distribution
 
-from helpers import old_format_step, random_tree, split_digests
+from helpers import old_readable_view, random_tree, split_digests
 
 TOL = 1e-9
 
@@ -185,12 +185,16 @@ class TestVerify:
 
 
 class TestWireFormat:
+    """The JSON view is a one-field envelope around the binary wire."""
+
     def test_json_round_trip(self, binary_demo_tree):
         proof = prove(binary_demo_tree, "C")
-        data = json.loads(proof.to_json_bytes())
-        assert set(data) == {"key", "leaf_hash_hex", "steps"}
-        restored = MerkleProof.from_json_dict(data)
-        assert restored == proof
+        text = proof.to_json_bytes()
+        assert text == b'{"wire_hex":"' + proof.to_bytes().hex().encode() + b'"}'
+        assert text == json.dumps({"wire_hex": proof.to_bytes().hex()}, separators=(",", ":")).encode()
+        assert len(text) == 2 * verification_cost(proof).proof_bytes + 15
+        restored = MerkleProof.from_json_dict(json.loads(text))
+        assert restored == proof and restored.to_json_bytes() == text
         assert verify(restored, binary_demo_tree.root_hash(), 2)
 
     def test_unparseable_json_raises_malformed(self):
@@ -199,30 +203,54 @@ class TestWireFormat:
 
     def test_steps_hold_position_and_digests_only(self, quad_demo_tree):
         data = json.loads(prove(quad_demo_tree, "E").to_json_bytes())
-        assert data["steps"]
-        for step in data["steps"]:
-            assert set(step) == {"position", "siblings"}
-            text = step["siblings"]
-            assert isinstance(text, str) and len(text) % 64 == 0 and text
+        assert set(data) == {"wire_hex"}
+        steps = MerkleProof.from_json_dict(data).steps
+        assert steps
+        for position, siblings in steps:
+            assert type(position) is int and type(siblings) is bytes
+            assert siblings and len(siblings) % 32 == 0
+
+    @pytest.mark.parametrize("data", [None, [], "wire_hex", [("wire_hex", "01")]], ids=["none", "list", "str", "pairs"])
+    def test_not_a_dict_raises_malformed(self, data):
+        with pytest.raises(MalformedProofError, match="exactly one field"):
+            MerkleProof.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "wire_hex", [None, {}, [], 1, b"01", ""], ids=["none", "dict", "list", "int", "bytes", "empty"]
+    )
+    def test_wire_hex_not_a_proof_raises_malformed(self, wire_hex):
+        # a value that is no str, or a str that is no wire ("" has no version byte)
+        with pytest.raises(MalformedProofError):
+            MerkleProof.from_json_dict({"wire_hex": wire_hex})
 
     @pytest.mark.parametrize("position", [True, 1.7, "1"])
     def test_non_integer_position_raises_malformed(self, binary_demo_tree, position):
-        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
-        data["steps"][0]["position"] = position
+        # the view carries a position as the wire's u16: a hand-built
+        # non-integer one fails verify, and is refused when written or
+        # comes back as an int
+        proof = prove(binary_demo_tree, "C")
+        bad = proof._replace(steps=(proof.steps[0]._replace(position=position),) + proof.steps[1:])
         with pytest.raises(MalformedProofError):
-            MerkleProof.from_json_dict(data)
+            verify(bad, binary_demo_tree.root_hash(), 2)
+        try:
+            received = MerkleProof.from_json_dict(json.loads(bad.to_json_bytes()))
+        except MalformedProofError:
+            return
+        assert all(type(step.position) is int for step in received.steps)
 
     def test_non_string_key_raises_malformed(self, binary_demo_tree):
-        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
-        data["key"] = ["C"]
-        with pytest.raises(MalformedProofError):
-            MerkleProof.from_json_dict(data)
+        # the wire's key bytes are not UTF-8: there is no string to read
+        wire = prove(binary_demo_tree, "C").to_bytes().replace(b"\x00\x00\x00\x01C", b"\x00\x00\x00\x01\xff", 1)
+        with pytest.raises(MalformedProofError, match="not UTF-8"):
+            MerkleProof.from_json_dict({"wire_hex": wire.hex()})
 
     def test_old_format_proof_raises_malformed(self, binary_demo_tree):
-        for form in ["hex-list", "index-objects"]:
-            data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
-            data["steps"] = [old_format_step(step, form) for step in data["steps"]]
-            with pytest.raises(MalformedProofError):
+        # the retired readable view, {key, leaf_hash_hex, steps}, in each of
+        # the sibling forms it once had
+        proof = prove(binary_demo_tree, "C")
+        for form in ["joined-hex", "hex-list", "index-objects"]:
+            data = old_readable_view(proof, form)
+            with pytest.raises(MalformedProofError, match="exactly one field"):
                 MerkleProof.from_json_dict(data)
 
     @pytest.mark.parametrize("field", ["leaf_hash_hex", "sibling"])
@@ -232,42 +260,34 @@ class TestWireFormat:
         ids=["upper", "space", "newline", "trailing-newline"],
     )
     def test_non_canonical_hex_raises_malformed(self, binary_demo_tree, field, edit):
-        # each decodes to the same digest, but to_json_bytes writes only the
-        # lowercase, unspaced form: one reading per proof
-        data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
-        if field == "leaf_hash_hex":
-            holder, index = data, "leaf_hash_hex"
-        else:
-            holder, index = data["steps"][-1], "siblings"
-        edited = edit(holder[index])
-        assert edited != holder[index] and bytes.fromhex(edited) == bytes.fromhex(holder[index])
-        holder[index] = edited
+        # each decodes to the same wire, but to_json_bytes writes only the
+        # lowercase, unspaced form: one reading per proof. The edit lands
+        # in the hex of the leaf hash or of the last sibling digest.
+        proof = prove(binary_demo_tree, "C")
+        text = json.loads(proof.to_json_bytes())["wire_hex"]
+        digest = proof.leaf_hash if field == "leaf_hash_hex" else proof.steps[-1].siblings[-32:]
+        start = text.rindex(digest.hex())
+        span = text[start:start + 64]
+        edited = text[:start] + edit(span) + text[start + 64:]
+        assert edited != text and bytes.fromhex(edited) == bytes.fromhex(text)
         with pytest.raises(MalformedProofError, match="non-canonical"):
-            MerkleProof.from_json_dict(data)
+            MerkleProof.from_json_dict({"wire_hex": edited})
 
     @pytest.mark.parametrize("where", ["top", "step"])
     def test_unknown_field_raises_malformed(self, binary_demo_tree, where):
         # a proof that is read is written back out byte for byte, so no
-        # field may be dropped on the way
+        # field may be dropped on the way: neither a stray one nor a
+        # per-step field of the retired view left beside the wire
         data = json.loads(prove(binary_demo_tree, "C").to_json_bytes())
-        (data if where == "top" else data["steps"][-1])["junk"] = 1
+        data.update({"junk": 1} if where == "top" else {"steps": []})
         with pytest.raises(MalformedProofError, match="unknown"):
             MerkleProof.from_json_dict(data)
 
     def test_lone_surrogate_key_raises_malformed(self, binary_demo_tree):
-        # valid JSON, but no UTF-8 string: no tree can hold this key
-        wire = prove(binary_demo_tree, "C").to_json_bytes().replace(b'"key":"C"', b'"key":"\\udc00"')
-        data = json.loads(wire)
-        assert data["key"] == "\udc00"
-        with pytest.raises(MalformedProofError):
-            MerkleProof.from_json_dict(data)
-
-    @pytest.mark.parametrize("steps", [{}, "", None])
-    def test_steps_not_a_list_raises_malformed(self, binary_demo_tree, steps):
-        data = json.loads(prove(binary_demo_tree, "A").to_json_bytes())
-        data["steps"] = steps
-        with pytest.raises(MalformedProofError):
-            MerkleProof.from_json_dict(data)
+        # "\udc00" encoded as if it were a character: no tree can hold this key
+        wire = prove(binary_demo_tree, "C").to_bytes().replace(b"\x00\x00\x00\x01C", b"\x00\x00\x00\x03\xed\xb0\x80", 1)
+        with pytest.raises(MalformedProofError, match="not UTF-8"):
+            MerkleProof.from_json_dict({"wire_hex": wire.hex()})
 
     def test_proof_invariant_under_probability_change(self, binary_demo_tree):
         before = prove(binary_demo_tree, "B")
@@ -340,45 +360,11 @@ class TestProofMutation:
             pass
 
 
-# Keys with characters JSON must escape (quote, backslash, control), and
-# non-ASCII, astral and line-separator characters it writes as \uXXXX escapes.
+# Keys with quote, backslash and control characters, and non-ASCII, astral
+# and line-separator ones: the wire carries any UTF-8 key as it is.
 KEY_CHARS = st.one_of(
     st.sampled_from('"\\\x00\x1f\x7f/\u00e9\u2028\U0001f600'), st.characters(exclude_categories=["Cs"])
 )
-
-
-def reference_json_bytes(proof: MerkleProof) -> bytes:
-    """The wire format as json.dumps spells it: the oracle for the writer."""
-    data = {
-        "key": proof.key,
-        "leaf_hash_hex": proof.leaf_hash.hex(),
-        "steps": [{"position": s.position, "siblings": s.siblings.hex()} for s in proof.steps],
-    }
-    return json.dumps(data, separators=(",", ":")).encode()
-
-
-class TestWriterOracle:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.lists(st.text(KEY_CHARS, max_size=6), min_size=1, max_size=32, unique=True),
-        st.sampled_from([2, 3, 4, 16]),
-        st.data(),
-    )
-    def test_writer_matches_json_dumps(self, seed, keys, m, data):
-        rng = random.Random(seed)
-        probs = {key: 1.0 / len(keys) for key in keys}
-        tree = random_tree(rng, len(keys), m, probs)
-        proof = prove(tree, data.draw(st.sampled_from(keys)))
-        wire = proof.to_json_bytes()
-        assert wire == reference_json_bytes(proof)
-        assert MerkleProof.from_json_dict(json.loads(wire)) == proof
-
-    def test_hand_built_steps_match_json_dumps(self):
-        # shapes prove never yields still get the same bytes as json.dumps
-        for steps in [(), (ProofStep(0, b""),), (ProofStep(2, b"\x01" * 3), ProofStep(0, b"\xab" * 64))]:
-            proof = MerkleProof("k", b"\xff" * 32, steps)
-            assert proof.to_json_bytes() == reference_json_bytes(proof)
 
 
 class TestTracerCounts:
@@ -435,7 +421,7 @@ class TestRecords:
     def test_non_string_key_not_written(self):
         # from_json_dict never yields such a key: a hand-built one cannot verify
         proof = MerkleProof(["k"], b"\xff" * 32, ())
-        with pytest.raises(TypeError):
+        with pytest.raises(MalformedProofError, match="cannot be encoded"):
             proof.to_json_bytes()
 
 
@@ -519,6 +505,9 @@ class TestBinaryWire:
         assert type(received.leaf_hash) is bytes and all(type(s.siblings) is bytes for s in received.steps)
         assert verify(received, tree.root_hash(), m, payload=key.encode())
         assert verification_cost(proof).proof_bytes == len(wire)
+        text = proof.to_json_bytes()
+        assert text == b'{"wire_hex":"' + wire.hex().encode() + b'"}'
+        assert MerkleProof.from_json_dict(json.loads(text)) == proof
 
     @pytest.mark.parametrize("m, prefix", [(2, "k"), (3, "\u00e9"), (4, "\U0001f600"), (16, "\u2028")])
     def test_every_byte_edit_raises_or_fails(self, m, prefix):

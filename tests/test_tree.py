@@ -883,6 +883,11 @@ BUILDER_ERROR_CASES = {
     # case: (keys, payloads, error, message)
     "missing_payload": (["a", "b"], {"a": b"x"}, StructureError, "no payload for leaf key 'b'"),
     "str_payload": (["a", "b"], {"a": b"x", "b": "y"}, StructureError, "payload of leaf 'b' is not bytes"),
+    # a mutable buffer could change after the leaf is hashed
+    "bytearray_payload": (["a", "b"], {"a": b"x", "b": bytearray(b"y")}, StructureError,
+                          "payload of leaf 'b' is not bytes: bytearray"),
+    "memoryview_payload": (["a", "b"], {"a": b"x", "b": memoryview(b"y")}, StructureError,
+                           "payload of leaf 'b' is not bytes: memoryview"),
     "lone_surrogate_key": (["a", "\udc00"], None, FormatError, "not valid UTF-8"),
     "int_key": (["a", 3], None, StructureError, "leaf spec 3 is neither a key string nor a list"),
     "list_payloads": (["a", "b"], [b"x", b"y"], StructureError, "payloads is no mapping of leaf keys to bytes: list"),

@@ -75,6 +75,12 @@ class TestZipf:
         with pytest.raises(ProbabilityError):
             zipf_distribution(0, 1.0)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None])
+    def test_non_int_n_rejected(self, n):
+        # bool is an int subclass: True must not read as one key
+        with pytest.raises(ProbabilityError, match="n must be an int >= 1"):
+            zipf_distribution(n, 1.0)
+
     @pytest.mark.parametrize("s", [-0.5, float("nan"), float("inf")])
     def test_invalid_exponent(self, s):
         with pytest.raises(ProbabilityError, match="exponent"):
@@ -130,6 +136,11 @@ class TestGenerateTrace:
     def test_bad_input_rejected(self, probs, num_events):
         with pytest.raises(ProbabilityError):
             generate_trace(probs, num_events, seed=1)
+
+    @pytest.mark.parametrize("num_events", [True, 1.5, 2.0, "5", None])
+    def test_non_int_num_events_rejected(self, num_events):
+        with pytest.raises(ProbabilityError, match="num_events must be an int >= 0"):
+            generate_trace({"a": 1.0}, num_events, seed=1)
 
 
 class TestFiles:
