@@ -74,18 +74,9 @@ class MetricsReport:
 def discrepancy_report(tree: AdaptiveTree) -> MetricsReport:
     """Full metrics for a tree; leaves reported in key order.
 
-    Reads the tree's depth index, validates the probabilities once and takes
-    one log per positive-probability leaf, shared by delta_i and H.
+    Reads the tree's depth index and its probability map, valid by
+    construction; one log per positive-probability leaf serves delta_i and H.
     """
-    check_probabilities(tree.probabilities)
-    k_a, h, per_leaf = _summed(tree)
-    return MetricsReport(k_a=k_a, entropy=h, delta=k_a - h, per_leaf=tuple(per_leaf))
-
-
-def _summed(tree: AdaptiveTree) -> tuple[float, float, list[LeafStats]]:
-    """k_A, H and the per-leaf records of :func:`discrepancy_report`, summed
-    in key order, without its probability check; ``k_A - H`` is its delta,
-    bit for bit."""
     probs = tree.probabilities
     m = tree.config.arity
     depths = tree.depths()
@@ -102,4 +93,4 @@ def _summed(tree: AdaptiveTree) -> tuple[float, float, list[LeafStats]]:
             per_leaf.append(new(LeafStats, (key, p, l, p * (l + log_p))))
     h = -float_sum(h_terms)
     k_a = float_sum(s.p * s.l for s in per_leaf)
-    return k_a, h, per_leaf
+    return MetricsReport(k_a=k_a, entropy=h, delta=k_a - h, per_leaf=tuple(per_leaf))

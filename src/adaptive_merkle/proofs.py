@@ -77,8 +77,8 @@ class MerkleProof(NamedTuple):
 
         Raises :class:`MalformedProofError` for a hand-built proof the layout
         cannot carry: a key that is not a UTF-8 string, a leaf hash or a
-        sibling string that is not whole 32-byte digests, a position or
-        sibling count beyond u16.
+        sibling string that is not whole 32-byte digests, a position that is
+        not an ``int`` as :func:`verify` requires, or a step field beyond u16.
         """
         try:
             key, leaf_hash = self.key.encode(), self.leaf_hash
@@ -86,6 +86,8 @@ class MerkleProof(NamedTuple):
                 raise ValueError(f"leaf hash of {len(leaf_hash)} bytes")
             parts = [_WIRE_VERSION, len(key).to_bytes(4, "big"), key, leaf_hash]
             for position, siblings in self.steps:
+                if type(position) is not int:  # struct would pack a bool as 0 or 1
+                    raise TypeError(f"position of type {type(position).__name__}")
                 count, rest = divmod(len(siblings), HASH_SIZE)
                 if rest:
                     raise ValueError(f"{len(siblings)} sibling bytes")

@@ -37,8 +37,8 @@ Two loops repeat the best move until none improves delta.
   depth further down, it returns at once. The certificate looks at leaves
   only, so a swap-free tree whose subtree exchange would help, such as a
   caterpillar over equal weights, comes back unchanged. Past the exit the
-  loop builds no report: it sums the starting delta as the report does
-  and subtracts each move's gain.
+  loop reads one report, for its starting delta, and subtracts each move's
+  gain.
 * ``optimize_leaf_swaps``, the paper's loop and the audit path that
   ``replay`` runs, swaps leaves only: each step lists
   ``enumerate_swap_alternatives`` and applies the first by ``rank_key``;
@@ -57,7 +57,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._formats import float_sum
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
-from .metrics import MetricsReport, _summed, discrepancy_report
+from .metrics import MetricsReport, discrepancy_report
 from .tree import AdaptiveTree, _float_copy, check_probabilities
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "exchange": 3, "no_op": 4}
@@ -176,7 +176,7 @@ def enumerate_swap_alternatives(tree: AdaptiveTree) -> list[Alternative]:
 
 def _swap_alternatives(tree: AdaptiveTree, report: MetricsReport) -> list[Alternative]:
     # enumerate_swap_alternatives from a report of the tree as it stands
-    depths = {s.key: s.l for s in report.per_leaf}
+    depths, probs = {s.key: s.l for s in report.per_leaf}, tree.probabilities
     candidates = [s.key for s in report.per_leaf if abs(s.delta_i) > CANDIDATE_EPS]
 
     alternatives: list[Alternative] = []
@@ -184,7 +184,7 @@ def _swap_alternatives(tree: AdaptiveTree, report: MetricsReport) -> list[Altern
         for key_b in candidates[i + 1 :]:
             if depths[key_a] == depths[key_b]:
                 continue
-            p_a, p_b = tree.probabilities[key_a], tree.probabilities[key_b]
+            p_a, p_b = probs[key_a], probs[key_b]
             delta = report.delta + (p_a - p_b) * (depths[key_b] - depths[key_a])
             alternatives.append(
                 Alternative(
@@ -257,11 +257,9 @@ def optimize_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) -> li
     capped run that is resumed can stop short of an uncapped one. On the
     m=2 tree that CLI ``insert`` makes from demo16 plus Q, a run capped at
     4 moves leaves a swap-free tree, so a second call returns ``[]`` at
-    k_A 3.6242, while one uncapped run makes 5 moves to 3.6047. Bad
-    probabilities still raise first.
+    k_A 3.6242, while one uncapped run makes 5 moves to 3.6047.
     """
     _check_max_iters(max_iters)
-    check_probabilities(tree.probabilities)
     if _swap_free(tree):
         return []
     return _exchange(tree, max_iters)
@@ -274,11 +272,10 @@ def _check_max_iters(max_iters: int) -> None:
 
 
 def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
-    """The exchange loop of :func:`optimize_swaps`, without its checks and
-    its swap-free exit."""
+    """The exchange loop of :func:`optimize_swaps`, without its cap check
+    and its swap-free exit."""
     outcomes: list[RestructureOutcome] = []
-    k_a, h, _ = _summed(tree)
-    delta = k_a - h  # discrepancy_report's delta, without building the report
+    delta = discrepancy_report(tree).delta
     ranks = _NodeRanks(tree)
     for _ in range(max_iters):
         gain, pair, candidates = ranks.best_exchange()
@@ -369,7 +366,7 @@ def optimize_leaf_swaps(tree: AdaptiveTree, max_iters: int = DEFAULT_MAX_ITERS) 
     stops once it is 0 (within ``CANDIDATE_EPS``). Leaves whose discrepancy
     is 0, zero-probability ones included, are no candidates, and swaps keep
     the depth multiset, so this loop can stop short of
-    :func:`optimize_swaps`. Bad probabilities raise.
+    :func:`optimize_swaps`.
     """
     return _leaf_swap_loop(tree, max_iters)[0]
 

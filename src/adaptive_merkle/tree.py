@@ -39,7 +39,9 @@ split or an attach updates the three indexes in O(1); an exchange
 renumbers the depths of both moved subtrees, and a move into a free child
 slot (:meth:`AdaptiveTree.move_node`) those of the one, O(their size).
 :meth:`AdaptiveTree.depths` and add mode read the indexes instead of
-walking. The indexes are right only because of the single-writer contract:
+walking. Readers get a read-only view of the probability map, which only
+checked writers replace, and a new leaf joins it at 0, so it stays valid.
+The indexes are right only because of the single-writer contract:
 mutating calls, and the first read after them, which flushes, need exclusive
 access and go through the methods here; later reads may interleave freely.
 """
@@ -51,6 +53,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._formats import float_sum, json_probabilities, load_json
@@ -179,7 +182,7 @@ class AdaptiveTree:
         self.config = config
         self.root_id: str = ""
         self.nodes: dict[str, TreeNode] = {}
-        self.probabilities: dict[str, float] = {}
+        self._probabilities: dict[str, float] = {}  # written by set_probabilities, from_snapshot and new leaves
         self._parent: dict[str, str] = {}
         self._leaf_by_key: dict[str, str] = {}
         self._depth: dict[str, int] = {}  # node id -> edges from the root
@@ -296,6 +299,11 @@ class AdaptiveTree:
 
     # -- basic queries ---------------------------------------------------------
 
+    @property
+    def probabilities(self) -> Mapping[str, float]:
+        """Read-only view of the leaf probabilities, valid by construction."""
+        return MappingProxyType(self._probabilities)
+
     def node(self, node_id: str) -> TreeNode:
         try:
             return self.nodes[node_id]
@@ -379,7 +387,7 @@ class AdaptiveTree:
             parent = self.nodes[parent_id]
             parent.children[parent.children.index(target.node_id)] = intermediate
             self._parent[intermediate] = parent_id
-        self.probabilities[new_key] = 0.0
+        self._probabilities[new_key] = 0.0
 
     def attach_leaf(self, parent_id: str, new_key: str, new_payload: bytes) -> None:
         """Append a new leaf as the last child of an internal node with room.
@@ -397,7 +405,7 @@ class AdaptiveTree:
         parent.children.append(leaf_id)
         self._parent[leaf_id] = parent_id
         self._dirty.add(parent_id)
-        self.probabilities[new_key] = 0.0
+        self._probabilities[new_key] = 0.0
 
     def swap_leaves(self, key_a: str, key_b: str) -> None:
         """Exchange the tree positions of two leaves: :meth:`swap_nodes` on
@@ -473,7 +481,8 @@ class AdaptiveTree:
             subtree += self.nodes[nid].children or ()
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
-        """Replace the leaf probability map; structure and hashes are untouched."""
+        """Replace the leaf probability map with a checked copy of ``probs``,
+        its one public writer; structure and hashes are untouched."""
         if probs.keys() != self._leaf_by_key.keys():
             missing = set(self._leaf_by_key) - set(probs)
             extra = set(probs) - set(self._leaf_by_key)
@@ -481,7 +490,7 @@ class AdaptiveTree:
                 f"probability keys do not match tree leaves (missing {sorted(missing)}, extra {sorted(extra)})"
             )
         check_probabilities(probs)
-        self.probabilities = _float_copy(probs)
+        self._probabilities = _float_copy(probs)
 
     # -- copying / integrity ----------------------------------------------------
 
@@ -514,7 +523,7 @@ class AdaptiveTree:
         self._check_cover()
 
     def _check_cover(self) -> None:
-        if self.probabilities.keys() != self._leaf_by_key.keys():
+        if self._probabilities.keys() != self._leaf_by_key.keys():
             raise StructureError("probability map does not cover exactly the leaf keys")
 
     def _walk_indexes(self) -> tuple[dict[str, int], dict[str, str], dict[str, str]]:
@@ -574,7 +583,7 @@ class AdaptiveTree:
             "config": {"arity": self.config.arity, "hash": HASH_ALGORITHM},
             "nodes": nodes,
             "root_id": self.root_id,
-            "probabilities": dict(sorted(self.probabilities.items())),
+            "probabilities": dict(sorted(self._probabilities.items())),
         }
 
     @classmethod
@@ -629,7 +638,7 @@ class AdaptiveTree:
         tree._next_id = len(tree.nodes) + 1  # n1..nK, as saved, continue at n(K+1)
 
         tree._depth, tree._parent, tree._leaf_by_key = tree._walk_indexes()
-        tree.probabilities = probabilities
+        tree._probabilities = probabilities
         check_probabilities(probabilities)
         tree._check_cover()
         try:

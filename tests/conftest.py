@@ -1,3 +1,4 @@
+import platform
 import time
 from pathlib import Path
 
@@ -10,10 +11,20 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 SUITE_START = time.perf_counter()
 
+# python3.X -> the version that test_golden.py ran the goldens under, or None if it skipped it
+GOLDEN_PYTHONS = pytest.StashKey[dict]()
+
 
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def golden_pythons(pytestconfig) -> dict[str, str | None]:
+    """Where the cross-version goldens ran, for the summary line: filled by
+    ``test_golden._interpreter`` with each ``python3.X`` it looked for."""
+    return pytestconfig.stash.setdefault(GOLDEN_PYTHONS, {})
 
 
 @pytest.fixture
@@ -50,4 +61,11 @@ def quad_demo_tree() -> AdaptiveTree:
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     elapsed = time.perf_counter() - SUITE_START
-    terminalreporter.write_line(f"total suite wall time: {elapsed:.1f}s")
+    line = f"total suite wall time: {elapsed:.1f}s"
+    pythons = config.stash.get(GOLDEN_PYTHONS, {})
+    if pythons:
+        ran = [version for version in pythons.values() if version]
+        skipped = [python for python, version in pythons.items() if not version]
+        line += (f"; goldens ran under {', '.join(ran) or 'no other python'}"
+                 f" besides this {platform.python_version()}, skipped {', '.join(skipped) or 'none'}")
+    terminalreporter.write_line(line)

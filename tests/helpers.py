@@ -194,9 +194,11 @@ def apply_ops(tree, ops, check=None):
     the ops go on with a tree loaded from the snapshot or a clone;
     "recompute" appends a byte to a leaf payload and rehashes the whole
     tree; "swap_nodes" exchanges an internal node with any node it does not
-    nest with; "optimize" runs ``optimize_swaps``; "root" and "prove" only
-    read. A new leaf is named after the node count, so keys stay unique
-    however the ops are split across calls."""
+    nest with; "move" moves a node whose parent keeps two children into an
+    open node outside its subtree; "probabilities" sets a distribution of
+    small integer weights; "optimize" runs ``optimize_swaps``; "root" and
+    "prove" only read. A new leaf is named after the node count, so keys
+    stay unique however the ops are split across calls."""
     for kind, i, j in ops:
         keys = tree.leaf_keys()
         open_nodes = open_internal_ids(tree)
@@ -223,6 +225,19 @@ def apply_ops(tree, ops, check=None):
             if a in root_path(tree, b) or b in root_path(tree, a):
                 continue
             tree.swap_nodes(a, b)
+        elif kind == "move":
+            movable = sorted(nid for nid in tree.nodes
+                             if nid != tree.root_id and len(tree.nodes[tree.parent_id(nid)].children) > 2)
+            if not (movable and open_nodes):
+                continue
+            u, target = movable[i % len(movable)], open_nodes[j % len(open_nodes)]
+            if target == tree.parent_id(u) or u in root_path(tree, target):
+                continue
+            tree.move_node(u, target)
+        elif kind == "probabilities":
+            weights = [(i + j * n) % 5 for n in range(len(keys))]
+            weights[i % len(keys)] += 1  # a positive total
+            tree.set_probabilities({key: w / sum(weights) for key, w in zip(keys, weights)})
         elif kind == "attach" and open_nodes:
             tree.attach_leaf(open_nodes[i % len(open_nodes)], new_key, b"x")
         elif kind == "swap" and len(keys) >= 2:

@@ -61,7 +61,8 @@ Every golden is also run under each other Python the package supports
 digests in one ``python3.X -c`` process that also imports ``helpers``):
 the ``python3.X`` on PATH if it starts,
 else pyenv's ``versions/3.X.*/bin/python3``; an interpreter found in
-neither place is skipped.
+neither place is skipped. The suite's summary line lists the versions the
+goldens ran under and the interpreters skipped.
 """
 
 import glob
@@ -152,11 +153,12 @@ def test_seeded_zipf_map_and_huffman_tree(tmp_path, arity):
 PYTHONS = ["python3.10", "python3.12", "python3.13"]
 
 
-def _interpreter(python):
+def _interpreter(python, golden_pythons):
     """A ``python3.X`` that starts; the test is skipped if there is none. A
     pyenv shim is on PATH even where its version is not selected, and then
     exits non-zero; pyenv's own ``versions/3.X.*/bin/python3`` are tried
-    next."""
+    next. The version found, or None for a skip, goes to ``golden_pythons``
+    for the summary line."""
     candidates = [shutil.which(python)]
     pyenv = shutil.which("pyenv")
     root = pyenv and subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
@@ -164,8 +166,12 @@ def _interpreter(python):
         version = python.removeprefix("python")
         candidates += sorted(glob.glob(os.path.join(root, "versions", f"{version}.*", "bin", "python3")))
     for exe in candidates:
-        if exe is not None and subprocess.run([exe, "-c", ""], capture_output=True).returncode == 0:
+        started = exe and subprocess.run([exe, "-c", "import platform; print(platform.python_version())"],
+                                         capture_output=True, text=True)
+        if started and started.returncode == 0:
+            golden_pythons[python] = started.stdout.strip()
             return exe
+    golden_pythons[python] = None
     pytest.skip(f"{python} is neither on PATH nor under pyenv, or does not start")
 
 
@@ -178,8 +184,8 @@ def _run_cli(exe, *args):
 
 
 @pytest.mark.parametrize("python", PYTHONS)
-def test_bench_and_replay_on_other_pythons(tmp_path, fixtures_dir, python):
-    exe = _interpreter(python)
+def test_bench_and_replay_on_other_pythons(tmp_path, fixtures_dir, golden_pythons, python):
+    exe = _interpreter(python, golden_pythons)
     runs = {f"variants_{dist}_m{arity}.csv": ["bench", "--dist", fixtures_dir / csv, "--arity", arity]
             for dist, csv in DISTRIBUTIONS.items() for arity in (2, 4, 16)}
     runs.update({f"iterations_{script}.csv": ["replay", "--script", fixtures_dir / f"{script}.json"]
@@ -194,9 +200,9 @@ def test_bench_and_replay_on_other_pythons(tmp_path, fixtures_dir, python):
 
 
 @pytest.mark.parametrize("python", PYTHONS)
-def test_insert_optimize_and_metrics_on_other_pythons(tmp_path, fixtures_dir, python):
+def test_insert_optimize_and_metrics_on_other_pythons(tmp_path, fixtures_dir, golden_pythons, python):
     # the runs of test_insert and test_optimize_and_metrics_on_loaded_snapshot
-    exe = _interpreter(python)
+    exe = _interpreter(python, golden_pythons)
     produced = {}
     for arity in (2, 3):
         base, inserted, optimized = tmp_path / "base.json", tmp_path / "inserted.json", tmp_path / "optimized.json"
@@ -227,8 +233,8 @@ for m in arities:
 
 
 @pytest.mark.parametrize("python", PYTHONS)
-def test_build_encode_and_seeded_zipf_on_other_pythons(tmp_path, fixtures_dir, python):
-    exe = _interpreter(python)
+def test_build_encode_and_seeded_zipf_on_other_pythons(tmp_path, fixtures_dir, golden_pythons, python):
+    exe = _interpreter(python, golden_pythons)
     for arity in SEEDED_DIGESTS:
         (tmp_path / f"m{arity}").mkdir()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}

@@ -39,17 +39,21 @@ class TestAvgPathLength:
         assert discrepancy_report(tree).k_a == pytest.approx(1.75, abs=TOL)
 
     def test_sum_violation(self):
+        # A bad map never reaches the report: the tree's one writer refuses it.
         tree = AdaptiveTree.from_nested(["A", "B"], {"A": 0.5, "B": 0.5}, TreeConfig(2))
-        tree.probabilities = {"A": 0.5, "B": 0.3}
         with pytest.raises(ProbabilityError):
-            discrepancy_report(tree)
+            tree.set_probabilities({"A": 0.5, "B": 0.3})
+        with pytest.raises(AttributeError):
+            tree.probabilities = {"A": 0.5, "B": 0.3}
+        assert discrepancy_report(tree).k_a == 1.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         tree = AdaptiveTree.from_nested(["A", "B"], {"A": 0.5, "B": 0.5}, TreeConfig(2))
-        tree.probabilities = {"A": bad, "B": 1.0}
-        with pytest.raises(ProbabilityError):
-            discrepancy_report(tree)
+        with pytest.raises(ProbabilityError, match="non-finite"):
+            tree.set_probabilities({"A": bad, "B": 1.0})
+        assert dict(tree.probabilities) == {"A": 0.5, "B": 0.5}
+        assert discrepancy_report(tree).k_a == 1.0
 
 
 class TestEntropy:
@@ -112,9 +116,13 @@ class TestDiscrepancyReport:
         assert set(data["per_leaf"][0]) == {"key", "p", "l", "delta_i"}
 
     def test_sum_violation(self, quad_demo_tree):
-        quad_demo_tree.probabilities["A"] = 0.9
+        # The report reads the tree's map unchecked: nothing can write it in place.
+        before = discrepancy_report(quad_demo_tree)
+        with pytest.raises(TypeError):
+            quad_demo_tree.probabilities["A"] = 0.9
         with pytest.raises(ProbabilityError):
-            discrepancy_report(quad_demo_tree)
+            quad_demo_tree.set_probabilities({**quad_demo_tree.probabilities, "A": 0.9})
+        assert discrepancy_report(quad_demo_tree) == before
 
 
 class TestMetricsInvariants:

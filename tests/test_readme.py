@@ -64,7 +64,7 @@ def test_module_table_names_exist():
 
 def test_private_names_exist():
     # Every backticked private name (a dotted name with a part that starts
-    # with one underscore, such as `_rehash` or `metrics._summed`) names
+    # with one underscore, such as `_rehash` or `restructure._NodeRanks`) names
     # an attribute of a package module, of a class defined there or of a
     # built tree, so a design note cannot outlive the code it describes.
     text = README.read_text(encoding="utf-8")

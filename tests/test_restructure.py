@@ -410,9 +410,11 @@ class TestAddKeyChecks:
         assert [add_record(alt) for alt in got] == [
             add_record(alt) for alt in enumerate_add_alternatives(tree, "C", probs)
         ]
-        tree.set_probabilities(MappingProxyType({"A": 0.25, "B": 0.75}))
+        source = {"A": 0.25, "B": 0.75}
+        tree.set_probabilities(MappingProxyType(source))
+        source["A"] = 0.5  # the tree stored a copy, not the caller's map
         assert tree.probabilities == {"A": 0.25, "B": 0.75}
-        assert type(tree.probabilities) is dict
+        assert type(tree.probabilities) is MappingProxyType
 
 
 class TestRecords:
@@ -576,8 +578,8 @@ class TestReportsPerInsertion:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_one_report_per_insertion(self, monkeypatch, m):
         # The insertion loop the bench and the workloads run: apply_best
-        # only applies the move, and optimize_swaps builds no report: its
-        # exchange loop sums the starting delta without one.
+        # only applies the move, and optimize_swaps builds a report only
+        # past its swap-free exit, for the exchange loop's starting delta.
         calls = counting(monkeypatch, "discrepancy_report")
         keys = [f"k{i:03d}" for i in range(48)]
         dist = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
@@ -592,15 +594,15 @@ class TestReportsPerInsertion:
             assert len(calls) == 0
             swap_free = swap_free_by_pairs(tree)
             optimize_swaps(tree)
-            assert len(calls) == 0
+            assert len(calls) == (0 if swap_free else 1)
             seen.add(swap_free)
         assert seen == {True, False}  # both paths must actually occur
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_two_float_sums_per_swap_free_insertion(self, monkeypatch, m):
-        # Each of the insertion's three probability checks (add mode's,
-        # set_probabilities', optimize_swaps') accepts early, so add mode's
-        # H and base k_A are its only float_sum calls.
+        # Both of the insertion's probability checks (add mode's and
+        # set_probabilities') accept early, so add mode's H and base k_A
+        # are its only float_sum calls.
         calls = []
         real = formats_mod.float_sum
 
@@ -643,17 +645,33 @@ class TestSwapFreeExit:
             assert tree.root_hash() == before
         assert reports == []
 
+    def test_resumed_capped_run_stops_short(self, fixtures_dir):
+        # The limit the optimize_swaps docstring states, pinned so that a
+        # change to the exit changes it on purpose: after 4 capped moves the
+        # tree is swap-free by its leaves, so the resumed call returns [] at
+        # k_A 3.6242, while one uncapped call makes 5 moves to 3.6047.
+        snapshot = fixtures_dir / "golden" / "insert_demo16_m2.snapshot.json"
+        resumed, uncapped = AdaptiveTree.load(snapshot), AdaptiveTree.load(snapshot)
+        assert [len(optimize_swaps(resumed, max_iters=4)), len(optimize_swaps(resumed))] == [4, 0]
+        assert len(optimize_swaps(uncapped)) == 5
+        assert round(discrepancy_report(resumed).k_a, 4) == 3.6242
+        assert round(discrepancy_report(uncapped).k_a, 4) == 3.6047
+
     def test_not_swap_free_takes_the_full_path(self, monkeypatch, binary_demo_tree):
         reports = counting(monkeypatch, "discrepancy_report")
         assert not swap_free_by_pairs(binary_demo_tree)
         assert optimize_swaps(binary_demo_tree) != []
-        assert len(reports) == 0  # the starting delta is summed without a report
+        assert len(reports) == 1  # the exchange loop's starting delta
 
     def test_bad_probabilities_still_raise(self):
+        # They raise where they would enter the tree, so optimize_swaps
+        # never meets them.
         tree = two_leaf_tree()
-        tree.probabilities = {"A": 1.0, "B": float("nan")}
         with pytest.raises(ProbabilityError, match="non-finite probability nan for key 'B'"):
-            optimize_swaps(tree)
+            tree.set_probabilities({"A": 1.0, "B": float("nan")})
+        with pytest.raises(AttributeError):
+            tree.probabilities = {"A": 1.0, "B": float("nan")}
+        assert optimize_swaps(tree) == []
 
     def test_zero_probability_leaf_moves(self):
         # Z at depth 1 is lighter than A and B at depth 2, so the tree is not

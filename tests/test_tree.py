@@ -444,6 +444,66 @@ class TestSetProbabilities:
         assert list(tree.probabilities) == ["A", "B"]
 
 
+ownership_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["split", "attach", "swap", "swap_nodes", "move", "probabilities", "optimize", "clone",
+                         "snapshot"]),
+        st.integers(0, 999),
+        st.integers(0, 999),
+    ),
+    max_size=20,
+)
+
+
+class TestProbabilityOwnership:
+    """The tree's probability map is valid and covers exactly the leaf keys
+    after every mutation, so its readers do not check it again; its view
+    refuses every write."""
+
+    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 12), ownership_ops, st.randoms())
+    @settings(max_examples=80, deadline=None)
+    def test_every_mutation_keeps_the_map_valid(self, m, n, ops, rnd):
+        def check(t):
+            check_probabilities(t.probabilities)
+            assert t.probabilities.keys() == set(t.leaf_keys())
+
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        check(tree)
+        apply_ops(tree, ops, check)
+
+    @pytest.mark.parametrize("write", ["assign", "set_item", "new_item", "del_item", "del", "update"])
+    def test_the_view_refuses_writes(self, binary_demo_tree, write):
+        tree = binary_demo_tree
+        before = tree.to_snapshot()
+        with pytest.raises((AttributeError, TypeError)):
+            if write == "assign":
+                tree.probabilities = {key: 1 / 8 for key in tree.leaf_keys()}
+            elif write == "set_item":
+                tree.probabilities["A"] = float("nan")
+            elif write == "new_item":
+                tree.probabilities["Z"] = 0.0
+            elif write == "del_item":
+                del tree.probabilities["A"]
+            elif write == "del":
+                del tree.probabilities
+            else:
+                tree.probabilities.update({"A": 0.5})
+        assert tree.to_snapshot() == before
+        tree.validate()
+
+    @pytest.mark.parametrize(
+        "probs", [{"A": 0.5, "B": 0.3}, {"A": float("nan"), "B": 1.0}, {"A": 1.5, "B": -0.5}, {"A": 1.0},
+                  {"A": 0.5, "B": 0.5, "Z": 0.0}],
+        ids=["sum", "nan", "negative", "missing", "extra"],
+    )
+    def test_a_refused_map_leaves_the_old_one(self, tmp_path, probs):
+        tree = build_balanced(make_leaves("AB", [0.5, 0.5]), TreeConfig(2))
+        with pytest.raises(ProbabilityError):
+            tree.set_probabilities(probs)
+        tree.save(tmp_path / "tree.json")  # what save writes, load takes
+        assert AdaptiveTree.load(tmp_path / "tree.json").probabilities == {"A": 0.5, "B": 0.5}
+
+
 def checked_key_by_key(probs):
     """The validator as a plain per-key loop, then the sum: the oracle for
     ``check_probabilities`` and its fast path. The error message, or None."""
@@ -767,7 +827,11 @@ class TestDepthIndex:
             tree.validate()
 
     def test_validate_rejects_probability_map_missing_a_leaf(self, binary_demo_tree):
-        del binary_demo_tree.probabilities["A"]
+        # the public view refuses the edit; the self-check still sees a broken private map
+        with pytest.raises(TypeError):
+            del binary_demo_tree.probabilities["A"]
+        binary_demo_tree.validate()
+        del binary_demo_tree._probabilities["A"]
         with pytest.raises(StructureError, match="probability map"):
             binary_demo_tree.validate()
 
@@ -1042,10 +1106,9 @@ class TestClone:
                 if node.children is not None:
                     node.children.reverse()
             copy.recompute_all_hashes()
-        elif container == "probabilities":
-            copy.probabilities["A"] = 0.5
         else:
-            index = {"depth": copy._depth, "parent": copy._parent, "leaf_by_key": copy._leaf_by_key}[container]
+            index = {"probabilities": copy._probabilities, "depth": copy._depth, "parent": copy._parent,
+                     "leaf_by_key": copy._leaf_by_key}[container]
             index.clear()
         assert tree.to_snapshot() == snapshot
         assert tree.root_hash() == root
@@ -1060,6 +1123,19 @@ class TestClone:
 
 
 class TestSnapshots:
+    def test_root_does_not_commit_to_arity(self, fixtures_dir):
+        # config.arity bounds the child counts and nothing else: a raised
+        # bound loads the same root, one below a node's child count raises
+        golden = fixtures_dir / "golden"
+        snapshot = json.loads((golden / "build_demo16_m2.snapshot.json").read_text(encoding="utf-8"))
+        root = AdaptiveTree.from_snapshot(snapshot).root_hash()
+        snapshot["config"]["arity"] = 5
+        assert AdaptiveTree.from_snapshot(snapshot).root_hash() == root
+        snapshot = json.loads((golden / "build_demo16_m16.snapshot.json").read_text(encoding="utf-8"))
+        snapshot["config"]["arity"] = 4
+        with pytest.raises(StructureError, match=re.escape("node 'n17' has 16 children (2 to arity 4)")):
+            AdaptiveTree.from_snapshot(snapshot)
+
     def test_round_trip_preserves_root_hash(self, tmp_path):
         rng = random.Random(41)
         for i in range(10):
