@@ -187,7 +187,7 @@ def replay_iterations(script: ReplayScript) -> ReplayResult:
             alt_count = len(alternatives)
             min_delta = chosen.resulting_delta
             chosen_kind = chosen.kind
-            chosen_target = "+".join(chosen.target)
+            chosen_target = chosen.target_json()  # a split's key or an attach's node label
             if step.swap_iters > 0:
                 swap_outcomes = optimize_leaf_swaps(tree, max_iters=step.swap_iters)
                 if swap_outcomes:

@@ -168,9 +168,9 @@ def tree_from_codes(codes: CodeTable, payloads: Mapping[str, bytes] | None = Non
 
 def codes_from_tree(tree: AdaptiveTree) -> dict[str, str]:
     """The path code of every leaf, in left-to-right order, from one walk."""
-    nodes = tree.nodes
-    codes = _leaf_codes(tree.root_id, lambda nid: nodes[nid].children)
-    return {nodes[nid].key: code for nid, code in codes.items()}
+    keys = tree._key
+    codes = _leaf_codes(tree.root_id, tree._children.__getitem__)
+    return {keys[nid]: code for nid, code in codes.items()}
 
 
 def _leaf_codes(root, children_of) -> dict:

@@ -36,10 +36,10 @@ means the data genuinely fails to reproduce the expected root.
 Serving a proof is the hot path of a read workload, and its cost is per
 object, not per byte, so a step's digests travel as one ``bytes`` object.
 Every internal node keeps its hash preimage, the children's digests joined
-in child order (``TreeNode.child_digests``, written only by the tree's
-``_rehash``), so ``prove`` cuts the path node's 32 bytes out of it with two
-slices; it hashes nothing unless building or a mutation left the tree dirty,
-and then flushes it once through ``root_hash()``. The writer and the reader
+in child order (the tree's ``_child_digests``, written only by ``_rehash``),
+so ``prove`` indexes the per-node lists by id, builds no node view and cuts
+the path node's 32 bytes out of it with two slices; it hashes nothing unless
+a mutation left the tree dirty, and then flushes it once via ``root_hash()``. The writer and the reader
 convert a step with one ``struct`` pack/unpack and one slice, and ``verify``
 checks a step with one ``divmod`` of its length. ``verify`` hashes each step
 with one call of the module-level :func:`hash_internal`, so wrapping that
@@ -151,20 +151,18 @@ class VerificationCost:
 
 def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
     """Membership proof for a leaf: one step per edge on its root path."""
-    leaf = tree.leaf_node(leaf_key)
+    nid = tree._leaf_id(leaf_key)
     if tree._dirty:  # the stored digests are current only after a root read
         tree.root_hash()
-    nodes, parent_of, root_id = tree.nodes, tree._parent, tree.root_id
+    children, parent_of, digests = tree._children, tree._parent, tree._child_digests
     steps: list[ProofStep] = []
-    nid = leaf.node_id
-    while nid != root_id:
-        parent_id = parent_of[nid]
-        parent = nodes[parent_id]
-        position = parent.children.index(nid)
-        joined, cut = parent.child_digests, HASH_SIZE * position
+    leaf_hash, parent = tree._hash[nid], parent_of[nid]
+    while parent:  # the root's parent is 0
+        position = children[parent].index(nid)
+        joined, cut = digests[parent], HASH_SIZE * position
         steps.append(ProofStep(position, joined[:cut] + joined[cut + HASH_SIZE :]))
-        nid = parent_id
-    return MerkleProof(leaf_key, leaf.hash, tuple(steps))
+        nid, parent = parent, parent_of[parent]
+    return MerkleProof(leaf_key, leaf_hash, tuple(steps))
 
 
 def verify(proof: MerkleProof, expected_root: bytes, arity: int, *, payload: bytes | None = None) -> bool:

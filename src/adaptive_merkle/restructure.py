@@ -58,7 +58,7 @@ from typing import Mapping, NamedTuple, Sequence
 from ._formats import float_sum
 from .errors import DuplicateKeyError, ProbabilityError, StructureError
 from .metrics import MetricsReport, discrepancy_report
-from .tree import AdaptiveTree, _float_copy, check_probabilities
+from .tree import AdaptiveTree, _float_copy, check_probabilities, node_label
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "exchange": 3, "no_op": 4}
 
@@ -70,10 +70,11 @@ DEFAULT_MAX_ITERS = 64
 
 class Alternative(NamedTuple):
     """One candidate restructuring with its evaluated discrepancy; an
-    immutable tuple of its fields."""
+    immutable tuple of its fields. ``target`` holds leaf keys for a split or
+    a swap and int node ids for an attach or an exchange."""
 
     kind: str
-    target: tuple[str, ...]
+    target: tuple[str, ...] | tuple[int, ...]
     resulting_delta: float
     sort_labels: tuple[str, ...]
     new_key: str | None = None
@@ -87,9 +88,8 @@ class Alternative(NamedTuple):
     def target_json(self):
         if self.kind == "no_op":
             return None
-        if self.kind in ("swap", "exchange"):
-            return list(self.target)
-        return self.target[0]
+        names = list(map(node_label, self.target)) if self.kind in ("attach", "exchange") else list(self.target)
+        return names if self.kind in ("swap", "exchange") else names[0]
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "target": self.target_json(), "delta": self.resulting_delta}
@@ -282,7 +282,7 @@ def _exchange(tree: AdaptiveTree, max_iters: int) -> list[RestructureOutcome]:
         if pair is None:
             break
         labels = (ranks.label[pair[0]], ranks.label[pair[1]])
-        if all(tree.nodes[nid].children is None for nid in pair):
+        if all(tree._children[nid] is None for nid in pair):
             chosen = Alternative("swap", labels, delta - gain, labels)
         else:
             chosen = Alternative("exchange", pair, delta - gain, labels)
@@ -320,16 +320,16 @@ def _regroup(tree: AdaptiveTree) -> bool:
     parent's heaviest child (so a second call moves nothing). k_A stays; the
     new pairs can open an exchange (Gallager's sibling property)."""
     ranks = _NodeRanks(tree)
-    weight, label, nodes, parent = ranks.weight, ranks.label, tree.nodes, tree._parent
+    weight, label, children, parent = ranks.weight, ranks.label, tree._children, tree._parent
     moved = False
     # same-depth exchanges change no depth's members, only their order
     for d in sorted(ranks.levels, reverse=True)[:-1]:  # the root has no parent slot
         level = sorted((nid for _, _, nid in ranks.levels[d]), key=lambda nid: (-weight[nid], label[nid]))
         rest = iter(level)
         # parents by their heaviest child, then stably by child count
-        for p in sorted(dict.fromkeys(parent[nid] for nid in level), key=lambda p: -len(nodes[p].children)):
-            block = [next(rest) for _ in nodes[p].children]
-            outgoing = [cid for cid in nodes[p].children if cid not in block]
+        for p in sorted(dict.fromkeys(parent[nid] for nid in level), key=lambda p: -len(children[p])):
+            block = [next(rest) for _ in children[p]]
+            outgoing = [cid for cid in children[p] if cid not in block]
             for u, v in zip([nid for nid in block if parent[nid] != p], outgoing):
                 tree.swap_nodes(u, v)
                 ranks.exchanged(u, v)
@@ -345,11 +345,11 @@ def _relocate(tree: AdaptiveTree) -> bool:
     if not open_nodes:
         return False
     d_o, _, o = min((d, min_key, nid) for nid, d, min_key in open_nodes)
-    nodes, parent, depth, ranks = tree.nodes, tree._parent, tree._depth, _NodeRanks(tree)
+    children, parent, depth, ranks = tree._children, tree._parent, tree._depth, _NodeRanks(tree)
     # ties go to the smaller label, then the shallower node
-    candidates = [(-ranks.weight[nid] * (d - d_o - 1), ranks.label[nid], d, nid) for nid, d in depth.items()
-                  if nid in parent and len(nodes[parent[nid]].children) > 2]
-    loss, _, _, u = min(candidates, default=(0.0, "", 0, ""))
+    candidates = [(-ranks.weight[nid] * (depth[nid] - d_o - 1), ranks.label[nid], depth[nid], nid)
+                  for nid in range(1, len(children)) if parent[nid] and len(children[parent[nid]]) > 2]
+    loss, _, _, u = min(candidates, default=(0.0, "", 0, 0))
     if -loss > IMPROVEMENT_EPS:
         tree.move_node(u, o)
     return -loss > IMPROVEMENT_EPS
@@ -396,8 +396,8 @@ def _leaf_swap_loop(
 
 
 class _NodeRanks:
-    """Every node's weight and label, and per depth its nodes sorted by
-    (weight, label), kept up to date across exchanges.
+    """Every node's weight and label, lists by node id, and per depth its
+    nodes sorted by (weight, label), kept up to date across exchanges.
 
     A leaf weighs its probability, an internal node the sum of its
     children's weights, added in child order; a node's label is the
@@ -410,20 +410,20 @@ class _NodeRanks:
 
     def __init__(self, tree: AdaptiveTree) -> None:
         self.tree = tree
-        depth, nodes, probs = tree._depth, tree.nodes, tree.probabilities
-        self.weight = weight = {nid: probs[key] for key, nid in tree._leaf_by_key.items()}
-        self.label = label = {nid: key for key, nid in tree._leaf_by_key.items()}
-        internal = [nid for nid in depth if nid not in label]
+        depth, children, probs = tree._depth, tree._children, tree.probabilities
+        self.label = label = tree._key[:]  # a leaf's key; internal nodes filled below
+        self.weight = weight = [0.0 if key is None else probs[key] for key in label]
+        internal = [nid for nid in range(1, len(children)) if children[nid] is not None]
         internal.sort(key=depth.__getitem__, reverse=True)  # children before parents
         for nid in internal:
-            weight[nid], label[nid] = self._rank_of(nodes[nid].children)
-        self.levels: dict[int, list[tuple[float, str, str]]] = {}
-        for nid, d in depth.items():
-            self.levels.setdefault(d, []).append((weight[nid], label[nid], nid))
+            weight[nid], label[nid] = self._rank_of(children[nid])
+        self.levels: dict[int, list[tuple[float, str, int]]] = {}
+        for nid in range(1, len(children)):
+            self.levels.setdefault(depth[nid], []).append((weight[nid], label[nid], nid))
         for entries in self.levels.values():
             entries.sort()
 
-    def _refile(self, nid: str, d: int, w: float, lab: str) -> None:
+    def _refile(self, nid: int, d: int, w: float, lab: str) -> None:
         # move nid's one entry from depth d and its old rank to its depth now and (w, lab)
         entries = self.levels[d]
         del entries[bisect.bisect_left(entries, (self.weight[nid], self.label[nid], nid))]
@@ -432,7 +432,7 @@ class _NodeRanks:
         self.weight[nid], self.label[nid] = w, lab
         bisect.insort(self.levels.setdefault(self.tree._depth[nid], []), (w, lab, nid))
 
-    def _rank_of(self, children: list[str]) -> tuple[float, str]:
+    def _rank_of(self, children: list[int]) -> tuple[float, str]:
         weight, label = self.weight, self.label
         w, lab = 0.0, label[children[0]]
         for cid in children:
@@ -441,15 +441,15 @@ class _NodeRanks:
                 lab = label[cid]
         return w, lab
 
-    def _rerank(self, nid: str) -> bool:
+    def _rerank(self, nid: int) -> bool:
         # recompute an internal node's weight and label; whether they changed
-        w, lab = self._rank_of(self.tree.nodes[nid].children)
+        w, lab = self._rank_of(self.tree._children[nid])
         if self.weight[nid] == w and self.label[nid] == lab:
             return False
         self._refile(nid, self.tree._depth[nid], w, lab)
         return True
 
-    def best_exchange(self) -> tuple[float, tuple[str, str] | None, int]:
+    def best_exchange(self) -> tuple[float, tuple[int, int] | None, int]:
         """``(gain, node ids, candidates)`` of the exchange that lowers k_A
         the most, ids in label order; the ids are None unless the gain
         exceeds ``IMPROVEMENT_EPS``: this is the exchange loop's stop test.
@@ -484,29 +484,28 @@ class _NodeRanks:
             best = None
         return best_gain, best, len(ends) * (len(ends) - 1) // 2 + 1
 
-    def exchanged(self, u: str, v: str) -> None:
+    def exchanged(self, u: int, v: int) -> None:
         """Update after nodes u and v traded places: every node of the two
         subtrees moves its entry to its new depth, and the nodes on both root
         paths are reranked, children before parents, as the full pass would
         rank them."""
-        nodes, depth, parent = self.tree.nodes, self.tree._depth, self.tree._parent
+        children, depth, parent = self.tree._children, self.tree._depth, self.tree._parent
         shift = depth[u] - depth[v]  # how far u's subtree went down
         stack = [(u, shift), (v, -shift)] if shift else []
         while stack:
             nid, by = stack.pop()
             self._refile(nid, depth[nid] - by, self.weight[nid], self.label[nid])
-            if nodes[nid].children is not None:
-                stack += [(cid, by) for cid in nodes[nid].children]
+            if children[nid] is not None:
+                stack += [(cid, by) for cid in children[nid]]
         a, b = parent[u], parent[v]
         while a != b:
             if depth[a] < depth[b]:
                 a, b = b, a
             self._rerank(a)
             a = parent[a]
-        nid: str | None = a
-        # an unchanged node leaves every ancestor unchanged
-        while nid is not None and self._rerank(nid):
-            nid = parent.get(nid)
+        # an unchanged node leaves every ancestor unchanged; the root's parent is 0
+        while a and self._rerank(a):
+            a = parent[a]
 
 
 def _swap_free(tree: AdaptiveTree) -> bool:
@@ -529,27 +528,26 @@ def _swap_free(tree: AdaptiveTree) -> bool:
     return all(lightest[d] >= heaviest[deeper] for d, deeper in zip(order, order[1:]))
 
 
-def _open_nodes(tree: AdaptiveTree) -> list[tuple[str, int, str]]:
+def _open_nodes(tree: AdaptiveTree) -> list[tuple[int, int, str]]:
     """``(node_id, depth, smallest leaf key below)`` of each internal node
     with a free child slot, in preorder: add mode's attach targets and
     :func:`_relocate`'s. A tree whose slots are all filled, as every m=2
     tree's are, returns ``[]`` at once; any other takes one preorder pass."""
-    m, nodes = tree.config.arity, tree.nodes
-    # m * internal child slots, nodes - 1 of them filled: is one free?
-    if m * (len(nodes) - len(tree._leaf_by_key)) <= len(nodes) - 1:
+    m, children_of, count = tree.config.arity, tree._children, len(tree._children) - 1  # slot 0 holds no node
+    # m * internal child slots, count - 1 of them filled: is one free?
+    if m * (count - len(tree._leaf_by_key)) <= count - 1:
         return []
     preorder, open_nodes = [], []
     stack = [tree.root_id]
     while stack:
         nid = stack.pop()
-        children = nodes[nid].children
+        children = children_of[nid]
         if children is not None:
             preorder.append(nid)
             if len(children) < m:
                 open_nodes.append(nid)
             stack += children[::-1]
-    min_key: dict[str, str] = {}
+    min_key = tree._key[:]  # a leaf's own key; internal nodes filled below
     for nid in reversed(preorder):  # children before their parent
-        children = nodes[nid].children
-        min_key[nid] = min(min_key[cid] if cid in min_key else nodes[cid].key for cid in children)
+        min_key[nid] = min([min_key[cid] for cid in children_of[nid]])
     return [(nid, tree._depth[nid], min_key[nid]) for nid in open_nodes]

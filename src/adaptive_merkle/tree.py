@@ -7,43 +7,37 @@ leaves or whole subtrees) so that frequently accessed leaves end up on
 short root paths. Hashing uses SHA-256 with one byte of domain separation:
 ``0x00`` for leaves, ``0x01`` for internal nodes.
 
-One rule decides when to rehash an internal node: mutations mark, reads
-flush. Building and every mutation hash no internal node (a leaf is hashed
-when it is made): they add to a dirty set each internal node they create
-and each parent whose children changed, unless a new node below it is
-marked already. :meth:`AdaptiveTree.root_hash` rehashes the union of the
-dirty nodes' root paths, each node once, children before parents, and
-clears the set. So an internal node's hash is current only after
-``root_hash()``, which ``prove`` and snapshot writing call first. Each
-internal node keeps its hash preimage, its children's digests joined in
-child order (``TreeNode.child_digests``), so a proof slices a step's
-siblings out of one byte string. ``_rehash`` is the one writer of both the
-preimage and the hash: the flush, the full rehash and
-``from_snapshot`` go through it, and snapshots do not store it. Next to the
-parent pointers the tree keeps a depth index, the edge count from the root
-of every node, and a leaf-key index. :meth:`AdaptiveTree.from_nested` is
-the one builder (``build_balanced`` shapes its keys and calls it,
-``coding.tree_from_codes`` hands it the Huffman merge's shape): one walk
-over the nested shape, with an iterator per open node, makes each node once
-as a slotted, positional ``TreeNode``, names the nodes n1..nK in post-order
-and fills all three indexes. Every leaf that it or a mutation makes is
-made by ``_add_leaf_node``, where a malformed one raises
-:class:`StructureError` or :class:`FormatError`.
-Every whole-tree pass goes through one checked root-down walk:
-``from_snapshot`` takes the indexes from it, :meth:`AdaptiveTree.validate`
-compares them with it, and snapshot writing, the full rehash and
-:meth:`AdaptiveTree.leaf_keys` read their order from it, so a corrupted tree
-raises :class:`StructureError` there instead of being written or hashed. A
-split or an attach updates the three indexes in O(1); an exchange
-(:meth:`AdaptiveTree.swap_nodes`, of which a leaf swap is the one-node case)
-renumbers the depths of both moved subtrees, and a move into a free child
-slot (:meth:`AdaptiveTree.move_node`) those of the one, O(their size).
-:meth:`AdaptiveTree.depths` and add mode read the indexes instead of
-walking. Readers get a read-only view of the probability map, which only
-checked writers replace, and a new leaf joins it at 0, so it stays valid.
-The indexes are right only because of the single-writer contract:
-mutating calls, and the first read after them, which flushes, need exclusive
-access and go through the methods here; later reads may interleave freely.
+Node ids are ints from 1, in the order the nodes are made, and each per-node
+field is a list indexed by id whose slot 0 holds no node: children (None at
+a leaf), parent (0 at the root), depth, hash, child digests (an internal
+node's hash preimage), key and payload; a leaf-key index maps keys to ids.
+:func:`node_label` spells an id ``n<id>`` where it leaves or enters the
+program (snapshots, CLI JSON, error messages); :meth:`AdaptiveTree.node`
+returns a read-only :class:`NodeView`.
+
+Mutations mark, reads flush. Building and every mutation hash no internal
+node (a leaf is hashed when it is made, by ``_add_leaf_node``, which types a
+malformed one): they add each internal node they create and each parent
+whose children changed to a dirty set. :meth:`AdaptiveTree.root_hash`
+rehashes the union of the dirty nodes' root paths, each node once, children
+before parents, so an internal node's hash and preimage are current only
+after ``root_hash()``, which ``prove`` and snapshot writing call first.
+``_rehash`` is the one writer of both. :meth:`AdaptiveTree.from_nested` is
+the one builder (``build_balanced`` and ``coding.tree_from_codes`` hand it a
+nested shape): one walk, with an iterator per open node, appends each node
+once, so they are n1..nK in post-order. Every whole-tree pass goes through
+one checked root-down walk: ``from_snapshot`` takes the depth, parent and
+leaf-key indexes from it, :meth:`AdaptiveTree.validate` compares them with
+it, and snapshot writing, the full rehash and :meth:`AdaptiveTree.leaf_keys`
+read their order from it, so a corrupted tree raises
+:class:`StructureError` there instead of being written or hashed. A split or
+an attach updates the indexes in O(1); an exchange
+(:meth:`AdaptiveTree.swap_nodes`) or a move into a free child slot
+(:meth:`AdaptiveTree.move_node`) renumbers the depths of the moved subtrees.
+Readers get a read-only view of the probability map, which only checked
+writers replace. The indexes are right only because of the single-writer
+contract: mutating calls, and the first read after them, which flushes,
+need exclusive access; later reads may interleave freely.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._formats import float_sum, json_probabilities, load_json
 from .errors import (
@@ -136,72 +130,66 @@ class TreeConfig:
             raise StructureError(f"arity must be an int from 2 to {MAX_ARITY}, got {self.arity!r}")
 
 
-@dataclass(slots=True)
-class TreeNode:
-    """One node. Leaves carry ``key``/``payload``; internals carry ``children``
-    and ``child_digests``, the children's hashes joined in child order: the
-    node's hash preimage, which ``AdaptiveTree._rehash`` alone writes. An
-    internal node's ``hash`` and ``child_digests`` are current only after
-    the tree's ``root_hash()``. Slotted, so a node holds no per-instance
-    dict; the builders pass the fields by position."""
+def node_label(node_id: int) -> str:
+    """How a node id is spelled where it leaves or enters the program:
+    snapshots, CLI JSON and error messages. The one place ids are spelled."""
+    return f"n{node_id}"
 
-    node_id: str
+
+class NodeView(NamedTuple):
+    """A read-only copy of one node's fields, built when asked for; an
+    internal node's ``hash`` and ``child_digests`` (its children's hashes
+    joined in child order) are current only after ``root_hash()``."""
+
+    node_id: int
     hash: bytes
-    children: list[str] | None = None
-    key: str | None = None
-    payload: bytes | None = None
-    child_digests: bytes = b""
+    children: tuple[int, ...] | None
+    key: str | None
+    payload: bytes | None
+    child_digests: bytes
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
-
-    def __deepcopy__(self, memo) -> "TreeNode":
-        # The children list is the one mutable field, and no other object
-        # holds it: copying it copies the node. Faster than deepcopy's
-        # generic path for slotted objects, which clone() would pay per node.
-        children = self.children
-        return TreeNode(
-            self.node_id,
-            self.hash,
-            None if children is None else children[:],
-            self.key,
-            self.payload,
-            self.child_digests,
-        )
 
 
 class AdaptiveTree:
     """m-ary Merkle tree with per-leaf probabilities and restructuring support.
 
     Build instances with :func:`build_balanced`, :meth:`from_nested`, or
-    :meth:`load`; do not instantiate nodes by hand.
+    :meth:`load`. Node ids are ints from 1; each per-node field is a list
+    indexed by id, whose slot 0 holds no node.
     """
 
     def __init__(self, config: TreeConfig) -> None:
         self.config = config
-        self.root_id: str = ""
-        self.nodes: dict[str, TreeNode] = {}
+        self.root_id = 0
+        self._children: list[list[int] | None] = [None]  # None at a leaf
+        self._parent = [0]  # 0 at the root
+        self._depth = [0]  # edges from the root
+        self._hash = [b""]
+        self._child_digests = [b""]  # an internal node's hash preimage, b"" at a leaf
+        self._key: list[str | None] = [None]
+        self._payload: list[bytes | None] = [None]
         self._probabilities: dict[str, float] = {}  # written by set_probabilities, from_snapshot and new leaves
-        self._parent: dict[str, str] = {}
-        self._leaf_by_key: dict[str, str] = {}
-        self._depth: dict[str, int] = {}  # node id -> edges from the root
-        self._dirty: set[str] = set()  # nodes made or given new children since the last root_hash()
-        self._next_id = 1
+        self._leaf_by_key: dict[str, int] = {}
+        self._dirty: set[int] = set()  # nodes made or given new children since the last root_hash()
 
     # -- construction helpers -------------------------------------------------
 
-    def _new_id(self) -> str:
-        # The first id from n{_next_id} on that no node holds: a loaded
-        # snapshot may name its nodes anything, and the id of a leaf that
-        # _add_leaf_node refused is offered again.
-        nid = f"n{self._next_id}"
-        while nid in self.nodes:
-            self._next_id += 1
-            nid = f"n{self._next_id}"
+    def _append(self, children: list[int] | None, depth: int, digest: bytes, key, payload) -> int:
+        # every node is made here: the next id is the current list length
+        nid = len(self._children)
+        self._children.append(children)
+        self._parent.append(0)
+        self._depth.append(depth)
+        self._hash.append(digest)
+        self._child_digests.append(b"")
+        self._key.append(key)
+        self._payload.append(payload)
         return nid
 
-    def _add_leaf_node(self, nid: str, key: str, payload: bytes, depth: int) -> None:
+    def _add_leaf_node(self, key: str, payload: bytes, depth: int) -> int:
         # from_nested, split_leaf and attach_leaf make every leaf here, so one
         # rule types a malformed one, and a refused leaf leaves the tree as it was.
         try:
@@ -215,18 +203,16 @@ class AdaptiveTree:
             raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
         except (AttributeError, TypeError):  # no str.encode, or unhashable
             raise StructureError(f"leaf key {key!r} is not a str") from None
-        self.nodes[nid] = TreeNode(nid, digest, None, key, payload)
-        self._leaf_by_key[key] = nid
-        self._depth[nid] = depth
+        self._leaf_by_key[key] = nid = self._append(None, depth, digest, key, payload)
+        return nid
 
-    def _add_internal_node(self, nid: str, child_ids: list[str], depth: int) -> None:
+    def _add_internal_node(self, child_ids: list[int], depth: int) -> int:
         # The node keeps child_ids as its children list: pass a fresh list.
-        self.nodes[nid] = TreeNode(nid, b"", child_ids)
-        self._depth[nid] = depth
-        parent = self._parent
+        nid = self._append(child_ids, depth, b"", None, None)
         for cid in child_ids:
-            parent[cid] = nid
+            self._parent[cid] = nid
         self._dirty.add(nid)
+        return nid
 
     @classmethod
     def from_nested(
@@ -240,18 +226,16 @@ class AdaptiveTree:
 
         ``nested`` is a leaf key (string) or a list of nested shapes, e.g.
         ``["A", [["B", "D"], ["C", "E"]]]``. Payloads default to the UTF-8
-        key bytes. Nodes are created in post-order, children left to right,
-        by an explicit-stack walk, so any depth builds, and are named
-        n1..nK in that order; the walk also fills the depth index. Only the
-        leaves are hashed here: the internal nodes wait, dirty, for the
-        first :meth:`root_hash`. A spec that is neither a string nor a list,
-        ``payloads`` that is no mapping or a missing payload raises
-        :class:`StructureError`; a malformed leaf raises as in
-        :meth:`split_leaf`.
+        key bytes. An explicit-stack walk, so any depth builds, makes the
+        nodes n1..nK in post-order, children left to right, and fills the
+        depth index. Only the leaves are hashed here: the internal nodes
+        wait, dirty, for the first :meth:`root_hash`. A spec that is neither
+        a string nor a list, ``payloads`` that is no mapping or a missing
+        payload raises :class:`StructureError`; a malformed leaf raises as
+        in :meth:`split_leaf`.
         """
         tree = cls(config)
-        built: list[str] = []  # ids of finished subtrees whose parent is not built yet
-        count = 0  # nodes made so far: a fresh tree names them n1..nK
+        built: list[int] = []  # ids of finished subtrees whose parent is not built yet
         # ``specs`` iterates the children of the innermost open node, which
         # sit at ``depth``; ``open_above`` keeps each enclosing node's
         # iterator, to resume once the inner node is built, and its child count.
@@ -260,12 +244,9 @@ class AdaptiveTree:
             while True:
                 for spec in specs:
                     if isinstance(spec, str):
-                        count += 1
-                        nid = f"n{count}"
                         # surrogatepass lets a lone surrogate through to _add_leaf_node's UTF-8 rule
                         payload = spec.encode("utf-8", "surrogatepass") if payloads is None else payloads[spec]
-                        tree._add_leaf_node(nid, spec, payload, depth)
-                        built.append(nid)
+                        built.append(tree._add_leaf_node(spec, payload, depth))
                     else:
                         if not 1 <= len(spec) <= config.arity:
                             raise StructureError(f"internal node with {len(spec)} children (arity {config.arity})")
@@ -279,12 +260,9 @@ class AdaptiveTree:
                         break
                     specs, width = open_above.pop()
                     depth -= 1
-                    count += 1
-                    nid = f"n{count}"
                     child_ids = built[-width:]
                     del built[-width:]
-                    tree._add_internal_node(nid, child_ids, depth)
-                    built.append(nid)
+                    built.append(tree._add_internal_node(child_ids, depth))
         except KeyError:  # only payloads[spec] looks a key up
             raise StructureError(f"no payload for leaf key {spec!r}") from None
         except TypeError:
@@ -293,7 +271,6 @@ class AdaptiveTree:
                 raise StructureError(f"payloads is no mapping of leaf keys to bytes: {kind}") from None
             raise StructureError(f"leaf spec {spec!r} is neither a key string nor a list") from None
         (tree.root_id,) = built
-        tree._next_id = count + 1
         tree.set_probabilities(probabilities)
         return tree
 
@@ -304,31 +281,42 @@ class AdaptiveTree:
         """Read-only view of the leaf probabilities, valid by construction."""
         return MappingProxyType(self._probabilities)
 
-    def node(self, node_id: str) -> TreeNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise UnknownKeyError(f"no node with id {node_id!r}") from None
+    def _check_ids(self, *node_ids: int) -> None:
+        # bool is an int subclass, and a negative int would index from the end
+        for node_id in node_ids:
+            if type(node_id) is not int or not 0 < node_id < len(self._children):
+                raise UnknownKeyError(f"no node with id {node_id!r}")
 
-    def leaf_node(self, key: str) -> TreeNode:
+    def node(self, node_id: int) -> NodeView:
+        self._check_ids(node_id)
+        children = self._children[node_id]
+        children = None if children is None else tuple(children)
+        return NodeView(node_id, self._hash[node_id], children, self._key[node_id], self._payload[node_id],
+                        self._child_digests[node_id])
+
+    def _leaf_id(self, key: str) -> int:
         try:
-            return self.nodes[self._leaf_by_key[key]]
+            return self._leaf_by_key[key]
         except KeyError:
             raise UnknownKeyError(f"no leaf with key {key!r}") from None
 
-    def parent_id(self, node_id: str) -> str | None:
-        return self._parent.get(node_id)
+    def leaf_node(self, key: str) -> NodeView:
+        return self.node(self._leaf_id(key))
+
+    def parent_id(self, node_id: int) -> int | None:
+        self._check_ids(node_id)
+        return self._parent[node_id] or None
 
     def leaf_keys(self) -> list[str]:
         """Leaf keys in left-to-right tree order."""
-        return list(self._walk_indexes()[2])
+        return list(self._walk()[3])
 
     def leaf_count(self) -> int:
         return len(self._leaf_by_key)
 
     def depth(self, key: str) -> int:
         """Edge count from the root to the leaf holding ``key``."""
-        return self._depth[self.leaf_node(key).node_id]
+        return self._depth[self._leaf_id(key)]
 
     def depths(self) -> dict[str, int]:
         """Depth of every leaf, read from the depth index."""
@@ -342,26 +330,25 @@ class AdaptiveTree:
         paths, each node once, deepest first, then clears the dirty set."""
         if self._dirty:
             depth, parent = self._depth, self._parent
-            stale: set[str] = set()
+            stale: set[int] = set()
             for nid in self._dirty:
-                # a climb stops where it meets a path already gathered
-                while nid is not None and nid not in stale:
+                # a climb stops where it meets a path already gathered, or above the root
+                while nid and nid not in stale:
                     stale.add(nid)
-                    nid = parent.get(nid)
+                    nid = parent[nid]
             for nid in sorted(stale, key=depth.__getitem__, reverse=True):
                 self._rehash(nid)
             self._dirty.clear()
-        return self.nodes[self.root_id].hash
+        return self._hash[self.root_id]
 
     # -- mutations -------------------------------------------------------------
 
-    def _rehash(self, node_id: str) -> None:
-        # The one writer of child_digests: proofs slice a step's siblings
-        # out of it, so it must always be the preimage of node.hash.
-        nodes = self.nodes
-        node = nodes[node_id]
-        node.child_digests = b"".join([nodes[cid].hash for cid in node.children])
-        node.hash = hash_internal((node.child_digests,))
+    def _rehash(self, node_id: int) -> None:
+        # The one writer of _child_digests: proofs slice a step's siblings
+        # out of it, so it must always be the preimage of the node's hash.
+        hashes = self._hash
+        joined = self._child_digests[node_id] = b"".join([hashes[cid] for cid in self._children[node_id]])
+        hashes[node_id] = hash_internal((joined,))
 
     def split_leaf(self, target_key: str, new_key: str, new_payload: bytes) -> None:
         """Replace the target leaf with an internal node over [target, new leaf].
@@ -373,37 +360,34 @@ class AdaptiveTree:
         that is not valid UTF-8 :class:`FormatError`, and the tree is left
         as it was.
         """
-        target = self.leaf_node(target_key)
-        parent_id = self._parent.get(target.node_id)
-        depth = self._depth[target.node_id]
-        leaf_id = self._new_id()
-        self._add_leaf_node(leaf_id, new_key, new_payload, depth + 1)
-        intermediate = self._new_id()
-        self._add_internal_node(intermediate, [target.node_id, leaf_id], depth)
-        self._depth[target.node_id] = depth + 1
-        if parent_id is None:
-            self.root_id = intermediate
+        target = self._leaf_id(target_key)
+        parent, depth = self._parent[target], self._depth[target]
+        leaf = self._add_leaf_node(new_key, new_payload, depth + 1)
+        joint = self._add_internal_node([target, leaf], depth)
+        self._depth[target] = depth + 1
+        if parent:
+            children = self._children[parent]
+            children[children.index(target)] = joint
+            self._parent[joint] = parent
         else:
-            parent = self.nodes[parent_id]
-            parent.children[parent.children.index(target.node_id)] = intermediate
-            self._parent[intermediate] = parent_id
+            self.root_id = joint
         self._probabilities[new_key] = 0.0
 
-    def attach_leaf(self, parent_id: str, new_key: str, new_payload: bytes) -> None:
+    def attach_leaf(self, parent_id: int, new_key: str, new_payload: bytes) -> None:
         """Append a new leaf as the last child of an internal node with room.
 
         No existing depth changes. The new leaf starts with probability 0.
         A malformed new leaf raises as in :meth:`split_leaf`.
         """
-        parent = self.node(parent_id)
-        if parent.is_leaf:
-            raise StructureError(f"cannot attach to leaf node {parent_id!r}")
-        if len(parent.children) >= self.config.arity:
-            raise StructureError(f"node {parent_id!r} already has {self.config.arity} children")
-        leaf_id = self._new_id()
-        self._add_leaf_node(leaf_id, new_key, new_payload, self._depth[parent_id] + 1)
-        parent.children.append(leaf_id)
-        self._parent[leaf_id] = parent_id
+        self._check_ids(parent_id)
+        children = self._children[parent_id]
+        if children is None:
+            raise StructureError(f"cannot attach to leaf node {node_label(parent_id)!r}")
+        if len(children) >= self.config.arity:
+            raise StructureError(f"node {node_label(parent_id)!r} already has {self.config.arity} children")
+        leaf = self._add_leaf_node(new_key, new_payload, self._depth[parent_id] + 1)
+        children.append(leaf)
+        self._parent[leaf] = parent_id
         self._dirty.add(parent_id)
         self._probabilities[new_key] = 0.0
 
@@ -416,9 +400,9 @@ class AdaptiveTree:
         """
         if key_a == key_b:
             raise StructureError(f"cannot swap leaf {key_a!r} with itself")
-        self.swap_nodes(self.leaf_node(key_a).node_id, self.leaf_node(key_b).node_id)
+        self.swap_nodes(self._leaf_id(key_a), self._leaf_id(key_b))
 
-    def swap_nodes(self, a: str, b: str) -> None:
+    def swap_nodes(self, a: int, b: int) -> None:
         """Exchange the tree positions of two nodes, leaves or whole subtrees.
 
         Neither node may be the root or contain the other. Each subtree
@@ -426,91 +410,100 @@ class AdaptiveTree:
         depths shift by the difference of the two depths (O(subtree size)).
         Both parents are marked dirty; the next :meth:`root_hash` rehashes.
         """
-        parent = self._parent
+        self._check_ids(a, b)
         if a == b:
-            raise StructureError(f"cannot exchange node {a!r} with itself")
-        self.node(a), self.node(b)  # an unknown id raises UnknownKeyError
-        pa, pb = parent.get(a), parent.get(b)
-        if pa is None or pb is None:
+            raise StructureError(f"cannot exchange node {node_label(a)!r} with itself")
+        parent = self._parent
+        pa, pb = parent[a], parent[b]
+        if not (pa and pb):
             raise StructureError("cannot exchange the root")
         if self._within(a, b) or self._within(b, a):
-            raise StructureError(f"cannot exchange nested nodes {a!r} and {b!r}")
+            raise StructureError(f"cannot exchange nested nodes {node_label(a)!r} and {node_label(b)!r}")
         shift = self._depth[b] - self._depth[a]
         self._shift(a, shift)
         self._shift(b, -shift)
-        children_a, children_b = self.nodes[pa].children, self.nodes[pb].children
+        children_a, children_b = self._children[pa], self._children[pb]
         slot_a, slot_b = children_a.index(a), children_b.index(b)
         children_a[slot_a], children_b[slot_b] = b, a
         parent[a], parent[b] = pb, pa
         self._dirty.update((pa, pb))
 
-    def move_node(self, node_id: str, parent_id: str) -> None:
+    def move_node(self, node_id: int, parent_id: int) -> None:
         """Append a node, leaf or subtree, to the children of an internal node
         with a free slot, neither its parent nor in its subtree; the old
         parent must keep two children. Depths shift with the subtree (O(its
         size)) and both parents are marked dirty."""
-        self.node(node_id)  # an unknown id raises UnknownKeyError
-        target, old = self.node(parent_id), self._parent.get(node_id)
-        if old is None:
+        self._check_ids(node_id, parent_id)
+        old, target = self._parent[node_id], self._children[parent_id]
+        name, target_name = node_label(node_id), node_label(parent_id)
+        if not old:
             raise StructureError("cannot move the root")
         if old == parent_id:
-            raise StructureError(f"node {node_id!r} is already a child of {parent_id!r}")
-        if target.is_leaf or len(target.children) >= self.config.arity:
-            raise StructureError(f"node {parent_id!r} has no free child slot")
-        if len(self.nodes[old].children) <= 2:
-            raise StructureError(f"moving {node_id!r} would leave {old!r} with one child")
+            raise StructureError(f"node {name!r} is already a child of {target_name!r}")
+        if target is None or len(target) >= self.config.arity:
+            raise StructureError(f"node {target_name!r} has no free child slot")
+        if len(self._children[old]) <= 2:
+            raise StructureError(f"moving {name!r} would leave {node_label(old)!r} with one child")
         if self._within(parent_id, node_id):
-            raise StructureError(f"cannot move node {node_id!r} into its own subtree")
+            raise StructureError(f"cannot move node {name!r} into its own subtree")
         self._shift(node_id, self._depth[parent_id] + 1 - self._depth[node_id])
-        self.nodes[old].children.remove(node_id)
-        target.children.append(node_id)
+        self._children[old].remove(node_id)
+        target.append(node_id)
         self._parent[node_id] = parent_id
         self._dirty.update((old, parent_id))
 
-    def _within(self, node_id: str, top: str) -> bool:
+    def _within(self, node_id: int, top: int) -> bool:
         # whether node_id lies in top's subtree: climb to top's depth
         for _ in range(self._depth[node_id] - self._depth[top]):
             node_id = self._parent[node_id]
         return node_id == top
 
-    def _shift(self, node_id: str, by: int) -> None:
+    def _shift(self, node_id: int, by: int) -> None:
         # add `by` to the depth of every node in node_id's subtree
         subtree = [node_id] if by else []
         for nid in subtree:  # grows as it goes: a breadth-first walk
             self._depth[nid] += by
-            subtree += self.nodes[nid].children or ()
+            subtree += self._children[nid] or ()
 
     def set_probabilities(self, probs: Mapping[str, float]) -> None:
         """Replace the leaf probability map with a checked copy of ``probs``,
         its one public writer; structure and hashes are untouched."""
-        if probs.keys() != self._leaf_by_key.keys():
-            missing = set(self._leaf_by_key) - set(probs)
-            extra = set(probs) - set(self._leaf_by_key)
-            raise ProbabilityError(
-                f"probability keys do not match tree leaves (missing {sorted(missing)}, extra {sorted(extra)})"
-            )
+        self._check_cover(probs)
         check_probabilities(probs)
         self._probabilities = _float_copy(probs)
+
+    def _check_cover(self, probs: Mapping[str, float]) -> None:
+        # The one cover rule, for set_probabilities, from_snapshot and validate().
+        leaves = self._leaf_by_key.keys()
+        if probs.keys() != leaves:
+            missing, extra = sorted(leaves - probs.keys()), sorted(probs.keys() - leaves, key=str)  # any key type
+            raise ProbabilityError(f"probability keys do not match tree leaves (missing {missing}, extra {extra})")
 
     # -- copying / integrity ----------------------------------------------------
 
     def clone(self) -> "AdaptiveTree":
-        """Independent copy; mutations on the clone never touch the original."""
-        return copy.deepcopy(self)
+        """Independent copy; mutations on the clone never touch the original.
+        The per-node lists, each children list and the indexes are copied
+        here; ``copy.deepcopy`` takes the rest, such as a field added later."""
+        copied = {id(self._children): [c if c is None else c[:] for c in self._children]}
+        for field in (self._parent, self._depth, self._hash, self._child_digests, self._key, self._payload,
+                      self._probabilities, self._leaf_by_key, self._dirty):
+            copied[id(field)] = field.copy()
+        return copy.deepcopy(self, copied)
 
     def recompute_all_hashes(self) -> None:
         """Full rehash in the order of the checked walk, which leaves nothing
         dirty; used to cross-check incremental updates."""
-        self._hash_children_first(self._walk_indexes()[0])
+        self._hash_children_first(self._walk()[0])
         self._dirty.clear()
 
-    def _hash_children_first(self, preorder: dict[str, int]) -> None:
+    def _hash_children_first(self, preorder: list[int]) -> None:
         # Reversed preorder visits every child before its parent, so one
         # iterative pass works at any depth.
+        children, keys, payloads, hashes = self._children, self._key, self._payload, self._hash
         for nid in reversed(preorder):
-            node = self.nodes[nid]
-            if node.children is None:
-                node.hash = hash_leaf(node.key, node.payload)
+            if children[nid] is None:
+                hashes[nid] = hash_leaf(keys[nid], payloads[nid])
             else:
                 self._rehash(nid)
 
@@ -518,71 +511,73 @@ class AdaptiveTree:
         """Structural self-check: the shape, the three indexes the tree keeps
         (depth, parent, leaf key) against the ones the shape gives, and the
         probability map against the leaf keys."""
-        if self._walk_indexes() != (self._depth, self._parent, self._leaf_by_key):
+        if self._walk()[1:] != (self._depth, self._parent, self._leaf_by_key):
             raise StructureError("depth index, parent pointers or leaf key index out of sync with the tree shape")
-        self._check_cover()
+        self._check_cover(self._probabilities)
 
-    def _check_cover(self) -> None:
-        if self._probabilities.keys() != self._leaf_by_key.keys():
-            raise StructureError("probability map does not cover exactly the leaf keys")
-
-    def _walk_indexes(self) -> tuple[dict[str, int], dict[str, str], dict[str, str]]:
-        """Depth of every node (in preorder), parent of every non-root node
+    def _walk(self) -> tuple[list[int], list[int], list[int], dict[str, int]]:
+        """Preorder, depth and parent lists by id (as the tree keeps them)
         and node of every leaf key (left to right), from one root-down walk
-        that checks the shape: every child id present, each node reached
+        that checks the shape: every child id names a node, each node reached
         once, 2..m children per internal node, a key and payload on every
         leaf, leaf keys unique and every node reachable."""
-        nodes, m = self.nodes, self.config.arity
-        if self.root_id not in nodes:
-            raise StructureError("root id not present in node map")
-        depths: dict[str, int] = {}
-        parents: dict[str, str] = {}
-        leaf_by_key: dict[str, str] = {}
+        children_of, keys, payloads, m = self._children, self._key, self._payload, self.config.arity
+        size = len(children_of)
+        if type(self.root_id) is not int or not 0 < self.root_id < size:
+            raise StructureError(f"root id {self.root_id!r} names no node")
+        preorder: list[int] = []
+        depths = [0] + [-1] * (size - 1)  # -1: not reached; slot 0 as the tree keeps it
+        parents = [0] * size
+        leaf_by_key: dict[str, int] = {}
         stack = [(self.root_id, 0)]
         while stack:
             nid, depth = stack.pop()
-            if nid in depths:
-                raise StructureError(f"node {nid!r} reachable more than once")
+            if depths[nid] >= 0:
+                raise StructureError(f"node {node_label(nid)!r} reachable more than once")
             depths[nid] = depth
-            node = nodes[nid]
-            if node.children is None:
-                if node.key is None or node.payload is None:
-                    raise StructureError(f"leaf {nid!r} missing key or payload")
-                if node.key in leaf_by_key:
-                    raise DuplicateKeyError(f"duplicate leaf key {node.key!r}")
-                leaf_by_key[node.key] = nid
+            preorder.append(nid)
+            children = children_of[nid]
+            if children is None:
+                key = keys[nid]
+                if key is None or payloads[nid] is None:
+                    raise StructureError(f"leaf {node_label(nid)!r} missing key or payload")
+                if key in leaf_by_key:
+                    raise DuplicateKeyError(f"duplicate leaf key {key!r}")
+                leaf_by_key[key] = nid
                 continue
-            if not 2 <= len(node.children) <= m:
-                raise StructureError(f"node {nid!r} has {len(node.children)} children (2 to arity {m})")
-            for cid in reversed(node.children):
-                if cid not in nodes:
-                    raise StructureError(f"child id {cid!r} not present in node map")
+            if not 2 <= len(children) <= m:
+                raise StructureError(f"node {node_label(nid)!r} has {len(children)} children (2 to arity {m})")
+            for cid in reversed(children):
+                if type(cid) is not int or not 0 < cid < size:
+                    raise StructureError(f"child id {cid!r} names no node")
                 parents[cid] = nid
                 stack.append((cid, depth + 1))
-        if len(depths) != len(nodes):
+        if len(preorder) != size - 1:
             raise StructureError("unreachable nodes present")
-        return depths, parents, leaf_by_key
+        return preorder, depths, parents, leaf_by_key
 
     # -- snapshots ---------------------------------------------------------------
 
     def to_snapshot(self) -> dict:
         """JSON-ready snapshot; nodes listed in the checked walk's preorder,
-        hashes as hex."""
-        preorder = self._walk_indexes()[0]  # a corrupted tree raises before the flush
+        ids spelled by :func:`node_label`, hashes as hex."""
+        preorder = self._walk()[0]  # a corrupted tree raises before the flush
         self.root_hash()
+        children_of, keys, payloads, hashes = self._children, self._key, self._payload, self._hash
+        labels = list(map(node_label, range(len(children_of))))
         nodes = []
         for nid in preorder:
-            node = self.nodes[nid]
-            if node.children is None:
-                spec = {"id": nid, "kind": "leaf", "key": node.key, "payload_hex": node.payload.hex()}
+            children = children_of[nid]
+            if children is None:
+                spec = {"id": labels[nid], "kind": "leaf", "key": keys[nid], "payload_hex": payloads[nid].hex()}
             else:
-                spec = {"id": nid, "kind": "internal", "children": list(node.children)}
-            spec["hash_hex"] = node.hash.hex()
+                spec = {"id": labels[nid], "kind": "internal", "children": list(map(labels.__getitem__, children))}
+            spec["hash_hex"] = hashes[nid].hex()
             nodes.append(spec)
         return {
             "config": {"arity": self.config.arity, "hash": HASH_ALGORITHM},
             "nodes": nodes,
-            "root_id": self.root_id,
+            "root_id": labels[self.root_id],
             "probabilities": dict(sorted(self._probabilities.items())),
         }
 
@@ -590,9 +585,11 @@ class AdaptiveTree:
     def from_snapshot(cls, snapshot: dict) -> "AdaptiveTree":
         """Rebuild a tree from a snapshot, re-deriving and checking every hash.
 
-        One walk checks the shape and yields the three indexes; its reverse
-        hashes every child before its parent, and each node is then checked
-        against its ``hash_hex`` in that same order."""
+        The K nodes' ids must be exactly n1..nK, in any order, and load to
+        the same ints; any other id raises :class:`FormatError`. One walk
+        checks the shape and yields the three indexes; its reverse hashes
+        every child before its parent, and each node is then checked against
+        its ``hash_hex`` in that same order."""
         try:
             arity, algorithm = snapshot["config"]["arity"], snapshot["config"]["hash"]
             node_specs = snapshot["nodes"]
@@ -607,47 +604,54 @@ class AdaptiveTree:
             raise StructureError(f"unsupported hash algorithm {algorithm!r}")
 
         tree = cls(TreeConfig(arity))
-        tree.root_id = root_id
-        stored_hex: dict[str, str] = {}
+        size = len(node_specs) + 1
+        ids = {node_label(nid): nid for nid in range(1, size)}  # the only ids a snapshot may hold
+        tree._children, tree._key, tree._payload = [None] * size, [None] * size, [None] * size
+        tree._hash, tree._child_digests = [b""] * size, [b""] * size
+        stored_hex: list[str | None] = [None] * size
         for spec in node_specs:
             try:
-                nid, kind = spec["id"], spec["kind"]
+                label, kind = spec["id"], spec["kind"]
                 if kind == "leaf":
                     payload_hex = spec["payload_hex"]
                     payload = bytes.fromhex(payload_hex)
                     # one reading per snapshot: no uppercase, no whitespace
                     if payload.hex() != payload_hex:
-                        raise ValueError(f"non-canonical payload_hex {payload_hex!r} in node {nid!r}")
-                    node = TreeNode(nid, b"", key=spec["key"], payload=payload)
-                    names = [nid, node.key]
+                        raise ValueError(f"non-canonical payload_hex {payload_hex!r} in node {label!r}")
+                    names = [label, spec["key"]]
                 elif kind == "internal":
                     if not isinstance(spec["children"], list):
-                        raise TypeError(f"children of node {nid!r} must be a list")
-                    node = TreeNode(nid, b"", children=list(spec["children"]))
-                    names = [nid, *node.children]
+                        raise TypeError(f"children of node {label!r} must be a list")
+                    names = [label, *spec["children"]]
                 else:
                     raise FormatError(f"unknown node kind {kind!r}")
                 if not all(isinstance(name, str) for name in names + [spec["hash_hex"]]):
-                    raise TypeError(f"non-string id, key, child or hash_hex in node {nid!r}")
+                    raise TypeError(f"non-string id, key, child or hash_hex in node {label!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"malformed snapshot node: {exc!r}") from None
-            if nid in tree.nodes:
-                raise StructureError(f"duplicate node id {nid!r} in snapshot")
-            tree.nodes[nid] = node
+            nid = ids.get(label)
+            if nid is None:
+                raise FormatError(f"node id {label!r} is not one of n1..n{size - 1}")
+            if stored_hex[nid] is not None:
+                raise StructureError(f"duplicate node id {label!r} in snapshot")
             stored_hex[nid] = spec["hash_hex"]
-        tree._next_id = len(tree.nodes) + 1  # n1..nK, as saved, continue at n(K+1)
+            if kind == "leaf":
+                tree._key[nid], tree._payload[nid] = spec["key"], payload
+            else:  # a label naming no node stays a str, which the walk refuses
+                tree._children[nid] = [ids.get(cid, cid) for cid in spec["children"]]
+        tree.root_id = ids.get(root_id, root_id)  # as a child label: the walk refuses a str
 
-        tree._depth, tree._parent, tree._leaf_by_key = tree._walk_indexes()
-        tree._probabilities = probabilities
+        preorder, tree._depth, tree._parent, tree._leaf_by_key = tree._walk()
+        tree._check_cover(probabilities)
         check_probabilities(probabilities)
-        tree._check_cover()
+        tree._probabilities = probabilities
         try:
-            tree._hash_children_first(tree._depth)
+            tree._hash_children_first(preorder)
         except UnicodeEncodeError as exc:  # a JSON string may hold a lone surrogate
             raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
-        for nid in reversed(tree._depth):
-            if tree.nodes[nid].hash.hex() != stored_hex[nid]:
-                raise StructureError(f"hash mismatch for node {nid!r} in snapshot")
+        for nid in reversed(preorder):
+            if tree._hash[nid].hex() != stored_hex[nid]:
+                raise StructureError(f"hash mismatch for node {node_label(nid)!r} in snapshot")
         return tree
 
     def save(self, path) -> None:

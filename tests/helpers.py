@@ -187,14 +187,21 @@ def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | No
     return tree
 
 
+def node_ids(tree: AdaptiveTree) -> range:
+    """Every node id of the tree: 1..K, slot 0 of its per-node lists
+    holding no node."""
+    return range(1, len(tree._children))
+
+
 def apply_ops(tree, ops, check=None):
     """Apply (kind, i, j) ops, choosing targets by index modulo the current
     leaves, open nodes or non-root internal nodes; calls ``check(tree)``
     after each one and returns the last tree. After "snapshot" or "clone"
     the ops go on with a tree loaded from the snapshot or a clone;
-    "recompute" appends a byte to a leaf payload and rehashes the whole
-    tree; "swap_nodes" exchanges an internal node with any node it does not
-    nest with; "move" moves a node whose parent keeps two children into an
+    "recompute" appends a byte to a leaf payload, written straight into the
+    tree's private payload list since node views are read-only, and
+    rehashes the whole tree; "swap_nodes" exchanges an internal node with
+    any node it does not nest with; "move" moves a node whose parent keeps two children into an
     open node outside its subtree; "probabilities" sets a distribution of
     small integer weights; "optimize" runs ``optimize_swaps``; "root" and
     "prove" only read. A new leaf is named after the node count, so keys
@@ -202,13 +209,13 @@ def apply_ops(tree, ops, check=None):
     for kind, i, j in ops:
         keys = tree.leaf_keys()
         open_nodes = open_internal_ids(tree)
-        new_key = f"x{len(tree.nodes):03d}"
+        new_key = f"x{len(node_ids(tree)):03d}"
         if kind == "snapshot":
             tree = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
         elif kind == "clone":
             tree = tree.clone()
         elif kind == "recompute":
-            tree.leaf_node(keys[i % len(keys)]).payload += bytes([j % 256])
+            tree._payload[tree.leaf_node(keys[i % len(keys)]).node_id] += bytes([j % 256])
             tree.recompute_all_hashes()
         elif kind == "root":
             tree.root_hash()
@@ -217,8 +224,8 @@ def apply_ops(tree, ops, check=None):
         elif kind == "optimize":
             optimize_swaps(tree)
         elif kind == "swap_nodes":
-            inner = sorted(nid for nid, node in tree.nodes.items() if node.children and nid != tree.root_id)
-            movable = sorted(nid for nid in tree.nodes if nid != tree.root_id)
+            inner = [nid for nid in node_ids(tree) if not tree.node(nid).is_leaf and nid != tree.root_id]
+            movable = [nid for nid in node_ids(tree) if nid != tree.root_id]
             if not inner:
                 continue
             a, b = inner[i % len(inner)], movable[j % len(movable)]
@@ -226,8 +233,8 @@ def apply_ops(tree, ops, check=None):
                 continue
             tree.swap_nodes(a, b)
         elif kind == "move":
-            movable = sorted(nid for nid in tree.nodes
-                             if nid != tree.root_id and len(tree.nodes[tree.parent_id(nid)].children) > 2)
+            movable = [nid for nid in node_ids(tree)
+                       if nid != tree.root_id and len(tree.node(tree.parent_id(nid)).children) > 2]
             if not (movable and open_nodes):
                 continue
             u, target = movable[i % len(movable)], open_nodes[j % len(open_nodes)]
@@ -252,19 +259,20 @@ def apply_ops(tree, ops, check=None):
     return tree
 
 
-def children_of(tree: AdaptiveTree) -> dict[str, tuple[str, ...]]:
+def children_of(tree: AdaptiveTree) -> dict[int, tuple[int, ...]]:
     """Every internal node's children, as tuples."""
-    return {nid: tuple(node.children) for nid, node in tree.nodes.items() if node.children is not None}
+    views = map(tree.node, node_ids(tree))
+    return {view.node_id: view.children for view in views if not view.is_leaf}
 
 
-def changed_parents(before: dict[str, tuple[str, ...]], tree: AdaptiveTree) -> set[str]:
+def changed_parents(before: dict[int, tuple[int, ...]], tree: AdaptiveTree) -> set[int]:
     """The nodes of ``before``, a ``children_of`` map, whose children
     ``tree`` now lists otherwise."""
     after = children_of(tree)
     return {nid for nid, children in before.items() if after[nid] != children}
 
 
-def root_path(tree: AdaptiveTree, node_id: str | None) -> list[str]:
+def root_path(tree: AdaptiveTree, node_id: int | None) -> list[int]:
     """node_id and every node above it, found by climbing parent pointers."""
     path = []
     while node_id is not None:
@@ -311,7 +319,7 @@ def walked_depths(tree: AdaptiveTree) -> dict[str, int]:
     stack = [(tree.root_id, 0)]
     while stack:
         nid, depth = stack.pop()
-        node = tree.nodes[nid]
+        node = tree.node(nid)
         if node.is_leaf:
             out[node.key] = depth
         else:
@@ -338,13 +346,13 @@ def reference_check_probabilities(probs) -> None:
         raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 +/- {PROB_SUM_TOL}")
 
 
-def open_internal_ids(tree: AdaptiveTree) -> list[str]:
+def open_internal_ids(tree: AdaptiveTree) -> list[int]:
     """Internal nodes with fewer than m children, in preorder."""
     m = tree.config.arity
-    out: list[str] = []
+    out: list[int] = []
     stack = [tree.root_id]
     while stack:
-        node = tree.nodes[stack.pop()]
+        node = tree.node(stack.pop())
         if node.children is not None:
             if len(node.children) < m:
                 out.append(node.node_id)
@@ -394,7 +402,7 @@ def reference_add_alternatives(tree, new_key, new_probs, new_payload=None) -> li
     instead. The walk gives each leaf's key and depth and each open node's
     depth and smallest leaf key; base k_A is summed over the leaves in key
     order, as add mode sums it, so the scores match bit for bit."""
-    m, nodes = tree.config.arity, tree.nodes
+    m, nodes = tree.config.arity, {nid: tree.node(nid) for nid in node_ids(tree)}
     leaves, open_nodes, preorder = [], [], []
     stack = [(tree.root_id, 0)]
     while stack:
@@ -407,7 +415,7 @@ def reference_add_alternatives(tree, new_key, new_probs, new_payload=None) -> li
         if len(children) < m:
             open_nodes.append((nid, depth))
         stack += [(cid, depth + 1) for cid in reversed(children)]
-    min_key: dict[str, str] = {}
+    min_key: dict[int, str] = {}
     for nid, _ in reversed(preorder):
         min_key[nid] = min(min_key[cid] if cid in min_key else nodes[cid].key for cid in nodes[nid].children)
     depths = dict(leaves)

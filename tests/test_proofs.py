@@ -176,8 +176,7 @@ class TestVerify:
             key = rng.choice(tree.leaf_keys())
             proof = prove(tree, key)
             other = tree.clone()
-            node = other.leaf_node(key)
-            node.payload = node.payload + b"!"
+            other._payload[other.leaf_node(key).node_id] += b"!"  # node views are read-only
             other.recompute_all_hashes()
             assert not verify(proof, other.root_hash(), tree.config.arity)
             failures += 1

@@ -51,6 +51,7 @@ from helpers import (
     changed_parents,
     children_of,
     min_avg_length_for_depths,
+    node_ids,
     open_internal_ids,
     random_distribution,
     random_tree,
@@ -70,7 +71,7 @@ def delta_by_target(alternatives):
 
 
 def brute_min_key(tree, node_id):
-    node = tree.nodes[node_id]
+    node = tree.node(node_id)
     if node.is_leaf:
         return node.key
     return min(brute_min_key(tree, cid) for cid in node.children)
@@ -333,7 +334,7 @@ class TestAddModeOracle:
 
 def mirrored_shape(tree, nid):
     """The nested-list shape below a node with every node's children reversed."""
-    node = tree.nodes[nid]
+    node = tree.node(nid)
     if node.children is None:
         return node.key
     return [mirrored_shape(tree, cid) for cid in reversed(node.children)]
@@ -940,7 +941,7 @@ def improving_exchanges(tree):
     """Every exchange of two non-nested nodes that lowers k_A by more than
     ``IMPROVEMENT_EPS``, found by trying each pair on a clone."""
     k_a = discrepancy_report(tree).k_a
-    ids = sorted(nid for nid in tree.nodes if nid != tree.root_id)
+    ids = [nid for nid in node_ids(tree) if nid != tree.root_id]
     found = []
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
@@ -1038,7 +1039,7 @@ class TestNodeExchange:
                 fresh = restructure_mod._NodeRanks(tree)
                 assert (ranks.levels, ranks.weight, ranks.label) == (fresh.levels, fresh.weight, fresh.label)
                 assert ranks.best_exchange() == fresh.best_exchange()
-                assert all(ranks.label[nid] == brute_min_key(tree, nid) for nid in tree.nodes)
+                assert all(ranks.label[nid] == brute_min_key(tree, nid) for nid in node_ids(tree))
         assert moves >= 100
 
     def test_ranks_keep_one_entry_per_node_through_settle(self, monkeypatch):
@@ -1054,7 +1055,7 @@ class TestNodeExchange:
             tree = ranks.tree
             fresh = restructure_mod._NodeRanks(tree)
             assert (ranks.levels, ranks.weight, ranks.label) == (fresh.levels, fresh.weight, fresh.label)
-            assert sorted(nid for entries in ranks.levels.values() for *_, nid in entries) == sorted(tree.nodes)
+            assert sorted(nid for entries in ranks.levels.values() for *_, nid in entries) == list(node_ids(tree))
             moves["regroup" if tree._depth[u] == tree._depth[v] else "exchange"] += 1
 
         def move_node(tree, node_id, parent_id):
@@ -1095,7 +1096,7 @@ class TestNodeExchange:
         assert outcome.chosen.kind == "exchange"
         assert outcome.chosen.target == (tree.leaf_node("A").node_id, bc)
         assert outcome.chosen.sort_labels == ("A", "B")
-        assert outcome.to_json_dict()["chosen"]["target"] == list(outcome.chosen.target)
+        assert outcome.to_json_dict()["chosen"]["target"] == [f"n{nid}" for nid in outcome.chosen.target]
         assert tree.depths() == {"A": 2, "B": 2, "C": 2, "D": 2}
         assert discrepancy_report(tree).k_a == pytest.approx(2.0, abs=TOL)
 
@@ -1164,13 +1165,13 @@ class TestRegroupAndRelocate:
     def test_regroup_keeps_depths_child_counts_and_k_a(self, m, n, rnd):
         tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
         depths = tree.depths()
-        counts = {nid: len(node.children) for nid, node in tree.nodes.items() if node.children}
+        counts = {nid: len(children) for nid, children in children_of(tree).items()}
         k_a = discrepancy_report(tree).k_a.hex()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(AdaptiveTree, "move_node", forbidden)
             restructure_mod._regroup(tree)
         assert tree.depths() == depths
-        assert {nid: len(node.children) for nid, node in tree.nodes.items() if node.children} == counts
+        assert {nid: len(children) for nid, children in children_of(tree).items()} == counts
         assert discrepancy_report(tree).k_a.hex() == k_a
         check_hashes(tree)
         assert restructure_mod._regroup(tree) is False
@@ -1181,10 +1182,10 @@ class TestRegroupAndRelocate:
         tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
         # every legal move into a free slot, scored w_u(d_u - d_o - 1)
         weights = restructure_mod._NodeRanks(tree).weight
-        depth, nodes = tree._depth, tree.nodes
+        depth = tree._depth
         gains = [
             weights[u] * (depth[u] - depth[o] - 1)
-            for u in nodes if u != tree.root_id and len(nodes[tree.parent_id(u)].children) > 2
+            for u in node_ids(tree) if u != tree.root_id and len(tree.node(tree.parent_id(u)).children) > 2
             for o in open_internal_ids(tree) if u not in root_path(tree, o)
         ]
         best = max(gains, default=0.0)

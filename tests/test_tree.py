@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from helpers import (
     children_of,
     kraft_sum,
     malform,
+    node_ids,
     open_internal_ids,
     random_tree,
     reference_check_probabilities,
@@ -232,7 +234,7 @@ class TestSwapLeaves:
 
 
 def subtree_weight(tree, node_id):
-    node = tree.nodes[node_id]
+    node = tree.node(node_id)
     if node.is_leaf:
         return tree.probabilities[node.key]
     return sum(subtree_weight(tree, cid) for cid in node.children)
@@ -250,7 +252,7 @@ def nested_pair(tree, a, b):
 
 
 def tree_state(tree):
-    return (json.dumps(tree.to_snapshot()), dict(tree._depth), dict(tree._parent))
+    return (json.dumps(tree.to_snapshot()), list(tree._depth), list(tree._parent))
 
 
 class TestSwapNodes:
@@ -260,7 +262,7 @@ class TestSwapNodes:
         rng = random.Random(rnd.randint(0, 2**32))
         tree = random_tree(rng, n, m)
         for _ in range(4):
-            ids = sorted(nid for nid in tree.nodes if nid != tree.root_id)
+            ids = [nid for nid in node_ids(tree) if nid != tree.root_id]
             pairs = [(a, b) for a in ids for b in ids if a < b and not nested_pair(tree, a, b)]
             if not pairs:
                 return
@@ -284,7 +286,7 @@ class TestSwapNodes:
         rng = random.Random(rnd.randint(0, 2**32))
         tree = random_tree(rng, n, m)
         before = tree_state(tree)
-        ids = sorted(tree.nodes)
+        ids = list(node_ids(tree))
         bad = [(a, b) for a in ids for b in ids if a == b or nested_pair(tree, a, b)]
         for a, b in rng.sample(bad, min(len(bad), 8)) + [(tree.root_id, ids[0])]:
             with pytest.raises(StructureError):
@@ -308,7 +310,7 @@ def move_error(tree, node_id, parent_id):
     """Why moving node_id under parent_id must raise, or None for a legal
     move: the rules of ``move_node`` read off the shape."""
     old = tree.parent_id(node_id)
-    target = tree.nodes[parent_id]
+    target = tree.node(parent_id)
     if old is None:
         return "root"
     if target.is_leaf:
@@ -317,7 +319,7 @@ def move_error(tree, node_id, parent_id):
         return "own parent"
     if len(target.children) == tree.config.arity:
         return "full target"
-    if len(tree.nodes[old].children) == 2:
+    if len(tree.node(old).children) == 2:
         return "one child left"
     if node_id in root_path(tree, parent_id):
         return "own subtree"
@@ -329,7 +331,7 @@ def subtree_ids(tree, node_id):
     while stack:
         nid = stack.pop()
         out.append(nid)
-        stack += tree.nodes[nid].children or []
+        stack += tree.node(nid).children or ()
     return out
 
 
@@ -340,18 +342,18 @@ class TestMoveNode:
         rng = random.Random(rnd.randint(0, 2**32))
         tree = random_tree(rng, n, m)
         for _ in range(4):
-            ids = sorted(tree.nodes)
+            ids = list(node_ids(tree))
             legal = [(u, o) for u in ids for o in ids if move_error(tree, u, o) is None]
             if not legal:
                 return
             u, o = rng.choice(legal)
             shift = tree._depth[o] + 1 - tree._depth[u]
             moved = set(subtree_ids(tree, u))
-            expected = {nid: d + shift if nid in moved else d for nid, d in tree._depth.items()}
+            expected = [d + shift if nid in moved else d for nid, d in enumerate(tree._depth)]
             before = discrepancy_report(tree).k_a
             tree.move_node(u, o)
             assert tree._depth == expected
-            assert tree.nodes[o].children[-1] == u and tree.parent_id(u) == o
+            assert tree.node(o).children[-1] == u and tree.parent_id(u) == o
             assert tree.depths() == walked_depths(tree)
             assert discrepancy_report(tree).k_a - before == pytest.approx(subtree_weight(tree, u) * shift, abs=1e-12)
             tree.validate()
@@ -367,7 +369,7 @@ class TestMoveNode:
         rng = random.Random(rnd.randint(0, 2**32))
         tree = random_tree(rng, n, m)
         before = tree_state(tree)
-        ids = sorted(tree.nodes)
+        ids = list(node_ids(tree))
         bad = [(u, o) for u in ids for o in ids if move_error(tree, u, o) is not None]
         for u, o in rng.sample(bad, min(len(bad), 8)):
             with pytest.raises(StructureError):
@@ -401,6 +403,30 @@ class TestMoveNode:
         tree.move_node(node["F"], tree.root_id)
         assert tree.leaf_keys() == ["A", "B", "C", "D", "E", "G", "H", "I", "F"]
         assert tree.depths()["F"] == 1
+        tree.validate()
+
+
+class TestNodeIds:
+    @pytest.mark.parametrize("method", ["node", "parent_id", "attach_leaf", "swap_nodes", "move_node"])
+    def test_unknown_ids_raise_and_change_nothing(self, method):
+        # Only an int naming a node is an id: not a bool, 0 (the root's
+        # parent slot), a negative int, which would index the lists from the
+        # end, an int past the last node, or a label.
+        tree = AdaptiveTree.from_nested(["A", ["B", "C"]], {"A": 0.5, "B": 0.25, "C": 0.25}, TreeConfig(3))
+        bc, a = tree.parent_id(tree.leaf_node("B").node_id), tree.leaf_node("A").node_id
+        before = tree_state(tree)
+        for bad in [True, False, 0, -1, -5, len(node_ids(tree)) + 1, "n3", 2.0]:
+            calls = {
+                "node": [lambda: tree.node(bad)],
+                "parent_id": [lambda: tree.parent_id(bad)],
+                "attach_leaf": [lambda: tree.attach_leaf(bad, "D", b"D")],
+                "swap_nodes": [lambda: tree.swap_nodes(bad, a), lambda: tree.swap_nodes(a, bad)],
+                "move_node": [lambda: tree.move_node(bad, bc), lambda: tree.move_node(a, bad)],
+            }[method]
+            for call in calls:
+                with pytest.raises(UnknownKeyError, match=re.escape(f"no node with id {bad!r}")):
+                    call()
+                assert tree_state(tree) == before
         tree.validate()
 
 
@@ -493,8 +519,8 @@ class TestProbabilityOwnership:
 
     @pytest.mark.parametrize(
         "probs", [{"A": 0.5, "B": 0.3}, {"A": float("nan"), "B": 1.0}, {"A": 1.5, "B": -0.5}, {"A": 1.0},
-                  {"A": 0.5, "B": 0.5, "Z": 0.0}],
-        ids=["sum", "nan", "negative", "missing", "extra"],
+                  {"A": 0.5, "B": 0.5, "Z": 0.0}, {"A": 0.5, "B": 0.5, 1: 0.0, "Z": 0.0}],
+        ids=["sum", "nan", "negative", "missing", "extra", "extra_of_mixed_types"],
     )
     def test_a_refused_map_leaves_the_old_one(self, tmp_path, probs):
         tree = build_balanced(make_leaves("AB", [0.5, 0.5]), TreeConfig(2))
@@ -700,7 +726,7 @@ class TestHashLocality:
         rng = random.Random(37)
         tree = random_tree(rng, 10, 3)
         payloads = lambda t: sorted(
-            n.payload for n in t.nodes.values() if n.is_leaf
+            n.payload for n in map(t.node, node_ids(t)) if n.is_leaf
         )
         before = payloads(tree)
         tree.swap_leaves(*rng.sample(tree.leaf_keys(), 2))
@@ -733,12 +759,12 @@ def check_stored_digests(tree):
     """Every internal node keeps its children's hashes joined as its hash
     preimage, and every proof equals the one gathered child by child: true
     once ``root_hash()`` has been read."""
-    for node in tree.nodes.values():
+    for node in map(tree.node, node_ids(tree)):
         if node.is_leaf:
             assert node.hash == hash_leaf(node.key, node.payload)
             assert node.child_digests == b""
         else:
-            child_hashes = [tree.nodes[cid].hash for cid in node.children]
+            child_hashes = [tree.node(cid).hash for cid in node.children]
             assert node.child_digests == b"".join(child_hashes)
             assert node.hash == hash_internal(child_hashes)
     for key in tree.leaf_keys():
@@ -818,11 +844,11 @@ class TestDepthIndex:
         elif corrupt == "missing":
             del index[tree.leaf_node("G").node_id]
         elif corrupt == "stale_parent":
-            tree._parent["n999"] = tree.root_id
+            tree._parent.append(tree.root_id)
         elif corrupt == "leaf_key":  # prove(tree, "A") would answer with B's leaf
             tree._leaf_by_key["A"] = tree._leaf_by_key["B"]
         else:
-            index["n999"] = 3
+            index.append(3)
         with pytest.raises(StructureError, match="depth index"):
             tree.validate()
 
@@ -832,7 +858,8 @@ class TestDepthIndex:
             del binary_demo_tree.probabilities["A"]
         binary_demo_tree.validate()
         del binary_demo_tree._probabilities["A"]
-        with pytest.raises(StructureError, match="probability map"):
+        # the one cover rule, as set_probabilities and from_snapshot raise it
+        with pytest.raises(ProbabilityError, match=re.escape("do not match tree leaves (missing ['A'], extra [])")):
             binary_demo_tree.validate()
 
 
@@ -879,11 +906,11 @@ class TestRehashCount:
 
     @pytest.mark.parametrize("m", [2, 3, 16])
     def test_building_and_splitting_hash_no_internal_node(self, m):
-        # Every builder hashes each leaf once, as it makes it, names its
-        # nodes n1..nK in post-order, and only marks its internal nodes, as
+        # Every builder hashes each leaf once, as it makes it, numbers its
+        # nodes 1..K in post-order, and only marks its internal nodes, as
         # a split does; the first read hashes each internal node exactly
         # once and lands on the full rehash's root. A split after a build
-        # names n(K+1) and n(K+2).
+        # makes nodes K+1 and K+2.
         keys = [f"k{i:02d}" for i in range(40)]
         probs = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
         caterpillar = keys[-1]
@@ -905,7 +932,7 @@ class TestRehashCount:
                 leaf_calls.clear()
                 trees.append(build())
                 assert sorted(leaf_calls) == keys
-                assert post_order(trees[-1]) == [f"n{i}" for i in range(1, len(trees[-1].nodes) + 1)]
+                assert post_order(trees[-1]) == list(node_ids(trees[-1]))
             split = build_balanced([(keys[0], keys[0].encode(), 1.0)], TreeConfig(m))
             for i, key in enumerate(keys[1:]):
                 split.split_leaf(keys[i // 2], key, key.encode())  # the root first
@@ -913,7 +940,7 @@ class TestRehashCount:
             trees.append(split)
             assert calls == []
             for tree in trees:
-                internal = [nid for nid, node in tree.nodes.items() if not node.is_leaf]
+                internal = [nid for nid in node_ids(tree) if not tree.node(nid).is_leaf]
                 rehashed.clear()
                 root = tree.root_hash()
                 assert sorted(rehashed) == sorted(internal)
@@ -923,18 +950,38 @@ class TestRehashCount:
                 assert full.root_hash() == root
                 calls.clear()
             for tree in trees[:3]:
-                k = len(tree.nodes)
+                k = len(node_ids(tree))
                 tree.split_leaf(keys[0], "new", b"new")
-                assert tree.leaf_node("new").node_id == f"n{k + 1}"
-                assert tree.parent_id(f"n{k + 1}") == f"n{k + 2}"
+                assert tree.leaf_node("new").node_id == k + 1
+                assert tree.parent_id(k + 1) == k + 2
 
 
-def post_order(tree: AdaptiveTree) -> list[str]:
+class TestMemory:
+    def test_live_bytes_per_node(self):
+        # A Huffman tree keeps each node in a slot of each per-node list, with
+        # no per-node record or string id: the bound sits between the
+        # record layout (about 364 B) and the lists (about 245 B).
+        n, m = 4096, 16
+        keys = [f"k{i:04d}" for i in range(n)]
+        probs = dict(zip(keys, zipf_distribution(n, 1.1)))
+        payloads = {key: key.encode() for key in keys}
+        table = huffman_codes(probs, m)
+        tracemalloc.start()
+        try:
+            tree = tree_from_codes(table, payloads)
+            tree.root_hash()
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live / len(node_ids(tree)) <= 300
+
+
+def post_order(tree: AdaptiveTree) -> list[int]:
     """Node ids children first, left to right."""
     order, stack = [], [(tree.root_id, False)]
     while stack:
         nid, children_done = stack.pop()
-        children = tree.nodes[nid].children
+        children = tree.node(nid).children
         if children is None or children_done:
             order.append(nid)
         else:
@@ -1005,7 +1052,7 @@ class TestBuilderErrors:
         tree.validate()
         assert (tree.root_hash(), tree.leaf_count(), tree.to_snapshot()) == before
         tree.split_leaf("a", "new", b"new")
-        assert tree.leaf_node("new").node_id == "n4"
+        assert tree.leaf_node("new").node_id == 4
 
     def test_bad_spec_shapes(self):
         for nested in (3, None, ["a", None], ["a", 2.5]):
@@ -1056,23 +1103,24 @@ CORRUPTIONS = ["dangling_child", "two_parents", "detached_subtree", "leaf_withou
 
 
 def corrupt(tree: AdaptiveTree, defect: str) -> None:
-    """Break ``binary_demo_tree``'s node map in place, indexes left as they were."""
-    root = tree.nodes[tree.root_id]
-    inner = tree.nodes[root.children[1]]  # [[B, D], [[C, F], [E, G]]]
+    """Break ``binary_demo_tree``'s children or payload lists in place,
+    indexes left as they were."""
+    root = tree._children[tree.root_id]
+    inner = tree._children[root[1]]  # [[B, D], [[C, F], [E, G]]]
     if defect == "dangling_child":
-        inner.children[0] = "n999"
+        inner[0] = 999
     elif defect == "two_parents":  # [A, H] under the root and under inner
-        inner.children[0] = root.children[0]
+        inner[0] = root[0]
     elif defect == "detached_subtree":  # inner and [[C, F], [E, G]] left unreachable
-        root.children[1] = inner.children[0]
+        root[1] = inner[0]
     else:
-        tree.leaf_node("A").payload = None
+        tree._payload[tree.leaf_node("A").node_id] = None
 
 
 class TestCorruptedTree:
     """Snapshot writing, the full rehash and leaf_keys() read their order
-    from the checked walk, so a corrupted node map raises StructureError
-    instead of being written, hashed or listed."""
+    from the checked walk, so corrupted children or payload lists raise
+    StructureError instead of being written, hashed or listed."""
 
     @pytest.mark.parametrize("defect", CORRUPTIONS)
     @pytest.mark.parametrize("call", ["to_snapshot", "recompute_all_hashes", "leaf_keys"])
@@ -1090,7 +1138,27 @@ class TestCorruptedTree:
         assert not path.exists()
 
 
+PER_NODE_LISTS = ("_children", "_parent", "_depth", "_hash", "_child_digests", "_key", "_payload")
+APPLY_OPS_KINDS = ["split", "attach", "swap", "swap_nodes", "move", "probabilities", "optimize", "recompute", "root",
+                   "prove", "snapshot", "clone"]
+
+
 class TestClone:
+    @pytest.mark.parametrize("kind", APPLY_OPS_KINDS)
+    def test_every_op_on_a_clone_leaves_the_original(self, kind):
+        # A per-node list, a children list or an index shared with the clone
+        # would show here: as a longer list, a changed snapshot, root or
+        # proof, or an index that validate() finds out of sync.
+        def state(t):
+            proofs = [prove(t, key) for key in t.leaf_keys()]
+            return json.dumps(t.to_snapshot()), t.root_hash(), proofs, [len(getattr(t, f)) for f in PER_NODE_LISTS]
+
+        tree = random_tree(random.Random(7), 12, 3)
+        before = state(tree)
+        apply_ops(tree.clone(), [(kind, i, 7 * i + 1) for i in range(6)])
+        assert state(tree) == before
+        tree.validate()
+
     @pytest.mark.parametrize(
         "container", ["nodes", "children", "probabilities", "depth", "parent", "leaf_by_key"]
     )
@@ -1098,13 +1166,13 @@ class TestClone:
         tree = binary_demo_tree
         snapshot, root = tree.to_snapshot(), tree.root_hash()
         copy = tree.clone()
-        if container == "nodes":
-            copy.nodes[copy.root_id].hash = b"\x00" * 32
-            copy.nodes.pop(copy.leaf_node("A").node_id)
+        if container == "nodes":  # every per-node list
+            for field in PER_NODE_LISTS:
+                getattr(copy, field).clear()
         elif container == "children":
-            for node in copy.nodes.values():
-                if node.children is not None:
-                    node.children.reverse()
+            for children in copy._children:
+                if children is not None:
+                    children.reverse()
             copy.recompute_all_hashes()
         else:
             index = {"probabilities": copy._probabilities, "depth": copy._depth, "parent": copy._parent,
@@ -1235,28 +1303,32 @@ class TestSnapshots:
         with pytest.raises(FormatError, match="UTF-8"):
             AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
 
-    def test_any_string_ids_load_and_new_ids_stay_fresh(self, binary_demo_tree):
-        # "n²" passes str.isdigit() but not int(); 5000 digits pass the check
-        # but exceed int()'s digit limit; "n16" is the id a 15-node tree
-        # would hand out next.
+    def test_non_canonical_ids_raise_format_error(self, binary_demo_tree):
+        # A K-node snapshot's ids are exactly n1..nK, in any order, and each
+        # loads to its own number. "n²" passes str.isdigit() but not int();
+        # 5000 digits exceed int()'s digit limit; "n16" is past K = 15.
         snap = binary_demo_tree.to_snapshot()
-        odd_ids = ["n²", "n" + "9" * 5000, f"n{len(snap['nodes']) + 1}"]
-        internal = [node["id"] for node in snap["nodes"] if node["kind"] == "internal"]
-        rename = dict(zip(internal, odd_ids))
-        for node in snap["nodes"]:
-            node["id"] = rename.get(node["id"], node["id"])
-            if node["kind"] == "internal":
-                node["children"] = [rename.get(cid, cid) for cid in node["children"]]
-        snap["root_id"] = rename.get(snap["root_id"], snap["root_id"])
-        loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
+
+        def renamed(rename):
+            edited = json.loads(json.dumps(snap))
+            for node in edited["nodes"]:
+                node["id"] = rename.get(node["id"], node["id"])
+                if node["kind"] == "internal":
+                    node["children"] = [rename.get(cid, cid) for cid in node["children"]]
+            edited["root_id"] = rename.get(edited["root_id"], edited["root_id"])
+            return edited
+
+        labels = [node["id"] for node in snap["nodes"]]
+        shuffled = renamed(dict(zip(labels, random.Random(3).sample(labels, len(labels)))))
+        loaded = AdaptiveTree.from_snapshot(shuffled)
         assert loaded.root_hash() == binary_demo_tree.root_hash()
-        before = set(loaded.nodes)
-        assert set(odd_ids) <= before
-        for i in range(4):
-            loaded.split_leaf("A", f"new{i}", b"")
-        added = set(loaded.nodes) - before
-        assert len(added) == 8 and len(loaded.nodes) == len(before) + 8
-        loaded.validate()
+        assert {node["id"]: node["hash_hex"] for node in shuffled["nodes"]} == {
+            f"n{nid}": loaded.node(nid).hash.hex() for nid in node_ids(loaded)
+        }
+        inner = snap["nodes"][1]["id"]  # the root's first child, an internal node
+        for odd in ["n²", "n" + "9" * 5000, "n16", "n0", "n-1", "n01", "N1", "1", "n 1", "n\uff11", ""]:
+            with pytest.raises(FormatError, match="is not one of n1..n15"):
+                AdaptiveTree.from_snapshot(renamed({inner: odd}))
 
     @pytest.mark.parametrize(
         "defect, error",
@@ -1269,8 +1341,8 @@ class TestSnapshots:
             ("unknown_root", StructureError),
             ("one_child", StructureError),
             ("too_many_children", StructureError),
-            ("extra_zero_key", StructureError),
-            ("missing_zero_leaf", StructureError),
+            ("extra_zero_key", ProbabilityError),
+            ("missing_zero_leaf", ProbabilityError),
         ],
     )
     def test_inconsistent_shape_rejected(self, binary_demo_tree, defect, error):
@@ -1292,16 +1364,18 @@ class TestSnapshots:
             snap["root_id"] = "n999"
         elif defect == "one_child":
             del inner["children"][1]
-        elif defect == "too_many_children":
-            snap["nodes"].append({"id": "z", "kind": "leaf", "key": "Z", "payload_hex": "", "hash_hex": "00" * 32})
-            inner["children"].append("z")
+        elif defect == "too_many_children":  # n16: a 15-node snapshot's next canonical id
+            snap["nodes"].append({"id": "n16", "kind": "leaf", "key": "Z", "payload_hex": "", "hash_hex": "00" * 32})
+            inner["children"].append("n16")
         elif defect == "extra_zero_key":
             snap["probabilities"]["Z"] = 0.0
         else:  # H's mass moves to A, so H is a zero-probability leaf left out
             probs = snap["probabilities"]
             probs["A"] += probs.pop("H")
-        with pytest.raises(error):
+        with pytest.raises(error) as caught:
             AdaptiveTree.from_snapshot(snap)
+        if defect == "too_many_children":
+            assert "has 3 children (2 to arity 2)" in str(caught.value)
 
     def test_tampered_hash_rejected(self, tmp_path, binary_demo_tree):
         snap = binary_demo_tree.to_snapshot()
@@ -1333,6 +1407,6 @@ class TestSnapshots:
     def test_tampered_structure_rejected(self, binary_demo_tree):
         snap = binary_demo_tree.to_snapshot()
         internal = next(n for n in snap["nodes"] if n["kind"] == "internal" and n["id"] != snap["root_id"])
-        snap["nodes"].append(dict(internal, id="dup_parent"))
+        snap["nodes"].append(dict(internal, id=f"n{len(snap['nodes']) + 1}"))  # a second parent, unreachable
         with pytest.raises(StructureError):
             AdaptiveTree.from_snapshot(snap)
