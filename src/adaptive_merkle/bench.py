@@ -82,7 +82,7 @@ def _build_adaptive(dist: Sequence[tuple[str, float]], config: TreeConfig) -> Ad
     # exchange passes (add first, then exchanges).
     order = sorted(dist, key=lambda kv: (-kv[1], kv[0]))
     first_key = order[0][0]
-    grown = build_balanced([(first_key, first_key.encode("utf-8"), 1.0)], config)
+    grown = AdaptiveTree.from_nested(first_key, {first_key: 1.0}, config)
     inserted = {first_key: order[0][1]}
     for key, p in order[1:]:
         inserted[key] = p

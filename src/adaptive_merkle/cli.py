@@ -118,11 +118,9 @@ def _cmd_encode(args) -> int:
     table = coding.huffman_codes(dict(normalized), args.arity)
     if args.format == "codes":
         coding.export_csv(table, args.out)
-    else:
-        payloads = {key: key.encode("utf-8") for key, _ in normalized}
-        balanced = build_balanced([(k, payloads[k], p) for k, p in normalized], TreeConfig(args.arity))
-        adaptive = coding.tree_from_codes(table, payloads)
-        build_mapping(balanced, adaptive).save(args.out)
+    else:  # both trees' payloads are the keys' UTF-8 bytes
+        balanced = build_balanced([(k, k.encode("utf-8"), p) for k, p in normalized], TreeConfig(args.arity))
+        build_mapping(balanced, coding.tree_from_codes(table)).save(args.out)
     return EXIT_OK
 
 
@@ -161,41 +159,41 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_insert)
 
     p = sub.add_parser("optimize", help="exchange leaves or subtrees until no improvement remains")
-    p.add_argument("--snapshot", required=True)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    p.add_argument("--out", required=True)
+    p.add_argument("--snapshot", required=True, help="input tree snapshot")
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS, help="most moves (default %(default)s)")
+    p.add_argument("--out", required=True, help="output snapshot path")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("metrics", help="print k_A, H, delta, and per-leaf discrepancies")
-    p.add_argument("--snapshot", required=True)
-    p.add_argument("--out")
+    p.add_argument("--snapshot", required=True, help="input tree snapshot")
+    p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("prove", help="membership proof for one leaf")
-    p.add_argument("--snapshot", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--out")
+    p.add_argument("--snapshot", required=True, help="input tree snapshot")
+    p.add_argument("--key", required=True, help="key of the leaf to prove")
+    p.add_argument("--out", help="output proof JSON path (default stdout)")
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("verify", help="check a proof against an expected root hash")
     p.add_argument("--proof", required=True, help="proof JSON file")
     p.add_argument("--root", required=True, help="expected root hash, hex")
-    p.add_argument("--arity", type=int, default=2)
+    p.add_argument("--arity", type=int, default=2, help="the verifier's bound on children per node (default 2)")
     p.add_argument("--payload-hex",
                    help="leaf payload, hex: the proof must then also bind its key to this payload")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("encode", help="export Huffman codes or an address map as CSV")
     p.add_argument("--probs", required=True, help="distribution CSV")
-    p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--format", choices=["codes", "map"], default="codes")
-    p.add_argument("--out", required=True)
+    p.add_argument("--arity", type=int, default=2, help="tree arity m (default 2)")
+    p.add_argument("--format", choices=["codes", "map"], default="codes", help="code table or address map CSV")
+    p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("bench", help="compare balanced/adaptive/huffman variants")
     p.add_argument("--dist", required=True, help="distribution CSV")
-    p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--modes", default="balanced,adaptive,huffman")
+    p.add_argument("--arity", type=int, default=2, help="tree arity m (default 2)")
+    p.add_argument("--modes", default="balanced,adaptive,huffman", help="comma-separated variants to compare")
     p.add_argument("--out", required=True, help="variants CSV output")
     p.set_defaults(func=_cmd_bench)
 

@@ -56,9 +56,9 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from ._formats import float_sum
-from .errors import DuplicateKeyError, ProbabilityError, StructureError
+from .errors import StructureError
 from .metrics import MetricsReport, discrepancy_report
-from .tree import AdaptiveTree, _float_copy, check_probabilities, node_label
+from .tree import _KEY_BYTES, AdaptiveTree, _float_copy, check_probabilities, node_label
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "exchange": 3, "no_op": 4}
 
@@ -121,25 +121,17 @@ def enumerate_add_alternatives(
 ) -> list[Alternative]:
     """All ways to place one new leaf, scored under the new distribution.
 
+    The new leaf (payload by default its key's UTF-8 bytes) and the
+    distribution first pass the tree's leaf and cover rules: the listing
+    refuses what ``split_leaf`` and ``set_probabilities`` refuse, alike.
     Reads the tree's depth index and sums the old leaves' share of k_A in
-    key order, as :func:`~adaptive_merkle.metrics.discrepancy_report` does,
-    so a score depends only on each leaf's depth and probability, not on
-    where the leaf sits among its siblings. Only a tree with a free child
-    slot (never a finished m=2 tree) is walked, to find its open nodes."""
-    leaf_by_key, depth = tree._leaf_by_key, tree._depth
-    if new_key in leaf_by_key:
-        raise DuplicateKeyError(f"leaf key {new_key!r} already present")
-    # Key views compare in C without building sets; a mismatch is named below.
-    if not (len(new_probs) == len(leaf_by_key) + 1 and new_key in new_probs
-            and new_probs.keys() >= leaf_by_key.keys()):
-        expected = set(leaf_by_key) | {new_key}
-        raise ProbabilityError(
-            f"new distribution must cover the old leaves plus {new_key!r} "
-            f"(missing {sorted(expected - set(new_probs))}, extra {sorted(set(new_probs) - expected)})"
-        )
+    key order, as the report does, so a score depends only on each leaf's
+    depth and probability, not on its place among its siblings. Only a
+    tree with a free child slot (never a finished m=2 tree) is walked."""
+    new_payload = tree._check_leaf(new_key, _KEY_BYTES if new_payload is None else new_payload)
+    tree._check_cover(new_probs, new_key)
     check_probabilities(new_probs)
-    if new_payload is None:
-        new_payload = new_key.encode("utf-8")
+    leaf_by_key, depth = tree._leaf_by_key, tree._depth
 
     # entropy()'s expression, without its second validation pass; log_base
     # is log2(p) / log2(m), so hoisting log2(m) keeps every bit.

@@ -16,9 +16,9 @@ program (snapshots, CLI JSON, error messages); :meth:`AdaptiveTree.node`
 returns a read-only :class:`NodeView`.
 
 Mutations mark, reads flush. Building and every mutation hash no internal
-node (a leaf is hashed when it is made, by ``_add_leaf_node``, which types a
-malformed one): they add each internal node they create and each parent
-whose children changed to a dirty set. :meth:`AdaptiveTree.root_hash`
+node (a leaf is hashed when it is made, by ``_add_leaf_node``, past
+``_check_leaf``, the one new-leaf rule): they add each internal node they
+create and each parent whose children changed to a dirty set. ``root_hash``
 rehashes the union of the dirty nodes' root paths, each node once, children
 before parents, so an internal node's hash and preimage are current only
 after ``root_hash()``, which ``prove`` and snapshot writing call first.
@@ -66,6 +66,7 @@ MAX_ARITY = 65536  # the binary proof wire's u16 position and sibling count
 
 _LEAF_PREFIX = b"\x00"
 _INTERNAL_PREFIX = b"\x01"
+_KEY_BYTES = object()  # a new leaf's payload that _check_leaf reads as the key's UTF-8 bytes
 
 
 def hash_leaf(key: str, payload: bytes) -> bytes:
@@ -189,21 +190,29 @@ class AdaptiveTree:
         self._payload.append(payload)
         return nid
 
-    def _add_leaf_node(self, key: str, payload: bytes, depth: int) -> int:
-        # from_nested, split_leaf and attach_leaf make every leaf here, so one
-        # rule types a malformed one, and a refused leaf leaves the tree as it was.
+    def _check_leaf(self, key: str, payload: bytes) -> bytes:
+        # The one rule for a new leaf, for _add_leaf_node and the add listing: a
+        # new str key that encodes as UTF-8 and a payload of exactly bytes (a mutable
+        # buffer could change under its hash). Returns the payload; changes nothing.
         try:
             if key in self._leaf_by_key:
                 raise DuplicateKeyError(f"leaf key {key!r} already present")
-            # a mutable buffer could change under its hash and break the snapshot
-            if not isinstance(payload, bytes):
+            if payload is _KEY_BYTES:
+                return key.encode("utf-8")
+            if type(payload) is not bytes:
                 raise StructureError(f"payload of leaf {key!r} is not bytes: {type(payload).__name__}")
-            digest = hash_leaf(key, payload)
+            if not (isinstance(key, str) and key.isascii()):  # an ASCII str always encodes
+                key.encode("utf-8")
         except UnicodeEncodeError as exc:  # a str may hold a lone surrogate
             raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
         except (AttributeError, TypeError):  # no str.encode, or unhashable
             raise StructureError(f"leaf key {key!r} is not a str") from None
-        self._leaf_by_key[key] = nid = self._append(None, depth, digest, key, payload)
+        return payload
+
+    def _add_leaf_node(self, key: str, payload: bytes, depth: int) -> int:
+        # from_nested, split_leaf and attach_leaf make every leaf here
+        payload = self._check_leaf(key, payload)
+        self._leaf_by_key[key] = nid = self._append(None, depth, hash_leaf(key, payload), key, payload)
         return nid
 
     def _add_internal_node(self, child_ids: list[int], depth: int) -> int:
@@ -244,8 +253,7 @@ class AdaptiveTree:
             while True:
                 for spec in specs:
                     if isinstance(spec, str):
-                        # surrogatepass lets a lone surrogate through to _add_leaf_node's UTF-8 rule
-                        payload = spec.encode("utf-8", "surrogatepass") if payloads is None else payloads[spec]
+                        payload = _KEY_BYTES if payloads is None else payloads[spec]
                         built.append(tree._add_leaf_node(spec, payload, depth))
                     else:
                         if not 1 <= len(spec) <= config.arity:
@@ -356,9 +364,9 @@ class AdaptiveTree:
         The target's depth grows by exactly one; every other depth is
         unchanged. The new leaf starts with probability 0; callers normally
         follow up with :meth:`set_probabilities`. A key that is not a str or
-        a payload that is not bytes-like raises :class:`StructureError`, a key
-        that is not valid UTF-8 :class:`FormatError`, and the tree is left
-        as it was.
+        a payload that is not exactly bytes raises :class:`StructureError`, a
+        key that is not valid UTF-8 :class:`FormatError`, a key already
+        present :class:`DuplicateKeyError`, and the tree is left as it was.
         """
         target = self._leaf_id(target_key)
         parent, depth = self._parent[target], self._depth[target]
@@ -472,12 +480,16 @@ class AdaptiveTree:
         check_probabilities(probs)
         self._probabilities = _float_copy(probs)
 
-    def _check_cover(self, probs: Mapping[str, float]) -> None:
-        # The one cover rule, for set_probabilities, from_snapshot and validate().
-        leaves = self._leaf_by_key.keys()
-        if probs.keys() != leaves:
-            missing, extra = sorted(leaves - probs.keys()), sorted(probs.keys() - leaves, key=str)  # any key type
-            raise ProbabilityError(f"probability keys do not match tree leaves (missing {missing}, extra {extra})")
+    def _check_cover(self, probs: Mapping[str, float], new_key: str | None = None) -> None:
+        # The one cover rule, for set_probabilities, from_snapshot, validate() and the
+        # add listing (its new key too); key views compare in C, without building sets.
+        keys, leaves = probs.keys(), self._leaf_by_key.keys()
+        if (keys == leaves if new_key is None
+                else len(keys) == len(leaves) + 1 and new_key in keys and keys >= leaves):
+            return
+        expected = leaves if new_key is None else leaves | {new_key}
+        missing, extra = sorted(expected - keys), sorted(keys - expected, key=str)  # any key type
+        raise ProbabilityError(f"probability keys do not match tree leaves (missing {missing}, extra {extra})")
 
     # -- copying / integrity ----------------------------------------------------
 
@@ -635,8 +647,8 @@ class AdaptiveTree:
             if stored_hex[nid] is not None:
                 raise StructureError(f"duplicate node id {label!r} in snapshot")
             stored_hex[nid] = spec["hash_hex"]
-            if kind == "leaf":
-                tree._key[nid], tree._payload[nid] = spec["key"], payload
+            if kind == "leaf":  # the new-leaf rule types a key that is not UTF-8
+                tree._key[nid], tree._payload[nid] = spec["key"], tree._check_leaf(spec["key"], payload)
             else:  # a label naming no node stays a str, which the walk refuses
                 tree._children[nid] = [ids.get(cid, cid) for cid in spec["children"]]
         tree.root_id = ids.get(root_id, root_id)  # as a child label: the walk refuses a str
@@ -645,10 +657,7 @@ class AdaptiveTree:
         tree._check_cover(probabilities)
         check_probabilities(probabilities)
         tree._probabilities = probabilities
-        try:
-            tree._hash_children_first(preorder)
-        except UnicodeEncodeError as exc:  # a JSON string may hold a lone surrogate
-            raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
+        tree._hash_children_first(preorder)
         for nid in reversed(preorder):
             if tree._hash[nid].hex() != stored_hex[nid]:
                 raise StructureError(f"hash mismatch for node {node_label(nid)!r} in snapshot")

@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from ._formats import csv_probability, float_sum, read_csv
@@ -15,13 +16,13 @@ from .tree import check_probabilities
 
 @dataclass
 class AccessTrace:
-    """Ordered access events and their per-key counts, counted at construction."""
+    """Ordered access events; their per-key ``counts`` are counted when first read."""
 
     events: list[str] = field(default_factory=list)
-    counts: Counter = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.counts = Counter(self.events)
+    @cached_property
+    def counts(self) -> Counter:
+        return Counter(self.events)
 
 
 def estimate_probabilities(trace: AccessTrace) -> dict[str, float]:

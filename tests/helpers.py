@@ -24,7 +24,7 @@ from adaptive_merkle.cli import main
 from adaptive_merkle.errors import DuplicateKeyError, ProbabilityError
 from adaptive_merkle.proofs import ProofStep
 from adaptive_merkle.restructure import Alternative
-from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities
+from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
 from adaptive_merkle.workload import zipf_distribution
 
 
@@ -424,7 +424,7 @@ def reference_add_alternatives(tree, new_key, new_probs, new_payload=None) -> li
     expected = set(depths) | {new_key}
     if set(new_probs) != expected:
         raise ProbabilityError(
-            f"new distribution must cover the old leaves plus {new_key!r} "
+            f"probability keys do not match tree leaves "
             f"(missing {sorted(expected - set(new_probs))}, extra {sorted(set(new_probs) - expected)})"
         )
     check_probabilities(new_probs)
@@ -488,3 +488,46 @@ def write_seeded_zipf_outputs(directory, n: int, m: int, seed: int) -> None:
     balanced = build_balanced([(key, payloads[key], p) for key, p in dist], TreeConfig(m))
     build_mapping(balanced, adaptive).save(Path(directory) / "map.csv")
     adaptive.save(Path(directory) / "snapshot.json")
+
+
+# (name, key, payload) of each leaf vector in fixtures/vectors.json
+LEAF_VECTORS = [
+    ("ascii key", "A", b"A"),
+    ("multi-byte UTF-8 key", "clé-木-\U0001f333", b"\x00\xff"),
+    ("empty payload", "k", b""),
+    ("key ab, payload c: the same preimage as the next vector", "ab", b"c"),
+    ("key a, payload bc: the same preimage as the previous vector", "a", b"bc"),
+]
+# (tree, leaf keys to prove) of each proof vector; payloads are the keys' UTF-8 bytes
+PROOF_VECTORS = [("binary_demo_tree", ["A", "G"]), ("quad_demo_tree", ["A", "E"])]
+
+
+def encoding_vectors(trees: dict[str, AdaptiveTree]) -> dict:
+    """The contents of ``fixtures/vectors.json``, from the library's own
+    ``hash_leaf``, ``hash_internal`` and ``prove(...).to_bytes()`` on the
+    conftest demo trees (``trees`` maps each fixture name to its tree)."""
+    leaf = [
+        {"name": name, "key": key, "payload_hex": payload.hex(),
+         "preimage_hex": (b"\x00" + key.encode("utf-8") + payload).hex(),
+         "digest_hex": hash_leaf(key, payload).hex()}
+        for name, key, payload in LEAF_VECTORS
+    ]
+    binary, quad = trees["binary_demo_tree"], trees["quad_demo_tree"]
+    internal = []
+    for name, tree, nid in [
+        ("two children: A and H of binary_demo_tree", binary, binary.parent_id(binary.leaf_node("A").node_id)),
+        ("three children: B, E and F of quad_demo_tree", quad, quad.parent_id(quad.leaf_node("E").node_id)),
+        ("four children: the root of quad_demo_tree", quad, quad.root_id),
+    ]:
+        tree.root_hash()
+        children = [tree.node(cid).hash for cid in tree.node(nid).children]
+        internal.append({"name": name, "children_hex": [c.hex() for c in children],
+                         "preimage_hex": (b"\x01" + b"".join(children)).hex(),
+                         "digest_hex": hash_internal(children).hex()})
+    proofs = [
+        {"tree": name, "arity": trees[name].config.arity, "key": key, "payload_hex": key.encode("utf-8").hex(),
+         "root_hex": trees[name].root_hash().hex(), "wire_hex": prove(trees[name], key).to_bytes().hex()}
+        for name, keys in PROOF_VECTORS
+        for key in keys
+    ]
+    return {"leaf": leaf, "internal": internal, "proofs": proofs}

@@ -80,6 +80,12 @@ class TestBuildMapping:
         with pytest.raises(StructureError, match="duplicate addresses"):
             AddressTable([record, record])
 
+    def test_adaptive_codes_not_prefix_free_rejected(self):
+        # "0" is a prefix of "01": no tree puts one leaf above another
+        records = [AddressRecord("A", 0.5, "0", "0"), AddressRecord("B", 0.5, "1", "01")]
+        with pytest.raises(StructureError, match="^adaptive codes are not prefix-free$"):
+            AddressTable(records)
+
     def test_adaptive_codes_prefix_free(self, demo16_trees):
         table = build_mapping(*demo16_trees)
         assert is_prefix_free([r.adaptive_code for r in table.records])

@@ -363,3 +363,16 @@ def test_unparseable_input_exit_2(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_option_has_help():
+    # argparse keeps each subcommand's parser in the subparsers action's choices
+    (commands,) = [action for action in cli_mod._build_parser()._actions if action.choices]
+    missing = [
+        f"{name} {action.option_strings[-1]}"
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if action.option_strings and not (action.help or "").strip()
+    ]
+    assert len(commands.choices) == 9
+    assert missing == []

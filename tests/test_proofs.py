@@ -23,7 +23,7 @@ from adaptive_merkle.proofs import ProofStep, verification_cost
 from adaptive_merkle.tree import MAX_ARITY, hash_internal, hash_leaf
 from adaptive_merkle.workload import generate_trace, normalize_distribution, zipf_distribution
 
-from helpers import old_readable_view, random_tree, split_digests
+from helpers import encoding_vectors, old_readable_view, random_tree, split_digests
 
 TOL = 1e-9
 
@@ -670,3 +670,21 @@ class TestWireSize:
             readable += sizes[key][1]
         assert binary / 10**4 <= 1150
         assert binary <= 0.5 * readable
+
+
+class TestFrozenVectors:
+    """The library reproduces ``fixtures/vectors.json``, which
+    ``test_vectors.py`` re-derives without it."""
+
+    def test_library_writes_the_vector_file(self, fixtures_dir, binary_demo_tree, quad_demo_tree):
+        trees = {"binary_demo_tree": binary_demo_tree, "quad_demo_tree": quad_demo_tree}
+        frozen = json.loads((fixtures_dir / "vectors.json").read_text(encoding="utf-8"))
+        assert encoding_vectors(trees) == frozen
+
+    def test_library_reads_and_verifies_the_vector_proofs(self, fixtures_dir, binary_demo_tree, quad_demo_tree):
+        trees = {"binary_demo_tree": binary_demo_tree, "quad_demo_tree": quad_demo_tree}
+        for vector in json.loads((fixtures_dir / "vectors.json").read_text(encoding="utf-8"))["proofs"]:
+            wire, root = bytes.fromhex(vector["wire_hex"]), bytes.fromhex(vector["root_hex"])
+            proof = MerkleProof.from_bytes(wire)
+            assert proof == prove(trees[vector["tree"]], vector["key"]) and proof.to_bytes() == wire
+            assert verify(proof, root, vector["arity"], payload=bytes.fromhex(vector["payload_hex"]))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from adaptive_merkle import (
     AdaptiveTree,
     DuplicateKeyError,
+    FormatError,
     ProbabilityError,
     StructureError,
     TreeConfig,
@@ -371,6 +372,19 @@ class TestAddScoresIgnoreSiblingOrder:
             ]
 
 
+# case: (new key, payload); None is the listing's default payload, the key's
+# UTF-8 bytes
+MALFORMED_NEW_LEAVES = {
+    "int_key": (5, None),
+    "none_key": (None, None),
+    "list_key": (["x"], None),
+    "lone_surrogate_key": ("\ud800", None),
+    "existing_key": ("A", None),
+    "str_payload": ("C", "str"),
+    "bytearray_payload": ("C", bytearray(b"x")),
+}
+
+
 class TestAddKeyChecks:
     """The messages name the keys that are missing and the ones that are extra."""
 
@@ -386,13 +400,40 @@ class TestAddKeyChecks:
         ids=["old_leaf_missing", "extra_key", "new_key_missing", "new_key_replaced", "old_leaf_replaced"],
     )
     def test_distribution_mismatch_message(self, probs, missing, extra):
-        message = f"new distribution must cover the old leaves plus 'C' (missing {missing}, extra {extra})"
+        message = f"probability keys do not match tree leaves (missing {missing}, extra {extra})"
         with pytest.raises(ProbabilityError, match=f"^{re.escape(message)}$"):
             enumerate_add_alternatives(two_leaf_tree(), "C", probs)
 
     def test_new_key_already_a_leaf(self):
         with pytest.raises(DuplicateKeyError, match="^leaf key 'A' already present$"):
             enumerate_add_alternatives(two_leaf_tree(), "A", {"A": 0.5, "B": 0.25, "C": 0.25})
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NEW_LEAVES))
+    def test_malformed_new_leaf_refused_as_the_tree_refuses_it(self, case):
+        # The listing takes the tree's one leaf rule: the same typed error and
+        # message as split_leaf and attach_leaf, with its default payload or
+        # an explicit one, and the tree left as it was.
+        key, payload = MALFORMED_NEW_LEAVES[case]
+        tree = AdaptiveTree.from_nested(["A", "B"], {"A": 0.5, "B": 0.5}, TreeConfig(3))
+        before = tree.to_snapshot()
+        probs = {"A": 0.25, "B": 0.25}
+        if key.__hash__ is not None:  # a list key can name no probability
+            probs[key] = 0.5
+        given = b"p" if payload is None else payload
+        calls = [
+            lambda: enumerate_add_alternatives(tree, key, probs, payload),
+            lambda: enumerate_add_alternatives(tree, key, probs, given),
+            lambda: tree.split_leaf("A", key, given),
+            lambda: tree.attach_leaf(tree.root_id, key, given),
+        ]
+        refusals = set()
+        for call in calls:
+            with pytest.raises(Exception) as info:
+                call()
+            refusals.add((type(info.value), str(info.value)))
+            assert tree.to_snapshot() == before
+        ((error, _),) = refusals
+        assert error in (DuplicateKeyError, StructureError, FormatError)
 
     @pytest.mark.parametrize(
         "probs, missing, extra",
@@ -426,6 +467,11 @@ class TestRecords:
         alt = enumerate_add_alternatives(two_leaf_tree(), "C", {"A": 0.5, "B": 0.25, "C": 0.25})[0]
         with pytest.raises(AttributeError):
             setattr(alt, field, None)
+
+    def test_no_op_json_has_no_target(self, binary_demo_tree):
+        # the audit listing ends with the no-op, which carries the current delta
+        no_op = enumerate_swap_alternatives(binary_demo_tree)[-1]
+        assert no_op.to_json_dict() == {"kind": "no_op", "target": None, "delta": 0.25}
 
     def test_outcome_json_unchanged_on_the_demo_trees(self, binary_demo_tree, quad_demo_tree):
         assert [o.to_json_dict() for o in optimize_leaf_swaps(binary_demo_tree)] == [
@@ -657,6 +703,19 @@ class TestSwapFreeExit:
         assert len(optimize_swaps(uncapped)) == 5
         assert round(discrepancy_report(resumed).k_a, 4) == 3.6242
         assert round(discrepancy_report(uncapped).k_a, 4) == 3.6047
+
+    def test_grown_m4_tree_stops_above_huffman(self, monkeypatch):
+        # What the leaf-only exit costs, pinned so that a change to the exit
+        # changes it on purpose: hottest-first Zipf(1.1) growth at n=128, m=4
+        # ends at 1.2385 x Huffman's k_A, since an insertion that leaves the
+        # tree swap-free by its leaves skips every subtree exchange, helpful
+        # or not. Exchanging after every insertion, with no exit, ends at 1.0015.
+        keys = [f"k{i:03d}" for i in range(128)]
+        probs = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
+        huffman = huffman_codes(probs, 4).avg_length
+        assert round(discrepancy_report(grown_tree(probs, 4)).k_a / huffman, 4) == 1.2385
+        monkeypatch.setattr(restructure_mod, "_swap_free", lambda tree: False)
+        assert round(discrepancy_report(grown_tree(probs, 4)).k_a / huffman, 4) == 1.0015
 
     def test_not_swap_free_takes_the_full_path(self, monkeypatch, binary_demo_tree):
         reports = counting(monkeypatch, "discrepancy_report")

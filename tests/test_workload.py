@@ -1,9 +1,12 @@
 """Probability estimation and synthetic distribution generators."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adaptive_merkle.workload as workload_mod
 from adaptive_merkle import FormatError, ProbabilityError
 from adaptive_merkle.metrics import entropy
 from adaptive_merkle.workload import (
@@ -50,6 +53,17 @@ class TestEstimateProbabilities:
     def test_counts_consistent_with_events(self):
         trace = AccessTrace(["A", "B", "A", "C", "A"])
         assert trace.counts == {"A": 3, "B": 1, "C": 1}
+
+    def test_counts_when_first_read_and_once(self, monkeypatch):
+        # serve's set-up makes a 100k-event trace and never reads its counts;
+        # drift's reshape reads the same trace every round and counts it once.
+        made = []
+        monkeypatch.setattr(workload_mod, "Counter", lambda events: made.append(1) or Counter(events))
+        trace = generate_trace({"A": 0.5, "B": 0.5}, 100, seed=3)
+        assert made == []
+        first = estimate_probabilities(trace)
+        assert estimate_probabilities(trace) == first and trace.counts == Counter(trace.events)
+        assert made == [1]
 
     def test_constructed_from_events(self):
         assert estimate_probabilities(AccessTrace(["A", "B", "A"])) == {"A": 2 / 3, "B": 1 / 3}
