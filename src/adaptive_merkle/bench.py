@@ -114,7 +114,7 @@ def run_bench(
     normalized = normalize_distribution(dist)
     config = TreeConfig(m)
 
-    balanced = build_balanced([(key, key.encode("utf-8"), p) for key, p in normalized], config)
+    balanced = build_balanced([(key, None, p) for key, p in normalized], config)
     baseline_k = discrepancy_report(balanced).k_a
 
     trees: dict[str, AdaptiveTree] = {}
@@ -176,7 +176,7 @@ class ReplayResult:
 def replay_iterations(script: ReplayScript) -> ReplayResult:
     """Run a script from its initial balanced tree; one record per step."""
     config = TreeConfig(script.arity)
-    leaves = [(key, key.encode("utf-8"), script.initial_probs[key]) for key in script.initial_leaves]
+    leaves = [(key, None, script.initial_probs[key]) for key in script.initial_leaves]
     tree = build_balanced(leaves, config)
 
     records: list[IterationRecord] = []

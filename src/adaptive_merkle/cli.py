@@ -56,7 +56,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_build(args) -> int:
     dist = workload.normalize_distribution(workload.load_distribution_csv(args.probs))
-    leaves = [(key, key.encode("utf-8"), p) for key, p in dist]
+    leaves = [(key, None, p) for key, p in dist]
     tree = build_balanced(leaves, TreeConfig(args.arity))
     tree.save(args.out)
     return EXIT_OK
@@ -119,7 +119,7 @@ def _cmd_encode(args) -> int:
     if args.format == "codes":
         coding.export_csv(table, args.out)
     else:  # both trees' payloads are the keys' UTF-8 bytes
-        balanced = build_balanced([(k, k.encode("utf-8"), p) for k, p in normalized], TreeConfig(args.arity))
+        balanced = build_balanced([(k, None, p) for k, p in normalized], TreeConfig(args.arity))
         build_mapping(balanced, coding.tree_from_codes(table)).save(args.out)
     return EXIT_OK
 

@@ -554,7 +554,7 @@ class AdaptiveTree:
                 if key is None or payloads[nid] is None:
                     raise StructureError(f"leaf {node_label(nid)!r} missing key or payload")
                 if key in leaf_by_key:
-                    raise DuplicateKeyError(f"duplicate leaf key {key!r}")
+                    raise DuplicateKeyError(f"leaf key {key!r} already present")
                 leaf_by_key[key] = nid
                 continue
             if not 2 <= len(children) <= m:
@@ -675,10 +675,11 @@ class AdaptiveTree:
 
 
 def build_balanced(
-    leaves: Sequence[tuple[str, bytes, float]],
+    leaves: Sequence[tuple[str, bytes | None, float]],
     config: TreeConfig,
 ) -> AdaptiveTree:
-    """Build a complete-as-possible m-ary tree over ``(key, payload, p)`` triples.
+    """Build a complete-as-possible m-ary tree over ``(key, payload, p)`` triples;
+    a payload of ``None`` stands for the key's UTF-8 bytes.
 
     Leaf order is preserved left to right and surplus leaves are spread evenly,
     so n = m^d leaves all land at depth d and other counts differ by at most
@@ -703,5 +704,5 @@ def build_balanced(
         split(0, len(keys)),
         {key: p for key, _, p in leaves},
         config,
-        {key: payload for key, payload, _ in leaves},
+        {key: _KEY_BYTES if payload is None else payload for key, payload, _ in leaves},
     )

@@ -154,10 +154,10 @@ def old_readable_view(proof: MerkleProof, form: str) -> dict:
     return {"key": proof.key, "leaf_hash_hex": proof.leaf_hash.hex(), "steps": steps}
 
 
-def reference_prove(tree: AdaptiveTree, key: str) -> MerkleProof:
-    """The proof gathered one child hash at a time and joined per step: the
-    oracle for ``prove``, which slices each step out of the parent's stored
-    preimage."""
+def reference_fields(tree: AdaptiveTree, key: str) -> tuple[str, bytes, tuple[ProofStep, ...]]:
+    """A proof's key, leaf hash and steps, gathered one child hash at a time
+    through node views and joined per step: the oracle for ``prove``, which
+    writes the wire straight from the parents' stored preimages."""
     leaf = tree.leaf_node(key)
     steps = []
     nid = leaf.node_id
@@ -168,7 +168,12 @@ def reference_prove(tree: AdaptiveTree, key: str) -> MerkleProof:
         del siblings[position]
         steps.append(ProofStep(position, b"".join(siblings)))
         nid = parent.node_id
-    return MerkleProof(key, leaf.hash, tuple(steps))
+    return key, leaf.hash, tuple(steps)
+
+
+def reference_prove(tree: AdaptiveTree, key: str) -> MerkleProof:
+    """The proof built from :func:`reference_fields` by the field constructor."""
+    return MerkleProof(*reference_fields(tree, key))
 
 
 def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | None = None) -> AdaptiveTree:

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import adaptive_merkle.cli as cli_mod
-from adaptive_merkle import AdaptiveTree, optimize_swaps, prove
+from adaptive_merkle import AdaptiveTree, MerkleProof, optimize_swaps, prove
 from adaptive_merkle.cli import main
 
 from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_readable_view, random_tree
@@ -179,7 +179,8 @@ def test_verify_payload_binds_json_proof(tmp_path, snapshot, capsys):
     assert main(["prove", "--snapshot", str(snapshot), "--key", "A", "--out", str(proof_path)]) == 0
     root = AdaptiveTree.load(snapshot).root_hash().hex()
     assert main(["verify", "--proof", str(proof_path), "--root", root, "--payload-hex", "41"]) == 0
-    relabelled = prove(AdaptiveTree.load(snapshot), "A")._replace(key="B")
+    proof = prove(AdaptiveTree.load(snapshot), "A")
+    relabelled = MerkleProof("B", proof.leaf_hash, proof.steps)
     proof_path.write_bytes(relabelled.to_json_bytes() + b"\n")
     assert main(["verify", "--proof", str(proof_path), "--root", root]) == 0  # unbound: relabel passes
     assert main(["verify", "--proof", str(proof_path), "--root", root, "--payload-hex", "41"]) == 3

@@ -13,6 +13,18 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 # the proof layers serve and drift run once per read, in call order
 PROOF_LAYERS = ("proofs.prove.s", "proofs.to_json_bytes.s", "proofs.from_json_dict.s", "proofs.verify.s")
+# The count metrics of an untraced ``--tiny --seed 1`` run, recorded before
+# proofs were held as their wire bytes. They depend only on the trees, the
+# traces and the proof wire, so a change of how a proof is represented or
+# served must leave them exactly as they are.
+COUNT_METRICS = {
+    "serve": {"hashes_per_proof": 1.7366666666666666, "proof_bytes": 883.5466666666666,
+              "huffman_ratio": 1.0000000000000009},
+    "grow": {"hashes_per_proof": 4.127001383387759, "proof_bytes": 189.57204980195934,
+             "huffman_ratio": 1.1124293537107672},
+    "drift": {"hashes_per_proof": 2.2066666666666666, "proof_bytes": 260.81333333333333,
+              "huffman_ratio": 1.0139521524088924},
+}
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -27,7 +39,11 @@ def test_every_workload_runs_and_checks_out(trace):
     assert len(results) == 3
     for result in results:
         assert result["correct"] is True and result["failed"] == 0, result
-    if trace:
+    if not trace:
+        for name, result in zip(COUNT_METRICS, results):
+            counts = {metric: result["metrics"][metric]["value"] for metric in COUNT_METRICS[name]}
+            assert counts == COUNT_METRICS[name], name
+    else:
         # results come in serve, grow, drift order; a reader loop that went
         # round a wrapped name would read 0 here instead of failing
         for result in (results[0], results[2]):

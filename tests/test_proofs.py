@@ -1,6 +1,8 @@
 """Proof generation, verification, mutation fuzzing, and cost accounting."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -19,11 +21,11 @@ from adaptive_merkle import (
     verify,
 )
 import adaptive_merkle.proofs as proofs_mod
-from adaptive_merkle.proofs import ProofStep, verification_cost
+from adaptive_merkle.proofs import ProofStep, VerificationCost, verification_cost
 from adaptive_merkle.tree import MAX_ARITY, hash_internal, hash_leaf
 from adaptive_merkle.workload import generate_trace, normalize_distribution, zipf_distribution
 
-from helpers import encoding_vectors, old_readable_view, random_tree, split_digests
+from helpers import apply_ops, encoding_vectors, old_readable_view, random_tree, reference_fields, split_digests
 
 TOL = 1e-9
 
@@ -106,30 +108,30 @@ class TestVerify:
 
     def test_malformed_index_out_of_range(self):
         # the path node's child index can only slot in before, between or
-        # after the siblings
+        # after the siblings; -1 cannot be encoded, so that proof is refused
+        # when it is made
         for position in [-1, 3, 4]:
             step = ProofStep(position, b"\x00" * 32 + b"\x22" * 32)
-            proof = MerkleProof("A", b"\x11" * 32, (step,))
             with pytest.raises(MalformedProofError):
-                verify(proof, b"\x00" * 32, 4)
+                verify(MerkleProof("A", b"\x11" * 32, (step,)), b"\x00" * 32, 4)
 
     def test_malformed_digest_size(self):
-        # sibling bytes that do not split into whole 32-byte digests
+        # sibling bytes that do not split into whole 32-byte digests, and a
+        # short leaf hash, are refused when the proof is made
         for size in [1, 31, 33, 63, 65]:
-            proof = MerkleProof("A", b"\x11" * 32, (ProofStep(0, b"\x00" * size),))
-            with pytest.raises(MalformedProofError):
-                verify(proof, b"\x00" * 32, 4)
-        with pytest.raises(MalformedProofError):
-            verify(MerkleProof("A", b"\x11" * 31, ()), b"\x11" * 31, 2)
+            with pytest.raises(MalformedProofError, match="cannot be encoded"):
+                MerkleProof("A", b"\x11" * 32, (ProofStep(0, b"\x00" * size),))
+        with pytest.raises(MalformedProofError, match="cannot be encoded"):
+            MerkleProof("A", b"\x11" * 31, ())
         with pytest.raises(MalformedProofError):
             verify(MerkleProof("A", b"\x11" * 32, ()), b"\x11" * 31, 2)
 
     @pytest.mark.parametrize("position", [1.0, True])
     def test_position_not_int_raises_malformed(self, position):
-        # both pass 0 <= position <= count; a float cannot slice the siblings
-        proof = MerkleProof("A", b"\x11" * 32, (ProofStep(position, b"\x00" * 64),))
-        with pytest.raises(MalformedProofError, match="expected int"):
-            verify(proof, b"\x00" * 32, 4)
+        # both pass 0 <= position <= count; the wire has only int positions,
+        # so the proof is refused when it is made
+        with pytest.raises(MalformedProofError, match=r"cannot be encoded: step of types \((float|bool), bytes\)"):
+            MerkleProof("A", b"\x11" * 32, (ProofStep(position, b"\x00" * 64),))
 
     @pytest.mark.parametrize(
         "siblings",
@@ -137,9 +139,8 @@ class TestVerify:
         ids=["tuple", "list", "bytearray", "hex-str", "none"],
     )
     def test_siblings_not_bytes_raise_malformed(self, siblings):
-        proof = MerkleProof("A", b"\x11" * 32, (ProofStep(0, siblings),))
-        with pytest.raises(MalformedProofError, match="expected bytes"):
-            verify(proof, b"\x00" * 32, 2)
+        with pytest.raises(MalformedProofError, match=r"cannot be encoded: step of types \(int, \w+\)"):
+            MerkleProof("A", b"\x11" * 32, (ProofStep(0, siblings),))
 
     @pytest.mark.parametrize(
         "leaf_hash, steps, root",
@@ -166,6 +167,19 @@ class TestVerify:
         proof = prove(tree, "D")
         steps = [(position, siblings) for position, siblings in proof.steps]
         assert verify(MerkleProof("D", proof.leaf_hash, steps), tree.root_hash(), 3)
+
+    @pytest.mark.parametrize("not_a_proof", [("A", b"x" * 32, ()), {"wire_hex": "01"}, None],
+                             ids=["tuple", "dict", "none"])
+    def test_non_proof_raises_malformed(self, not_a_proof):
+        with pytest.raises(MalformedProofError, match="expected MerkleProof"):
+            verify(not_a_proof, b"x" * 32, 2)
+        with pytest.raises(MalformedProofError, match="expected MerkleProof"):
+            verification_cost(not_a_proof)
+
+    @pytest.mark.parametrize("arity", ["4", None, b"\x04"], ids=["str", "none", "bytes"])
+    def test_arity_not_a_number_raises_malformed(self, binary_demo_tree, arity):
+        with pytest.raises(MalformedProofError, match="cannot bound a step"):
+            verify(prove(binary_demo_tree, "C"), binary_demo_tree.root_hash(), arity)
 
     def test_wrong_payload_never_verifies(self):
         # soundness fuzz: proofs for altered leaf data must fail
@@ -224,14 +238,12 @@ class TestWireFormat:
 
     @pytest.mark.parametrize("position", [True, False, 1.7, "1"])
     def test_non_integer_position_raises_malformed(self, binary_demo_tree, position):
-        # a hand-built non-integer position fails verify, and the writer
-        # refuses it too, so it cannot come back from the wire as an int
+        # a hand-built non-integer position is refused when the proof is
+        # made, so it can neither be verified nor written as an int
         proof = prove(binary_demo_tree, "C")
-        bad = proof._replace(steps=(proof.steps[0]._replace(position=position),) + proof.steps[1:])
-        with pytest.raises(MalformedProofError):
-            verify(bad, binary_demo_tree.root_hash(), 2)
+        steps = ((position, proof.steps[0].siblings),) + proof.steps[1:]
         with pytest.raises(MalformedProofError, match="cannot be encoded"):
-            bad.to_json_bytes()
+            MerkleProof(proof.key, proof.leaf_hash, steps)
 
     def test_non_string_key_raises_malformed(self, binary_demo_tree):
         # the wire's key bytes are not UTF-8: there is no string to read
@@ -347,9 +359,9 @@ class TestProofMutation:
                 extra = data.draw(st.binary(min_size=32, max_size=32))
                 digests[k].insert(data.draw(st.integers(0, len(digests[k]))), extra)
         steps = [ProofStep(position, b"".join(step)) for position, step in zip(positions, digests)]
-        bad = MerkleProof(proof.key, leaf_hash, tuple(steps))
-        assert bad != proof
-        try:
+        try:  # a negative position is refused when the proof is made
+            bad = MerkleProof(proof.key, leaf_hash, tuple(steps))
+            assert bad != proof
             assert verify(bad, tree.root_hash(), m) is False
         except MalformedProofError:
             pass
@@ -389,6 +401,79 @@ class TestTracerCounts:
                 assert len(calls) == len(proof.steps)
 
 
+# Every kind of op helpers.apply_ops knows that changes the tree or copies it.
+mutating_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["split", "attach", "swap", "swap_nodes", "move", "recompute", "probabilities", "optimize",
+                         "clone", "snapshot"]),
+        st.integers(0, 999),
+        st.integers(0, 999),
+    ),
+    max_size=10,
+)
+
+
+class TestWriterOracle:
+    """``prove`` writes the wire straight from the tree's stored preimages and
+    records the step offsets as it goes. After any sequence of mutations, its
+    proof of every leaf equals the reader's reading of that wire, the field
+    constructor's proof of the reference fields and the struct-only encoding
+    of those fields, in wire, key, leaf hash, steps and cost alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        # apply_ops names new leaves "x000", "x001", ...
+        st.lists(st.text(KEY_CHARS, max_size=4).filter(lambda k: not k.startswith("x")), min_size=1, max_size=12,
+                 unique=True),
+        st.sampled_from([2, 3, 4, 16]),
+        mutating_ops,
+    )
+    def test_prove_equals_every_other_route(self, seed, keys, m, ops):
+        def check(tree):
+            for key in tree.leaf_keys():
+                proof = prove(tree, key)  # flushes a dirty tree before the reference reads it
+                fields = reference_fields(tree, key)
+                wire = reference_wire(*fields)
+                expected = (wire, *fields, VerificationCost(len(fields[2]), len(wire)))
+                for other in (proof, MerkleProof.from_bytes(proof.to_bytes()), MerkleProof(*fields)):
+                    got = (other.to_bytes(), other.key, other.leaf_hash, other.steps, verification_cost(other))
+                    assert got == expected
+                    assert other == proof and hash(other) == hash(proof)
+
+        tree = random_tree(random.Random(seed), len(keys), m, {key: 1.0 / len(keys) for key in keys})
+        check(tree)
+        apply_ops(tree, ops, check)
+
+    def test_serve_access_builds_no_step_record(self, monkeypatch, quad_demo_tree):
+        # one access as the benchmark serves it: prove, the JSON envelope,
+        # json.loads, the reader and verify; ``steps`` is for readers only
+        built = []
+        original = ProofStep.__new__
+
+        def counting(cls, *args):
+            built.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(ProofStep, "__new__", counting)
+        root = quad_demo_tree.root_hash()
+        for key in quad_demo_tree.leaf_keys():
+            proof = prove(quad_demo_tree, key)
+            received = MerkleProof.from_json_dict(json.loads(proof.to_json_bytes()))
+            assert verify(received, root, 4, payload=key.encode())
+            assert verification_cost(received).hash_invocations > 0
+        assert built == []
+        assert received.steps and len(built) == len(received.steps)  # the counter sees a real build
+
+    def test_wire_is_kept_not_rewritten(self, quad_demo_tree):
+        proof = prove(quad_demo_tree, "E")
+        wire = proof.to_bytes()
+        assert proof.to_bytes() is wire
+        received = MerkleProof.from_bytes(wire)
+        assert received.to_bytes() is wire
+        assert received.to_json_bytes() == proof.to_json_bytes() == b'{"wire_hex":"' + wire.hex().encode() + b'"}'
+
+
 class TestRecords:
     """Proof records are immutable values: equal fields, equal and
     equally hashed records, however they were built."""
@@ -413,11 +498,18 @@ class TestRecords:
             assert hash(received) == hash(proof)
             assert {proof, received, prove(quad_demo_tree, key)} == {proof}
 
+    def test_copies_and_pickles_go_through_the_reader(self, quad_demo_tree):
+        proof = prove(quad_demo_tree, "E")
+        for copied in (copy.copy(proof), copy.deepcopy(proof), pickle.loads(pickle.dumps(proof))):
+            assert copied == proof and copied.steps == proof.steps
+            assert verify(copied, quad_demo_tree.root_hash(), 4, payload=b"E")
+        assert repr(proof) == f"MerkleProof.from_bytes({proof.to_bytes()!r})"
+
     def test_non_string_key_not_written(self):
-        # from_json_dict never yields such a key: a hand-built one cannot verify
-        proof = MerkleProof(["k"], b"\xff" * 32, ())
+        # from_json_dict never yields such a key, and a hand-built proof
+        # with one is refused when it is made
         with pytest.raises(MalformedProofError, match="cannot be encoded"):
-            proof.to_json_bytes()
+            MerkleProof(["k"], b"\xff" * 32, ())
 
 
 class TestVerificationCost:
@@ -449,11 +541,11 @@ class TestVerificationCost:
             assert expected == pytest.approx(report.k_a, abs=TOL)
 
 
-def reference_wire(proof: MerkleProof) -> bytes:
-    """The binary wire spelled field by field: the oracle for to_bytes."""
-    key = proof.key.encode("utf-8")
-    wire = b"\x01" + len(key).to_bytes(4, "big") + key + proof.leaf_hash
-    for position, siblings in proof.steps:
+def reference_wire(key: str, leaf_hash: bytes, steps) -> bytes:
+    """The binary wire spelled field by field: the oracle for the writers."""
+    key = key.encode("utf-8")
+    wire = b"\x01" + len(key).to_bytes(4, "big") + key + leaf_hash
+    for position, siblings in steps:
         wire += position.to_bytes(2, "big") + (len(siblings) // 32).to_bytes(2, "big") + siblings
     return wire
 
@@ -494,7 +586,7 @@ class TestBinaryWire:
         key = data.draw(st.sampled_from(keys))
         proof = prove(tree, key)
         wire = proof.to_bytes()
-        assert wire == reference_wire(proof)
+        assert wire == reference_wire(proof.key, proof.leaf_hash, proof.steps)
         received = MerkleProof.from_bytes(wire)
         assert received == proof and received.to_bytes() == wire
         assert type(received.leaf_hash) is bytes and all(type(s.siblings) is bytes for s in received.steps)
@@ -567,7 +659,7 @@ class TestBinaryWire:
         for steps in [(ProofStep(0, b""),), (ProofStep(7, b"\x01" * 32),), (ProofStep(65535, b"\xab" * 64),)]:
             proof = MerkleProof("k", b"\xff" * 32, steps)
             wire = proof.to_bytes()
-            assert wire == reference_wire(proof) and MerkleProof.from_bytes(wire) == proof
+            assert wire == reference_wire("k", b"\xff" * 32, steps) and MerkleProof.from_bytes(wire) == proof
             with pytest.raises(MalformedProofError):
                 verify(proof, b"\x00" * 32, 4)
 
@@ -621,7 +713,7 @@ class TestKeyBinding:
     def test_relabelled_proof_fails(self, quad_demo_tree):
         root = quad_demo_tree.root_hash()
         proof = prove(quad_demo_tree, "E")
-        relabelled = proof._replace(key="F")
+        relabelled = MerkleProof("F", proof.leaf_hash, proof.steps)
         assert verify(relabelled, root, 4) is True  # the unbound call cannot tell
         assert verify(relabelled, root, 4, payload=b"E") is False
         assert verify(relabelled, root, 4, payload=b"F") is False
@@ -648,9 +740,11 @@ class TestKeyBinding:
     @pytest.mark.parametrize("key, payload", [(["C"], b"C"), ("\udc00", b"C"), ("C", "C")],
                              ids=["list-key", "surrogate-key", "str-payload"])
     def test_unhashable_key_or_payload_raises(self, binary_demo_tree, key, payload):
-        proof = prove(binary_demo_tree, "C")._replace(key=key)
+        # a key the wire cannot carry is refused when the proof is made
+        proof = prove(binary_demo_tree, "C")
         with pytest.raises(MalformedProofError):
-            verify(proof, binary_demo_tree.root_hash(), 2, payload=payload)
+            relabelled = MerkleProof(key, proof.leaf_hash, proof.steps)
+            verify(relabelled, binary_demo_tree.root_hash(), 2, payload=payload)
 
 
 class TestWireSize:

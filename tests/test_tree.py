@@ -110,6 +110,20 @@ class TestBuildBalanced:
         with pytest.raises(DuplicateKeyError):
             build_balanced(make_leaves("AA"), TreeConfig(2))
 
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    def test_none_payload_is_the_key_bytes(self, m):
+        keys = ["A", "\u00e9", "\U0001f600", "k1", "k2"]
+        explicit = build_balanced([(key, key.encode("utf-8"), 0.2) for key in keys], TreeConfig(m))
+        default = build_balanced([(key, None, 0.2) for key in keys], TreeConfig(m))
+        assert default.to_snapshot() == explicit.to_snapshot()
+        mixed = build_balanced([(key, None if i % 2 else b"p", 0.2) for i, key in enumerate(keys)], TreeConfig(m))
+        assert [mixed.leaf_node(key).payload for key in keys] == [b"p", "\u00e9".encode(), b"p", b"k1", b"p"]
+
+    @pytest.mark.parametrize("key, error", [("\udc00", FormatError), (5, StructureError)], ids=["surrogate", "int"])
+    def test_none_payload_of_a_bad_key_raises_typed(self, key, error):
+        with pytest.raises(error):
+            build_balanced([("A", None, 0.5), (key, None, 0.5)], TreeConfig(2))
+
     def test_rejects_bad_sum(self):
         with pytest.raises(ProbabilityError):
             build_balanced(make_leaves("AB", [0.5, 0.4]), TreeConfig(2))
@@ -153,6 +167,18 @@ class TestSplitLeaf:
             tree.split_leaf("Z", "C", b"")
         with pytest.raises(DuplicateKeyError):
             tree.split_leaf("A", "B", b"")
+
+    def test_duplicate_key_message_matches_the_snapshot_walk(self):
+        # one rule, one message: a new leaf and a loaded tree refuse a
+        # repeated key in the same words
+        tree = AdaptiveTree.from_nested(["a", "b"], {"a": 0.5, "b": 0.5}, TreeConfig(2))
+        snap = tree.to_snapshot()
+        next(node for node in snap["nodes"] if node.get("key") == "b")["key"] = "a"
+        with pytest.raises(DuplicateKeyError) as loaded:
+            AdaptiveTree.from_snapshot(snap)
+        with pytest.raises(DuplicateKeyError) as split:
+            tree.split_leaf("a", "a", b"a")
+        assert str(loaded.value) == str(split.value) == "leaf key 'a' already present"
 
 
 class TestAttachLeaf:
