@@ -8,8 +8,8 @@ symbols and nothing is padded. Dummies never surface in the output.
 Merge-order ties break on the lexicographically smallest leaf key contained
 in each queue entry, so generated tables are reproducible bit for bit.
 A code table keeps the merge's nested shape, which ``tree_from_codes``
-builds as it stands; the code strings are spelled from that shape for
-export and comparison, and nothing reads them back.
+builds at any arity. Code strings are spelled from it for export, never read
+back, and only they stop at 36 children, one ``CODE_ALPHABET`` digit each.
 """
 
 from __future__ import annotations
@@ -28,16 +28,11 @@ from .tree import AdaptiveTree, TreeConfig, _float_copy, check_probabilities
 BRUTE_FORCE_MAX_N = 10
 
 # Path codes spell a root-to-leaf path with one character per level, the
-# child index: 0-9 then a-z, so arity 16 yields nibble-style codes. Caps
-# code-producing operations at arity 36.
+# child index: 0-9 then a-z, so arity 16 yields nibble-style codes. Only a
+# spelled code is bound by it: a node of more than 36 children has no code.
 CODE_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 _CSV_HEADER = ["key", "probability", "code", "length"]
-
-
-def _past_the_alphabet(width: int) -> StructureError:
-    # a node of more children than CODE_ALPHABET spells digits for
-    return StructureError(f"child index {width - 1} exceeds the code alphabet")
 
 
 @dataclass(frozen=True)
@@ -54,14 +49,17 @@ class CodeTable:
     @property
     def entries(self) -> dict[str, str]:
         """The code of every key, in left-to-right leaf order, spelled by one
-        walk over ``shape``."""
-        return _leaf_codes(self.shape, lambda shape: None if isinstance(shape, str) else shape)
+        walk over ``shape``; a node of more than 36 children raises."""
+        return self._codes(CODE_ALPHABET)
 
     @property
     def avg_length(self) -> float:
-        """sum(p * len(code)), summed in ``entries`` order."""
-        entries = self.entries
-        return float_sum(map(mul, map(self.probabilities.__getitem__, entries), map(len, entries.values())))
+        """sum(p * len(code)) in ``entries`` order, codes spelled in m 1-char digits."""
+        codes = self._codes("0" * self.arity)
+        return float_sum(map(mul, map(self.probabilities.__getitem__, codes), map(len, codes.values())))
+
+    def _codes(self, digits: str) -> dict[str, str]:
+        return _leaf_codes(self.shape, lambda shape: None if isinstance(shape, str) else shape, digits)
 
 
 def is_prefix_free(codes) -> bool:
@@ -83,6 +81,11 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
         raise ProbabilityError("distribution is empty")
     check_probabilities(probs)
     prob_map = _float_copy(probs)
+    # the tree's key rule (_check_leaf's error), from one C-level pass over types
+    if not set(map(type, prob_map)) <= {str}:
+        for key in prob_map:
+            if not isinstance(key, str):
+                raise StructureError(f"leaf key {key!r} is not a str")
 
     # Entries are (weight, tiebreak, shape); a shape is a leaf key or a list
     # of child shapes, the nested form that AdaptiveTree.from_nested reads.
@@ -102,9 +105,6 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
         # to the (0, key) of the real entries, of which a merge has two or
         # more (there are at most m - 2 dummies).
         real = [shape for shape in shapes if shape is not None]
-        # every node of the final shape is one merge's real list
-        if len(real) > len(CODE_ALPHABET):
-            raise _past_the_alphabet(len(real))
         push(heap, (float_sum(weights), min(tiebreaks), real))
 
     # a lone key is never merged: its shape is the key, its code empty
@@ -150,8 +150,6 @@ def brute_force_min_avg_length(probs, m: int) -> float:
             if acc + suffix[i] * depth >= best[0]:
                 break
             used = kraft + Fraction(1, m**depth)
-            if used > 1:
-                continue
             if used + (remaining - 1) * Fraction(1, m**max_depth) > 1:
                 continue
             rec(i + 1, depth, used, acc + ps[i] * depth)
@@ -173,9 +171,9 @@ def codes_from_tree(tree: AdaptiveTree) -> dict[str, str]:
     return {keys[nid]: code for nid, code in codes.items()}
 
 
-def _leaf_codes(root, children_of) -> dict:
+def _leaf_codes(root, children_of, digits: str = CODE_ALPHABET) -> dict:
     """Path code of every leaf below ``root`` in left-to-right order, by an
-    explicit-stack preorder walk; ``children_of`` returns None at a leaf."""
+    explicit-stack preorder walk; ``children_of`` is None at a leaf, never wider than ``digits``."""
     codes = {}
     # ``items`` pairs each child of the innermost open node with its digit
     # and ``prefix`` is that node's code; ``open_above`` keeps the enclosing
@@ -186,11 +184,11 @@ def _leaf_codes(root, children_of) -> dict:
             children = children_of(item)
             if children is None:
                 codes[item] = prefix + digit
-            elif len(children) > len(CODE_ALPHABET):
-                raise _past_the_alphabet(len(children))
+            elif len(children) > len(digits):
+                raise StructureError(f"child index {len(children) - 1} exceeds the code alphabet")
             else:
                 open_above.append((items, prefix))
-                items, prefix = zip(children, CODE_ALPHABET), prefix + digit
+                items, prefix = zip(children, digits), prefix + digit
                 break
         else:
             if not open_above:

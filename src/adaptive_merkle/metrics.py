@@ -38,7 +38,12 @@ def entropy(probs: Iterable[float], m: int) -> float:
     TreeConfig(m)
     values = list(probs)
     check_probabilities(dict(enumerate(values)))
-    return -float_sum(p * log_base(p, m) for p in values if p > 0.0)
+    return _entropy(values, m)
+
+
+def _entropy(values: Iterable[float], m: int) -> float:
+    log2_m = math.log2(m)  # entropy() without its checks; hoisted, log_base's bits stay
+    return -float_sum(p * (math.log2(p) / log2_m) for p in values if p > 0.0)
 
 
 class LeafStats(NamedTuple):

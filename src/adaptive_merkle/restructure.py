@@ -49,7 +49,6 @@ Two loops repeat the best move until none improves delta.
 from __future__ import annotations
 
 import bisect
-import math
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -57,7 +56,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._formats import float_sum
 from .errors import StructureError
-from .metrics import MetricsReport, discrepancy_report
+from .metrics import MetricsReport, _entropy, discrepancy_report
 from .tree import _KEY_BYTES, AdaptiveTree, _float_copy, check_probabilities, node_label
 
 KIND_ORDER = {"attach": 0, "split": 1, "swap": 2, "exchange": 3, "no_op": 4}
@@ -132,11 +131,7 @@ def enumerate_add_alternatives(
     tree._check_cover(new_probs, new_key)
     check_probabilities(new_probs)
     leaf_by_key, depth = tree._leaf_by_key, tree._depth
-
-    # entropy()'s expression, without its second validation pass; log_base
-    # is log2(p) / log2(m), so hoisting log2(m) keeps every bit.
-    log2_m = math.log2(tree.config.arity)
-    h = -float_sum(p * (math.log2(p) / log2_m) for p in new_probs.values() if p > 0.0)
+    h = _entropy(new_probs.values(), tree.config.arity)
     keys = sorted(leaf_by_key)
     base_k = float_sum(new_probs[key] * depth[leaf_by_key[key]] for key in keys)
     p_new = new_probs[new_key]

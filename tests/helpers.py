@@ -21,7 +21,8 @@ from adaptive_merkle import (
 from adaptive_merkle._formats import float_sum
 from adaptive_merkle.address_map import build_mapping
 from adaptive_merkle.cli import main
-from adaptive_merkle.errors import DuplicateKeyError, ProbabilityError
+from adaptive_merkle.coding import CODE_ALPHABET
+from adaptive_merkle.errors import DuplicateKeyError, ProbabilityError, StructureError
 from adaptive_merkle.proofs import ProofStep
 from adaptive_merkle.restructure import Alternative
 from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
@@ -380,15 +381,45 @@ def length_multiset(table) -> list[int]:
     return sorted(len(code) for code in table.entries.values())
 
 
-def check_code_table(table) -> None:
-    """Assert that a ``CodeTable``'s codes are prefix-free, pair by pair, and
-    that their Kraft sum, added exactly, is at most 1."""
-    codes = list(table.entries.values())
+def shape_codes(shape) -> dict:
+    """Each key's code in a nested shape, as the tuple of child indices on
+    its root path, by a walk of its own."""
+    codes, stack = {}, [(shape, ())]
+    while stack:
+        node, code = stack.pop()
+        if isinstance(node, str):
+            codes[node] = code
+        else:
+            stack.extend((child, code + (i,)) for i, child in enumerate(node))
+    return codes
+
+
+def check_prefix_code(codes, m: int) -> None:
+    """Assert that codes (strings or tuples of digits) are prefix-free, pair
+    by pair, and that their Kraft sum in base m, added exactly, is at most 1."""
+    codes = list(codes)
     for i, a in enumerate(codes):
         for j, b in enumerate(codes):
-            assert i == j or not b.startswith(a), f"codes {a!r} and {b!r} are not prefix-free"
-    kraft = sum(Fraction(1, table.arity ** len(code)) for code in codes)
+            assert i == j or b[: len(a)] != a, f"codes {a!r} and {b!r} are not prefix-free"
+    kraft = sum(Fraction(1, m ** len(code)) for code in codes)
     assert kraft <= 1, f"Kraft sum {float(kraft)!r} exceeds 1"
+
+
+def check_code_table(table) -> None:
+    """Assert that a ``CodeTable``'s shape is a prefix code at its arity, and
+    that ``entries`` spells it in ``CODE_ALPHABET`` or, exactly when some
+    node has more than 36 children, raises ``StructureError``."""
+    codes = shape_codes(table.shape)
+    check_prefix_code(codes.values(), table.arity)
+    if all(i < len(CODE_ALPHABET) for code in codes.values() for i in code):
+        assert table.entries == {key: "".join(CODE_ALPHABET[i] for i in code) for key, code in codes.items()}
+    else:
+        try:
+            table.entries
+        except StructureError as exc:
+            assert "exceeds the code alphabet" in str(exc), exc
+        else:
+            raise AssertionError("entries spelled a node wider than the code alphabet")
 
 
 def average_adaptive_length(table) -> float:

@@ -9,6 +9,7 @@ import pytest
 import adaptive_merkle.cli as cli_mod
 from adaptive_merkle import AdaptiveTree, MerkleProof, optimize_swaps, prove
 from adaptive_merkle.cli import main
+from adaptive_merkle.workload import zipf_distribution
 
 from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_readable_view, random_tree
 
@@ -280,14 +281,26 @@ def test_bench_no_known_mode_exit_2(tmp_path, dist_csv, modes):
 
 
 def test_bench_arity_past_the_code_alphabet_exit_2(tmp_path, capsys):
-    # m = 37 is a valid arity, but a Huffman root of 37 children needs a
-    # 37th code digit
+    # m = 37 is a valid arity, and bench builds its Huffman tree, whose root
+    # has 37 children; only the writers that spell codes need a 37th digit,
+    # and they exit 2 before a file is opened
     dist = tmp_path / "dist.csv"
     dist.write_text("key,probability\n" + "".join(f"k{i:02d},0.025\n" for i in range(40)), encoding="utf-8")
     out = tmp_path / "variants.csv"
-    assert main(["bench", "--dist", str(dist), "--arity", "37", "--modes", "huffman", "--out", str(out)]) == 2
-    assert "exceeds the code alphabet" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["bench", "--dist", str(dist), "--arity", "37", "--modes", "huffman", "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text(encoding="utf-8").splitlines()] == ["variant", "huffman"]
+    for fmt in ("codes", "map"):
+        written = tmp_path / f"{fmt}.csv"
+        assert main(["encode", "--probs", str(dist), "--arity", "37", "--format", fmt, "--out", str(written)]) == 2
+        assert "child index 36 exceeds the code alphabet" in capsys.readouterr().err
+        assert not written.exists()
+    # Verkle's width: every variant of a 1,024-key Zipf(1.1) bench
+    zipf = tmp_path / "zipf.csv"
+    zipf.write_text("key,probability\n" + "".join(
+        f"k{i:04d},{p!r}\n" for i, p in enumerate(zipf_distribution(1024, 1.1))), encoding="utf-8")
+    assert main(["bench", "--dist", str(zipf), "--arity", "256", "--out", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["balanced", "adaptive", "huffman"]
 
 
 def test_encode_arity_past_max_exit_2(tmp_path, dist_csv, capsys):

@@ -4,7 +4,6 @@ import csv
 import heapq
 import random
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 
@@ -31,11 +30,20 @@ from adaptive_merkle.proofs import prove, verify
 from adaptive_merkle.tree import MAX_ARITY
 from adaptive_merkle.workload import normalize_distribution
 
-from helpers import check_code_table, length_multiset, random_distribution, random_tree
+from helpers import (
+    check_code_table,
+    check_prefix_code,
+    length_multiset,
+    random_distribution,
+    random_tree,
+    shape_codes,
+)
 
 TOL = 1e-9
 real_heappush = heapq.heappush
 DEMO16_LENGTHS = [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
+# arities past the 36 code digits: coding works there, spelling a code does not
+WIDE_ARITIES = (37, 64, 256)
 
 
 @pytest.fixture
@@ -92,6 +100,11 @@ class TestHuffman:
             table = huffman_codes(random_distribution(rng, n), m)
             check_code_table(table)
             assert len(table.entries) == n
+        for m in WIDE_ARITIES:
+            for _ in range(5):
+                n = rng.randint(2, 300)
+                table = huffman_codes(random_distribution(rng, n), m)
+                check_code_table(table)
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -99,11 +112,10 @@ class TestHuffman:
     )
     def test_code_table_check_rejects(self, entries, message):
         # "2" is no binary digit: the codes are prefix-free, their Kraft sum
-        # is not <= 1. No Huffman shape spells either table, so the check
-        # gets a stand-in with the two fields it reads.
-        table = SimpleNamespace(entries=entries, arity=2)
+        # is not <= 1. No Huffman shape spells either table, so the codes go
+        # to the prefix-code check that check_code_table runs on a shape's.
         with pytest.raises(AssertionError, match=message):
-            check_code_table(table)
+            check_prefix_code(entries.values(), 2)
 
     def test_avg_length_within_entropy_plus_one(self):
         rng = random.Random(13)
@@ -147,6 +159,7 @@ class TestHuffman:
             tracemalloc.stop()
         assert table.entries == {"a": "1", "b": "0"}
         assert peak < 10_000
+        assert tree_from_codes(table).depths() == {"a": 1, "b": 1}
 
     def test_zero_weight_keys_keep_the_root_inside_the_alphabet(self):
         # m = 37, n = 38: five zero-weight keys and 32 dummies fill the first
@@ -160,26 +173,42 @@ class TestHuffman:
 
     @pytest.mark.parametrize("m", [36, 37, 40])
     @pytest.mark.parametrize("zeros", [0, 1, 5])
-    def test_raises_at_the_first_merge_past_the_alphabet(self, m, zeros):
+    def test_raises_at_the_first_merge_past_the_alphabet(self, m, zeros, tmp_path):
         # The widths come from re-sorting the padded queue before every merge
-        # and counting the merge's entries that are not dummies; the build
-        # must raise exactly when one exceeds the 36 digits, and before the
-        # merge that makes that node.
+        # and counting the merge's entries that are not dummies. Every merge
+        # is made and the table builds at any width; spelling its codes
+        # (entries, the CSV, the built tree's read-out) raises exactly when
+        # some node is wider than the 36 digits, naming such a node's last
+        # child index, and writes no file.
         for n in range(30, 81):
             probs = {f"k{i:02d}": 1 / (n - zeros) for i in range(n - zeros)} | {f"z{i}": 0.0 for i in range(zeros)}
             widths = reference_merge_widths(probs, m)
-            too_wide = [i for i, width in enumerate(widths) if width > len(CODE_ALPHABET)]
+            messages = {f"child index {width - 1} exceeds the code alphabet" for width in widths if width > 36}
             pushes = []
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(heapq, "heappush", lambda heap, item: pushes.append(1) or real_heappush(heap, item))
-                if too_wide:
-                    with pytest.raises(StructureError, match=f"child index {widths[too_wide[0]] - 1} exceeds"):
-                        huffman_codes(probs, m)
-                    assert len(pushes) == too_wide[0], (n, m, zeros)
+                table = huffman_codes(probs, m)
+            assert len(pushes) == len(widths), (n, m, zeros)
+            tree = tree_from_codes(table)
+            assert discrepancy_report(tree).k_a == pytest.approx(table.avg_length, abs=TOL)
+            check_code_table(table)
+            path = tmp_path / f"codes_{n}.csv"
+            spellers = [lambda: table.entries, lambda: export_csv(table, path), lambda: codes_from_tree(tree)]
+            for spell in spellers:
+                if messages:
+                    with pytest.raises(StructureError) as error:
+                        spell()
+                    assert str(error.value) in messages, (n, m, zeros)
                 else:
-                    table = huffman_codes(probs, m)
-                    assert len(pushes) == len(widths)
-                    check_code_table(table)
+                    spell()
+            assert path.exists() is not bool(messages)
+
+    @pytest.mark.parametrize("probs", [{1: 0.5, "a": 0.5}, {1: 0.5, 2: 0.5}])
+    def test_key_that_is_no_str_rejected(self, probs):
+        # the tree's key rule and error, before a mixed pair meets in the
+        # heap or a table of int keys is made that the tree would refuse
+        with pytest.raises(StructureError, match="^leaf key 1 is not a str$"):
+            huffman_codes(probs, 2)
 
     @pytest.mark.parametrize("probs, m, message", [({"a": 1.0}, 1, "arity"), ({}, 2, "empty")])
     def test_bad_arity_or_empty_rejected(self, probs, m, message):
@@ -227,6 +256,14 @@ class TestBruteForceOracle:
             table = huffman_codes(tree.probabilities, m)
             k_a = discrepancy_report(tree).k_a
             assert table.avg_length <= k_a + TOL
+        # and past the alphabet, against random and balanced trees alike
+        for m in WIDE_ARITIES:
+            for _ in range(5):
+                probs = random_distribution(rng, rng.randint(2, 300))
+                table = huffman_codes(probs, m)
+                balanced = build_balanced([(key, b"", p) for key, p in probs.items()], TreeConfig(m))
+                for tree in (random_tree(rng, len(probs), m, probs), balanced):
+                    assert table.avg_length <= discrepancy_report(tree).k_a + TOL
 
 
 class TestTreeFromCodes:
@@ -259,6 +296,14 @@ class TestTreeFromCodes:
             tree = tree_from_codes(table)
             assert codes_from_tree(tree) == table.entries
             assert tree.depths() == {key: len(code) for key, code in table.entries.items()}
+        # past the alphabet the tree still builds the table's shape, and its
+        # k_A is the table's average length
+        for m in WIDE_ARITIES:
+            for _ in range(5):
+                table = huffman_codes(random_distribution(rng, rng.randint(2, 600)), m)
+                tree = tree_from_codes(table)
+                assert tree.depths() == {key: len(code) for key, code in shape_codes(table.shape).items()}
+                assert discrepancy_report(tree).k_a == pytest.approx(table.avg_length, abs=TOL)
 
     def test_dangling_single_child_rejected(self):
         table = CodeTable(["a", ["b"]], {"a": 0.5, "b": 0.5}, 2)
