@@ -22,7 +22,7 @@ from operator import mul
 from typing import Mapping
 
 from ._formats import float_sum, write_csv
-from .errors import ProbabilityError, StructureError
+from .errors import FormatError, ProbabilityError, StructureError
 from .tree import AdaptiveTree, TreeConfig, _float_copy, check_probabilities
 
 BRUTE_FORCE_MAX_N = 10
@@ -81,11 +81,20 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
         raise ProbabilityError("distribution is empty")
     check_probabilities(probs)
     prob_map = _float_copy(probs)
-    # the tree's key rule (_check_leaf's error), from one C-level pass over types
+    # the tree's key rule (_check_leaf's errors), from one C-level pass over
+    # the types and one over the UTF-8 encoding, which refuses every surrogate
     if not set(map(type, prob_map)) <= {str}:
         for key in prob_map:
             if not isinstance(key, str):
                 raise StructureError(f"leaf key {key!r} is not a str")
+    try:
+        "".join(prob_map).encode("utf-8")
+    except UnicodeEncodeError:
+        for key in prob_map:
+            try:
+                key.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
 
     # Entries are (weight, tiebreak, shape); a shape is a leaf key or a list
     # of child shapes, the nested form that AdaptiveTree.from_nested reads.

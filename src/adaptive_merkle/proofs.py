@@ -25,17 +25,24 @@ JSON view: a one-field envelope around the wire, ``{"wire_hex":"<hex>"}``,
 written by :meth:`MerkleProof.to_json_bytes` with no whitespace. Its reader,
 :meth:`MerkleProof.from_json_dict`, takes a dict with exactly that field and
 canonical hex (lowercase, no whitespace: ``bytes.fromhex(h).hex() == h``),
-and hands the bytes to :meth:`MerkleProof.from_bytes`, so the view has no
-rules of its own and every accepted proof is written back out unchanged.
+decoded once by ``binascii.a2b_hex`` with A-F refused, and hands the bytes
+to :meth:`MerkleProof.from_bytes`, so the view has no rules of its own and
+every accepted proof is written back out unchanged.
 
 A :class:`MerkleProof` is its wire. A served proof costs per Python object,
 so it keeps the wire as one ``bytes`` object beside its key, its leaf hash
 and each step's ``(position, start, end)`` sibling offsets into the wire.
-:func:`prove` writes the wire with one ``b"".join`` over slices of the
-tree's stored preimages (``_child_digests``, each internal node's child
-digests in child order) and hashes nothing unless a mutation left the tree
-dirty. A proof built from fields is encoded and read back by ``from_bytes``,
-so ``to_bytes`` returns the stored wire and no other code reads one.
+``from_bytes`` reads the offsets as it checks the wire; a proof that
+:func:`prove` wrote reads them from its wire, through the same loop, when
+``verify``, ``steps`` or ``verification_cost`` first needs them, since the
+serve path only hex-encodes it. :func:`prove` writes the wire with one
+``b"".join`` of the header, the leaf's own step (two slices of its parent's
+stored preimage, ``_child_digests``, around the leaf's digest) and one
+memoized step per node above it, which it cuts the same way on first use
+and keeps in the tree's ``_step`` list until ``_rehash`` rewrites the
+parent's preimage. It hashes nothing unless a mutation left the tree dirty.
+A proof built from fields is encoded and read back by ``from_bytes``, so
+``to_bytes`` returns the stored wire and no other code reads one.
 :func:`verify` hashes each step with one call of the module-level
 :func:`hash_internal` over slices of the wire, so wrapping that name counts
 every hash a verification makes; a test guards this. ``steps`` builds
@@ -45,6 +52,7 @@ every hash a verification makes; a test guards this. ``steps`` builds
 from __future__ import annotations
 
 import struct
+from binascii import a2b_hex, b2a_hex
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,7 +100,17 @@ class MerkleProof:
     def steps(self) -> tuple[ProofStep, ...]:
         """The steps as records, sliced from the wire for readers; serving builds none."""
         wire = self._wire
-        return tuple(ProofStep(position, wire[start:end]) for position, start, end in self._offsets)
+        return tuple(ProofStep(position, wire[start:end]) for position, start, end in self._step_offsets())
+
+    def _step_offsets(self) -> list[tuple[int, int, int]]:
+        """Each step's ``(position, start, end)`` sibling offsets into the wire.
+        A proof that :func:`prove` wrote reads them on first use, through the
+        parse loop :meth:`from_bytes` runs; its wire always parses."""
+        offsets = self._offsets
+        if offsets is None:
+            wire = self._wire
+            offsets = self._offsets = _read_steps(wire, 5 + int.from_bytes(wire[1:5], "big") + HASH_SIZE)
+        return offsets
 
     def __eq__(self, other) -> bool:
         return self._wire == other._wire if isinstance(other, MerkleProof) else NotImplemented
@@ -125,23 +143,14 @@ class MerkleProof:
             key = data[5:key_end].decode()
         except UnicodeDecodeError as exc:
             raise MalformedProofError(f"proof key is not UTF-8: {exc}") from None
-        leaf_hash, offsets, unpack = data[key_end:at], [], _STEP_HEAD.unpack_from
-        while at < end:
-            start = at + _STEP_HEAD.size
-            if end < start:
-                raise MalformedProofError(f"proof wire ends inside a step header at byte {at}")
-            position, count = unpack(data, at)
-            at = start + HASH_SIZE * count
-            if end < at:
-                raise MalformedProofError(f"proof step at byte {start - _STEP_HEAD.size} runs past the end")
-            offsets.append((position, start, at))
+        offsets = _read_steps(data, at)
         proof = object.__new__(cls)
-        proof._wire, proof._key, proof._leaf_hash, proof._offsets = data, key, leaf_hash, offsets
+        proof._wire, proof._key, proof._leaf_hash, proof._offsets = data, key, data[key_end:at], offsets
         return proof
 
     def to_json_bytes(self) -> bytes:
         """The JSON envelope around the wire."""
-        return b'{"wire_hex":"' + self._wire.hex().encode() + b'"}'
+        return b'{"wire_hex":"' + b2a_hex(self._wire) + b'"}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MerkleProof":
@@ -150,9 +159,14 @@ class MerkleProof:
             if not isinstance(data, dict) or len(data) != 1 or "wire_hex" not in data:
                 raise ValueError(f"need exactly one field, wire_hex, and no unknown ones: {data!r:.80}")
             text = data["wire_hex"]
-            wire = bytes.fromhex(text)  # TypeError for a value that is no str
-            if wire.hex() != text:  # one reading per proof: no uppercase, no whitespace
-                raise ValueError(f"non-canonical wire_hex {text!r:.80}")
+            try:  # a2b_hex refuses whitespace, odd length, non-hex and non-ASCII
+                wire = a2b_hex(text) if type(text) is str else None
+            except ValueError:
+                wire = None
+            if wire is None or _has_upper_hex(text):  # refused: the full check words the error
+                wire = bytes.fromhex(text)  # TypeError for a value that is no str
+                if wire.hex() != text:  # one reading per proof: no uppercase, no whitespace
+                    raise ValueError(f"non-canonical wire_hex {text!r:.80}")
         except (TypeError, ValueError) as exc:
             raise MalformedProofError(f"unparseable proof: {exc}") from None
         return cls.from_bytes(wire)
@@ -164,26 +178,57 @@ class VerificationCost:
     proof_bytes: int
 
 
+def _has_upper_hex(text: str) -> bool:
+    # six C-level substring scans; str.islower() costs several times more on a proof's hex
+    return "A" in text or "B" in text or "C" in text or "D" in text or "E" in text or "F" in text
+
+
+def _read_steps(data: bytes, at: int) -> list[tuple[int, int, int]]:
+    # The one parse loop over a wire's steps, from byte `at` to the end.
+    end, offsets, unpack = len(data), [], _STEP_HEAD.unpack_from
+    while at < end:
+        start = at + _STEP_HEAD.size
+        if end < start:
+            raise MalformedProofError(f"proof wire ends inside a step header at byte {at}")
+        position, count = unpack(data, at)
+        at = start + HASH_SIZE * count
+        if end < at:
+            raise MalformedProofError(f"proof step at byte {start - _STEP_HEAD.size} runs past the end")
+        offsets.append((position, start, at))
+    return offsets
+
+
+def _cut_step(tree: AdaptiveTree, nid: int, parent: int) -> tuple[bytes, bytes, bytes]:
+    # A node's step at its parent: the head, then the parent's preimage
+    # before and after the node's own digest.
+    position = tree._children[parent].index(nid)
+    joined, cut = tree._child_digests[parent], HASH_SIZE * position
+    head = _STEP_HEAD.pack(position, len(joined) // HASH_SIZE - 1)
+    return head, joined[:cut], joined[cut + HASH_SIZE :]
+
+
 def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
-    """Membership proof for a leaf: one step per edge on its root path."""
+    """Membership proof for a leaf: one step per edge on its root path.
+
+    The leaf's own step is cut from its parent's preimage; each step above
+    it is the path node's memoized step, cut and kept on first use."""
     nid = tree._leaf_id(leaf_key)
     if tree._dirty:  # the stored digests are current only after a root read
         tree.root_hash()
-    children, parent_of, digests = tree._children, tree._parent, tree._child_digests
-    key, leaf_hash, parent = leaf_key.encode(), tree._hash[nid], parent_of[nid]
+    key, leaf_hash, parent = leaf_key.encode(), tree._hash[nid], tree._parent[nid]
     parts = [_WIRE_VERSION, len(key).to_bytes(4, "big"), key, leaf_hash]
-    at, offsets, pack = 5 + len(key) + HASH_SIZE, [], _STEP_HEAD.pack
-    while parent:  # the root's parent is 0
-        position = children[parent].index(nid)
-        joined, cut = digests[parent], HASH_SIZE * position
-        size = len(joined) - HASH_SIZE  # the siblings' bytes
-        start = at + _STEP_HEAD.size
-        at = start + size
-        parts += (pack(position, size // HASH_SIZE), joined[:cut], joined[cut + HASH_SIZE :])
-        offsets.append((position, start, at))
+    if parent:  # the root's parent is 0
+        parts += _cut_step(tree, nid, parent)
+        parent_of, memo = tree._parent, tree._step
         nid, parent = parent, parent_of[parent]
+        while parent:
+            step = memo[nid]
+            if not step:
+                step = memo[nid] = b"".join(_cut_step(tree, nid, parent))
+            parts.append(step)
+            nid, parent = parent, parent_of[parent]
     proof = object.__new__(MerkleProof)
-    proof._wire, proof._key, proof._leaf_hash, proof._offsets = b"".join(parts), leaf_key, leaf_hash, offsets
+    proof._wire, proof._key, proof._leaf_hash, proof._offsets = b"".join(parts), leaf_key, leaf_hash, None
     return proof
 
 
@@ -211,7 +256,7 @@ def verify(proof: MerkleProof, expected_root: bytes, arity: int, *, payload: byt
         raise MalformedProofError(f"root hash {expected_root!r:.80}, expected {HASH_SIZE} bytes")
     wire, current = proof._wire, proof._leaf_hash
     try:
-        for i, start, end in proof._offsets:
+        for i, start, end in proof._step_offsets():
             count = (end - start) // HASH_SIZE
             # a finished tree has no single-child node, so every step has a sibling
             if not 0 < count < arity or not 0 <= i <= count:
@@ -233,4 +278,4 @@ def verification_cost(proof: MerkleProof) -> VerificationCost:
     """Hash invocations (= steps) and canonical (binary) wire size of a proof."""
     if not isinstance(proof, MerkleProof):
         raise MalformedProofError(f"proof of type {type(proof).__name__}, expected MerkleProof")
-    return VerificationCost(hash_invocations=len(proof._offsets), proof_bytes=len(proof._wire))
+    return VerificationCost(hash_invocations=len(proof._step_offsets()), proof_bytes=len(proof._wire))

@@ -10,7 +10,9 @@ short root paths. Hashing uses SHA-256 with one byte of domain separation:
 Node ids are ints from 1, in the order the nodes are made, and each per-node
 field is a list indexed by id whose slot 0 holds no node: children (None at
 a leaf), parent (0 at the root), depth, hash, child digests (an internal
-node's hash preimage), key and payload; a leaf-key index maps keys to ids.
+node's hash preimage), proof step (an internal node's step at its parent,
+memoized by ``proofs.prove``), key and payload; a leaf-key index maps keys
+to ids.
 :func:`node_label` spells an id ``n<id>`` where it leaves or enters the
 program (snapshots, CLI JSON, error messages); :meth:`AdaptiveTree.node`
 returns a read-only :class:`NodeView`.
@@ -22,11 +24,14 @@ create and each parent whose children changed to a dirty set. ``root_hash``
 rehashes the union of the dirty nodes' root paths, each node once, children
 before parents, so an internal node's hash and preimage are current only
 after ``root_hash()``, which ``prove`` and snapshot writing call first.
-``_rehash`` is the one writer of both. :meth:`AdaptiveTree.from_nested` is
-the one builder (``build_balanced`` and ``coding.tree_from_codes`` hand it a
-nested shape): one walk, with an iterator per open node, appends each node
-once, so they are n1..nK in post-order. Every whole-tree pass goes through
-one checked root-down walk: ``from_snapshot`` takes the depth, parent and
+``_rehash`` is the one writer of both, and it empties the memoized proof
+steps of the node's children, which were cut from the old preimage, so a
+memoized step lives exactly as long as the preimage it came from.
+:meth:`AdaptiveTree.from_nested` is the one builder (``build_balanced`` and
+``coding.tree_from_codes`` hand it a nested shape): one walk, with an
+iterator per open node, appends each node once, so they are n1..nK in
+post-order. Every whole-tree pass goes through one checked root-down
+walk: ``from_snapshot`` takes the depth, parent and
 leaf-key indexes from it, :meth:`AdaptiveTree.validate` compares them with
 it, and snapshot writing, the full rehash and :meth:`AdaptiveTree.leaf_keys`
 read their order from it, so a corrupted tree raises
@@ -37,7 +42,9 @@ an attach updates the indexes in O(1); an exchange
 Readers get a read-only view of the probability map, which only checked
 writers replace. The indexes are right only because of the single-writer
 contract: mutating calls, and the first read after them, which flushes,
-need exclusive access; later reads may interleave freely.
+need exclusive access; later reads may interleave freely, since the one
+thing a read writes is a memoized proof step, and every reader of the same
+flushed tree writes the same bytes into it.
 """
 
 from __future__ import annotations
@@ -64,19 +71,26 @@ HASH_SIZE = 32
 PROB_SUM_TOL = 1e-9
 MAX_ARITY = 65536  # the binary proof wire's u16 position and sibling count
 
-_LEAF_PREFIX = b"\x00"
-_INTERNAL_PREFIX = b"\x01"
+# SHA-256 states seeded with the domain byte: copying one is cheaper than
+# starting a fresh hash, and no caller ever updates them
+_LEAF_SEED = hashlib.sha256(b"\x00")
+_INTERNAL_SEED = hashlib.sha256(b"\x01")
 _KEY_BYTES = object()  # a new leaf's payload that _check_leaf reads as the key's UTF-8 bytes
 
 
 def hash_leaf(key: str, payload: bytes) -> bytes:
     """SHA-256 of ``0x00 || key bytes || payload``."""
-    return hashlib.sha256(_LEAF_PREFIX + key.encode("utf-8") + payload).digest()
+    state = _LEAF_SEED.copy()
+    state.update(key.encode("utf-8"))
+    state.update(payload)
+    return state.digest()
 
 
 def hash_internal(child_hashes: Iterable[bytes]) -> bytes:
     """SHA-256 of ``0x01 || child hashes`` in child order."""
-    return hashlib.sha256(_INTERNAL_PREFIX + b"".join(child_hashes)).digest()
+    state = _INTERNAL_SEED.copy()
+    state.update(b"".join(child_hashes))
+    return state.digest()
 
 
 def check_probabilities(probs: Mapping[object, float]) -> None:
@@ -170,6 +184,7 @@ class AdaptiveTree:
         self._depth = [0]  # edges from the root
         self._hash = [b""]
         self._child_digests = [b""]  # an internal node's hash preimage, b"" at a leaf
+        self._step = [b""]  # an internal node's proof step at its parent once prove cut it, else b""
         self._key: list[str | None] = [None]
         self._payload: list[bytes | None] = [None]
         self._probabilities: dict[str, float] = {}  # written by set_probabilities, from_snapshot and new leaves
@@ -186,6 +201,7 @@ class AdaptiveTree:
         self._depth.append(depth)
         self._hash.append(digest)
         self._child_digests.append(b"")
+        self._step.append(b"")
         self._key.append(key)
         self._payload.append(payload)
         return nid
@@ -354,9 +370,12 @@ class AdaptiveTree:
     def _rehash(self, node_id: int) -> None:
         # The one writer of _child_digests: proofs slice a step's siblings
         # out of it, so it must always be the preimage of the node's hash.
-        hashes = self._hash
-        joined = self._child_digests[node_id] = b"".join([hashes[cid] for cid in self._children[node_id]])
+        # The children's proof steps were cut from the old one: emptied.
+        hashes, steps, children = self._hash, self._step, self._children[node_id]
+        joined = self._child_digests[node_id] = b"".join([hashes[cid] for cid in children])
         hashes[node_id] = hash_internal((joined,))
+        for cid in children:
+            steps[cid] = b""
 
     def split_leaf(self, target_key: str, new_key: str, new_payload: bytes) -> None:
         """Replace the target leaf with an internal node over [target, new leaf].
@@ -498,8 +517,8 @@ class AdaptiveTree:
         The per-node lists, each children list and the indexes are copied
         here; ``copy.deepcopy`` takes the rest, such as a field added later."""
         copied = {id(self._children): [c if c is None else c[:] for c in self._children]}
-        for field in (self._parent, self._depth, self._hash, self._child_digests, self._key, self._payload,
-                      self._probabilities, self._leaf_by_key, self._dirty):
+        for field in (self._parent, self._depth, self._hash, self._child_digests, self._step, self._key,
+                      self._payload, self._probabilities, self._leaf_by_key, self._dirty):
             copied[id(field)] = field.copy()
         return copy.deepcopy(self, copied)
 
@@ -619,7 +638,7 @@ class AdaptiveTree:
         size = len(node_specs) + 1
         ids = {node_label(nid): nid for nid in range(1, size)}  # the only ids a snapshot may hold
         tree._children, tree._key, tree._payload = [None] * size, [None] * size, [None] * size
-        tree._hash, tree._child_digests = [b""] * size, [b""] * size
+        tree._hash, tree._child_digests, tree._step = [b""] * size, [b""] * size, [b""] * size
         stored_hex: list[str | None] = [None] * size
         for spec in node_specs:
             try:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from adaptive_merkle._formats import float_sum
 from adaptive_merkle.address_map import build_mapping
 from adaptive_merkle.cli import main
 from adaptive_merkle.coding import CODE_ALPHABET
-from adaptive_merkle.errors import DuplicateKeyError, ProbabilityError, StructureError
+from adaptive_merkle.errors import DuplicateKeyError, MalformedProofError, ProbabilityError, StructureError
 from adaptive_merkle.proofs import ProofStep
 from adaptive_merkle.restructure import Alternative
 from adaptive_merkle.tree import PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
@@ -175,6 +177,59 @@ def reference_fields(tree: AdaptiveTree, key: str) -> tuple[str, bytes, tuple[Pr
 def reference_prove(tree: AdaptiveTree, key: str) -> MerkleProof:
     """The proof built from :func:`reference_fields` by the field constructor."""
     return MerkleProof(*reference_fields(tree, key))
+
+
+def fresh_proof_wires(tree: AdaptiveTree) -> dict[str, bytes]:
+    """Every leaf's proof wire from hashes computed afresh: one root-down
+    walk over ``_children``, then each node hashed from its key and payload
+    or its children's fresh digests by a one-shot ``hashlib`` call, and each
+    step joined from those. It reads neither the stored hashes nor the
+    stored preimages (``_child_digests``) nor the memoized proof steps
+    (``_step``): the oracle for ``prove``, at any state of the tree."""
+    children_of, keys, payloads = tree._children, tree._key, tree._payload
+    preorder, stack = [], [tree.root_id]
+    while stack:
+        nid = stack.pop()
+        preorder.append(nid)
+        stack.extend(children_of[nid] or ())
+    digest = {}
+    for nid in reversed(preorder):  # children before parents
+        children = children_of[nid]
+        data = (b"\x00" + keys[nid].encode() + payloads[nid] if children is None
+                else b"\x01" + b"".join(digest[cid] for cid in children))
+        digest[nid] = hashlib.sha256(data).digest()
+    above, wires = {tree.root_id: b""}, {}  # a node's steps, from its own up to the root
+    for nid in preorder:  # parents before children
+        children = children_of[nid]
+        if children is None:
+            key = keys[nid].encode()
+            wires[keys[nid]] = b"\x01" + len(key).to_bytes(4, "big") + key + digest[nid] + above[nid]
+            continue
+        for position, cid in enumerate(children):
+            siblings = b"".join(digest[other] for other in children if other != cid)
+            above[cid] = struct.pack(">HH", position, len(children) - 1) + siblings + above[nid]
+    return wires
+
+
+def memo_entries(tree: AdaptiveTree) -> list[bytes]:
+    """The proof steps the tree holds memoized."""
+    return [step for step in tree._step if step]
+
+
+def old_from_json_dict(data) -> MerkleProof:
+    """``MerkleProof.from_json_dict`` as it read before it decoded the hex
+    once, through ``bytes.fromhex`` and a re-encoding compared with the
+    text: the oracle for the reader's accepted set and its errors."""
+    try:
+        if not isinstance(data, dict) or len(data) != 1 or "wire_hex" not in data:
+            raise ValueError(f"need exactly one field, wire_hex, and no unknown ones: {data!r:.80}")
+        text = data["wire_hex"]
+        wire = bytes.fromhex(text)  # TypeError for a value that is no str
+        if wire.hex() != text:  # one reading per proof: no uppercase, no whitespace
+            raise ValueError(f"non-canonical wire_hex {text!r:.80}")
+    except (TypeError, ValueError) as exc:
+        raise MalformedProofError(f"unparseable proof: {exc}") from None
+    return MerkleProof.from_bytes(wire)
 
 
 def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | None = None) -> AdaptiveTree:

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from adaptive_merkle import (
+    FormatError,
     ProbabilityError,
     StructureError,
     TreeConfig,
@@ -209,6 +210,18 @@ class TestHuffman:
         # heap or a table of int keys is made that the tree would refuse
         with pytest.raises(StructureError, match="^leaf key 1 is not a str$"):
             huffman_codes(probs, 2)
+
+    @pytest.mark.parametrize("keys", [["\udc00", "a"], ["a", "b\ud800"], ["\ud800", "\udc00"]])
+    def test_key_that_is_not_utf8_rejected(self, keys):
+        # the tree's UTF-8 rule and error, up front: no table is made that
+        # tree_from_codes would refuse, and a split surrogate pair, which the
+        # joined keys would hold side by side, is refused too
+        probs = dict.fromkeys(keys, 0.5)
+        with pytest.raises(FormatError, match="leaf key is not valid UTF-8") as raised:
+            huffman_codes(probs, 2)
+        with pytest.raises(FormatError) as built:
+            build_balanced([(key, None, p) for key, p in probs.items()], TreeConfig(2))
+        assert str(raised.value) == str(built.value)
 
     @pytest.mark.parametrize("probs, m, message", [({"a": 1.0}, 1, "arity"), ({}, 2, "empty")])
     def test_bad_arity_or_empty_rejected(self, probs, m, message):

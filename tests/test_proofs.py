@@ -25,7 +25,15 @@ from adaptive_merkle.proofs import ProofStep, VerificationCost, verification_cos
 from adaptive_merkle.tree import MAX_ARITY, hash_internal, hash_leaf
 from adaptive_merkle.workload import generate_trace, normalize_distribution, zipf_distribution
 
-from helpers import apply_ops, encoding_vectors, old_readable_view, random_tree, reference_fields, split_digests
+from helpers import (
+    apply_ops,
+    encoding_vectors,
+    old_from_json_dict,
+    old_readable_view,
+    random_tree,
+    reference_fields,
+    split_digests,
+)
 
 TOL = 1e-9
 
@@ -415,7 +423,8 @@ mutating_ops = st.lists(
 
 class TestWriterOracle:
     """``prove`` writes the wire straight from the tree's stored preimages and
-    records the step offsets as it goes. After any sequence of mutations, its
+    memoized steps, and its step offsets are read from that wire on first
+    use. After any sequence of mutations, its
     proof of every leaf equals the reader's reading of that wire, the field
     constructor's proof of the reference fields and the struct-only encoding
     of those fields, in wire, key, leaf hash, steps and cost alike."""
@@ -465,6 +474,18 @@ class TestWriterOracle:
         assert built == []
         assert received.steps and len(built) == len(received.steps)  # the counter sees a real build
 
+    @pytest.mark.parametrize("first_use", ["verify", "steps", "verification_cost"])
+    def test_offsets_are_read_on_first_use(self, quad_demo_tree, first_use):
+        # the serve path hex-encodes a proved proof and never reads its offsets,
+        # so prove records none; the first reader parses them as from_bytes does
+        proof = prove(quad_demo_tree, "E")
+        assert proof._offsets is None
+        read = {"verify": lambda p: verify(p, quad_demo_tree.root_hash(), 4), "steps": lambda p: p.steps,
+                "verification_cost": verification_cost}[first_use](proof)
+        assert read
+        assert proof._offsets == MerkleProof.from_bytes(proof.to_bytes())._offsets
+        assert proof._offsets == [(1, 42, 106), (1, 110, 206)]  # E under [B, E, F] under the root
+
     def test_wire_is_kept_not_rewritten(self, quad_demo_tree):
         proof = prove(quad_demo_tree, "E")
         wire = proof.to_bytes()
@@ -472,6 +493,74 @@ class TestWriterOracle:
         received = MerkleProof.from_bytes(wire)
         assert received.to_bytes() is wire
         assert received.to_json_bytes() == proof.to_json_bytes() == b'{"wire_hex":"' + wire.hex().encode() + b'"}'
+
+
+class StrSub(str):
+    pass
+
+
+# Edits that take the envelope's hex off the canonical form, or leave it on
+# it: (kind, character) applied at a drawn position.
+HEX_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.just("")),
+    st.tuples(st.just("drop"), st.just("")),
+    st.tuples(st.just("insert"), st.sampled_from([" ", "\t", "\n", "\x0b", "\r", "\x0c"])),  # ASCII whitespace
+    st.tuples(st.just("insert"), st.sampled_from(["g", "x", "-", "G", "0", "a", "A"])),  # non-hex, hex
+    st.tuples(st.just("insert"), st.sampled_from(["\u00e9", "\u0660", "\uff10", "\udc00", "\U0001f600"])),
+    st.tuples(st.just("insert"), st.characters()),
+)
+
+
+# the hex of real proofs, and of a wire with no hex letter at all (empty key,
+# all-zero leaf hash, no step), an empty text and an odd one
+HEX_TEXTS = [
+    prove(build_balanced(uniform_leaves("ABCDEFGHIJ"), TreeConfig(3)), key).to_bytes().hex() for key in "ACJ"
+] + ["01" + "00" * 36, "", "0"]
+
+
+def edit_hex(text: str, edits) -> str:
+    for (kind, char), at in edits:
+        at %= len(text) + 1
+        if kind == "flip":
+            text = text[:at] + text[at:at + 1].swapcase() + text[at + 1:]
+        elif kind == "drop":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + char + text[at:]
+    return text
+
+
+class TestJsonReaderOracle:
+    """The reader decodes the hex once with ``binascii.a2b_hex`` and refuses
+    A-F, instead of ``bytes.fromhex`` and a re-encoding compared with the
+    text: it accepts exactly what the old reader accepted, and raises the
+    same error type with the same message for everything else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(HEX_TEXTS),
+        st.lists(st.tuples(HEX_EDITS, st.integers(0, 10**6)), max_size=3),
+        st.sampled_from(["str", "str_subclass", "bytes", "int", "none", "extra_field"]),
+    )
+    def test_same_result_as_the_old_reader(self, text, edits, wrap):
+        text = edit_hex(text, edits)
+        value = {"str": text, "str_subclass": StrSub(text), "bytes": text.encode("utf-8", "surrogatepass"),
+                 "int": len(text), "none": None, "extra_field": text}[wrap]
+        envelope = {"wire_hex": value}
+        if wrap == "extra_field":
+            envelope["key"] = "A"
+
+        def outcome(reader):
+            try:
+                return reader(envelope).to_bytes()
+            except Exception as exc:  # noqa: BLE001 - the type and message are compared
+                return type(exc), str(exc)
+
+        assert outcome(MerkleProof.from_json_dict) == outcome(old_from_json_dict)
+
+    @pytest.mark.parametrize("text", HEX_TEXTS[:4])
+    def test_canonical_hex_is_read(self, text):
+        assert MerkleProof.from_json_dict({"wire_hex": text}).to_bytes().hex() == text
 
 
 class TestRecords:

@@ -6,6 +6,8 @@ import json
 import math
 import random
 import re
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -28,6 +30,7 @@ from adaptive_merkle import (
     tree_from_codes,
     verify,
 )
+import adaptive_merkle.proofs as proofs_mod
 import adaptive_merkle.tree as tree_mod
 from adaptive_merkle.coding import CodeTable
 from adaptive_merkle.restructure import apply_alternative
@@ -39,8 +42,10 @@ from helpers import (
     apply_ops,
     changed_parents,
     children_of,
+    fresh_proof_wires,
     kraft_sum,
     malform,
+    memo_entries,
     node_ids,
     open_internal_ids,
     random_tree,
@@ -721,6 +726,17 @@ class TestRootHash:
         assert hash_internal(list(digests)) == expected
         assert hash_internal(tuple(digests)) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=8), st.binary(max_size=80), st.lists(st.binary(max_size=100), min_size=1, max_size=3))
+    def test_seeded_states_hash_as_one_shot_sha256(self, key, payload, parts):
+        # each call copies a state seeded with the domain byte; the result is
+        # the one-shot digest, and the seeds themselves never move
+        assert hash_leaf(key, payload) == hashlib.sha256(b"\x00" + key.encode() + payload).digest()
+        assert hash_leaf(key, b"") == hashlib.sha256(b"\x00" + key.encode()).digest()
+        assert hash_internal(parts) == hashlib.sha256(b"\x01" + b"".join(parts)).digest()
+        assert tree_mod._LEAF_SEED.digest() == hashlib.sha256(b"\x00").digest()
+        assert tree_mod._INTERNAL_SEED.digest() == hashlib.sha256(b"\x01").digest()
+
     def test_independent_of_probabilities(self):
         t1 = build_balanced(make_leaves("ABCD"), TreeConfig(2))
         t2 = build_balanced(make_leaves("ABCD", [0.7, 0.1, 0.1, 0.1]), TreeConfig(2))
@@ -1164,7 +1180,7 @@ class TestCorruptedTree:
         assert not path.exists()
 
 
-PER_NODE_LISTS = ("_children", "_parent", "_depth", "_hash", "_child_digests", "_key", "_payload")
+PER_NODE_LISTS = ("_children", "_parent", "_depth", "_hash", "_child_digests", "_step", "_key", "_payload")
 APPLY_OPS_KINDS = ["split", "attach", "swap", "swap_nodes", "move", "probabilities", "optimize", "recompute", "root",
                    "prove", "snapshot", "clone"]
 
@@ -1214,6 +1230,115 @@ class TestClone:
         copy = binary_demo_tree.clone()
         copy.log[0].append("B")
         assert binary_demo_tree.log == [["A"]]
+
+
+class TestStepMemo:
+    """``prove`` memoizes each internal node's proof step at its parent, and
+    ``_rehash`` empties the children's steps when it rewrites a preimage."""
+
+    @given(
+        st.sampled_from([2, 3, 4, 16]),
+        st.integers(1, 12),
+        st.lists(st.tuples(st.sampled_from(APPLY_OPS_KINDS), st.integers(0, 999), st.integers(0, 999)), max_size=16),
+        st.randoms(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_memo_is_never_stale(self, m, n, ops, rnd):
+        # After every op each proof equals the one from hashes computed afresh
+        # and verifies. Odd ops prove on the tree itself, so its memo meets the
+        # ops that follow; even ones on a clone, which carries the memo and the
+        # unflushed dirty set across.
+        tree = random_tree(random.Random(rnd.randint(0, 2**32)), n, m)
+        count = itertools.count()
+
+        def check(t):
+            internal = sum(children is not None for children in t._children)
+            proved = t if next(count) % 2 else t.clone()
+            expected = fresh_proof_wires(proved)
+            root = proved.root_hash()
+            for key in proved.leaf_keys():
+                proof = prove(proved, key)
+                assert proof.to_bytes() == expected[key]
+                assert verify(proof, root, m)
+            assert len(memo_entries(proved)) <= internal
+
+        check(tree)
+        apply_ops(tree, ops, check)
+
+    def test_caterpillar_memo_stays_linear(self):
+        # A step is memoized per node, never a root-path tail, so after
+        # proving the deepest leaf and others above it the memo holds at most
+        # the deepest proof's bytes.
+        depth = 20_000
+        nested = f"k{depth}"
+        for i in reversed(range(depth)):
+            nested = [f"k{i}", nested]
+        tree = AdaptiveTree.from_nested(nested, {f"k{i}": 1 / (depth + 1) for i in range(depth + 1)}, TreeConfig(2))
+        root = tree.root_hash()
+        deepest = prove(tree, f"k{depth}")
+        assert verify(deepest, root, 2)
+        for i in range(0, depth, 997):
+            assert verify(prove(tree, f"k{i}"), root, 2)
+        steps = memo_entries(tree)
+        assert len(steps) == depth - 1  # every internal node but the root
+        assert sum(map(len, steps)) <= len(deepest.to_bytes())
+
+    def test_readers_interleave_on_a_flushed_tree(self):
+        # every reader of a flushed tree writes the same bytes into the memo,
+        # so threads that prove at once, switching as often as the
+        # interpreter allows, all get the proofs a single reader gets
+        tree = random_tree(random.Random(5), 200, 4)
+        expected = fresh_proof_wires(tree)
+        tree.root_hash()
+        keys = tree.leaf_keys()
+        results, interval = {}, sys.getswitchinterval()
+
+        def read(worker):
+            results[worker] = [prove(tree, key).to_bytes() for key in keys[worker::2] + keys[::-1]]
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(worker,)) for worker in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for worker in range(6):
+            assert results[worker] == [expected[key] for key in keys[worker::2] + keys[::-1]]
+
+    def test_prove_on_a_flushed_tree_hashes_nothing(self, monkeypatch):
+        # the leaf's step is cut from its parent's preimage and every step
+        # above it is memoized: a sibling's proof cuts only its own step
+        tree = build_balanced(make_leaves("ABCDEFGHIJKLMNOP"), TreeConfig(2))
+        tree.root_hash()
+        hashes, cuts = [], []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                hashes.append(name)
+                return fn(*args)
+            return wrapper
+
+        for module in (tree_mod, proofs_mod):
+            for name in ("hash_leaf", "hash_internal"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        cut_step = proofs_mod._cut_step
+
+        def cutting(t, nid, parent):
+            cuts.append(parent)
+            return cut_step(t, nid, parent)
+
+        monkeypatch.setattr(proofs_mod, "_cut_step", cutting)
+        first = prove(tree, "A")
+        assert len(cuts) == 4 and hashes == []
+        parent = tree.parent_id(tree.leaf_node("A").node_id)
+        cuts.clear()
+        second = prove(tree, "B")
+        assert cuts == [parent] and hashes == []
+        assert first.steps[1:] == second.steps[1:]
 
 
 class TestSnapshots:
