@@ -4,9 +4,10 @@ CSV files are UTF-8, written with LF line endings, and start with an exact
 header row. Every row has the header's column count and a first column no
 other row repeats; a bad row, or a field over the csv module's size limit, is
 named as ``path:line``. JSON documents nest no deeper than the parser's
-recursion limit, and JSON probabilities are JSON numbers: no bool, no string
-and no integer beyond the float range. Every breach of these rules raises
-:class:`FormatError`.
+recursion limit, JSON probabilities are JSON numbers (no bool, no string
+and no integer beyond the float range), and JSON hex is canonical: a string
+of lowercase hex digit pairs, no whitespace. Every breach of these rules
+raises :class:`FormatError`.
 
 Every float sum that reaches an output goes through :func:`float_sum`, so
 the files and figures written are the same on every supported Python.
@@ -91,3 +92,15 @@ def json_probabilities(value, what: str) -> dict[str, float]:
         return {key: float(p) for key, p in value.items()}
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise FormatError(f"{what} probability out of range: {exc}") from None
+
+
+def json_hex(value, what: str) -> bytes:
+    """A decoded JSON string of canonical hex as bytes: ``bytes.fromhex(h).hex() == h``,
+    so each accepted value has one reading."""
+    try:
+        data = bytes.fromhex(value)
+    except (TypeError, ValueError) as exc:  # no str, or not hex digit pairs
+        raise FormatError(f"{what} {value!r:.80} is not hex: {exc}") from None
+    if data.hex() != value:  # uppercase or whitespace
+        raise FormatError(f"{what} {value!r:.80} is non-canonical hex")
+    return data

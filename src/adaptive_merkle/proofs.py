@@ -9,7 +9,7 @@ root.
 
 Canonical wire (binary, big-endian, digests raw as in RFC 6962/9162)::
 
-    01                          version byte (_WIRE_VERSION)
+    02                          version byte (_WIRE_VERSION)
     u32 key length, key         the key in UTF-8
     leaf hash                   32 bytes
     per step, to the end:       u16 position, u16 sibling count c,
@@ -59,7 +59,7 @@ from typing import NamedTuple
 from .errors import MalformedProofError
 from .tree import HASH_SIZE, AdaptiveTree, hash_internal, hash_leaf
 
-_WIRE_VERSION = b"\x01"  # first byte of the binary wire
+_WIRE_VERSION = b"\x02"  # first byte of the binary wire: 02 since leaf hashes length-prefix the key
 _STEP_HEAD = struct.Struct(">HH")  # position, sibling count
 
 
@@ -134,7 +134,8 @@ class MerkleProof:
         if type(data) is not bytes:
             raise MalformedProofError(f"proof wire of type {type(data).__name__}, expected bytes")
         if data[:1] != _WIRE_VERSION:
-            raise MalformedProofError(f"proof wire version {data[:1].hex() or 'missing'}, expected 01")
+            found = data[:1].hex() or "missing"
+            raise MalformedProofError(f"proof wire version {found}, expected {_WIRE_VERSION.hex()}")
         end, key_end = len(data), 5 + int.from_bytes(data[1:5], "big")
         at = key_end + HASH_SIZE
         if end < at:
@@ -239,10 +240,8 @@ def verify(proof: MerkleProof, expected_root: bytes, arity: int, *, payload: byt
     hash) lies under the root. It binds neither ``proof.key`` nor a payload:
     a relabelled proof verifies, and so does one cut short whose leaf hash is
     an internal node's. With ``payload`` it also requires
-    ``hash_leaf(proof.key, payload) == proof.leaf_hash``, which rejects both.
-    ``hash_leaf`` does not yet delimit the key, so one leaf hash still reads
-    as several (key, payload) pairs; length-prefixing it (ROADMAP item 3)
-    changes every root hash and so the wire version byte.
+    ``hash_leaf(proof.key, payload) == proof.leaf_hash``, which rejects both;
+    ``hash_leaf`` length-prefixes the key, so that leaf hash has one reading.
 
     Raises :class:`MalformedProofError` for a ``proof`` that is no
     :class:`MerkleProof` and for steps the arity rules out; returns ``False``

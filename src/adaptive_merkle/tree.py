@@ -4,8 +4,10 @@ An :class:`AdaptiveTree` stores key/payload leaves in an m-ary hash tree
 together with a per-leaf access probability. The tree starts balanced and is
 reshaped incrementally (leaf splits, leaf attachments, exchanges of two
 leaves or whole subtrees) so that frequently accessed leaves end up on
-short root paths. Hashing uses SHA-256 with one byte of domain separation:
-``0x00`` for leaves, ``0x01`` for internal nodes.
+short root paths. Hashing uses SHA-256 with one byte of domain separation,
+as in RFC 6962/9162: a leaf hashes ``0x00 || u32be(key length) || key ||
+payload``, so each leaf hash reads as one (key, payload) pair, and an
+internal node ``0x01 || child hashes``.
 
 Node ids are ints from 1, in the order the nodes are made, and each per-node
 field is a list indexed by id whose slot 0 holds no node: children (None at
@@ -13,8 +15,8 @@ a leaf), parent (0 at the root), depth, hash, child digests (an internal
 node's hash preimage), proof step (an internal node's step at its parent,
 memoized by ``proofs.prove``), key and payload; a leaf-key index maps keys
 to ids.
-:func:`node_label` spells an id ``n<id>`` where it leaves or enters the
-program (snapshots, CLI JSON, error messages); :meth:`AdaptiveTree.node`
+:func:`node_label` spells an id ``n<id>`` where it leaves the program (CLI
+JSON, error messages; snapshots hold no ids); :meth:`AdaptiveTree.node`
 returns a read-only :class:`NodeView`.
 
 Mutations mark, reads flush. Building and every mutation hash no internal
@@ -27,15 +29,16 @@ after ``root_hash()``, which ``prove`` and snapshot writing call first.
 ``_rehash`` is the one writer of both, and it empties the memoized proof
 steps of the node's children, which were cut from the old preimage, so a
 memoized step lives exactly as long as the preimage it came from.
-:meth:`AdaptiveTree.from_nested` is the one builder (``build_balanced`` and
-``coding.tree_from_codes`` hand it a nested shape): one walk, with an
-iterator per open node, appends each node once, so they are n1..nK in
-post-order. Every whole-tree pass goes through one checked root-down
-walk: ``from_snapshot`` takes the depth, parent and
-leaf-key indexes from it, :meth:`AdaptiveTree.validate` compares them with
-it, and snapshot writing, the full rehash and :meth:`AdaptiveTree.leaf_keys`
-read their order from it, so a corrupted tree raises
-:class:`StructureError` there instead of being written or hashed. A split or
+:meth:`AdaptiveTree.from_nested` is the one builder (``build_balanced``,
+``coding.tree_from_codes`` and ``from_snapshot``, which rebuilds the nesting
+from a snapshot's preorder widths, hand it a nested shape): one walk, with
+an iterator per open node, appends each node once, so they are n1..nK in
+post-order. Every whole-tree pass over a built tree goes through one checked
+root-down walk: :meth:`AdaptiveTree.validate` compares the indexes with it,
+and snapshot writing (widths in its preorder, leaves in its leaf-key order),
+the full rehash and :meth:`AdaptiveTree.leaf_keys` read their order from it,
+so a corrupted tree raises :class:`StructureError` there instead of being
+written or hashed. A split or
 an attach updates the indexes in O(1); an exchange
 (:meth:`AdaptiveTree.swap_nodes`) or a move into a free child slot
 (:meth:`AdaptiveTree.move_node`) renumbers the depths of the moved subtrees.
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._formats import float_sum, json_probabilities, load_json
+from ._formats import float_sum, json_hex, json_probabilities, load_json
 from .errors import (
     DuplicateKeyError,
     FormatError,
@@ -76,12 +79,17 @@ MAX_ARITY = 65536  # the binary proof wire's u16 position and sibling count
 _LEAF_SEED = hashlib.sha256(b"\x00")
 _INTERNAL_SEED = hashlib.sha256(b"\x01")
 _KEY_BYTES = object()  # a new leaf's payload that _check_leaf reads as the key's UTF-8 bytes
+_SNAPSHOT_VERSION = 2
+_SNAPSHOT_FIELDS = {"format_version", "config", "widths", "leaves", "probabilities", "root_hex"}
 
 
 def hash_leaf(key: str, payload: bytes) -> bytes:
-    """SHA-256 of ``0x00 || key bytes || payload``."""
+    """SHA-256 of ``0x00 || u32be(len(key bytes)) || key bytes || payload``,
+    key bytes UTF-8: the length prefix gives each preimage one (key, payload)
+    reading, the domain separation of RFC 6962/9162."""
+    key = key.encode("utf-8")
     state = _LEAF_SEED.copy()
-    state.update(key.encode("utf-8"))
+    state.update(len(key).to_bytes(4, "big") + key)
     state.update(payload)
     return state.digest()
 
@@ -146,8 +154,8 @@ class TreeConfig:
 
 
 def node_label(node_id: int) -> str:
-    """How a node id is spelled where it leaves or enters the program:
-    snapshots, CLI JSON and error messages. The one place ids are spelled."""
+    """How a node id is spelled where it leaves the program: CLI JSON and
+    error messages. The one place ids are spelled."""
     return f"n{node_id}"
 
 
@@ -523,20 +531,16 @@ class AdaptiveTree:
         return copy.deepcopy(self, copied)
 
     def recompute_all_hashes(self) -> None:
-        """Full rehash in the order of the checked walk, which leaves nothing
-        dirty; used to cross-check incremental updates."""
-        self._hash_children_first(self._walk()[0])
-        self._dirty.clear()
-
-    def _hash_children_first(self, preorder: list[int]) -> None:
-        # Reversed preorder visits every child before its parent, so one
-        # iterative pass works at any depth.
+        """Full rehash, used to cross-check incremental updates. The checked
+        walk's preorder, reversed, visits every child before its parent, so
+        one iterative pass works at any depth and leaves nothing dirty."""
         children, keys, payloads, hashes = self._children, self._key, self._payload, self._hash
-        for nid in reversed(preorder):
+        for nid in reversed(self._walk()[0]):
             if children[nid] is None:
                 hashes[nid] = hash_leaf(keys[nid], payloads[nid])
             else:
                 self._rehash(nid)
+        self._dirty.clear()
 
     def validate(self) -> None:
         """Structural self-check: the shape, the three indexes the tree keeps
@@ -590,96 +594,62 @@ class AdaptiveTree:
     # -- snapshots ---------------------------------------------------------------
 
     def to_snapshot(self) -> dict:
-        """JSON-ready snapshot; nodes listed in the checked walk's preorder,
-        ids spelled by :func:`node_label`, hashes as hex."""
-        preorder = self._walk()[0]  # a corrupted tree raises before the flush
-        self.root_hash()
-        children_of, keys, payloads, hashes = self._children, self._key, self._payload, self._hash
-        labels = list(map(node_label, range(len(children_of))))
-        nodes = []
-        for nid in preorder:
-            children = children_of[nid]
-            if children is None:
-                spec = {"id": labels[nid], "kind": "leaf", "key": keys[nid], "payload_hex": payloads[nid].hex()}
-            else:
-                spec = {"id": labels[nid], "kind": "internal", "children": list(map(labels.__getitem__, children))}
-            spec["hash_hex"] = hashes[nid].hex()
-            nodes.append(spec)
+        """JSON-ready version-2 snapshot: child counts in the checked walk's
+        preorder, the leaves left to right, the probabilities and the root."""
+        preorder, _, _, leaf_by_key = self._walk()  # a corrupted tree raises before the flush
+        children_of, payloads = self._children, self._payload
         return {
+            "format_version": _SNAPSHOT_VERSION,
             "config": {"arity": self.config.arity, "hash": HASH_ALGORITHM},
-            "nodes": nodes,
-            "root_id": labels[self.root_id],
+            "widths": [len(children_of[nid] or ()) for nid in preorder],
+            "leaves": [[key, payloads[nid].hex()] for key, nid in leaf_by_key.items()],
             "probabilities": dict(sorted(self._probabilities.items())),
+            "root_hex": self.root_hash().hex(),
         }
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "AdaptiveTree":
-        """Rebuild a tree from a snapshot, re-deriving and checking every hash.
-
-        The K nodes' ids must be exactly n1..nK, in any order, and load to
-        the same ints; any other id raises :class:`FormatError`. One walk
-        checks the shape and yields the three indexes; its reverse hashes
-        every child before its parent, and each node is then checked against
-        its ``hash_hex`` in that same order."""
+        """Rebuild a tree from a version-2 snapshot through :meth:`from_nested`,
+        whose post-order ids it takes. A missing, unknown or mistyped field, or
+        a ``format_version`` but 2, raises :class:`FormatError`; widths that do
+        not close one preorder over the leaves, or a root other than
+        ``root_hex``, :class:`StructureError`; the builder raises as it does."""
+        version = snapshot.get("format_version", "missing") if isinstance(snapshot, dict) else "missing"
+        if type(version) is not int or version != _SNAPSHOT_VERSION:  # bool is an int subclass
+            raise FormatError(f"snapshot format_version {version!r}, expected {_SNAPSHOT_VERSION}")
+        if snapshot.keys() != _SNAPSHOT_FIELDS:
+            raise FormatError(f"snapshot fields {sorted(snapshot, key=str)}, expected {sorted(_SNAPSHOT_FIELDS)}")
+        widths, leaves = snapshot["widths"], snapshot["leaves"]
+        probabilities = json_probabilities(snapshot["probabilities"], "snapshot")
         try:
             arity, algorithm = snapshot["config"]["arity"], snapshot["config"]["hash"]
-            node_specs = snapshot["nodes"]
-            root_id = snapshot["root_id"]
-            probabilities = json_probabilities(snapshot["probabilities"], "snapshot")
+            if type(arity) is not int or type(widths) is not list or type(leaves) is not list:
+                raise TypeError("snapshot needs an integer arity and lists of widths and leaves")
+            if not set(map(type, widths)) <= {int} or min(widths, default=0) < 0:
+                raise TypeError("widths must be JSON integers >= 0")
+            if not all(type(leaf) is list and len(leaf) == 2 and type(leaf[0]) is str for leaf in leaves):
+                raise TypeError("each leaf must be a [key, payload_hex] pair with a string key")
         except (KeyError, TypeError) as exc:
-            raise FormatError(f"snapshot missing required field: {exc}") from None
-        # bool is an int subclass: JSON true must not pass as arity
-        if type(arity) is not int or not isinstance(node_specs, list) or not isinstance(root_id, str):
-            raise FormatError("snapshot needs an integer arity, a node list and a string root_id")
+            raise FormatError(f"snapshot field malformed: {exc}") from None
+        payloads = {key: json_hex(payload_hex, "snapshot payload_hex") for key, payload_hex in leaves}
+        root = json_hex(snapshot["root_hex"], "snapshot root_hex")
+        if len(root) != HASH_SIZE:
+            raise FormatError(f"snapshot root_hex holds {len(root)} bytes, expected {HASH_SIZE}")
         if algorithm != HASH_ALGORITHM:
             raise StructureError(f"unsupported hash algorithm {algorithm!r}")
-
-        tree = cls(TreeConfig(arity))
-        size = len(node_specs) + 1
-        ids = {node_label(nid): nid for nid in range(1, size)}  # the only ids a snapshot may hold
-        tree._children, tree._key, tree._payload = [None] * size, [None] * size, [None] * size
-        tree._hash, tree._child_digests, tree._step = [b""] * size, [b""] * size, [b""] * size
-        stored_hex: list[str | None] = [None] * size
-        for spec in node_specs:
-            try:
-                label, kind = spec["id"], spec["kind"]
-                if kind == "leaf":
-                    payload_hex = spec["payload_hex"]
-                    payload = bytes.fromhex(payload_hex)
-                    # one reading per snapshot: no uppercase, no whitespace
-                    if payload.hex() != payload_hex:
-                        raise ValueError(f"non-canonical payload_hex {payload_hex!r} in node {label!r}")
-                    names = [label, spec["key"]]
-                elif kind == "internal":
-                    if not isinstance(spec["children"], list):
-                        raise TypeError(f"children of node {label!r} must be a list")
-                    names = [label, *spec["children"]]
-                else:
-                    raise FormatError(f"unknown node kind {kind!r}")
-                if not all(isinstance(name, str) for name in names + [spec["hash_hex"]]):
-                    raise TypeError(f"non-string id, key, child or hash_hex in node {label!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"malformed snapshot node: {exc!r}") from None
-            nid = ids.get(label)
-            if nid is None:
-                raise FormatError(f"node id {label!r} is not one of n1..n{size - 1}")
-            if stored_hex[nid] is not None:
-                raise StructureError(f"duplicate node id {label!r} in snapshot")
-            stored_hex[nid] = spec["hash_hex"]
-            if kind == "leaf":  # the new-leaf rule types a key that is not UTF-8
-                tree._key[nid], tree._payload[nid] = spec["key"], tree._check_leaf(spec["key"], payload)
-            else:  # a label naming no node stays a str, which the walk refuses
-                tree._children[nid] = [ids.get(cid, cid) for cid in spec["children"]]
-        tree.root_id = ids.get(root_id, root_id)  # as a child label: the walk refuses a str
-
-        preorder, tree._depth, tree._parent, tree._leaf_by_key = tree._walk()
-        tree._check_cover(probabilities)
-        check_probabilities(probabilities)
-        tree._probabilities = probabilities
-        tree._hash_children_first(preorder)
-        for nid in reversed(preorder):
-            if tree._hash[nid].hex() != stored_hex[nid]:
-                raise StructureError(f"hash mismatch for node {node_label(nid)!r} in snapshot")
+        keys, built = iter([key for key, _ in reversed(leaves)]), []
+        for width in reversed(widths):  # reversed preorder meets every child before its parent
+            if width > len(built):
+                raise StructureError(f"snapshot widths do not close: a node of width {width} lacks children")
+            node = built[: -width - 1 : -1] if width else next(keys, None)
+            del built[len(built) - width :]
+            built.append(node)
+        if len(built) != 1 or widths.count(0) != len(leaves):
+            raise StructureError(f"snapshot widths close {len(built)} trees over {widths.count(0)} leaves, "
+                                 f"not one over the {len(leaves)} listed")
+        tree = cls.from_nested(built[0], probabilities, TreeConfig(arity), payloads)
+        if tree.root_hash() != root:
+            raise StructureError(f"snapshot root_hex {root.hex()} is not the root of its widths and leaves")
         return tree
 
     def save(self, path) -> None:

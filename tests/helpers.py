@@ -39,7 +39,8 @@ def random_distribution(rng: random.Random, n: int) -> dict[str, float]:
 
 # Top-level snapshot edits that must raise FormatError, as (field, value):
 # "arity" sits under "config", "p_A" is leaf A's probability, and the value
-# MISSING deletes the field.
+# MISSING deletes the field. "nodes" and "root_id", the fields of version 1,
+# are unknown fields to version 2.
 MISSING = object()
 
 MALFORMED_TOP_LEVEL = [
@@ -57,10 +58,53 @@ MALFORMED_TOP_LEVEL = [
     ("p_A", True),
     ("p_A", 10**400),
     ("config", MISSING),
-    ("nodes", MISSING),
-    ("root_id", MISSING),
+    ("widths", MISSING),
+    ("root_hex", MISSING),
     ("probabilities", MISSING),
+    ("format_version", 1),
+    ("format_version", 3),
+    ("format_version", "2"),
+    ("format_version", True),
+    ("format_version", 2.0),
+    ("format_version", MISSING),
+    ("widths", None),
+    ("widths", {}),
+    ("widths", [2.0]),
+    ("widths", [True]),
+    ("widths", [-1]),
+    ("leaves", MISSING),
+    ("leaves", None),
+    ("leaves", {"A": "41"}),
+    ("leaves", ["A41"]),
+    ("leaves", [["A"]]),
+    ("leaves", [["A", "41", "41"]]),
+    ("leaves", [[65, "41"]]),
+    ("leaves", [["A", 65]]),
+    ("leaves", [["A", "4"]]),
+    ("root_hex", None),
+    ("root_hex", "00" * 31),
+    ("root_hex", "00" * 33),
+    ("root_hex", "AB" * 32),
+    ("root_hex", " " + "00" * 32),
+    ("hash_hex", "00" * 32),
 ]
+
+# A snapshot of the two-leaf tree A, B (payloads b"A", b"B") as version 1
+# wrote it: per-node objects with ids, kinds and hashes, and no
+# format_version. Version 2 refuses it.
+V1_SNAPSHOT = {
+    "config": {"arity": 2, "hash": "sha-256"},
+    "nodes": [
+        {"id": "n3", "kind": "internal", "children": ["n1", "n2"],
+         "hash_hex": "b93f11b59cdfe80449cd3216b0bda7bb9c53a501a20d37f8bd7f513989d67cbe"},
+        {"id": "n1", "kind": "leaf", "key": "A", "payload_hex": "41",
+         "hash_hex": "25a27d25e58db964e87c725758200a07ce98b01cbd2fbfefa5396ba937d4d5d5"},
+        {"id": "n2", "kind": "leaf", "key": "B", "payload_hex": "42",
+         "hash_hex": "e1b94865dcbd308f92a80cf81949823752193241740c78f7da16db1e3f21a678"},
+    ],
+    "root_id": "n3",
+    "probabilities": {"A": 0.5, "B": 0.5},
+}
 
 
 def malform(snapshot: dict, field: str, value) -> dict:
@@ -179,6 +223,13 @@ def reference_prove(tree: AdaptiveTree, key: str) -> MerkleProof:
     return MerkleProof(*reference_fields(tree, key))
 
 
+def leaf_preimage(key: str, payload: bytes) -> bytes:
+    """What a leaf hashes, spelled field by field: ``0x00``, the key's UTF-8
+    length as a big-endian u32, the key and the payload."""
+    key_bytes = key.encode("utf-8")
+    return b"\x00" + struct.pack(">I", len(key_bytes)) + key_bytes + payload
+
+
 def fresh_proof_wires(tree: AdaptiveTree) -> dict[str, bytes]:
     """Every leaf's proof wire from hashes computed afresh: one root-down
     walk over ``_children``, then each node hashed from its key and payload
@@ -195,7 +246,7 @@ def fresh_proof_wires(tree: AdaptiveTree) -> dict[str, bytes]:
     digest = {}
     for nid in reversed(preorder):  # children before parents
         children = children_of[nid]
-        data = (b"\x00" + keys[nid].encode() + payloads[nid] if children is None
+        data = (leaf_preimage(keys[nid], payloads[nid]) if children is None
                 else b"\x01" + b"".join(digest[cid] for cid in children))
         digest[nid] = hashlib.sha256(data).digest()
     above, wires = {tree.root_id: b""}, {}  # a node's steps, from its own up to the root
@@ -203,7 +254,7 @@ def fresh_proof_wires(tree: AdaptiveTree) -> dict[str, bytes]:
         children = children_of[nid]
         if children is None:
             key = keys[nid].encode()
-            wires[keys[nid]] = b"\x01" + len(key).to_bytes(4, "big") + key + digest[nid] + above[nid]
+            wires[keys[nid]] = b"\x02" + len(key).to_bytes(4, "big") + key + digest[nid] + above[nid]
             continue
         for position, cid in enumerate(children):
             siblings = b"".join(digest[other] for other in children if other != cid)
@@ -246,6 +297,34 @@ def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | No
             tree.split_leaf(rng.choice(tree.leaf_keys()), key, key.encode())
     tree.set_probabilities(probs)
     return tree
+
+
+def post_order(tree: AdaptiveTree) -> list[int]:
+    """Node ids children first, left to right."""
+    order, stack = [], [(tree.root_id, False)]
+    while stack:
+        nid, children_done = stack.pop()
+        children = tree.node(nid).children
+        if children is None or children_done:
+            order.append(nid)
+        else:
+            stack.append((nid, True))
+            stack.extend((cid, False) for cid in reversed(children))
+    return order
+
+
+def reloaded_ids(tree: AdaptiveTree) -> dict[int, int]:
+    """The id each node of ``tree`` takes in the tree its snapshot loads to:
+    its place in post-order, counted from 1."""
+    return {nid: at for at, nid in enumerate(post_order(tree), 1)}
+
+
+def relabelled(alternative: Alternative, ids: dict[int, int]) -> Alternative:
+    """``alternative`` with the node ids of an attach or an exchange target
+    mapped through ``ids``; a split's or a swap's leaf keys stay."""
+    if alternative.kind not in ("attach", "exchange"):
+        return alternative
+    return alternative._replace(target=tuple(ids[nid] for nid in alternative.target))
 
 
 def node_ids(tree: AdaptiveTree) -> range:
@@ -586,8 +665,8 @@ LEAF_VECTORS = [
     ("ascii key", "A", b"A"),
     ("multi-byte UTF-8 key", "clé-木-\U0001f333", b"\x00\xff"),
     ("empty payload", "k", b""),
-    ("key ab, payload c: the same preimage as the next vector", "ab", b"c"),
-    ("key a, payload bc: the same preimage as the previous vector", "a", b"bc"),
+    ("key ab, payload c: the next vector's bytes, split elsewhere", "ab", b"c"),
+    ("key a, payload bc: the previous vector's bytes, split elsewhere", "a", b"bc"),
 ]
 # (tree, leaf keys to prove) of each proof vector; payloads are the keys' UTF-8 bytes
 PROOF_VECTORS = [("binary_demo_tree", ["A", "G"]), ("quad_demo_tree", ["A", "E"])]
@@ -599,7 +678,7 @@ def encoding_vectors(trees: dict[str, AdaptiveTree]) -> dict:
     conftest demo trees (``trees`` maps each fixture name to its tree)."""
     leaf = [
         {"name": name, "key": key, "payload_hex": payload.hex(),
-         "preimage_hex": (b"\x00" + key.encode("utf-8") + payload).hex(),
+         "preimage_hex": leaf_preimage(key, payload).hex(),
          "digest_hex": hash_leaf(key, payload).hex()}
         for name, key, payload in LEAF_VECTORS
     ]

@@ -11,7 +11,15 @@ from adaptive_merkle import AdaptiveTree, MerkleProof, optimize_swaps, prove
 from adaptive_merkle.cli import main
 from adaptive_merkle.workload import zipf_distribution
 
-from helpers import MALFORMED_SCRIPT, MALFORMED_TOP_LEVEL, malform, malform_script, old_readable_view, random_tree
+from helpers import (
+    MALFORMED_SCRIPT,
+    MALFORMED_TOP_LEVEL,
+    V1_SNAPSHOT,
+    malform,
+    malform_script,
+    old_readable_view,
+    random_tree,
+)
 
 
 @pytest.fixture
@@ -201,6 +209,16 @@ def test_verify_malformed_proof_exit_2(tmp_path, capsys):
     assert main(["verify", "--proof", str(proof_path), "--root", "00" * 32, "--arity", "2"]) == 2
 
 
+def test_verify_version_1_wire_exit_2(tmp_path, snapshot, capsys):
+    # a proof written before leaf hashes length-prefixed the key
+    proof_path = tmp_path / "proof.json"
+    tree = AdaptiveTree.load(snapshot)
+    wire = prove(tree, "A").to_bytes()
+    proof_path.write_text(json.dumps({"wire_hex": ("01" + wire[1:].hex())}), encoding="utf-8")
+    assert main(["verify", "--proof", str(proof_path), "--root", tree.root_hash().hex()]) == 2
+    assert capsys.readouterr().err == "error: proof wire version 01, expected 02\n"
+
+
 def test_verify_old_format_proof_exit_2(tmp_path, snapshot):
     proof_path = tmp_path / "proof.json"
     tree = AdaptiveTree.load(snapshot)
@@ -210,12 +228,17 @@ def test_verify_old_format_proof_exit_2(tmp_path, snapshot):
         assert main(["verify", "--proof", str(proof_path), "--root", root, "--arity", "2"]) == 2
 
 
-def test_metrics_node_without_kind_exit_2(tmp_path, snapshot):
-    snap = json.loads(snapshot.read_text(encoding="utf-8"))
-    del snap["nodes"][0]["kind"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(snap), encoding="utf-8")
-    assert main(["metrics", "--snapshot", str(bad)]) == 2
+@pytest.mark.parametrize("command", [["metrics"], ["prove", "--key", "A"], ["optimize", "--out", "out.json"],
+                                     ["insert", "--key", "C", "--probs", "probs.csv", "--out", "out.json"]])
+def test_version_1_snapshot_exit_2(tmp_path, capsys, monkeypatch, command):
+    # the per-node snapshot form is refused with one line naming the version
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "probs.csv").write_text("key,probability\nA,0.5\nB,0.25\nC,0.25\n", encoding="utf-8")
+    (tmp_path / "v1.json").write_text(json.dumps(V1_SNAPSHOT, indent=2), encoding="utf-8")
+    assert main([command[0], "--snapshot", "v1.json", *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out.json").exists()
+    assert captured.err == "error: snapshot format_version 'missing', expected 2\n"
 
 
 @pytest.mark.parametrize("field, value", MALFORMED_TOP_LEVEL)

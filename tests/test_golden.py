@@ -34,7 +34,11 @@ exactly:
   over the leaves: 0.4823724341295632 -> ...5623 at m = 2 and
   0.7175131196427755 -> ...7764 at m = 3, each now equal to its record's
   ``delta_after``; the pick, every other line and both snapshots did not
-  change;
+  change. Both snapshots were rewritten when snapshots became version 2
+  (preorder widths, leaves and one root) and leaf hashes began to
+  length-prefix the key: the same shapes, leaf order, depths and
+  probabilities, read back by the old and the new loader, under a new root;
+  both records stayed byte-identical;
 * ``optimize_insert_demo16_m<m>.json``/``.snapshot.json`` and
   ``metrics_insert_demo16_m<m>.json``: ``optimize`` stdout and the snapshot
   it writes, and ``metrics`` stdout, on ``insert_demo16_m<m>.snapshot.json``.
@@ -42,18 +46,28 @@ exactly:
   parent pointers in a loop of its own. The optimize files were rewritten
   when ``optimize_swaps`` began exchanging whole subtrees: 5 moves at m = 2
   (k_A 4.0195 -> 3.6047, one leaf swap before) and 7 at m = 3
-  (2.6584 -> 2.4438, two leaf swaps before).
+  (2.6584 -> 2.4438, two leaf swaps before). With snapshots at version 2
+  both snapshots were rewritten as the insert snapshots were, and the
+  optimize records name a loaded tree's nodes by their place in post-order:
+  only exchange target labels changed (for example ``n30`` -> ``n32`` at
+  m = 2, ``n3`` -> ``n4`` at m = 3); every kind, swap key, delta and
+  candidate count, the move counts (5 and 7) and both metrics files stayed
+  byte-identical.
 
 * ``build_<dist>_m<m>.snapshot.json``, ``codes_<dist>_m<m>.csv`` and
   ``map_<dist>_m<m>.csv``: ``build``, ``encode --format codes`` and
   ``encode --format map`` on demo16 at m = 2 and 16 and on hexary20 at
   m = 16 (``helpers.BUILD_AND_ENCODE_RUNS``), written before the builders'
   per-node work was cut (slotted nodes, one walk per builder), which had to
-  leave every byte as it was;
+  leave every byte as it was. The three snapshots were rewritten at version
+  2 with length-prefixed leaf keys (same shapes, leaves and probabilities);
+  the code and map CSVs did not change;
 * ``SEEDED_DIGESTS``: the SHA-256 of the address map CSV and of the Huffman
   tree's snapshot for a seeded Zipf(1.1) at n = 4096, m = 2 and 16
   (``helpers.write_seeded_zipf_outputs``), pinned at the same time: too
-  large to commit, large enough for every merge, parse and walk path.
+  large to commit, large enough for every merge, parse and walk path. The
+  snapshot digests were re-pinned at version 2; the map digests did not
+  change.
 
 Every golden is also run under each other Python the package supports
 (3.10, 3.12, 3.13), as ``python3.X -m adaptive_merkle.cli`` with
@@ -87,9 +101,9 @@ SEEDED_N, SEEDED_SEED = 4096, 1
 # arity -> SHA-256 of (map.csv, snapshot.json) from write_seeded_zipf_outputs
 SEEDED_DIGESTS = {
     2: ("ac85a6c557a78adc9a8ee79f6b25e15ba8800c6d21d9ab777ce6d4f4f1abfa43",
-        "178d71391289d42ba925061abd087a1c3955114be50a9baa1db4a8578a51a478"),
+        "367051eaf41f2aae9393ba8528710095ac621592f2068788f79beea00d2bd25f"),
     16: ("921188f421a8da525c67d1fe5e658b0f8b969a646860b85cd072e55b3f570c28",
-         "20c629575de24bd47b531ae0656a0031e484c850d0a6c0e39f7238f3cd8eb04b"),
+         "75ffdfa842bb7fbd890441fe734e408892fe486f8f145fb0b370a933b781e30a"),
 }
 
 

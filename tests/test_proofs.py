@@ -515,7 +515,7 @@ HEX_EDITS = st.one_of(
 # all-zero leaf hash, no step), an empty text and an odd one
 HEX_TEXTS = [
     prove(build_balanced(uniform_leaves("ABCDEFGHIJ"), TreeConfig(3)), key).to_bytes().hex() for key in "ACJ"
-] + ["01" + "00" * 36, "", "0"]
+] + ["02" + "00" * 36, "", "0"]
 
 
 def edit_hex(text: str, edits) -> str:
@@ -633,7 +633,7 @@ class TestVerificationCost:
 def reference_wire(key: str, leaf_hash: bytes, steps) -> bytes:
     """The binary wire spelled field by field: the oracle for the writers."""
     key = key.encode("utf-8")
-    wire = b"\x01" + len(key).to_bytes(4, "big") + key + leaf_hash
+    wire = b"\x02" + len(key).to_bytes(4, "big") + key + leaf_hash
     for position, siblings in steps:
         wire += position.to_bytes(2, "big") + (len(siblings) // 32).to_bytes(2, "big") + siblings
     return wire
@@ -642,15 +642,15 @@ def reference_wire(key: str, leaf_hash: bytes, steps) -> bytes:
 class TestBinaryWire:
     # binary_demo_tree's proof for H: its sibling A, then the sibling of
     # the node [A, H], under a root of
-    # 79e6c501fd873647d7c02c65826da219fefaca347831f91294b7ba31bcf16225
+    # 645dd68405e4471b77427005240033df37277bec49b10ef0f414ac883f9bc738
     DEMO_H = bytes.fromhex(
-        "01"  # version
+        "02"  # version
         "00000001" "48"  # key length 1, "H"
-        "cd7fb9e1db93ea4a59bbc6ae7c1bc4b21cc90c53955110659abed35c4af696cf"  # hash_leaf("H", b"H")
+        "89f5b82a570058ffdaf148fdcac31964fcb555bf2d15ec1786da2e60b4da86e7"  # hash_leaf("H", b"H")
         "0001" "0001"  # position 1, one sibling
-        "25a27d25e58db964e87c725758200a07ce98b01cbd2fbfefa5396ba937d4d5d5"  # hash_leaf("A", b"A")
+        "05459f518ef1a6fa0b753c3b0cf9b25987442b0caf7be6d7aef39d7c14890633"  # hash_leaf("A", b"A")
         "0000" "0001"  # position 0, one sibling
-        "bc5cd6336040ef9f0477d441b37801d5ed876b9146643f91300e5eb23ee55867"
+        "abfb0aff2b696e43a6c5e23c1e676f269850b2ba8214558eccf5bab468d9c139"
     )
 
     def test_demo_proof_bytes_pinned(self, binary_demo_tree):
@@ -658,7 +658,7 @@ class TestBinaryWire:
         assert proof.to_bytes() == self.DEMO_H
         assert proof.leaf_hash == hash_leaf("H", b"H")
         assert proof.steps[0].siblings == hash_leaf("A", b"A")
-        assert binary_demo_tree.root_hash().hex().startswith("79e6c501")
+        assert binary_demo_tree.root_hash().hex().startswith("645dd684")
         assert MerkleProof.from_bytes(self.DEMO_H) == proof
         assert verification_cost(proof).proof_bytes == len(self.DEMO_H) == 110
 
@@ -716,7 +716,7 @@ class TestBinaryWire:
         [
             b"",
             b"\x00" + DEMO_H[1:],
-            b"\x02" + DEMO_H[1:],
+            b"\x01" + DEMO_H[1:],  # the wire before leaf hashes length-prefixed the key
             b"{" + DEMO_H[1:],
             DEMO_H[:3],
             DEMO_H[:5],
@@ -724,12 +724,12 @@ class TestBinaryWire:
             DEMO_H[:38 + 4 + 31],
             DEMO_H + b"\x00\x00\x00",
             DEMO_H + b"\x00\x00\x00\x01",
-            b"\x01\xff\xff\xff\xff" + DEMO_H[5:],
-            b"\x01\x00\x00\x00\x01\xff" + DEMO_H[6:],
-            b"\x01\x00\x00\x00\x03\xed\xa0\x80" + DEMO_H[6:],  # an encoded lone surrogate
-            b"\x01\x00\x00\x00\x02\xc1\x81" + DEMO_H[6:],  # an overlong "A"
+            b"\x02\xff\xff\xff\xff" + DEMO_H[5:],
+            b"\x02\x00\x00\x00\x01\xff" + DEMO_H[6:],
+            b"\x02\x00\x00\x00\x03\xed\xa0\x80" + DEMO_H[6:],  # an encoded lone surrogate
+            b"\x02\x00\x00\x00\x02\xc1\x81" + DEMO_H[6:],  # an overlong "A"
         ],
-        ids=["empty", "version-0", "version-2", "json-brace", "in-key-length", "no-key", "in-step-head",
+        ids=["empty", "version-0", "version-1", "json-brace", "in-key-length", "no-key", "in-step-head",
              "step-past-end", "partial-step-head", "trailing-step-past-end", "key-length-past-end",
              "bad-utf8", "surrogate", "overlong"],
     )

@@ -1,6 +1,6 @@
 """The README's "Library tour" code block runs as documented, it documents
-every public top-level name, and its module table and private names name
-only what exists."""
+every public top-level name, its module table and private names name only
+what exists, and its snapshot and wire tables match the writer and reader."""
 
 import argparse
 import functools
@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import adaptive_merkle
-from adaptive_merkle import TreeConfig, build_balanced, cli
+from adaptive_merkle import TreeConfig, build_balanced, cli, proofs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -101,3 +101,19 @@ def test_private_names_exist():
 
     assert len(private) >= 5
     assert sorted(name for name in private if not resolves(name)) == []
+
+
+def test_snapshot_field_table_names_what_to_snapshot_writes():
+    # the first column of the snapshot field table, in order, is the key
+    # list of a written snapshot
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("* **Snapshot**") : text.index("* **Proof**, canonical wire")]
+    fields = re.findall(r"^  \| `(\w+)` \|", section, re.MULTILINE)
+    tree = build_balanced([("A", b"A", 0.5), ("B", b"B", 0.5)], TreeConfig(2))
+    assert fields == list(tree.to_snapshot())
+
+
+def test_wire_table_gives_the_wire_version():
+    text = README.read_text(encoding="utf-8")
+    (version,) = re.findall(r"^  \| version \| 1 B \| `0x([0-9a-f]{2})` \|$", text, re.MULTILINE)
+    assert bytes.fromhex(version) == proofs._WIRE_VERSION

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -57,6 +58,8 @@ from helpers import (
     random_distribution,
     random_tree,
     reference_add_alternatives,
+    relabelled,
+    reloaded_ids,
     root_path,
 )
 
@@ -362,13 +365,15 @@ class TestAddScoresIgnoreSiblingOrder:
             assert split_scores(mirror, new_probs) == split_scores(tree, new_probs)
 
     def test_grown_tree_scores_as_its_snapshot_reload(self):
+        # the same alternatives in the same order; an attach names its
+        # node by the loaded tree's id, the node's place in post-order
         rng = random.Random(53)
         for m in (2, 3, 4):
             tree = grown_tree(random_distribution(rng, 24), m)
-            loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
+            loaded, ids = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot()))), reloaded_ids(tree)
             new_probs = dict(zip(sorted(tree.leaf_keys()) + ["zzz"], random_distribution(rng, 25).values()))
             assert [add_record(alt) for alt in enumerate_add_alternatives(loaded, "zzz", new_probs)] == [
-                add_record(alt) for alt in enumerate_add_alternatives(tree, "zzz", new_probs)
+                add_record(relabelled(alt, ids)) for alt in enumerate_add_alternatives(tree, "zzz", new_probs)
             ]
 
 
@@ -1194,8 +1199,9 @@ class TestNodeExchange:
             weights[0] += 1
             probs = {f"k{i:03d}": w / sum(weights) for i, w in enumerate(weights)}
             tree = random_tree(rng, n, m, probs)
-            loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot())))
-            steps = [o.to_json_dict() for o in optimize_swaps(tree)]
+            loaded, ids = AdaptiveTree.from_snapshot(json.loads(json.dumps(tree.to_snapshot()))), reloaded_ids(tree)
+            # the same moves; an exchange names its nodes by the loaded ids
+            steps = [replace(o, chosen=relabelled(o.chosen, ids)).to_json_dict() for o in optimize_swaps(tree)]
             assert [o.to_json_dict() for o in optimize_swaps(loaded)] == steps
             assert loaded.to_snapshot() == tree.to_snapshot()
 

@@ -39,18 +39,22 @@ from adaptive_merkle.workload import zipf_distribution
 
 from helpers import (
     MALFORMED_TOP_LEVEL,
+    V1_SNAPSHOT,
     apply_ops,
     changed_parents,
     children_of,
     fresh_proof_wires,
     kraft_sum,
+    leaf_preimage,
     malform,
     memo_entries,
     node_ids,
     open_internal_ids,
+    post_order,
     random_tree,
     reference_check_probabilities,
     reference_prove,
+    reloaded_ids,
     root_path,
     walked_depths,
 )
@@ -175,10 +179,10 @@ class TestSplitLeaf:
 
     def test_duplicate_key_message_matches_the_snapshot_walk(self):
         # one rule, one message: a new leaf and a loaded tree refuse a
-        # repeated key in the same words
+        # repeated key in the same words, since loading builds through it
         tree = AdaptiveTree.from_nested(["a", "b"], {"a": 0.5, "b": 0.5}, TreeConfig(2))
         snap = tree.to_snapshot()
-        next(node for node in snap["nodes"] if node.get("key") == "b")["key"] = "a"
+        snap["leaves"][1][0] = "a"
         with pytest.raises(DuplicateKeyError) as loaded:
             AdaptiveTree.from_snapshot(snap)
         with pytest.raises(DuplicateKeyError) as split:
@@ -731,11 +735,25 @@ class TestRootHash:
     def test_seeded_states_hash_as_one_shot_sha256(self, key, payload, parts):
         # each call copies a state seeded with the domain byte; the result is
         # the one-shot digest, and the seeds themselves never move
-        assert hash_leaf(key, payload) == hashlib.sha256(b"\x00" + key.encode() + payload).digest()
-        assert hash_leaf(key, b"") == hashlib.sha256(b"\x00" + key.encode()).digest()
+        assert hash_leaf(key, payload) == hashlib.sha256(leaf_preimage(key, payload)).digest()
+        assert hash_leaf(key, b"") == hashlib.sha256(leaf_preimage(key, b"")).digest()
         assert hash_internal(parts) == hashlib.sha256(b"\x01" + b"".join(parts)).digest()
         assert tree_mod._LEAF_SEED.digest() == hashlib.sha256(b"\x00").digest()
         assert tree_mod._INTERNAL_SEED.digest() == hashlib.sha256(b"\x01").digest()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8), st.binary(max_size=8))
+    def test_leaf_hash_has_one_reading(self, key, payload):
+        # the key's length prefix keeps apart keys and payloads that join to
+        # the same bytes: "ab" with b"c" and "a" with b"bc" once hashed alike
+        assert hash_leaf("ab", b"c") != hash_leaf("a", b"bc")
+        joined, digest = key.encode() + payload, hash_leaf(key, payload)
+        for cut in range(len(joined) + 1):
+            try:
+                other = joined[:cut].decode()
+            except UnicodeDecodeError:  # a cut inside a character
+                continue
+            assert (hash_leaf(other, joined[cut:]) == digest) == (other == key)
 
     def test_independent_of_probabilities(self):
         t1 = build_balanced(make_leaves("ABCD"), TreeConfig(2))
@@ -1016,20 +1034,6 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert live / len(node_ids(tree)) <= 300
-
-
-def post_order(tree: AdaptiveTree) -> list[int]:
-    """Node ids children first, left to right."""
-    order, stack = [], [(tree.root_id, False)]
-    while stack:
-        nid, children_done = stack.pop()
-        children = tree.node(nid).children
-        if children is None or children_done:
-            order.append(nid)
-        else:
-            stack.append((nid, True))
-            stack.extend((cid, False) for cid in reversed(children))
-    return order
 
 
 BUILDER_ERROR_CASES = {
@@ -1352,7 +1356,7 @@ class TestSnapshots:
         assert AdaptiveTree.from_snapshot(snapshot).root_hash() == root
         snapshot = json.loads((golden / "build_demo16_m16.snapshot.json").read_text(encoding="utf-8"))
         snapshot["config"]["arity"] = 4
-        with pytest.raises(StructureError, match=re.escape("node 'n17' has 16 children (2 to arity 4)")):
+        with pytest.raises(StructureError, match=re.escape("internal node with 16 children (arity 4)")):
             AdaptiveTree.from_snapshot(snapshot)
 
     def test_round_trip_preserves_root_hash(self, tmp_path):
@@ -1367,65 +1371,33 @@ class TestSnapshots:
             assert loaded.probabilities == tree.probabilities
 
     def test_snapshot_shape(self, binary_demo_tree):
+        # version 2: each node's child count in preorder, the leaves left to
+        # right, the probabilities by key and the root; no per-node ids or hashes
         snap = binary_demo_tree.to_snapshot()
-        assert snap["config"] == {"arity": 2, "hash": "sha-256"}
-        assert set(snap) == {"config", "nodes", "root_id", "probabilities"}
-        kinds = {node["kind"] for node in snap["nodes"]}
-        assert kinds == {"leaf", "internal"}
-        for node in snap["nodes"]:
-            if node["kind"] == "leaf":
-                assert set(node) == {"id", "kind", "key", "payload_hex", "hash_hex"}
-            else:
-                assert set(node) == {"id", "kind", "children", "hash_hex"}
+        assert list(snap) == ["format_version", "config", "widths", "leaves", "probabilities", "root_hex"]
+        assert snap["format_version"] == 2 and snap["config"] == {"arity": 2, "hash": "sha-256"}
+        assert snap["widths"] == [2, 2, 0, 0, 2, 2, 0, 0, 2, 2, 0, 0, 2, 0, 0]
+        assert snap["leaves"] == [[key, key.encode().hex()] for key in "AHBDCFEG"]
+        assert list(snap["probabilities"]) == sorted("ABCDEFGH")
+        assert snap["root_hex"] == binary_demo_tree.root_hash().hex()
 
     def test_deep_chain_round_trip(self, tmp_path):
-        # deeper than Python's default recursion limit
-        tree = build_balanced(make_leaves(["k0000"]), TreeConfig(2))
-        for i in range(1, 1201):
-            tree.split_leaf("k0000", f"k{i:04d}", b"")
+        # a caterpillar 100,000 leaves deep: far deeper than the recursion
+        # limit, and a nested JSON list this deep would not parse
+        tree = build_balanced(make_leaves(["k000000"]), TreeConfig(2))
+        for i in range(1, 100_001):
+            tree.split_leaf("k000000", f"k{i:06d}", b"")
         path = tmp_path / "chain.json"
         tree.save(path)
         loaded = AdaptiveTree.load(path)
         assert loaded.root_hash() == tree.root_hash()
+        assert loaded.depth("k000000") == 100_000
         assert loaded.depths() == tree.depths()
-        assert loaded.depth("k0000") == 1200
 
     def test_only_sha256_snapshots_load(self, binary_demo_tree):
         snap = binary_demo_tree.to_snapshot()
         snap["config"]["hash"] = "md5"
         with pytest.raises(StructureError):
-            AdaptiveTree.from_snapshot(snap)
-
-    @pytest.mark.parametrize(
-        "kind, field, value",
-        [
-            ("leaf", "id", None),
-            ("leaf", "kind", None),
-            ("leaf", "key", None),
-            ("leaf", "payload_hex", None),
-            ("leaf", "hash_hex", None),
-            ("internal", "children", None),
-            ("leaf", "payload_hex", "not hex"),
-            ("leaf", "key", 7),
-            ("leaf", "id", ["n1"]),
-            ("internal", "children", 3),
-            ("internal", "hash_hex", 0),
-            pytest.param("internal", "children", lambda ids: dict.fromkeys(ids, 0), id="internal-children-object"),
-            pytest.param("internal", "children", "".join, id="internal-children-joined"),
-            ("leaf", "kind", "branch"),
-        ],
-    )
-    def test_malformed_node_raises_format_error(self, binary_demo_tree, kind, field, value):
-        # value None: the field is missing altogether; a callable rewrites it
-        snap = binary_demo_tree.to_snapshot()
-        node = next(n for n in snap["nodes"] if n["kind"] == kind)
-        if value is None:
-            del node[field]
-        elif callable(value):
-            node[field] = value(node[field])
-        else:
-            node[field] = value
-        with pytest.raises(FormatError):
             AdaptiveTree.from_snapshot(snap)
 
     @pytest.mark.parametrize("payload_hex", ["ABCD", "abCD", "ab cd", "ab\ncd", " abcd", "abcd\n"])
@@ -1434,10 +1406,9 @@ class TestSnapshots:
         # "abcd" is what to_snapshot writes for it: one reading per snapshot
         tree = build_balanced([("A", b"\xab\xcd", 0.5), ("B", b"B", 0.5)], TreeConfig(2))
         snap = tree.to_snapshot()
-        leaf = next(node for node in snap["nodes"] if node.get("key") == "A")
-        assert leaf["payload_hex"] == "abcd"
-        leaf["payload_hex"] = payload_hex
-        with pytest.raises(FormatError, match="non-canonical payload_hex"):
+        assert snap["leaves"][0] == ["A", "abcd"]
+        snap["leaves"][0][1] = payload_hex
+        with pytest.raises(FormatError, match="payload_hex .* is non-canonical hex"):
             AdaptiveTree.from_snapshot(snap)
 
     @pytest.mark.parametrize("field, value", MALFORMED_TOP_LEVEL)
@@ -1446,47 +1417,26 @@ class TestSnapshots:
         with pytest.raises(FormatError):
             AdaptiveTree.from_snapshot(snap)
 
+    def test_version_1_snapshot_raises_format_error(self):
+        # each snapshot has one reading: the per-node form is refused, not read
+        with pytest.raises(FormatError, match="snapshot format_version 'missing', expected 2"):
+            AdaptiveTree.from_snapshot(json.loads(json.dumps(V1_SNAPSHOT)))
+        with pytest.raises(FormatError, match=re.escape("snapshot format_version 1, expected 2")):
+            AdaptiveTree.from_snapshot(dict(V1_SNAPSHOT, format_version=1))
+
     def test_lone_surrogate_key_raises_format_error(self, binary_demo_tree):
         # a lone surrogate is a valid JSON string, but it has no UTF-8 bytes to hash
         snap = binary_demo_tree.to_snapshot()
-        next(node for node in snap["nodes"] if node.get("key") == "A")["key"] = "\udc00"
+        assert snap["leaves"][0][0] == "A"
+        snap["leaves"][0][0] = "\udc00"
         snap["probabilities"]["\udc00"] = snap["probabilities"].pop("A")
         with pytest.raises(FormatError, match="UTF-8"):
             AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
-
-    def test_non_canonical_ids_raise_format_error(self, binary_demo_tree):
-        # A K-node snapshot's ids are exactly n1..nK, in any order, and each
-        # loads to its own number. "n²" passes str.isdigit() but not int();
-        # 5000 digits exceed int()'s digit limit; "n16" is past K = 15.
-        snap = binary_demo_tree.to_snapshot()
-
-        def renamed(rename):
-            edited = json.loads(json.dumps(snap))
-            for node in edited["nodes"]:
-                node["id"] = rename.get(node["id"], node["id"])
-                if node["kind"] == "internal":
-                    node["children"] = [rename.get(cid, cid) for cid in node["children"]]
-            edited["root_id"] = rename.get(edited["root_id"], edited["root_id"])
-            return edited
-
-        labels = [node["id"] for node in snap["nodes"]]
-        shuffled = renamed(dict(zip(labels, random.Random(3).sample(labels, len(labels)))))
-        loaded = AdaptiveTree.from_snapshot(shuffled)
-        assert loaded.root_hash() == binary_demo_tree.root_hash()
-        assert {node["id"]: node["hash_hex"] for node in shuffled["nodes"]} == {
-            f"n{nid}": loaded.node(nid).hash.hex() for nid in node_ids(loaded)
-        }
-        inner = snap["nodes"][1]["id"]  # the root's first child, an internal node
-        for odd in ["n²", "n" + "9" * 5000, "n16", "n0", "n-1", "n01", "N1", "1", "n 1", "n\uff11", ""]:
-            with pytest.raises(FormatError, match="is not one of n1..n15"):
-                AdaptiveTree.from_snapshot(renamed({inner: odd}))
 
     @pytest.mark.parametrize(
         "defect, error",
         [
             ("missing_child", StructureError),
-            ("two_parents", StructureError),
-            ("root_as_child", StructureError),
             ("duplicate_key", DuplicateKeyError),
             ("duplicate_id", StructureError),
             ("unknown_root", StructureError),
@@ -1494,52 +1444,52 @@ class TestSnapshots:
             ("too_many_children", StructureError),
             ("extra_zero_key", ProbabilityError),
             ("missing_zero_leaf", ProbabilityError),
+            ("leaf_dropped", StructureError),
+            ("leaf_added", StructureError),
         ],
     )
     def test_inconsistent_shape_rejected(self, binary_demo_tree, defect, error):
+        # binary_demo_tree in preorder: the root, [A, H], A, H, then the
+        # root's second child at 4 over [B, D] at 5 and [[C, F], [E, G]] at 8
         snap = binary_demo_tree.to_snapshot()
-        nodes = {node["id"]: node for node in snap["nodes"]}
-        root = nodes[snap["root_id"]]
-        inner = nodes[root["children"][1]]  # an internal child of the root
-        if defect == "missing_child":
-            inner["children"][0] = "n999"
-        elif defect == "two_parents":
-            inner["children"][0] = root["children"][0]
-        elif defect == "root_as_child":
-            inner["children"][0] = snap["root_id"]
+        widths, leaves, probs = snap["widths"], snap["leaves"], snap["probabilities"]
+        assert widths[4:9] == [2, 2, 0, 0, 2] and leaves[2:4] == [["B", "42"], ["D", "44"]]
+        if defect == "missing_child":  # a node lists a child that no node fills
+            widths[4] = 3
         elif defect == "duplicate_key":
-            next(node for node in snap["nodes"] if node.get("key") == "B")["key"] = "A"
-        elif defect == "duplicate_id":
-            snap["nodes"].append(dict(snap["nodes"][-1]))
-        elif defect == "unknown_root":
-            snap["root_id"] = "n999"
-        elif defect == "one_child":
-            del inner["children"][1]
-        elif defect == "too_many_children":  # n16: a 15-node snapshot's next canonical id
-            snap["nodes"].append({"id": "n16", "kind": "leaf", "key": "Z", "payload_hex": "", "hash_hex": "00" * 32})
-            inner["children"].append("n16")
+            leaves[2][0] = "A"
+        elif defect == "duplicate_id":  # the last node listed twice: the root closes before the widths end
+            widths.append(0)
+            leaves.append(leaves[-1])
+        elif defect == "unknown_root":  # a node's digest, not the root's
+            snap["root_hex"] = hash_leaf("A", b"A").hex()
+        elif defect == "one_child":  # [B, D] keeps B only
+            widths[5] = 1
+            del widths[7], leaves[3]
+            probs["B"] += probs.pop("D")
+        elif defect == "too_many_children":  # [B, D, Z]
+            widths[5] = 3
+            widths.insert(8, 0)
+            leaves.insert(4, ["Z", ""])
+            probs["Z"] = 0.0
         elif defect == "extra_zero_key":
-            snap["probabilities"]["Z"] = 0.0
-        else:  # H's mass moves to A, so H is a zero-probability leaf left out
-            probs = snap["probabilities"]
+            probs["Z"] = 0.0
+        elif defect == "missing_zero_leaf":  # H's mass moves to A, so H is a zero-probability leaf left out
             probs["A"] += probs.pop("H")
+        elif defect == "leaf_dropped":  # one zero width more than the leaves listed
+            del leaves[-1]
+        else:  # one leaf more than the zero widths
+            leaves.append(["Z", ""])
         with pytest.raises(error) as caught:
             AdaptiveTree.from_snapshot(snap)
         if defect == "too_many_children":
-            assert "has 3 children (2 to arity 2)" in str(caught.value)
+            assert "internal node with 3 children (arity 2)" in str(caught.value)
 
-    def test_tampered_hash_rejected(self, tmp_path, binary_demo_tree):
+    def test_tampered_hash_rejected(self, binary_demo_tree):
+        # root_hex binds the whole document: one nibble off refuses it
         snap = binary_demo_tree.to_snapshot()
-        snap["nodes"][0]["hash_hex"] = "00" * 32
-        with pytest.raises(StructureError):
-            AdaptiveTree.from_snapshot(snap)
-
-    def test_hash_mismatch_names_the_first_node_children_first(self, binary_demo_tree):
-        # Hashes are compared in reversed preorder: the leaf before the root.
-        snap = binary_demo_tree.to_snapshot()
-        root, leaf = snap["nodes"][0], next(n for n in snap["nodes"] if n.get("key") == "A")
-        root["hash_hex"] = leaf["hash_hex"] = "00" * 32
-        with pytest.raises(StructureError, match=f"hash mismatch for node {leaf['id']!r}"):
+        snap["root_hex"] = format(int(snap["root_hex"][0], 16) ^ 1, "x") + snap["root_hex"][1:]
+        with pytest.raises(StructureError, match="is not the root of its widths and leaves"):
             AdaptiveTree.from_snapshot(snap)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -1556,8 +1506,90 @@ class TestSnapshots:
             AdaptiveTree.from_snapshot(snap)
 
     def test_tampered_structure_rejected(self, binary_demo_tree):
+        # another shape over the same leaves in the same order: the widths
+        # close one preorder over the leaves, but the root differs
         snap = binary_demo_tree.to_snapshot()
-        internal = next(n for n in snap["nodes"] if n["kind"] == "internal" and n["id"] != snap["root_id"])
-        snap["nodes"].append(dict(internal, id=f"n{len(snap['nodes']) + 1}"))  # a second parent, unreachable
-        with pytest.raises(StructureError):
+        caterpillar = "G"
+        for key in reversed("AHBDCFE"):
+            caterpillar = [key, caterpillar]
+        other = AdaptiveTree.from_nested(caterpillar, binary_demo_tree.probabilities, TreeConfig(2))
+        assert other.leaf_keys() == binary_demo_tree.leaf_keys()
+        snap["widths"] = other.to_snapshot()["widths"]
+        with pytest.raises(StructureError, match="is not the root of its widths and leaves"):
             AdaptiveTree.from_snapshot(snap)
+
+
+def snapshot_edits(snap: dict, i: int):
+    """(name, edited copy) for single edits of a version-2 snapshot, each at
+    a place chosen by ``i``: a width +1 or -1, a key character (in the leaves
+    and the probabilities alike), a payload byte, a root_hex nibble, the
+    version set to 1 or 3 or removed, a field added and a leaf dropped."""
+    widths, leaves = snap["widths"], snap["leaves"]
+    w, k = i % len(widths), i % len(leaves)
+
+    def edited(change):
+        copy = json.loads(json.dumps(snap))
+        change(copy)
+        return copy
+
+    def rekey(copy):
+        key = copy["leaves"][k][0]
+        at = i % len(key)
+        new = key[:at] + chr(ord(key[at]) ^ 1) + key[at + 1 :]
+        copy["leaves"][k][0] = new
+        copy["probabilities"][new] = copy["probabilities"].pop(key)
+
+    def repay(copy):
+        payload = bytes.fromhex(copy["leaves"][k][1])
+        copy["leaves"][k][1] = (bytes([payload[0] ^ 1]) + payload[1:]).hex() if payload else "00"
+
+    yield "width+1", edited(lambda c: c["widths"].__setitem__(w, widths[w] + 1))
+    if widths[w]:
+        yield "width-1", edited(lambda c: c["widths"].__setitem__(w, widths[w] - 1))
+    yield "key", edited(rekey)
+    yield "payload", edited(repay)
+    root = snap["root_hex"]
+    yield "root_hex", edited(lambda c: c.__setitem__("root_hex", root[:-1] + format(int(root[-1], 16) ^ 1, "x")))
+    yield "version1", edited(lambda c: c.__setitem__("format_version", 1))
+    yield "version3", edited(lambda c: c.__setitem__("format_version", 3))
+    yield "no_version", edited(lambda c: c.pop("format_version"))
+    yield "extra_field", edited(lambda c: c.__setitem__("nodes", []))
+    yield "leaf_dropped", edited(lambda c: c["leaves"].pop(k))
+
+
+class TestSnapshotFuzz:
+    """Version-2 snapshots of trees that every mutation kind, clones and
+    earlier round trips reshaped."""
+
+    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 10),
+           st.lists(st.tuples(st.sampled_from(APPLY_OPS_KINDS), st.integers(0, 999), st.integers(0, 999)),
+                    max_size=12),
+           st.integers(0, 999), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_and_single_edits(self, m, n, ops, i, rnd):
+        tree = apply_ops(random_tree(random.Random(rnd.randint(0, 2**32)), n, m), ops)
+        snap, root = tree.to_snapshot(), tree.root_hash()
+        loaded = AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
+        assert loaded.root_hash() == root and loaded.to_snapshot() == snap
+        # the builder's ids: the k-th node in post-order is n<k>
+        assert post_order(loaded) == list(node_ids(loaded))
+        for nid, new in reloaded_ids(tree).items():
+            old_node, new_node = tree.node(nid), loaded.node(new)
+            assert (new_node.key, new_node.payload, new_node.hash) == (old_node.key, old_node.payload, old_node.hash)
+        for name, edited in snapshot_edits(snap, i):
+            try:
+                edited_root = AdaptiveTree.from_snapshot(edited).root_hash()
+            except (FormatError, StructureError, DuplicateKeyError, ProbabilityError):
+                continue
+            assert edited_root != root, name
+
+    def test_unbound_fields_load_unchanged(self, binary_demo_tree):
+        # The root binds the shape, the keys and the payloads, not m or the
+        # weights: a raised config.arity and a probability moved inside the
+        # 1e-9 sum tolerance both load to the same root.
+        snap, root = binary_demo_tree.to_snapshot(), binary_demo_tree.root_hash()
+        snap["config"]["arity"] = 3
+        snap["probabilities"]["A"] += 0.5 * PROB_SUM_TOL
+        loaded = AdaptiveTree.from_snapshot(snap)
+        assert loaded.root_hash() == root and loaded.config.arity == 3
+        assert loaded.probabilities["A"] == binary_demo_tree.probabilities["A"] + 0.5 * PROB_SUM_TOL

@@ -22,12 +22,18 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def leaf_hash(key: str, payload: bytes) -> bytes:
+    """A leaf hashes 0x00, the u32 byte length of its UTF-8 key, the key and the payload."""
+    key_bytes = key.encode("utf-8")
+    return sha256(b"\x00" + struct.pack(">I", len(key_bytes)) + key_bytes + payload)
+
+
 def read_wire(wire: bytes) -> tuple[str, bytes, list[tuple[int, list[bytes]]]]:
     """``(key, leaf hash, steps)`` of a proof on the binary wire: version byte
-    0x01, u32 key length L, L bytes of UTF-8 key, the 32-byte leaf hash, then
+    0x02, u32 key length L, L bytes of UTF-8 key, the 32-byte leaf hash, then
     per step a u16 position, a u16 sibling count c and c digests, up to the
     end of the buffer; all integers big-endian."""
-    assert wire[0] == 0x01
+    assert wire[0] == 0x02
     (length,) = struct.unpack_from(">I", wire, 1)
     at = 5 + length
     key, leaf_hash = wire[5:at].decode("utf-8"), wire[at : at + DIGEST]
@@ -43,11 +49,15 @@ def read_wire(wire: bytes) -> tuple[str, bytes, list[tuple[int, list[bytes]]]]:
 
 
 def test_leaf_vectors():
-    # a leaf hashes 0x00 || UTF-8 key || payload
+    # a leaf hashes 0x00 || u32 length of the UTF-8 key || key || payload, so
+    # keys and payloads that join to the same bytes still hash apart
     for vector in VECTORS["leaf"]:
-        preimage = b"\x00" + vector["key"].encode("utf-8") + bytes.fromhex(vector["payload_hex"])
+        key = vector["key"].encode("utf-8")
+        preimage = b"\x00" + struct.pack(">I", len(key)) + key + bytes.fromhex(vector["payload_hex"])
         assert preimage.hex() == vector["preimage_hex"], vector["name"]
+        assert sha256(preimage) == leaf_hash(vector["key"], bytes.fromhex(vector["payload_hex"]))
         assert sha256(preimage).hex() == vector["digest_hex"], vector["name"]
+    assert len({vector["digest_hex"] for vector in VECTORS["leaf"]}) == len(VECTORS["leaf"])
 
 
 def test_internal_vectors():
@@ -62,10 +72,10 @@ def test_proof_vectors():
     # the leaf hash binds the key and payload, and each step slots the
     # running digest in among its siblings at its position, up to the root
     for vector in VECTORS["proofs"]:
-        key, leaf_hash, steps = read_wire(bytes.fromhex(vector["wire_hex"]))
+        key, proof_leaf, steps = read_wire(bytes.fromhex(vector["wire_hex"]))
         assert key == vector["key"]
-        assert leaf_hash == sha256(b"\x00" + key.encode("utf-8") + bytes.fromhex(vector["payload_hex"]))
-        current = leaf_hash
+        assert proof_leaf == leaf_hash(key, bytes.fromhex(vector["payload_hex"]))
+        current = proof_leaf
         for position, siblings in steps:
             assert 0 < len(siblings) < vector["arity"] and 0 <= position <= len(siblings)
             current = sha256(b"\x01" + b"".join(siblings[:position] + [current] + siblings[position:]))
