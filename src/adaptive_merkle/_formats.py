@@ -10,7 +10,10 @@ of lowercase hex digit pairs, no whitespace. Every breach of these rules
 raises :class:`FormatError`.
 
 Every float sum that reaches an output goes through :func:`float_sum`, so
-the files and figures written are the same on every supported Python.
+the files and figures written are the same on every supported Python. The
+one exception is its loop, not its rule: ``coding.huffman_codes`` adds each
+merge's weights with the same ``+=`` from int 0, inlined into the pass that
+also keeps the merge's least key and shapes.
 """
 
 from __future__ import annotations

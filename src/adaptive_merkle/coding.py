@@ -5,8 +5,12 @@ minimize the probability-weighted path length over prefix-free structures.
 For m > 2 and n > m the merge queue is padded with zero-weight dummy
 symbols so that (n - 1) mod (m - 1) == 0; at n <= m one merge takes all n
 symbols and nothing is padded. Dummies never surface in the output.
-Merge-order ties break on the lexicographically smallest leaf key contained
-in each queue entry, so generated tables are reproducible bit for bit.
+Queue entries are flat ``(weight, rank, key, shape)`` tuples: rank 0 for a
+key or a merged node, whose ``key`` is the smallest leaf key below it, and
+rank 1 for a dummy. Merge-order ties break on the rank and then that key,
+so generated tables are reproducible bit for bit. Each merge adds its
+entries' weights, keeps their least key and collects their shapes in one
+pass, and pushes the merged node in place of its m-th entry.
 A code table keeps the merge's nested shape, which ``tree_from_codes``
 builds at any arity. Code strings are spelled from it for export, never read
 back, and only they stop at 36 children, one ``CODE_ALPHABET`` digit each.
@@ -72,7 +76,10 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
     """Optimal m-ary prefix code for the given distribution.
 
     Single-symbol inputs get the empty code. Ties in merge order resolve by
-    the smallest contained leaf key, making the output deterministic. An
+    the smallest contained leaf key, making the output deterministic: the
+    queue holds ``(p, 0, key, shape)`` per key and merged node and
+    ``(0.0, 1, i, None)`` per dummy, and each merge pops m - 1 entries and
+    replaces the m-th with the merged node in one heap sift. An
     arity that :class:`~adaptive_merkle.tree.TreeConfig` rejects raises its
     ``StructureError`` before the queue is padded.
     """
@@ -96,28 +103,40 @@ def huffman_codes(probs: Mapping[str, float], m: int) -> CodeTable:
             except UnicodeEncodeError as exc:
                 raise FormatError(f"leaf key is not valid UTF-8: {exc}") from None
 
-    # Entries are (weight, tiebreak, shape); a shape is a leaf key or a list
-    # of child shapes, the nested form that AdaptiveTree.from_nested reads.
-    # Tiebreaks are unique, so shapes are never compared.
-    heap: list[tuple] = list(zip(prob_map.values(), zip(repeat(0), prob_map), prob_map))  # (p, (0, key), key)
+    # (rank, key) is unique among live entries, so shapes are never compared;
+    # a shape is a leaf key or a list of child shapes, the nested form that
+    # AdaptiveTree.from_nested reads.
+    heap: list[tuple] = list(zip(prob_map.values(), repeat(0), prob_map, prob_map))
     n = len(heap)
     # At n <= m one merge takes every symbol, so there is nothing to pad.
     n_dummies = 0 if n <= m else (m - 1 - (n - 1) % (m - 1)) % (m - 1)
-    heap.extend((0.0, (1, i), None) for i in range(n_dummies))
+    heap.extend((0.0, 1, i, None) for i in range(n_dummies))
     heapq.heapify(heap)
 
-    pop, push = heapq.heappop, heapq.heappush
-    while len(heap) > 1:
-        weights, tiebreaks, shapes = zip(*[pop(heap) for _ in range(min(m, len(heap)))])
-        # Dummies only drop out of the shape: their weight 0.0 leaves every
-        # partial sum of float_sum as it is, and their tiebreaks (1, i) lose
-        # to the (0, key) of the real entries, of which a merge has two or
-        # more (there are at most m - 2 dummies).
-        real = [shape for shape in shapes if shape is not None]
-        push(heap, (float_sum(weights), min(tiebreaks), real))
+    pop, replace = heapq.heappop, heapq.heapreplace
+    while len(heap) > m:
+        # the m - 1 smallest entries, then heap[0], the m-th, in pop order
+        entries = list(map(pop, repeat(heap, m - 1)))
+        entries.append(heap[0])
+        # The weight is _formats.float_sum's own loop, += from int 0 in pop
+        # order, inlined to save a call per merge: merge weights are the same
+        # on Python 3.10 to 3.13. Dummies only drop out of the shape and the
+        # key: their weight 0.0 leaves every partial sum as it is, and a merge
+        # holds two or more real entries (there are at most m - 2 dummies).
+        weight, least, shapes = 0, None, []
+        for p, _, key, shape in entries:
+            weight += p
+            if shape is not None:
+                shapes.append(shape)
+                if least is None or key < least:
+                    least = key
+        replace(heap, (weight, 0, least, shapes))  # pops the m-th entry, pushes the merge
 
-    # a lone key is never merged: its shape is the key, its code empty
-    return CodeTable(heap[0][2], prob_map, m)
+    # The root merge takes every entry left, in pop order (the sort never
+    # reaches a shape); its weight and key are never read. A lone key is
+    # never merged: its shape is the key, its code empty.
+    shape = heap[0][3] if n == 1 else [entry[3] for entry in sorted(heap) if entry[3] is not None]
+    return CodeTable(shape, prob_map, m)
 
 
 def brute_force_min_avg_length(probs, m: int) -> float:

@@ -81,6 +81,7 @@ _INTERNAL_SEED = hashlib.sha256(b"\x01")
 _KEY_BYTES = object()  # a new leaf's payload that _check_leaf reads as the key's UTF-8 bytes
 _SNAPSHOT_VERSION = 2
 _SNAPSHOT_FIELDS = {"format_version", "config", "widths", "leaves", "probabilities", "root_hex"}
+_CONFIG_FIELDS = {"arity", "hash"}
 
 
 def hash_leaf(key: str, payload: bytes) -> bytes:
@@ -157,6 +158,12 @@ def node_label(node_id: int) -> str:
     """How a node id is spelled where it leaves the program: CLI JSON and
     error messages. The one place ids are spelled."""
     return f"n{node_id}"
+
+
+def _width_error(width: int, m: int) -> StructureError:
+    """The arity rule's one error, for the builder and the checked walk: an
+    internal node has 2 to m children."""
+    return StructureError(f"internal node of width {width}, outside 2 to arity {m}")
 
 
 class NodeView(NamedTuple):
@@ -280,10 +287,8 @@ class AdaptiveTree:
                         payload = _KEY_BYTES if payloads is None else payloads[spec]
                         built.append(tree._add_leaf_node(spec, payload, depth))
                     else:
-                        if not 1 <= len(spec) <= config.arity:
-                            raise StructureError(f"internal node with {len(spec)} children (arity {config.arity})")
-                        if len(spec) == 1:
-                            raise StructureError("single-child internal nodes are not allowed in a finished tree")
+                        if not 2 <= len(spec) <= config.arity:
+                            raise _width_error(len(spec), config.arity)
                         open_above.append((specs, len(spec)))
                         specs, depth = iter(spec), depth + 1
                         break
@@ -581,7 +586,7 @@ class AdaptiveTree:
                 leaf_by_key[key] = nid
                 continue
             if not 2 <= len(children) <= m:
-                raise StructureError(f"node {node_label(nid)!r} has {len(children)} children (2 to arity {m})")
+                raise _width_error(len(children), m)
             for cid in reversed(children):
                 if type(cid) is not int or not 0 < cid < size:
                     raise StructureError(f"child id {cid!r} names no node")
@@ -610,8 +615,9 @@ class AdaptiveTree:
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "AdaptiveTree":
         """Rebuild a tree from a version-2 snapshot through :meth:`from_nested`,
-        whose post-order ids it takes. A missing, unknown or mistyped field, or
-        a ``format_version`` but 2, raises :class:`FormatError`; widths that do
+        whose post-order ids it takes. A missing, unknown or mistyped field
+        (``config`` holds exactly ``arity`` and ``hash``), or a
+        ``format_version`` but 2, raises :class:`FormatError`; widths that do
         not close one preorder over the leaves, or a root other than
         ``root_hex``, :class:`StructureError`; the builder raises as it does."""
         version = snapshot.get("format_version", "missing") if isinstance(snapshot, dict) else "missing"
@@ -621,8 +627,11 @@ class AdaptiveTree:
             raise FormatError(f"snapshot fields {sorted(snapshot, key=str)}, expected {sorted(_SNAPSHOT_FIELDS)}")
         widths, leaves = snapshot["widths"], snapshot["leaves"]
         probabilities = json_probabilities(snapshot["probabilities"], "snapshot")
+        config = snapshot["config"]
+        if isinstance(config, dict) and config.keys() != _CONFIG_FIELDS:
+            raise FormatError(f"snapshot config fields {sorted(config, key=str)}, expected {sorted(_CONFIG_FIELDS)}")
         try:
-            arity, algorithm = snapshot["config"]["arity"], snapshot["config"]["hash"]
+            arity, algorithm = config["arity"], config["hash"]
             if type(arity) is not int or type(widths) is not list or type(leaves) is not list:
                 raise TypeError("snapshot needs an integer arity and lists of widths and leaves")
             if not set(map(type, widths)) <= {int} or min(widths, default=0) < 0:

@@ -1,11 +1,12 @@
 """Huffman construction, the brute-force oracle, and code/tree round trips."""
 
 import csv
-import heapq
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_merkle import (
     FormatError,
@@ -29,7 +30,7 @@ from adaptive_merkle.coding import (
 from adaptive_merkle.metrics import entropy
 from adaptive_merkle.proofs import prove, verify
 from adaptive_merkle.tree import MAX_ARITY
-from adaptive_merkle.workload import normalize_distribution
+from adaptive_merkle.workload import normalize_distribution, zipf_distribution
 
 from helpers import (
     check_code_table,
@@ -41,7 +42,6 @@ from helpers import (
 )
 
 TOL = 1e-9
-real_heappush = heapq.heappush
 DEMO16_LENGTHS = [2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7]
 # arities past the 36 code digits: coding works there, spelling a code does not
 WIDE_ARITIES = (37, 64, 256)
@@ -52,21 +52,39 @@ def demo16_probs(demo16):
     return dict(normalize_distribution(demo16))
 
 
-def reference_merge_widths(probs, m):
-    """How many real entries (keys or merged nodes, not dummies) each merge
-    of the padded m-ary Huffman queue takes, in merge order: the queue is
-    sorted by (weight, tiebreak) before each merge, zero-weight keys before
-    the dummies."""
+def reference_merge(probs, m):
+    """The nested shape of the padded m-ary Huffman merge, made the slow way:
+    the queue of (weight, tiebreak, shape) is sorted by (weight, tiebreak)
+    before each merge, zero-weight keys before the dummies, a merge's weight
+    is float_sum of its entries' and its tiebreak their least, and a merged
+    node's shape lists its entries' shapes that are not dummies."""
     n = len(probs)
     dummies = 0 if n <= m else (-(n - 1)) % (m - 1)
-    queue = [(p, (0, key), True) for key, p in probs.items()] + [(0.0, (1, i), False) for i in range(dummies)]
-    widths = []
+    queue = [(p, (0, key), key) for key, p in probs.items()] + [(0.0, (1, i), None) for i in range(dummies)]
     while len(queue) > 1:
-        queue.sort()
+        queue.sort(key=lambda entry: entry[:2])
         merged, queue = queue[:m], queue[m:]
-        widths.append(sum(real for _, _, real in merged))
-        queue.append((float_sum(p for p, _, _ in merged), min(tie for _, tie, _ in merged), True))
+        shapes = [shape for _, _, shape in merged if shape is not None]
+        queue.append((float_sum(p for p, _, _ in merged), min(tie for _, tie, _ in merged), shapes))
+    return queue[0][2]
+
+
+def shape_widths(shape):
+    """The child count of every internal node of a nested shape."""
+    widths, stack = [], [shape]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            widths.append(len(node))
+            stack.extend(node)
     return widths
+
+
+def reference_merge_widths(probs, m):
+    """How many real entries (keys or merged nodes, not dummies) each merge
+    of the padded m-ary Huffman queue takes: the widths of reference_merge's
+    internal nodes."""
+    return shape_widths(reference_merge(probs, m))
 
 
 def geometric_probs(n):
@@ -176,20 +194,18 @@ class TestHuffman:
     @pytest.mark.parametrize("zeros", [0, 1, 5])
     def test_raises_at_the_first_merge_past_the_alphabet(self, m, zeros, tmp_path):
         # The widths come from re-sorting the padded queue before every merge
-        # and counting the merge's entries that are not dummies. Every merge
-        # is made and the table builds at any width; spelling its codes
-        # (entries, the CSV, the built tree's read-out) raises exactly when
-        # some node is wider than the 36 digits, naming such a node's last
-        # child index, and writes no file.
+        # and counting the merge's entries that are not dummies; the table's
+        # shape has one internal node of each. Every merge is made and the
+        # table builds at any width; spelling its codes (entries, the CSV,
+        # the built tree's read-out) raises exactly when some node is wider
+        # than the 36 digits, naming such a node's last child index, and
+        # writes no file.
         for n in range(30, 81):
             probs = {f"k{i:02d}": 1 / (n - zeros) for i in range(n - zeros)} | {f"z{i}": 0.0 for i in range(zeros)}
             widths = reference_merge_widths(probs, m)
             messages = {f"child index {width - 1} exceeds the code alphabet" for width in widths if width > 36}
-            pushes = []
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(heapq, "heappush", lambda heap, item: pushes.append(1) or real_heappush(heap, item))
-                table = huffman_codes(probs, m)
-            assert len(pushes) == len(widths), (n, m, zeros)
+            table = huffman_codes(probs, m)
+            assert sorted(shape_widths(table.shape)) == sorted(widths), (n, m, zeros)
             tree = tree_from_codes(table)
             assert discrepancy_report(tree).k_a == pytest.approx(table.avg_length, abs=TOL)
             check_code_table(table)
@@ -203,6 +219,28 @@ class TestHuffman:
                 else:
                     spell()
             assert path.exists() is not bool(messages)
+
+    @given(st.sampled_from([2, 3, 4, 5, 16, 37]),
+           st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=3), min_size=1, max_size=80,
+                    unique=True),
+           st.one_of(st.just([1]), st.lists(st.one_of(st.integers(0, 3), st.floats(0.0, 1.0)), min_size=1)))
+    @settings(max_examples=300, deadline=None)
+    def test_shape_is_the_reference_merge(self, m, keys, weights):
+        # Any keys (non-ASCII and empty ones too) and weights with zeros and
+        # ties; weights [1] gives every key the same weight. The heap's
+        # flat entries and one-pass merges build the slow reference's shape.
+        weights = [weights[i % len(weights)] for i in range(len(keys))]
+        if not any(weights):
+            weights[0] = 1
+        probs = dict(normalize_distribution(zip(keys, weights)))
+        assert huffman_codes(probs, m).shape == reference_merge(probs, m)
+
+    def test_serve_zipf_shape_is_the_reference_merge(self):
+        # perfbench serve's seeded input: Zipf(1.1) over 16,384 shuffled keys, m = 16
+        keys = [f"k{i:05d}" for i in range(16384)]
+        random.Random(1).shuffle(keys)
+        probs = dict(zip(keys, zipf_distribution(16384, 1.1)))
+        assert huffman_codes(probs, 16).shape == reference_merge(probs, 16)
 
     @pytest.mark.parametrize("probs", [{1: 0.5, "a": 0.5}, {1: 0.5, 2: 0.5}])
     def test_key_that_is_no_str_rejected(self, probs):
@@ -320,12 +358,12 @@ class TestTreeFromCodes:
 
     def test_dangling_single_child_rejected(self):
         table = CodeTable(["a", ["b"]], {"a": 0.5, "b": 0.5}, 2)
-        with pytest.raises(StructureError, match="single-child"):
+        with pytest.raises(StructureError, match="^internal node of width 1, outside 2 to arity 2$"):
             tree_from_codes(table)
 
     def test_node_wider_than_arity_rejected(self):
         table = CodeTable(["a", "b", "c"], {"a": 0.5, "b": 0.25, "c": 0.25}, 2)
-        with pytest.raises(StructureError, match="internal node with 3 children"):
+        with pytest.raises(StructureError, match="^internal node of width 3, outside 2 to arity 2$"):
             tree_from_codes(table)
 
     def test_child_index_past_the_alphabet_rejected(self):

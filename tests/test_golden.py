@@ -63,11 +63,12 @@ exactly:
   2 with length-prefixed leaf keys (same shapes, leaves and probabilities);
   the code and map CSVs did not change;
 * ``SEEDED_DIGESTS``: the SHA-256 of the address map CSV and of the Huffman
-  tree's snapshot for a seeded Zipf(1.1) at n = 4096, m = 2 and 16
+  tree's snapshot for a seeded Zipf(1.1) at n = 4096, m = 2, 3 and 16
   (``helpers.write_seeded_zipf_outputs``), pinned at the same time: too
   large to commit, large enough for every merge, parse and walk path. The
   snapshot digests were re-pinned at version 2; the map digests did not
-  change.
+  change. 4095 is a multiple of 1 and of 15, so m = 2 and 16 pad nothing;
+  m = 3 pads one dummy, pinned before the merge loop took flat entries.
 
 Every golden is also run under each other Python the package supports
 (3.10, 3.12, 3.13), as ``python3.X -m adaptive_merkle.cli`` with
@@ -102,6 +103,8 @@ SEEDED_N, SEEDED_SEED = 4096, 1
 SEEDED_DIGESTS = {
     2: ("ac85a6c557a78adc9a8ee79f6b25e15ba8800c6d21d9ab777ce6d4f4f1abfa43",
         "367051eaf41f2aae9393ba8528710095ac621592f2068788f79beea00d2bd25f"),
+    3: ("a95aad4a36dbed9523977f58390dab9990128d8e2a4d7fd0a0ba62bc868e792f",
+        "514f3f5e1a48162456b2f1844bda8a321e2fdbf65c8f894165490c5c0953f0d2"),
     16: ("921188f421a8da525c67d1fe5e658b0f8b969a646860b85cd072e55b3f570c28",
          "75ffdfa842bb7fbd890441fe734e408892fe486f8f145fb0b370a933b781e30a"),
 }

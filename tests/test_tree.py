@@ -1356,7 +1356,7 @@ class TestSnapshots:
         assert AdaptiveTree.from_snapshot(snapshot).root_hash() == root
         snapshot = json.loads((golden / "build_demo16_m16.snapshot.json").read_text(encoding="utf-8"))
         snapshot["config"]["arity"] = 4
-        with pytest.raises(StructureError, match=re.escape("internal node with 16 children (arity 4)")):
+        with pytest.raises(StructureError, match=re.escape("internal node of width 16, outside 2 to arity 4")):
             AdaptiveTree.from_snapshot(snapshot)
 
     def test_round_trip_preserves_root_hash(self, tmp_path):
@@ -1433,6 +1433,15 @@ class TestSnapshots:
         with pytest.raises(FormatError, match="UTF-8"):
             AdaptiveTree.from_snapshot(json.loads(json.dumps(snap)))
 
+    @pytest.mark.parametrize("edit", [lambda config: config.update(depth_cap=3), lambda config: config.pop("hash")],
+                             ids=["depth_cap_added", "hash_missing"])
+    def test_config_holds_exactly_arity_and_hash(self, binary_demo_tree, edit):
+        # a key added to config, or one missing, would make two documents of one tree
+        snap = binary_demo_tree.to_snapshot()
+        edit(snap["config"])
+        with pytest.raises(FormatError, match=re.escape("snapshot config fields")):
+            AdaptiveTree.from_snapshot(snap)
+
     @pytest.mark.parametrize(
         "defect, error",
         [
@@ -1483,7 +1492,7 @@ class TestSnapshots:
         with pytest.raises(error) as caught:
             AdaptiveTree.from_snapshot(snap)
         if defect == "too_many_children":
-            assert "internal node with 3 children (arity 2)" in str(caught.value)
+            assert str(caught.value) == "internal node of width 3, outside 2 to arity 2"
 
     def test_tampered_hash_rejected(self, binary_demo_tree):
         # root_hex binds the whole document: one nibble off refuses it
@@ -1523,7 +1532,8 @@ def snapshot_edits(snap: dict, i: int):
     """(name, edited copy) for single edits of a version-2 snapshot, each at
     a place chosen by ``i``: a width +1 or -1, a key character (in the leaves
     and the probabilities alike), a payload byte, a root_hex nibble, the
-    version set to 1 or 3 or removed, a field added and a leaf dropped."""
+    version set to 1 or 3 or removed, a field added (at the top and in
+    ``config``) and a leaf dropped."""
     widths, leaves = snap["widths"], snap["leaves"]
     w, k = i % len(widths), i % len(leaves)
 
@@ -1554,6 +1564,7 @@ def snapshot_edits(snap: dict, i: int):
     yield "version3", edited(lambda c: c.__setitem__("format_version", 3))
     yield "no_version", edited(lambda c: c.pop("format_version"))
     yield "extra_field", edited(lambda c: c.__setitem__("nodes", []))
+    yield "extra_config", edited(lambda c: c["config"].__setitem__("depth_cap", 3))
     yield "leaf_dropped", edited(lambda c: c["leaves"].pop(k))
 
 
