@@ -54,16 +54,30 @@ class CodeTable:
     def entries(self) -> dict[str, str]:
         """The code of every key, in left-to-right leaf order, spelled by one
         walk over ``shape``; a node of more than 36 children raises."""
-        return self._codes(CODE_ALPHABET)
+        return _leaf_codes(self.shape, lambda shape: None if isinstance(shape, str) else shape)
 
     @property
     def avg_length(self) -> float:
-        """sum(p * len(code)) in ``entries`` order, codes spelled in m 1-char digits."""
-        codes = self._codes("0" * self.arity)
-        return float_sum(map(mul, map(self.probabilities.__getitem__, codes), map(len, codes.values())))
-
-    def _codes(self, digits: str) -> dict[str, str]:
-        return _leaf_codes(self.shape, lambda shape: None if isinstance(shape, str) else shape, digits)
+        """sum(p * code length) in ``entries`` order, at any arity: one
+        explicit-stack walk over ``shape`` reads each leaf's depth, its code
+        length, left to right, and spells no code."""
+        keys, depths = [], []
+        # ``items`` iterates the children of the innermost open node, which
+        # sit at ``depth``; ``open_above`` keeps the enclosing nodes' iterators
+        items, depth, open_above = iter((self.shape,)), 0, []
+        while True:
+            for item in items:
+                if isinstance(item, str):
+                    keys.append(item)
+                    depths.append(depth)
+                else:
+                    open_above.append(items)
+                    items, depth = iter(item), depth + 1
+                    break
+            else:
+                if not open_above:
+                    return float_sum(map(mul, map(self.probabilities.__getitem__, keys), depths))
+                items, depth = open_above.pop(), depth - 1
 
 
 def is_prefix_free(codes) -> bool:
@@ -199,9 +213,10 @@ def codes_from_tree(tree: AdaptiveTree) -> dict[str, str]:
     return {keys[nid]: code for nid, code in codes.items()}
 
 
-def _leaf_codes(root, children_of, digits: str = CODE_ALPHABET) -> dict:
+def _leaf_codes(root, children_of) -> dict:
     """Path code of every leaf below ``root`` in left-to-right order, by an
-    explicit-stack preorder walk; ``children_of`` is None at a leaf, never wider than ``digits``."""
+    explicit-stack preorder walk; ``children_of`` is None at a leaf, and a
+    node wider than ``CODE_ALPHABET`` raises."""
     codes = {}
     # ``items`` pairs each child of the innermost open node with its digit
     # and ``prefix`` is that node's code; ``open_above`` keeps the enclosing
@@ -212,11 +227,11 @@ def _leaf_codes(root, children_of, digits: str = CODE_ALPHABET) -> dict:
             children = children_of(item)
             if children is None:
                 codes[item] = prefix + digit
-            elif len(children) > len(digits):
+            elif len(children) > len(CODE_ALPHABET):
                 raise StructureError(f"child index {len(children) - 1} exceeds the code alphabet")
             else:
                 open_above.append((items, prefix))
-                items, prefix = zip(children, digits), prefix + digit
+                items, prefix = zip(children, CODE_ALPHABET), prefix + digit
                 break
         else:
             if not open_above:

@@ -40,7 +40,8 @@ serve path only hex-encodes it. :func:`prove` writes the wire with one
 stored preimage, ``_child_digests``, around the leaf's digest) and one
 memoized step per node above it, which it cuts the same way on first use
 and keeps in the tree's ``_step`` list until ``_rehash`` rewrites the
-parent's preimage. It hashes nothing unless a mutation left the tree dirty.
+parent's preimage. It hashes nothing once the root has been read since the
+tree was built or last changed; before that, it reads the root first.
 A proof built from fields is encoded and read back by ``from_bytes``, so
 ``to_bytes`` returns the stored wire and no other code reads one.
 :func:`verify` hashes each step with one call of the module-level
@@ -214,7 +215,7 @@ def prove(tree: AdaptiveTree, leaf_key: str) -> MerkleProof:
     The leaf's own step is cut from its parent's preimage; each step above
     it is the path node's memoized step, cut and kept on first use."""
     nid = tree._leaf_id(leaf_key)
-    if tree._dirty:  # the stored digests are current only after a root read
+    if tree._pending or tree._dirty:  # the stored digests are current only after a root read
         tree.root_hash()
     key, leaf_hash, parent = leaf_key.encode(), tree._hash[nid], tree._parent[nid]
     parts = [_WIRE_VERSION, len(key).to_bytes(4, "big"), key, leaf_hash]

@@ -19,16 +19,20 @@ to ids.
 JSON, error messages; snapshots hold no ids); :meth:`AdaptiveTree.node`
 returns a read-only :class:`NodeView`.
 
-Mutations mark, reads flush. Building and every mutation hash no internal
-node (a leaf is hashed when it is made, by ``_add_leaf_node``, past
-``_check_leaf``, the one new-leaf rule): they add each internal node they
-create and each parent whose children changed to a dirty set. ``root_hash``
+Mutations mark, reads flush. Building and every mutation hash nothing:
+``_add_leaf_node``, the one leaf maker, past ``_check_leaf``, the one
+new-leaf rule, lists each new leaf as pending, and each internal node made
+and each parent whose children changed goes into a dirty set. The flush in
+``root_hash`` writes every digest (the full rehash, a cross-check, aside):
+it hashes the pending leaves through :func:`hash_leaf`, then
 rehashes the union of the dirty nodes' root paths, each node once, children
-before parents, so an internal node's hash and preimage are current only
-after ``root_hash()``, which ``prove`` and snapshot writing call first.
-``_rehash`` is the one writer of both, and it empties the memoized proof
-steps of the node's children, which were cut from the old preimage, so a
-memoized step lives exactly as long as the preimage it came from.
+before parents. A tree that is built and never read never hashes a leaf,
+and one that is read hashes each node once, at its first read; ``prove``,
+:meth:`AdaptiveTree.node` and snapshot writing read the root first.
+``_rehash`` writes an internal node's hash and preimage, and it empties the
+memoized proof steps of the node's children, which were cut from the old
+preimage, so a memoized step lives exactly as long as the preimage it came
+from.
 :meth:`AdaptiveTree.from_nested` is the one builder (``build_balanced``,
 ``coding.tree_from_codes`` and ``from_snapshot``, which rebuilds the nesting
 from a snapshot's preorder widths, hand it a nested shape): one walk, with
@@ -44,8 +48,9 @@ an attach updates the indexes in O(1); an exchange
 (:meth:`AdaptiveTree.move_node`) renumbers the depths of the moved subtrees.
 Readers get a read-only view of the probability map, which only checked
 writers replace. The indexes are right only because of the single-writer
-contract: mutating calls, and the first read after them, which flushes,
-need exclusive access; later reads may interleave freely, since the one
+contract: mutating calls, and the first read after them (``root_hash``,
+``prove``, ``node``, ``leaf_node`` or a snapshot), which flushes, need
+exclusive access; later reads may interleave freely, since the one
 thing a read writes is a memoized proof step, and every reader of the same
 flushed tree writes the same bytes into it.
 """
@@ -167,9 +172,9 @@ def _width_error(width: int, m: int) -> StructureError:
 
 
 class NodeView(NamedTuple):
-    """A read-only copy of one node's fields, built when asked for; an
-    internal node's ``hash`` and ``child_digests`` (its children's hashes
-    joined in child order) are current only after ``root_hash()``."""
+    """A read-only copy of one node's fields, built when asked for, from a
+    flushed tree; an internal node's ``child_digests`` are its children's
+    hashes joined in child order."""
 
     node_id: int
     hash: bytes
@@ -205,16 +210,17 @@ class AdaptiveTree:
         self._probabilities: dict[str, float] = {}  # written by set_probabilities, from_snapshot and new leaves
         self._leaf_by_key: dict[str, int] = {}
         self._dirty: set[int] = set()  # nodes made or given new children since the last root_hash()
+        self._pending: list[int] = []  # leaves made since the last root_hash(), not hashed yet
 
     # -- construction helpers -------------------------------------------------
 
-    def _append(self, children: list[int] | None, depth: int, digest: bytes, key, payload) -> int:
-        # every node is made here: the next id is the current list length
+    def _append(self, children: list[int] | None, depth: int, key, payload) -> int:
+        # every node is made here, unhashed: the next id is the current list length
         nid = len(self._children)
         self._children.append(children)
         self._parent.append(0)
         self._depth.append(depth)
-        self._hash.append(digest)
+        self._hash.append(b"")
         self._child_digests.append(b"")
         self._step.append(b"")
         self._key.append(key)
@@ -241,14 +247,15 @@ class AdaptiveTree:
         return payload
 
     def _add_leaf_node(self, key: str, payload: bytes, depth: int) -> int:
-        # from_nested, split_leaf and attach_leaf make every leaf here
+        # from_nested, split_leaf and attach_leaf make every leaf here; the next root_hash() hashes it
         payload = self._check_leaf(key, payload)
-        self._leaf_by_key[key] = nid = self._append(None, depth, hash_leaf(key, payload), key, payload)
+        self._leaf_by_key[key] = nid = self._append(None, depth, key, payload)
+        self._pending.append(nid)
         return nid
 
     def _add_internal_node(self, child_ids: list[int], depth: int) -> int:
         # The node keeps child_ids as its children list: pass a fresh list.
-        nid = self._append(child_ids, depth, b"", None, None)
+        nid = self._append(child_ids, depth, None, None)
         for cid in child_ids:
             self._parent[cid] = nid
         self._dirty.add(nid)
@@ -268,11 +275,11 @@ class AdaptiveTree:
         ``["A", [["B", "D"], ["C", "E"]]]``. Payloads default to the UTF-8
         key bytes. An explicit-stack walk, so any depth builds, makes the
         nodes n1..nK in post-order, children left to right, and fills the
-        depth index. Only the leaves are hashed here: the internal nodes
-        wait, dirty, for the first :meth:`root_hash`. A spec that is neither
-        a string nor a list, ``payloads`` that is no mapping or a missing
-        payload raises :class:`StructureError`; a malformed leaf raises as
-        in :meth:`split_leaf`.
+        depth index. Nothing is hashed here: the leaves wait, pending, and
+        the internal nodes, dirty, for the first :meth:`root_hash`. A spec
+        that is neither a string nor a list, ``payloads`` that is no mapping
+        or a missing payload raises :class:`StructureError`; a malformed
+        leaf raises as in :meth:`split_leaf`.
         """
         tree = cls(config)
         built: list[int] = []  # ids of finished subtrees whose parent is not built yet
@@ -325,7 +332,10 @@ class AdaptiveTree:
                 raise UnknownKeyError(f"no node with id {node_id!r}")
 
     def node(self, node_id: int) -> NodeView:
+        """A view of one node, read after the flush :meth:`root_hash` makes,
+        so its digests are current."""
         self._check_ids(node_id)
+        self.root_hash()
         children = self._children[node_id]
         children = None if children is None else tuple(children)
         return NodeView(node_id, self._hash[node_id], children, self._key[node_id], self._payload[node_id],
@@ -363,8 +373,15 @@ class AdaptiveTree:
     def root_hash(self) -> bytes:
         """Root digest. A pure function of structure, keys, and payloads.
 
-        The one flush point: rehashes the union of the dirty nodes' root
-        paths, each node once, deepest first, then clears the dirty set."""
+        The one flush point: hashes the pending leaves, through the
+        module-level :func:`hash_leaf` looked up at call time, then rehashes
+        the union of the dirty nodes' root paths, each node once, deepest
+        first, and clears both."""
+        if self._pending:
+            hashes, keys, payloads = self._hash, self._key, self._payload
+            for nid in self._pending:
+                hashes[nid] = hash_leaf(keys[nid], payloads[nid])
+            self._pending.clear()
         if self._dirty:
             depth, parent = self._depth, self._parent
             stale: set[int] = set()
@@ -531,14 +548,15 @@ class AdaptiveTree:
         here; ``copy.deepcopy`` takes the rest, such as a field added later."""
         copied = {id(self._children): [c if c is None else c[:] for c in self._children]}
         for field in (self._parent, self._depth, self._hash, self._child_digests, self._step, self._key,
-                      self._payload, self._probabilities, self._leaf_by_key, self._dirty):
+                      self._payload, self._probabilities, self._leaf_by_key, self._dirty, self._pending):
             copied[id(field)] = field.copy()
         return copy.deepcopy(self, copied)
 
     def recompute_all_hashes(self) -> None:
         """Full rehash, used to cross-check incremental updates. The checked
         walk's preorder, reversed, visits every child before its parent, so
-        one iterative pass works at any depth and leaves nothing dirty."""
+        one iterative pass works at any depth and leaves nothing dirty or
+        pending."""
         children, keys, payloads, hashes = self._children, self._key, self._payload, self._hash
         for nid in reversed(self._walk()[0]):
             if children[nid] is None:
@@ -546,6 +564,7 @@ class AdaptiveTree:
             else:
                 self._rehash(nid)
         self._dirty.clear()
+        self._pending.clear()
 
     def validate(self) -> None:
         """Structural self-check: the shape, the three indexes the tree keeps

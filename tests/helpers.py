@@ -299,17 +299,25 @@ def random_tree(rng: random.Random, n: int, m: int, probs: dict[str, float] | No
     return tree
 
 
+def child_ids(tree: AdaptiveTree, node_id: int) -> tuple[int, ...] | None:
+    """A node's children, None at a leaf, read from the tree's children
+    list. ``tree.node`` flushes pending hashes first; this hashes nothing, so
+    helpers that read only the shape leave the tests' hash counts alone."""
+    kids = tree._children[node_id]
+    return None if kids is None else tuple(kids)
+
+
 def post_order(tree: AdaptiveTree) -> list[int]:
     """Node ids children first, left to right."""
     order, stack = [], [(tree.root_id, False)]
     while stack:
         nid, children_done = stack.pop()
-        children = tree.node(nid).children
-        if children is None or children_done:
+        kids = child_ids(tree, nid)
+        if kids is None or children_done:
             order.append(nid)
         else:
             stack.append((nid, True))
-            stack.extend((cid, False) for cid in reversed(children))
+            stack.extend((cid, False) for cid in reversed(kids))
     return order
 
 
@@ -364,7 +372,7 @@ def apply_ops(tree, ops, check=None):
         elif kind == "optimize":
             optimize_swaps(tree)
         elif kind == "swap_nodes":
-            inner = [nid for nid in node_ids(tree) if not tree.node(nid).is_leaf and nid != tree.root_id]
+            inner = [nid for nid in node_ids(tree) if child_ids(tree, nid) and nid != tree.root_id]
             movable = [nid for nid in node_ids(tree) if nid != tree.root_id]
             if not inner:
                 continue
@@ -374,7 +382,7 @@ def apply_ops(tree, ops, check=None):
             tree.swap_nodes(a, b)
         elif kind == "move":
             movable = [nid for nid in node_ids(tree)
-                       if nid != tree.root_id and len(tree.node(tree.parent_id(nid)).children) > 2]
+                       if nid != tree.root_id and len(child_ids(tree, tree.parent_id(nid))) > 2]
             if not (movable and open_nodes):
                 continue
             u, target = movable[i % len(movable)], open_nodes[j % len(open_nodes)]
@@ -401,8 +409,7 @@ def apply_ops(tree, ops, check=None):
 
 def children_of(tree: AdaptiveTree) -> dict[int, tuple[int, ...]]:
     """Every internal node's children, as tuples."""
-    views = map(tree.node, node_ids(tree))
-    return {view.node_id: view.children for view in views if not view.is_leaf}
+    return {nid: kids for nid in node_ids(tree) if (kids := child_ids(tree, nid)) is not None}
 
 
 def changed_parents(before: dict[int, tuple[int, ...]], tree: AdaptiveTree) -> set[int]:
@@ -459,11 +466,11 @@ def walked_depths(tree: AdaptiveTree) -> dict[str, int]:
     stack = [(tree.root_id, 0)]
     while stack:
         nid, depth = stack.pop()
-        node = tree.node(nid)
-        if node.is_leaf:
-            out[node.key] = depth
+        kids = child_ids(tree, nid)
+        if kids is None:
+            out[tree._key[nid]] = depth
         else:
-            stack.extend((cid, depth + 1) for cid in node.children)
+            stack.extend((cid, depth + 1) for cid in kids)
     return out
 
 
@@ -492,11 +499,12 @@ def open_internal_ids(tree: AdaptiveTree) -> list[int]:
     out: list[int] = []
     stack = [tree.root_id]
     while stack:
-        node = tree.node(stack.pop())
-        if node.children is not None:
-            if len(node.children) < m:
-                out.append(node.node_id)
-            stack.extend(reversed(node.children))
+        nid = stack.pop()
+        kids = child_ids(tree, nid)
+        if kids is not None:
+            if len(kids) < m:
+                out.append(nid)
+            stack.extend(reversed(kids))
     return out
 
 

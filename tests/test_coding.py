@@ -3,6 +3,7 @@
 import csv
 import random
 import tracemalloc
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,56 @@ def geometric_probs(n):
     # p_i proportional to 2^-i: each leaf outweighs all lighter ones together,
     # so the Huffman tree is a chain n - 1 levels deep.
     return dict(normalize_distribution([(f"g{i:04d}", 0.5**i) for i in range(n)]))
+
+
+def old_avg_length(table):
+    """``CodeTable.avg_length`` as it was computed before it walked depths:
+    every code spelled in m one-character digits, left to right, and
+    sum(p * len(code)) in that order. The oracle for the depth walk."""
+    codes, stack = {}, [(table.shape, "")]
+    while stack:
+        node, code = stack.pop()
+        if isinstance(node, str):
+            codes[node] = code
+        else:
+            stack.extend((child, code + "0") for child in reversed(node))
+    return float_sum(map(mul, map(table.probabilities.__getitem__, codes), map(len, codes.values())))
+
+
+def random_shape(rng, n, m):
+    """A random nested shape over keys k000.. in left-to-right order: runs of
+    2 to m neighbouring nodes are grouped under a new node until one is left."""
+    nodes = [f"k{i:03d}" for i in range(n)]
+    while len(nodes) > 1:
+        width = rng.randint(2, min(m, len(nodes)))
+        at = rng.randrange(len(nodes) - width + 1)
+        nodes[at : at + width] = [nodes[at : at + width]]
+    return nodes[0]
+
+
+class TestAvgLength:
+    @given(st.sampled_from([2, 3, 16, 37]), st.integers(1, 80), st.booleans(), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_depth_walk_is_the_spelled_sum(self, m, n, huffman, rnd):
+        # bit for bit, on Huffman shapes and on any shape, past the code
+        # alphabet too (m = 37)
+        rng = random.Random(rnd.randint(0, 2**32))
+        probs = random_distribution(rng, n)
+        table = huffman_codes(probs, m) if huffman else CodeTable(random_shape(rng, n, m), probs, m)
+        assert table.avg_length == old_avg_length(table)
+
+    def test_caterpillar_of_any_depth(self):
+        # k_i sits at depth i + 1, the last key beside k_{n-2}: a walk that
+        # recursed would fail long before 20,000 levels
+        n = 20000
+        keys = [f"c{i:05d}" for i in range(n)]
+        probs = dict(zip(keys, zipf_distribution(n, 1.1)))
+        shape = keys[-1]
+        for key in reversed(keys[:-1]):
+            shape = [key, shape]
+        depths = list(range(1, n)) + [n - 1]
+        expected = float_sum(probs[key] * depth for key, depth in zip(keys, depths))
+        assert CodeTable(shape, probs, 2).avg_length == expected
 
 
 class TestHuffman:

@@ -1,14 +1,20 @@
 """The benchmark harness, ``perfbench/run.py``, over every workload at toy
 sizes, untraced and traced, against this checkout's library. The traced run
 wraps each name ``perfbench/layer_trace.py`` lists, looked up with
-``getattr``, so a library change that renames or drops one fails here."""
+``getattr``, so a library change that renames or drops one fails here.
+serve's set-up also runs in-process, under a leaf-hash counter, so work
+that comes back into it fails a test, not only the benchmark."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import adaptive_merkle.tree as tree_mod
+from adaptive_merkle.tree import hash_leaf
 
 REPO = Path(__file__).resolve().parent.parent
 # the proof layers serve and drift run once per read, in call order
@@ -49,3 +55,20 @@ def test_every_workload_runs_and_checks_out(trace):
         for result in (results[0], results[2]):
             for name in PROOF_LAYERS:
                 assert result["metrics"][name]["value"] > 0, (name, result["metrics"])
+
+
+def test_serve_setup_hashes_no_leaf(monkeypatch):
+    # serve's set-up (the served Huffman tree, and the balanced tree and
+    # address map of `encode --format map`) reads no root, so it hashes no
+    # leaf; the served tree's first root read hashes each of its leaves once
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    serve = workloads.TINY["serve"]
+    calls = []
+    monkeypatch.setattr(tree_mod, "hash_leaf", lambda key, payload: calls.append(key) or hash_leaf(key, payload))
+    tree = serve.setup(1)["tree"]
+    assert calls == []
+    tree.root_hash()
+    assert len(calls) == serve.n and sorted(calls) == sorted(tree.leaf_keys())

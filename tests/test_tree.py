@@ -32,6 +32,7 @@ from adaptive_merkle import (
 )
 import adaptive_merkle.proofs as proofs_mod
 import adaptive_merkle.tree as tree_mod
+from adaptive_merkle.address_map import build_mapping
 from adaptive_merkle.coding import CodeTable
 from adaptive_merkle.restructure import apply_alternative
 from adaptive_merkle.tree import MAX_ARITY, PROB_SUM_TOL, check_probabilities, hash_internal, hash_leaf
@@ -42,6 +43,7 @@ from helpers import (
     V1_SNAPSHOT,
     apply_ops,
     changed_parents,
+    child_ids,
     children_of,
     fresh_proof_wires,
     kraft_sum,
@@ -857,6 +859,22 @@ class TestStoredDigests:
         check_reads(tree)
         apply_ops(tree, ops, check_reads)
 
+    @pytest.mark.parametrize("read", ["node", "leaf_node"])
+    def test_a_node_view_is_current_before_any_root_read(self, binary_demo_tree, read):
+        # node() and leaf_node() flush first, so a view of a tree that was
+        # built, or changed, and not read since holds the digests a full
+        # rehash gives, never b"" or a stale one
+        tree = binary_demo_tree
+        for mutate in (lambda: None, lambda: tree.split_leaf("A", "Z", b"z"), lambda: tree.swap_leaves("Z", "G")):
+            mutate()
+            full = tree.clone()
+            full.recompute_all_hashes()
+            nid = tree.parent_id(tree._leaf_by_key["G"])
+            view = tree.leaf_node("G") if read == "leaf_node" else tree.node(nid)
+            assert tree._pending == [] and not tree._dirty
+            expected = full.leaf_node("G") if read == "leaf_node" else full.node(nid)
+            assert view == expected and view.hash
+
 
 class TestLeafOrder:
     def test_attach_lands_after_the_rightmost_leaf_below_its_parent(self):
@@ -966,11 +984,13 @@ class TestRehashCount:
 
     @pytest.mark.parametrize("m", [2, 3, 16])
     def test_building_and_splitting_hash_no_internal_node(self, m):
-        # Every builder hashes each leaf once, as it makes it, numbers its
-        # nodes 1..K in post-order, and only marks its internal nodes, as
-        # a split does; the first read hashes each internal node exactly
-        # once and lands on the full rehash's root. A split after a build
-        # makes nodes K+1 and K+2.
+        # No builder hashes anything, not even a leaf: each numbers its nodes
+        # 1..K in post-order, lists its leaves as pending and marks its
+        # internal nodes, as a split does, and the address map reads the
+        # trees' shapes only. The first read hashes each leaf once, through
+        # the module-level hash_leaf, and each internal node once, and lands
+        # on the full rehash's root; a second read hashes nothing. A split
+        # after a build makes nodes K+1 and K+2.
         keys = [f"k{i:02d}" for i in range(40)]
         probs = dict(zip(keys, zipf_distribution(len(keys), 1.1)))
         caterpillar = keys[-1]
@@ -987,33 +1007,64 @@ class TestRehashCount:
             patch.setattr(tree_mod, "hash_internal", lambda hashes: calls.append(1) or hash_internal(hashes))
             patch.setattr(tree_mod, "hash_leaf", lambda key, payload: leaf_calls.append(key) or hash_leaf(key, payload))
             patch.setattr(AdaptiveTree, "_rehash", lambda t, nid: rehashed.append(nid) or real_rehash(t, nid))
-            trees = []
-            for build in builders:
-                leaf_calls.clear()
-                trees.append(build())
-                assert sorted(leaf_calls) == keys
-                assert post_order(trees[-1]) == list(node_ids(trees[-1]))
+            trees = [build() for build in builders]
+            for tree in trees:
+                assert post_order(tree) == list(node_ids(tree))
+            assert len(build_mapping(trees[1], trees[2])) == len(keys)
             split = build_balanced([(keys[0], keys[0].encode(), 1.0)], TreeConfig(m))
             for i, key in enumerate(keys[1:]):
                 split.split_leaf(keys[i // 2], key, key.encode())  # the root first
             split.set_probabilities(probs)
             trees.append(split)
-            assert calls == []
+            assert calls == [] and leaf_calls == []
             for tree in trees:
-                internal = [nid for nid in node_ids(tree) if not tree.node(nid).is_leaf]
+                internal = [nid for nid in node_ids(tree) if child_ids(tree, nid) is not None]
                 rehashed.clear()
                 root = tree.root_hash()
+                assert sorted(leaf_calls) == keys
                 assert sorted(rehashed) == sorted(internal)
                 assert len(calls) == len(internal)
+                calls.clear()
+                leaf_calls.clear()
+                assert tree.root_hash() == root
+                assert calls == [] and leaf_calls == []
                 full = tree.clone()
                 full.recompute_all_hashes()
                 assert full.root_hash() == root
                 calls.clear()
+                leaf_calls.clear()
             for tree in trees[:3]:
                 k = len(node_ids(tree))
                 tree.split_leaf(keys[0], "new", b"new")
                 assert tree.leaf_node("new").node_id == k + 1
                 assert tree.parent_id(k + 1) == k + 2
+
+    @given(st.sampled_from([2, 3, 4, 16]), st.integers(1, 12), every_op, st.randoms())
+    @settings(max_examples=80, deadline=None)
+    def test_reads_at_any_point_hash_every_pending_leaf(self, m, n, ops, rnd):
+        # Read the root at random points among the ops: each read leaves
+        # nothing pending or dirty and every leaf holding its own digest, and
+        # a clone taken before the first read, given the same ops with no
+        # extra reads, reaches the same root.
+        rng = random.Random(rnd.randint(0, 2**32))
+        tree = random_tree(rng, n, m)
+        unread = tree.clone()
+
+        def check(t):
+            if rng.random() < 0.5:
+                t.root_hash()
+                assert t._pending == [] and not t._dirty
+                for key, nid in t._leaf_by_key.items():
+                    assert t._hash[nid] == hash_leaf(key, t._payload[nid])
+
+        check(tree)
+        root = apply_ops(tree, ops, check).root_hash()
+        unread = apply_ops(unread, ops)
+        again = unread.clone()
+        assert unread.root_hash() == root
+        again.recompute_all_hashes()  # the full rehash leaves nothing for a flush
+        assert again._pending == [] and not again._dirty
+        assert again.root_hash() == root
 
 
 class TestMemory:
@@ -1192,25 +1243,31 @@ APPLY_OPS_KINDS = ["split", "attach", "swap", "swap_nodes", "move", "probabiliti
 class TestClone:
     @pytest.mark.parametrize("kind", APPLY_OPS_KINDS)
     def test_every_op_on_a_clone_leaves_the_original(self, kind):
-        # A per-node list, a children list or an index shared with the clone
-        # would show here: as a longer list, a changed snapshot, root or
-        # proof, or an index that validate() finds out of sync.
+        # A per-node list, a children list, an index or the pending leaves
+        # shared with the clone would show here: as a longer list, a changed
+        # snapshot, root or proof, or an index that validate() finds out of
+        # sync. The clone is taken before the first read, so it carries the
+        # pending leaves and the dirty nodes.
         def state(t):
             proofs = [prove(t, key) for key in t.leaf_keys()]
             return json.dumps(t.to_snapshot()), t.root_hash(), proofs, [len(getattr(t, f)) for f in PER_NODE_LISTS]
 
         tree = random_tree(random.Random(7), 12, 3)
+        copy = tree.clone()
         before = state(tree)
-        apply_ops(tree.clone(), [(kind, i, 7 * i + 1) for i in range(6)])
+        apply_ops(copy, [(kind, i, 7 * i + 1) for i in range(6)])
         assert state(tree) == before
         tree.validate()
 
     @pytest.mark.parametrize(
-        "container", ["nodes", "children", "probabilities", "depth", "parent", "leaf_by_key"]
+        "container", ["nodes", "children", "probabilities", "depth", "parent", "leaf_by_key", "pending"]
     )
     def test_mutating_the_clone_leaves_the_original(self, binary_demo_tree, container):
         tree = binary_demo_tree
+        unread = tree.clone()  # the fixture is built and never read: its leaves are pending
         snapshot, root = tree.to_snapshot(), tree.root_hash()
+        if container == "pending":
+            tree = unread
         copy = tree.clone()
         if container == "nodes":  # every per-node list
             for field in PER_NODE_LISTS:
@@ -1222,7 +1279,7 @@ class TestClone:
             copy.recompute_all_hashes()
         else:
             index = {"probabilities": copy._probabilities, "depth": copy._depth, "parent": copy._parent,
-                     "leaf_by_key": copy._leaf_by_key}[container]
+                     "leaf_by_key": copy._leaf_by_key, "pending": copy._pending}[container]
             index.clear()
         assert tree.to_snapshot() == snapshot
         assert tree.root_hash() == root
